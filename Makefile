@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check doc-check md-check fuzz fuzz-wal bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
+.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz fuzz-wal fuzz-audit bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-txn repeats the lock manager's tests under the race detector: its
+# stress test is the one tier-1 failure this repository has had that a
+# single run does not show.
+race-txn:
+	$(GO) test -race -count=20 ./internal/txn
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +40,17 @@ fuzz:
 # recovery both feed it bytes from outside the process).
 fuzz-wal:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime 30s
+
+# fuzz-audit hammers the audit trail's block decoder (Verify and every
+# reopen feed it bytes from a directory an attacker may have written).
+fuzz-audit:
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime 30s
+
+# bench-harness vets and tests the benchmark harness. It is a nested
+# module (bench/go.mod) that no ./... pattern reaches, and it compiles
+# against internal packages: run it after changing any of them.
+bench-harness:
+	cd bench && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test ./... -run '^$$' -bench . -benchmem

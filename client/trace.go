@@ -61,9 +61,9 @@ func (c *Conn) TraceDump(ctx context.Context, mode byte, id uint64) ([]*trace.Re
 
 // AuditTail fetches the newest n degradation audit events from the
 // server's in-memory tail (n <= 0 fetches everything retained),
-// oldest first. Each event carries its hash-chain value — the same
-// bytes the on-disk trail stores — so a caller holding a verified
-// trail can cross-check what the server reports.
+// oldest first, including events still in the trail's open block. The
+// on-disk chain links blocks, not events; verify it with trace.Verify
+// (degradectl audit -chain) where the directory is at hand.
 func (c *Conn) AuditTail(ctx context.Context, n int) ([]trace.Event, error) {
 	if n < 0 {
 		n = 0

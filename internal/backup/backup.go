@@ -70,7 +70,7 @@ func (c sealFallbackCodec) lostEvent(table uint32, col uint8, tuple storage.Tupl
 		}
 	}
 	c.audit.Append(trace.Event{Kind: trace.EvBackupLostSeal,
-		Table: name, PK: fmt.Sprint(tuple), Attr: attr, Detail: why})
+		Table: name, Tuple: uint64(tuple), Attr: attr, Detail: why})
 }
 
 // instrument registers (idempotently, by name) the backup counters on

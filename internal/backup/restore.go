@@ -334,7 +334,7 @@ func appendLostFixups(log *wal.Log, codec wal.Codec, attrs map[attrKey]attrTrack
 		}
 		sum.Erased++
 		aud.Append(trace.Event{Kind: trace.EvLostServed,
-			Table: fmt.Sprint(k.table), PK: fmt.Sprint(k.tuple), Attr: fmt.Sprint(k.attr),
+			Table: fmt.Sprint(k.table), Tuple: uint64(k.tuple), Attr: fmt.Sprint(k.attr),
 			Detail: "archived payload irrecoverable (epoch key gone); attribute erased on restore"})
 		if len(chunk) >= chunkBytes {
 			if err := log.AppendRaw(chunk); err != nil {

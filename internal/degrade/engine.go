@@ -6,7 +6,9 @@
 // policy), and on every tick executes due transitions in small batches as
 // system transactions: X row locks, one WAL commit batch, physical
 // rewrite with scrubbing, index maintenance, then log scrubbing (epoch
-// key shredding or vacuum) through the Scrubber hook.
+// key shredding or vacuum) through the Scrubber hook. Queues are drained
+// one at a time in (table, attribute, state) order, so a transition out
+// of a state never runs while tuples are still on their way into it.
 //
 // Readers holding row locks never block a whole batch: locked tuples are
 // skipped and retried on the next tick, trading bounded lag for reader
@@ -94,7 +96,48 @@ func (o Options) withDefaults() Options {
 type task struct {
 	tid        storage.TupleID
 	insertNano int64
-	notBefore  int64 // retry gate (lock busy / predicate false)
+}
+
+// retry is a task that came due but could not run (row lock busy,
+// predicate false, commit failed), gated until notBefore.
+type retry struct {
+	task
+	notBefore int64
+}
+
+// taskFIFO is a queue's deadline-ordered backlog. Popping advances head
+// instead of reslicing, so the dead prefix can be reclaimed: the array
+// is dropped when the queue drains and the live tail is copied down once
+// more than half of the array is dead.
+type taskFIFO struct {
+	buf  []task
+	head int
+}
+
+// live returns the pending tasks, oldest first.
+func (f *taskFIFO) live() []task { return f.buf[f.head:] }
+
+func (f *taskFIFO) len() int { return len(f.buf) - f.head }
+
+func (f *taskFIFO) push(ts ...task) { f.buf = append(f.buf, ts...) }
+
+// insert places t at position i of the live tasks.
+func (f *taskFIFO) insert(i int, t task) {
+	f.buf = append(f.buf, task{})
+	copy(f.buf[f.head+i+1:], f.buf[f.head+i:])
+	f.buf[f.head+i] = t
+}
+
+// pop discards the n oldest tasks.
+func (f *taskFIFO) pop(n int) {
+	f.head += n
+	switch {
+	case f.head == len(f.buf):
+		f.buf, f.head = nil, 0
+	case f.head > len(f.buf)/2:
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
 }
 
 // queueKey identifies a transition queue.
@@ -120,9 +163,12 @@ type transQueue struct {
 	event     string
 	predicate string
 	isDelete  bool
+	// firedDetail is the audit detail of a non-terminal transition out
+	// of this queue ("state 0→1"), rendered once per queue.
+	firedDetail string
 
-	fifo    []task
-	retries []task
+	fifo    taskFIFO
+	retries []retry
 	// eventFired drains the queue regardless of deadlines.
 	eventFired bool
 }
@@ -256,6 +302,7 @@ func (e *Engine) queueFor(tbl *catalog.Table, attr int, state uint8) *transQueue
 			q.toState = -1 // terminal: suppress / awaiting delete
 		} else {
 			q.toState = int(state) + 1
+			q.firedDetail = fmt.Sprintf("state %d\u2192%d", q.fromState, q.toState)
 		}
 		st := pol.StateAt(int(state))
 		q.trigger = st.Trigger
@@ -273,25 +320,29 @@ func (e *Engine) OnInsert(tbl *catalog.Table, tid storage.TupleID, insertedAt ti
 	if tl == nil {
 		return
 	}
+	nano := insertedAt.UTC().UnixNano()
+	// The tuple's scheduled events go to the trail in one call.
+	var evs [8]trace.Event
+	sched := evs[:0]
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	nano := insertedAt.UTC().UnixNano()
 	for attr := range tbl.DegradableColumns() {
 		if q := e.queueFor(tbl, attr, 0); q != nil {
-			q.fifo = append(q.fifo, task{tid: tid, insertNano: nano})
-			e.audit.Append(trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
-				Table: tbl.Name, PK: fmt.Sprint(tid), Attr: attrName(tbl, attr),
+			q.fifo.push(task{tid: tid, insertNano: nano})
+			sched = append(sched, trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
+				Table: tbl.Name, Tuple: uint64(tid), Attr: attrName(tbl, attr),
 				Deadline: nano + q.ageNano})
 		}
 	}
 	if _, ok := tl.DeleteAge(); ok {
 		if q := e.queueFor(tbl, -1, 0); q != nil {
-			q.fifo = append(q.fifo, task{tid: tid, insertNano: nano})
-			e.audit.Append(trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
-				Table: tbl.Name, PK: fmt.Sprint(tid), Detail: "tuple-delete",
+			q.fifo.push(task{tid: tid, insertNano: nano})
+			sched = append(sched, trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
+				Table: tbl.Name, Tuple: uint64(tid), Detail: "tuple-delete",
 				Deadline: nano + q.ageNano})
 		}
 	}
+	e.audit.Append(sched...)
 }
 
 // OnExternalTransition registers the follow-up transition of a tuple
@@ -316,13 +367,12 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 	// Keep the FIFO in deadline (= insert) order: catch-up after a
 	// partition can deliver transitions for tuples older than the queue
 	// tail, and an out-of-order tail would delay them behind newer heads.
-	i := sort.Search(len(q.fifo), func(i int) bool { return q.fifo[i].insertNano > insertNano })
-	q.fifo = append(q.fifo, task{})
-	copy(q.fifo[i+1:], q.fifo[i:])
-	q.fifo[i] = task{tid: tid, insertNano: insertNano}
+	live := q.fifo.live()
+	i := sort.Search(len(live), func(i int) bool { return live[i].insertNano > insertNano })
+	q.fifo.insert(i, task{tid: tid, insertNano: insertNano})
 	e.audit.Append(trace.Event{Kind: trace.EvExternal,
 		UnixNano: e.clock.Now().UTC().UnixNano(),
-		Table:    tbl.Name, PK: fmt.Sprint(tid), Attr: attrName(tbl, attr),
+		Table:    tbl.Name, Tuple: uint64(tid), Attr: attrName(tbl, attr),
 		Detail:   fmt.Sprintf("replicated to state %d; follow-up scheduled", newState),
 		Deadline: insertNano + q.ageNano})
 }
@@ -347,12 +397,12 @@ func (e *Engine) Reseed() error {
 					continue
 				}
 				if q := e.queueFor(tbl, attr, st); q != nil {
-					q.fifo = append(q.fifo, task{tid: t.ID, insertNano: nano})
+					q.fifo.push(task{tid: t.ID, insertNano: nano})
 				}
 			}
 			if hasDelete {
 				if q := e.queueFor(tbl, -1, 0); q != nil {
-					q.fifo = append(q.fifo, task{tid: t.ID, insertNano: nano})
+					q.fifo.push(task{tid: t.ID, insertNano: nano})
 				}
 			}
 			return true
@@ -363,7 +413,8 @@ func (e *Engine) Reseed() error {
 	}
 	// Scans return tuples in arbitrary order; restore deadline order.
 	for _, q := range e.queues {
-		sort.SliceStable(q.fifo, func(i, j int) bool { return q.fifo[i].insertNano < q.fifo[j].insertNano })
+		fifo := q.fifo.live()
+		sort.SliceStable(fifo, func(i, j int) bool { return fifo[i].insertNano < fifo[j].insertNano })
 	}
 	return nil
 }
@@ -407,7 +458,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, q := range e.queues {
-		s.Pending += len(q.fifo) + len(q.retries)
+		s.Pending += q.pending()
 	}
 	return s
 }
@@ -431,13 +482,16 @@ func (e *Engine) Lag(now time.Time) time.Duration {
 	return time.Duration(worst)
 }
 
+// pending counts the tuples the queue holds. Caller holds e.mu.
+func (q *transQueue) pending() int { return q.fifo.len() + len(q.retries) }
+
 // lagNano returns the queue's lag at nowNano (0 if nothing overdue).
 // The FIFO is deadline-ordered so its head is the oldest; retries lost
 // their order and are scanned. Caller holds e.mu.
 func (q *transQueue) lagNano(nowNano int64) int64 {
 	var worst int64
-	if len(q.fifo) > 0 {
-		if l := nowNano - (q.fifo[0].insertNano + q.ageNano); l > worst {
+	if q.fifo.len() > 0 {
+		if l := nowNano - (q.fifo.live()[0].insertNano + q.ageNano); l > worst {
 			worst = l
 		}
 	}
@@ -468,7 +522,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 			defer e.mu.Unlock()
 			n := 0
 			for _, q := range e.queues {
-				n += len(q.fifo) + len(q.retries)
+				n += q.pending()
 			}
 			return float64(n)
 		})
@@ -497,7 +551,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 			defer e.mu.Unlock()
 			depth := make(map[string]int)
 			for _, q := range e.queues {
-				depth[q.tbl.Name] += len(q.fifo) + len(q.retries)
+				depth[q.tbl.Name] += q.pending()
 			}
 			for name, n := range depth {
 				emit(name, float64(n))
@@ -547,7 +601,13 @@ func (e *Engine) Tick() (int, error) {
 	return total, nil
 }
 
-// tickOnce runs at most one batch per queue.
+// tickOnce drains every queue's due tasks, one queue at a time in
+// (table, attr, state) order, deletions last. A queue is exhausted
+// before the next one starts: when several batches of tuples cross two
+// deadlines in one tick, every tuple's first transition — sealed under
+// the next state's epoch key — commits before any second transition
+// lets the scrubber shred that key. Follow-ups land in queues this pass
+// may already be past; Tick calls again until nothing is due.
 func (e *Engine) tickOnce(now time.Time) (int, error) {
 	e.mu.Lock()
 	keys := make([]queueKey, 0, len(e.queues))
@@ -573,10 +633,15 @@ func (e *Engine) tickOnce(now time.Time) (int, error) {
 	})
 	total := 0
 	for _, k := range keys {
-		n, err := e.runQueue(k, now)
-		total += n
-		if err != nil {
-			return total, err
+		for {
+			n, popped, err := e.runQueue(k, now)
+			total += n
+			if err != nil {
+				return total, err
+			}
+			if !popped {
+				break
+			}
 		}
 	}
 	return total, nil
@@ -591,32 +656,35 @@ func (e *Engine) popDue(q *transQueue, now time.Time) []task {
 	for _, t := range q.retries {
 		if len(due) < e.opts.BatchSize && t.notBefore <= nowNano &&
 			(q.eventFired || t.insertNano+q.ageNano <= nowNano) {
-			due = append(due, t)
+			due = append(due, t.task)
 		} else {
 			keep = append(keep, t)
 		}
 	}
 	q.retries = keep
-	for len(q.fifo) > 0 && len(due) < e.opts.BatchSize {
-		t := q.fifo[0]
-		if !q.eventFired && t.insertNano+q.ageNano > nowNano {
-			break
-		}
-		due = append(due, t)
-		q.fifo = q.fifo[1:]
+	live := q.fifo.live()
+	n := 0
+	for n < len(live) && len(due)+n < e.opts.BatchSize &&
+		(q.eventFired || live[n].insertNano+q.ageNano <= nowNano) {
+		n++
 	}
-	if len(q.fifo) == 0 && len(q.retries) == 0 {
+	due = append(due, live[:n]...)
+	q.fifo.pop(n)
+	if q.pending() == 0 {
 		q.eventFired = false
 	}
 	return due
 }
 
-func (e *Engine) runQueue(key queueKey, now time.Time) (int, error) {
+// runQueue executes one batch of a queue's due tasks as a system
+// transaction and returns the tuples degraded or deleted; popped tells
+// whether the queue had anything due at all.
+func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err error) {
 	e.mu.Lock()
 	q := e.queues[key]
 	if q == nil {
 		e.mu.Unlock()
-		return 0, nil
+		return 0, false, nil
 	}
 	due := e.popDue(q, now)
 	pred := Predicate(nil)
@@ -626,7 +694,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (int, error) {
 	aud := e.audit
 	e.mu.Unlock()
 	if len(due) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
 
 	ts := e.mgr.Table(q.tbl)
@@ -635,7 +703,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (int, error) {
 	if err := e.locks.Acquire(sysTxn, txn.TableRes(q.tbl.ID), txn.LockIX); err != nil {
 		// A DDL holds the table; retry the whole batch next tick.
 		e.requeue(q, due, now)
-		return 0, nil
+		return 0, true, nil
 	}
 
 	var recs []*wal.Record
@@ -682,7 +750,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (int, error) {
 			toLevel := q.pol.LevelOf(q.toState)
 			next, err := dom.Degrade(tup.Row[col], fromLevel, toLevel)
 			if err != nil {
-				return 0, fmt.Errorf("degrade: %s.%s tuple %d: %w", q.tbl.Name, q.tbl.Columns[col].Name, t.tid, err)
+				return 0, true, fmt.Errorf("degrade: %s.%s tuple %d: %w", q.tbl.Name, q.tbl.Columns[col].Name, t.tid, err)
 			}
 			rec.NewState = uint8(q.toState)
 			rec.NewStored = next
@@ -691,87 +759,76 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (int, error) {
 		recs = append(recs, rec)
 	}
 
-	n := 0
 	if len(recs) > 0 {
 		if err := e.commit(recs); err != nil {
 			// Nothing applied: put every popped task back for retry so
 			// a transient commit failure cannot silently drop deadlines.
 			e.requeue(q, due, now)
-			return 0, fmt.Errorf("degrade: commit batch: %w", err)
+			return 0, true, fmt.Errorf("degrade: commit batch: %w", err)
 		}
 		n = len(recs)
+		e.ctr.batches.Add(1)
 	}
 
-	if len(recs) > 0 {
-		e.ctr.batches.Add(1)
-		for _, r := range recs {
-			if q.isDelete || r.Type == wal.RecDelete {
-				e.ctr.deletions.Add(1)
-			} else {
-				e.ctr.transitions.Add(1)
-				if r.NewState == storage.StateErased {
-					e.ctr.erasures.Add(1)
-				}
-			}
-			if lag := nowNano - (r.InsertNano + q.ageNano); lag > 0 {
-				e.ctr.sumLagNano.Add(lag)
-				for {
-					cur := e.ctr.maxLagNano.Load()
-					if lag <= cur || e.ctr.maxLagNano.CompareAndSwap(cur, lag) {
-						break
-					}
+	// The batch's events go to the trail in one call. The fired events
+	// are its core evidence: identity plus deadline-vs-actual, the
+	// timeliness delta the paper claims.
+	attr := attrName(q.tbl, key.attr)
+	evs := make([]trace.Event, 0, len(recs)+len(skipped)+len(held))
+	for _, r := range recs {
+		ev := trace.Event{Kind: trace.EvFired, UnixNano: nowNano,
+			Table: q.tbl.Name, Tuple: uint64(r.Tuple),
+			Deadline: r.InsertNano + q.ageNano, Actual: nowNano}
+		switch {
+		case r.Type == wal.RecDelete:
+			e.ctr.deletions.Add(1)
+			ev.Detail = "tuple-delete"
+		case r.NewState == storage.StateErased:
+			e.ctr.transitions.Add(1)
+			e.ctr.erasures.Add(1)
+			ev.Attr, ev.Detail = attr, "erased"
+		default:
+			e.ctr.transitions.Add(1)
+			ev.Attr, ev.Detail = attr, q.firedDetail
+		}
+		if lag := nowNano - (r.InsertNano + q.ageNano); lag > 0 {
+			e.ctr.sumLagNano.Add(lag)
+			for {
+				cur := e.ctr.maxLagNano.Load()
+				if lag <= cur || e.ctr.maxLagNano.CompareAndSwap(cur, lag) {
+					break
 				}
 			}
 		}
-	}
-	if len(recs) > 0 {
-		// The fired events are the trail's core evidence: identity plus
-		// deadline-vs-actual, the timeliness delta the paper claims.
-		for _, r := range recs {
-			ev := trace.Event{Kind: trace.EvFired, UnixNano: nowNano,
-				Table: q.tbl.Name, PK: fmt.Sprint(r.Tuple),
-				Deadline: r.InsertNano + q.ageNano, Actual: nowNano}
-			if q.isDelete || r.Type == wal.RecDelete {
-				ev.Detail = "tuple-delete"
-			} else {
-				ev.Attr = attrName(q.tbl, key.attr)
-				if r.NewState == storage.StateErased {
-					ev.Detail = "erased"
-				} else {
-					ev.Detail = fmt.Sprintf("state %d\u2192%d", q.fromState, r.NewState)
-				}
-			}
-			aud.Append(ev)
-		}
+		evs = append(evs, ev)
 	}
 	for _, t := range skipped {
-		aud.Append(trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
-			Table: q.tbl.Name, PK: fmt.Sprint(t.tid), Attr: attrName(q.tbl, key.attr),
+		evs = append(evs, trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
+			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,
 			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: "row lock busy"})
 	}
 	for _, t := range held {
-		aud.Append(trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
-			Table: q.tbl.Name, PK: fmt.Sprint(t.tid), Attr: attrName(q.tbl, key.attr),
+		evs = append(evs, trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
+			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,
 			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: "predicate held"})
 	}
+	aud.Append(evs...)
 	e.ctr.lockSkips.Add(uint64(len(skipped)))
 	e.ctr.predicateHold.Add(uint64(len(held)))
 	e.mu.Lock()
 	retryAt := nowNano + int64(e.opts.RecheckInterval)
 	for _, t := range skipped {
-		t.notBefore = retryAt
-		q.retries = append(q.retries, t)
+		q.retries = append(q.retries, retry{t, retryAt})
 	}
 	for _, t := range held {
-		t.notBefore = retryAt
-		q.retries = append(q.retries, t)
+		q.retries = append(q.retries, retry{t, retryAt})
 	}
 	// Enqueue follow-up transitions for tuples that advanced to a
 	// non-terminal state.
 	if len(followups) > 0 && q.toState != -1 {
 		nq := e.queueFor(q.tbl, key.attr, uint8(q.toState))
 		if nq != nil {
-			nq.fifo = append(nq.fifo, followups...)
+			nq.fifo.push(followups...)
 		}
 	}
 	e.mu.Unlock()
@@ -781,10 +838,10 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (int, error) {
 		// transition's deadline.
 		cutoff := time.Unix(0, nowNano-q.ageNano)
 		if err := e.scrub.AfterTransition(q.tbl, key.attr, uint8(q.fromState), cutoff); err != nil {
-			return n, fmt.Errorf("degrade: scrub: %w", err)
+			return n, true, fmt.Errorf("degrade: scrub: %w", err)
 		}
 	}
-	return n, nil
+	return n, true, nil
 }
 
 // requeue returns tasks to a queue's retry list with a recheck delay.
@@ -793,8 +850,7 @@ func (e *Engine) requeue(q *transQueue, tasks []task, now time.Time) {
 	defer e.mu.Unlock()
 	at := now.UTC().UnixNano() + int64(e.opts.RecheckInterval)
 	for _, t := range tasks {
-		t.notBefore = at
-		q.retries = append(q.retries, t)
+		q.retries = append(q.retries, retry{t, at})
 	}
 }
 
@@ -807,8 +863,8 @@ func (e *Engine) NextDeadline() (time.Time, bool) {
 	var best int64
 	found := false
 	for _, q := range e.queues {
-		if len(q.fifo) > 0 {
-			d := q.fifo[0].insertNano + q.ageNano
+		if q.fifo.len() > 0 {
+			d := q.fifo.live()[0].insertNano + q.ageNano
 			if !found || d < best {
 				best, found = d, true
 			}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"instantdb/internal/catalog"
 	"instantdb/internal/gentree"
 	"instantdb/internal/lcp"
 	"instantdb/internal/storage"
+	"instantdb/internal/trace"
 	"instantdb/internal/txn"
 	"instantdb/internal/value"
 	"instantdb/internal/vclock"
@@ -434,5 +436,107 @@ func TestStaleTasksSkipped(t *testing.T) {
 	f.clock.Advance(2 * time.Hour)
 	if n, err := f.eng.Tick(); err != nil || n != 0 {
 		t.Fatalf("deleted tuple degraded: n=%d err=%v", n, err)
+	}
+}
+
+// TestTaskFIFO: the backlog keeps order through pushes, pops and
+// out-of-order inserts, copies its live tail down once more than half
+// of the array is dead, and lets the array go when it drains.
+func TestTaskFIFO(t *testing.T) {
+	if sz := unsafe.Sizeof(task{}); sz != 16 {
+		t.Fatalf("a FIFO entry is %d bytes, want 16", sz)
+	}
+	var f taskFIFO
+	for i := 1; i <= 1000; i++ {
+		f.push(task{tid: storage.TupleID(i), insertNano: int64(i)})
+	}
+	f.pop(400)
+	if f.head != 400 || f.len() != 600 || f.live()[0].tid != 401 {
+		t.Fatalf("after pop(400): head=%d len=%d first=%d", f.head, f.len(), f.live()[0].tid)
+	}
+	f.pop(200) // 600 of 1000 dead: copy down
+	if f.head != 0 || len(f.buf) != 400 || f.live()[0].tid != 601 {
+		t.Fatalf("after copy-down: head=%d len(buf)=%d first=%d", f.head, len(f.buf), f.live()[0].tid)
+	}
+	f.insert(1, task{tid: 9999})
+	if live := f.live(); live[0].tid != 601 || live[1].tid != 9999 || live[2].tid != 602 || f.len() != 401 {
+		t.Fatalf("insert: %v...", live[:3])
+	}
+	f.pop(f.len())
+	if f.buf != nil || f.head != 0 || f.len() != 0 {
+		t.Fatalf("a drained FIFO keeps its array: cap=%d head=%d", cap(f.buf), f.head)
+	}
+}
+
+// TestDrainedQueuesHoldNoBacklog: after a wave moves every tuple to the
+// next state, the source queue retains no array, and Pending and Lag
+// read as before.
+func TestDrainedQueuesHoldNoBacklog(t *testing.T) {
+	f := newFixture(t, Options{}, figure2Policy)
+	const rows = 1000
+	for i := 0; i < rows; i++ {
+		f.insert(t, int64(i), "Dam 1")
+	}
+	if p := f.eng.Stats().Pending; p != 2*rows { // state-0 queue + delete queue
+		t.Fatalf("pending %d, want %d", p, 2*rows)
+	}
+	age, _ := f.tbl.Columns[1].Policy.DeadlineFromInsert(0)
+	f.clock.Advance(age + time.Minute)
+	if lag := f.eng.Lag(f.clock.Now()); lag != time.Minute {
+		t.Fatalf("lag %v before the tick, want 1m", lag)
+	}
+	if n, err := f.eng.Tick(); err != nil || n != rows {
+		t.Fatalf("tick: n=%d err=%v", n, err)
+	}
+	if p := f.eng.Stats().Pending; p != 2*rows { // state-1 queue + delete queue
+		t.Fatalf("pending %d after the wave, want %d", p, 2*rows)
+	}
+	if lag := f.eng.Lag(f.clock.Now()); lag != 0 {
+		t.Fatalf("lag %v after the tick", lag)
+	}
+	f.eng.mu.Lock()
+	defer f.eng.mu.Unlock()
+	if q := f.eng.queues[queueKey{table: f.tbl.ID, attr: 0, state: 0}]; q.fifo.buf != nil {
+		t.Fatalf("drained state-0 queue still holds an array of %d entries", cap(q.fifo.buf))
+	}
+}
+
+// TestBatchEventsReachTrail: a tuple's scheduled events and a batch's
+// fired events arrive in the trail complete and in order — one event
+// per tuple and attribute, same deadline at both ends.
+func TestBatchEventsReachTrail(t *testing.T) {
+	f := newFixture(t, Options{BatchSize: 16}, figure2Policy)
+	aud, err := trace.OpenAudit("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.SetAudit(aud)
+	const rows = 40
+	var tids []storage.TupleID
+	for i := 0; i < rows; i++ {
+		tids = append(tids, f.insert(t, int64(i), "Dam 1"))
+	}
+	age, _ := f.tbl.Columns[1].Policy.DeadlineFromInsert(0)
+	f.clock.Advance(age)
+	if n, err := f.eng.Tick(); err != nil || n != rows {
+		t.Fatalf("tick: n=%d err=%v", n, err)
+	}
+	evs := aud.Tail(0)
+	if len(evs) != 3*rows { // per tuple: location scheduled, delete scheduled, location fired
+		t.Fatalf("%d events in the trail, want %d", len(evs), 3*rows)
+	}
+	deadline := vclock.Epoch.UnixNano() + int64(age)
+	for i, tid := range tids {
+		sched, del, fired := evs[2*i], evs[2*i+1], evs[2*rows+i]
+		if sched.Kind != trace.EvScheduled || sched.Tuple != uint64(tid) || sched.Attr != "location" || sched.Deadline != deadline {
+			t.Fatalf("tuple %d scheduled event: %+v", tid, sched)
+		}
+		if del.Kind != trace.EvScheduled || del.Tuple != uint64(tid) || del.Detail != "tuple-delete" {
+			t.Fatalf("tuple %d delete-scheduled event: %+v", tid, del)
+		}
+		if fired.Kind != trace.EvFired || fired.Tuple != uint64(tid) || fired.Attr != "location" ||
+			fired.Deadline != deadline || fired.Actual != deadline || fired.Detail != "state 0→1" {
+			t.Fatalf("tuple %d fired event: %+v", tid, fired)
+		}
 	}
 }

@@ -3,12 +3,14 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"instantdb/internal/forensic"
+	"instantdb/internal/trace"
 	"instantdb/internal/value"
 	"instantdb/internal/vclock"
 	"instantdb/internal/wal"
@@ -140,5 +142,95 @@ func TestEngineCrashFencesInFlightCommits(t *testing.T) {
 	}
 	if _, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (2, 'b', 'Dam 1', 1)`); err == nil {
 		t.Fatal("commit after a WAL failure must be refused")
+	}
+}
+
+// TestEngineCrashMidAuditAppend: a process killed while the audit trail
+// is being appended to must reopen. What the kill leaves on disk is the
+// trail's whole blocks (the open block dies with the process), possibly
+// followed by a torn frame; both images must open, keep every committed
+// row, and carry on one verifiable chain.
+func TestEngineCrashMidAuditAppend(t *testing.T) {
+	src := t.TempDir()
+	clock := vclock.NewSimulated(vclock.Epoch)
+	nosync := false
+	db, err := Open(Config{Dir: src, Clock: clock, WALSync: &nosync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	installSchema(t, db)
+	const rows = 200 // 600 scheduled events: two sealed blocks, 88 events still open
+	for id := 1; id <= rows; id++ {
+		db.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (?, 'x', 'Dam 1', 1)`, value.Int(int64(id)))
+	}
+
+	for _, tear := range []int{0, 23} {
+		name := "open-block-lost"
+		if tear > 0 {
+			name = "torn-frame"
+		}
+		t.Run(name, func(t *testing.T) {
+			// The directory as the kill left it: src is still open and
+			// never closed before this copy.
+			dir := t.TempDir()
+			copyTree(t, src, dir)
+			seg := filepath.Join(dir, "audit", "audit-00000001.log")
+			st, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(seg, st.Size()-int64(tear)); err != nil {
+				t.Fatal(err)
+			}
+
+			db2, err := Open(Config{Dir: dir, Clock: clock})
+			if err != nil {
+				t.Fatalf("reopen after kill: %v", err)
+			}
+			res, err := db2.Exec(`SELECT COUNT(*) FROM person`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := res.Rows.Data[0][0].Int(); n != rows {
+				t.Fatalf("%d rows after reopen, want %d", n, rows)
+			}
+			whole := uint64(512)
+			if tear > 0 {
+				whole = 256
+			}
+			if got := db2.AuditLog().Seq(); got != whole {
+				t.Fatalf("trail continues from seq %d, want %d", got, whole)
+			}
+			db2.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (?, 'x', 'Dam 1', 1)`, value.Int(rows+1))
+			if err := db2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := trace.Verify(filepath.Join(dir, "audit")); err != nil || uint64(n) != whole+3 {
+				t.Fatalf("verify after kill, reopen, insert: n=%d err=%v", n, err)
+			}
+		})
+	}
+}
+
+// copyTree copies the regular files under src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o700)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o600)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"instantdb/internal/gentree"
 	"instantdb/internal/lcp"
 	"instantdb/internal/storage"
+	"instantdb/internal/value"
 	"instantdb/internal/vclock"
 	"instantdb/internal/wal"
 )
@@ -522,5 +523,63 @@ func TestOsRemoveTempArtifacts(t *testing.T) {
 	// Smoke: nothing in this test suite leaks into the working dir.
 	if _, err := os.Stat("pages.db"); err == nil {
 		t.Fatal("stray pages.db in working directory")
+	}
+}
+
+// TestTwoDeadlinesInOneTick: 1 000 tuples of one epoch bucket (four
+// degrader batches) cross both the 15-minute address and the 1-hour city
+// deadline between two ticks. Every batch's first transition seals the
+// city value under the bucket's state-1 key, so all of them must commit
+// before any batch's second transition lets the scrubber shred that key
+// — a round-robin over the queues shredded it after the first batch and
+// the tick failed with "epoch key already shredded".
+func TestTwoDeadlinesInOneTick(t *testing.T) {
+	clock := vclock.NewSimulated(vclock.Epoch)
+	nosync := false
+	db := openDurable(t, Config{Clock: clock, WALSync: &nosync})
+	installSchema(t, db)
+	// Late in the hour-wide bucket, so that two hours on the bucket lies
+	// wholly before the second transition's cutoff and its key is shredded.
+	clock.Advance(59 * time.Minute)
+	const rows = 1000
+	conn := db.NewConn()
+	if _, err := conn.Exec(`BEGIN`); err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= rows; id++ {
+		if _, err := conn.Exec(`INSERT INTO person (id, name, location, salary) VALUES (?, 'x', 'Dam 1', 1)`, value.Int(int64(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Exec(`COMMIT`); err != nil {
+		t.Fatal(err)
+	}
+
+	clock.Advance(2 * time.Hour)
+	n, err := db.DegradeNow()
+	if err != nil {
+		t.Fatalf("degrade across two deadlines: %v", err)
+	}
+	if n != 2*rows {
+		t.Fatalf("%d transitions fired, want two per row = %d", n, 2*rows)
+	}
+	if lag := db.Degrader().Lag(clock.Now()); lag != 0 {
+		t.Fatalf("lag %v after the tick", lag)
+	}
+	// The tuples sit at region accuracy: unreadable at full accuracy,
+	// readable for a purpose that accepts the region.
+	res, err := db.Exec(`SELECT id, location FROM person`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows.Len() != 0 {
+		t.Fatalf("full-accuracy read returned %d rows after both deadlines", res.Rows.Len())
+	}
+	res, err = db.Exec(`SELECT COUNT(*) FROM person FOR PURPOSE stat`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows.Data[0][0].Int(); got != rows {
+		t.Fatalf("stat purpose sees %d rows, want %d", got, rows)
 	}
 }

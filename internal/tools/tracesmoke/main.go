@@ -127,8 +127,9 @@ CREATE TABLE visits (id INT PRIMARY KEY,
 		return fmt.Errorf("audit tail misses EvScheduled/EvFired (sched=%v fired=%v, %d events)",
 			sched, fired, len(evs))
 	}
-	// The trail buffers appends; a checkpoint (what a real deployment
-	// does periodically) flushes and fsyncs it before verification.
+	// The newest events sit in the trail's open block; a checkpoint
+	// (what a real deployment does periodically) seals and fsyncs it
+	// before verification.
 	if err := db.AuditLog().Checkpoint(); err != nil {
 		return fmt.Errorf("audit checkpoint: %w", err)
 	}

@@ -71,22 +71,18 @@ var compatible = [4][4]bool{
 	LockX:  {LockIS: false, LockIX: false, LockS: false, LockX: false},
 }
 
-// stronger reports whether a subsumes b for upgrade purposes.
+// stronger reports whether a subsumes b for upgrade purposes: every
+// mode subsumes itself, X subsumes everything, IX and S each subsume IS
+// (S does not subsume IX, nor IX S).
 func stronger(a, b LockMode) bool {
-	rank := map[LockMode]int{LockIS: 0, LockIX: 1, LockS: 1, LockX: 2}
-	if a == b {
+	switch {
+	case a == b, a == LockX:
 		return true
+	case a == LockIX, a == LockS:
+		return b == LockIS
+	default:
+		return false
 	}
-	if a == LockX {
-		return true
-	}
-	if a == LockIX && b == LockIS {
-		return true
-	}
-	if a == LockS && b == LockIS {
-		return true
-	}
-	return rank[a] > rank[b] && a != LockS // S does not subsume IX
 }
 
 // ErrLockTimeout is returned when a lock cannot be acquired within the
@@ -94,10 +90,12 @@ func stronger(a, b LockMode) bool {
 // abort its transaction.
 var ErrLockTimeout = errors.New("txn: lock wait timeout (possible deadlock)")
 
-// Resource names a lockable object: a table or one row of it.
+// Resource names a lockable object: a table or one row of it. The kind
+// is explicit, so no row id aliases the table.
 type Resource struct {
 	Table uint32
-	Row   storage.TupleID // 0 for the table itself
+	IsRow bool
+	Row   storage.TupleID // meaningful only when IsRow
 }
 
 // TableRes names a whole table.
@@ -105,7 +103,15 @@ func TableRes(table uint32) Resource { return Resource{Table: table} }
 
 // RowRes names one row.
 func RowRes(table uint32, row storage.TupleID) Resource {
-	return Resource{Table: table, Row: row}
+	return Resource{Table: table, Row: row, IsRow: true}
+}
+
+// String names the resource for lock-wait errors.
+func (r Resource) String() string {
+	if r.IsRow {
+		return fmt.Sprintf("table %d row %d", r.Table, r.Row)
+	}
+	return fmt.Sprintf("table %d", r.Table)
 }
 
 type lockState struct {
@@ -183,7 +189,7 @@ func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 			}
 		}
 		lm.mu.Unlock()
-		return fmt.Errorf("%w: %s on table %d row %d", ErrLockTimeout, mode, res.Table, res.Row)
+		return fmt.Errorf("%w: %s on %s", ErrLockTimeout, mode, res)
 	}
 }
 

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,4 +223,30 @@ func TestConcurrentStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRowZeroIsNotTheTable: the resource kind is explicit, so row id 0
+// does not alias its table — a transaction holding IX on the table takes
+// X on row 0 without an upgrade, and another's IX on the table is
+// unaffected.
+func TestRowZeroIsNotTheTable(t *testing.T) {
+	if RowRes(1, 0) == TableRes(1) {
+		t.Fatal("RowRes(1, 0) aliases TableRes(1)")
+	}
+	lm := NewLockManager(50 * time.Millisecond)
+	for _, id := range []ID{1, 2} {
+		if err := lm.Acquire(id, TableRes(1), LockIX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lm.Acquire(1, RowRes(1, 0), LockX); err != nil {
+		t.Fatalf("X on row 0 under two IX holders of the table: %v", err)
+	}
+	if lm.TryAcquire(2, RowRes(1, 0), LockX) {
+		t.Fatal("row 0 granted twice")
+	}
+	err := lm.Acquire(2, RowRes(1, 0), LockS)
+	if !errors.Is(err, ErrLockTimeout) || !strings.Contains(err.Error(), "table 1 row 0") {
+		t.Fatalf("want a timeout naming table 1 row 0, got %v", err)
+	}
 }

@@ -28,9 +28,7 @@ const (
 	// dump to every shard and merges the spans into one tree.
 	OpTraceDump byte = 0x15
 	// OpAuditTail requests the newest n degradation audit events
-	// (EncodeAuditTail payload); the server answers OpAuditData. The
-	// chain bytes ride along, so a client can cross-check the tail
-	// against a verified on-disk trail.
+	// (EncodeAuditTail payload); the server answers OpAuditData.
 	OpAuditTail byte = 0x16
 )
 
@@ -265,8 +263,8 @@ func DecodeAuditTail(p []byte) (uint64, error) {
 }
 
 // EncodeAuditEvents serializes an OpAuditData payload: a uvarint count
-// then each event's chained body plus its chain value — the same bytes
-// the on-disk trail stores, so a client can cross-check them.
+// then each event's fields. The hash chain links blocks on disk, not
+// events, so no chain value travels with them.
 func EncodeAuditEvents(evs []trace.Event) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(evs)))
 	for i := range evs {
@@ -275,12 +273,11 @@ func EncodeAuditEvents(evs []trace.Event) []byte {
 		b = append(b, byte(ev.Kind))
 		b = binary.AppendUvarint(b, uint64(ev.UnixNano))
 		b = appendString(b, ev.Table)
-		b = appendString(b, ev.PK)
+		b = binary.AppendUvarint(b, ev.Tuple)
 		b = appendString(b, ev.Attr)
 		b = binary.AppendUvarint(b, uint64(ev.Deadline))
 		b = binary.AppendUvarint(b, uint64(ev.Actual))
 		b = appendString(b, ev.Detail)
-		b = append(b, ev.Chain[:]...)
 	}
 	return b
 }
@@ -317,10 +314,9 @@ func DecodeAuditEvents(p []byte) ([]trace.Event, error) {
 			return nil, fmt.Errorf("wire: audit table: %w", err)
 		}
 		p = p[used:]
-		if ev.PK, used, err = readString(p); err != nil {
-			return nil, fmt.Errorf("wire: audit pk: %w", err)
+		if ev.Tuple, p, err = readUvarint(p, "audit tuple"); err != nil {
+			return nil, err
 		}
-		p = p[used:]
 		if ev.Attr, used, err = readString(p); err != nil {
 			return nil, fmt.Errorf("wire: audit attr: %w", err)
 		}
@@ -337,11 +333,6 @@ func DecodeAuditEvents(p []byte) ([]trace.Event, error) {
 			return nil, fmt.Errorf("wire: audit detail: %w", err)
 		}
 		p = p[used:]
-		if len(p) < len(ev.Chain) {
-			return nil, fmt.Errorf("wire: audit chain truncated")
-		}
-		copy(ev.Chain[:], p)
-		p = p[len(ev.Chain):]
 		evs = append(evs, ev)
 	}
 	if len(p) != 0 {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"instantdb/internal/trace"
 	"instantdb/internal/value"
 )
 
@@ -150,6 +152,28 @@ func TestDecodeResultCorrupt(t *testing.T) {
 	for cut := 1; cut < len(enc); cut++ {
 		if _, err := DecodeResult(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
+		}
+	}
+}
+
+func TestAuditEventsRoundTrip(t *testing.T) {
+	evs := []trace.Event{
+		{Seq: 1, Kind: trace.EvScheduled, UnixNano: 1000, Table: "person", Tuple: 42, Attr: "location", Deadline: 901000},
+		{Seq: 2, Kind: trace.EvFired, UnixNano: 902000, Table: "person", Tuple: 42, Attr: "location",
+			Deadline: 901000, Actual: 902000, Detail: "state 0→1"},
+		{Seq: 3, Kind: trace.EvCheckpoint, UnixNano: 903000},
+	}
+	enc := EncodeAuditEvents(evs)
+	got, err := DecodeAuditEvents(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, evs) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, evs)
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeAuditEvents(enc[:cut]); err == nil {
+			t.Fatalf("truncation at %d of %d decoded", cut, len(enc))
 		}
 	}
 }
