@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz fuzz-wal fuzz-audit bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
+.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke mem-budget bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -33,18 +33,23 @@ doc-check:
 md-check:
 	$(GO) run ./internal/tools/mdcheck README.md DESIGN.md ROADMAP.md
 
-fuzz:
-	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime 30s
+# fuzz-smoke runs every fuzz target for FUZZTIME each: the SQL parser,
+# the WAL batch-payload decoder (replication and recovery feed it bytes
+# from outside the process), the audit trail's block decoder (Verify
+# and every reopen feed it bytes from a directory an attacker may have
+# written), and the B+tree's op stream against its model.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)
 
-# fuzz-wal hammers the WAL batch-payload decoder (replication and
-# recovery both feed it bytes from outside the process).
-fuzz-wal:
-	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime 30s
-
-# fuzz-audit hammers the audit trail's block decoder (Verify and every
-# reopen feed it bytes from a directory an attacker may have written).
-fuzz-audit:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime 30s
+# mem-budget runs the tests that bound what stays on the heap: bytes per
+# row of an open database against its committed budget, and a B+tree
+# under churn against a fresh tree of the same content.
+mem-budget:
+	$(GO) test -run 'ResidentBudget|ChurnBounded' ./internal/...
 
 # bench-harness vets and tests the benchmark harness. It is a nested
 # module (bench/go.mod) that no ./... pattern reaches, and it compiles

@@ -527,17 +527,25 @@ func printStats(m map[string]float64, all, stamped bool) {
 			1000*m["instantdb_server_request_seconds_p50"+label],
 			1000*m["instantdb_server_request_seconds_p99"+label])
 	}
-	// Per-shard reachability from a router rollup, sorted for stable
-	// output.
-	var shardKeys []string
-	for k := range m {
-		if strings.HasPrefix(k, "instantdb_router_shard_up{") {
-			shardKeys = append(shardKeys, k)
+	// Labelled families, sorted for stable output: which structure holds
+	// the memory (per index, per table), and per-shard reachability from
+	// a router rollup.
+	for _, family := range []string{
+		"instantdb_index_entries{",
+		"instantdb_index_bytes{",
+		"instantdb_storage_directory_bytes{",
+		"instantdb_router_shard_up{",
+	} {
+		var keys []string
+		for k := range m {
+			if strings.HasPrefix(k, family) {
+				keys = append(keys, k)
+			}
 		}
-	}
-	sort.Strings(shardKeys)
-	for _, k := range shardKeys {
-		fmt.Printf("%-44s %g\n", k, m[k])
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Printf("%-44s %g\n", k, m[k])
+		}
 	}
 }
 

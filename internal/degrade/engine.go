@@ -23,7 +23,9 @@
 package degrade
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -378,43 +380,45 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 }
 
 // Reseed rebuilds all queues from the current storage state — the
-// recovery path. Existing queue content is discarded.
-func (e *Engine) Reseed() error {
+// recovery path. scan must hand add every live tuple of every table
+// once: the engine layer feeds it from the same pass over the pages that
+// rebuilds its indexes. Existing queue content is discarded; each queue
+// ends up in deadline order and exactly sized.
+func (e *Engine) Reseed(scan func(add func(*catalog.Table, *storage.Tuple)) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.queues = make(map[queueKey]*transQueue)
-	for _, tbl := range e.cat.Tables() {
+	err := scan(func(tbl *catalog.Table, t *storage.Tuple) {
 		tl := tbl.TupleLCP()
 		if tl == nil {
-			continue
+			return
 		}
-		ts := e.mgr.Table(tbl)
-		_, hasDelete := tl.DeleteAge()
-		err := ts.Scan(func(t storage.Tuple) bool {
-			nano := t.InsertedAt.UnixNano()
-			for attr, st := range t.States {
-				if st == storage.StateErased {
-					continue
-				}
-				if q := e.queueFor(tbl, attr, st); q != nil {
-					q.fifo.push(task{tid: t.ID, insertNano: nano})
-				}
+		tk := task{tid: t.ID, insertNano: t.InsertedAt.UnixNano()}
+		for attr, st := range t.States {
+			if st == storage.StateErased {
+				continue
 			}
-			if hasDelete {
-				if q := e.queueFor(tbl, -1, 0); q != nil {
-					q.fifo.push(task{tid: t.ID, insertNano: nano})
-				}
+			if q := e.queueFor(tbl, attr, st); q != nil {
+				q.fifo.push(tk)
 			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
+		if _, ok := tl.DeleteAge(); ok {
+			if q := e.queueFor(tbl, -1, 0); q != nil {
+				q.fifo.push(tk)
+			}
+		}
+	})
+	if err != nil {
+		return err
 	}
-	// Scans return tuples in arbitrary order; restore deadline order.
+	byInsert := func(a, b task) int { return cmp.Compare(a.insertNano, b.insertNano) }
 	for _, q := range e.queues {
-		fifo := q.fifo.live()
-		sort.SliceStable(fifo, func(i, j int) bool { return fifo[i].insertNano < fifo[j].insertNano })
+		// A scan that met the tuples in insert order — an append-only
+		// table read page by page — leaves nothing to sort.
+		if !slices.IsSortedFunc(q.fifo.buf, byInsert) {
+			slices.SortStableFunc(q.fifo.buf, byInsert)
+		}
+		q.fifo.buf = append(make([]task, 0, len(q.fifo.buf)), q.fifo.buf...)
 	}
 	return nil
 }
@@ -610,27 +614,8 @@ func (e *Engine) Tick() (int, error) {
 // may already be past; Tick calls again until nothing is due.
 func (e *Engine) tickOnce(now time.Time) (int, error) {
 	e.mu.Lock()
-	keys := make([]queueKey, 0, len(e.queues))
-	for k := range e.queues {
-		keys = append(keys, k)
-	}
+	keys := e.queueOrder()
 	e.mu.Unlock()
-	// Deterministic order: attribute transitions by (table, attr,
-	// state), deletions last so attributes are settled first.
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		ad, bd := a.attr == -1, b.attr == -1
-		if ad != bd {
-			return !ad
-		}
-		if a.table != b.table {
-			return a.table < b.table
-		}
-		if a.attr != b.attr {
-			return a.attr < b.attr
-		}
-		return a.state < b.state
-	})
 	total := 0
 	for _, k := range keys {
 		for {
@@ -645,6 +630,65 @@ func (e *Engine) tickOnce(now time.Time) (int, error) {
 		}
 	}
 	return total, nil
+}
+
+// queueOrder returns the queue keys in the deterministic order ticks
+// drain them: attribute transitions by (table, attr, state), deletions
+// last so attributes are settled first. Caller holds e.mu.
+func (e *Engine) queueOrder() []queueKey {
+	keys := make([]queueKey, 0, len(e.queues))
+	for k := range e.queues {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		ad, bd := a.attr == -1, b.attr == -1
+		if ad != bd {
+			return !ad
+		}
+		if a.table != b.table {
+			return a.table < b.table
+		}
+		if a.attr != b.attr {
+			return a.attr < b.attr
+		}
+		return a.state < b.state
+	})
+	return keys
+}
+
+// Pending is one transition a queue holds for a tuple.
+type Pending struct {
+	Table string
+	// Attr is the degradable column position, -1 for the tuple deletion.
+	Attr int
+	// State is the LCP state the transition leaves.
+	State    uint8
+	Tuple    storage.TupleID
+	Deadline time.Time
+}
+
+// Backlog lists every pending transition: queues in the order ticks
+// drain them, within a queue the deadline-ordered FIFO first, then the
+// tasks waiting out a retry gate.
+func (e *Engine) Backlog() []Pending {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []Pending
+	for _, k := range e.queueOrder() {
+		q := e.queues[k]
+		add := func(t task) {
+			out = append(out, Pending{Table: q.tbl.Name, Attr: k.attr, State: k.state, Tuple: t.tid,
+				Deadline: time.Unix(0, t.insertNano+q.ageNano).UTC()})
+		}
+		for _, t := range q.fifo.live() {
+			add(t)
+		}
+		for _, r := range q.retries {
+			add(r.task)
+		}
+	}
+	return out
 }
 
 // popDue collects up to BatchSize due tasks from a queue.

@@ -340,6 +340,55 @@ func TestPredicateGate(t *testing.T) {
 	}
 }
 
+// scanAll hands Reseed every tuple of the fixture's table.
+func (f *fixture) scanAll(add func(*catalog.Table, *storage.Tuple)) error {
+	return f.ts.Scan(func(t storage.Tuple) bool { add(f.tbl, &t); return true })
+}
+
+// TestReseedOrdersAndSizesQueues: whatever order the scan meets the
+// tuples in, every queue comes out in deadline order, exactly sized.
+func TestReseedOrdersAndSizesQueues(t *testing.T) {
+	f := newFixture(t, Options{}, figure2Policy)
+	var tuples []storage.Tuple
+	for i := 0; i < 300; i++ {
+		tid := f.insert(t, int64(i), "Dam 1")
+		f.clock.Advance(time.Millisecond)
+		tp, err := f.ts.Get(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = append(tuples, tp)
+	}
+	for _, scan := range []func(add func(*catalog.Table, *storage.Tuple)) error{
+		f.scanAll,
+		func(add func(*catalog.Table, *storage.Tuple)) error { // newest first
+			for i := len(tuples) - 1; i >= 0; i-- {
+				add(f.tbl, &tuples[i])
+			}
+			return nil
+		},
+	} {
+		eng := New(f.clock, f.cat, f.mgr, f.locks, &txn.IDSource{}, applier(f.cat, f.mgr), nil, Options{})
+		if err := eng.Reseed(scan); err != nil {
+			t.Fatal(err)
+		}
+		if len(eng.queues) != 2 { // location out of state 0, tuple delete
+			t.Fatalf("%d queues", len(eng.queues))
+		}
+		for k, q := range eng.queues {
+			live := q.fifo.live()
+			if len(live) != len(tuples) || cap(q.fifo.buf) != len(tuples) {
+				t.Fatalf("queue %+v: %d tasks in room for %d, want %d in %d", k, len(live), cap(q.fifo.buf), len(tuples), len(tuples))
+			}
+			for i, tk := range live {
+				if tk.tid != tuples[i].ID || tk.insertNano != tuples[i].InsertedAt.UnixNano() {
+					t.Fatalf("queue %+v: task %d is %+v, want tuple %d", k, i, tk, tuples[i].ID)
+				}
+			}
+		}
+	}
+}
+
 func TestReseedRebuildsQueues(t *testing.T) {
 	f := newFixture(t, Options{}, figure2Policy)
 	tid := f.insert(t, 1, "Dam 1")
@@ -350,7 +399,7 @@ func TestReseedRebuildsQueues(t *testing.T) {
 	// one left off.
 	ids := &txn.IDSource{}
 	eng2 := New(f.clock, f.cat, f.mgr, f.locks, ids, applier(f.cat, f.mgr), nil, Options{})
-	if err := eng2.Reseed(); err != nil {
+	if err := eng2.Reseed(f.scanAll); err != nil {
 		t.Fatal(err)
 	}
 	if eng2.Stats().Pending == 0 {

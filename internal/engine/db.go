@@ -327,7 +327,7 @@ func Open(cfg Config) (*DB, error) {
 }
 
 // recover replays the catalog DDL, rebuilds storage, replays the WAL,
-// rebuilds indexes and reseeds degradation queues.
+// then rebuilds indexes and degradation queues together.
 func (db *DB) recover() error {
 	// 1. Catalog: replay persisted DDL.
 	ddlPath := filepath.Join(db.cfg.Dir, "catalog.sql")
@@ -383,10 +383,7 @@ func (db *DB) recover() error {
 		}
 	}
 	// 4. Derived state.
-	if err := db.rebuildIndexes(); err != nil {
-		return err
-	}
-	return db.deg.Reseed()
+	return db.rebuildDerived()
 }
 
 // Catalog exposes the schema registry (tools, experiments).

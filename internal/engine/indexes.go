@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"instantdb/internal/catalog"
@@ -25,13 +28,8 @@ type indexInst struct {
 	gt   *index.GTIndex
 }
 
-// buildIndexInst materializes an index definition and backfills it from
-// the table's current content. Caller holds db.mu.
-func (db *DB) buildIndexInst(def catalog.IndexDef) error {
-	tbl, err := db.cat.Table(def.Table)
-	if err != nil {
-		return err
-	}
+// newIndexInst materializes an empty index on tbl for a definition.
+func newIndexInst(tbl *catalog.Table, def catalog.IndexDef) (*indexInst, error) {
 	inst := &indexInst{def: def, tbl: tbl, col: def.Column, deg: tbl.DegradablePos(def.Column)}
 	if inst.deg != -1 {
 		inst.dom = tbl.Columns[def.Column].Domain
@@ -42,25 +40,86 @@ func (db *DB) buildIndexInst(def catalog.IndexDef) error {
 		inst.bt = index.NewBTree()
 	case catalog.IndexBitmap:
 		if inst.tree == nil {
-			return fmt.Errorf("engine: bitmap index %s requires a tree domain", def.Name)
+			return nil, fmt.Errorf("engine: bitmap index %s requires a tree domain", def.Name)
 		}
 		inst.bm = index.NewBitmap(inst.tree)
 	case catalog.IndexGT:
 		if inst.tree == nil {
-			return fmt.Errorf("engine: GT index %s requires a tree domain", def.Name)
+			return nil, fmt.Errorf("engine: GT index %s requires a tree domain", def.Name)
 		}
 		inst.gt = index.NewGTIndex(inst.tree)
 	}
-	// Backfill.
+	return inst, nil
+}
+
+// buildIndexInst materializes one index definition from its table's
+// current content (CREATE INDEX, and the primary key's index at CREATE
+// TABLE). Caller holds db.mu.
+func (db *DB) buildIndexInst(def catalog.IndexDef) error {
+	tbl, err := db.cat.Table(def.Table)
+	if err != nil {
+		return err
+	}
+	return db.buildIndexes(tbl, []catalog.IndexDef{def}, func(*storage.Tuple) {})
+}
+
+// buildIndexes materializes and publishes defs, all indexes of tbl,
+// decoding the table's tuples once: the pass hands every tuple to each
+// (the recovery path enqueues its pending transitions there), registers
+// it with bitmap and GT indexes directly, and appends one (key, tuple id)
+// pair per B+tree index to that index's run. The runs are then sorted and
+// bulk-built side by side, one goroutine per B+tree index of the table,
+// all finished before this returns.
+func (db *DB) buildIndexes(tbl *catalog.Table, defs []catalog.IndexDef, each func(*storage.Tuple)) error {
+	insts := make([]*indexInst, len(defs))
+	for i, def := range defs {
+		inst, err := newIndexInst(tbl, def)
+		if err != nil {
+			return err
+		}
+		insts[i] = inst
+	}
 	ts := db.mgr.Table(tbl)
-	err = ts.Scan(func(t storage.Tuple) bool {
-		inst.add(&t)
+	runs := make([][]index.Entry, len(insts))
+	for i, inst := range insts {
+		if inst.bt != nil {
+			runs[i] = make([]index.Entry, 0, ts.Count())
+		}
+	}
+	err := ts.Scan(func(t storage.Tuple) bool {
+		each(&t)
+		for i, inst := range insts {
+			if inst.bt == nil {
+				inst.add(&t)
+			} else if k, ok := inst.keyOf(&t); ok {
+				runs[i] = append(runs[i], index.Entry{Key: k, TID: t.ID})
+			}
+		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	db.publishIndex(inst)
+	var wg sync.WaitGroup
+	errs := make([]error, len(insts))
+	for i, inst := range insts {
+		if inst.bt == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, inst *indexInst) {
+			defer wg.Done()
+			slices.SortFunc(runs[i], index.CompareEntries)
+			inst.bt, errs[i] = index.BuildBTree(runs[i])
+		}(i, inst)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for _, inst := range insts {
+		db.publishIndex(inst)
+	}
 	return nil
 }
 
@@ -111,33 +170,43 @@ func (db *DB) dropTableIndexes(tableID uint32) {
 	delete(db.byTable, tableID)
 }
 
-// rebuildIndexes reconstructs every catalog index from storage (recovery).
-func (db *DB) rebuildIndexes() error {
+// rebuildDerived reconstructs what recovery does not persist — every
+// catalog index and the degradation queues — in one pass over each
+// table's pages (see buildIndexes).
+func (db *DB) rebuildDerived() error {
 	db.idxMu.Lock()
 	db.indexes = make(map[string]*indexInst)
 	db.byTable = make(map[uint32][]*indexInst)
 	db.idxMu.Unlock()
-	for _, tbl := range db.cat.Tables() {
-		for _, def := range db.cat.Indexes(tbl.Name) {
-			if err := db.buildIndexInst(def); err != nil {
+	return db.deg.Reseed(func(enqueue func(*catalog.Table, *storage.Tuple)) error {
+		for _, tbl := range db.cat.Tables() {
+			err := db.buildIndexes(tbl, db.cat.Indexes(tbl.Name), func(t *storage.Tuple) { enqueue(tbl, t) })
+			if err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // keyOf builds the BTree key for a tuple's indexed column, ok=false when
 // the value is not indexable (erased attribute, NULL, no order key).
 func (inst *indexInst) keyOf(t *storage.Tuple) ([]byte, bool) {
-	v := t.Row[inst.col]
+	if inst.deg == -1 {
+		return inst.keyFor(t.Row[inst.col], 0)
+	}
+	return inst.keyFor(t.Row[inst.col], t.States[inst.deg])
+}
+
+// keyFor builds the BTree key of the indexed column holding stored form
+// v in LCP state st (stable columns have no state).
+func (inst *indexInst) keyFor(v value.Value, st uint8) ([]byte, bool) {
 	if inst.deg == -1 {
 		if v.IsNull() {
 			return nil, false
 		}
 		return index.StableKey(v), true
 	}
-	st := t.States[inst.deg]
 	if st == storage.StateErased || v.IsNull() {
 		return nil, false
 	}
@@ -158,8 +227,12 @@ func (inst *indexInst) keyOf(t *storage.Tuple) ([]byte, bool) {
 
 // nodeOf returns the GT node of a tuple's tree-domain column.
 func (inst *indexInst) nodeOf(t *storage.Tuple) (gentree.NodeID, bool) {
-	v := t.Row[inst.col]
-	if v.IsNull() || t.States[inst.deg] == storage.StateErased {
+	return nodeFor(t.Row[inst.col], t.States[inst.deg])
+}
+
+// nodeFor returns the GT node of stored form v in LCP state st.
+func nodeFor(v value.Value, st uint8) (gentree.NodeID, bool) {
+	if v.IsNull() || st == storage.StateErased {
 		return gentree.InvalidNode, false
 	}
 	return gentree.StoredToNode(v)
@@ -207,36 +280,37 @@ func (inst *indexInst) degrade(before *storage.Tuple, degPos int, newStored valu
 	if inst.deg != degPos {
 		return // index on another column: tuple id is stable, no work
 	}
-	after := *before
-	after.Row = append([]value.Value(nil), before.Row...)
-	after.States = append([]uint8(nil), before.States...)
-	after.Row[inst.col] = newStored
-	after.States[degPos] = newState
+	id := before.ID
+	oldStored, oldState := before.Row[inst.col], before.States[degPos]
 	switch {
 	case inst.bt != nil:
-		inst.remove(before)
-		inst.add(&after)
+		if k, ok := inst.keyFor(oldStored, oldState); ok {
+			inst.bt.Remove(k, id)
+		}
+		if k, ok := inst.keyFor(newStored, newState); ok {
+			inst.bt.Add(k, id)
+		}
 	case inst.bm != nil:
-		from, okF := inst.nodeOf(before)
-		to, okT := inst.nodeOf(&after)
+		from, okF := nodeFor(oldStored, oldState)
+		to, okT := nodeFor(newStored, newState)
 		switch {
 		case okF && okT:
-			inst.bm.Move(from, to, before.ID)
+			inst.bm.Move(from, to, id)
 		case okF:
-			inst.bm.Remove(from, before.ID)
+			inst.bm.Remove(from, id)
 		case okT:
-			inst.bm.Add(to, before.ID)
+			inst.bm.Add(to, id)
 		}
 	case inst.gt != nil:
-		from, okF := inst.nodeOf(before)
-		to, okT := inst.nodeOf(&after)
+		from, okF := nodeFor(oldStored, oldState)
+		to, okT := nodeFor(newStored, newState)
 		switch {
 		case okF && okT:
-			inst.gt.Move(from, to, before.ID)
+			inst.gt.Move(from, to, id)
 		case okF:
-			inst.gt.Remove(from, before.ID)
+			inst.gt.Remove(from, id)
 		case okT:
-			inst.gt.Add(to, before.ID)
+			inst.gt.Add(to, id)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"instantdb/internal/index"
 	"instantdb/internal/metrics"
 )
 
@@ -43,6 +44,34 @@ func (db *DB) initMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("instantdb_storage_version_prunes_total",
 		"Superseded row versions pruned from MVCC version chains.",
 		func() float64 { return float64(db.mgr.PrunedVersions()) })
+	// Which structure holds the memory: read from counters each one keeps
+	// (B+tree indexes only; bitmap and GT indexes keep none).
+	btreeStats := func(emit func(string, float64), pick func(index.Stats) int) {
+		db.idxMu.RLock()
+		defer db.idxMu.RUnlock()
+		for name, inst := range db.indexes {
+			if inst.bt != nil {
+				emit(name, float64(pick(inst.bt.Stats())))
+			}
+		}
+	}
+	reg.GaugeFuncVec("instantdb_index_entries",
+		"Live (key, tuple id) entries per B+tree index.", "index",
+		func(emit func(string, float64)) {
+			btreeStats(emit, func(s index.Stats) int { return s.Entries })
+		})
+	reg.GaugeFuncVec("instantdb_index_bytes",
+		"Heap held per B+tree index: nodes, key arenas and spilled postings.", "index",
+		func(emit func(string, float64)) {
+			btreeStats(emit, func(s index.Stats) int { return s.Bytes })
+		})
+	reg.GaugeFuncVec("instantdb_storage_directory_bytes",
+		"Heap held by each table's tuple directory (location and birth epoch of every live tuple).", "table",
+		func(emit func(string, float64)) {
+			for _, tbl := range db.cat.Tables() {
+				emit(tbl.Name, float64(db.mgr.Table(tbl).Stats().DirectoryBytes))
+			}
+		})
 	if db.log != nil {
 		reg.GaugeFunc("instantdb_wal_size_bytes",
 			"Total WAL size on disk across all segments.",

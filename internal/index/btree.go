@@ -13,65 +13,201 @@
 //
 // Indexes are memory-resident, rebuilt from the heap at open: the
 // persistent artifacts audited for non-recoverability are the page store
-// and the log. Entry removal still erases eagerly (postings shrink and
-// freed tails are zeroed) so process memory does not accumulate expired
-// accuracy states.
+// and the log. Removal erases eagerly all the same: a BTree key whose last
+// tuple id leaves is deleted and its bytes zeroed, a leaf that empties is
+// unlinked, postings shrink and their freed tails are zeroed. What the
+// BTree does not do is merge underfull leaves: a leaf keeps its footprint
+// until its last key is gone (BTree.Stats reports what is held).
 package index
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"errors"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"instantdb/internal/storage"
 )
 
-const (
-	maxLeafKeys   = 64
-	maxInnerChild = 64
-)
+// fanout is the number of keys a leaf and of children an inner node hold.
+const fanout = 64
+
+// arenaPresizeMax is the largest key arena a node allocates ahead of
+// need; nodes of longer keys grow theirs geometrically.
+const arenaPresizeMax = 4096
 
 // posting is a sorted TupleID set.
 type posting []storage.TupleID
 
-func (p posting) find(tid storage.TupleID) (int, bool) {
-	i := sort.Search(len(p), func(i int) bool { return p[i] >= tid })
-	return i, i < len(p) && p[i] == tid
-}
-
 func (p posting) add(tid storage.TupleID) posting {
-	i, ok := p.find(tid)
+	i, ok := slices.BinarySearch(p, tid)
 	if ok {
 		return p
 	}
-	p = append(p, 0)
-	copy(p[i+1:], p[i:])
-	p[i] = tid
-	return p
+	return slices.Insert(p, i, tid)
 }
 
-// remove deletes tid, zeroing the vacated tail slot so the id does not
-// linger in memory.
+// remove deletes tid; slices.Delete zeroes the vacated tail slot, so the
+// id does not linger in memory.
 func (p posting) remove(tid storage.TupleID) posting {
-	i, ok := p.find(tid)
+	i, ok := slices.BinarySearch(p, tid)
 	if !ok {
 		return p
 	}
-	copy(p[i:], p[i+1:])
-	p[len(p)-1] = 0
-	return p[:len(p)-1]
+	return slices.Delete(p, i, i+1)
 }
 
+// packedKeys is a node's sorted keys, stored back to back in one arena:
+// key i is arena[ends[i-1]:ends[i]].
+type packedKeys struct {
+	n     int
+	ends  [fanout]uint32
+	arena []byte
+}
+
+func (k *packedKeys) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return int(k.ends[i-1])
+}
+
+func (k *packedKeys) key(i int) []byte { return k.arena[k.start(i):k.ends[i]] }
+
+// search returns the index of the first key >= key and whether it equals
+// key.
+func (k *packedKeys) search(key []byte) (int, bool) {
+	lo, hi := 0, k.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(k.key(m), key); {
+		case c < 0:
+			lo = m + 1
+		case c > 0:
+			hi = m
+		default:
+			return m, true
+		}
+	}
+	return lo, false
+}
+
+// arenaCap sizes an arena that must hold need bytes in nkeys keys: room
+// for a full node of keys of that mean length, so a node filled in key
+// order allocates once and ends exactly full. Long keys get a quarter of
+// headroom instead.
+func arenaCap(need, nkeys int) int {
+	if est := (need + nkeys - 1) / nkeys * fanout; est <= arenaPresizeMax {
+		return max(est, need)
+	}
+	return need + need/4
+}
+
+// insert places key at index i and returns the arena capacity gained.
+func (k *packedKeys) insert(i int, key []byte) int {
+	grown := 0
+	if need := len(k.arena) + len(key); need > cap(k.arena) {
+		a := make([]byte, len(k.arena), arenaCap(need, k.n+1))
+		copy(a, k.arena)
+		clear(k.arena)
+		grown = cap(a) - cap(k.arena)
+		k.arena = a
+	}
+	start, old := k.start(i), len(k.arena)
+	k.arena = k.arena[:old+len(key)]
+	copy(k.arena[start+len(key):], k.arena[start:old])
+	copy(k.arena[start:], key)
+	copy(k.ends[i+1:k.n+1], k.ends[i:k.n])
+	k.ends[i] = uint32(start + len(key))
+	for j := i + 1; j <= k.n; j++ {
+		k.ends[j] += uint32(len(key))
+	}
+	k.n++
+	return grown
+}
+
+// push appends key, which sorts after every key held, into an arena the
+// bulk build has sized for it.
+func (k *packedKeys) push(key []byte) {
+	k.arena = append(k.arena, key...)
+	k.ends[k.n] = uint32(len(k.arena))
+	k.n++
+}
+
+// remove deletes key i, zeroing the bytes it vacates.
+func (k *packedKeys) remove(i int) {
+	start, end := k.start(i), int(k.ends[i])
+	old := len(k.arena)
+	k.arena = k.arena[:start+copy(k.arena[start:], k.arena[end:])]
+	clear(k.arena[len(k.arena):old])
+	copy(k.ends[i:k.n-1], k.ends[i+1:k.n])
+	k.n--
+	k.ends[k.n] = 0
+	for j := i; j < k.n; j++ {
+		k.ends[j] -= uint32(end - start)
+	}
+}
+
+// moveTail moves keys [from, n) to the empty dst and truncates k to
+// [0, upto), zeroing everything it gives up (upto < from drops keys in
+// between: an inner split lifts its middle key out). It returns the
+// capacity of dst's new arena.
+func (k *packedKeys) moveTail(dst *packedKeys, upto, from int) int {
+	start := k.start(from)
+	tail := k.arena[start:]
+	dst.n = k.n - from
+	dst.arena = make([]byte, len(tail), arenaCap(len(tail), max(dst.n, 1)))
+	copy(dst.arena, tail)
+	for j := 0; j < dst.n; j++ {
+		dst.ends[j] = k.ends[from+j] - uint32(start)
+	}
+	cut := k.start(upto)
+	clear(k.arena[cut:])
+	k.arena = k.arena[:cut]
+	clear(k.ends[upto:k.n])
+	k.n = upto
+	return cap(dst.arena)
+}
+
+// spillBit marks a leaf value slot that holds, instead of the key's one
+// tuple id, the index of its posting in the leaf's posts. Ids with the
+// bit set themselves always spill.
+const spillBit storage.TupleID = 1 << 63
+
+// leaf holds up to fanout keys and one 8-byte value slot per key. A key
+// with a single tuple id — every key of a unique index — keeps it in the
+// slot; further ids move the key's set to a posting of its own.
 type leaf struct {
-	keys [][]byte
-	vals []posting
-	next *leaf
+	keys       packedKeys
+	vals       [fanout]storage.TupleID
+	posts      []posting // spilled postings; nil entries are free
+	prev, next *leaf
+}
+
+// tids returns the ids under key i. The slice aliases the leaf.
+func (lf *leaf) tids(i int) []storage.TupleID {
+	if v := lf.vals[i]; v&spillBit != 0 {
+		return lf.posts[v&^spillBit]
+	}
+	return lf.vals[i : i+1]
 }
 
 type inner struct {
-	// keys[i] is the smallest key reachable under children[i+1].
-	keys     [][]byte
-	children []node
+	// keys.key(i) is a lower bound of every key under kids[i+1] and
+	// greater than every key under kids[i]; kids[:keys.n+1] are in use.
+	keys packedKeys
+	kids [fanout]node
+}
+
+// childFor returns the index of the child whose range contains key.
+func (in *inner) childFor(key []byte) int {
+	i, found := in.keys.search(key)
+	if found {
+		i++
+	}
+	return i
 }
 
 type node interface{ isNode() }
@@ -79,16 +215,31 @@ type node interface{ isNode() }
 func (*leaf) isNode()  {}
 func (*inner) isNode() {}
 
+const (
+	leafBytes    = int(unsafe.Sizeof(leaf{}))
+	innerBytes   = int(unsafe.Sizeof(inner{}))
+	postingBytes = int(unsafe.Sizeof(posting{}))
+	tidBytes     = int(unsafe.Sizeof(storage.TupleID(0)))
+)
+
 // BTree is an in-memory B+tree mapping byte keys to TupleID postings.
 // Safe for concurrent use.
 type BTree struct {
 	mu   sync.RWMutex
 	root node
-	n    int // live (key, tid) pairs
+	counts
+}
+
+// counts is a tree's occupancy, kept current by every mutation so that
+// Stats never walks the tree: live (key, tid) pairs, distinct keys,
+// nodes, and the capacity in bytes of key arenas and of spilled postings.
+type counts struct {
+	n, nkeys, leaves, inners int
+	arenaBytes, postBytes    int
 }
 
 // NewBTree returns an empty tree.
-func NewBTree() *BTree { return &BTree{root: &leaf{}} }
+func NewBTree() *BTree { return &BTree{root: &leaf{}, counts: counts{leaves: 1}} }
 
 // Len returns the number of live (key, tuple) entries.
 func (t *BTree) Len() int {
@@ -97,142 +248,339 @@ func (t *BTree) Len() int {
 	return t.n
 }
 
+// Stats is a tree's occupancy.
+type Stats struct {
+	Entries int // live (key, tuple id) pairs
+	Keys    int // distinct keys held, each with at least one tuple id
+	Leaves  int
+	Inners  int
+	// ArenaBytes is the capacity of every node's key arena.
+	ArenaBytes int
+	// Bytes is the heap the tree holds: nodes (offsets, value slots,
+	// child pointers), key arenas and spilled postings.
+	Bytes int
+}
+
+// Stats returns the tree's occupancy from its counters.
+func (t *BTree) Stats() Stats {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return Stats{
+		Entries: t.n, Keys: t.nkeys, Leaves: t.leaves, Inners: t.inners,
+		ArenaBytes: t.arenaBytes,
+		Bytes:      t.leaves*leafBytes + t.inners*innerBytes + t.arenaBytes + t.postBytes,
+	}
+}
+
 // Add inserts tid under key.
 func (t *BTree) Add(key []byte, tid storage.TupleID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := append([]byte(nil), key...)
-	newChild, splitKey, added := t.insert(t.root, k, tid)
+	right, sep, added := t.insert(t.root, key, tid)
 	if added {
 		t.n++
 	}
-	if newChild != nil {
-		t.root = &inner{keys: [][]byte{splitKey}, children: []node{t.root, newChild}}
+	if right != nil {
+		root := &inner{}
+		root.kids[0], root.kids[1] = t.root, right
+		t.arenaBytes += root.keys.insert(0, sep)
+		t.root = root
+		t.inners++
 	}
 }
 
 // insert descends, returning a new right sibling and its separator key
-// when the child split.
+// when the child split. The separator may alias a node's arena: the
+// caller copies it into its own before touching that node.
 func (t *BTree) insert(n node, key []byte, tid storage.TupleID) (node, []byte, bool) {
 	switch nd := n.(type) {
 	case *leaf:
-		i := sort.Search(len(nd.keys), func(i int) bool { return bytes.Compare(nd.keys[i], key) >= 0 })
-		if i < len(nd.keys) && bytes.Equal(nd.keys[i], key) {
-			before := len(nd.vals[i])
-			nd.vals[i] = nd.vals[i].add(tid)
-			return nil, nil, len(nd.vals[i]) != before
+		right, added := t.insertLeaf(nd, key, tid)
+		if right == nil {
+			return nil, nil, added
 		}
-		nd.keys = append(nd.keys, nil)
-		copy(nd.keys[i+1:], nd.keys[i:])
-		nd.keys[i] = key
-		nd.vals = append(nd.vals, nil)
-		copy(nd.vals[i+1:], nd.vals[i:])
-		nd.vals[i] = posting{tid}
-		if len(nd.keys) <= maxLeafKeys {
-			return nil, nil, true
-		}
-		mid := len(nd.keys) / 2
-		right := &leaf{
-			keys: append([][]byte(nil), nd.keys[mid:]...),
-			vals: append([]posting(nil), nd.vals[mid:]...),
-			next: nd.next,
-		}
-		nd.keys = nd.keys[:mid:mid]
-		nd.vals = nd.vals[:mid:mid]
-		nd.next = right
-		return right, right.keys[0], true
+		return right, right.keys.key(0), added
 	case *inner:
-		ci := sort.Search(len(nd.keys), func(i int) bool { return bytes.Compare(nd.keys[i], key) > 0 })
-		newChild, splitKey, added := t.insert(nd.children[ci], key, tid)
-		if newChild != nil {
-			nd.keys = append(nd.keys, nil)
-			copy(nd.keys[ci+1:], nd.keys[ci:])
-			nd.keys[ci] = splitKey
-			nd.children = append(nd.children, nil)
-			copy(nd.children[ci+2:], nd.children[ci+1:])
-			nd.children[ci+1] = newChild
-			if len(nd.children) > maxInnerChild {
-				mid := len(nd.keys) / 2
-				sep := nd.keys[mid]
-				right := &inner{
-					keys:     append([][]byte(nil), nd.keys[mid+1:]...),
-					children: append([]node(nil), nd.children[mid+1:]...),
-				}
-				nd.keys = nd.keys[:mid:mid]
-				nd.children = nd.children[: mid+1 : mid+1]
-				return right, sep, added
-			}
+		ci := nd.childFor(key)
+		child, sep, added := t.insert(nd.kids[ci], key, tid)
+		if child == nil {
+			return nil, nil, added
 		}
-		return nil, nil, added
+		if nd.keys.n+1 < fanout {
+			t.putChild(nd, ci, sep, child)
+			return nil, nil, added
+		}
+		// Full: the middle key moves up, the upper half to a new sibling.
+		mid := nd.keys.n / 2
+		up := bytes.Clone(nd.keys.key(mid))
+		right := &inner{}
+		t.inners++
+		t.arenaBytes += nd.keys.moveTail(&right.keys, mid, mid+1)
+		copy(right.kids[:], nd.kids[mid+1:])
+		clear(nd.kids[mid+1:])
+		if ci <= mid {
+			t.putChild(nd, ci, sep, child)
+		} else {
+			t.putChild(right, ci-mid-1, sep, child)
+		}
+		return right, up, added
 	}
 	return nil, nil, false
 }
 
-// Remove deletes tid from key's posting. Empty postings leave their key
-// behind as a tombstone-free empty entry removed lazily; the posting
-// memory is zeroed immediately.
+// putChild registers child, the new right sibling of kids[ci].
+func (t *BTree) putChild(in *inner, ci int, sep []byte, child node) {
+	copy(in.kids[ci+2:in.keys.n+2], in.kids[ci+1:in.keys.n+1])
+	in.kids[ci+1] = child
+	t.arenaBytes += in.keys.insert(ci, sep)
+}
+
+// insertLeaf adds (key, tid) to lf, splitting it first when it is full,
+// and returns the new right sibling if it did.
+func (t *BTree) insertLeaf(lf *leaf, key []byte, tid storage.TupleID) (*leaf, bool) {
+	i, found := lf.keys.search(key)
+	if found {
+		return nil, t.addTID(lf, i, tid)
+	}
+	var right *leaf
+	target := lf
+	if lf.keys.n == fanout {
+		right = &leaf{prev: lf, next: lf.next}
+		t.leaves++
+		if lf.next != nil {
+			lf.next.prev = right
+		}
+		lf.next = right
+		if i == fanout && right.next == nil {
+			// Past the last key of the last leaf — ascending keys, the
+			// common case for a primary key: the full leaf stays full.
+			target, i = right, 0
+		} else {
+			mid := fanout / 2
+			t.splitLeaf(lf, right, mid)
+			if i > mid {
+				target, i = right, i-mid
+			}
+		}
+	}
+	t.arenaBytes += target.keys.insert(i, key)
+	copy(target.vals[i+1:target.keys.n], target.vals[i:target.keys.n-1])
+	if tid&spillBit != 0 {
+		target.vals[i] = t.spill(target, posting{tid})
+	} else {
+		target.vals[i] = tid
+	}
+	t.nkeys++
+	return right, true
+}
+
+// splitLeaf moves keys [mid, n) of lf, with their values, to the empty
+// right.
+func (t *BTree) splitLeaf(lf, right *leaf, mid int) {
+	n := lf.keys.n
+	t.arenaBytes += lf.keys.moveTail(&right.keys, mid, mid)
+	copy(right.vals[:], lf.vals[mid:n])
+	clear(lf.vals[mid:n])
+	for j, v := range right.vals[:n-mid] {
+		if v&spillBit != 0 {
+			p := lf.posts[v&^spillBit]
+			t.unspill(lf, int(v&^spillBit))
+			right.vals[j] = t.spill(right, p)
+		}
+	}
+}
+
+// spill stores p among lf's postings and returns the value slot content
+// that refers to it.
+func (t *BTree) spill(lf *leaf, p posting) storage.TupleID {
+	t.postBytes += cap(p) * tidBytes
+	idx := slices.IndexFunc(lf.posts, func(q posting) bool { return q == nil })
+	if idx < 0 {
+		idx = len(lf.posts)
+		before := cap(lf.posts)
+		lf.posts = append(lf.posts, nil)
+		t.postBytes += (cap(lf.posts) - before) * postingBytes
+	}
+	lf.posts[idx] = p
+	return spillBit | storage.TupleID(idx)
+}
+
+// unspill frees posting slot idx of lf, and the slot table with its last.
+func (t *BTree) unspill(lf *leaf, idx int) {
+	t.postBytes -= cap(lf.posts[idx]) * tidBytes
+	lf.posts[idx] = nil
+	if !slices.ContainsFunc(lf.posts, func(q posting) bool { return q != nil }) {
+		t.postBytes -= cap(lf.posts) * postingBytes
+		lf.posts = nil
+	}
+}
+
+// addTID adds tid to the ids of key i and reports whether it was new.
+func (t *BTree) addTID(lf *leaf, i int, tid storage.TupleID) bool {
+	v := lf.vals[i]
+	if v&spillBit == 0 {
+		if v == tid {
+			return false
+		}
+		lf.vals[i] = t.spill(lf, posting{min(v, tid), max(v, tid)})
+		return true
+	}
+	idx := v &^ spillBit
+	p := lf.posts[idx]
+	np := p.add(tid)
+	if len(np) == len(p) {
+		return false
+	}
+	t.postBytes += (cap(np) - cap(p)) * tidBytes
+	lf.posts[idx] = np
+	return true
+}
+
+// removeTID removes tid from the ids of key i. A posting left with one
+// id collapses back into the value slot; gone tells that none is left.
+func (t *BTree) removeTID(lf *leaf, i int, tid storage.TupleID) (removed, gone bool) {
+	v := lf.vals[i]
+	if v&spillBit == 0 {
+		return v == tid, v == tid
+	}
+	idx := int(v &^ spillBit)
+	p := lf.posts[idx]
+	np := p.remove(tid)
+	switch {
+	case len(np) == len(p):
+		return false, false
+	case len(np) == 0:
+		t.unspill(lf, idx)
+		return true, true
+	case len(np) == 1 && np[0]&spillBit == 0:
+		lf.vals[i] = np[0]
+		np[0] = 0
+		t.unspill(lf, idx)
+	default:
+		lf.posts[idx] = np
+	}
+	return true, false
+}
+
+// Remove deletes tid from key's ids. A key left without ids is deleted
+// and its bytes zeroed; a leaf left without keys is unlinked and freed.
 func (t *BTree) Remove(key []byte, tid storage.TupleID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lf, i := t.seekLeaf(key)
-	if lf == nil || i >= len(lf.keys) || !bytes.Equal(lf.keys[i], key) {
-		return
+	t.remove(t.root, key, tid)
+	// An inner root left with one child hands the root to it.
+	for {
+		in, ok := t.root.(*inner)
+		if !ok || in.keys.n > 0 {
+			break
+		}
+		t.root = in.kids[0]
+		t.dropInner(in)
 	}
-	before := len(lf.vals[i])
-	lf.vals[i] = lf.vals[i].remove(tid)
-	if len(lf.vals[i]) != before {
-		t.n--
+}
+
+// remove descends to key and reports whether n ended up empty — the
+// caller then drops it (the root leaf alone may stay empty).
+func (t *BTree) remove(n node, key []byte, tid storage.TupleID) (empty bool) {
+	switch nd := n.(type) {
+	case *leaf:
+		i, found := nd.keys.search(key)
+		if !found {
+			return false
+		}
+		removed, gone := t.removeTID(nd, i, tid)
+		if removed {
+			t.n--
+		}
+		if !gone {
+			return false
+		}
+		nd.keys.remove(i)
+		copy(nd.vals[i:nd.keys.n], nd.vals[i+1:nd.keys.n+1])
+		nd.vals[nd.keys.n] = 0
+		t.nkeys--
+		if nd.keys.n > 0 {
+			return false
+		}
+		t.arenaBytes -= cap(nd.keys.arena)
+		nd.keys.arena = nil
+		if nd != t.root {
+			if nd.prev != nil {
+				nd.prev.next = nd.next
+			}
+			if nd.next != nil {
+				nd.next.prev = nd.prev
+			}
+			t.leaves--
+		}
+		return true
+	case *inner:
+		ci := nd.childFor(key)
+		if !t.remove(nd.kids[ci], key, tid) {
+			return false
+		}
+		if nd.keys.n == 0 {
+			// Its only child is gone. (Never the root: an inner root has
+			// two children at least.)
+			t.dropInner(nd)
+			return true
+		}
+		// Drop the child and the separator to its left (to its right for
+		// the first child): the neighbours' bounds still hold.
+		copy(nd.kids[ci:nd.keys.n], nd.kids[ci+1:nd.keys.n+1])
+		nd.kids[nd.keys.n] = nil
+		nd.keys.remove(max(ci-1, 0))
 	}
+	return false
+}
+
+func (t *BTree) dropInner(in *inner) {
+	t.inners--
+	t.arenaBytes -= cap(in.keys.arena)
 }
 
 // seekLeaf returns the leaf that would hold key and the in-leaf index of
 // the first entry >= key.
-func (t *BTree) seekLeaf(key []byte) (*leaf, int) {
+func (t *BTree) seekLeaf(key []byte) (*leaf, int, bool) {
 	n := t.root
 	for {
 		switch nd := n.(type) {
 		case *inner:
-			ci := sort.Search(len(nd.keys), func(i int) bool { return bytes.Compare(nd.keys[i], key) > 0 })
-			n = nd.children[ci]
+			n = nd.kids[nd.childFor(key)]
 		case *leaf:
-			i := sort.Search(len(nd.keys), func(i int) bool { return bytes.Compare(nd.keys[i], key) >= 0 })
-			return nd, i
+			i, found := nd.keys.search(key)
+			return nd, i, found
 		}
 	}
 }
 
 // Exact calls fn with the posting stored under key, if any. The posting
-// must not be retained.
+// must not be retained or modified.
 func (t *BTree) Exact(key []byte, fn func(tids []storage.TupleID)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	lf, i := t.seekLeaf(key)
-	if lf != nil && i < len(lf.keys) && bytes.Equal(lf.keys[i], key) && len(lf.vals[i]) > 0 {
-		fn(lf.vals[i])
+	if lf, i, found := t.seekLeaf(key); found {
+		fn(lf.tids(i))
 	}
 }
 
 // Range iterates entries with lo <= key < hi (hi nil = unbounded),
-// calling fn per non-empty posting; fn returning false stops. Postings
-// must not be retained.
+// calling fn per key; fn returning false stops. Keys and postings must
+// not be retained or modified.
 func (t *BTree) Range(lo, hi []byte, fn func(key []byte, tids []storage.TupleID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	lf, i := t.seekLeaf(lo)
-	for lf != nil {
-		for ; i < len(lf.keys); i++ {
-			if hi != nil && bytes.Compare(lf.keys[i], hi) >= 0 {
+	lf, i, _ := t.seekLeaf(lo)
+	for ; lf != nil; lf, i = lf.next, 0 {
+		for ; i < lf.keys.n; i++ {
+			k := lf.keys.key(i)
+			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				return
 			}
-			if len(lf.vals[i]) == 0 {
-				continue
-			}
-			if !fn(lf.keys[i], lf.vals[i]) {
+			if !fn(k, lf.tids(i)) {
 				return
 			}
 		}
-		lf = lf.next
-		i = 0
 	}
 }
 
@@ -240,8 +588,114 @@ func (t *BTree) Range(lo, hi []byte, fn func(key []byte, tids []storage.TupleID)
 func (t *BTree) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.root = &leaf{}
-	t.n = 0
+	t.root, t.counts = &leaf{}, counts{leaves: 1}
+}
+
+// Entry is one (key, tuple id) pair of a run handed to BuildBTree.
+type Entry struct {
+	Key []byte
+	TID storage.TupleID
+}
+
+// CompareEntries orders entries by key, then tuple id — the order
+// BuildBTree expects.
+func CompareEntries(a, b Entry) int {
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.TID, b.TID)
+}
+
+// ErrUnsortedRun is returned by BuildBTree for a run out of order.
+var ErrUnsortedRun = errors.New("index: bulk-build run is not sorted")
+
+// BuildBTree builds a tree from a run sorted by CompareEntries (repeated
+// pairs count once), bottom-up: every leaf but the last is full and every
+// arena and posting exactly sized. It answers every Exact and Range as a
+// tree grown by Add over the same pairs would.
+func BuildBTree(run []Entry) (*BTree, error) {
+	if !slices.IsSortedFunc(run, CompareEntries) {
+		return nil, ErrUnsortedRun
+	}
+	t := &BTree{}
+	// level is the row of nodes under construction with each node's
+	// smallest key — the separator its parent files it under.
+	type built struct {
+		n   node
+		min []byte
+	}
+	var level []built
+	var last *leaf
+	for i := 0; i < len(run); {
+		lf := &leaf{prev: last}
+		// First pass: the leaf's extent in the run and its key bytes.
+		end, size := i, 0
+		for nk := 0; end < len(run) && nk < fanout; nk++ {
+			size += len(run[end].Key)
+			for k := run[end].Key; end < len(run) && bytes.Equal(run[end].Key, k); {
+				end++
+			}
+		}
+		lf.keys.arena = make([]byte, 0, size)
+		for i < end {
+			j := i + 1
+			for j < end && bytes.Equal(run[j].Key, run[i].Key) {
+				j++
+			}
+			k := lf.keys.n
+			lf.keys.push(run[i].Key)
+			if run[i].TID == run[j-1].TID && run[i].TID&spillBit == 0 {
+				lf.vals[k] = run[i].TID
+				t.n++
+			} else {
+				p := make(posting, 0, j-i)
+				for _, e := range run[i:j] {
+					if len(p) == 0 || p[len(p)-1] != e.TID {
+						p = append(p, e.TID)
+					}
+				}
+				lf.vals[k] = t.spill(lf, p)
+				t.n += len(p)
+			}
+			i = j
+		}
+		t.nkeys += lf.keys.n
+		t.arenaBytes += size
+		t.leaves++
+		if last != nil {
+			last.next = lf
+		}
+		last = lf
+		level = append(level, built{lf, lf.keys.key(0)})
+	}
+	if len(level) == 0 {
+		return NewBTree(), nil
+	}
+	for len(level) > 1 {
+		var up []built
+		for len(level) > 0 {
+			group := level[:min(fanout, len(level))]
+			level = level[len(group):]
+			in := &inner{}
+			size := 0
+			for _, b := range group[1:] {
+				size += len(b.min)
+			}
+			in.keys.arena = make([]byte, 0, size)
+			for j, b := range group {
+				in.kids[j] = b.n
+				if j > 0 {
+					in.keys.push(b.min)
+				}
+			}
+			t.arenaBytes += size
+			t.inners++
+			up = append(up, built{in, group[0].min})
+		}
+		level = up
+	}
+	t.root = level[0].n
+	return t, nil
 }
 
 // PrefixSuccessor returns the smallest byte string greater than every

@@ -1,0 +1,563 @@
+package index
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"instantdb/internal/storage"
+)
+
+// validate walks the whole tree and checks its shape against the
+// invariants the code relies on and its counters against a recount.
+func (t *BTree) validate() error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var c counts
+	var last *leaf
+	leafDepth := -1
+	var walk func(nd node, lo, hi []byte, depth int) error
+	checkKeys := func(k *packedKeys, lo, hi []byte) error {
+		if k.n < 0 || k.n > fanout {
+			return fmt.Errorf("node holds %d keys", k.n)
+		}
+		if k.n > 0 && int(k.ends[k.n-1]) != len(k.arena) {
+			return fmt.Errorf("last key ends at %d, arena is %d long", k.ends[k.n-1], len(k.arena))
+		}
+		for i := 0; i < k.n; i++ {
+			if i > 0 && bytes.Compare(k.key(i-1), k.key(i)) >= 0 {
+				return fmt.Errorf("keys %d and %d out of order", i-1, i)
+			}
+			if lo != nil && bytes.Compare(k.key(i), lo) < 0 || hi != nil && bytes.Compare(k.key(i), hi) >= 0 {
+				return fmt.Errorf("key %q outside its parent's bounds [%q, %q)", k.key(i), lo, hi)
+			}
+		}
+		for _, b := range k.arena[len(k.arena):cap(k.arena)] {
+			if b != 0 {
+				return errors.New("vacated arena bytes not zeroed")
+			}
+		}
+		for _, e := range k.ends[k.n:] {
+			if e != 0 {
+				return errors.New("vacated offset not zeroed")
+			}
+		}
+		c.arenaBytes += cap(k.arena)
+		return nil
+	}
+	walk = func(nd node, lo, hi []byte, depth int) error {
+		switch nd := nd.(type) {
+		case *leaf:
+			c.leaves++
+			if leafDepth == -1 {
+				leafDepth = depth
+			}
+			if depth != leafDepth {
+				return fmt.Errorf("leaf at depth %d, others at %d", depth, leafDepth)
+			}
+			if nd.keys.n == 0 && nd != t.root {
+				return errors.New("empty leaf still linked")
+			}
+			if err := checkKeys(&nd.keys, lo, hi); err != nil {
+				return err
+			}
+			if nd.prev != last || last != nil && last.next != nd {
+				return errors.New("leaf chain disagrees with the tree order")
+			}
+			last = nd
+			c.nkeys += nd.keys.n
+			used := 0
+			for i, v := range nd.vals {
+				if i >= nd.keys.n {
+					if v != 0 {
+						return errors.New("vacated value slot not zeroed")
+					}
+					continue
+				}
+				ids := nd.tids(i)
+				c.n += len(ids)
+				if v&spillBit == 0 {
+					continue
+				}
+				used++
+				if len(ids) == 0 || len(ids) == 1 && ids[0]&spillBit == 0 {
+					return fmt.Errorf("posting of %d ids should be inline", len(ids))
+				}
+				if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+					return fmt.Errorf("posting %v not a sorted set", ids)
+				}
+				for _, id := range ids[len(ids):cap(ids)] {
+					if id != 0 {
+						return errors.New("vacated posting tail not zeroed")
+					}
+				}
+				c.postBytes += cap(ids) * tidBytes
+			}
+			held := 0
+			for _, p := range nd.posts {
+				if p != nil {
+					held++
+				}
+			}
+			if held != used || nd.posts != nil && held == 0 {
+				return fmt.Errorf("%d postings held, %d referenced", held, used)
+			}
+			c.postBytes += cap(nd.posts) * postingBytes
+		case *inner:
+			c.inners++
+			if nd == t.root && nd.keys.n == 0 {
+				return errors.New("inner root with a single child")
+			}
+			if err := checkKeys(&nd.keys, lo, hi); err != nil {
+				return err
+			}
+			for i, kid := range nd.kids {
+				if (kid != nil) != (i <= nd.keys.n) {
+					return fmt.Errorf("child slot %d of %d keys", i, nd.keys.n)
+				}
+				if kid == nil {
+					continue
+				}
+				klo, khi := lo, hi
+				if i > 0 {
+					klo = nd.keys.key(i - 1)
+				}
+				if i < nd.keys.n {
+					khi = nd.keys.key(i)
+				}
+				if err := walk(kid, klo, khi, depth+1); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root, nil, nil, 0); err != nil {
+		return err
+	}
+	if last != nil && last.next != nil {
+		return errors.New("leaf chain runs past the last leaf")
+	}
+	if t.counts != c {
+		return fmt.Errorf("counters %+v, recount %+v", t.counts, c)
+	}
+	return nil
+}
+
+// treeModel is the reference: key → set of ids.
+type treeModel map[string]map[storage.TupleID]bool
+
+func (m treeModel) add(key []byte, tid storage.TupleID) {
+	if m[string(key)] == nil {
+		m[string(key)] = map[storage.TupleID]bool{}
+	}
+	m[string(key)][tid] = true
+}
+
+func (m treeModel) remove(key []byte, tid storage.TupleID) {
+	if ids := m[string(key)]; ids != nil {
+		delete(ids, tid)
+		if len(ids) == 0 {
+			delete(m, string(key))
+		}
+	}
+}
+
+// dump renders the model's entries with lo <= key < hi the way dumpRange
+// renders the tree's.
+func (m treeModel) dump(lo, hi []byte) []string {
+	var keys []string
+	for k := range m {
+		if bytes.Compare([]byte(k), lo) >= 0 && (hi == nil || bytes.Compare([]byte(k), hi) < 0) {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	out := make([]string, 0, len(keys))
+	for _, k := range keys {
+		ids := make([]storage.TupleID, 0, len(m[k]))
+		for id := range m[k] {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		out = append(out, fmt.Sprintf("%x=%v", k, ids))
+	}
+	return out
+}
+
+func dumpRange(bt *BTree, lo, hi []byte) []string {
+	var out []string
+	bt.Range(lo, hi, func(k []byte, tids []storage.TupleID) bool {
+		out = append(out, fmt.Sprintf("%x=%v", k, tids))
+		return true
+	})
+	return out
+}
+
+func dumpExact(bt *BTree, key []byte) string {
+	s := "absent"
+	bt.Exact(key, func(tids []storage.TupleID) { s = fmt.Sprint(tids) })
+	return s
+}
+
+func (m treeModel) exact(key []byte) string {
+	ids := make([]storage.TupleID, 0, len(m[string(key)]))
+	for id := range m[string(key)] {
+		ids = append(ids, id)
+	}
+	if len(ids) == 0 {
+		return "absent"
+	}
+	slices.Sort(ids)
+	return fmt.Sprint(ids)
+}
+
+// checkAgainst compares every answer the tree can give with the model's.
+func checkAgainst(t testing.TB, bt *BTree, m treeModel) {
+	t.Helper()
+	if err := bt.validate(); err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for k, ids := range m {
+		entries += len(ids)
+		if got, want := dumpExact(bt, []byte(k)), m.exact([]byte(k)); got != want {
+			t.Fatalf("Exact(%x) = %s, model %s", k, got, want)
+		}
+	}
+	if st := bt.Stats(); st.Entries != entries || st.Keys != len(m) || bt.Len() != entries {
+		t.Fatalf("Stats %+v, Len %d; model has %d entries under %d keys", st, bt.Len(), entries, len(m))
+	}
+	if got, want := dumpRange(bt, nil, nil), m.dump(nil, nil); !slices.Equal(got, want) {
+		t.Fatalf("full Range has %d keys, model %d", len(got), len(want))
+	}
+}
+
+// opKey derives a key from two bytes of an op stream: mostly short keys
+// sharing prefixes, with the empty key and 4 KiB keys among them.
+func opKey(a uint16) []byte {
+	switch {
+	case a == 0:
+		return []byte{}
+	case a%67 == 1:
+		return append(bytes.Repeat([]byte{byte(a >> 8)}, 4096), byte(a))
+	}
+	k := binary.BigEndian.AppendUint16([]byte{'k'}, a)
+	return append(k, bytes.Repeat([]byte{byte(a)}, int(a%5))...)
+}
+
+func opTID(b byte) storage.TupleID {
+	switch {
+	case b >= 252:
+		return spillBit | storage.TupleID(b)
+	case b == 251:
+		return 1 << 60
+	}
+	return storage.TupleID(b%6 + 1)
+}
+
+// runOps interprets data as a stream of four-byte ops against a tree
+// and the model. The first byte narrows the key space, so that some
+// streams pile ids onto few keys and others spread over many leaves.
+func runOps(t testing.TB, bt *BTree, m treeModel, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	mask := []uint16{0x1F, 0x3FF, 0xFFFF}[data[0]%3]
+	for data = data[1:]; len(data) >= 4; data = data[4:] {
+		op, a, tid := data[0], binary.BigEndian.Uint16(data[1:3])&mask, opTID(data[3])
+		key := opKey(a)
+		switch {
+		case op < 120:
+			bt.Add(key, tid)
+			m.add(key, tid)
+		case op < 230:
+			bt.Remove(key, tid)
+			m.remove(key, tid)
+		case op < 240:
+			if got, want := dumpExact(bt, key), m.exact(key); got != want {
+				t.Fatalf("Exact(%x) = %s, model %s", key, got, want)
+			}
+		case op < 254:
+			// Everything under a prefix of the key.
+			lo := key[:min(len(key), 2)]
+			hi := PrefixSuccessor(lo)
+			if got, want := dumpRange(bt, lo, hi), m.dump(lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("Range(%x, %x) = %v, model %v", lo, hi, got, want)
+			}
+		case data[3] < 4:
+			bt.Clear()
+			clear(m)
+		}
+	}
+}
+
+func TestBTreeAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 1+4*20000)
+		rng.Read(data)
+		data[0] = byte(seed)
+		bt, m := NewBTree(), treeModel{}
+		runOps(t, bt, m, data)
+		checkAgainst(t, bt, m)
+		// Whatever is left must go, down to one empty leaf.
+		for k, ids := range m {
+			for id := range ids {
+				bt.Remove([]byte(k), id)
+			}
+		}
+		checkAgainst(t, bt, treeModel{})
+		if st := bt.Stats(); st != NewBTree().Stats() {
+			t.Fatalf("seed %d: emptied tree still holds %+v", seed, st)
+		}
+	}
+}
+
+func FuzzBTreeOps(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 2, 200, 0, 0, 1, 200, 0, 0, 2})
+	f.Add([]byte{2, 0, 0, 1, 252, 0, 0, 1, 3, 130, 0, 1, 252, 250, 0, 1, 0})
+	f.Add([]byte{0, 0, 0, 2, 1, 255, 0, 0, 0, 0, 0, 2, 2, 235, 0, 2, 0}) // add, Clear, add, Exact
+	seq := []byte{1}
+	for i := 0; i < 200; i++ { // ascending inserts, then removal from the old end
+		seq = append(seq, 0, byte(i>>8), byte(i), 0)
+	}
+	for i := 0; i < 200; i++ {
+		seq = append(seq, 200, byte(i>>8), byte(i), 0)
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bt, m := NewBTree(), treeModel{}
+		runOps(t, bt, m, data)
+		checkAgainst(t, bt, m)
+	})
+}
+
+// TestBTreeMultiTidCollapse follows one key from one id to many and
+// back: the value slot holds a single id inline at both ends.
+func TestBTreeMultiTidCollapse(t *testing.T) {
+	bt, m := NewBTree(), treeModel{}
+	key := []byte("k")
+	for _, id := range []storage.TupleID{5, 3, 9, 5, 1 << 60, spillBit | 1} {
+		bt.Add(key, id)
+		m.add(key, id)
+		checkAgainst(t, bt, m)
+	}
+	for _, id := range []storage.TupleID{3, 1 << 60, 9, 7, 5} {
+		bt.Remove(key, id)
+		m.remove(key, id)
+		checkAgainst(t, bt, m)
+	}
+	// One id with the tag bit left: it cannot live in the slot.
+	if bt.Stats().Bytes == NewBTree().Stats().Bytes {
+		t.Fatal("a tagged id must stay spilled")
+	}
+	bt.Add(key, 4)
+	bt.Remove(key, spillBit|1)
+	if got := bt.Stats().Bytes - bt.Stats().ArenaBytes; got != leafBytes {
+		t.Fatalf("single plain id not inline: %d bytes beside the arena, want %d", got, leafBytes)
+	}
+}
+
+// TestBTreeChurnBounded slides a window over ascending keys: what the
+// tree holds follows the window, not the history.
+func TestBTreeChurnBounded(t *testing.T) {
+	const window, churn = 1000, 50000
+	key := func(i int) []byte { return binary.BigEndian.AppendUint64([]byte{1}, uint64(i)) }
+	fresh, bt := NewBTree(), NewBTree()
+	for i := 0; i < window; i++ {
+		fresh.Add(key(i), storage.TupleID(i+1))
+		bt.Add(key(i), storage.TupleID(i+1))
+	}
+	for i := window; i < window+churn; i++ {
+		bt.Add(key(i), storage.TupleID(i+1))
+		bt.Remove(key(i-window), storage.TupleID(i-window+1))
+	}
+	if err := bt.validate(); err != nil {
+		t.Fatal(err)
+	}
+	want, got := fresh.Stats(), bt.Stats()
+	if got.Entries != window || got.Keys != window {
+		t.Fatalf("window holds %d entries under %d keys, want %d", got.Entries, got.Keys, window)
+	}
+	if got.Leaves > 2*want.Leaves || got.Inners > 2*want.Inners || got.ArenaBytes > 2*want.ArenaBytes || got.Bytes > 2*want.Bytes {
+		t.Fatalf("after %d inserts and removals the tree holds %+v; a fresh tree of the same %d entries holds %+v",
+			churn, got, window, want)
+	}
+	n := 0
+	bt.Range(nil, nil, func([]byte, []storage.TupleID) bool { n++; return true })
+	if n != window {
+		t.Fatalf("Range visits %d keys, want %d", n, window)
+	}
+}
+
+// randomRun draws n pairs over nkeys keys, in CompareEntries order.
+func randomRun(rng *rand.Rand, n, nkeys int) []Entry {
+	run := make([]Entry, n)
+	for i := range run {
+		run[i] = Entry{Key: opKey(uint16(rng.Intn(nkeys))), TID: storage.TupleID(rng.Intn(4*n) + 1)}
+	}
+	slices.SortFunc(run, CompareEntries)
+	return run
+}
+
+func TestBuildBTreeEqualsAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range []struct{ n, nkeys int }{{0, 1}, {1, 1}, {64, 64}, {65, 1000}, {5000, 40}, {9000, 60000}, {30000, 65536}} {
+		run := randomRun(rng, shape.n, shape.nkeys)
+		if len(run) > 2 {
+			run = append(run, run[len(run)/2]) // a repeated pair counts once
+			slices.SortFunc(run, CompareEntries)
+		}
+		built, err := BuildBTree(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added, m := NewBTree(), treeModel{}
+		for _, e := range run {
+			added.Add(e.Key, e.TID)
+			m.add(e.Key, e.TID)
+		}
+		checkAgainst(t, built, m)
+		if got, want := dumpRange(built, nil, nil), dumpRange(added, nil, nil); !slices.Equal(got, want) {
+			t.Fatalf("%+v: built and added trees differ over the full range", shape)
+		}
+		for i := 0; i < 50 && len(run) > 0; i++ {
+			lo, hi := run[rng.Intn(len(run))].Key, run[rng.Intn(len(run))].Key
+			if got, want := dumpRange(built, lo, hi), dumpRange(added, lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("%+v: Range(%x, %x) differs", shape, lo, hi)
+			}
+			probe := opKey(uint16(rng.Intn(65536)))
+			if got, want := dumpExact(built, probe), dumpExact(added, probe); got != want {
+				t.Fatalf("%+v: Exact(%x) = %s, added tree %s", shape, probe, got, want)
+			}
+		}
+		st := built.Stats()
+		if want := max((st.Keys+fanout-1)/fanout, 1); st.Leaves != want {
+			t.Fatalf("%+v: %d keys in %d leaves, full leaves make %d", shape, st.Keys, st.Leaves, want)
+		}
+		if st.Bytes > added.Stats().Bytes {
+			t.Fatalf("%+v: built tree holds %d bytes, added tree %d", shape, st.Bytes, added.Stats().Bytes)
+		}
+		// A built tree takes further changes like any other.
+		data := make([]byte, 1+4*3000)
+		rng.Read(data)
+		runOps(t, built, m, data)
+		checkAgainst(t, built, m)
+	}
+}
+
+func TestBuildBTreeRejectsUnsorted(t *testing.T) {
+	k := func(s string, id storage.TupleID) Entry { return Entry{Key: []byte(s), TID: id} }
+	for _, run := range [][]Entry{
+		{k("b", 1), k("a", 1)},
+		{k("a", 2), k("a", 1)},
+		{k("a", 1), k("c", 1), k("b", 1)},
+	} {
+		if _, err := BuildBTree(run); !errors.Is(err, ErrUnsortedRun) {
+			t.Fatalf("run %v: err = %v, want ErrUnsortedRun", run, err)
+		}
+	}
+}
+
+// pkKey is a 9-byte key shaped like an INT primary key's.
+func pkKey(i int) []byte { return binary.BigEndian.AppendUint64([]byte{2}, uint64(i)) }
+
+func TestBTreeExactInlineNoAllocs(t *testing.T) {
+	bt := NewBTree()
+	for i := 0; i < 10000; i++ {
+		bt.Add(pkKey(i), storage.TupleID(i+1))
+	}
+	key, sum := pkKey(4321), storage.TupleID(0)
+	fn := func(tids []storage.TupleID) { sum += tids[0] }
+	if n := testing.AllocsPerRun(100, func() { bt.Exact(key, fn) }); n != 0 {
+		t.Fatalf("Exact on an inline key allocates %v times", n)
+	}
+	if sum == 0 {
+		t.Fatal("key not found")
+	}
+}
+
+var benchSink storage.TupleID
+
+func BenchmarkBTreeAdd(b *testing.B) {
+	for _, order := range []string{"ascending", "random"} {
+		b.Run(order, func(b *testing.B) {
+			keys := make([][]byte, b.N)
+			for i := range keys {
+				keys[i] = pkKey(i)
+			}
+			if order == "random" {
+				rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			bt := NewBTree()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, k := range keys {
+				bt.Add(k, storage.TupleID(i+1))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(bt.Stats().Bytes)/float64(b.N), "B/entry")
+		})
+	}
+}
+
+func benchTree(n int) *BTree {
+	bt := NewBTree()
+	for i := 0; i < n; i++ {
+		bt.Add(pkKey(i), storage.TupleID(i+1))
+	}
+	return bt
+}
+
+func BenchmarkBTreeExact(b *testing.B) {
+	const n = 100000
+	bt := benchTree(n)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = pkKey(rng.Intn(n))
+	}
+	fn := func(tids []storage.TupleID) { benchSink += tids[0] }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.Exact(keys[i%len(keys)], fn)
+	}
+}
+
+func BenchmarkBTreeRange(b *testing.B) {
+	const n, span = 100000, 100
+	bt := benchTree(n)
+	rng := rand.New(rand.NewSource(1))
+	fn := func(_ []byte, tids []storage.TupleID) bool { benchSink += tids[0]; return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := rng.Intn(n - span)
+		bt.Range(pkKey(lo), pkKey(lo+span), fn)
+	}
+}
+
+func BenchmarkBuildBTree(b *testing.B) {
+	const n = 100000
+	run := make([]Entry, n)
+	for i := range run {
+		run[i] = Entry{Key: pkKey(i), TID: storage.TupleID(i + 1)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt, err := BuildBTree(run)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += storage.TupleID(bt.Len())
+	}
+}

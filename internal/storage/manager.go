@@ -86,10 +86,9 @@ func (m *Manager) DropTable(tableID uint32) error {
 			return err
 		}
 	}
-	ts.dir = make(map[TupleID]RID)
+	ts.dir = newDirectory()
 	ts.segs = make(map[uint64]*segment)
 	ts.pageSeg = make(map[PageID]uint64)
-	ts.born = make(map[TupleID]uint64)
 	ts.hist = make(map[TupleID][]tupleVersion)
 	ts.lastSupersede = 0
 	return nil
@@ -172,7 +171,11 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 				return fmt.Errorf("storage: rebuild %s page %d slot %d: %w", tbl.Name, pid, s, err)
 			}
 			live++
-			ts.dir[t.ID] = RID{Page: pid, Slot: s}
+			if e := ts.dir.get(t.ID); e != nil {
+				e.page, e.slot = pid, s // a second copy of the id: the later page wins
+			} else {
+				ts.dir.put(t.ID, RID{Page: pid, Slot: s}, 0)
+			}
 			if t.ID > ts.nextID {
 				ts.nextID = t.ID
 			}

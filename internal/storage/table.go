@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,23 +55,22 @@ type tupleVersion struct {
 // snapshot epochs for the lock-free read path) lives in the transaction
 // layer above.
 type TableStore struct {
-	mu      sync.RWMutex
-	mgr     *Manager
-	tbl     *catalog.Table
-	dir     map[TupleID]RID
+	mu  sync.RWMutex
+	mgr *Manager
+	tbl *catalog.Table
+	// dir locates every live tuple and holds the epoch its current image
+	// became visible at (see directory.go).
+	dir     directory
 	segs    map[uint64]*segment
 	pageSeg map[PageID]uint64
 	nextID  TupleID
 
-	// born is the epoch each live tuple's current image became visible
-	// at (absent = epoch 0: visible to every snapshot). hist holds
-	// superseded images for snapshot readers — written by stable-column
-	// updates only. Degradation transitions never create versions: they
-	// overwrite the degradable column in place *and* in every retained
-	// version, and deletions drop the whole chain, so no accuracy state
-	// outlives its LCP deadline in a version chain (the intentional
-	// deviation from classic snapshot isolation).
-	born map[TupleID]uint64
+	// hist holds superseded images for snapshot readers — written by
+	// stable-column updates only. Degradation transitions never create
+	// versions: they overwrite the degradable column in place *and* in
+	// every retained version, and deletions drop the whole chain, so no
+	// accuracy state outlives its LCP deadline in a version chain (the
+	// intentional deviation from classic snapshot isolation).
 	hist map[TupleID][]tupleVersion
 	// lastSupersede is the highest epoch at which any stable-column
 	// update superseded a tuple image (monotone: epochs only grow). A
@@ -93,10 +93,9 @@ func newTableStore(mgr *Manager, tbl *catalog.Table) *TableStore {
 	return &TableStore{
 		mgr:     mgr,
 		tbl:     tbl,
-		dir:     make(map[TupleID]RID),
+		dir:     newDirectory(),
 		segs:    make(map[uint64]*segment),
 		pageSeg: make(map[PageID]uint64),
-		born:    make(map[TupleID]uint64),
 		hist:    make(map[TupleID][]tupleVersion),
 	}
 }
@@ -141,7 +140,7 @@ func (ts *TableStore) Insert(row []value.Value, states []uint8, at time.Time) (T
 func (ts *TableStore) InsertWithID(id TupleID, row []value.Value, states []uint8, at time.Time) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if _, ok := ts.dir[id]; ok {
+	if ts.dir.get(id) != nil {
 		return nil
 	}
 	if err := ts.insertLocked(id, row, states, at); err != nil {
@@ -184,10 +183,7 @@ func (ts *TableStore) insertLocked(id TupleID, row []value.Value, states []uint8
 	if err != nil {
 		return err
 	}
-	ts.dir[id] = rid
-	if e := ts.mgr.stamp.Load(); e > 0 {
-		ts.born[id] = e
-	}
+	ts.dir.put(id, rid, ts.mgr.stamp.Load())
 	return nil
 }
 
@@ -243,11 +239,11 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 func (ts *TableStore) Get(id TupleID) (Tuple, error) {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	rid, ok := ts.dir[id]
-	if !ok {
+	e := ts.dir.get(id)
+	if e == nil {
 		return Tuple{}, fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
 	}
-	return ts.readLocked(rid)
+	return ts.readLocked(e.rid())
 }
 
 func (ts *TableStore) readLocked(rid RID) (Tuple, error) {
@@ -272,15 +268,14 @@ func (ts *TableStore) readLocked(rid RID) (Tuple, error) {
 func (ts *TableStore) Delete(id TupleID) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	rid, ok := ts.dir[id]
-	if !ok {
+	e := ts.dir.get(id)
+	if e == nil {
 		return nil
 	}
-	if err := ts.eraseLocked(rid); err != nil {
+	if err := ts.eraseLocked(e.rid()); err != nil {
 		return err
 	}
-	delete(ts.dir, id)
-	delete(ts.born, id)
+	ts.dir.del(id)
 	delete(ts.hist, id)
 	return nil
 }
@@ -333,11 +328,11 @@ func (ts *TableStore) recyclePageLocked(pid PageID) error {
 func (ts *TableStore) DegradeAttr(id TupleID, degPos int, newStored value.Value, newState uint8) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	rid, ok := ts.dir[id]
-	if !ok {
+	e := ts.dir.get(id)
+	if e == nil {
 		return nil
 	}
-	t, err := ts.readLocked(rid)
+	t, err := ts.readLocked(e.rid())
 	if err != nil {
 		return err
 	}
@@ -362,7 +357,7 @@ func (ts *TableStore) DegradeAttr(id TupleID, degPos int, newStored value.Value,
 			v.t.Row[col] = newStored
 		}
 	}
-	return ts.rewriteLocked(id, rid, t)
+	return ts.rewriteLocked(e, t)
 }
 
 // UpdateStable overwrites a stable column, retaining the superseded row
@@ -375,20 +370,20 @@ func (ts *TableStore) UpdateStable(id TupleID, col int, v value.Value) error {
 	if ts.tbl.DegradablePos(col) != -1 {
 		return fmt.Errorf("storage: %s: column %d is degradable and immutable", ts.tbl.Name, col)
 	}
-	rid, ok := ts.dir[id]
-	if !ok {
+	e := ts.dir.get(id)
+	if e == nil {
 		return fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
 	}
-	t, err := ts.readLocked(rid)
+	t, err := ts.readLocked(e.rid())
 	if err != nil {
 		return err
 	}
 	old := cloneTuple(t)
 	t.Row[col] = v
-	if err := ts.rewriteLocked(id, rid, t); err != nil {
+	if err := ts.rewriteLocked(e, t); err != nil {
 		return err
 	}
-	ts.pushVersionLocked(id, old)
+	ts.pushVersionLocked(e, old)
 	return nil
 }
 
@@ -405,12 +400,12 @@ func cloneTuple(t Tuple) Tuple {
 // truncating to MaxTupleVersions with birth-epoch merging. A stamp
 // epoch of 0 (no epoch wiring) or a same-epoch rewrite (an intermediate
 // image no snapshot can ever observe) keeps no version.
-func (ts *TableStore) pushVersionLocked(id TupleID, old Tuple) {
-	e := ts.mgr.stamp.Load()
-	if e == 0 || ts.born[id] == e {
+func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
+	id, e := old.ID, ts.mgr.stamp.Load()
+	if e == 0 || ent.born == e {
 		return
 	}
-	chain := append(ts.hist[id], tupleVersion{born: ts.born[id], died: e, t: old})
+	chain := append(ts.hist[id], tupleVersion{born: ent.born, died: e, t: old})
 	ts.lastSupersede = e
 	low := ts.mgr.lowWater.Load()
 	for len(chain) > 0 && chain[0].died <= low {
@@ -428,13 +423,14 @@ func (ts *TableStore) pushVersionLocked(id TupleID, old Tuple) {
 	} else {
 		ts.hist[id] = chain
 	}
-	ts.born[id] = e
+	ent.born = e
 }
 
 // rewriteLocked re-encodes a tuple after modification, preferring
 // in-place overwrite when the layout keeps the tuple in its segment,
 // falling back to scrub-and-move.
-func (ts *TableStore) rewriteLocked(id TupleID, rid RID, t Tuple) error {
+func (ts *TableStore) rewriteLocked(ent *dirEntry, t Tuple) error {
+	rid := ent.rid()
 	rec := encodeRecord(nil, t.ID, t.InsertedAt, t.States, t.Row)
 	if len(rec) > MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
@@ -464,19 +460,26 @@ func (ts *TableStore) rewriteLocked(id TupleID, rid RID, t Tuple) error {
 	if err != nil {
 		return err
 	}
-	ts.dir[id] = newRID
+	ent.page, ent.slot = newRID.Page, newRID.Slot
 	if ts.scans > 0 {
-		ts.relocated = append(ts.relocated, id)
+		ts.relocated = append(ts.relocated, t.ID)
 	}
 	return nil
 }
 
-// Scan calls fn with every live tuple. fn returning false stops the scan.
+// Scan calls fn with every live tuple, page by page in page order — for
+// a table that was only ever appended to, ascending tuple ids, which is
+// what lets recovery skip its sorts. fn returning false stops the scan.
 // The scan holds the table read lock; concurrent writers block.
 func (ts *TableStore) Scan(fn func(Tuple) bool) error {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
+	pids := make([]PageID, 0, len(ts.pageSeg))
 	for pid := range ts.pageSeg {
+		pids = append(pids, pid)
+	}
+	slices.Sort(pids)
+	for _, pid := range pids {
 		stop, err := ts.scanPageLocked(pid, fn)
 		if err != nil {
 			return err
@@ -496,11 +499,11 @@ func (ts *TableStore) Scan(fn func(Tuple) bool) error {
 func (ts *TableStore) SnapshotGet(id TupleID, snap uint64) (Tuple, error) {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	rid, ok := ts.dir[id]
-	if !ok {
+	e := ts.dir.get(id)
+	if e == nil {
 		return Tuple{}, fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
 	}
-	t, err := ts.readLocked(rid)
+	t, err := ts.readLocked(e.rid())
 	if err != nil {
 		return Tuple{}, err
 	}
@@ -515,7 +518,7 @@ func (ts *TableStore) SnapshotGet(id TupleID, snap uint64) (Tuple, error) {
 // covering snap. ok=false means the tuple was inserted after the
 // snapshot. Returned tuples never alias chain or page state.
 func (ts *TableStore) visibleLocked(cur Tuple, snap uint64) (Tuple, bool) {
-	if ts.born[cur.ID] <= snap {
+	if e := ts.dir.get(cur.ID); e == nil || e.born <= snap {
 		return cur, true
 	}
 	chain := ts.hist[cur.ID]
@@ -604,11 +607,11 @@ func (ts *TableStore) SnapshotScan(snap uint64, fn func(Tuple) bool) error {
 				continue // a tuple that moved more than once
 			}
 			seen[id] = true
-			rid, ok := ts.dir[id]
-			if !ok {
+			e := ts.dir.get(id)
+			if e == nil {
 				continue // deleted since the id was collected
 			}
-			t, err := ts.readLocked(rid)
+			t, err := ts.readLocked(e.rid())
 			if err != nil {
 				ts.mu.RUnlock()
 				return err
@@ -744,7 +747,7 @@ func (ts *TableStore) scanPageLocked(pid PageID, fn func(Tuple) bool) (stop bool
 func (ts *TableStore) Count() int {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	return len(ts.dir)
+	return ts.dir.n
 }
 
 // Stats summarizes physical occupancy for tooling and experiments.
@@ -754,13 +757,16 @@ type Stats struct {
 	Segments map[uint64]int // state key -> page count
 	// Versions counts retained snapshot versions across all tuples.
 	Versions int
+	// DirectoryBytes is the heap the tuple directory's chunks hold.
+	DirectoryBytes int
 }
 
 // Stats returns current occupancy.
 func (ts *TableStore) Stats() Stats {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	s := Stats{Tuples: len(ts.dir), Pages: len(ts.pageSeg), Segments: make(map[uint64]int)}
+	s := Stats{Tuples: ts.dir.n, Pages: len(ts.pageSeg), Segments: make(map[uint64]int),
+		DirectoryBytes: ts.dir.bytes()}
 	for _, chain := range ts.hist {
 		s.Versions += len(chain)
 	}

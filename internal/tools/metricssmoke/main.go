@@ -84,6 +84,9 @@ INSERT INTO visits (id, place) VALUES (1, 'Dam 1'), (2, 'Dam 1')
 		"instantdb_degrade_lag_seconds",
 		"instantdb_degrade_queue_depth",
 		"instantdb_active_txns",
+		"instantdb_index_entries{index=",
+		"instantdb_index_bytes{index=",
+		"instantdb_storage_directory_bytes{table=",
 	} {
 		if !strings.Contains(string(body), want) {
 			return fmt.Errorf("/metrics missing %s", want)
