@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke mem-budget bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
+.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke budgets bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -45,11 +45,12 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)
 
-# mem-budget runs the tests that bound what stays on the heap: bytes per
-# row of an open database against its committed budget, and a B+tree
-# under churn against a fresh tree of the same content.
-mem-budget:
-	$(GO) test -run 'ResidentBudget|ChurnBounded' ./internal/...
+# budgets runs the tests that hold a committed size: heap bytes per row
+# of an open database, a B+tree under churn against a fresh tree of the
+# same content, audit-trail bytes per event, and WAL bytes per insert and
+# per degrade record (with the allocations per sealed payload).
+budgets:
+	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 
 # bench-harness vets and tests the benchmark harness. It is a nested
 # module (bench/go.mod) that no ./... pattern reaches, and it compiles

@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"crypto/cipher"
 	"errors"
 	"fmt"
 	"io"
@@ -20,8 +21,9 @@ import (
 // nor a later restore ever holds more than one modest chunk in memory.
 const chunkBytes = 128 << 10
 
-// sealFallbackCodec seals through the database's live WAL codec, mapping
-// two cases to the Lost frame instead of failing:
+// lostSealCodec resolves keys through the database's live WAL codec,
+// answering wal.ErrSealLost — the encoder then writes the payloads as
+// lost and flags their records — in two cases instead of failing:
 //
 //   - payloads of erased attributes — the stored form is NULL by
 //     construction and sealing it would pointlessly mint an epoch key
@@ -30,47 +32,38 @@ const chunkBytes = 128 << 10
 //     reading the tuple and the seal — the value crossed its LCP
 //     deadline mid-backup, and recording it as irrecoverable is the
 //     guarantee, not a failure.
-type sealFallbackCodec struct {
-	wal.Codec
-	lost *metrics.Counter
-	// cat and audit (both optional) let a lost seal land in the
-	// degradation audit trail with the table/attribute named.
-	cat   *catalog.Catalog
-	audit *trace.Audit
-}
+type lostSealCodec struct{ wal.Codec }
 
-// Seal implements wal.Codec.
-func (c sealFallbackCodec) Seal(table uint32, col, state uint8, insertNano int64, tuple storage.TupleID, plain []byte) ([]byte, error) {
+// SealKey implements wal.Codec.
+func (c lostSealCodec) SealKey(table uint32, col, state uint8, bucket int64) (cipher.Block, error) {
 	if state == storage.StateErased {
-		c.lost.Inc()
-		c.lostEvent(table, col, tuple, "attribute already erased")
-		return wal.LostSeal(), nil
+		return nil, wal.ErrSealLost
 	}
-	out, err := c.Codec.Seal(table, col, state, insertNano, tuple, plain)
+	block, err := c.Codec.SealKey(table, col, state, bucket)
 	if errors.Is(err, wal.ErrKeyShredded) {
-		c.lost.Inc()
-		c.lostEvent(table, col, tuple, "epoch key shredded mid-backup")
-		return wal.LostSeal(), nil
+		return nil, wal.ErrSealLost
 	}
-	return out, err
+	return block, err
 }
 
-// lostEvent audits one payload sealed as permanently Lost.
-func (c sealFallbackCodec) lostEvent(table uint32, col uint8, tuple storage.TupleID, why string) {
-	if c.audit == nil {
-		return
-	}
-	name, attr := fmt.Sprint(table), fmt.Sprint(col)
-	if c.cat != nil {
-		if tbl, err := c.cat.TableByID(table); err == nil {
-			name = tbl.Name
-			if deg := tbl.DegradableColumns(); int(col) < len(deg) {
-				attr = tbl.Columns[deg[col]].Name
+// auditLostSeals counts and audits the payloads the encoder wrote as lost in
+// one archived batch (audit, optional, names the table and attribute).
+func auditLostSeals(recs []*wal.Record, tbl *catalog.Table, lost *metrics.Counter, audit *trace.Audit) {
+	degCols := tbl.DegradableColumns()
+	for _, r := range recs {
+		for i, gone := range r.DegLost {
+			if !gone {
+				continue
 			}
+			lost.Inc()
+			why := "epoch key shredded mid-backup"
+			if r.States[i] == storage.StateErased {
+				why = "attribute already erased"
+			}
+			audit.Append(trace.Event{Kind: trace.EvBackupLostSeal,
+				Table: tbl.Name, Tuple: uint64(r.Tuple), Attr: tbl.Columns[degCols[i]].Name, Detail: why})
 		}
 	}
-	c.audit.Append(trace.Event{Kind: trace.EvBackupLostSeal,
-		Table: name, Tuple: uint64(tuple), Attr: attr, Detail: why})
 }
 
 // instrument registers (idempotently, by name) the backup counters on
@@ -121,13 +114,11 @@ func Full(db *engine.DB, w io.Writer) (*Summary, error) {
 		return nil, err
 	}
 
-	codec := sealFallbackCodec{Codec: db.WALCodec(), lost: lostSeals,
-		cat: db.Catalog(), audit: db.AuditLog()}
 	tables := db.Catalog().Tables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].ID < tables[j].ID })
 	tuples := 0
 	for _, tbl := range tables {
-		n, err := archiveTable(db, aw, tbl, epoch, codec)
+		n, err := archiveTable(db, aw, tbl, epoch, lostSeals)
 		if err != nil {
 			return nil, fmt.Errorf("backup: table %s: %w", tbl.Name, err)
 		}
@@ -140,39 +131,42 @@ func Full(db *engine.DB, w io.Writer) (*Summary, error) {
 	return &Summary{End: pos, Epoch: epoch, Tuples: tuples, Bytes: aw.n}, nil
 }
 
-// archiveTable snapshot-scans one table into secRecords chunks.
-func archiveTable(db *engine.DB, aw *archiveWriter, tbl *catalog.Table, epoch uint64, codec wal.Codec) (int, error) {
+// archiveTable snapshot-scans one table into secRecords chunks, each one
+// run-encoded batch of the inserts that recreate its tuples.
+func archiveTable(db *engine.DB, aw *archiveWriter, tbl *catalog.Table, epoch uint64, lost *metrics.Counter) (int, error) {
 	ts := db.StorageManager().Table(tbl)
 	degCols := tbl.DegradableColumns()
+	codec := lostSealCodec{db.WALCodec()}
+	var batch []*wal.Record
 	var chunk []byte
+	pending := 0 // rough encoded size of batch
+	flush := func() error {
+		var err error
+		if chunk, err = wal.EncodeRecords(chunk[:0], batch, codec); err != nil {
+			return err
+		}
+		auditLostSeals(batch, tbl, lost, db.AuditLog())
+		batch, pending = batch[:0], 0
+		return aw.section(secRecords, chunk)
+	}
 	var ferr error
 	tuples := 0
 	err := ts.SnapshotScan(epoch, func(t storage.Tuple) bool {
-		rec := snapshotRecord(tbl, degCols, t)
-		if chunk, ferr = wal.EncodeRecords(chunk, []*wal.Record{rec}, codec); ferr != nil {
-			return false
-		}
+		batch = append(batch, snapshotRecord(tbl, degCols, t))
+		pending += 4 + value.RowEncodedSize(t.Row)
 		tuples++
-		if len(chunk) >= chunkBytes {
-			if ferr = aw.section(secRecords, chunk); ferr != nil {
-				return false
-			}
-			chunk = chunk[:0]
+		if pending >= chunkBytes {
+			ferr = flush()
 		}
-		return true
+		return ferr == nil
 	})
 	if err == nil {
 		err = ferr
 	}
-	if err != nil {
-		return tuples, err
+	if err == nil && len(batch) > 0 {
+		err = flush()
 	}
-	if len(chunk) > 0 {
-		if err := aw.section(secRecords, chunk); err != nil {
-			return tuples, err
-		}
-	}
-	return tuples, nil
+	return tuples, err
 }
 
 // snapshotRecord synthesizes the RecInsert that recreates one tuple at

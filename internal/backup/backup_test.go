@@ -605,3 +605,40 @@ func TestCorruptSectionLengthRejected(t *testing.T) {
 		t.Fatalf("restore accepted a corrupt archive")
 	}
 }
+
+// TestRestoreRefusesFormat1Archive: an archive written before the WAL's
+// run encoding carries per-record sections this build cannot read. It
+// is refused at its header with the version error — no record byte
+// reaches the decoder, and nothing is left behind at the target.
+func TestRestoreRefusesFormat1Archive(t *testing.T) {
+	var old bytes.Buffer
+	aw, err := newArchiveWriter(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.header(Header{Version: 1, End: wal.Pos{Seg: 1, Off: 118}, Epoch: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.section(secDDL, []byte(testSchema)); err != nil {
+		t.Fatal(err)
+	}
+	// A format 1 insert record: type, table u32, tuple u64, and fields the
+	// run decoder would misread as a count of 2^56 records.
+	rec := append([]byte{byte(wal.RecInsert), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 40)...)
+	if err := aw.section(secRecords, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.end(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	target := restoreTarget(t, "restored")
+	_, err = Restore(RestoreOptions{Dir: target}, bytes.NewReader(old.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "format version 1 unsupported") {
+		t.Fatalf("restore of a format 1 archive: %v, want the version error", err)
+	}
+	for _, p := range []string{target, target + ".restore-tmp"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s exists after the refused restore (err=%v)", p, err)
+		}
+	}
+}

@@ -31,8 +31,10 @@ import (
 var archiveMagic = [8]byte{'I', 'D', 'B', 'K', 'U', 'P', 0x01, '\n'}
 
 // FormatVersion is the archive format version this package reads and
-// writes.
-const FormatVersion uint16 = 1
+// writes. Version 2 carries run-encoded record sections (wal format 2);
+// a version 1 archive is refused at its header, before any record bytes
+// reach the decoder.
+const FormatVersion uint16 = 2
 
 // Section kinds. Every section is framed as
 //

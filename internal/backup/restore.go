@@ -57,6 +57,10 @@ type RestoreSummary struct {
 // errCrashHook marks the deliberate abort of the crash test hook.
 var errCrashHook = errors.New("backup: aborted before promote (crash hook)")
 
+// fixupBatch is the number of synthesized erasures per restored WAL
+// batch (each is a dozen bytes encoded).
+const fixupBatch = 8192
+
 // attrKey identifies one degradable attribute of one tuple.
 type attrKey struct {
 	table uint32
@@ -147,8 +151,8 @@ func buildRestoreDir(dir, keysPath string, archives []io.Reader) (*RestoreSummar
 		return nil, err
 	}
 	defer ks.Close()
-	// Decode-side codec: the bucket rides inside each sealed frame, so
-	// the width only matters for future seals, which use the restored
+	// Decode-side codec: every run header names its key bucket, so the
+	// width only matters for future seals, which use the restored
 	// database's own configuration.
 	codec := wal.NewShredCodec(ks, time.Hour)
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Codec: codec, Sync: false})
@@ -308,18 +312,27 @@ func appendLostFixups(log *wal.Log, codec wal.Codec, attrs map[attrKey]attrTrack
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
+		// Attribute before tuple: erasures of one column form one run.
 		if a.table != b.table {
 			return a.table < b.table
 		}
-		if a.tuple != b.tuple {
-			return a.tuple < b.tuple
+		if a.attr != b.attr {
+			return a.attr < b.attr
 		}
-		return a.attr < b.attr
+		return a.tuple < b.tuple
 	})
-	fixCodec := sealFallbackCodec{Codec: codec}
-	var chunk []byte
+	// The erased form carries no value: the records are written as lost,
+	// so no key is looked up (or minted) for them.
+	flush := func(batch []*wal.Record) error {
+		payload, err := wal.EncodeRecords(nil, batch, codec)
+		if err != nil {
+			return err
+		}
+		return log.AppendRaw(payload)
+	}
+	var batch []*wal.Record
 	for _, k := range keys {
-		rec := &wal.Record{
+		batch = append(batch, &wal.Record{
 			Type:       wal.RecDegrade,
 			Table:      k.table,
 			Tuple:      k.tuple,
@@ -327,26 +340,20 @@ func appendLostFixups(log *wal.Log, codec wal.Codec, attrs map[attrKey]attrTrack
 			DegPos:     k.attr,
 			NewState:   storage.StateErased,
 			NewStored:  value.Null(),
-		}
-		var err error
-		if chunk, err = wal.EncodeRecords(chunk, []*wal.Record{rec}, fixCodec); err != nil {
-			return err
-		}
+			NewLost:    true,
+		})
 		sum.Erased++
 		aud.Append(trace.Event{Kind: trace.EvLostServed,
 			Table: fmt.Sprint(k.table), Tuple: uint64(k.tuple), Attr: fmt.Sprint(k.attr),
 			Detail: "archived payload irrecoverable (epoch key gone); attribute erased on restore"})
-		if len(chunk) >= chunkBytes {
-			if err := log.AppendRaw(chunk); err != nil {
+		if len(batch) == fixupBatch {
+			if err := flush(batch); err != nil {
 				return err
 			}
-			chunk = chunk[:0]
+			batch = batch[:0]
 		}
 	}
-	if len(chunk) > 0 {
-		return log.AppendRaw(chunk)
-	}
-	return nil
+	return flush(batch)
 }
 
 // copyFileSynced copies src to dst and fsyncs dst.

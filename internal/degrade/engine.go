@@ -5,10 +5,11 @@
 // transition deadline (insert order equals deadline order under a uniform
 // policy), and on every tick executes due transitions in small batches as
 // system transactions: X row locks, one WAL commit batch, physical
-// rewrite with scrubbing, index maintenance, then log scrubbing (epoch
-// key shredding or vacuum) through the Scrubber hook. Queues are drained
-// one at a time in (table, attribute, state) order, so a transition out
-// of a state never runs while tuples are still on their way into it.
+// rewrite with scrubbing, index maintenance; the tick ends with log
+// scrubbing (epoch key shredding or vacuum) through the Scrubber hook.
+// Queues are drained one at a time in (table, attribute, state) order,
+// so a transition out of a state never runs while tuples are still on
+// their way into it.
 //
 // Readers holding row locks never block a whole batch: locked tuples are
 // skipped and retried on the next tick, trading bounded lag for reader
@@ -25,6 +26,7 @@ package degrade
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -47,13 +49,17 @@ import (
 // and index maintenance — the same path user commits take.
 type Committer func(recs []*wal.Record) error
 
-// Scrubber performs log degradation after transitions commit.
+// Scrubber performs log degradation once transitions are durable.
 type Scrubber interface {
-	// AfterTransition runs after a batch moving tuples of tbl's
-	// degradable column degPos out of fromState commits. Every tuple
-	// inserted before cutoff has passed this transition's deadline, so
-	// log material carrying their fromState values may be destroyed.
-	AfterTransition(tbl *catalog.Table, degPos int, fromState uint8, cutoff time.Time) error
+	// Retire runs on every tick for every (table, degradable column,
+	// state) that has an outgoing transition: every tuple of tbl inserted
+	// before cutoff has durably left state, so log material carrying
+	// their values of that state may be destroyed. It is level-triggered
+	// — called whether or not the tick moved anything — because the last
+	// tuple of a key bucket leaves its state before the bucket has ended,
+	// and on a quiet database no later transition would come by to
+	// notice that the bucket since has.
+	Retire(tbl *catalog.Table, degPos int, state uint8, cutoff time.Time) error
 	// Periodic runs once per tick for time-based maintenance (segment
 	// vacuum).
 	Periodic(now time.Time) error
@@ -62,8 +68,8 @@ type Scrubber interface {
 // NopScrubber performs no log degradation (the leaky baseline).
 type NopScrubber struct{}
 
-// AfterTransition implements Scrubber.
-func (NopScrubber) AfterTransition(*catalog.Table, int, uint8, time.Time) error { return nil }
+// Retire implements Scrubber.
+func (NopScrubber) Retire(*catalog.Table, int, uint8, time.Time) error { return nil }
 
 // Periodic implements Scrubber.
 func (NopScrubber) Periodic(time.Time) error { return nil }
@@ -209,6 +215,10 @@ type counters struct {
 
 // Engine schedules and executes LCP transitions.
 type Engine struct {
+	// tickMu serializes ticks (the background loop and DegradeNow may
+	// race): Retire's cutoff is computed from the queues, and a task
+	// another tick has popped but not yet committed is in none of them.
+	tickMu sync.Mutex
 	mu     sync.Mutex
 	clock  vclock.Clock
 	cat    *catalog.Catalog
@@ -584,20 +594,33 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 		func() float64 { return time.Duration(e.ctr.maxLagNano.Load()).Seconds() })
 }
 
-// Tick executes every transition due at the clock's current instant and
+// Tick executes every transition due at the clock's current instant,
+// then lets the scrubber retire what no tuple needs any more, and
 // returns the number of tuples degraded or deleted.
 func (e *Engine) Tick() (int, error) {
+	e.tickMu.Lock()
+	defer e.tickMu.Unlock()
 	now := e.clock.Now()
 	total := 0
-	for {
+	for retired := false; ; {
 		n, err := e.tickOnce(now)
 		total += n
 		if err != nil {
 			return total, err
 		}
-		if n == 0 {
+		if n > 0 {
+			continue
+		}
+		if retired {
 			break
 		}
+		// Nothing more is due. Retiring costs a few fsyncs, so the tick
+		// looks once more afterwards: it ends on a pass that found
+		// nothing, whatever committed meanwhile with an older insert time.
+		if err := e.retire(now); err != nil {
+			return total, fmt.Errorf("degrade: scrub: %w", err)
+		}
+		retired = true
 	}
 	if err := e.scrub.Periodic(now); err != nil {
 		return total, err
@@ -605,13 +628,65 @@ func (e *Engine) Tick() (int, error) {
 	return total, nil
 }
 
+// retire hands the scrubber, for every state with an outgoing
+// transition, the insert time before which no tuple is in that state
+// any more: the transition's deadline age behind now, held back to the
+// oldest tuple still queued for it or for an earlier state — a
+// lock-skipped or predicate-held tuple keeps its key. Queues are created
+// on demand, so a state every tuple left before the last restart is
+// still visited.
+func (e *Engine) retire(now time.Time) error {
+	type retirement struct {
+		tbl    *catalog.Table
+		attr   int
+		state  uint8
+		cutoff int64
+	}
+	var rs []retirement
+	nowNano := now.UTC().UnixNano()
+	tables := e.cat.Tables()
+	e.mu.Lock()
+	for _, tbl := range tables {
+		if tbl.TupleLCP() == nil {
+			continue
+		}
+		for attr, col := range tbl.DegradableColumns() {
+			// oldest runs over this state's queue and every earlier one: a
+			// tuple still on its way into the state will be sealed under
+			// the state's key when it gets there.
+			oldest := int64(math.MaxInt64)
+			for state := 0; state < tbl.Columns[col].Policy.StateCount(); state++ {
+				q := e.queueFor(tbl, attr, uint8(state))
+				if q == nil {
+					continue
+				}
+				if q.fifo.len() > 0 {
+					oldest = min(oldest, q.fifo.live()[0].insertNano)
+				}
+				for _, t := range q.retries {
+					oldest = min(oldest, t.insertNano)
+				}
+				rs = append(rs, retirement{tbl, attr, uint8(state), min(nowNano-q.ageNano, oldest)})
+			}
+		}
+	}
+	e.mu.Unlock()
+	for _, r := range rs {
+		if err := e.scrub.Retire(r.tbl, r.attr, r.state, time.Unix(0, r.cutoff)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // tickOnce drains every queue's due tasks, one queue at a time in
 // (table, attr, state) order, deletions last. A queue is exhausted
 // before the next one starts: when several batches of tuples cross two
 // deadlines in one tick, every tuple's first transition — sealed under
 // the next state's epoch key — commits before any second transition
-// lets the scrubber shred that key. Follow-ups land in queues this pass
-// may already be past; Tick calls again until nothing is due.
+// could leave that state. Follow-ups land in queues this pass may
+// already be past; Tick calls again until nothing is due, and only then
+// lets the scrubber retire keys.
 func (e *Engine) tickOnce(now time.Time) (int, error) {
 	e.mu.Lock()
 	keys := e.queueOrder()
@@ -877,14 +952,6 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	}
 	e.mu.Unlock()
 
-	if len(recs) > 0 && !q.isDelete {
-		// Log scrubbing: tuples inserted before cutoff have passed this
-		// transition's deadline.
-		cutoff := time.Unix(0, nowNano-q.ageNano)
-		if err := e.scrub.AfterTransition(q.tbl, key.attr, uint8(q.fromState), cutoff); err != nil {
-			return n, true, fmt.Errorf("degrade: scrub: %w", err)
-		}
-	}
 	return n, true, nil
 }
 

@@ -11,20 +11,21 @@ import (
 	"instantdb/internal/wal"
 )
 
-// shredScrubber destroys epoch keys after transitions commit (LogShred).
+// shredScrubber destroys epoch keys once no tuple needs them (LogShred).
 // Key scope is (table, column position, LCP state, insert-time bucket);
-// a key dies once every tuple it covers has passed the transition out of
-// that state — making every log copy of those values undecipherable.
+// a key dies at the first tick after every tuple it covers has passed
+// the transition out of that state — making every log copy of those
+// values undecipherable.
 type shredScrubber struct{ db *DB }
 
-// AfterTransition implements degrade.Scrubber.
-func (s *shredScrubber) AfterTransition(tbl *catalog.Table, degPos int, fromState uint8, cutoff time.Time) error {
+// Retire implements degrade.Scrubber.
+func (s *shredScrubber) Retire(tbl *catalog.Table, degPos int, state uint8, cutoff time.Time) error {
 	if s.db.keys == nil {
 		return nil
 	}
 	// The key bucket must be entirely before the cutoff; Shred checks
 	// bucket_end <= cutoff, so passing the cutoff directly is exact.
-	n, err := s.db.keys.Shred(tbl.ID, uint8(degPos), fromState, cutoff, s.db.cfg.ShredBucket)
+	n, err := s.db.keys.Shred(tbl.ID, uint8(degPos), state, cutoff, s.db.cfg.ShredBucket)
 	s.db.met.keysShredded.Add(uint64(n))
 	if n > 0 {
 		// Key destruction is the moment expired log/backup ciphertext
@@ -32,7 +33,7 @@ func (s *shredScrubber) AfterTransition(tbl *catalog.Table, degPos int, fromStat
 		s.db.audit.Append(trace.Event{Kind: trace.EvKeyShredded,
 			UnixNano: s.db.clock.Now().UTC().UnixNano(),
 			Table:    tbl.Name, Attr: tbl.Columns[tbl.DegradableColumns()[degPos]].Name,
-			Detail: fmt.Sprintf("%d epoch keys (state %d, cutoff %s)", n, fromState,
+			Detail: fmt.Sprintf("%d epoch keys (state %d, cutoff %s)", n, state,
 				cutoff.UTC().Format(time.RFC3339))})
 	}
 	return err
@@ -47,8 +48,8 @@ func (s *shredScrubber) Periodic(time.Time) error { return nil }
 // log-cleaning alternative ablated against key shredding in B-LOG.
 type vacuumScrubber struct{ db *DB }
 
-// AfterTransition implements degrade.Scrubber: vacuum is purely periodic.
-func (v *vacuumScrubber) AfterTransition(*catalog.Table, int, uint8, time.Time) error { return nil }
+// Retire implements degrade.Scrubber: vacuum is purely periodic.
+func (v *vacuumScrubber) Retire(*catalog.Table, int, uint8, time.Time) error { return nil }
 
 // Periodic implements degrade.Scrubber.
 func (v *vacuumScrubber) Periodic(now time.Time) error {

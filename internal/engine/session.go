@@ -536,9 +536,11 @@ func (c *Conn) runInsert(s *query.Insert) (*Result, error) {
 		if err := storage.CheckRecordSize(states, full); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", tbl.Name, err)
 		}
-		if err := c.db.locks.Acquire(c.tx.id, txn.RowRes(tbl.ID, tid), txn.LockX); err != nil {
-			return nil, err
-		}
+		// No row lock: until the commit applies it the row has no reader
+		// (its id was reserved a moment ago and lives only in this
+		// transaction's overlay), and a lock that outlives the apply by the
+		// few microseconds to ReleaseAll would only make the degrader, which
+		// learns of the row at apply, skip it for a whole recheck interval.
 		rec := &wal.Record{
 			Type:       wal.RecInsert,
 			Table:      tbl.ID,

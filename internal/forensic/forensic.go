@@ -14,9 +14,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"instantdb/internal/storage"
 	"instantdb/internal/value"
+	"instantdb/internal/wal"
 )
 
 // Needle is a byte pattern whose presence in a raw artifact counts as a
@@ -193,4 +195,91 @@ func Snapshot(s storage.Store) ([]byte, error) {
 		return nil
 	})
 	return out, err
+}
+
+// Payload is one degradable value the log still gives up: a sealed
+// payload whose epoch key is alive, or one that was never encrypted.
+type Payload struct {
+	Table uint32
+	Tuple storage.TupleID
+	// Col is the degradable column position, State the LCP state the
+	// value was stored at, InsertNano the tuple's insert time — together
+	// with the table's policy they give the deadline by which the value
+	// had to become unreadable.
+	Col        uint8
+	State      uint8
+	InsertNano int64
+	Value      value.Value
+}
+
+// OpenablePayloads is the decrypting adversary: someone holding the
+// database directory who knows the formats. The byte-grep scans above
+// cannot see an epoch key that outlived its deadline — the ciphertext is
+// not the needle — so this one opens keys.db and wal/ with the system's
+// own reader and lists every degradable payload that still decodes to a
+// value. It works on a private copy, as an attacker works on an image:
+// opening a key store or a log repairs it in place, and the evidence
+// must stay as it was found. NULLs are not listed; they carry nothing.
+func OpenablePayloads(dir string) ([]Payload, error) {
+	image, err := os.MkdirTemp("", "forensic-image-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(image)
+	if err := copyFile(filepath.Join(dir, "keys.db"), filepath.Join(image, "keys.db")); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*"))
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Mkdir(filepath.Join(image, "wal"), 0o700); err != nil {
+		return nil, err
+	}
+	for _, seg := range segs {
+		if err := copyFile(seg, filepath.Join(image, "wal", filepath.Base(seg))); err != nil {
+			return nil, err
+		}
+	}
+
+	ks, err := wal.OpenKeyStore(filepath.Join(image, "keys.db"))
+	if err != nil {
+		return nil, err
+	}
+	defer ks.Close()
+	// Every run names its key bucket, so the width given here is unused.
+	log, err := wal.Open(filepath.Join(image, "wal"), wal.Options{Codec: wal.NewShredCodec(ks, time.Hour)})
+	if err != nil {
+		return nil, err
+	}
+	defer log.Close()
+	var out []Payload
+	err = log.Replay(func(r *wal.Record) error {
+		switch r.Type {
+		case wal.RecInsert:
+			for i, v := range r.DegVals {
+				if !r.DegLost[i] && !v.IsNull() {
+					state := uint8(0)
+					if i < len(r.States) {
+						state = r.States[i]
+					}
+					out = append(out, Payload{r.Table, r.Tuple, uint8(i), state, r.InsertNano, v})
+				}
+			}
+		case wal.RecDegrade:
+			if !r.NewLost && !r.NewStored.IsNull() {
+				out = append(out, Payload{r.Table, r.Tuple, r.DegPos, r.NewState, r.InsertNano, r.NewStored})
+			}
+		}
+		return nil
+	})
+	return out, err
+}
+
+func copyFile(src, dst string) error {
+	data, err := os.ReadFile(src)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(dst, data, 0o600)
 }

@@ -188,6 +188,10 @@ func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 				break
 			}
 		}
+		// Grants are FIFO: the waiters behind this one were parked only
+		// because it was ahead of them, so its leaving is a release.
+		lm.wakeLocked(st, res)
+		lm.dropIdleLocked(st, res)
 		lm.mu.Unlock()
 		return fmt.Errorf("%w: %s on %s", ErrLockTimeout, mode, res)
 	}
@@ -256,9 +260,7 @@ func (lm *LockManager) Release(txn ID, res Resource) {
 	delete(st.holders, txn)
 	delete(lm.held[txn], res)
 	lm.wakeLocked(st, res)
-	if len(st.holders) == 0 && len(st.queue) == 0 {
-		delete(lm.locks, res)
-	}
+	lm.dropIdleLocked(st, res)
 }
 
 // ReleaseAll releases every lock of txn and wakes eligible waiters (the
@@ -273,9 +275,7 @@ func (lm *LockManager) ReleaseAll(txn ID) {
 		}
 		delete(st.holders, txn)
 		lm.wakeLocked(st, res)
-		if len(st.holders) == 0 && len(st.queue) == 0 {
-			delete(lm.locks, res)
-		}
+		lm.dropIdleLocked(st, res)
 	}
 	delete(lm.held, txn)
 }
@@ -290,6 +290,13 @@ func (lm *LockManager) wakeLocked(st *lockState, res Resource) {
 		lm.grantLocked(st, w.txn, res, w.mode)
 		close(w.granted)
 		st.queue = st.queue[1:]
+	}
+}
+
+// dropIdleLocked forgets a resource nobody holds or waits for.
+func (lm *LockManager) dropIdleLocked(st *lockState, res Resource) {
+	if len(st.holders) == 0 && len(st.queue) == 0 {
+		delete(lm.locks, res)
 	}
 }
 

@@ -250,3 +250,69 @@ func TestRowZeroIsNotTheTable(t *testing.T) {
 		t.Fatalf("want a timeout naming table 1 row 0, got %v", err)
 	}
 }
+
+// queued reports how many requests wait on res.
+func queued(lm *LockManager, res Resource) int {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if st := lm.locks[res]; st != nil {
+		return len(st.queue)
+	}
+	return 0
+}
+
+// TestTimedOutWaiterWakesQueue: a waiter that gives up is a release for
+// the requests parked behind it. T1 holds S, T2 queues X, T3 queues S
+// behind T2; T3 is compatible with T1 and waits only because grants are
+// FIFO, so it must be granted the moment T2 times out — and TryAcquire
+// (the degrader's path) must stop refusing once the queue is empty.
+func TestTimedOutWaiterWakesQueue(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	lm := NewLockManager(timeout)
+	r := RowRes(1, 7)
+	if err := lm.Acquire(1, r, LockS); err != nil {
+		t.Fatal(err)
+	}
+	waitQueued := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); queued(lm, r) != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue never reached %d waiters", n)
+			}
+		}
+	}
+	type result struct {
+		err error
+		at  time.Time
+	}
+	t2, t3 := make(chan result, 1), make(chan result, 1)
+	go func() { err := lm.Acquire(2, r, LockX); t2 <- result{err, time.Now()} }()
+	waitQueued(1)
+	// T3 enqueues well after T2, so its own timeout is still far off
+	// when T2's fires.
+	time.Sleep(timeout / 2)
+	go func() { err := lm.Acquire(3, r, LockS); t3 <- result{err, time.Now()} }()
+	waitQueued(2)
+
+	r2, r3 := <-t2, <-t3
+	if !errors.Is(r2.err, ErrLockTimeout) {
+		t.Fatalf("T2 (X behind an S holder): %v, want a lock timeout", r2.err)
+	}
+	if r3.err != nil {
+		t.Fatalf("T3 (S behind the timed-out X): %v, want a grant when T2 left the queue", r3.err)
+	}
+	if d := r3.at.Sub(r2.at); d > timeout/4 {
+		t.Fatalf("T3 was granted %v after T2 timed out; want it woken by the timeout itself", d)
+	}
+	if !lm.TryAcquire(4, r, LockS) {
+		t.Fatal("TryAcquire S refused although nobody waits and only S is held")
+	}
+	lm.ReleaseAll(1)
+	lm.ReleaseAll(3)
+	lm.ReleaseAll(4)
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if len(lm.locks) != 0 {
+		t.Fatalf("%d lock states left after every holder released", len(lm.locks))
+	}
+}

@@ -11,62 +11,57 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"instantdb/internal/storage"
 )
 
-// Codec seals and opens the degradable payloads of log records. Seal runs
-// at append time, Open at replay time. Open's ok result is false when the
-// payload is irrecoverable (its epoch key was shredded) — the caller
-// replays the value as NULL, which is correct because a later degrade
-// record (whose key is still alive) supplies the tuple's current form.
+// Codec resolves the keys the degradable payloads of a run are sealed
+// under. The run codec (record.go) asks once per run and column, not per
+// payload: it maps the run's insert times to a key bucket, fetches the
+// bucket's cipher, and derives every payload's keystream itself from
+// (tuple, table, column, state).
 type Codec interface {
-	Seal(table uint32, col, state uint8, insertNano int64, tuple storage.TupleID, plain []byte) ([]byte, error)
-	Open(table uint32, col, state uint8, insertNano int64, tuple storage.TupleID, sealed []byte) (plain []byte, ok bool, err error)
+	// Bucket maps an insert time to the key epoch its payloads belong to.
+	// A run never spans two buckets.
+	Bucket(insertNano int64) int64
+	// SealKey returns the cipher sealing the payloads of (table, col,
+	// state) inserted in bucket; a nil cipher stores them plain.
+	// ErrKeyShredded refuses a bucket whose key was destroyed; ErrSealLost
+	// makes the encoder record the payloads as lost instead.
+	SealKey(table uint32, col, state uint8, bucket int64) (cipher.Block, error)
+	// OpenKey returns the cipher opening them at replay time, nil when
+	// the key is gone: the payloads are irrecoverable and replay as NULL
+	// with their Lost flag set, which is correct because a later degrade
+	// record (whose key is still alive) supplies the tuple's current form.
+	OpenKey(table uint32, col, state uint8, bucket int64) (cipher.Block, error)
 }
-
-// Sealed payload framing.
-const (
-	frmPlain = 0x00
-	frmEnc   = 0x01
-	// frmLost marks a payload recorded as irrecoverable at seal time:
-	// its epoch key was already shredded (or the value's accuracy state
-	// is erased), so the archive or log copy carries no material at all.
-	// Both codecs open it as (nil, ok=false), exactly like a sealed
-	// payload whose key has since been destroyed.
-	frmLost = 0x02
-)
 
 // ErrKeyShredded reports an attempt to seal a payload under an epoch key
 // that was already destroyed. Live commits treat it as fatal (nothing
-// may be sealed under a retired accuracy window); backup writers degrade
-// the payload to LostSeal instead — the value expired mid-backup, so
-// losing it is the guarantee, not a failure.
+// may be sealed under a retired accuracy window); backup writers turn it
+// into ErrSealLost — the value expired mid-backup, so losing it is the
+// guarantee, not a failure.
 var ErrKeyShredded = errors.New("wal: epoch key already shredded")
 
-// LostSeal returns the sealed form of an irrecoverable payload. Codec
-// Open returns ok=false for it, so replay and restore deliver the value
-// as Lost.
-func LostSeal() []byte { return []byte{frmLost} }
+// ErrSealLost, returned by a Codec's SealKey, tells the encoder to write
+// the run column's payloads as lost (no material at all) and to set the
+// Lost flag on their records, so the caller can tell which ones went.
+// Decoding delivers them exactly like payloads whose key has since been
+// destroyed.
+var ErrSealLost = errors.New("wal: payload recorded as lost")
 
 // PlainCodec stores payloads verbatim — the baseline whose log leaks
 // every accuracy state until vacuumed.
 type PlainCodec struct{}
 
-// Seal implements Codec.
-func (PlainCodec) Seal(_ uint32, _, _ uint8, _ int64, _ storage.TupleID, plain []byte) ([]byte, error) {
-	return append([]byte{frmPlain}, plain...), nil
-}
+// Bucket implements Codec: plain logs have no key epochs.
+func (PlainCodec) Bucket(int64) int64 { return 0 }
 
-// Open implements Codec.
-func (PlainCodec) Open(_ uint32, _, _ uint8, _ int64, _ storage.TupleID, sealed []byte) ([]byte, bool, error) {
-	if len(sealed) >= 1 && sealed[0] == frmLost {
-		return nil, false, nil
-	}
-	if len(sealed) < 1 || sealed[0] != frmPlain {
-		return nil, false, errors.New("wal: bad plain payload framing")
-	}
-	return sealed[1:], true, nil
+// SealKey implements Codec.
+func (PlainCodec) SealKey(uint32, uint8, uint8, int64) (cipher.Block, error) { return nil, nil }
+
+// OpenKey implements Codec. A plain log holds no ciphertext; meeting
+// some means the log was written under another codec.
+func (PlainCodec) OpenKey(uint32, uint8, uint8, int64) (cipher.Block, error) {
+	return nil, errors.New("wal: encrypted payload in a plain log")
 }
 
 // keyID identifies one epoch key: every degradable payload written for
@@ -97,6 +92,9 @@ type keyEntry struct {
 	off      int64
 	key      [32]byte
 	shredded bool
+	// block is the key's expanded AES schedule, built on first use and
+	// dropped with the key.
+	block cipher.Block
 }
 
 // frontierKey scopes a shred frontier to one (table, column, LCP state).
@@ -189,39 +187,46 @@ func (ks *KeyStore) retiredLocked(id keyID) bool {
 	return ok && id.bucket <= limit
 }
 
-// keyFor returns the live key for id, creating and persisting one when
-// create is set. ok is false when the key is shredded, retired behind
-// the compaction frontier, or absent.
-func (ks *KeyStore) keyFor(id keyID, create bool) (key [32]byte, ok bool, err error) {
+// cipherFor returns the cipher of id's live key, creating and persisting
+// a key when create is set. The cipher is nil when the key is shredded,
+// retired behind the compaction frontier, or absent.
+func (ks *KeyStore) cipherFor(id keyID, create bool) (cipher.Block, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if e, found := ks.entries[id]; found {
-		if e.shredded {
-			return key, false, nil
+	e, found := ks.entries[id]
+	if found && e.shredded {
+		return nil, nil
+	}
+	if !found {
+		if ks.retiredLocked(id) || !create {
+			return nil, nil
 		}
-		return e.key, true, nil
+		e = &keyEntry{off: ks.size}
+		if _, err := rand.Read(e.key[:]); err != nil {
+			return nil, fmt.Errorf("wal: key generation: %w", err)
+		}
+		buf := make([]byte, keyEntrySize)
+		binary.LittleEndian.PutUint32(buf[0:], id.table)
+		buf[4], buf[5] = id.col, id.state
+		binary.LittleEndian.PutUint64(buf[8:], uint64(id.bucket))
+		copy(buf[16:48], e.key[:])
+		if _, err := ks.f.WriteAt(buf, e.off); err != nil {
+			return nil, fmt.Errorf("wal: keystore append: %w", err)
+		}
+		if err := ks.f.Sync(); err != nil {
+			return nil, err
+		}
+		ks.size += keyEntrySize
+		ks.entries[id] = e
 	}
-	if ks.retiredLocked(id) || !create {
-		return key, false, nil
+	if e.block == nil {
+		block, err := aes.NewCipher(e.key[:])
+		if err != nil {
+			return nil, err
+		}
+		e.block = block
 	}
-	e := &keyEntry{off: ks.size}
-	if _, err := rand.Read(e.key[:]); err != nil {
-		return key, false, fmt.Errorf("wal: key generation: %w", err)
-	}
-	buf := make([]byte, keyEntrySize)
-	binary.LittleEndian.PutUint32(buf[0:], id.table)
-	buf[4], buf[5] = id.col, id.state
-	binary.LittleEndian.PutUint64(buf[8:], uint64(id.bucket))
-	copy(buf[16:48], e.key[:])
-	if _, err := ks.f.WriteAt(buf, e.off); err != nil {
-		return key, false, fmt.Errorf("wal: keystore append: %w", err)
-	}
-	if err := ks.f.Sync(); err != nil {
-		return key, false, err
-	}
-	ks.size += keyEntrySize
-	ks.entries[id] = e
-	return e.key, true, nil
+	return e.block, nil
 }
 
 // Shred destroys every epoch key of (table, col, state) whose bucket ends
@@ -250,6 +255,7 @@ func (ks *KeyStore) Shred(table uint32, col, state uint8, cutoff time.Time, buck
 			return n, fmt.Errorf("wal: shred: %w", err)
 		}
 		e.key = [32]byte{}
+		e.block = nil
 		e.shredded = true
 		ks.shredded++
 		n++
@@ -314,7 +320,7 @@ func (ks *KeyStore) compactLocked() error {
 		binary.LittleEndian.PutUint64(ent[8:], uint64(id.bucket))
 		copy(ent[16:48], e.key[:])
 		buf = append(buf, ent...)
-		live[id] = &keyEntry{off: off, key: e.key}
+		live[id] = &keyEntry{off: off, key: e.key, block: e.block}
 		off += keyEntrySize
 	}
 	tmpPath := ks.path + ".compact"
@@ -414,10 +420,9 @@ func (ks *KeyStore) Close() error {
 	return ks.f.Close()
 }
 
-// ShredCodec encrypts degradable payloads under epoch keys from a
-// KeyStore. Sealed framing: 0x01 | bucket i64 | ciphertext. The CTR
-// nonce derives from (tuple, table, col, state), unique per sealed
-// payload within a key's scope.
+// ShredCodec seals degradable payloads under epoch keys from a KeyStore:
+// one key per (table, column, LCP state, insert-time bucket), so
+// destroying that key erases every log copy of those values at once.
 type ShredCodec struct {
 	Keys *KeyStore
 	// BucketWidth groups tuples into key epochs by insert time. Smaller
@@ -432,7 +437,8 @@ func NewShredCodec(ks *KeyStore, bucketWidth time.Duration) *ShredCodec {
 	return &ShredCodec{Keys: ks, BucketWidth: bucketWidth}
 }
 
-func (c *ShredCodec) bucketOf(insertNano int64) int64 {
+// Bucket implements Codec: floor(insertNano / BucketWidth).
+func (c *ShredCodec) Bucket(insertNano int64) int64 {
 	w := int64(c.BucketWidth)
 	b := insertNano / w
 	if insertNano < 0 && insertNano%w != 0 {
@@ -441,66 +447,18 @@ func (c *ShredCodec) bucketOf(insertNano int64) int64 {
 	return b
 }
 
-func ctrNonce(tuple storage.TupleID, table uint32, col, state uint8) [16]byte {
-	var iv [16]byte
-	binary.LittleEndian.PutUint64(iv[0:], uint64(tuple))
-	binary.LittleEndian.PutUint32(iv[8:], table)
-	iv[12], iv[13] = col, state
-	return iv
+// SealKey implements Codec, minting the bucket's key on first use.
+func (c *ShredCodec) SealKey(table uint32, col, state uint8, bucket int64) (cipher.Block, error) {
+	block, err := c.Keys.cipherFor(keyID{table, col, state, bucket}, true)
+	if err == nil && block == nil {
+		err = fmt.Errorf("%w (table %d col %d state %d)", ErrKeyShredded, table, col, state)
+	}
+	return block, err
 }
 
-// Seal implements Codec.
-func (c *ShredCodec) Seal(table uint32, col, state uint8, insertNano int64, tuple storage.TupleID, plain []byte) ([]byte, error) {
-	bucket := c.bucketOf(insertNano)
-	key, ok, err := c.Keys.keyFor(keyID{table, col, state, bucket}, true)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w (table %d col %d state %d)", ErrKeyShredded, table, col, state)
-	}
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 9+len(plain))
-	out[0] = frmEnc
-	binary.LittleEndian.PutUint64(out[1:], uint64(bucket))
-	iv := ctrNonce(tuple, table, col, state)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out[9:], plain)
-	return out, nil
-}
-
-// Open implements Codec.
-func (c *ShredCodec) Open(table uint32, col, state uint8, _ int64, tuple storage.TupleID, sealed []byte) ([]byte, bool, error) {
-	if len(sealed) < 1 {
-		return nil, false, errors.New("wal: empty sealed payload")
-	}
-	if sealed[0] == frmPlain {
-		return sealed[1:], true, nil
-	}
-	if sealed[0] == frmLost {
-		return nil, false, nil
-	}
-	if sealed[0] != frmEnc || len(sealed) < 9 {
-		return nil, false, errors.New("wal: bad sealed payload framing")
-	}
-	bucket := int64(binary.LittleEndian.Uint64(sealed[1:]))
-	key, ok, err := c.Keys.keyFor(keyID{table, col, state, bucket}, false)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil // key shredded: value irrecoverable by design
-	}
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, false, err
-	}
-	plain := make([]byte, len(sealed)-9)
-	iv := ctrNonce(tuple, table, col, state)
-	cipher.NewCTR(block, iv[:]).XORKeyStream(plain, sealed[9:])
-	return plain, true, nil
+// OpenKey implements Codec.
+func (c *ShredCodec) OpenKey(table uint32, col, state uint8, bucket int64) (cipher.Block, error) {
+	return c.Keys.cipherFor(keyID{table, col, state, bucket}, false)
 }
 
 var (

@@ -16,7 +16,7 @@ import (
 func sealAt(t *testing.T, c *ShredCodec, state uint8, bucket int64, tuple storage.TupleID, plain string) []byte {
 	t.Helper()
 	nano := bucket * int64(c.BucketWidth)
-	sealed, err := c.Seal(1, 0, state, nano, tuple, []byte(plain))
+	sealed, err := sealOne(c, 1, 0, state, nano, tuple, []byte(plain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +71,20 @@ func TestKeyStoreCompaction(t *testing.T) {
 		t.Helper()
 		// Shredded buckets stay dead...
 		for b := int64(0); b < 6; b++ {
-			if _, ok, err := codec.Open(1, 0, 0, 0, storage.TupleID(b+1), sealed[b]); err != nil || ok {
+			if _, ok, err := openOne(codec, 1, 0, 0, b*int64(time.Minute), storage.TupleID(b+1), sealed[b]); err != nil || ok {
 				t.Fatalf("%s: bucket %d opened after shred (ok=%v err=%v)", stage, b, ok, err)
 			}
 		}
 		// ...live ones keep decrypting.
 		for b := int64(6); b < 10; b++ {
-			plain, ok, err := codec.Open(1, 0, 0, 0, storage.TupleID(b+1), sealed[b])
+			plain, ok, err := openOne(codec, 1, 0, 0, b*int64(time.Minute), storage.TupleID(b+1), sealed[b])
 			if err != nil || !ok || !bytes.Equal(plain, []byte("secret")) {
 				t.Fatalf("%s: live bucket %d lost (ok=%v err=%v)", stage, b, ok, err)
 			}
 		}
 		for i, s := range [][]byte{live0, live1} {
 			want := []string{"survivor-a", "survivor-b"}[i]
-			plain, ok, err := codec.Open(1, 0, 1, 0, storage.TupleID(100+i), s)
+			plain, ok, err := openOne(codec, 1, 0, 1, int64(9*i)*int64(time.Minute), storage.TupleID(100+i), s)
 			if err != nil || !ok || string(plain) != want {
 				t.Fatalf("%s: state-1 key %d lost (ok=%v err=%v)", stage, i, ok, err)
 			}
@@ -92,11 +92,11 @@ func TestKeyStoreCompaction(t *testing.T) {
 		// The frontier refuses to mint a fresh key for a retired bucket:
 		// sealing at bucket 5 state 0 must fail even though its entry is
 		// physically gone from the file.
-		if _, err := codec.Seal(1, 0, 0, 5*int64(time.Minute), 999, []byte("late")); !errors.Is(err, ErrKeyShredded) {
+		if _, err := sealOne(codec, 1, 0, 0, 5*int64(time.Minute), 999, []byte("late")); !errors.Is(err, ErrKeyShredded) {
 			t.Fatalf("%s: seal under a retired bucket: %v, want ErrKeyShredded", stage, err)
 		}
 		// A bucket past the frontier still gets a key.
-		if _, err := codec.Seal(1, 0, 0, 30*int64(time.Minute), 999, []byte("fresh")); err != nil {
+		if _, err := sealOne(codec, 1, 0, 0, 30*int64(time.Minute), 999, []byte("fresh")); err != nil {
 			t.Fatalf("%s: seal past the frontier: %v", stage, err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestKeyStoreCompactsOnOpen(t *testing.T) {
 		t.Fatalf("open did not compact: %d -> %d bytes", sizeShredded, got)
 	}
 	codec = NewShredCodec(ks2, time.Minute)
-	if plain, ok, err := codec.Open(1, 0, 0, 0, 4, sealed); err != nil || !ok || !bytes.Equal(plain, []byte("secret")) {
+	if plain, ok, err := openOne(codec, 1, 0, 0, 3*int64(time.Minute), 4, sealed); err != nil || !ok || !bytes.Equal(plain, []byte("secret")) {
 		t.Fatalf("live key lost across compact-on-open (ok=%v err=%v)", ok, err)
 	}
 }

@@ -18,7 +18,11 @@ import (
 )
 
 const (
-	batchMagic      = 0x4C415749 // "IWAL"
+	// batchMagic opens every batch frame of format 2 (run-encoded
+	// payloads). Format 1 framed per-record payloads under batchMagicV1;
+	// Open refuses such a log instead of mistaking it for a torn tail.
+	batchMagic      = 0x32415749 // "IWA2"
+	batchMagicV1    = 0x4C415749 // "IWAL"
 	batchHeaderSize = 12
 	segPrefix       = "wal-"
 	segSuffix       = ".log"
@@ -164,6 +168,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, id := range ids {
+		if err := checkSegmentFormat(l.segPath(id)); err != nil {
+			return nil, err
+		}
+	}
 	l.activeID = 1
 	if len(ids) > 0 {
 		l.activeID = ids[len(ids)-1]
@@ -215,6 +224,30 @@ func Open(dir string, opts Options) (*Log, error) {
 			return float64(l.statFsyncs.Load()) / float64(b)
 		})
 	return l, nil
+}
+
+// ErrFormatVersion reports a log written in a batch format this build
+// does not read.
+var ErrFormatVersion = errors.New("wal: unsupported log format version")
+
+// checkSegmentFormat refuses a segment that opens with a format 1 batch
+// frame. Without the check its first frame would read as a torn tail and
+// Open would truncate the whole segment away.
+func checkSegmentFormat(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var head [4]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return nil // shorter than a frame header: an empty or torn segment
+	}
+	if binary.LittleEndian.Uint32(head[:]) == batchMagicV1 {
+		return fmt.Errorf("%w: %s holds format 1 (per-record) batches, this build reads format 2 (run-encoded) only",
+			ErrFormatVersion, filepath.Base(path))
+	}
+	return nil
 }
 
 // openSegment opens a segment file for appending, through the
@@ -291,13 +324,9 @@ func (l *Log) Append(recs []*Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var payload []byte
-	var err error
-	for _, r := range recs {
-		payload, err = encodeRecord(payload, r, l.opts.Codec)
-		if err != nil {
-			return err
-		}
+	payload, err := EncodeRecords(nil, recs, l.opts.Codec)
+	if err != nil {
+		return err
 	}
 	return l.AppendRaw(payload)
 }
@@ -434,17 +463,8 @@ func replayBuffer(data []byte, codec Codec, fn func(*Record) error) error {
 		if crc32.ChecksumIEEE(payload) != crc {
 			return nil
 		}
-		rest := payload
-		for len(rest) > 0 {
-			var r Record
-			var err error
-			r, rest, err = decodeRecord(rest, codec)
-			if err != nil {
-				return err
-			}
-			if err := fn(&r); err != nil {
-				return err
-			}
+		if err := decodeRuns(payload, codec, fn); err != nil {
+			return err
 		}
 		off += batchHeaderSize + n
 	}
@@ -580,6 +600,7 @@ func (l *Log) vacuumSegment(path string, transform func(*Record)) error {
 		return err
 	}
 	// Re-encode batch by batch, preserving commit boundaries.
+	var out []byte
 	off := 0
 	for off+batchHeaderSize <= len(data) {
 		if binary.LittleEndian.Uint32(data[off:]) != batchMagic {
@@ -593,34 +614,17 @@ func (l *Log) vacuumSegment(path string, transform func(*Record)) error {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+8:]) {
 			break
 		}
-		var out []byte
-		rest := payload
-		for len(rest) > 0 {
-			var r Record
-			r, rest, err = decodeRecord(rest, l.opts.Codec)
-			if err != nil {
-				tmp.Close()
-				os.Remove(tmpPath)
-				return err
+		recs, err := DecodeRecords(payload, l.opts.Codec)
+		if err == nil {
+			for _, r := range recs {
+				transform(r)
 			}
-			transform(&r)
-			out, err = encodeRecord(out, &r, l.opts.Codec)
-			if err != nil {
-				tmp.Close()
-				os.Remove(tmpPath)
-				return err
-			}
+			out, err = EncodeRecords(out[:0], recs, l.opts.Codec)
 		}
-		var hdr [batchHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], batchMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(out)))
-		binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(out))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
+		if err == nil {
+			_, err = tmp.Write(appendFrame(nil, out))
 		}
-		if _, err := tmp.Write(out); err != nil {
+		if err != nil {
 			tmp.Close()
 			os.Remove(tmpPath)
 			return err

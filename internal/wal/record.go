@@ -2,13 +2,14 @@
 // two degradation-aware log-scrubbing strategies the engine ablates
 // (experiment B-LOG):
 //
-//   - Vacuum: whole log segments are periodically rewritten, replacing
-//     degradable payloads that have outlived their accuracy state with
-//     NULL; the original segment file is zero-overwritten before removal.
+//   - Vacuum: whole log segments are periodically rewritten, marking
+//     degradable payloads that have outlived their accuracy state as
+//     lost; the original segment file is zero-overwritten before removal.
 //   - Key-shred: degradable payloads are AES-CTR-encrypted under epoch
 //     keys scoped to (table, column, LCP state, insert-time bucket) and
-//     kept in a separate key store; a degradation step destroys the epoch
-//     key (zero-overwrite + sync), making every log copy of the expired
+//     kept in a separate key store; once every tuple of a bucket has left
+//     a state, the degradation engine's tick destroys that epoch key
+//     (zero-overwrite + sync), making every log copy of the expired
 //     accuracy state permanently undecipherable without touching the log
 //     files themselves.
 //
@@ -16,12 +17,23 @@
 // operations to the (no-steal) storage layer only after the commit batch
 // is durable, so recovery replays complete batches in order with
 // idempotent per-record application and never needs undo.
+//
+// A commit batch is one CRC-framed payload holding a sequence of runs:
+// consecutive records that share a type and table (and, where payloads
+// are sealed, a state and key bucket) are written under one header with
+// their fields laid out column by column — see EncodeRecords.
 package wal
 
 import (
+	"bytes"
+	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
+	"instantdb/internal/catalog"
 	"instantdb/internal/storage"
 	"instantdb/internal/value"
 )
@@ -47,9 +59,10 @@ const (
 )
 
 // Record is one logical redo operation. Degradable payloads (DegVals for
-// inserts, NewStored for degradations) pass through the log's Codec and
-// may be sealed; SealedLost marks payloads whose epoch key was shredded —
-// the value is gone, which is exactly the guarantee the paper asks for.
+// inserts, NewStored for degradations) are sealed through the log's
+// Codec; a Lost flag marks a payload that is gone — its epoch key was
+// shredded, or it was written as lost in the first place — which is
+// exactly the guarantee the paper asks for.
 type Record struct {
 	Type  RecType
 	Table uint32
@@ -66,16 +79,18 @@ type Record struct {
 	// DegVals (insert) holds the stored forms of the degradable columns,
 	// in DegradableColumns order.
 	DegVals []value.Value
-	// DegLost (insert, replay only) marks degradable positions whose
-	// sealed payload could not be opened (key shredded).
+	// DegLost (insert) marks degradable positions whose payload is gone:
+	// decoding sets it where a sealed payload could not be opened, and
+	// encoding writes such a position as lost (no material) — it also
+	// sets the flag itself where the codec answers ErrSealLost.
 	DegLost []bool
 
 	// Col and Val (update-stable).
 	Col uint16
 	Val value.Value
 
-	// DegPos, NewState, NewStored (degrade). NewLost set on replay when
-	// the sealed payload is gone.
+	// DegPos, NewState, NewStored (degrade). NewLost is DegLost's
+	// counterpart for the one payload of a degradation.
 	DegPos    uint8
 	NewState  uint8
 	NewStored value.Value
@@ -87,233 +102,575 @@ type Record struct {
 	ReplOff int64
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	return append(dst, b[:n]...)
+// Run layout. Every run opens with
+//
+//	type u8 | table uvarint | count uvarint | first tuple id uvarint |
+//	count-1 tuple id deltas (zigzag varints, wrapping)
+//
+// and continues by type:
+//
+//	insert:  first insert time, count-1 deltas (zigzag) | key bucket
+//	         (zigzag) | states | column count | count stable rows |
+//	         one payload column per degradable column
+//	degrade: first insert time, count-1 deltas | key bucket | column
+//	         position u8 | new state u8 | one payload column
+//	update:  per record: column uvarint | value
+//	mark:    per record: segment uvarint | offset uvarint
+//	delete:  nothing more
+//
+// states is len<<1|nonzero as a uvarint, followed by the vector only
+// when some state is nonzero. A payload column is a status byte — plain,
+// encrypted or lost for the whole column, or statusMixed followed by two
+// status bits per record — and then, for every payload that is not
+// lost, its length as a uvarint and its bytes.
+const (
+	statusPlain = iota
+	statusEnc
+	statusLost
+	statusMixed
+)
+
+// maxSealedLen bounds one encrypted payload: the keystream counter is
+// the last two bytes of the 16-byte nonce block.
+const maxSealedLen = 16 << 16
+
+// keystream XORs AES-CTR keystreams into payloads in place. The counter
+// block is tuple id | table | column | state | block counter, so no two
+// payloads sealed under one key ever share a keystream, and sealing the
+// same payload again — a retried commit, a replica re-sealing a shipped
+// batch, the same transition in a differently composed run — yields the
+// same ciphertext. The scratch blocks live here because slices handed to
+// a cipher.Block escape: one keystream serves a whole encode or decode.
+type keystream struct {
+	ctr, pad [16]byte
+	// plain receives a payload being opened: the input stays ciphertext.
+	plain []byte
 }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-func readUvarint(src []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(src)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wal: bad uvarint")
+func (k *keystream) xor(block cipher.Block, buf []byte, tuple storage.TupleID, table uint32, col, state uint8) {
+	binary.LittleEndian.PutUint64(k.ctr[0:], uint64(tuple))
+	binary.LittleEndian.PutUint32(k.ctr[8:], table)
+	k.ctr[12], k.ctr[13] = col, state
+	for n := 0; len(buf) > 0; n++ {
+		binary.BigEndian.PutUint16(k.ctr[14:], uint16(n))
+		block.Encrypt(k.pad[:], k.ctr[:])
+		buf = buf[subtle.XORBytes(buf, buf, k.pad[:]):]
 	}
-	return v, src[n:], nil
 }
 
-func readBytes(src []byte) ([]byte, []byte, error) {
-	n, rest, err := readUvarint(src)
-	if err != nil {
-		return nil, nil, err
+// payload returns the degradable payload of r in column col and whether
+// it is flagged lost.
+func payload(r *Record, col int) (value.Value, bool) {
+	if r.Type == RecDegrade {
+		return r.NewStored, r.NewLost
 	}
-	if uint64(len(rest)) < n {
-		return nil, nil, fmt.Errorf("wal: short bytes field")
-	}
-	return rest[:n], rest[n:], nil
+	return r.DegVals[col], col < len(r.DegLost) && r.DegLost[col]
 }
 
-// encodeRecord serializes r, sealing degradable payloads with codec.
-func encodeRecord(dst []byte, r *Record, codec Codec) ([]byte, error) {
-	dst = append(dst, byte(r.Type))
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], r.Table)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(r.Tuple))
-	dst = append(dst, hdr[:]...)
-	switch r.Type {
+// markLost flags the payload of r in column col as lost.
+func markLost(r *Record, col int) {
+	if r.Type == RecDegrade {
+		r.NewLost = true
+		return
+	}
+	if len(r.DegLost) < len(r.DegVals) {
+		r.DegLost = append(r.DegLost, make([]bool, len(r.DegVals)-len(r.DegLost))...)
+	}
+	r.DegLost[col] = true
+}
+
+// stateOf returns the state of degradable column col in an insert's
+// state vector (missing entries are state 0).
+func stateOf(states []uint8, col int) uint8 {
+	if col < len(states) {
+		return states[col]
+	}
+	return 0
+}
+
+// sealed reports whether records of this type carry sealed payloads and
+// therefore belong to one key bucket per run.
+func (t RecType) sealed() bool { return t == RecInsert || t == RecDegrade }
+
+// sameRun reports whether r may join the run head opens.
+func sameRun(head, r *Record, bucket int64, codec Codec) bool {
+	if r.Type != head.Type || r.Table != head.Table {
+		return false
+	}
+	switch head.Type {
 	case RecInsert:
-		dst = appendUvarint(dst, uint64(r.InsertNano))
-		dst = appendBytes(dst, r.States)
-		dst = appendBytes(dst, value.EncodeRow(nil, r.StableRow))
-		dst = appendUvarint(dst, uint64(len(r.DegVals)))
-		for i, v := range r.DegVals {
-			state := uint8(0)
-			if i < len(r.States) {
-				state = r.States[i]
+		return len(r.DegVals) == len(head.DegVals) && bytes.Equal(r.States, head.States) &&
+			codec.Bucket(r.InsertNano) == bucket
+	case RecDegrade:
+		return r.DegPos == head.DegPos && r.NewState == head.NewState &&
+			codec.Bucket(r.InsertNano) == bucket
+	}
+	return true
+}
+
+// EncodeRecords appends the run encoding of recs to dst: the payload of
+// one commit batch, and the form replication batches cross the wire in
+// (with PlainCodec: the leader unseals payloads while tailing, and the
+// follower re-seals them under its own epoch keys when it logs the
+// batch locally). Consecutive records of one type and table — for
+// inserts also one state vector, for degradations one (column, new
+// state), for both one key bucket — share a run header, so callers
+// should hand over whole batches rather than single records. Payloads
+// flagged lost are written as lost; where the codec answers ErrSealLost
+// the flag is set on the record as well.
+func EncodeRecords(dst []byte, recs []*Record, codec Codec) ([]byte, error) {
+	dst = slices.Grow(dst, sizeHint(recs))
+	var ks keystream
+	for len(recs) > 0 {
+		head := recs[0]
+		var bucket int64
+		if head.Type.sealed() {
+			bucket = codec.Bucket(head.InsertNano)
+		}
+		n := 1
+		for n < len(recs) && sameRun(head, recs[n], bucket, codec) {
+			n++
+		}
+		var err error
+		if dst, err = encodeRun(dst, recs[:n], bucket, codec, &ks); err != nil {
+			return nil, err
+		}
+		recs = recs[n:]
+	}
+	return dst, nil
+}
+
+// sizeHint estimates the encoded size of recs so one allocation holds
+// the batch.
+func sizeHint(recs []*Record) int {
+	n := 0
+	for _, r := range recs {
+		n += 4
+		switch r.Type {
+		case RecInsert:
+			n += value.RowEncodedSize(r.StableRow) + 2
+			for _, v := range r.DegVals {
+				n += value.EncodedSize(v) + 1
 			}
-			sealed, err := codec.Seal(r.Table, uint8(i), state, r.InsertNano, r.Tuple, value.Encode(nil, v))
-			if err != nil {
+		case RecUpdateStable:
+			n += value.EncodedSize(r.Val)
+		case RecDegrade:
+			n += value.EncodedSize(r.NewStored) + 3
+		case RecReplMark:
+			n += 8
+		}
+	}
+	return n + 48
+}
+
+func encodeRun(dst []byte, run []*Record, bucket int64, codec Codec, ks *keystream) ([]byte, error) {
+	head := run[0]
+	dst = append(dst, byte(head.Type))
+	dst = binary.AppendUvarint(dst, uint64(head.Table))
+	dst = binary.AppendUvarint(dst, uint64(len(run)))
+	dst = binary.AppendUvarint(dst, uint64(head.Tuple))
+	for i := 1; i < len(run); i++ {
+		dst = binary.AppendVarint(dst, int64(run[i].Tuple-run[i-1].Tuple))
+	}
+	if head.Type.sealed() {
+		dst = binary.AppendVarint(dst, head.InsertNano)
+		for i := 1; i < len(run); i++ {
+			dst = binary.AppendVarint(dst, run[i].InsertNano-run[i-1].InsertNano)
+		}
+		dst = binary.AppendVarint(dst, bucket)
+	}
+	var err error
+	switch head.Type {
+	case RecInsert:
+		if max(len(head.DegVals), len(head.States)) > catalog.MaxDegradableColumns {
+			return nil, fmt.Errorf("wal: insert carries %d degradable payloads and %d states (max %d)",
+				len(head.DegVals), len(head.States), catalog.MaxDegradableColumns)
+		}
+		nonzero := slices.ContainsFunc(head.States, func(s uint8) bool { return s != 0 })
+		if nonzero {
+			dst = binary.AppendUvarint(dst, uint64(len(head.States))<<1|1)
+			dst = append(dst, head.States...)
+		} else {
+			dst = binary.AppendUvarint(dst, uint64(len(head.States))<<1)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(head.DegVals)))
+		for _, r := range run {
+			dst = value.EncodeRow(dst, r.StableRow)
+		}
+		for col := range head.DegVals {
+			if dst, err = sealColumn(dst, run, col, stateOf(head.States, col), bucket, codec, ks); err != nil {
 				return nil, err
 			}
-			dst = appendBytes(dst, sealed)
 		}
 	case RecDelete:
-		// Header only.
 	case RecUpdateStable:
-		var c [2]byte
-		binary.LittleEndian.PutUint16(c[:], r.Col)
-		dst = append(dst, c[:]...)
-		dst = appendBytes(dst, value.Encode(nil, r.Val))
+		for _, r := range run {
+			dst = binary.AppendUvarint(dst, uint64(r.Col))
+			dst = value.Encode(dst, r.Val)
+		}
 	case RecDegrade:
-		dst = appendUvarint(dst, uint64(r.InsertNano))
-		dst = append(dst, r.DegPos, r.NewState)
-		sealed, err := codec.Seal(r.Table, r.DegPos, r.NewState, r.InsertNano, r.Tuple, value.Encode(nil, r.NewStored))
-		if err != nil {
+		dst = append(dst, head.DegPos, head.NewState)
+		if dst, err = sealColumn(dst, run, int(head.DegPos), head.NewState, bucket, codec, ks); err != nil {
 			return nil, err
 		}
-		dst = appendBytes(dst, sealed)
 	case RecReplMark:
-		dst = appendUvarint(dst, uint64(r.ReplSeg))
-		dst = appendUvarint(dst, uint64(r.ReplOff))
+		for _, r := range run {
+			dst = binary.AppendUvarint(dst, uint64(r.ReplSeg))
+			dst = binary.AppendUvarint(dst, uint64(r.ReplOff))
+		}
 	default:
-		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
+		return nil, fmt.Errorf("wal: unknown record type %d", head.Type)
 	}
 	return dst, nil
 }
 
-// decodeRecord parses one record, unsealing degradable payloads. Payloads
-// whose key is gone decode as NULL with the corresponding Lost flag set.
-// It returns the remaining input.
-func decodeRecord(src []byte, codec Codec) (Record, []byte, error) {
-	if len(src) < 13 {
-		return Record{}, nil, fmt.Errorf("wal: record header truncated")
+// sealColumn appends one payload column of a run: the degradable values
+// of column col, all in state and bucket. The key is resolved once, and
+// only when some payload is still there to seal.
+func sealColumn(dst []byte, run []*Record, col int, state uint8, bucket int64, codec Codec, ks *keystream) ([]byte, error) {
+	lost := 0
+	for _, r := range run {
+		if _, gone := payload(r, col); gone {
+			lost++
+		}
 	}
-	var r Record
-	r.Type = RecType(src[0])
-	r.Table = binary.LittleEndian.Uint32(src[1:])
-	r.Tuple = storage.TupleID(binary.LittleEndian.Uint64(src[5:]))
-	rest := src[13:]
-	var err error
-	switch r.Type {
+	var block cipher.Block
+	if lost < len(run) {
+		var err error
+		block, err = codec.SealKey(run[0].Table, uint8(col), state, bucket)
+		if errors.Is(err, ErrSealLost) {
+			for _, r := range run {
+				markLost(r, col)
+			}
+			lost = len(run)
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	live := byte(statusPlain)
+	if block != nil {
+		live = statusEnc
+	}
+	switch lost {
+	case 0:
+		dst = append(dst, live)
+	case len(run):
+		return append(dst, statusLost), nil
+	default:
+		dst = append(dst, statusMixed)
+		at := len(dst)
+		dst = append(dst, make([]byte, (len(run)+3)/4)...)
+		for i, r := range run {
+			st := live
+			if _, gone := payload(r, col); gone {
+				st = statusLost
+			}
+			dst[at+i/4] |= st << (i % 4 * 2)
+		}
+	}
+	for _, r := range run {
+		v, gone := payload(r, col)
+		if gone {
+			continue
+		}
+		n := value.EncodedSize(v)
+		if block != nil && n > maxSealedLen {
+			return nil, fmt.Errorf("wal: %d-byte payload of tuple %d exceeds the %d a keystream covers", n, r.Tuple, maxSealedLen)
+		}
+		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = value.Encode(dst, v)
+		if block != nil {
+			ks.xor(block, dst[len(dst)-n:], r.Tuple, r.Table, uint8(col), state)
+		}
+	}
+	return dst, nil
+}
+
+// reader consumes a run; the first malformed field latches err and
+// every later read returns zero values.
+type reader struct {
+	p   []byte
+	err error
+}
+
+func (rd *reader) fail(format string, args ...any) {
+	if rd.err == nil {
+		rd.err = fmt.Errorf("wal: "+format, args...)
+	}
+	rd.p = nil
+}
+
+func (rd *reader) byte() byte {
+	if len(rd.p) == 0 {
+		rd.fail("run truncated")
+		return 0
+	}
+	b := rd.p[0]
+	rd.p = rd.p[1:]
+	return b
+}
+
+func (rd *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(rd.p)
+	if n <= 0 {
+		rd.fail("bad uvarint")
+		return 0
+	}
+	rd.p = rd.p[n:]
+	return v
+}
+
+func (rd *reader) varint() int64 {
+	v, n := binary.Varint(rd.p)
+	if n <= 0 {
+		rd.fail("bad varint")
+		return 0
+	}
+	rd.p = rd.p[n:]
+	return v
+}
+
+func (rd *reader) bytes(n uint64) []byte {
+	if n > uint64(len(rd.p)) {
+		rd.fail("field of %d bytes in %d remaining", n, len(rd.p))
+		return nil
+	}
+	b := rd.p[:n]
+	rd.p = rd.p[n:]
+	return b
+}
+
+// value reads one self-delimiting encoded value.
+func (rd *reader) value() value.Value {
+	if rd.err != nil {
+		return value.Null()
+	}
+	v, n, err := value.Decode(rd.p)
+	if err != nil {
+		rd.fail("%v", err)
+		return value.Null()
+	}
+	rd.p = rd.p[n:]
+	return v
+}
+
+// decodeRun parses the run at the start of p into records of its own
+// (one backing array per run) and returns the remaining input. Payloads
+// that cannot be opened decode as NULL with their Lost flag set.
+func decodeRun(p []byte, codec Codec, ks *keystream) ([]Record, []byte, error) {
+	rd := &reader{p: p}
+	typ := RecType(rd.byte())
+	table := rd.uvarint()
+	count := rd.uvarint()
+	tuple := rd.uvarint()
+	if rd.err == nil {
+		switch {
+		case typ < RecInsert || typ > RecReplMark:
+			rd.fail("unknown record type %d", typ)
+		case table > 1<<32-1:
+			rd.fail("table id %d out of range", table)
+		// Every record after the first costs at least its tuple id delta,
+		// so a count beyond the remaining bytes is corrupt — reject it
+		// before allocating (a crafted count must not drive the allocation).
+		case count == 0 || count-1 > uint64(len(rd.p)):
+			rd.fail("run of %d records in %d bytes", count, len(rd.p))
+		}
+	}
+	if rd.err != nil {
+		return nil, nil, rd.err
+	}
+	recs := make([]Record, count)
+	for i := range recs {
+		if i > 0 {
+			tuple += uint64(rd.varint())
+		}
+		recs[i] = Record{Type: typ, Table: uint32(table), Tuple: storage.TupleID(tuple)}
+	}
+	var bucket int64
+	if typ.sealed() {
+		nano := rd.varint()
+		for i := range recs {
+			if i > 0 {
+				nano += rd.varint()
+			}
+			recs[i].InsertNano = nano
+		}
+		bucket = rd.varint()
+	}
+	switch typ {
 	case RecInsert:
-		var u uint64
-		if u, rest, err = readUvarint(rest); err != nil {
-			return r, nil, err
-		}
-		r.InsertNano = int64(u)
-		var b []byte
-		if b, rest, err = readBytes(rest); err != nil {
-			return r, nil, err
-		}
-		r.States = append([]uint8(nil), b...)
-		if b, rest, err = readBytes(rest); err != nil {
-			return r, nil, err
-		}
-		if r.StableRow, _, err = value.DecodeRow(b); err != nil {
-			return r, nil, fmt.Errorf("wal: insert stable row: %w", err)
-		}
-		var n uint64
-		if n, rest, err = readUvarint(rest); err != nil {
-			return r, nil, err
-		}
-		// Every sealed payload costs at least its length varint, so a
-		// count beyond the remaining bytes is corrupt — reject it before
-		// allocating (a crafted count must not drive the allocation).
-		if n > uint64(len(rest)) {
-			return r, nil, fmt.Errorf("wal: degradable count %d exceeds %d remaining bytes", n, len(rest))
-		}
-		r.DegVals = make([]value.Value, n)
-		r.DegLost = make([]bool, n)
-		for i := uint64(0); i < n; i++ {
-			var sealed []byte
-			if sealed, rest, err = readBytes(rest); err != nil {
-				return r, nil, err
+		decodeInserts(rd, recs, bucket, codec, ks)
+	case RecUpdateStable:
+		for i := range recs {
+			col := rd.uvarint()
+			if col > 1<<16-1 {
+				rd.fail("column %d out of range", col)
 			}
-			state := uint8(0)
-			if int(i) < len(r.States) {
-				state = r.States[i]
+			recs[i].Col = uint16(col)
+			recs[i].Val = rd.value()
+		}
+	case RecDegrade:
+		pos, state := rd.byte(), rd.byte()
+		for i := range recs {
+			recs[i].DegPos, recs[i].NewState = pos, state
+		}
+		openColumn(rd, recs, int(pos), state, bucket, codec, ks)
+	case RecReplMark:
+		for i := range recs {
+			seg, off := rd.uvarint(), rd.uvarint()
+			if seg > 1<<31-1 || off > 1<<63-1 {
+				rd.fail("replication mark %d:%d out of range", seg, off)
 			}
-			plain, ok, err := codec.Open(r.Table, uint8(i), state, r.InsertNano, r.Tuple, sealed)
+			recs[i].ReplSeg, recs[i].ReplOff = int(seg), int64(off)
+		}
+	}
+	if rd.err != nil {
+		return nil, nil, rd.err
+	}
+	return recs, rd.p, nil
+}
+
+// decodeInserts reads the insert-specific part of a run into recs.
+func decodeInserts(rd *reader, recs []Record, bucket int64, codec Codec, ks *keystream) {
+	sh := rd.uvarint()
+	nStates := sh >> 1
+	if nStates > catalog.MaxDegradableColumns {
+		rd.fail("insert run with a %d-entry state vector (max %d)", nStates, catalog.MaxDegradableColumns)
+	}
+	var states []uint8 // all zero unless the vector is spelled out
+	if sh&1 != 0 {
+		states = rd.bytes(nStates)
+	}
+	cols := rd.uvarint()
+	if cols > catalog.MaxDegradableColumns {
+		rd.fail("insert run with %d degradable columns (max %d)", cols, catalog.MaxDegradableColumns)
+	}
+	if rd.err != nil {
+		return
+	}
+	// One backing array per field for the whole run; both widths were
+	// checked against the catalog's limit before sizing anything by them.
+	n, w := len(recs), int(cols)
+	allStates := make([]uint8, n*int(nStates))
+	vals := make([]value.Value, n*w)
+	lost := make([]bool, n*w)
+	for i := range recs {
+		r := &recs[i]
+		r.States = allStates[i*int(nStates) : (i+1)*int(nStates) : (i+1)*int(nStates)]
+		copy(r.States, states)
+		r.DegVals = vals[i*w : (i+1)*w : (i+1)*w]
+		r.DegLost = lost[i*w : (i+1)*w : (i+1)*w]
+		if rd.err == nil {
+			row, used, err := value.DecodeRow(rd.p)
 			if err != nil {
-				return r, nil, err
-			}
-			if !ok {
-				r.DegVals[i] = value.Null()
-				r.DegLost[i] = true
+				rd.fail("insert stable row: %v", err)
 				continue
 			}
-			v, _, err := value.Decode(plain)
-			if err != nil {
-				return r, nil, fmt.Errorf("wal: insert degradable %d: %w", i, err)
+			r.StableRow, rd.p = row, rd.p[used:]
+		}
+	}
+	for col := 0; col < w; col++ {
+		openColumn(rd, recs, col, stateOf(states, col), bucket, codec, ks)
+	}
+}
+
+// openColumn reads one payload column of a run into recs, resolving the
+// key once and only when the column holds ciphertext.
+func openColumn(rd *reader, recs []Record, col int, state uint8, bucket int64, codec Codec, ks *keystream) {
+	mode := rd.byte()
+	var bitmap []byte
+	switch {
+	case mode == statusMixed:
+		bitmap = rd.bytes(uint64(len(recs)+3) / 4)
+	case mode > statusMixed:
+		rd.fail("payload column status %d", mode)
+	}
+	if rd.err != nil {
+		return
+	}
+	var block cipher.Block
+	keyed := false
+	for i := range recs {
+		r := &recs[i]
+		st := mode
+		if bitmap != nil {
+			st = bitmap[i/4] >> (i % 4 * 2) & 3
+			if st == statusMixed {
+				rd.fail("payload status 3 in a mixed column")
 			}
-			r.DegVals[i] = v
 		}
-	case RecDelete:
-	case RecUpdateStable:
-		if len(rest) < 2 {
-			return r, nil, fmt.Errorf("wal: update record truncated")
+		var raw []byte
+		if st != statusLost {
+			raw = rd.bytes(rd.uvarint())
 		}
-		r.Col = binary.LittleEndian.Uint16(rest)
-		rest = rest[2:]
-		var b []byte
-		if b, rest, err = readBytes(rest); err != nil {
-			return r, nil, err
+		if rd.err != nil {
+			return
 		}
-		if r.Val, _, err = value.Decode(b); err != nil {
-			return r, nil, err
+		if st == statusEnc {
+			if !keyed {
+				var err error
+				if block, err = codec.OpenKey(r.Table, uint8(col), state, bucket); err != nil {
+					rd.err = err
+					return
+				}
+				keyed = true
+			}
+			if block == nil {
+				st = statusLost // key shredded: irrecoverable by design
+			} else if len(raw) > maxSealedLen {
+				rd.fail("%d-byte sealed payload", len(raw))
+				return
+			} else {
+				ks.plain = append(ks.plain[:0], raw...)
+				raw = ks.plain
+				ks.xor(block, raw, r.Tuple, r.Table, uint8(col), state)
+			}
 		}
-	case RecDegrade:
-		var u uint64
-		if u, rest, err = readUvarint(rest); err != nil {
-			return r, nil, err
+		v := value.Null()
+		if st != statusLost {
+			var used int
+			var err error
+			if v, used, err = value.Decode(raw); err != nil || used != len(raw) {
+				rd.fail("degradable payload of tuple %d: %d of %d bytes decoded: %v", r.Tuple, used, len(raw), err)
+				return
+			}
 		}
-		r.InsertNano = int64(u)
-		if len(rest) < 2 {
-			return r, nil, fmt.Errorf("wal: degrade record truncated")
-		}
-		r.DegPos, r.NewState = rest[0], rest[1]
-		rest = rest[2:]
-		var sealed []byte
-		if sealed, rest, err = readBytes(rest); err != nil {
-			return r, nil, err
-		}
-		plain, ok, err := codec.Open(r.Table, r.DegPos, r.NewState, r.InsertNano, r.Tuple, sealed)
-		if err != nil {
-			return r, nil, err
-		}
-		if !ok {
-			r.NewStored = value.Null()
-			r.NewLost = true
-		} else if r.NewStored, _, err = value.Decode(plain); err != nil {
-			return r, nil, fmt.Errorf("wal: degrade payload: %w", err)
-		}
-	case RecReplMark:
-		var u uint64
-		if u, rest, err = readUvarint(rest); err != nil {
-			return r, nil, err
-		}
-		r.ReplSeg = int(u)
-		if u, rest, err = readUvarint(rest); err != nil {
-			return r, nil, err
-		}
-		r.ReplOff = int64(u)
-	default:
-		return r, nil, fmt.Errorf("wal: unknown record type %d", r.Type)
-	}
-	return r, rest, nil
-}
-
-// EncodeRecords serializes records back to back with codec — the form
-// replication batches cross the wire in (with PlainCodec: the leader
-// unseals payloads while tailing, and the follower re-seals them under
-// its own epoch keys when it logs the batch locally).
-func EncodeRecords(dst []byte, recs []*Record, codec Codec) ([]byte, error) {
-	var err error
-	for _, r := range recs {
-		if dst, err = encodeRecord(dst, r, codec); err != nil {
-			return nil, err
+		if r.Type == RecDegrade {
+			r.NewStored, r.NewLost = v, st == statusLost
+		} else {
+			r.DegVals[col], r.DegLost[col] = v, st == statusLost
 		}
 	}
-	return dst, nil
 }
 
-// DecodeRecords parses a back-to-back record sequence produced by
-// EncodeRecords, consuming the whole input.
+// DecodeRecords parses a run sequence produced by EncodeRecords,
+// consuming the whole input.
 func DecodeRecords(p []byte, codec Codec) ([]*Record, error) {
 	var recs []*Record
-	for len(p) > 0 {
-		var r Record
-		var err error
-		r, p, err = decodeRecord(p, codec)
-		if err != nil {
-			return nil, err
-		}
-		rc := r
-		recs = append(recs, &rc)
+	err := decodeRuns(p, codec, func(r *Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
+}
+
+// decodeRuns hands fn every record of the run sequence p, in order.
+func decodeRuns(p []byte, codec Codec, fn func(*Record) error) error {
+	var ks keystream
+	for len(p) > 0 {
+		run, rest, err := decodeRun(p, codec, &ks)
+		if err != nil {
+			return err
+		}
+		for i := range run {
+			if err := fn(&run[i]); err != nil {
+				return err
+			}
+		}
+		p = rest
+	}
+	return nil
 }

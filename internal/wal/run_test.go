@@ -1,0 +1,497 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"instantdb/internal/storage"
+	"instantdb/internal/value"
+	"instantdb/internal/vclock"
+)
+
+// The run encoding under the suites the per-record encoding lived under:
+// a seeded round-trip property, a torn tail that ends inside a run, a
+// vacuum that marks part of a run lost, a pre-change log at Open — and
+// the two promises the format makes about itself: a payload's ciphertext
+// does not depend on the run it was sealed in, and a record costs what
+// TestWALSizeBudget says.
+
+func openShredCodec(t testing.TB, width time.Duration) *ShredCodec {
+	t.Helper()
+	ks, err := OpenKeyStore(filepath.Join(t.TempDir(), "keys.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ks.Close() })
+	return NewShredCodec(ks, width)
+}
+
+func randValue(rng *rand.Rand) value.Value {
+	switch rng.Intn(5) {
+	case 0:
+		return value.Null()
+	case 1:
+		return value.Int(rng.Int63() - rng.Int63())
+	case 2:
+		return value.Float(rng.NormFloat64())
+	case 3:
+		b := make([]byte, rng.Intn(40))
+		rng.Read(b)
+		return value.Text(string(b))
+	default:
+		return value.Bool(rng.Intn(2) == 0)
+	}
+}
+
+// randBatch draws a commit batch: stretches of like records (so runs
+// form) broken by changes of table, type, state vector, column, key
+// bucket — with the awkward values the format must carry: negative and
+// non-monotone insert times, tuple ids past 1<<63, payloads flagged lost.
+func randBatch(rng *rand.Rand) []*Record {
+	tuple := func() storage.TupleID {
+		switch rng.Intn(3) {
+		case 0:
+			return storage.TupleID(1<<63 + rng.Uint64()>>1)
+		case 1:
+			return storage.TupleID(rng.Intn(1000))
+		default:
+			return storage.TupleID(rng.Uint64())
+		}
+	}
+	nano := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return -rng.Int63n(int64(30 * 24 * time.Hour))
+		case 1:
+			return vclock.Epoch.UnixNano() + rng.Int63n(int64(3*time.Hour))
+		case 2:
+			return 0
+		default:
+			return rng.Int63()
+		}
+	}
+	var recs []*Record
+	for stretch := rng.Intn(8) + 1; stretch > 0; stretch-- {
+		table := uint32(rng.Intn(3) + 1)
+		typ := RecType(rng.Intn(5) + 1)
+		cols := rng.Intn(4)
+		states := make([]uint8, cols)
+		if rng.Intn(3) == 0 {
+			for i := range states {
+				states[i] = uint8(rng.Intn(3))
+			}
+		}
+		pos, state := uint8(rng.Intn(3)), uint8(rng.Intn(4))
+		base := nano()
+		for n := rng.Intn(12) + 1; n > 0; n-- {
+			r := &Record{Type: typ, Table: table, Tuple: tuple()}
+			switch typ {
+			case RecInsert:
+				r.InsertNano = base + rng.Int63n(int64(time.Minute)) - int64(30*time.Second)
+				r.States = append([]uint8(nil), states...)
+				r.StableRow = []value.Value{randValue(rng), randValue(rng)}[:rng.Intn(3)]
+				r.DegVals = make([]value.Value, cols)
+				r.DegLost = make([]bool, cols)
+				for i := range r.DegVals {
+					if r.DegLost[i] = rng.Intn(6) == 0; !r.DegLost[i] {
+						r.DegVals[i] = randValue(rng)
+					}
+				}
+			case RecUpdateStable:
+				r.Col, r.Val = uint16(rng.Intn(1<<16)), randValue(rng)
+			case RecDegrade:
+				r.InsertNano = base + rng.Int63n(int64(time.Minute)) - int64(30*time.Second)
+				r.DegPos, r.NewState = pos, state
+				if r.NewLost = rng.Intn(6) == 0; !r.NewLost {
+					r.NewStored = randValue(rng)
+				}
+			case RecReplMark:
+				r.Table, r.Tuple = 0, 0
+				r.ReplSeg, r.ReplOff = rng.Intn(1<<20), rng.Int63()
+			}
+			recs = append(recs, r)
+		}
+	}
+	return recs
+}
+
+func sameRecord(a, b *Record) error {
+	if a.Type != b.Type || a.Table != b.Table || a.Tuple != b.Tuple {
+		return fmt.Errorf("identity %d/%d/%d vs %d/%d/%d", a.Type, a.Table, a.Tuple, b.Type, b.Table, b.Tuple)
+	}
+	eq := func(x, y value.Value) bool { return bytes.Equal(value.Encode(nil, x), value.Encode(nil, y)) }
+	switch a.Type {
+	case RecInsert:
+		if a.InsertNano != b.InsertNano || !bytes.Equal(a.States, b.States) ||
+			len(a.StableRow) != len(b.StableRow) || len(a.DegVals) != len(b.DegVals) {
+			return fmt.Errorf("insert shape %+v vs %+v", a, b)
+		}
+		for i := range a.StableRow {
+			if !eq(a.StableRow[i], b.StableRow[i]) {
+				return fmt.Errorf("stable column %d: %v vs %v", i, a.StableRow[i], b.StableRow[i])
+			}
+		}
+		for i := range a.DegVals {
+			if a.DegLost[i] != b.DegLost[i] || !eq(a.DegVals[i], b.DegVals[i]) {
+				return fmt.Errorf("degradable %d: %v lost=%v vs %v lost=%v", i, a.DegVals[i], a.DegLost[i], b.DegVals[i], b.DegLost[i])
+			}
+		}
+	case RecUpdateStable:
+		if a.Col != b.Col || !eq(a.Val, b.Val) {
+			return fmt.Errorf("update %d=%v vs %d=%v", a.Col, a.Val, b.Col, b.Val)
+		}
+	case RecDegrade:
+		if a.InsertNano != b.InsertNano || a.DegPos != b.DegPos || a.NewState != b.NewState ||
+			a.NewLost != b.NewLost || !eq(a.NewStored, b.NewStored) {
+			return fmt.Errorf("degrade %+v vs %+v", a, b)
+		}
+	case RecReplMark:
+		if a.ReplSeg != b.ReplSeg || a.ReplOff != b.ReplOff {
+			return fmt.Errorf("mark %d:%d vs %d:%d", a.ReplSeg, a.ReplOff, b.ReplSeg, b.ReplOff)
+		}
+	}
+	return nil
+}
+
+// TestRunRoundtripProperty: whatever batch goes in comes out, record for
+// record and in order, under both codecs; and the encoder is a fixed
+// point of decode (re-encoding what was decoded gives the same bytes).
+func TestRunRoundtripProperty(t *testing.T) {
+	codecs := map[string]Codec{"plain": PlainCodec{}, "shred": openShredCodec(t, time.Hour)}
+	for seed := int64(1); seed <= 300; seed++ {
+		recs := randBatch(rand.New(rand.NewSource(seed)))
+		for name, codec := range codecs {
+			enc, err := EncodeRecords(nil, recs, codec)
+			if err != nil {
+				t.Fatalf("seed %d %s: encode: %v", seed, name, err)
+			}
+			got, err := DecodeRecords(enc, codec)
+			if err != nil {
+				t.Fatalf("seed %d %s: decode: %v", seed, name, err)
+			}
+			if len(got) != len(recs) {
+				t.Fatalf("seed %d %s: %d records in, %d out", seed, name, len(recs), len(got))
+			}
+			for i := range recs {
+				if err := sameRecord(recs[i], got[i]); err != nil {
+					t.Fatalf("seed %d %s: record %d: %v", seed, name, i, err)
+				}
+			}
+			again, err := EncodeRecords(nil, got, codec)
+			if err != nil || !bytes.Equal(again, enc) {
+				t.Fatalf("seed %d %s: re-encoding the decoded batch changed it (err %v)", seed, name, err)
+			}
+		}
+	}
+}
+
+// payloadBytes returns the sealed bytes of every payload of the single
+// degrade run enc holds, by tuple.
+func payloadBytes(t *testing.T, enc []byte, n int) map[storage.TupleID][]byte {
+	t.Helper()
+	rd := &reader{p: enc}
+	rd.byte()    // type
+	rd.uvarint() // table
+	if got := rd.uvarint(); got != uint64(n) {
+		t.Fatalf("run of %d records, want %d", got, n)
+	}
+	tuples := []storage.TupleID{storage.TupleID(rd.uvarint())}
+	for i := 1; i < n; i++ {
+		tuples = append(tuples, tuples[i-1]+storage.TupleID(rd.varint()))
+	}
+	for i := 0; i < n; i++ {
+		rd.varint() // insert time and deltas
+	}
+	rd.varint() // bucket
+	rd.byte()   // column position
+	rd.byte()   // new state
+	if st := rd.byte(); st != statusEnc {
+		t.Fatalf("column status %d, want all encrypted", st)
+	}
+	out := make(map[storage.TupleID][]byte, n)
+	for _, tid := range tuples {
+		out[tid] = rd.bytes(rd.uvarint())
+	}
+	if rd.err != nil || len(rd.p) != 0 {
+		t.Fatalf("walking the run: err %v, %d bytes left", rd.err, len(rd.p))
+	}
+	return out
+}
+
+// TestSealIsCompositionIndependent: the keystream is per (tuple, table,
+// column, state), never per position in a run. The same degrade batch
+// sealed whole, reversed, and split into runs of one gives every tuple
+// the same ciphertext — so a retried commit or a replica re-sealing a
+// shipped batch writes bytes it has written before, and no two payloads
+// ever share a nonce.
+func TestSealIsCompositionIndependent(t *testing.T) {
+	codec := openShredCodec(t, time.Hour)
+	const n = 256
+	batch := make([]*Record, n)
+	for i := range batch {
+		batch[i] = &Record{Type: RecDegrade, Table: 1, Tuple: storage.TupleID(1000 + i),
+			InsertNano: vclock.Epoch.UnixNano() + int64(i), DegPos: 0, NewState: 1,
+			NewStored: value.Int(int64(i % 7))} // few distinct plaintexts: equal ciphertexts would show
+	}
+	whole, err := EncodeRecords(nil, batch, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := payloadBytes(t, whole, n)
+	seen := map[string]storage.TupleID{}
+	for tid, ct := range want {
+		if other, dup := seen[string(ct)]; dup {
+			t.Fatalf("tuples %d and %d share a ciphertext: a keystream was reused", tid, other)
+		}
+		seen[string(ct)] = tid
+	}
+
+	reversed := make([]*Record, n)
+	for i, r := range batch {
+		reversed[n-1-i] = r
+	}
+	enc, err := EncodeRecords(nil, reversed, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tid, ct := range payloadBytes(t, enc, n) {
+		if !bytes.Equal(ct, want[tid]) {
+			t.Fatalf("tuple %d: ciphertext differs when the run is reversed", tid)
+		}
+	}
+	for _, r := range batch {
+		one, err := EncodeRecords(nil, []*Record{r}, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := payloadBytes(t, one, 1)[r.Tuple]; !bytes.Equal(ct, want[r.Tuple]) {
+			t.Fatalf("tuple %d: ciphertext differs in a run of one", r.Tuple)
+		}
+	}
+}
+
+// TestTornTailInsideRun cuts a group flush at every kind of place a
+// 64-record run has — header, delta columns, stable rows, payloads, last
+// byte — and requires the same of each: the acked batch before it
+// replays, nothing of the torn run does, and the log takes appends again.
+func TestTornTailInsideRun(t *testing.T) {
+	run := make([]*Record, 64)
+	for i := range run {
+		run[i] = insertRec(storage.TupleID(100+i), fmt.Sprintf("row-%d", i), value.Int(int64(i)))
+	}
+	payload, err := EncodeRecords(nil, run, PlainCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{1, 3, 40, 200, len(payload) / 2, len(payload) - 10, len(payload) - 1} {
+		t.Run(fmt.Sprintf("cut-%d-of-%d", cut, len(payload)), func(t *testing.T) {
+			fi := &FaultInjector{}
+			l, dir := openFaultLog(t, fi, Options{Sync: true})
+			if _, err := l.GroupAppend(encodeBatch(t, 1)); err != nil {
+				t.Fatal(err)
+			}
+			fi.CrashDuringSync(1, batchHeaderSize+cut)
+			if _, err := l.GroupAppend(payload); !errors.Is(err, ErrInjected) {
+				t.Fatalf("crashed append err = %v, want ErrInjected", err)
+			}
+			l.Close()
+			if got := replayTuples(t, dir); len(got) != 1 || !got[1] {
+				t.Fatalf("replay after a cut inside the run = %v, want exactly {1}", got)
+			}
+			l2, err := Open(dir, Options{Sync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l2.AppendRaw(payload); err != nil {
+				t.Fatalf("append after recovery: %v", err)
+			}
+			l2.Close()
+			if got := replayTuples(t, dir); len(got) != 65 {
+				t.Fatalf("replay after recovery saw %d inserts, want 65", len(got))
+			}
+		})
+	}
+	// A run cut short inside an intact frame (the CRC would have to
+	// collide) is an error, not a silent short replay.
+	if _, err := DecodeRecords(payload[:len(payload)-1], PlainCodec{}); err == nil {
+		t.Fatal("a run missing its last byte decoded")
+	}
+}
+
+// TestVacuumMarksPartOfARunLost: vacuum decodes a 40-record run, marks
+// every third payload lost, and writes the run back with a mixed status
+// column — the marked secrets are off the disk, the others replay, and
+// the lost flags survive a second vacuum that changes nothing.
+func TestVacuumMarksPartOfARunLost(t *testing.T) {
+	l, dir := openTestLog(t, Options{Sync: true})
+	defer l.Close()
+	const n = 40
+	run := make([]*Record, n)
+	for i := range run {
+		run[i] = insertRec(storage.TupleID(i+1), "who", value.Text(fmt.Sprintf("secret-address-%02d", i)))
+	}
+	if err := l.Append(run); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	expired := func(r *Record) bool { return r.Tuple%3 == 0 }
+	if err := l.Vacuum(func(r *Record) {
+		if expired(r) {
+			r.DegVals[0], r.DegLost[0] = value.Null(), true
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		if err := l.Replay(func(r *Record) error {
+			seen++
+			secret := fmt.Sprintf("secret-address-%02d", r.Tuple-1)
+			if expired(r) {
+				if !r.DegLost[0] || !r.DegVals[0].IsNull() {
+					t.Errorf("%s: tuple %d replays %v lost=%v, want lost", stage, r.Tuple, r.DegVals[0], r.DegLost[0])
+				}
+				if bytes.Contains(raw, []byte(secret)) {
+					t.Errorf("%s: %s is still in the segment", stage, secret)
+				}
+			} else if r.DegLost[0] || r.DegVals[0].Text() != secret {
+				t.Errorf("%s: tuple %d replays %v lost=%v, want %s", stage, r.Tuple, r.DegVals[0], r.DegLost[0], secret)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != n {
+			t.Fatalf("%s: replayed %d records, want %d", stage, seen, n)
+		}
+	}
+	check("after vacuum")
+	if err := l.Vacuum(func(*Record) {}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a second, idle vacuum")
+}
+
+// TestOpenRefusesFormat1Log: a segment of per-record batches must not be
+// mistaken for a torn tail and truncated away.
+func TestOpenRefusesFormat1Log(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	// One format 1 frame: the old magic over an old-style record (type,
+	// table u32, tuple u64 — a delete).
+	payload := append([]byte{byte(RecDelete)}, make([]byte, 12)...)
+	frame := binary.LittleEndian.AppendUint32(nil, batchMagicV1)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	seg := filepath.Join(dir, "wal-00000001.log")
+	if err := os.WriteFile(seg, frame, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("Open over a format 1 segment: %v, want ErrFormatVersion", err)
+	}
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, frame) {
+		t.Fatalf("the refused segment was modified (err %v)", err)
+	}
+}
+
+// TestWALSizeBudget pins what a record costs in the log, on the
+// benchmark's row shape (bench/gen.go: an INT key, a name of 11 to 19
+// bytes, a location stored as a node id, an INT salary) loaded the way
+// the benchmark loads it — 500-row insert transactions, degradation
+// batches of 256 — under the codec production uses. Budgets, with the
+// per-record encoding's cost beside them: an insert 56 B (was 94), a
+// degradation 13 B (was 43), a one-row insert commit no more than its
+// old 106 B, and no allocation per sealed payload beyond one per
+// hundred (was three, and a key schedule).
+func TestWALSizeBudget(t *testing.T) {
+	codec := openShredCodec(t, time.Hour)
+	rng := rand.New(rand.NewSource(14))
+	const rows, perTxn, perBatch = 20000, 500, 256
+	now := vclock.Epoch.UnixNano()
+	person := func(id int) *Record {
+		name := "p" + "anderssonxbouganimyz"[:10+rng.Intn(9)]
+		return &Record{Type: RecInsert, Table: 1, Tuple: storage.TupleID(id), InsertNano: now,
+			States:    []uint8{0, 0},
+			StableRow: []value.Value{value.Int(int64(id)), value.Text(name), value.Null(), value.Null()},
+			DegVals:   []value.Value{value.Int(498073600 + rng.Int63n(4096)), value.Int(100 + rng.Int63n(9000))}}
+	}
+	l, err := Open(filepath.Join(t.TempDir(), "wal"), Options{Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	var inserts []*Record
+	for id := 1; id <= rows; id++ {
+		inserts = append(inserts, person(id))
+	}
+	for at := 0; at < rows; at += perTxn {
+		if err := l.Append(inserts[at : at+perTxn]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insertBytes := l.SizeBytes()
+	perInsert := float64(insertBytes) / rows
+	t.Logf("insert record: %.1f B in %d-row transactions (budget 56)", perInsert, perTxn)
+	if perInsert > 56 {
+		t.Errorf("an insert record costs %.1f B, budget 56", perInsert)
+	}
+
+	// One wave: every location one level up, in the degrader's batches.
+	var wave []*Record
+	for _, r := range inserts {
+		wave = append(wave, &Record{Type: RecDegrade, Table: 1, Tuple: r.Tuple, InsertNano: r.InsertNano,
+			DegPos: 0, NewState: 1, NewStored: value.Int(498070000 + rng.Int63n(64))})
+	}
+	for at := 0; at < rows; at += perBatch {
+		if err := l.Append(wave[at:min(at+perBatch, rows)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perDegrade := float64(l.SizeBytes()-insertBytes) / rows
+	t.Logf("degrade record: %.1f B in batches of %d (budget 13)", perDegrade, perBatch)
+	if perDegrade > 13 {
+		t.Errorf("a degrade record costs %.1f B, budget 13", perDegrade)
+	}
+
+	one, err := EncodeRecords(nil, inserts[:1], codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one-row insert commit: %d B (budget 106)", batchHeaderSize+len(one))
+	if commit := batchHeaderSize + len(one); commit > 106 {
+		t.Errorf("a one-row insert commit costs %d B, budget 106", commit)
+	}
+
+	// Allocations: a warm encode of one degrade batch into a reused
+	// buffer, per sealed payload.
+	buf := make([]byte, 0, 1<<14)
+	allocs := testing.AllocsPerRun(50, func() {
+		if buf, err = EncodeRecords(buf[:0], wave[:perBatch], codec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("sealing: %.4f allocations per payload (budget 0.01)", allocs/perBatch)
+	if allocs/perBatch > 0.01 {
+		t.Errorf("%.0f allocations to seal %d payloads, budget one per hundred", allocs, perBatch)
+	}
+}

@@ -66,36 +66,55 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestShredCodecBadFraming(t *testing.T) {
+// TestPayloadColumnBadFraming: a payload column with an unknown status
+// byte, a status-3 entry inside a mixed bitmap, or ciphertext in a plain
+// log is refused; plain payloads pass through a shred codec (archives
+// sealed plain, vacuumed logs).
+func TestPayloadColumnBadFraming(t *testing.T) {
 	ks, err := OpenKeyStore(filepath.Join(t.TempDir(), "keys.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ks.Close()
-	c := NewShredCodec(ks, time.Hour)
-	if _, _, err := c.Open(1, 0, 0, 0, 1, nil); err == nil {
-		t.Error("empty sealed payload accepted")
+	shred := NewShredCodec(ks, time.Hour)
+	deg := []*Record{
+		{Type: RecDegrade, Table: 1, Tuple: 7, DegPos: 0, NewState: 1, NewStored: value.Text("hi")},
+		{Type: RecDegrade, Table: 1, Tuple: 8, DegPos: 0, NewState: 1, NewStored: value.Text("ho"), NewLost: true},
 	}
-	if _, _, err := c.Open(1, 0, 0, 0, 1, []byte{0x7F, 1, 2}); err == nil {
-		t.Error("bad frame byte accepted")
+	plainEnc, err := EncodeRecords(nil, deg[:1], PlainCodec{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := c.Open(1, 0, 0, 0, 1, []byte{frmEnc, 1, 2}); err == nil {
-		t.Error("short encrypted payload accepted")
+	// The column's status byte follows the header: type, table, count,
+	// tuple, insert time, bucket, position, state.
+	const statusAt = 8
+	if plainEnc[statusAt] != statusPlain {
+		t.Fatalf("status byte %d at offset %d, want plain", plainEnc[statusAt], statusAt)
 	}
-	// Plain framing passes through a shred codec (vacuumed payloads).
-	plain, ok, err := c.Open(1, 0, 0, 0, 1, append([]byte{frmPlain}, 'h', 'i'))
-	if err != nil || !ok || string(plain) != "hi" {
-		t.Errorf("plain passthrough: %q %v %v", plain, ok, err)
+	recs, err := DecodeRecords(plainEnc, shred)
+	if err != nil || recs[0].NewLost || recs[0].NewStored.Text() != "hi" {
+		t.Fatalf("plain passthrough under a shred codec: %+v %v", recs, err)
 	}
-}
-
-func TestPlainCodecBadFraming(t *testing.T) {
-	var c PlainCodec
-	if _, _, err := c.Open(0, 0, 0, 0, 0, nil); err == nil {
-		t.Error("empty payload accepted")
+	bad := append([]byte(nil), plainEnc...)
+	bad[statusAt] = 0x7F
+	if _, err := DecodeRecords(bad, shred); err == nil {
+		t.Error("unknown column status accepted")
 	}
-	if _, _, err := c.Open(0, 0, 0, 0, 0, []byte{frmEnc, 1}); err == nil {
+	bad[statusAt] = statusEnc
+	if _, err := DecodeRecords(bad, PlainCodec{}); err == nil {
 		t.Error("encrypted payload accepted by plain codec")
+	}
+	mixed, err := EncodeRecords(nil, deg, PlainCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := statusAt + 2 // one more tuple delta, one more time delta
+	if mixed[at] != statusMixed || mixed[at+1] != statusPlain|statusLost<<2 {
+		t.Fatalf("mixed column header % x", mixed[at:at+2])
+	}
+	mixed[at+1] |= 3
+	if _, err := DecodeRecords(mixed, PlainCodec{}); err == nil {
+		t.Error("status 3 inside a mixed bitmap accepted")
 	}
 }
 
@@ -119,11 +138,11 @@ func TestNegativeInsertNanoBuckets(t *testing.T) {
 	defer ks.Close()
 	c := NewShredCodec(ks, time.Hour)
 	plain := []byte("pre-epoch")
-	sealed, err := c.Seal(1, 0, 0, -1, 7, plain)
+	sealed, err := sealOne(c, 1, 0, 0, -1, 7, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := c.Open(1, 0, 0, -1, 7, sealed)
+	got, ok, err := openOne(c, 1, 0, 0, -1, 7, sealed)
 	if err != nil || !ok || !bytes.Equal(got, plain) {
 		t.Fatalf("pre-epoch roundtrip: %q %v %v", got, ok, err)
 	}

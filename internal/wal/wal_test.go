@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,6 +26,31 @@ func insertRec(tuple storage.TupleID, name string, deg value.Value) *Record {
 	}
 }
 
+// sealOne seals one payload the way a run column does: the key of the
+// insert time's bucket, the keystream of (tuple, table, col, state).
+func sealOne(c Codec, table uint32, col, state uint8, nano int64, tuple storage.TupleID, plain []byte) ([]byte, error) {
+	block, err := c.SealKey(table, col, state, c.Bucket(nano))
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), plain...)
+	if block != nil {
+		new(keystream).xor(block, out, tuple, table, col, state)
+	}
+	return out, nil
+}
+
+// openOne is sealOne's inverse; ok is false when the key is gone.
+func openOne(c Codec, table uint32, col, state uint8, nano int64, tuple storage.TupleID, sealed []byte) ([]byte, bool, error) {
+	block, err := c.OpenKey(table, col, state, c.Bucket(nano))
+	if err != nil || block == nil {
+		return nil, false, err
+	}
+	out := append([]byte(nil), sealed...)
+	new(keystream).xor(block, out, tuple, table, col, state)
+	return out, true, nil
+}
+
 func TestRecordRoundtripAllTypes(t *testing.T) {
 	codec := PlainCodec{}
 	recs := []*Record{
@@ -33,18 +59,19 @@ func TestRecordRoundtripAllTypes(t *testing.T) {
 		{Type: RecUpdateStable, Table: 1, Tuple: 7, Col: 1, Val: value.Text("bob")},
 		{Type: RecDegrade, Table: 1, Tuple: 7, InsertNano: 123456, DegPos: 0, NewState: 2, NewStored: value.Int(17)},
 	}
-	for _, r := range recs {
-		enc, err := encodeRecord(nil, r, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, rest, err := decodeRecord(enc, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("type %d: %d trailing bytes", r.Type, len(rest))
-		}
+	enc, err := EncodeRecords(nil, recs, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeRecords(enc, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(dec), len(recs))
+	}
+	for i, r := range recs {
+		got := dec[i]
 		if got.Type != r.Type || got.Table != r.Table || got.Tuple != r.Tuple {
 			t.Fatalf("header mismatch: %+v vs %+v", got, r)
 		}
@@ -69,15 +96,14 @@ func TestRecordRoundtripAllTypes(t *testing.T) {
 
 func TestRecordDecodeErrors(t *testing.T) {
 	codec := PlainCodec{}
-	if _, _, err := decodeRecord(nil, codec); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, _, err := decodeRecord(make([]byte, 13), codec); err == nil {
+	if _, err := DecodeRecords(make([]byte, 13), codec); err == nil {
 		t.Error("unknown type should fail")
 	}
-	enc, _ := encodeRecord(nil, insertRec(1, "x", value.Int(1)), codec)
-	if _, _, err := decodeRecord(enc[:len(enc)-3], codec); err == nil {
-		t.Error("truncated record should fail")
+	enc, _ := EncodeRecords(nil, []*Record{insertRec(1, "x", value.Int(1))}, codec)
+	for cut := 1; cut < len(enc); cut++ {
+		if _, err := DecodeRecords(enc[:cut], codec); err == nil {
+			t.Errorf("run truncated to %d of %d bytes should fail", cut, len(enc))
+		}
 	}
 }
 
@@ -237,13 +263,18 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := keyID{table: 1, col: 0, state: 0, bucket: 42}
-	k1, ok, err := ks.keyFor(id, true)
-	if err != nil || !ok {
-		t.Fatalf("create key: %v %v", ok, err)
+	// fingerprint tells keys apart by what they make of a zero block.
+	fingerprint := func(b cipher.Block) (out [16]byte) {
+		b.Encrypt(out[:], make([]byte, 16))
+		return out
 	}
-	k2, ok, _ := ks.keyFor(id, false)
-	if !ok || k1 != k2 {
-		t.Fatal("key lookup mismatch")
+	k1, err := ks.cipherFor(id, true)
+	if err != nil || k1 == nil {
+		t.Fatalf("create key: %v %v", k1, err)
+	}
+	k2, _ := ks.cipherFor(id, false)
+	if k2 != k1 {
+		t.Fatal("second lookup did not reuse the key's expanded cipher")
 	}
 	if ks.LiveKeys() != 1 {
 		t.Fatalf("LiveKeys=%d", ks.LiveKeys())
@@ -255,8 +286,8 @@ func TestKeyStoreRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ks2.Close()
-	k3, ok, _ := ks2.keyFor(id, false)
-	if !ok || k3 != k1 {
+	k3, _ := ks2.cipherFor(id, false)
+	if k3 == nil || fingerprint(k3) != fingerprint(k1) {
 		t.Fatal("key lost across reopen")
 	}
 }
@@ -271,10 +302,10 @@ func TestKeyStoreShred(t *testing.T) {
 	w := time.Hour
 	// Bucket 10 covers [10h, 11h).
 	id := keyID{table: 1, col: 0, state: 0, bucket: 10}
-	key, _, err := ks.keyFor(id, true)
-	if err != nil {
+	if _, err := ks.cipherFor(id, true); err != nil {
 		t.Fatal(err)
 	}
+	key := ks.entries[id].key
 	// Cutoff before bucket end: nothing shredded.
 	n, err := ks.Shred(1, 0, 0, time.Unix(0, 0).Add(10*time.Hour+30*time.Minute), w)
 	if err != nil || n != 0 {
@@ -285,7 +316,7 @@ func TestKeyStoreShred(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("shred: n=%d err=%v", n, err)
 	}
-	if _, ok, _ := ks.keyFor(id, false); ok {
+	if block, _ := ks.cipherFor(id, false); block != nil {
 		t.Fatal("shredded key still live")
 	}
 	// The raw key bytes are zeroed on disk.
@@ -303,7 +334,7 @@ func TestKeyStoreShred(t *testing.T) {
 	}
 	// Other scopes untouched.
 	other := keyID{table: 1, col: 1, state: 0, bucket: 10}
-	ks.keyFor(other, true)
+	ks.cipherFor(other, true)
 	n, _ = ks.Shred(1, 0, 0, time.Unix(0, 0).Add(24*time.Hour), w)
 	if n != 0 {
 		t.Fatal("shred crossed column scope")
@@ -321,14 +352,14 @@ func TestShredCodecSealOpen(t *testing.T) {
 	defer ks.Close()
 	c := NewShredCodec(ks, time.Hour)
 	plain := []byte("the accurate location")
-	sealed, err := c.Seal(1, 0, 0, vclock.Epoch.UnixNano(), 7, plain)
+	sealed, err := sealOne(c, 1, 0, 0, vclock.Epoch.UnixNano(), 7, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(sealed, plain) {
 		t.Fatal("sealed payload contains plaintext")
 	}
-	got, ok, err := c.Open(1, 0, 0, vclock.Epoch.UnixNano(), 7, sealed)
+	got, ok, err := openOne(c, 1, 0, 0, vclock.Epoch.UnixNano(), 7, sealed)
 	if err != nil || !ok || !bytes.Equal(got, plain) {
 		t.Fatalf("open: %q %v %v", got, ok, err)
 	}
@@ -337,12 +368,12 @@ func TestShredCodecSealOpen(t *testing.T) {
 	if n, err := ks.Shred(1, 0, 0, cutoff, time.Hour); err != nil || n != 1 {
 		t.Fatalf("shred n=%d err=%v", n, err)
 	}
-	_, ok, err = c.Open(1, 0, 0, vclock.Epoch.UnixNano(), 7, sealed)
+	_, ok, err = openOne(c, 1, 0, 0, vclock.Epoch.UnixNano(), 7, sealed)
 	if err != nil || ok {
 		t.Fatalf("shredded payload opened: ok=%v err=%v", ok, err)
 	}
 	// Sealing new data under the dead epoch is refused.
-	if _, err := c.Seal(1, 0, 0, vclock.Epoch.UnixNano(), 8, plain); err == nil {
+	if _, err := sealOne(c, 1, 0, 0, vclock.Epoch.UnixNano(), 8, plain); err == nil {
 		t.Fatal("seal under shredded key must fail")
 	}
 }
@@ -503,14 +534,15 @@ func TestQuickRecordRoundtrip(t *testing.T) {
 		for _, codec := range codecs {
 			r := insertRec(storage.TupleID(tuple), name, value.Int(deg))
 			r.InsertNano = nano % (1 << 40) // keep buckets sane
-			enc, err := encodeRecord(nil, r, codec)
+			enc, err := EncodeRecords(nil, []*Record{r}, codec)
 			if err != nil {
 				return false
 			}
-			got, rest, err := decodeRecord(enc, codec)
-			if err != nil || len(rest) != 0 {
+			dec, err := DecodeRecords(enc, codec)
+			if err != nil || len(dec) != 1 {
 				return false
 			}
+			got := dec[0]
 			if got.Tuple != r.Tuple || !value.Equal(got.DegVals[0], value.Int(deg)) {
 				return false
 			}
