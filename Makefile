@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke budgets bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load shard-smoke metrics-smoke trace-smoke load-smoke groupcommit-smoke serve clean
+.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke budgets bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load metrics-smoke trace-smoke load-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -78,19 +78,6 @@ bench-shard:
 # sessions, per-batch fsync vs group commit.
 bench-groupcommit:
 	$(GO) run ./cmd/benchrunner -exp GROUPCOMMIT -n 4000 -rounds 3 -benchjson BENCH_PR8.json
-
-# groupcommit-smoke runs the group-commit and crash-injection suites
-# under the race detector: fsync amortization, durability across
-# injected power cuts, and byte-stability of the WAL stream.
-groupcommit-smoke:
-	$(GO) test -race -v -run 'TestGroupCommit|TestGroupAppend|TestCrash|TestEngineCrash|TestKillDrops|TestNoGroupCommit|TestReplicationGroupCommit|TestIncrementalByteStable' ./internal/wal ./internal/engine ./internal/repl ./internal/backup
-
-# shard-smoke is the sharding E2E under the race detector: router
-# routing and scatter-gather, the partitioned-shard deadline guarantee
-# with its forensic sweep, and the online split with a concurrent
-# writer.
-shard-smoke:
-	$(GO) test -race -v -run 'TestPartitionedShardEnforcesDeadlines|TestOnlineShardBootstrap|TestRouterSingleKeyRouting|TestRouterScatterGather|TestRouterStaleVersionFailsLoud' ./internal/shard
 
 # metrics-smoke boots a database with a live degradation workload,
 # scrapes /metrics and /healthz over HTTP and the Stats opcode over

@@ -82,6 +82,7 @@ type Table struct {
 	Layout StorageLayout
 
 	degradable []int // column indexes of degradable columns, in order
+	names      []string
 	byName     map[string]int
 	tupleLCP   *lcp.TupleLCP
 }
@@ -93,6 +94,10 @@ func (t *Table) ColumnIndex(name string) (int, error) {
 	}
 	return 0, fmt.Errorf("%w: column %s.%s", ErrNotFound, t.Name, name)
 }
+
+// ColumnNames returns the column names in declaration order. The
+// returned slice must not be modified.
+func (t *Table) ColumnNames() []string { return t.names }
 
 // DegradableColumns returns the indexes of the degradable columns in
 // declaration order. The returned slice must not be modified.
@@ -272,6 +277,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, primaryKey int, layout
 			return nil, fmt.Errorf("%w: duplicate column %s.%s", ErrInvalid, name, col.Name)
 		}
 		t.byName[col.Name] = i
+		t.names = append(t.names, col.Name)
 		if !col.Degradable {
 			if col.Domain != nil || col.Policy != nil {
 				return nil, fmt.Errorf("%w: stable column %s.%s carries a domain/policy", ErrInvalid, name, col.Name)

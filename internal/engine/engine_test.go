@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,6 +350,63 @@ func TestExplicitTransactionVisibilityAndRollback(t *testing.T) {
 	res = db.MustExec(`SELECT COUNT(*) AS n FROM person`)
 	if res.Rows.Data[0][0].Int() != 1 {
 		t.Fatal("commit lost insert")
+	}
+}
+
+// TestLockedReadSeesOverlay: inside a read-write transaction the one
+// σ loop reads through the locked source, so the transaction's own
+// insert, delete and update are visible on the scan path, on the indexed
+// path (no index lists an uncommitted write) and to writes that qualify
+// rows the same way — and to nobody else before COMMIT.
+func TestLockedReadSeesOverlay(t *testing.T) {
+	db, _ := openSim(t)
+	installSchema(t, db)
+	insertPeople(t, db)
+	db.MustExec(`CREATE INDEX ix_name ON person (name) USING BTREE`)
+	conn := db.NewConn()
+	mustExec := func(sql string) *Result {
+		t.Helper()
+		res, err := conn.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	names := func(sql string) string {
+		t.Helper()
+		return strings.Join(textsOf(mustExec(sql).Rows, 0), ",")
+	}
+	mustExec(`BEGIN`)
+	mustExec(`INSERT INTO person (id, name, location, salary) VALUES (9, 'tx', 'Dam 1', 100)`)
+	mustExec(`DELETE FROM person WHERE id = 1`)
+	mustExec(`UPDATE person SET name = 'van heerde' WHERE name = 'heerde'`)
+
+	if got := names(`SELECT name FROM person ORDER BY name`); got != "apers,bouganim,pucheral,tx,van heerde" {
+		t.Fatalf("scan inside the transaction = %s", got)
+	}
+	if got := mustExec(`SELECT COUNT(*), MAX(id) FROM person`).Rows.Data[0]; got[0].Int() != 5 || got[1].Int() != 9 {
+		t.Fatalf("aggregate inside the transaction = %v", got)
+	}
+	for where, want := range map[string]string{
+		`name = 'tx'`:                        "tx",         // own insert: in no index
+		`name = 'van heerde'`:                "van heerde", // own update: the index still says heerde
+		`name = 'heerde'`:                    "",           // ... and the stale entry no longer matches
+		`name = 'anciaux'`:                   "",           // own delete
+		`name IN ('apers', 'tx', 'anciaux')`: "apers,tx",   // a stored row beside an own one
+	} {
+		if got := names(`SELECT name FROM person WHERE ` + where + ` ORDER BY name`); got != want {
+			t.Fatalf("indexed read WHERE %s inside the transaction = %q, want %q", where, got, want)
+		}
+	}
+	if res := mustExec(`UPDATE person SET name = 'tx2' WHERE name = 'tx'`); res.RowsAffected != 1 {
+		t.Fatalf("update of own insert affected %d rows", res.RowsAffected)
+	}
+	if got := textsOf(db.MustExec(`SELECT name FROM person ORDER BY name`).Rows, 0); strings.Join(got, ",") != "anciaux,apers,bouganim,heerde,pucheral" {
+		t.Fatalf("uncommitted writes visible outside: %v", got)
+	}
+	mustExec(`COMMIT`)
+	if got := textsOf(db.MustExec(`SELECT name FROM person ORDER BY name`).Rows, 0); strings.Join(got, ",") != "apers,bouganim,pucheral,tx2,van heerde" {
+		t.Fatalf("after commit: %v", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"instantdb/internal/index"
 	"instantdb/internal/query"
 	"instantdb/internal/storage"
+	"instantdb/internal/trace"
 	"instantdb/internal/txn"
 	"instantdb/internal/value"
 )
@@ -127,158 +128,210 @@ func (c *Conn) renderTuple(tbl *catalog.Table, levels []int, t *storage.Tuple) (
 	return row, true, nil
 }
 
-// collectMatching returns the tuples qualifying under the purpose and
-// predicate, each locked with lockMode on behalf of the open
-// transaction. It consults indexes for candidate pruning and merges the
-// transaction overlay.
-func (c *Conn) collectMatching(tbl *catalog.Table, where query.Expr, purpose *catalog.Purpose, lockMode txn.LockMode) ([]storage.Tuple, error) {
-	referenced := make(map[string]bool)
-	if where != nil {
-		query.ColumnsOf(where, referenced)
-	}
-	// Writes must qualify tuples like reads do; unreferenced degradable
-	// columns do not constrain qualification.
-	levels, err := resolveLevels(tbl, purpose, referenced)
+// tupleSource is where one read regime finds tuple images. σP,k itself
+// (qualify) is the same over every source; what differs is which image
+// of a tuple is read and what it takes to trust it.
+type tupleSource interface {
+	// get fetches one tuple; storage.ErrNoTuple means it is not there for
+	// this reader (deleted, or not yet visible) and is skipped.
+	get(storage.TupleID) (storage.Tuple, error)
+	// scan visits every tuple until visit returns false.
+	scan(visit func(storage.Tuple) bool) error
+	// own lists tuples no index knows about (the transaction's
+	// uncommitted writes); an indexed read visits them as well.
+	own() []storage.TupleID
+	// stableIndexOK gates the stable-column indexes (see planCandidates).
+	stableIndexOK() bool
+	// lock is the admit step of a tuple that passed σ: it takes whatever
+	// lock the regime holds rows under and reports whether it took one.
+	// If so the tuple is fetched again and re-verified, and unlock gives
+	// the lock back when it no longer passes.
+	lock(storage.TupleID) (bool, error)
+	unlock(storage.TupleID)
+}
+
+// snapshotSource reads the tuple images visible at epoch snap with no
+// locks and no overlay (its callers are autocommit SELECTs and read-only
+// transactions, which have no write set). Degradable columns always
+// render from their *current* accuracy state: a snapshot straddling an
+// LCP deadline observes the degraded value, because expired states are
+// scrubbed at their transition tick regardless of open snapshots (the
+// documented deviation from classic snapshot isolation — see DESIGN.md).
+type snapshotSource struct {
+	ts   *storage.TableStore
+	snap uint64
+}
+
+func (s snapshotSource) get(tid storage.TupleID) (storage.Tuple, error) {
+	return s.ts.SnapshotGet(tid, s.snap)
+}
+
+// SnapshotScan calls back without holding the table latch, so σ runs
+// inside the callback and only matching views are kept.
+func (s snapshotSource) scan(visit func(storage.Tuple) bool) error {
+	return s.ts.SnapshotScan(s.snap, visit)
+}
+
+func (snapshotSource) own() []storage.TupleID { return nil }
+
+// Secondary indexes reflect only current tuple images, so while any
+// tuple image superseded *after* the snapshot is retained, a
+// stable-column index could miss a row whose matching value was
+// overwritten post-snapshot — those reads fall back to a (still
+// lock-free) scan.
+func (s snapshotSource) stableIndexOK() bool { return !s.ts.HasVisibleHistory(s.snap) }
+
+func (snapshotSource) lock(storage.TupleID) (bool, error) { return false, nil }
+func (snapshotSource) unlock(storage.TupleID)             {}
+
+// lockedSource reads current tuple images plus the open transaction's
+// overlay, under strict 2PL. The engine is strictly no-steal, so storage
+// only ever holds committed data and candidate gathering needs no row
+// locks; a tuple that passes σ is then locked (S for reads, X for
+// writes) and re-verified — it may have degraded between the unlocked
+// read and the lock grant — which pins it against the degrader for the
+// rest of the transaction.
+type lockedSource struct {
+	c    *Conn
+	tbl  uint32
+	ts   *storage.TableStore
+	mode txn.LockMode
+	ov   *tableOverlay     // never nil; empty when the transaction has not written the table
+	mine []storage.TupleID // ov.tuples' ids, ascending
+}
+
+// openLocked takes the table's intention lock and opens the locked source.
+func (c *Conn) openLocked(tbl *catalog.Table, mode txn.LockMode) (*lockedSource, error) {
+	lsp := c.tr.Span(c.tsp, "lock_wait")
+	err := c.db.locks.Acquire(c.tx.id, txn.TableRes(tbl.ID), intentionFor(mode))
+	lsp.End()
 	if err != nil {
 		return nil, err
 	}
-	rows, _, err := c.qualify(tbl, where, levels, nil, lockMode)
-	return rows, err
+	s := &lockedSource{c: c, tbl: tbl.ID, ts: c.db.mgr.Table(tbl), mode: mode, ov: c.tx.overlays[tbl.ID]}
+	if s.ov == nil {
+		s.ov = &tableOverlay{}
+	}
+	for tid := range s.ov.tuples {
+		s.mine = append(s.mine, tid)
+	}
+	sort.Slice(s.mine, func(i, j int) bool { return s.mine[i] < s.mine[j] })
+	return s, nil
 }
 
-// qualify is the shared σP,k pipeline: candidate generation (index or
-// scan), overlay merge, state qualification, fk rendering, predicate
-// check, then lock-and-recheck. The engine is strictly no-steal, so
-// storage only ever holds committed data and candidate gathering needs
-// no locks; matched rows are then locked (S for reads, X for writes) and
-// re-verified, which pins them against the degrader for the rest of the
-// transaction. Rows that fail re-verification release their lock — they
-// were never used.
-func (c *Conn) qualify(tbl *catalog.Table, where query.Expr, levels []int,
-	_ map[string]bool, lockMode txn.LockMode) ([]storage.Tuple, [][]value.Value, error) {
-
-	ts := c.db.mgr.Table(tbl)
-	lockID := c.tx.id
-	lsp := c.tr.Span(c.tsp, "lock_wait")
-	err := c.db.locks.Acquire(lockID, txn.TableRes(tbl.ID), intentionFor(lockMode))
-	lsp.End()
-	if err != nil {
-		return nil, nil, err
+func (s *lockedSource) get(tid storage.TupleID) (storage.Tuple, error) {
+	if t, ok := s.ov.tuples[tid]; ok {
+		return *t, nil
 	}
-
-	candidates, indexed, err := c.planCandidates(tbl, ts, where, levels, false, 0)
-	if err != nil {
-		return nil, nil, err
+	if s.ov.deleted[tid] {
+		return storage.Tuple{}, storage.ErrNoTuple
 	}
+	return s.ts.Get(tid)
+}
 
-	var ov *tableOverlay
-	if o, ok := c.tx.overlays[tbl.ID]; ok {
-		ov = o
-	}
-
-	// Provisional tuples, unlocked.
+// scan visits the stored tuples the transaction has not touched, then
+// its own. Scan holds the table latch while it calls back and visit
+// waits on row locks, so the images are buffered first.
+func (s *lockedSource) scan(visit func(storage.Tuple) bool) error {
 	var raw []storage.Tuple
-	if indexed {
-		seen := make(map[storage.TupleID]bool, len(candidates))
-		for _, tid := range candidates {
-			if seen[tid] || (ov != nil && ov.deleted[tid]) {
-				continue
-			}
-			seen[tid] = true
-			if ov != nil {
-				if t, ok := ov.tuples[tid]; ok {
-					raw = append(raw, *t)
-					continue
-				}
-			}
-			t, err := ts.Get(tid)
-			if err != nil {
-				continue // degraded or deleted between index read and fetch
-			}
+	err := s.ts.Scan(func(t storage.Tuple) bool {
+		if !s.ov.deleted[t.ID] && s.ov.tuples[t.ID] == nil {
 			raw = append(raw, t)
 		}
-	} else {
-		err := ts.Scan(func(t storage.Tuple) bool {
-			if ov != nil && ov.deleted[t.ID] {
-				return true
-			}
-			if ov != nil {
-				if newer, ok := ov.tuples[t.ID]; ok {
-					raw = append(raw, *newer)
-					return true
-				}
-			}
-			raw = append(raw, t)
-			return true
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
-	// Overlay-only tuples (inserted by this transaction).
-	if ov != nil {
-		have := make(map[storage.TupleID]bool, len(raw))
-		for i := range raw {
-			have[raw[i].ID] = true
-		}
-		ids := make([]storage.TupleID, 0, len(ov.tuples))
-		for tid := range ov.tuples {
-			ids = append(ids, tid)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, tid := range ids {
-			if !have[tid] {
-				raw = append(raw, *ov.tuples[tid])
-			}
-		}
+	for _, tid := range s.mine {
+		raw = append(raw, *s.ov.tuples[tid])
 	}
-
-	evalOne := func(t *storage.Tuple) ([]value.Value, bool, error) {
-		return c.evalTuple(tbl, levels, where, t)
-	}
-
-	var matched []storage.Tuple
-	var views [][]value.Value
 	for i := range raw {
-		t := &raw[i]
-		view, ok, err := evalOne(t)
-		if err != nil {
-			return nil, nil, err
+		if !visit(raw[i]) {
+			break
 		}
-		if !ok {
+	}
+	return nil
+}
+
+func (s *lockedSource) own() []storage.TupleID { return s.mine }
+func (s *lockedSource) stableIndexOK() bool    { return true }
+
+func (s *lockedSource) lock(tid storage.TupleID) (bool, error) {
+	if s.ov.tuples[tid] != nil {
+		return false, nil // our own write: nobody else can see it, let alone degrade it
+	}
+	return true, s.c.db.locks.Acquire(s.c.tx.id, txn.RowRes(s.tbl, tid), s.mode)
+}
+
+func (s *lockedSource) unlock(tid storage.TupleID) {
+	s.c.db.locks.Release(s.c.tx.id, txn.RowRes(s.tbl, tid))
+}
+
+// qualify is σP,k over one tuple source: candidate generation (index or
+// scan), dedupe, fetch, state qualification, fk rendering and the
+// predicate (evalTuple), then lock-and-recheck where the source holds
+// rows under locks. Every qualifying tuple goes to emit with its
+// purpose-level view.
+func (c *Conn) qualify(tbl *catalog.Table, where query.Expr, levels []int, src tupleSource,
+	emit func(t *storage.Tuple, view []value.Value) error) error {
+
+	var visitErr error
+	visit := func(t storage.Tuple) bool {
+		view, ok, err := c.evalTuple(tbl, levels, where, &t)
+		if err == nil && ok {
+			tid := t.ID
+			var locked bool
+			if locked, err = src.lock(tid); locked && err == nil {
+				if t, err = src.get(tid); err == nil {
+					view, ok, err = c.evalTuple(tbl, levels, where, &t)
+				} else if errors.Is(err, storage.ErrNoTuple) {
+					ok, err = false, nil
+				}
+				if !ok && err == nil {
+					src.unlock(tid) // never used
+				}
+			}
+		}
+		if err == nil && ok {
+			err = emit(&t, view)
+		}
+		visitErr = err
+		return err == nil
+	}
+
+	candidates, indexed, err := c.planCandidates(tbl, where, levels, src)
+	if err != nil {
+		return err
+	}
+	if !indexed {
+		if err := src.scan(visit); err != nil {
+			return err
+		}
+		return visitErr
+	}
+	seen := make(map[storage.TupleID]bool, len(candidates))
+	for _, tid := range append(candidates, src.own()...) {
+		if seen[tid] {
 			continue
 		}
-		own := ov != nil && ov.tuples[t.ID] != nil
-		if !own {
-			// Lock, refetch, re-verify: the tuple may have degraded
-			// between the unlocked read and the lock grant.
-			res := txn.RowRes(tbl.ID, t.ID)
-			if err := c.db.locks.Acquire(lockID, res, lockMode); err != nil {
-				return nil, nil, err
-			}
-			fresh, err := ts.Get(t.ID)
-			if err != nil {
-				c.db.locks.Release(lockID, res)
-				continue
-			}
-			view, ok, err = evalOne(&fresh)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				c.db.locks.Release(lockID, res)
-				continue
-			}
-			*t = fresh
+		seen[tid] = true
+		t, err := src.get(tid)
+		if errors.Is(err, storage.ErrNoTuple) {
+			continue // degraded away, deleted, or not visible to this reader
 		}
-		matched = append(matched, *t)
-		views = append(views, view)
+		if err != nil {
+			return err // page I/O or record corruption: surface, don't drop rows
+		}
+		if !visit(t) {
+			break
+		}
 	}
-	return matched, views, nil
+	return visitErr
 }
 
-// evalTuple is the shared σP,k evaluation of one tuple: fk rendering
-// under the demanded levels, then the predicate on the rendered view.
+// evalTuple is the σP,k evaluation of one tuple: fk rendering under the
+// demanded levels, then the predicate on the rendered view.
 func (c *Conn) evalTuple(tbl *catalog.Table, levels []int, where query.Expr, t *storage.Tuple) ([]value.Value, bool, error) {
 	view, ok, err := c.renderTuple(tbl, levels, t)
 	if err != nil || !ok {
@@ -291,70 +344,6 @@ func (c *Conn) evalTuple(tbl *catalog.Table, levels []int, where query.Expr, t *
 		}
 	}
 	return view, true, nil
-}
-
-// qualifySnapshot is the lock-free σP,k pipeline of the snapshot read
-// path: candidate generation against snapshot-visible tuple images,
-// rendering, predicate check — no table or row locks, no overlay (the
-// callers are autocommit SELECTs and read-only transactions, which have
-// no write set). Degradable columns always render from their *current*
-// accuracy state: a snapshot straddling an LCP deadline observes the
-// degraded value, because expired states are scrubbed at their
-// transition tick regardless of open snapshots (the documented
-// deviation from classic snapshot isolation — see DESIGN.md).
-func (c *Conn) qualifySnapshot(tbl *catalog.Table, where query.Expr, levels []int, snap uint64) ([][]value.Value, error) {
-	ts := c.db.mgr.Table(tbl)
-	candidates, indexed, err := c.planCandidates(tbl, ts, where, levels, true, snap)
-	if err != nil {
-		return nil, err
-	}
-	var views [][]value.Value
-	if indexed {
-		seen := make(map[storage.TupleID]bool, len(candidates))
-		for _, tid := range candidates {
-			if seen[tid] {
-				continue
-			}
-			seen[tid] = true
-			t, err := ts.SnapshotGet(tid, snap)
-			if errors.Is(err, storage.ErrNoTuple) {
-				continue // deleted, or not yet visible at this snapshot
-			}
-			if err != nil {
-				return nil, err // page I/O or record corruption: surface, don't drop rows
-			}
-			view, ok, err := c.evalTuple(tbl, levels, where, &t)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				views = append(views, view)
-			}
-		}
-		return views, nil
-	}
-	// Full scan: evaluate inside the callback — SnapshotScan invokes it
-	// without holding the table lock, so only matching views are kept
-	// instead of buffering every visible tuple first.
-	var evalErr error
-	err = ts.SnapshotScan(snap, func(t storage.Tuple) bool {
-		view, ok, err := c.evalTuple(tbl, levels, where, &t)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			views = append(views, view)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return views, nil
 }
 
 func intentionFor(m txn.LockMode) txn.LockMode {
@@ -376,22 +365,18 @@ func columnGetter(tbl *catalog.Table, view []value.Value) query.ColGetter {
 
 // planCandidates inspects the WHERE conjuncts for one index-servable
 // predicate and returns candidate tuple ids. indexed=false means no
-// index applies (full scan). snapRead marks the snapshot read path at
-// epoch snap: secondary indexes reflect only current tuple images, so
-// while any tuple image superseded *after* the snapshot is retained, a
-// stable-column index could miss a row whose matching value was
-// overwritten post-snapshot — those reads fall back to a (still
-// lock-free) scan. The history gate is checked again after the probe:
-// storage records the supersede before the index is touched, so an
-// update racing the probe always trips the second check. Degradable-
-// column indexes stay usable either way — the snapshot path
-// deliberately reads degradable columns at their current accuracy.
-func (c *Conn) planCandidates(tbl *catalog.Table, ts *storage.TableStore, where query.Expr, levels []int, snapRead bool, snap uint64) ([]storage.TupleID, bool, error) {
+// index applies (full scan). Whether a stable-column index can be
+// trusted right now is the source's call, and it is asked again after
+// the probe: storage records a supersede before the index is touched,
+// so an update racing the probe always trips the second check.
+// Degradable-column indexes stay usable either way — every source reads
+// degradable columns at their current accuracy.
+func (c *Conn) planCandidates(tbl *catalog.Table, where query.Expr, levels []int, src tupleSource) ([]storage.TupleID, bool, error) {
 	if where == nil {
 		return nil, false, nil
 	}
 	stableServable := func(inst *indexInst) bool {
-		return !snapRead || inst.deg != -1 || !ts.HasVisibleHistory(snap)
+		return inst.deg != -1 || src.stableIndexOK()
 	}
 	for _, conj := range query.Conjuncts(where) {
 		sarg, ok := query.AsSargable(conj)
@@ -594,343 +579,52 @@ func (c *Conn) runSelectRef(s *query.Select, referenced map[string]bool) (*Resul
 		}
 	}
 	levels, err := resolveLevels(tbl, purpose, referenced)
+	var shape *query.Shape
+	if err == nil {
+		shape, err = query.NewShape(s, tbl.ColumnNames())
+	}
 	psp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	// Three read paths. Autocommit SELECTs and read-only transactions
-	// execute against a versioned snapshot with no locks at all, so they
-	// never wait on the degradation engine and it never waits on them.
-	// Reads inside an explicit read-write transaction keep strict 2PL: S
-	// row locks held to commit, pinning the matched rows against the
-	// degrader for the rest of the transaction.
-	var views [][]value.Value
-	switch {
-	case c.tx != nil && c.tx.readOnly:
-		c.db.met.snapshotReads.Inc()
-		rsp := c.tr.Span(c.tsp, "snapshot_read")
-		views, err = c.qualifySnapshot(tbl, s.Where, levels, c.tx.snap)
-		rsp.End()
-	case c.tx != nil:
+	// Two read regimes, one pipeline: source → σP,k → shape. Autocommit
+	// SELECTs and read-only transactions read a versioned snapshot with no
+	// locks at all, so they never wait on the degradation engine and it
+	// never waits on them. Reads inside an explicit read-write
+	// transaction keep strict 2PL: S row locks held to commit, pinning the
+	// matched rows against the degrader for the rest of the transaction.
+	var src tupleSource
+	var rsp *trace.S
+	if c.tx != nil && !c.tx.readOnly {
 		c.db.met.lockedReads.Inc()
-		rsp := c.tr.Span(c.tsp, "locked_read")
-		_, views, err = c.qualify(tbl, s.Where, levels, nil, txn.LockS)
-		rsp.End()
-	default:
+		rsp = c.tr.Span(c.tsp, "locked_read")
+		src, err = c.openLocked(tbl, txn.LockS)
+	} else {
 		c.db.met.snapshotReads.Inc()
-		rsp := c.tr.Span(c.tsp, "snapshot_read")
-		snap := c.db.epochs.Snapshot()
-		views, err = c.qualifySnapshot(tbl, s.Where, levels, snap)
-		c.db.epochs.Release(snap)
-		rsp.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	rows, err := project(tbl, s, views)
-	if err != nil {
-		return nil, err
-	}
-	if err := orderAndLimit(s, rows); err != nil {
-		return nil, err
-	}
-	return &Result{Rows: rows, RowsAffected: len(rows.Data)}, nil
-}
-
-// project applies π*,k plus aggregation and grouping.
-func project(tbl *catalog.Table, s *query.Select, views [][]value.Value) (*Rows, error) {
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != query.AggNone {
-			hasAgg = true
+		rsp = c.tr.Span(c.tsp, "snapshot_read")
+		var snap uint64
+		if c.tx != nil {
+			snap = c.tx.snap
+		} else {
+			snap = c.db.epochs.Snapshot()
+			defer c.db.epochs.Release(snap)
 		}
+		src = snapshotSource{c.db.mgr.Table(tbl), snap}
 	}
-	// Expand * into column items.
-	items := make([]query.SelectItem, 0, len(s.Items))
-	for _, it := range s.Items {
-		if it.Star {
-			if hasAgg || len(s.GroupBy) > 0 {
-				return nil, errors.New("engine: * cannot mix with aggregates or GROUP BY")
-			}
-			for _, col := range tbl.Columns {
-				name := col.Name
-				items = append(items, query.SelectItem{Col: &query.ColumnRef{Column: name}})
-			}
-			continue
-		}
-		items = append(items, it)
-	}
-	// Validate: with GROUP BY, plain columns must be grouping columns.
-	grouped := make(map[string]bool)
-	for _, g := range s.GroupBy {
-		grouped[g.Column] = true
-	}
-	if len(s.GroupBy) > 0 || hasAgg {
-		for _, it := range items {
-			if it.Agg == query.AggNone && it.Col != nil && !grouped[it.Col.Column] {
-				return nil, fmt.Errorf("engine: column %s must appear in GROUP BY or an aggregate", it.Col.Column)
-			}
-		}
-	}
-
-	names := make([]string, len(items))
-	for i, it := range items {
-		names[i] = outputName(it)
-	}
-	out := &Rows{Columns: names}
-
-	colIdx := func(ref *query.ColumnRef) (int, error) { return tbl.ColumnIndex(ref.Column) }
-
-	if !hasAgg && len(s.GroupBy) == 0 {
-		for _, view := range views {
-			row := make([]value.Value, len(items))
-			for i, it := range items {
-				ci, err := colIdx(it.Col)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = view[ci]
-			}
-			out.Data = append(out.Data, row)
-		}
-		return out, nil
-	}
-
-	// Grouped/aggregated path.
-	type group struct {
-		key  []value.Value
-		aggs []*aggState
-	}
-	groups := make(map[string]*group)
-	var orderKeys []string
-	keyOf := func(view []value.Value) (string, []value.Value, error) {
-		if len(s.GroupBy) == 0 {
-			return "", nil, nil
-		}
-		var enc []byte
-		key := make([]value.Value, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			ci, err := colIdx(&g)
-			if err != nil {
-				return "", nil, err
-			}
-			key[i] = view[ci]
-			enc = value.Encode(enc, view[ci])
-		}
-		return string(enc), key, nil
-	}
-	for _, view := range views {
-		ks, key, err := keyOf(view)
-		if err != nil {
-			return nil, err
-		}
-		g, ok := groups[ks]
-		if !ok {
-			g = &group{key: key, aggs: make([]*aggState, len(items))}
-			for i, it := range items {
-				g.aggs[i] = &aggState{fn: it.Agg}
-			}
-			groups[ks] = g
-			orderKeys = append(orderKeys, ks)
-		}
-		for i, it := range items {
-			if it.Agg == query.AggNone {
-				continue
-			}
-			var v value.Value
-			if it.CountStar {
-				v = value.Int(1)
-			} else {
-				ci, err := colIdx(it.Col)
-				if err != nil {
-					return nil, err
-				}
-				v = view[ci]
-			}
-			if err := g.aggs[i].feed(v, it.CountStar); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		// Aggregates over an empty set produce one row.
-		g := &group{aggs: make([]*aggState, len(items))}
-		for i, it := range items {
-			g.aggs[i] = &aggState{fn: it.Agg}
-		}
-		groups[""] = g
-		orderKeys = append(orderKeys, "")
-	}
-	for _, ks := range orderKeys {
-		g := groups[ks]
-		row := make([]value.Value, len(items))
-		for i, it := range items {
-			if it.Agg == query.AggNone {
-				// Grouping column: position within GroupBy.
-				for gi, gb := range s.GroupBy {
-					if gb.Column == it.Col.Column {
-						row[i] = g.key[gi]
-						break
-					}
-				}
-				continue
-			}
-			row[i] = g.aggs[i].result()
-		}
-		out.Data = append(out.Data, row)
-	}
-	return out, nil
-}
-
-func outputName(it query.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	switch it.Agg {
-	case query.AggNone:
-		return it.Col.Column
-	case query.AggCount:
-		if it.CountStar {
-			return "count(*)"
-		}
-		return "count(" + it.Col.Column + ")"
-	case query.AggSum:
-		return "sum(" + it.Col.Column + ")"
-	case query.AggAvg:
-		return "avg(" + it.Col.Column + ")"
-	case query.AggMin:
-		return "min(" + it.Col.Column + ")"
-	case query.AggMax:
-		return "max(" + it.Col.Column + ")"
-	}
-	return "?"
-}
-
-// aggState accumulates one aggregate.
-type aggState struct {
-	fn      query.AggFunc
-	count   int64
-	sumF    float64
-	allInt  bool
-	started bool
-	minV    value.Value
-	maxV    value.Value
-}
-
-func (a *aggState) feed(v value.Value, countStar bool) error {
-	if v.IsNull() && !countStar {
-		return nil // SQL semantics: aggregates skip NULLs
-	}
-	if !a.started {
-		a.allInt = true
-		a.started = true
-	}
-	a.count++
-	switch a.fn {
-	case query.AggCount:
-		return nil
-	case query.AggSum, query.AggAvg:
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("engine: %s over non-numeric value %s", aggName(a.fn), v.Kind())
-		}
-		if v.Kind() != value.KindInt {
-			a.allInt = false
-		}
-		a.sumF += f
-	case query.AggMin, query.AggMax:
-		if a.minV.IsNull() {
-			a.minV, a.maxV = v, v
-			return nil
-		}
-		if c, err := value.Compare(v, a.minV); err == nil && c < 0 {
-			a.minV = v
-		}
-		if c, err := value.Compare(v, a.maxV); err == nil && c > 0 {
-			a.maxV = v
-		}
-	}
-	return nil
-}
-
-func (a *aggState) result() value.Value {
-	switch a.fn {
-	case query.AggCount:
-		return value.Int(a.count)
-	case query.AggSum:
-		if a.count == 0 {
-			return value.Null()
-		}
-		if a.allInt {
-			return value.Int(int64(a.sumF))
-		}
-		return value.Float(a.sumF)
-	case query.AggAvg:
-		if a.count == 0 {
-			return value.Null()
-		}
-		return value.Float(a.sumF / float64(a.count))
-	case query.AggMin:
-		return a.minV
-	case query.AggMax:
-		return a.maxV
-	}
-	return value.Null()
-}
-
-func aggName(fn query.AggFunc) string {
-	switch fn {
-	case query.AggSum:
-		return "SUM"
-	case query.AggAvg:
-		return "AVG"
-	default:
-		return "AGG"
-	}
-}
-
-// orderAndLimit applies ORDER BY over output columns, then LIMIT.
-func orderAndLimit(s *query.Select, rows *Rows) error {
-	if len(s.Order) > 0 {
-		idx := make([]int, len(s.Order))
-		for i, ob := range s.Order {
-			found := -1
-			for ci, name := range rows.Columns {
-				if strings.EqualFold(name, ob.Col.Column) {
-					found = ci
-					break
-				}
-			}
-			if found == -1 {
-				return fmt.Errorf("engine: ORDER BY column %s not in output", ob.Col.Column)
-			}
-			idx[i] = found
-		}
-		var sortErr error
-		sort.SliceStable(rows.Data, func(a, b int) bool {
-			for i, ci := range idx {
-				cmp, err := value.Compare(rows.Data[a][ci], rows.Data[b][ci])
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if cmp != 0 {
-					if s.Order[i].Desc {
-						return cmp > 0
-					}
-					return cmp < 0
-				}
-			}
-			return false
+	acc := shape.Begin()
+	if err == nil {
+		err = c.qualify(tbl, s.Where, levels, src, func(_ *storage.Tuple, view []value.Value) error {
+			return acc.Feed(view)
 		})
-		if sortErr != nil {
-			return sortErr
-		}
 	}
-	if s.Limit >= 0 && len(rows.Data) > s.Limit {
-		rows.Data = rows.Data[:s.Limit]
+	rsp.End()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	data, err := acc.Rows()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rows: &Rows{Columns: shape.Columns, Data: data}, RowsAffected: len(data)}, nil
 }

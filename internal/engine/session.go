@@ -645,13 +645,27 @@ func (c *Conn) runDelete(s *query.Delete) (*Result, error) {
 	return &Result{RowsAffected: len(matched)}, nil
 }
 
-// matchForWrite finds qualifying tuples under X row locks.
+// matchForWrite finds the tuples qualifying under the session purpose
+// and predicate, each under an X row lock. Writes qualify tuples like
+// reads do; degradable columns the predicate does not reference do not
+// constrain qualification.
 func (c *Conn) matchForWrite(tbl *catalog.Table, where query.Expr) ([]storage.Tuple, error) {
-	sp := c.tr.Span(c.tsp, "lock_wait")
-	err := c.db.locks.Acquire(c.tx.id, txn.TableRes(tbl.ID), txn.LockIX)
-	sp.End()
+	referenced := make(map[string]bool)
+	if where != nil {
+		query.ColumnsOf(where, referenced)
+	}
+	levels, err := resolveLevels(tbl, c.purpose, referenced)
 	if err != nil {
 		return nil, err
 	}
-	return c.collectMatching(tbl, where, c.purpose, txn.LockX)
+	src, err := c.openLocked(tbl, txn.LockX)
+	if err != nil {
+		return nil, err
+	}
+	var matched []storage.Tuple
+	err = c.qualify(tbl, where, levels, src, func(t *storage.Tuple, _ []value.Value) error {
+		matched = append(matched, *t)
+		return nil
+	})
+	return matched, err
 }

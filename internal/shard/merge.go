@@ -2,234 +2,43 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"instantdb/internal/query"
-	"instantdb/internal/value"
 	"instantdb/internal/wire"
 )
 
-// mergeSelect recombines per-shard result sets of a scattered SELECT
-// into the rows a single-node execution would have produced: plain scans
-// concatenate, aggregates recombine (COUNT/SUM add, MIN/MAX compare —
-// AVG was rewritten into SUM+COUNT partials before the fan-out, see
-// avg.go), grouped results merge by group key, and
-// ORDER BY/LIMIT re-apply at the router with the engine's own comparison
-// semantics. Each shard's rows arrive already purpose-enforced and
+// mergeParts recombines the per-shard result sets of a scattered SELECT
+// into the rows a single-node execution would have produced. The algebra
+// is query.Shape's — the same code every shard just ran over its own
+// rows; the router only checks that the shards agree on what they sent.
+// Each shard's rows arrive already purpose-enforced and
 // degradation-filtered by its own clock, so the merge never re-evaluates
 // accuracy — per-shard degradation states surface as-is.
-func mergeSelect(s *query.Select, parts []*wire.Rows) (*wire.Rows, error) {
-	var cols []string
+func mergeParts(sh *query.Shape, parts []*wire.Rows) (*wire.Rows, error) {
+	acc := sh.Begin()
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if cols == nil {
-			cols = p.Columns
-			continue
-		}
-		if len(p.Columns) != len(cols) {
-			return nil, fmt.Errorf("shard: scatter column mismatch: %v vs %v", cols, p.Columns)
-		}
-		for i := range cols {
-			if !strings.EqualFold(cols[i], p.Columns[i]) {
-				return nil, fmt.Errorf("shard: scatter column mismatch: %v vs %v", cols, p.Columns)
-			}
-		}
-	}
-	out := &wire.Rows{Columns: cols}
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != query.AggNone {
-			hasAgg = true
-		}
-	}
-
-	if !hasAgg && len(s.GroupBy) == 0 {
-		for _, p := range parts {
-			if p != nil {
-				out.Data = append(out.Data, p.Data...)
-			}
-		}
-		return out, orderAndLimit(s, out)
-	}
-
-	// Aggregated/grouped recombination. Items align 1:1 with output
-	// columns (the planner refused * with aggregates via the engine, and
-	// grouping columns must be selected).
-	if len(s.Items) != len(cols) && cols != nil {
-		return nil, fmt.Errorf("shard: aggregate output width %d != %d items", len(cols), len(s.Items))
-	}
-	type group struct {
-		row []value.Value
-		set []bool // per aggregate column: any non-null contribution yet
-	}
-	groups := make(map[string]*group)
-	var order []string
-	keyIdx := groupKeyIndexes(s)
-	for _, p := range parts {
-		if p == nil {
-			continue
+		if !sameColumns(p.Columns, parts[0].Columns) {
+			return nil, fmt.Errorf("shard: scatter column mismatch: %v vs %v", parts[0].Columns, p.Columns)
 		}
 		for _, row := range p.Data {
-			var enc []byte
-			for _, ki := range keyIdx {
-				enc = value.Encode(enc, row[ki])
-			}
-			g, ok := groups[string(enc)]
-			if !ok {
-				g = &group{row: append([]value.Value(nil), row...), set: make([]bool, len(row))}
-				for i := range row {
-					if s.Items[i].Agg != query.AggNone && !row[i].IsNull() {
-						g.set[i] = true
-					}
-				}
-				groups[string(enc)] = g
-				order = append(order, string(enc))
-				continue
-			}
-			for i, it := range s.Items {
-				if it.Agg == query.AggNone {
-					continue
-				}
-				merged, isSet, err := combineAgg(it.Agg, g.row[i], g.set[i], row[i])
-				if err != nil {
-					return nil, err
-				}
-				g.row[i], g.set[i] = merged, isSet
+			if err := acc.Merge(row); err != nil {
+				return nil, err
 			}
 		}
 	}
-	for _, k := range order {
-		out.Data = append(out.Data, groups[k].row)
-	}
-	// COUNT over zero shards contributing still answers 0, matching a
-	// single-node COUNT over an empty table.
-	if len(out.Data) == 0 && len(s.GroupBy) == 0 && hasAgg {
-		row := make([]value.Value, len(s.Items))
-		for i, it := range s.Items {
-			if it.Agg == query.AggCount {
-				row[i] = value.Int(0)
-			} else {
-				row[i] = value.Null()
-			}
-		}
-		out.Data = append(out.Data, row)
-	}
-	return out, orderAndLimit(s, out)
+	data, err := acc.Rows()
+	return &wire.Rows{Columns: sh.Columns, Data: data}, err
 }
 
-// groupKeyIndexes returns the output-column positions holding the GROUP
-// BY key (empty for global aggregates — everything merges into one row).
-func groupKeyIndexes(s *query.Select) []int {
-	var idx []int
-	for _, g := range s.GroupBy {
-		for i, it := range s.Items {
-			if it.Agg == query.AggNone && it.Col != nil && strings.EqualFold(it.Col.Column, g.Column) {
-				idx = append(idx, i)
-				break
-			}
-		}
+func sameColumns(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return idx
-}
-
-// combineAgg folds one shard's aggregate cell into the running merged
-// cell. NULL cells (SUM/MIN/MAX over an empty shard) contribute nothing.
-func combineAgg(fn query.AggFunc, acc value.Value, accSet bool, v value.Value) (value.Value, bool, error) {
-	if v.IsNull() {
-		return acc, accSet, nil
-	}
-	if !accSet {
-		return v, true, nil
-	}
-	switch fn {
-	case query.AggCount, query.AggSum:
-		if acc.Kind() == value.KindInt && v.Kind() == value.KindInt {
-			return value.Int(acc.Int() + v.Int()), true, nil
-		}
-		a, okA := acc.AsFloat()
-		b, okB := v.AsFloat()
-		if !okA || !okB {
-			return acc, accSet, fmt.Errorf("shard: cannot combine %s cells %s and %s", aggLabel(fn), acc.Kind(), v.Kind())
-		}
-		return value.Float(a + b), true, nil
-	case query.AggMin:
-		if c, err := value.Compare(v, acc); err != nil {
-			return acc, accSet, err
-		} else if c < 0 {
-			return v, true, nil
-		}
-		return acc, true, nil
-	case query.AggMax:
-		if c, err := value.Compare(v, acc); err != nil {
-			return acc, accSet, err
-		} else if c > 0 {
-			return v, true, nil
-		}
-		return acc, true, nil
-	}
-	return acc, accSet, fmt.Errorf("shard: cannot combine aggregate %d across shards", fn)
-}
-
-func aggLabel(fn query.AggFunc) string {
-	switch fn {
-	case query.AggCount:
-		return "COUNT"
-	case query.AggSum:
-		return "SUM"
-	case query.AggMin:
-		return "MIN"
-	case query.AggMax:
-		return "MAX"
-	}
-	return "AGG"
-}
-
-// orderAndLimit re-applies ORDER BY and LIMIT on the merged rows with
-// the same semantics as the engine's executor: ORDER BY columns resolve
-// case-insensitively against the output columns, the sort is stable, and
-// LIMIT truncates after the sort.
-func orderAndLimit(s *query.Select, rows *wire.Rows) error {
-	if len(s.Order) > 0 {
-		idx := make([]int, len(s.Order))
-		for i, ob := range s.Order {
-			found := -1
-			for ci, name := range rows.Columns {
-				if strings.EqualFold(name, ob.Col.Column) {
-					found = ci
-					break
-				}
-			}
-			if found == -1 {
-				return fmt.Errorf("shard: ORDER BY column %s not in output", ob.Col.Column)
-			}
-			idx[i] = found
-		}
-		var sortErr error
-		sort.SliceStable(rows.Data, func(a, b int) bool {
-			for i, ci := range idx {
-				cmp, err := value.Compare(rows.Data[a][ci], rows.Data[b][ci])
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if cmp != 0 {
-					if s.Order[i].Desc {
-						return cmp > 0
-					}
-					return cmp < 0
-				}
-			}
+	for i := range a {
+		if !strings.EqualFold(a[i], b[i]) {
 			return false
-		})
-		if sortErr != nil {
-			return sortErr
 		}
 	}
-	if s.Limit >= 0 && len(rows.Data) > s.Limit {
-		rows.Data = rows.Data[:s.Limit]
-	}
-	return nil
+	return true
 }

@@ -31,10 +31,14 @@ const (
 // plan is the routing decision for one statement.
 type plan struct {
 	act   action
-	shard int           // actSingle target
-	sel   *query.Select // actScatter merge spec
-	ddl   bool          // actBroadcast: mirror into the router schema
-	name  string        // actSetPurpose purpose name
+	shard int          // actSingle target
+	shape *query.Shape // actScatter: how the shards' rows recombine
+	// partial, when set, is the statement the shards of an actScatter
+	// execute in place of the client's (see query.Shape.Partial); it
+	// carries its literals, so it ships without arguments.
+	partial string
+	ddl     bool   // actBroadcast: mirror into the router schema
+	name    string // actSetPurpose purpose name
 }
 
 // errRefused marks statements the router cannot execute across shards;
@@ -106,10 +110,30 @@ func planSelect(t *Table, sch *Schema, s *query.Select) (*plan, error) {
 	if len(t.Shards) == 1 {
 		return &plan{act: actSingle, shard: 0}, nil
 	}
-	if err := scatterable(s); err != nil {
-		return nil, err
+	return planScatter(s, shape.cols)
+}
+
+// planScatter resolves how a multi-shard SELECT recombines. A plain scan
+// forwards verbatim and its rows concatenate; an aggregated statement
+// goes out in its partial form (rendered from the bound AST, so one
+// whose arguments were not all bound is refused here rather than merged
+// wrong). What cannot be recombined exactly is refused with the reason.
+func planScatter(s *query.Select, cols []string) (*plan, error) {
+	sh, err := query.NewShape(s, cols)
+	if err != nil {
+		return nil, refuse("%v", err)
 	}
-	return &plan{act: actScatter, sel: s}, nil
+	p := &plan{act: actScatter, shape: sh}
+	if sh.Aggregated() {
+		part, err := sh.Partial()
+		if err == nil {
+			p.partial, err = query.RenderSelect(part)
+		}
+		if err != nil {
+			return nil, refuse("%v", err)
+		}
+	}
+	return p, nil
 }
 
 func planInsert(t *Table, sch *Schema, s *query.Insert) (*plan, error) {
@@ -200,34 +224,4 @@ func wherePin(e query.Expr, pk string) (value.Value, bool) {
 		}
 	}
 	return value.Null(), false
-}
-
-// scatterable validates that a multi-shard SELECT's result can be
-// recombined exactly from per-shard results; anything that cannot is
-// refused with the reason rather than merged wrong.
-func scatterable(s *query.Select) error {
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != query.AggNone {
-			hasAgg = true
-		}
-	}
-	if len(s.GroupBy) > 0 {
-		for _, g := range s.GroupBy {
-			found := false
-			for _, it := range s.Items {
-				if it.Agg == query.AggNone && it.Col != nil && strings.EqualFold(it.Col.Column, g.Column) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return refuse("GROUP BY column %s must be selected for cross-shard recombination", g.Column)
-			}
-		}
-	}
-	if s.Limit >= 0 && (hasAgg || len(s.GroupBy) > 0) {
-		return refuse("LIMIT with aggregates or GROUP BY cannot be pushed to shards (per-shard limits drop groups)")
-	}
-	return nil
 }

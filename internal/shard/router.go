@@ -570,8 +570,9 @@ func (r *Router) execSQL(nc net.Conn, ss *rsession, sql string, args []value.Val
 
 // execSQLTraced parses, plans and executes one statement. The original
 // SQL (and arguments) forward verbatim to the target shards — the
-// router never rewrites statements, it only picks recipients and merges
-// results. When tt is non-nil the statement is being traced: routing
+// router only picks recipients and merges results; the one statement it
+// rewrites is an aggregated scatter, into its partial form. When tt is
+// non-nil the statement is being traced: routing
 // work records spans under root, and every downstream request wraps in
 // OpTraced so the shards' server-side spans join the same tree.
 func (r *Router) execSQLTraced(nc net.Conn, ss *rsession, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
@@ -605,7 +606,7 @@ func (r *Router) execSQLTraced(nc net.Conn, ss *rsession, sql string, args []val
 		return r.sendResult(nc, res)
 	case actScatter:
 		r.met.scatters.Inc()
-		return r.scatter(ctx, nc, ss, t, p.sel, sql, args, tt, root)
+		return r.scatter(ctx, nc, ss, t, p, sql, args, tt, root)
 	case actBroadcast:
 		r.met.broadcast.Inc()
 		affected := 0
@@ -650,19 +651,11 @@ func (r *Router) shardExec(ctx context.Context, c *client.Conn, tt *trace.T, par
 // scatter fans a SELECT out to every shard concurrently and merges.
 // A shard that cannot answer fails the query fast (with the shard named)
 // rather than silently returning partial data — but only this query:
-// routes that avoid the dead shard keep working. AVG statements are the
-// one case where the router rewrites before fanning out: shards receive
-// the SUM+COUNT partial form (see avg.go) and the router divides.
-func (r *Router) scatter(ctx context.Context, nc net.Conn, ss *rsession, t *Table, sel *query.Select, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
-	var av *avgScatter
-	if hasAvg(sel) {
-		a, err := rewriteAvg(sel)
-		if err != nil {
-			return r.sendErr(nc, wire.CodeSQL, err)
-		}
-		// The rewritten statement carries its literals (arguments were
-		// bound during routing), so it ships without args.
-		av, sel, sql, args = a, a.sel, a.sql, nil
+// routes that avoid the dead shard keep working. An aggregated statement
+// goes out in its partial form; a plain scan verbatim.
+func (r *Router) scatter(ctx context.Context, nc net.Conn, ss *rsession, t *Table, p *plan, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
+	if p.partial != "" {
+		sql, args = p.partial, nil
 	}
 	conns := make([]*client.Conn, len(t.Shards))
 	for idx := range t.Shards {
@@ -698,15 +691,10 @@ func (r *Router) scatter(ctx context.Context, nc net.Conn, ss *rsession, t *Tabl
 		}
 	}
 	msp := tt.Span(root, "merge")
-	merged, err := mergeSelect(sel, parts)
+	merged, err := mergeParts(p.shape, parts)
 	msp.End()
 	if err != nil {
 		return r.sendErr(nc, wire.CodeSQL, err)
-	}
-	if av != nil {
-		if merged, err = av.collapse(merged); err != nil {
-			return r.sendErr(nc, wire.CodeSQL, err)
-		}
 	}
 	return r.sendResultFrame(nc, &wire.Result{RowsAffected: uint64(len(merged.Data)), Rows: merged})
 }

@@ -282,9 +282,15 @@ func TestRouterScatterGather(t *testing.T) {
 		t.Fatalf("scatter group by wrong: %v", counts)
 	}
 
+	// ORDER BY and LIMIT over groups apply at the router, after the merge.
+	rows, err = conn.Query(ctx, "SELECT who, COUNT(*) AS n FROM visits GROUP BY who ORDER BY who DESC LIMIT 2")
+	if err != nil || rows.Len() != 2 || rows.Data[0][0].Text() != "user4" || rows.Data[1][1].Int() != 6 {
+		t.Fatalf("scatter group by + order/limit: rows=%v err=%v", rows, err)
+	}
+
 	// Refusals: merges that cannot be exact are errors, not wrong answers.
 	for _, q := range []string{
-		"SELECT who, COUNT(*) FROM visits GROUP BY who LIMIT 2",
+		"SELECT COUNT(*) FROM visits GROUP BY who",
 		"BEGIN",
 	} {
 		if _, err := conn.Query(ctx, q); err == nil {

@@ -9,7 +9,8 @@ import (
 )
 
 // tableShape is the routing-relevant slice of one table's schema: its
-// column order (for INSERTs without a column list) and primary key.
+// column order (for INSERTs without a column list, and as the input
+// columns of a scattered SELECT's query.Shape) and primary key.
 type tableShape struct {
 	name string
 	cols []string // lowercase, declaration order
@@ -20,7 +21,8 @@ type tableShape struct {
 // shape (column order, primary keys) to route statements, learned from
 // the shards' own append-only DDL script (OpSchema) and kept current as
 // the router broadcasts DDL. The shards stay authoritative — the mirror
-// never validates columns or types, it only locates primary keys.
+// locates primary keys and names a table's columns, it never checks
+// types.
 type Schema struct {
 	mu     sync.RWMutex
 	tables map[string]*tableShape
