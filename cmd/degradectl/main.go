@@ -440,6 +440,7 @@ var statsHeadlines = []string{
 	"instantdb_degrade_lag_seconds",
 	"instantdb_degrade_max_lag_seconds",
 	"instantdb_degrade_queue_depth",
+	"instantdb_degrade_queue_bytes",
 	"instantdb_degrade_transitions_total",
 	"instantdb_degrade_erasures_total",
 	"instantdb_degrade_deletions_total",

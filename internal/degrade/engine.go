@@ -100,52 +100,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// task is one tuple waiting for one transition.
-type task struct {
-	tid        storage.TupleID
-	insertNano int64
-}
-
 // retry is a task that came due but could not run (row lock busy,
 // predicate false, commit failed), gated until notBefore.
 type retry struct {
 	task
 	notBefore int64
-}
-
-// taskFIFO is a queue's deadline-ordered backlog. Popping advances head
-// instead of reslicing, so the dead prefix can be reclaimed: the array
-// is dropped when the queue drains and the live tail is copied down once
-// more than half of the array is dead.
-type taskFIFO struct {
-	buf  []task
-	head int
-}
-
-// live returns the pending tasks, oldest first.
-func (f *taskFIFO) live() []task { return f.buf[f.head:] }
-
-func (f *taskFIFO) len() int { return len(f.buf) - f.head }
-
-func (f *taskFIFO) push(ts ...task) { f.buf = append(f.buf, ts...) }
-
-// insert places t at position i of the live tasks.
-func (f *taskFIFO) insert(i int, t task) {
-	f.buf = append(f.buf, task{})
-	copy(f.buf[f.head+i+1:], f.buf[f.head+i:])
-	f.buf[f.head+i] = t
-}
-
-// pop discards the n oldest tasks.
-func (f *taskFIFO) pop(n int) {
-	f.head += n
-	switch {
-	case f.head == len(f.buf):
-		f.buf, f.head = nil, 0
-	case f.head > len(f.buf)/2:
-		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
-		f.head = 0
-	}
 }
 
 // queueKey identifies a transition queue.
@@ -379,9 +338,7 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 	// Keep the FIFO in deadline (= insert) order: catch-up after a
 	// partition can deliver transitions for tuples older than the queue
 	// tail, and an out-of-order tail would delay them behind newer heads.
-	live := q.fifo.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].insertNano > insertNano })
-	q.fifo.insert(i, task{tid: tid, insertNano: insertNano})
+	q.fifo.insertSorted(task{tid: tid, insertNano: insertNano})
 	e.audit.Append(trace.Event{Kind: trace.EvExternal,
 		UnixNano: e.clock.Now().UTC().UnixNano(),
 		Table:    tbl.Name, Tuple: uint64(tid), Attr: attrName(tbl, attr),
@@ -393,11 +350,21 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 // recovery path. scan must hand add every live tuple of every table
 // once: the engine layer feeds it from the same pass over the pages that
 // rebuilds its indexes. Existing queue content is discarded; each queue
-// ends up in deadline order and exactly sized.
+// ends up in deadline order.
 func (e *Engine) Reseed(scan func(add func(*catalog.Table, *storage.Tuple)) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.queues = make(map[queueKey]*transQueue)
+	// A scan that meets the tuples in insert order — an append-only table
+	// read page by page — packs every queue as it goes. The queues it
+	// reaches out of order are noted here and sorted afterwards.
+	unsorted := make(map[*transQueue]bool)
+	push := func(q *transQueue, tk task) {
+		if q.fifo.len() > 0 && tk.insertNano < q.fifo.last.insertNano {
+			unsorted[q] = true
+		}
+		q.fifo.push(tk)
+	}
 	err := scan(func(tbl *catalog.Table, t *storage.Tuple) {
 		tl := tbl.TupleLCP()
 		if tl == nil {
@@ -409,26 +376,26 @@ func (e *Engine) Reseed(scan func(add func(*catalog.Table, *storage.Tuple)) erro
 				continue
 			}
 			if q := e.queueFor(tbl, attr, st); q != nil {
-				q.fifo.push(tk)
+				push(q, tk)
 			}
 		}
 		if _, ok := tl.DeleteAge(); ok {
 			if q := e.queueFor(tbl, -1, 0); q != nil {
-				q.fifo.push(tk)
+				push(q, tk)
 			}
 		}
 	})
 	if err != nil {
 		return err
 	}
-	byInsert := func(a, b task) int { return cmp.Compare(a.insertNano, b.insertNano) }
-	for _, q := range e.queues {
-		// A scan that met the tuples in insert order — an append-only
-		// table read page by page — leaves nothing to sort.
-		if !slices.IsSortedFunc(q.fifo.buf, byInsert) {
-			slices.SortStableFunc(q.fifo.buf, byInsert)
+	for q := range unsorted {
+		ts := make([]task, 0, q.fifo.len())
+		q.fifo.each(func(t task) { ts = append(ts, t) })
+		slices.SortStableFunc(ts, func(a, b task) int { return cmp.Compare(a.insertNano, b.insertNano) })
+		q.fifo = taskFIFO{}
+		for _, t := range ts {
+			q.fifo.push(t)
 		}
-		q.fifo.buf = append(make([]task, 0, len(q.fifo.buf)), q.fifo.buf...)
 	}
 	return nil
 }
@@ -504,8 +471,8 @@ func (q *transQueue) pending() int { return q.fifo.len() + len(q.retries) }
 // their order and are scanned. Caller holds e.mu.
 func (q *transQueue) lagNano(nowNano int64) int64 {
 	var worst int64
-	if q.fifo.len() > 0 {
-		if l := nowNano - (q.fifo.live()[0].insertNano + q.ageNano); l > worst {
+	if t, ok := q.fifo.peek(); ok {
+		if l := nowNano - (t.insertNano + q.ageNano); l > worst {
 			worst = l
 		}
 	}
@@ -537,6 +504,17 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 			n := 0
 			for _, q := range e.queues {
 				n += q.pending()
+			}
+			return float64(n)
+		})
+	reg.GaugeFunc("instantdb_degrade_queue_bytes",
+		"Heap bytes held by the packed chunks of all degradation queues.",
+		func() float64 {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			n := 0
+			for _, q := range e.queues {
+				n += q.fifo.bytes()
 			}
 			return float64(n)
 		})
@@ -660,8 +638,8 @@ func (e *Engine) retire(now time.Time) error {
 				if q == nil {
 					continue
 				}
-				if q.fifo.len() > 0 {
-					oldest = min(oldest, q.fifo.live()[0].insertNano)
+				if t, ok := q.fifo.peek(); ok {
+					oldest = min(oldest, t.insertNano)
 				}
 				for _, t := range q.retries {
 					oldest = min(oldest, t.insertNano)
@@ -756,9 +734,7 @@ func (e *Engine) Backlog() []Pending {
 			out = append(out, Pending{Table: q.tbl.Name, Attr: k.attr, State: k.state, Tuple: t.tid,
 				Deadline: time.Unix(0, t.insertNano+q.ageNano).UTC()})
 		}
-		for _, t := range q.fifo.live() {
-			add(t)
-		}
+		q.fifo.each(add)
 		for _, r := range q.retries {
 			add(r.task)
 		}
@@ -781,14 +757,9 @@ func (e *Engine) popDue(q *transQueue, now time.Time) []task {
 		}
 	}
 	q.retries = keep
-	live := q.fifo.live()
-	n := 0
-	for n < len(live) && len(due)+n < e.opts.BatchSize &&
-		(q.eventFired || live[n].insertNano+q.ageNano <= nowNano) {
-		n++
-	}
-	due = append(due, live[:n]...)
-	q.fifo.pop(n)
+	due = q.fifo.popWhile(due, e.opts.BatchSize-len(due), func(t task) bool {
+		return q.eventFired || t.insertNano+q.ageNano <= nowNano
+	})
 	if q.pending() == 0 {
 		q.eventFired = false
 	}
@@ -947,7 +918,9 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	if len(followups) > 0 && q.toState != -1 {
 		nq := e.queueFor(q.tbl, key.attr, uint8(q.toState))
 		if nq != nil {
-			nq.fifo.push(followups...)
+			for _, t := range followups {
+				nq.fifo.push(t)
+			}
 		}
 	}
 	e.mu.Unlock()
@@ -974,8 +947,8 @@ func (e *Engine) NextDeadline() (time.Time, bool) {
 	var best int64
 	found := false
 	for _, q := range e.queues {
-		if q.fifo.len() > 0 {
-			d := q.fifo.live()[0].insertNano + q.ageNano
+		if t, ok := q.fifo.peek(); ok {
+			d := t.insertNano + q.ageNano
 			if !found || d < best {
 				best, found = d, true
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-	"unsafe"
 
 	"instantdb/internal/catalog"
 	"instantdb/internal/gentree"
@@ -346,11 +345,12 @@ func (f *fixture) scanAll(add func(*catalog.Table, *storage.Tuple)) error {
 }
 
 // TestReseedOrdersAndSizesQueues: whatever order the scan meets the
-// tuples in, every queue comes out in deadline order, exactly sized.
+// tuples in, every queue comes out in deadline order, in as few chunks
+// as hold its tasks.
 func TestReseedOrdersAndSizesQueues(t *testing.T) {
 	f := newFixture(t, Options{}, figure2Policy)
 	var tuples []storage.Tuple
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 2*chunkTasks+44; i++ {
 		tid := f.insert(t, int64(i), "Dam 1")
 		f.clock.Advance(time.Millisecond)
 		tp, err := f.ts.Get(tid)
@@ -376,15 +376,16 @@ func TestReseedOrdersAndSizesQueues(t *testing.T) {
 			t.Fatalf("%d queues", len(eng.queues))
 		}
 		for k, q := range eng.queues {
-			live := q.fifo.live()
-			if len(live) != len(tuples) || cap(q.fifo.buf) != len(tuples) {
-				t.Fatalf("queue %+v: %d tasks in room for %d, want %d in %d", k, len(live), cap(q.fifo.buf), len(tuples), len(tuples))
+			if q.fifo.len() != len(tuples) || len(q.fifo.chunks) != 3 {
+				t.Fatalf("queue %+v: %d tasks in %d chunks, want %d in 3", k, q.fifo.len(), len(q.fifo.chunks), len(tuples))
 			}
-			for i, tk := range live {
+			i := 0
+			q.fifo.each(func(tk task) {
 				if tk.tid != tuples[i].ID || tk.insertNano != tuples[i].InsertedAt.UnixNano() {
 					t.Fatalf("queue %+v: task %d is %+v, want tuple %d", k, i, tk, tuples[i].ID)
 				}
-			}
+				i++
+			})
 		}
 	}
 }
@@ -488,37 +489,8 @@ func TestStaleTasksSkipped(t *testing.T) {
 	}
 }
 
-// TestTaskFIFO: the backlog keeps order through pushes, pops and
-// out-of-order inserts, copies its live tail down once more than half
-// of the array is dead, and lets the array go when it drains.
-func TestTaskFIFO(t *testing.T) {
-	if sz := unsafe.Sizeof(task{}); sz != 16 {
-		t.Fatalf("a FIFO entry is %d bytes, want 16", sz)
-	}
-	var f taskFIFO
-	for i := 1; i <= 1000; i++ {
-		f.push(task{tid: storage.TupleID(i), insertNano: int64(i)})
-	}
-	f.pop(400)
-	if f.head != 400 || f.len() != 600 || f.live()[0].tid != 401 {
-		t.Fatalf("after pop(400): head=%d len=%d first=%d", f.head, f.len(), f.live()[0].tid)
-	}
-	f.pop(200) // 600 of 1000 dead: copy down
-	if f.head != 0 || len(f.buf) != 400 || f.live()[0].tid != 601 {
-		t.Fatalf("after copy-down: head=%d len(buf)=%d first=%d", f.head, len(f.buf), f.live()[0].tid)
-	}
-	f.insert(1, task{tid: 9999})
-	if live := f.live(); live[0].tid != 601 || live[1].tid != 9999 || live[2].tid != 602 || f.len() != 401 {
-		t.Fatalf("insert: %v...", live[:3])
-	}
-	f.pop(f.len())
-	if f.buf != nil || f.head != 0 || f.len() != 0 {
-		t.Fatalf("a drained FIFO keeps its array: cap=%d head=%d", cap(f.buf), f.head)
-	}
-}
-
 // TestDrainedQueuesHoldNoBacklog: after a wave moves every tuple to the
-// next state, the source queue retains no array, and Pending and Lag
+// next state, the source queue retains no chunk, and Pending and Lag
 // read as before.
 func TestDrainedQueuesHoldNoBacklog(t *testing.T) {
 	f := newFixture(t, Options{}, figure2Policy)
@@ -545,8 +517,8 @@ func TestDrainedQueuesHoldNoBacklog(t *testing.T) {
 	}
 	f.eng.mu.Lock()
 	defer f.eng.mu.Unlock()
-	if q := f.eng.queues[queueKey{table: f.tbl.ID, attr: 0, state: 0}]; q.fifo.buf != nil {
-		t.Fatalf("drained state-0 queue still holds an array of %d entries", cap(q.fifo.buf))
+	if q := f.eng.queues[queueKey{table: f.tbl.ID, attr: 0, state: 0}]; q.fifo.chunks != nil || q.fifo.bytes() != 0 {
+		t.Fatalf("drained state-0 queue still holds %d chunks, %d bytes", len(q.fifo.chunks), q.fifo.bytes())
 	}
 }
 

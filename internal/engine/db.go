@@ -568,22 +568,45 @@ func (db *DB) ApplyReplicatedDDL(script string) error {
 // lock-free snapshot reads observe leader batches atomically. next is
 // the position after the batch in the LEADER's log; a RecReplMark
 // carrying it joins the batch, making the resume position durable
-// exactly when the batch is. Records referencing tables this replica
-// does not know yet are refused before anything is logged (the follower
-// reconnects, catches up on DDL, and retries).
+// exactly when the batch is — also when every record of the batch was a
+// late copy of a transition this replica already made and only the mark
+// is left. Records referencing tables this replica does not know yet are
+// refused before anything is logged (the follower reconnects, catches up
+// on DDL, and retries).
 func (db *DB) ApplyReplicated(recs []*wal.Record, next wal.Pos) error {
 	if !db.cfg.Replica {
 		return errors.New("engine: ApplyReplicated on a non-replica database")
 	}
 	db.mu.Lock()
 	batch := make([]*wal.Record, 0, len(recs)+1)
+	type rowKey struct {
+		table uint32
+		tuple storage.TupleID
+	}
+	var inserted map[rowKey]bool // rows this batch itself inserts
 	for _, r := range recs {
 		if r.Type == wal.RecReplMark {
 			continue // upstream marks address the wrong log; ours follows
 		}
-		if _, err := db.cat.TableByID(r.Table); err != nil {
+		tbl, err := db.cat.TableByID(r.Table)
+		if err != nil {
 			db.mu.Unlock()
 			return fmt.Errorf("engine: replicated batch references unknown table %d (DDL behind?): %w", r.Table, err)
+		}
+		switch r.Type {
+		case wal.RecInsert:
+			if inserted == nil {
+				inserted = make(map[rowKey]bool)
+			}
+			inserted[rowKey{r.Table, r.Tuple}] = true
+		case wal.RecDegrade, wal.RecDelete:
+			// This replica's clock may have fired the transition first and
+			// since shredded the key the record's payload would be sealed
+			// under. States only move down, so the late copy changes
+			// nothing: it is not logged either.
+			if !inserted[rowKey{r.Table, r.Tuple}] && db.lateCopyLocked(tbl, r) {
+				continue
+			}
 		}
 		batch = append(batch, r)
 	}
@@ -599,6 +622,18 @@ func (db *DB) ApplyReplicated(recs []*wal.Record, next wal.Pos) error {
 		return db.Checkpoint()
 	}
 	return nil
+}
+
+// lateCopyLocked reports whether a replicated degrade or delete record
+// finds its work done here: the tuple gone, or the attribute already at
+// or past the record's state. Caller holds mu.
+func (db *DB) lateCopyLocked(tbl *catalog.Table, r *wal.Record) bool {
+	t, err := db.mgr.Table(tbl).Get(r.Tuple)
+	if err != nil {
+		return errors.Is(err, storage.ErrNoTuple)
+	}
+	return r.Type == wal.RecDegrade && int(r.DegPos) < len(t.States) &&
+		!storage.StateAdvances(t.States[r.DegPos], r.NewState)
 }
 
 // commitSystem is the degrade.Committer: durable append then apply.

@@ -348,3 +348,94 @@ func TestMonotoneReconciliation(t *testing.T) {
 		t.Fatalf("city purpose still sees tuple 1 after the region deadline: %v", rows.Data)
 	}
 }
+
+// TestLateCopiesAfterKeyShred: a follower partitioned from its leader
+// crosses deadlines on its own clock, fires the transitions itself and
+// shreds the epoch keys of the states it left. When the partition heals
+// the leader's copies of the same transitions arrive late: they must
+// apply as no-ops — not fail sealing a payload under a key that no
+// longer exists — and the resume position must still advance.
+func TestLateCopiesAfterKeyShred(t *testing.T) {
+	t0 := vclock.Epoch
+	leaderClock := vclock.NewSimulated(t0)
+	leader, err := engine.Open(engine.Config{Dir: t.TempDir(), Clock: leaderClock, ShredBucket: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if err := leader.ExecScript(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		`INSERT INTO visits (id, who, place) VALUES (1, 'alice', 'Dam 1')`,
+		`INSERT INTO visits (id, who, place) VALUES (2, 'bob', 'Coolsingel 40')`,
+	} {
+		if _, err := leader.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	folClock := vclock.NewSimulated(t0)
+	follower, err := engine.Open(engine.Config{Dir: t.TempDir(), Replica: true, Clock: folClock, ShredBucket: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	_, schema, err := leader.ReplSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyReplicatedDDL(schema); err != nil {
+		t.Fatal(err)
+	}
+	pos := feedAll(t, leader, follower, wal.Pos{})
+
+	// Partition. The follower passes the address and the city deadline
+	// (15m, 15m + 1h) by more than a key bucket: both transitions fire
+	// here and the keys of states address and city are shredded.
+	folClock.Advance(80 * time.Minute)
+	if n, err := follower.DegradeNow(); err != nil || n != 4 {
+		t.Fatalf("follower transitions: n=%d err=%v, want 4", n, err)
+	}
+	// The leader fires address -> city only, then deletes tuple 2.
+	leaderClock.Advance(16 * time.Minute)
+	if n, err := leader.DegradeNow(); err != nil || n != 2 {
+		t.Fatalf("leader transitions: n=%d err=%v, want 2", n, err)
+	}
+	if _, err := leader.Exec(`DELETE FROM visits WHERE id = 2`); err != nil {
+		t.Fatal(err)
+	}
+
+	// Heal: the late copies (into a state whose key is gone) are no-ops.
+	healed := feedAll(t, leader, follower, pos)
+	if healed == pos || follower.ReplPos() != healed {
+		t.Fatalf("resume position after the heal: follower at %v, leader log fed up to %v (from %v)", follower.ReplPos(), healed, pos)
+	}
+	if got := queryPlaces(t, follower, "cities", 1); len(got) != 0 {
+		t.Fatalf("late copy brought city accuracy back: %v", got)
+	}
+	rows, err := follower.NewConn().Query("SELECT id FROM visits")
+	if err != nil || rows.Len() != 1 {
+		t.Fatalf("after the heal: rows=%v err=%v, want tuple 1 only", rows, err)
+	}
+
+	// The follower then runs ahead to the end of the ladder and deletes
+	// tuple 1; the leader's later transitions and its own delete of a
+	// tuple that is gone here must not stop the stream either.
+	folClock.Advance(40 * 24 * time.Hour)
+	if _, err := follower.DegradeNow(); err != nil {
+		t.Fatal(err)
+	}
+	leaderClock.Advance(40 * 24 * time.Hour)
+	if _, err := leader.DegradeNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Exec(`INSERT INTO visits (id, who, place) VALUES (3, 'carol', 'Dam 1')`); err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, leader, follower, healed)
+	rows, err = follower.NewConn().Query("SELECT id FROM visits")
+	if err != nil || rows.Len() != 1 || rows.Data[0][0].Int() != 3 {
+		t.Fatalf("after the second heal: rows=%v err=%v, want tuple 3 only", rows, err)
+	}
+}

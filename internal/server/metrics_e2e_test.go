@@ -35,6 +35,9 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	if got := stats["instantdb_degrade_queue_depth"]; got != 2 {
 		t.Fatalf("queue depth = %v, want 2", got)
 	}
+	if got := stats["instantdb_degrade_queue_bytes"]; got <= 0 {
+		t.Fatalf("queue bytes with a backlog = %v, want > 0", got)
+	}
 	if got := stats["instantdb_server_active_conns"]; got != 1 {
 		t.Fatalf("active conns = %v, want 1", got)
 	}
@@ -99,5 +102,19 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	}
 	if got := stats[`instantdb_server_request_seconds_count{op="exec"}`]; got < 1 {
 		t.Fatalf("exec opcode histogram count = %v, want >= 1", got)
+	}
+
+	// Past the policy's horizon the tuple is deleted and the queues are
+	// drained: they are empty and hold no memory.
+	clock.Advance(40 * 24 * time.Hour)
+	if _, err := db.DegradeNow(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err = c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if depth, bytes := stats["instantdb_degrade_queue_depth"], stats["instantdb_degrade_queue_bytes"]; depth != 0 || bytes != 0 {
+		t.Fatalf("drained queues: depth = %v, bytes = %v, want 0 and 0", depth, bytes)
 	}
 }
