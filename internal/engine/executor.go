@@ -431,33 +431,22 @@ func serveStable(inst *indexInst, s query.Sargable) ([]storage.TupleID, bool, er
 		return nil, false, nil
 	}
 	var out []storage.TupleID
-	collect := func(_ []byte, tids []storage.TupleID) bool {
-		out = append(out, tids...)
-		return true
-	}
-	exact := func(v value.Value) {
-		inst.bt.Exact(value.AppendOrderedKey(nil, v), func(tids []storage.TupleID) {
-			out = append(out, tids...)
-		})
-	}
+	key := func(i int) []byte { return value.AppendOrderedKey(nil, s.Vals[i]) }
 	switch s.Op {
-	case "=":
-		exact(s.Vals[0])
-	case "IN":
-		for _, v := range s.Vals {
-			exact(v)
+	case "=", "IN":
+		for i := range s.Vals {
+			out = inst.bt.AppendExact(out, key(i))
 		}
 	case "<":
-		inst.bt.Range(nil, value.AppendOrderedKey(nil, s.Vals[0]), collect)
+		out = inst.bt.AppendRange(out, nil, key(0))
 	case "<=":
-		inst.bt.Range(nil, append(value.AppendOrderedKey(nil, s.Vals[0]), 0), collect)
+		out = inst.bt.AppendRange(out, nil, append(key(0), 0))
 	case ">":
-		inst.bt.Range(append(value.AppendOrderedKey(nil, s.Vals[0]), 0), nil, collect)
+		out = inst.bt.AppendRange(out, append(key(0), 0), nil)
 	case ">=":
-		inst.bt.Range(value.AppendOrderedKey(nil, s.Vals[0]), nil, collect)
+		out = inst.bt.AppendRange(out, key(0), nil)
 	case "BETWEEN":
-		inst.bt.Range(value.AppendOrderedKey(nil, s.Vals[0]),
-			append(value.AppendOrderedKey(nil, s.Vals[1]), 0), collect)
+		out = inst.bt.AppendRange(out, key(0), append(key(1), 0))
 	default:
 		return nil, false, nil
 	}
@@ -495,10 +484,7 @@ func serveTree(inst *indexInst, s query.Sargable, k int) ([]storage.TupleID, boo
 				})
 			case inst.bt != nil:
 				lo, hi := index.TreePrefix(inst.tree, node)
-				inst.bt.Range(lo, hi, func(_ []byte, tids []storage.TupleID) bool {
-					out = append(out, tids...)
-					return true
-				})
+				out = inst.bt.AppendRange(out, lo, hi)
 			}
 		}
 	}
@@ -531,10 +517,7 @@ func serveScalar(inst *indexInst, s query.Sargable, k int) ([]storage.TupleID, b
 			}
 			for lvl := 0; lvl <= k; lvl++ {
 				klo, khi := index.ScalarLevelRange(lvl, lo, hi)
-				inst.bt.Range(klo, khi, func(_ []byte, tids []storage.TupleID) bool {
-					out = append(out, tids...)
-					return true
-				})
+				out = inst.bt.AppendRange(out, klo, khi)
 			}
 		}
 	}

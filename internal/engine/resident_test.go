@@ -235,15 +235,17 @@ CREATE INDEX bm_loc ON person (location) USING BITMAP;`); err != nil {
 
 // Resident budgets: bytes of live heap per row of the benchmark's schema
 // (person: primary key plus B+tree indexes on both degradable columns)
-// at 20 000 rows, measurement + 10 %. This test measures 100 (loaded
-// live) and 88 (reopened), the same to a byte run after run; of the 88,
-// the three indexes hold 54, the tuple directory 16, the three
-// degradation queues 7 (2.3 B per pending task on a clock standing
-// still). With 16-byte queue tasks it measured 152 and 130, with a
-// posting per key and two directory maps before that 336 and 275.
+// at 20 000 rows, measurement + 10 %. This test measures 88.9 (loaded
+// live) and 78.6 (reopened), the same to a tenth run after run; of the
+// 78.6, the three indexes hold 44 (primary key 22.7, salary 18.5,
+// location 3.0), the tuple directory 16, the three degradation queues 7
+// (2.3 B per pending task on a clock standing still). With postings of
+// 8-byte ids it measured 100 and 88, with 16-byte queue tasks before that
+// 152 and 130, with a posting per key and two directory maps before that
+// 336 and 275.
 const (
-	residentBudgetLive     = 110
-	residentBudgetReopened = 97
+	residentBudgetLive     = 98
+	residentBudgetReopened = 87
 )
 
 func liveHeap() int64 {

@@ -156,34 +156,50 @@ func (bm *Bitmap) QuerySubtree(node gentree.NodeID) *Bitset {
 // a predicate at any accuracy level is one subtree collection. Safe for
 // concurrent use.
 type GTIndex struct {
-	mu       sync.RWMutex
-	tree     *gentree.Tree
-	postings map[gentree.NodeID]posting
+	mu   sync.RWMutex
+	tree *gentree.Tree
+	// postings holds each node's posting as a chunk table of its own.
+	postings map[gentree.NodeID][]chunk
 }
 
 // NewGTIndex builds a GT posting index over a tree domain.
 func NewGTIndex(tree *gentree.Tree) *GTIndex {
-	return &GTIndex{tree: tree, postings: make(map[gentree.NodeID]posting)}
+	return &GTIndex{tree: tree, postings: make(map[gentree.NodeID][]chunk)}
 }
 
 // Add registers tid under node.
 func (g *GTIndex) Add(node gentree.NodeID, tid storage.TupleID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.postings[node] = g.postings[node].add(tid)
+	g.addLocked(node, tid)
+}
+
+func (g *GTIndex) addLocked(node gentree.NodeID, tid storage.TupleID) {
+	tab := g.postings[node]
+	p := whole(&tab)
+	p.add(tid)
+	g.postings[node] = tab
 }
 
 // Remove unregisters tid from node.
 func (g *GTIndex) Remove(node gentree.NodeID, tid storage.TupleID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if p, ok := g.postings[node]; ok {
-		p = p.remove(tid)
-		if len(p) == 0 {
-			delete(g.postings, node)
-		} else {
-			g.postings[node] = p
-		}
+	g.removeLocked(node, tid)
+}
+
+// removeLocked drops a node whose posting empties.
+func (g *GTIndex) removeLocked(node gentree.NodeID, tid storage.TupleID) {
+	tab, ok := g.postings[node]
+	if !ok {
+		return
+	}
+	p := whole(&tab)
+	p.remove(tid)
+	if len(tab) == 0 {
+		delete(g.postings, node)
+	} else {
+		g.postings[node] = tab
 	}
 }
 
@@ -191,15 +207,8 @@ func (g *GTIndex) Remove(node gentree.NodeID, tid storage.TupleID) {
 func (g *GTIndex) Move(from, to gentree.NodeID, tid storage.TupleID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if p, ok := g.postings[from]; ok {
-		p = p.remove(tid)
-		if len(p) == 0 {
-			delete(g.postings, from)
-		} else {
-			g.postings[from] = p
-		}
-	}
-	g.postings[to] = g.postings[to].add(tid)
+	g.removeLocked(from, tid)
+	g.addLocked(to, tid)
 }
 
 // CollectSubtree appends every tuple registered at node or below to dst
@@ -210,7 +219,9 @@ func (g *GTIndex) CollectSubtree(node gentree.NodeID, dst []storage.TupleID) []s
 	defer g.mu.RUnlock()
 	var walk func(n gentree.NodeID)
 	walk = func(n gentree.NodeID) {
-		dst = append(dst, g.postings[n]...)
+		tab := g.postings[n]
+		p := whole(&tab)
+		dst = p.appendTo(dst)
 		for _, c := range g.tree.Children(n) {
 			walk(c)
 		}
@@ -231,8 +242,9 @@ func (g *GTIndex) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	n := 0
-	for _, p := range g.postings {
-		n += len(p)
+	for _, tab := range g.postings {
+		p := whole(&tab)
+		n += p.len()
 	}
 	return n
 }

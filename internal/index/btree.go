@@ -11,13 +11,18 @@
 //     degradation step moves an id between two postings, and a predicate
 //     at any accuracy level is one subtree collection.
 //
+// A posting — the ids of a B+tree key with more than one, or of a GT node
+// — is one type for both: chunks of up to 128 ascending ids, the first in
+// the clear and the rest as uvarint gaps (posting.go).
+//
 // Indexes are memory-resident, rebuilt from the heap at open: the
 // persistent artifacts audited for non-recoverability are the page store
 // and the log. Removal erases eagerly all the same: a BTree key whose last
 // tuple id leaves is deleted and its bytes zeroed, a leaf that empties is
-// unlinked, postings shrink and their freed tails are zeroed. What the
-// BTree does not do is merge underfull leaves: a leaf keeps its footprint
-// until its last key is gone (BTree.Stats reports what is held).
+// unlinked, a posting chunk shrinks in place with its vacated bytes
+// zeroed and is zeroed and dropped with its last id. What the BTree does
+// not do is merge underfull leaves: a leaf keeps its footprint until its
+// last key is gone (BTree.Stats reports what is held).
 package index
 
 import (
@@ -37,27 +42,6 @@ const fanout = 64
 // arenaPresizeMax is the largest key arena a node allocates ahead of
 // need; nodes of longer keys grow theirs geometrically.
 const arenaPresizeMax = 4096
-
-// posting is a sorted TupleID set.
-type posting []storage.TupleID
-
-func (p posting) add(tid storage.TupleID) posting {
-	i, ok := slices.BinarySearch(p, tid)
-	if ok {
-		return p
-	}
-	return slices.Insert(p, i, tid)
-}
-
-// remove deletes tid; slices.Delete zeroes the vacated tail slot, so the
-// id does not linger in memory.
-func (p posting) remove(tid storage.TupleID) posting {
-	i, ok := slices.BinarySearch(p, tid)
-	if !ok {
-		return p
-	}
-	return slices.Delete(p, i, i+1)
-}
 
 // packedKeys is a node's sorted keys, stored back to back in one arena:
 // key i is arena[ends[i-1]:ends[i]].
@@ -172,26 +156,87 @@ func (k *packedKeys) moveTail(dst *packedKeys, upto, from int) int {
 }
 
 // spillBit marks a leaf value slot that holds, instead of the key's one
-// tuple id, the index of its posting in the leaf's posts. Ids with the
-// bit set themselves always spill.
+// tuple id, where its posting lies in the leaf's posts: the index of its
+// first chunk in the low 32 bits, the number of its chunks above them.
+// Ids with the bit set themselves always spill.
 const spillBit storage.TupleID = 1 << 63
+
+// spanRef is the value slot of a posting on posts[lo:hi].
+func spanRef(lo, hi int) storage.TupleID {
+	return spillBit | storage.TupleID(hi-lo)<<32 | storage.TupleID(lo)
+}
+
+// span returns the chunks of the posting a spilled value slot refers to.
+func span(v storage.TupleID) (lo, hi int) {
+	lo = int(uint32(v))
+	return lo, lo + int((v&^spillBit)>>32)
+}
 
 // leaf holds up to fanout keys and one 8-byte value slot per key. A key
 // with a single tuple id — every key of a unique index — keeps it in the
 // slot; further ids move the key's set to a posting of its own.
 type leaf struct {
-	keys       packedKeys
-	vals       [fanout]storage.TupleID
-	posts      []posting // spilled postings; nil entries are free
+	keys packedKeys
+	vals [fanout]storage.TupleID
+	// posts holds the chunks of every spilled posting of the leaf, one
+	// run of chunks per key, in key order; nil when no key spilled.
+	posts      []chunk
 	prev, next *leaf
 }
 
-// tids returns the ids under key i. The slice aliases the leaf.
-func (lf *leaf) tids(i int) []storage.TupleID {
-	if v := lf.vals[i]; v&spillBit != 0 {
-		return lf.posts[v&^spillBit]
+// postingOf returns the posting of spilled key i.
+func (lf *leaf) postingOf(i int) posting {
+	lo, hi := span(lf.vals[i])
+	return posting{tab: &lf.posts, lo: lo, hi: hi}
+}
+
+// appendTIDs appends the ids under key i to dst.
+func (lf *leaf) appendTIDs(dst []storage.TupleID, i int) []storage.TupleID {
+	if v := lf.vals[i]; v&spillBit == 0 {
+		return append(dst, v)
 	}
-	return lf.vals[i : i+1]
+	p := lf.postingOf(i)
+	return p.appendTo(dst)
+}
+
+// resize records that spilled key i's posting now ends before chunk hi
+// and moves the postings of the keys after it by as many chunks as it
+// gained or lost.
+func (lf *leaf) resize(i, hi int) {
+	lo, was := span(lf.vals[i])
+	lf.vals[i] = spanRef(lo, hi)
+	lf.shiftSpans(i, hi-was)
+}
+
+// shiftSpans moves the postings of the spilled keys after key i by d
+// chunks.
+func (lf *leaf) shiftSpans(i, d int) {
+	if d == 0 {
+		return
+	}
+	for j := i + 1; j < lf.keys.n; j++ {
+		if lf.vals[j]&spillBit != 0 {
+			lf.vals[j] += storage.TupleID(d)
+		}
+	}
+}
+
+// spill gives key i a posting of its own holding ids, behind the chunks
+// of the keys before it, and returns the capacity gained.
+func (lf *leaf) spill(i int, ids ...storage.TupleID) int {
+	at := 0
+	for j := i - 1; j >= 0; j-- {
+		if v := lf.vals[j]; v&spillBit != 0 {
+			_, at = span(v)
+			break
+		}
+	}
+	var c chunk
+	d := c.pack(ids)
+	d += insertChunk(&lf.posts, at, c)
+	lf.vals[i] = spanRef(at, at+1)
+	lf.shiftSpans(i, 1)
+	return d
 }
 
 type inner struct {
@@ -216,10 +261,8 @@ func (*leaf) isNode()  {}
 func (*inner) isNode() {}
 
 const (
-	leafBytes    = int(unsafe.Sizeof(leaf{}))
-	innerBytes   = int(unsafe.Sizeof(inner{}))
-	postingBytes = int(unsafe.Sizeof(posting{}))
-	tidBytes     = int(unsafe.Sizeof(storage.TupleID(0)))
+	leafBytes  = int(unsafe.Sizeof(leaf{}))
+	innerBytes = int(unsafe.Sizeof(inner{}))
 )
 
 // BTree is an in-memory B+tree mapping byte keys to TupleID postings.
@@ -232,7 +275,8 @@ type BTree struct {
 
 // counts is a tree's occupancy, kept current by every mutation so that
 // Stats never walks the tree: live (key, tid) pairs, distinct keys,
-// nodes, and the capacity in bytes of key arenas and of spilled postings.
+// nodes, and the capacity in bytes of key arenas and of spilled postings
+// (chunk tables and chunk byte arrays).
 type counts struct {
 	n, nkeys, leaves, inners int
 	arenaBytes, postBytes    int
@@ -366,7 +410,7 @@ func (t *BTree) insertLeaf(lf *leaf, key []byte, tid storage.TupleID) (*leaf, bo
 	t.arenaBytes += target.keys.insert(i, key)
 	copy(target.vals[i+1:target.keys.n], target.vals[i:target.keys.n-1])
 	if tid&spillBit != 0 {
-		target.vals[i] = t.spill(target, posting{tid})
+		t.postBytes += target.spill(i, tid)
 	} else {
 		target.vals[i] = tid
 	}
@@ -375,44 +419,34 @@ func (t *BTree) insertLeaf(lf *leaf, key []byte, tid storage.TupleID) (*leaf, bo
 }
 
 // splitLeaf moves keys [mid, n) of lf, with their values, to the empty
-// right.
+// right. Postings are in key order, so the moved keys' chunks are the
+// tail of lf's posts.
 func (t *BTree) splitLeaf(lf, right *leaf, mid int) {
 	n := lf.keys.n
 	t.arenaBytes += lf.keys.moveTail(&right.keys, mid, mid)
 	copy(right.vals[:], lf.vals[mid:n])
 	clear(lf.vals[mid:n])
+	cut := -1
 	for j, v := range right.vals[:n-mid] {
-		if v&spillBit != 0 {
-			p := lf.posts[v&^spillBit]
-			t.unspill(lf, int(v&^spillBit))
-			right.vals[j] = t.spill(right, p)
+		if v&spillBit == 0 {
+			continue
 		}
+		if cut < 0 {
+			cut, _ = span(v)
+		}
+		right.vals[j] = v - storage.TupleID(cut)
 	}
-}
-
-// spill stores p among lf's postings and returns the value slot content
-// that refers to it.
-func (t *BTree) spill(lf *leaf, p posting) storage.TupleID {
-	t.postBytes += cap(p) * tidBytes
-	idx := slices.IndexFunc(lf.posts, func(q posting) bool { return q == nil })
-	if idx < 0 {
-		idx = len(lf.posts)
-		before := cap(lf.posts)
-		lf.posts = append(lf.posts, nil)
-		t.postBytes += (cap(lf.posts) - before) * postingBytes
+	if cut < 0 {
+		return
 	}
-	lf.posts[idx] = p
-	return spillBit | storage.TupleID(idx)
-}
-
-// unspill frees posting slot idx of lf, and the slot table with its last.
-func (t *BTree) unspill(lf *leaf, idx int) {
-	t.postBytes -= cap(lf.posts[idx]) * tidBytes
-	lf.posts[idx] = nil
-	if !slices.ContainsFunc(lf.posts, func(q posting) bool { return q != nil }) {
-		t.postBytes -= cap(lf.posts) * postingBytes
+	before := cap(lf.posts)
+	right.posts = make([]chunk, len(lf.posts)-cut)
+	copy(right.posts, lf.posts[cut:])
+	clear(lf.posts[cut:])
+	if lf.posts = lf.posts[:cut]; cut == 0 {
 		lf.posts = nil
 	}
+	t.postBytes += (cap(right.posts) + cap(lf.posts) - before) * chunkBytes
 }
 
 // addTID adds tid to the ids of key i and reports whether it was new.
@@ -422,18 +456,14 @@ func (t *BTree) addTID(lf *leaf, i int, tid storage.TupleID) bool {
 		if v == tid {
 			return false
 		}
-		lf.vals[i] = t.spill(lf, posting{min(v, tid), max(v, tid)})
+		t.postBytes += lf.spill(i, min(v, tid), max(v, tid))
 		return true
 	}
-	idx := v &^ spillBit
-	p := lf.posts[idx]
-	np := p.add(tid)
-	if len(np) == len(p) {
-		return false
-	}
-	t.postBytes += (cap(np) - cap(p)) * tidBytes
-	lf.posts[idx] = np
-	return true
+	p := lf.postingOf(i)
+	added, d := p.add(tid)
+	t.postBytes += d
+	lf.resize(i, p.hi)
+	return added
 }
 
 // removeTID removes tid from the ids of key i. A posting left with one
@@ -443,23 +473,21 @@ func (t *BTree) removeTID(lf *leaf, i int, tid storage.TupleID) (removed, gone b
 	if v&spillBit == 0 {
 		return v == tid, v == tid
 	}
-	idx := int(v &^ spillBit)
-	p := lf.posts[idx]
-	np := p.remove(tid)
-	switch {
-	case len(np) == len(p):
-		return false, false
-	case len(np) == 0:
-		t.unspill(lf, idx)
-		return true, true
-	case len(np) == 1 && np[0]&spillBit == 0:
-		lf.vals[i] = np[0]
-		np[0] = 0
-		t.unspill(lf, idx)
-	default:
-		lf.posts[idx] = np
+	p := lf.postingOf(i)
+	removed, d := p.remove(tid)
+	t.postBytes += d
+	if p.hi-p.lo == 1 {
+		if c := &lf.posts[p.lo]; c.len() == 1 && c.first&spillBit == 0 {
+			id := c.first
+			p.hi--
+			t.postBytes += deleteChunk(&lf.posts, p.lo)
+			lf.resize(i, p.hi)
+			lf.vals[i] = id
+			return removed, false
+		}
 	}
-	return true, false
+	lf.resize(i, p.hi)
+	return removed, p.lo == p.hi
 }
 
 // Remove deletes tid from key's ids. A key left without ids is deleted
@@ -554,30 +582,84 @@ func (t *BTree) seekLeaf(key []byte) (*leaf, int, bool) {
 	}
 }
 
-// Exact calls fn with the posting stored under key, if any. The posting
-// must not be retained or modified.
+// tidBufs lends Exact and Range the buffer they decode postings into: a
+// call holds one until it returns, so calls in a row allocate none.
+var tidBufs = sync.Pool{New: func() any { return new([]storage.TupleID) }}
+
+// Exact calls fn with the ids stored under key, ascending, if any: the
+// value slot itself for an inline id, else the posting decoded into a
+// buffer the call holds. The slice must not be retained or modified.
 func (t *BTree) Exact(key []byte, fn func(tids []storage.TupleID)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if lf, i, found := t.seekLeaf(key); found {
-		fn(lf.tids(i))
+	lf, i, found := t.seekLeaf(key)
+	switch {
+	case !found:
+	case lf.vals[i]&spillBit == 0:
+		fn(lf.vals[i : i+1])
+	default:
+		buf := tidBufs.Get().(*[]storage.TupleID)
+		*buf = lf.appendTIDs((*buf)[:0], i)
+		fn(*buf)
+		tidBufs.Put(buf)
 	}
 }
 
+// AppendExact appends the ids stored under key, ascending, to dst.
+func (t *BTree) AppendExact(dst []storage.TupleID, key []byte) []storage.TupleID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if lf, i, found := t.seekLeaf(key); found {
+		dst = lf.appendTIDs(dst, i)
+	}
+	return dst
+}
+
 // Range iterates entries with lo <= key < hi (hi nil = unbounded),
-// calling fn per key; fn returning false stops. Keys and postings must
-// not be retained or modified.
+// calling fn per key with its ids, ascending; fn returning false stops.
+// Keys and id slices must not be retained or modified: postings are
+// decoded into one buffer the call holds and reuses from key to key.
 func (t *BTree) Range(lo, hi []byte, fn func(key []byte, tids []storage.TupleID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var buf *[]storage.TupleID
+	t.scan(lo, hi, func(lf *leaf, i int) bool {
+		if lf.vals[i]&spillBit == 0 {
+			return fn(lf.keys.key(i), lf.vals[i:i+1])
+		}
+		if buf == nil {
+			buf = tidBufs.Get().(*[]storage.TupleID)
+		}
+		*buf = lf.appendTIDs((*buf)[:0], i)
+		return fn(lf.keys.key(i), *buf)
+	})
+	if buf != nil {
+		tidBufs.Put(buf)
+	}
+}
+
+// AppendRange appends the ids of every key with lo <= key < hi (hi nil =
+// unbounded) to dst, key by key.
+func (t *BTree) AppendRange(dst []storage.TupleID, lo, hi []byte) []storage.TupleID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.scan(lo, hi, func(lf *leaf, i int) bool {
+		dst = lf.appendTIDs(dst, i)
+		return true
+	})
+	return dst
+}
+
+// scan calls fn for every key with lo <= key < hi in key order, until fn
+// returns false. The caller holds t.mu.
+func (t *BTree) scan(lo, hi []byte, fn func(lf *leaf, i int) bool) {
 	lf, i, _ := t.seekLeaf(lo)
 	for ; lf != nil; lf, i = lf.next, 0 {
 		for ; i < lf.keys.n; i++ {
-			k := lf.keys.key(i)
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
+			if hi != nil && bytes.Compare(lf.keys.key(i), hi) >= 0 {
 				return
 			}
-			if !fn(k, lf.tids(i)) {
+			if !fn(lf, i) {
 				return
 			}
 		}
@@ -626,17 +708,28 @@ func BuildBTree(run []Entry) (*BTree, error) {
 	}
 	var level []built
 	var last *leaf
+	var ids []storage.TupleID // one key's ids, deduplicated
 	for i := 0; i < len(run); {
 		lf := &leaf{prev: last}
-		// First pass: the leaf's extent in the run and its key bytes.
-		end, size := i, 0
+		// First pass: the leaf's extent in the run, its key bytes and the
+		// chunks its postings take.
+		end, size, nchunks := i, 0, 0
 		for nk := 0; end < len(run) && nk < fanout; nk++ {
-			size += len(run[end].Key)
-			for k := run[end].Key; end < len(run) && bytes.Equal(run[end].Key, k); {
-				end++
+			k, n := run[end].Key, 0
+			size += len(k)
+			for start := end; end < len(run) && bytes.Equal(run[end].Key, k); end++ {
+				if end == start || run[end].TID != run[end-1].TID {
+					n++
+				}
+			}
+			if n > 1 || run[end-1].TID&spillBit != 0 {
+				nchunks += (n + chunkIDs - 1) / chunkIDs
 			}
 		}
 		lf.keys.arena = make([]byte, 0, size)
+		if nchunks > 0 {
+			lf.posts = make([]chunk, 0, nchunks)
+		}
 		for i < end {
 			j := i + 1
 			for j < end && bytes.Equal(run[j].Key, run[i].Key) {
@@ -648,19 +741,26 @@ func BuildBTree(run []Entry) (*BTree, error) {
 				lf.vals[k] = run[i].TID
 				t.n++
 			} else {
-				p := make(posting, 0, j-i)
+				ids = ids[:0]
 				for _, e := range run[i:j] {
-					if len(p) == 0 || p[len(p)-1] != e.TID {
-						p = append(p, e.TID)
+					if len(ids) == 0 || ids[len(ids)-1] != e.TID {
+						ids = append(ids, e.TID)
 					}
 				}
-				lf.vals[k] = t.spill(lf, p)
-				t.n += len(p)
+				t.n += len(ids)
+				lo := len(lf.posts)
+				for rest := ids; len(rest) > 0; rest = rest[min(chunkIDs, len(rest)):] {
+					var c chunk
+					t.postBytes += c.pack(rest[:min(chunkIDs, len(rest))])
+					lf.posts = append(lf.posts, c)
+				}
+				lf.vals[k] = spanRef(lo, len(lf.posts))
 			}
 			i = j
 		}
 		t.nkeys += lf.keys.n
 		t.arenaBytes += size
+		t.postBytes += cap(lf.posts) * chunkBytes
 		t.leaves++
 		if last != nil {
 			last.next = lf

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,7 +71,8 @@ func (t *BTree) validate() error {
 			}
 			last = nd
 			c.nkeys += nd.keys.n
-			used := 0
+			// Postings tile the chunk table in key order.
+			next := 0
 			for i, v := range nd.vals {
 				if i >= nd.keys.n {
 					if v != 0 {
@@ -78,35 +80,32 @@ func (t *BTree) validate() error {
 					}
 					continue
 				}
-				ids := nd.tids(i)
-				c.n += len(ids)
 				if v&spillBit == 0 {
+					c.n++
 					continue
 				}
-				used++
-				if len(ids) == 0 || len(ids) == 1 && ids[0]&spillBit == 0 {
-					return fmt.Errorf("posting of %d ids should be inline", len(ids))
+				lo, hi := span(v)
+				if lo != next || hi <= lo || hi > len(nd.posts) {
+					return fmt.Errorf("key %d's posting spans chunks [%d, %d) of %d, the key before ends at %d", i, lo, hi, len(nd.posts), next)
 				}
-				if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
-					return fmt.Errorf("posting %v not a sorted set", ids)
+				next = hi
+				ids, bytes, err := checkChunks(nd.posts[lo:hi])
+				if err != nil {
+					return fmt.Errorf("key %d: %w", i, err)
 				}
-				for _, id := range ids[len(ids):cap(ids)] {
-					if id != 0 {
-						return errors.New("vacated posting tail not zeroed")
-					}
+				if len(ids) == 1 && ids[0]&spillBit == 0 {
+					return fmt.Errorf("posting of one plain id %d should be inline", ids[0])
 				}
-				c.postBytes += cap(ids) * tidBytes
+				c.n += len(ids)
+				c.postBytes += bytes
 			}
-			held := 0
-			for _, p := range nd.posts {
-				if p != nil {
-					held++
-				}
+			if next != len(nd.posts) || nd.posts != nil && len(nd.posts) == 0 {
+				return fmt.Errorf("postings take %d of %d chunks held", next, len(nd.posts))
 			}
-			if held != used || nd.posts != nil && held == 0 {
-				return fmt.Errorf("%d postings held, %d referenced", held, used)
+			if err := checkVacatedChunks(nd.posts); err != nil {
+				return err
 			}
-			c.postBytes += cap(nd.posts) * postingBytes
+			c.postBytes += cap(nd.posts) * chunkBytes
 		case *inner:
 			c.inners++
 			if nd == t.root && nd.keys.n == 0 {
@@ -148,21 +147,23 @@ func (t *BTree) validate() error {
 	return nil
 }
 
-// treeModel is the reference: key → set of ids.
-type treeModel map[string]map[storage.TupleID]bool
+// treeModel is the reference: key → its ids, ascending.
+type treeModel map[string][]storage.TupleID
 
 func (m treeModel) add(key []byte, tid storage.TupleID) {
-	if m[string(key)] == nil {
-		m[string(key)] = map[storage.TupleID]bool{}
+	ids := m[string(key)]
+	if i, found := slices.BinarySearch(ids, tid); !found {
+		m[string(key)] = slices.Insert(ids, i, tid)
 	}
-	m[string(key)][tid] = true
 }
 
 func (m treeModel) remove(key []byte, tid storage.TupleID) {
-	if ids := m[string(key)]; ids != nil {
-		delete(ids, tid)
-		if len(ids) == 0 {
+	ids := m[string(key)]
+	if i, found := slices.BinarySearch(ids, tid); found {
+		if ids = slices.Delete(ids, i, i+1); len(ids) == 0 {
 			delete(m, string(key))
+		} else {
+			m[string(key)] = ids
 		}
 	}
 }
@@ -179,20 +180,25 @@ func (m treeModel) dump(lo, hi []byte) []string {
 	slices.Sort(keys)
 	out := make([]string, 0, len(keys))
 	for _, k := range keys {
-		ids := make([]storage.TupleID, 0, len(m[k]))
-		for id := range m[k] {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		out = append(out, fmt.Sprintf("%x=%v", k, ids))
+		out = append(out, render([]byte(k), m[k]))
 	}
 	return out
+}
+
+// render prints a key and its ids, 8 bytes each, for the dumps to
+// compare.
+func render(k []byte, ids []storage.TupleID) string {
+	b := append(hex.AppendEncode(nil, k), '=')
+	for _, id := range ids {
+		b = binary.BigEndian.AppendUint64(b, uint64(id))
+	}
+	return string(b)
 }
 
 func dumpRange(bt *BTree, lo, hi []byte) []string {
 	var out []string
 	bt.Range(lo, hi, func(k []byte, tids []storage.TupleID) bool {
-		out = append(out, fmt.Sprintf("%x=%v", k, tids))
+		out = append(out, render(k, tids))
 		return true
 	})
 	return out
@@ -200,20 +206,18 @@ func dumpRange(bt *BTree, lo, hi []byte) []string {
 
 func dumpExact(bt *BTree, key []byte) string {
 	s := "absent"
-	bt.Exact(key, func(tids []storage.TupleID) { s = fmt.Sprint(tids) })
+	bt.Exact(key, func(tids []storage.TupleID) { s = render(nil, tids) })
 	return s
 }
 
+// sorted returns a copy of key's ids.
+func (m treeModel) sorted(key []byte) []storage.TupleID { return slices.Clone(m[string(key)]) }
+
 func (m treeModel) exact(key []byte) string {
-	ids := make([]storage.TupleID, 0, len(m[string(key)]))
-	for id := range m[string(key)] {
-		ids = append(ids, id)
+	if ids := m.sorted(key); len(ids) > 0 {
+		return render(nil, ids)
 	}
-	if len(ids) == 0 {
-		return "absent"
-	}
-	slices.Sort(ids)
-	return fmt.Sprint(ids)
+	return "absent"
 }
 
 // checkAgainst compares every answer the tree can give with the model's.
@@ -263,6 +267,9 @@ func opTID(b byte) storage.TupleID {
 // runOps interprets data as a stream of four-byte ops against a tree
 // and the model. The first byte narrows the key space, so that some
 // streams pile ids onto few keys and others spread over many leaves.
+// Besides single adds and removes, a run appends 64–319 ids past a key's
+// largest, and an expiry removes a key's 64–319 oldest ids: keys with
+// hundreds of ids in several chunks, drained from the head.
 func runOps(t testing.TB, bt *BTree, m treeModel, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -273,9 +280,28 @@ func runOps(t testing.TB, bt *BTree, m treeModel, data []byte) {
 		op, a, tid := data[0], binary.BigEndian.Uint16(data[1:3])&mask, opTID(data[3])
 		key := opKey(a)
 		switch {
-		case op < 120:
+		case op < 100:
 			bt.Add(key, tid)
 			m.add(key, tid)
+		case op < 108: // a run at the tail, some of it 2⁴⁰ apart
+			next := storage.TupleID(100)
+			if ids := m.sorted(key); len(ids) > 0 {
+				next = max(next, ids[len(ids)-1]+1)
+			}
+			for i := 0; i < 64+int(data[3]); i++ {
+				if i%97 == 96 {
+					next += 1 << 40
+				}
+				bt.Add(key, next)
+				m.add(key, next)
+				next += storage.TupleID(1 + i%3)
+			}
+		case op < 120: // expiry order: the oldest ids leave first
+			ids := m.sorted(key)
+			for _, id := range ids[:min(len(ids), 64+int(data[3]))] {
+				bt.Remove(key, id)
+				m.remove(key, id)
+			}
 		case op < 230:
 			bt.Remove(key, tid)
 			m.remove(key, tid)
@@ -308,7 +334,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		checkAgainst(t, bt, m)
 		// Whatever is left must go, down to one empty leaf.
 		for k, ids := range m {
-			for id := range ids {
+			for _, id := range ids {
 				bt.Remove([]byte(k), id)
 			}
 		}
@@ -332,6 +358,8 @@ func FuzzBTreeOps(f *testing.F) {
 		seq = append(seq, 200, byte(i>>8), byte(i), 0)
 	}
 	f.Add(seq)
+	// Two runs onto one key, then its oldest ids leave across chunk ends.
+	f.Add([]byte{0, 100, 0, 1, 250, 100, 0, 1, 200, 110, 0, 1, 130, 235, 0, 1, 0, 115, 0, 1, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bt, m := NewBTree(), treeModel{}
 		runOps(t, bt, m, data)

@@ -403,35 +403,3 @@ func TestGTIndexDegradeAndQuery(t *testing.T) {
 		t.Fatalf("NodeCount=%d want 1", g.NodeCount())
 	}
 }
-
-// Property: posting add/remove keeps sorted uniqueness.
-func TestQuickPosting(t *testing.T) {
-	if err := quick.Check(func(ids []uint8) bool {
-		var p posting
-		model := map[storage.TupleID]bool{}
-		for _, id := range ids {
-			tid := storage.TupleID(id % 32)
-			if id%2 == 0 {
-				p = p.add(tid)
-				model[tid] = true
-			} else {
-				p = p.remove(tid)
-				delete(model, tid)
-			}
-		}
-		if len(p) != len(model) {
-			return false
-		}
-		for i := range p {
-			if !model[p[i]] {
-				return false
-			}
-			if i > 0 && p[i-1] >= p[i] {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -13,12 +13,15 @@
 // by the EpochSource in this package, with no locks in either
 // direction. Deadlocks resolve by bounded waiting: a request that
 // cannot be granted within the configured timeout fails with
-// ErrLockTimeout and the caller aborts.
+// ErrLockTimeout and the caller aborts. The one deadlock a single
+// resource can hold is refused at once instead: an upgrade that waits
+// for the lock of another upgrader waiting for its own.
 package txn
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,7 +150,11 @@ func NewLockManager(timeout time.Duration) *LockManager {
 }
 
 // Acquire grants mode on res to txn, waiting up to the timeout. Repeat
-// and weaker requests are no-ops; upgrades wait like fresh requests.
+// and weaker requests are no-ops. An upgrade — txn already holds a
+// weaker mode on res — goes ahead of fresh requests, which wait for the
+// lock it holds anyway: it is granted as soon as the other holders allow,
+// and refused at once when it would wait for an upgrader that waits for
+// it.
 func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 	lm.mu.Lock()
 	st, ok := lm.locks[res]
@@ -155,17 +162,33 @@ func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 		st = &lockState{holders: make(map[ID]LockMode)}
 		lm.locks[res] = st
 	}
-	if cur, holds := st.holders[txn]; holds && stronger(cur, mode) {
+	cur, holds := st.holders[txn]
+	if holds && stronger(cur, mode) {
 		lm.mu.Unlock()
 		return nil
 	}
-	if lm.grantableLocked(st, txn, mode) && len(st.queue) == 0 {
+	if lm.grantableLocked(st, txn, mode) && (len(st.queue) == 0 || holds) {
 		lm.grantLocked(st, txn, res, mode)
 		lm.mu.Unlock()
 		return nil
 	}
 	w := &waiter{txn: txn, mode: mode, granted: make(chan struct{})}
-	st.queue = append(st.queue, w)
+	at := len(st.queue)
+	if holds {
+		at = 0
+		for _, q := range st.queue {
+			held, up := st.holders[q.txn]
+			if !up {
+				break
+			}
+			if !compatible[cur][q.mode] && !compatible[held][mode] {
+				lm.mu.Unlock()
+				return fmt.Errorf("%w: %s on %s would deadlock with the upgrade of txn %d", ErrLockTimeout, mode, res, q.txn)
+			}
+			at++
+		}
+	}
+	st.queue = slices.Insert(st.queue, at, w)
 	lm.mu.Unlock()
 
 	timer := time.NewTimer(lm.timeout)

@@ -261,6 +261,66 @@ func queued(lm *LockManager, res Resource) int {
 	return 0
 }
 
+// waitQueued waits until n requests wait on res.
+func waitQueued(t *testing.T, lm *LockManager, res Resource, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); queued(lm, res) != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d waiters", n)
+		}
+	}
+}
+
+// TestUpgradeDeadlockFailsFast: two transactions hold S on a row (or IX
+// on a table) and both ask for X. Each would wait for the other's lock to
+// go, so the second upgrader is refused at once instead of waiting out
+// the timeout; once it releases, the first is granted, ahead of a fresh X
+// request that queued meanwhile.
+func TestUpgradeDeadlockFailsFast(t *testing.T) {
+	const timeout = 2 * time.Second
+	for _, tc := range []struct {
+		res  Resource
+		held LockMode
+	}{{RowRes(1, 7), LockS}, {TableRes(1), LockIX}} {
+		lm := NewLockManager(timeout)
+		r := tc.res
+		for _, id := range []ID{1, 2} {
+			if err := lm.Acquire(id, r, tc.held); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := make(chan error, 1)
+		go func() { first <- lm.Acquire(1, r, LockX) }()
+		waitQueued(t, lm, r, 1)
+		start := time.Now()
+		err := lm.Acquire(2, r, LockX)
+		if !errors.Is(err, ErrLockTimeout) || !strings.Contains(err.Error(), r.String()) {
+			t.Fatalf("%s: second upgrader got %v, want a lock timeout naming %s", tc.held, err, r)
+		}
+		if d := time.Since(start); d > timeout/10 {
+			t.Fatalf("%s: second upgrader refused after %v; want it refused at once", tc.held, d)
+		}
+		fresh := make(chan error, 1)
+		go func() { fresh <- lm.Acquire(3, r, LockX) }()
+		waitQueued(t, lm, r, 2)
+		lm.ReleaseAll(2)
+		select {
+		case err := <-first:
+			if err != nil {
+				t.Fatalf("%s: first upgrader: %v", tc.held, err)
+			}
+		case <-time.After(timeout / 2):
+			t.Fatalf("%s: first upgrader not granted when the other holder released", tc.held)
+		}
+		waitQueued(t, lm, r, 1)
+		lm.ReleaseAll(1)
+		if err := <-fresh; err != nil {
+			t.Fatalf("%s: fresh X request: %v", tc.held, err)
+		}
+		lm.ReleaseAll(3)
+	}
+}
+
 // TestTimedOutWaiterWakesQueue: a waiter that gives up is a release for
 // the requests parked behind it. T1 holds S, T2 queues X, T3 queues S
 // behind T2; T3 is compatible with T1 and waits only because grants are
@@ -273,14 +333,7 @@ func TestTimedOutWaiterWakesQueue(t *testing.T) {
 	if err := lm.Acquire(1, r, LockS); err != nil {
 		t.Fatal(err)
 	}
-	waitQueued := func(n int) {
-		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); queued(lm, r) != n; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("queue never reached %d waiters", n)
-			}
-		}
-	}
+	waitQueued := func(n int) { waitQueued(t, lm, r, n) }
 	type result struct {
 		err error
 		at  time.Time
