@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke budgets bench-harness bench bench-json bench-shard bench-groupcommit bench-trace bench-load metrics-smoke trace-smoke load-smoke serve clean
+.PHONY: build test race race-txn vet fmt-check doc-check md-check fuzz-smoke budgets bench-harness bench serve clean
 
 build:
 	$(GO) build ./...
@@ -64,60 +64,6 @@ bench-harness:
 
 bench:
 	$(GO) test ./... -run '^$$' -bench . -benchmem
-
-# bench-json regenerates the committed metrics-overhead reference
-# (BENCH_PR6.json): ns/op, allocs, and the instrumentation delta on the
-# insert/select hot paths (budget <2% per path).
-bench-json:
-	$(GO) run ./cmd/benchrunner -exp METRICS -n 5000 -rounds 12 -benchjson BENCH_PR6.json
-
-# bench-shard regenerates the committed sharding reference
-# (BENCH_PR7.json): insert / point-select / scan throughput through the
-# router, 1-shard vs 3-shard.
-bench-shard:
-	$(GO) run ./cmd/benchrunner -exp SHARD -benchjson BENCH_PR7.json
-
-# bench-groupcommit regenerates the committed group-commit reference
-# (BENCH_PR8.json): durable commits/sec and fsyncs/commit at 1/8/32
-# sessions, per-batch fsync vs group commit.
-bench-groupcommit:
-	$(GO) run ./cmd/benchrunner -exp GROUPCOMMIT -n 4000 -rounds 3 -benchjson BENCH_PR8.json
-
-# metrics-smoke boots a database with a live degradation workload,
-# scrapes /metrics and /healthz over HTTP and the Stats opcode over
-# TCP, and lints the Prometheus exposition.
-metrics-smoke:
-	$(GO) run ./internal/tools/metricssmoke
-
-# trace-smoke exercises the tracing and audit surface end to end: a
-# forced trace on a durable INSERT must decompose down to the shared
-# group-commit fsync, a crossed degradation deadline must land in a
-# hash-chain-verifiable audit trail, and /debug/traces + /debug/pprof
-# must answer on the metrics listener.
-trace-smoke:
-	$(GO) run ./internal/tools/tracesmoke
-
-# load-smoke runs the quick open-loop SLO experiment end to end and
-# hard-asserts the ISSUE 10 surface: intended-start quantiles per
-# tenant, the mid-run degradation wave visible in the lag gauge and
-# settled by drain, span attribution for the slowest traced op, the
-# audit chain verified over the wave, and a passing SLO verdict.
-load-smoke:
-	$(GO) run ./internal/tools/loadsmoke
-
-# bench-load regenerates the committed open-loop SLO reference
-# (BENCH_PR10.json): the full (non-quick) LOAD run — three tenants,
-# Poisson arrivals, degradation wave mid-steady-phase — which fails if
-# any SLO gate is violated.
-bench-load:
-	$(GO) run ./cmd/benchrunner -exp LOAD -benchjson BENCH_PR10.json
-
-# bench-trace regenerates the committed tracing-overhead reference
-# (BENCH_PR9.json): insert / point-select ns/op and p50/p99 with
-# tracing off, unsampled (sample 0), and fully sampled (sample 1) —
-# unsampled overhead budget <3% per path.
-bench-trace:
-	$(GO) run ./cmd/benchrunner -exp TRACE -n 5000 -rounds 12 -benchjson BENCH_PR9.json
 
 serve:
 	$(GO) run ./cmd/instantdb-server -dir demo.db -listen :7654

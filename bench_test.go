@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's reproduction artifacts, one per
 // experiment in DESIGN.md's index (run `go test -bench=. -benchmem`), plus
 // micro-benchmarks of the engine's hot paths. cmd/benchrunner prints the
-// same experiments as human-readable tables; EXPERIMENTS.md records a
-// reference run.
+// same experiments as human-readable tables; end-to-end and per-layer
+// performance is measured by the harness in bench/ (bench/README.md).
 package instantdb_test
 
 import (

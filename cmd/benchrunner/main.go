@@ -1,46 +1,15 @@
 // Command benchrunner regenerates every experiment of the reproduction:
 // the paper's three figures (F1–F3), the three quantified claims
 // (E1–E3), and the §III engineering ablations (B-STORE, B-LOG, B-IDX,
-// B-TXN, B-REC). EXPERIMENTS.md records a reference run.
+// B-TXN, B-REC). Each experiment prints the table or series it
+// reproduces; the tests in internal/experiments assert their outcomes.
+// System performance (latency, throughput, bytes per row) is measured
+// by the harness in bench/ instead: see bench/README.md.
 //
 // Usage:
 //
-//	benchrunner [-exp all|F1|F2|F3|E1|E2|E3|BSTORE|BLOG|BIDX|BTXN|BREC|METRICS|SHARD|GROUPCOMMIT|TRACE|LOAD]
-//	            [-n tuples] [-quick] [-benchjson out.json]
-//
-// The METRICS experiment measures the observability layer's overhead on
-// the insert/select hot paths (database opened with metrics vs without)
-// and, with -benchjson, records the ns/op, allocations, and relative
-// delta to a JSON file (the committed reference is BENCH_PR6.json; the
-// PR 6 budget is <2% per path).
-//
-// The SHARD experiment compares insert, point-select and full-scan
-// throughput through the router on a 1-shard vs a 3-shard deployment
-// (the 3-shard side runs two router front ends, driven round-robin).
-// With -benchjson it records the ns/op and ops/sec per phase and side
-// (the committed reference is BENCH_PR7.json).
-//
-// The GROUPCOMMIT experiment measures durable commit throughput and
-// fsyncs per commit at 1/8/32 concurrent sessions, per-batch fsync
-// (-wal-no-group-commit) vs group commit (the committed reference is
-// BENCH_PR8.json; the PR 8 bar is >=2x commits/sec at 32 sessions with
-// <0.5 fsyncs/commit).
-//
-// The TRACE experiment measures the request tracer's overhead on the
-// insert/select hot paths across three configurations — tracing off,
-// the unsampled wrapper (sampling branches only), and every request
-// sampled — reporting mean plus p50/p99 per-op latency (the committed
-// reference is BENCH_PR9.json; the PR 9 budget is <3% unsampled
-// overhead per path).
-//
-// The LOAD experiment is the open-loop SLO run (ISSUE 10): three
-// purpose-bound tenants drive an in-process server through the
-// coordinated-omission-free harness in internal/load, a degradation
-// wave lands mid-steady-phase, and the run fails if any SLO gate
-// (intended-start p99, post-drain degrade lag, error rate) is violated
-// (the committed reference is BENCH_PR10.json). -benchjson applies to
-// whichever of METRICS/SHARD/GROUPCOMMIT/TRACE/LOAD runs; use it with
-// a single -exp.
+//	benchrunner [-exp all|F1|F2|F3|E1|E2|E3|BSTORE|BLOG|BIDX|BTXN|BREC]
+//	            [-n tuples] [-q queries] [-readers n] [-runfor d] [-quick]
 package main
 
 import (
@@ -54,9 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (all, F1, F2, F3, E1, E2, E3, BSTORE, BLOG, BIDX, BTXN, BREC, METRICS, SHARD, GROUPCOMMIT, TRACE, LOAD)")
-	benchJSON := flag.String("benchjson", "", "write the METRICS, SHARD, GROUPCOMMIT, TRACE or LOAD result to this JSON file")
-	rounds := flag.Int("rounds", 3, "alternating measurement rounds per side for METRICS/GROUPCOMMIT/TRACE")
+	exp := flag.String("exp", "all", "experiment id (all, F1, F2, F3, E1, E2, E3, BSTORE, BLOG, BIDX, BTXN, BREC)")
 	n := flag.Int("n", 2000, "workload size (tuples)")
 	queries := flag.Int("q", 200, "query count for B-IDX")
 	readers := flag.Int("readers", 4, "reader goroutines for B-TXN")
@@ -70,97 +37,39 @@ func main() {
 		*runFor = 150 * time.Millisecond
 	}
 
-	w := os.Stdout
-	run := func(id string, fn func() error) {
-		want := strings.ToUpper(*exp)
-		if want != "ALL" && want != id {
-			return
-		}
-		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+	exps := []struct {
+		id string
+		fn func() error
+	}{
+		{"F1", func() error { return experiments.RunF1(os.Stdout) }},
+		{"F2", func() error { return experiments.RunF2(os.Stdout) }},
+		{"F3", func() error { return experiments.RunF3(os.Stdout) }},
+		{"E1", func() error { _, err := experiments.RunE1(os.Stdout, *n); return err }},
+		{"E2", func() error { _, err := experiments.RunE2(os.Stdout, *n); return err }},
+		{"E3", func() error { _, err := experiments.RunE3(os.Stdout, *n); return err }},
+		{"BSTORE", func() error { _, err := experiments.RunBStore(os.Stdout, *n); return err }},
+		{"BLOG", func() error { _, err := experiments.RunBLog(os.Stdout, *n); return err }},
+		{"BIDX", func() error { _, err := experiments.RunBIdx(os.Stdout, *n, *queries); return err }},
+		{"BTXN", func() error { _, err := experiments.RunBTxn(os.Stdout, *readers, *runFor); return err }},
+		{"BREC", func() error { _, err := experiments.RunBRec(os.Stdout, *n); return err }},
 	}
 
-	run("F1", func() error { return experiments.RunF1(w) })
-	run("F2", func() error { return experiments.RunF2(w) })
-	run("F3", func() error { return experiments.RunF3(w) })
-	run("E1", func() error { _, err := experiments.RunE1(w, *n); return err })
-	run("E2", func() error { _, err := experiments.RunE2(w, *n); return err })
-	run("E3", func() error { _, err := experiments.RunE3(w, *n); return err })
-	run("BSTORE", func() error { _, err := experiments.RunBStore(w, *n); return err })
-	run("BLOG", func() error { _, err := experiments.RunBLog(w, *n); return err })
-	run("BIDX", func() error { _, err := experiments.RunBIdx(w, *n, *queries); return err })
-	run("BTXN", func() error { _, err := experiments.RunBTxn(w, *readers, *runFor); return err })
-	run("BREC", func() error { _, err := experiments.RunBRec(w, *n); return err })
-	run("METRICS", func() error {
-		res, err := experiments.RunMetricsOverhead(w, *n, *rounds)
-		if err != nil {
-			return err
+	want := strings.ToUpper(*exp)
+	ran := false
+	for _, e := range exps {
+		if want != "ALL" && want != e.id {
+			continue
 		}
-		if *benchJSON != "" {
-			if err := res.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchJSON)
+		ran = true
+		start := time.Now()
+		if err := e.fn(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
+			os.Exit(1)
 		}
-		return nil
-	})
-	run("SHARD", func() error {
-		res, err := experiments.RunShard(w, *n/4, *n/40)
-		if err != nil {
-			return err
-		}
-		if *benchJSON != "" {
-			if err := res.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchJSON)
-		}
-		return nil
-	})
-	run("TRACE", func() error {
-		res, err := experiments.RunTraceOverhead(w, *n, *rounds)
-		if err != nil {
-			return err
-		}
-		if *benchJSON != "" {
-			if err := res.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchJSON)
-		}
-		return nil
-	})
-	run("LOAD", func() error {
-		res, err := experiments.RunLoad(w, *quick)
-		if err != nil {
-			return err
-		}
-		if *benchJSON != "" {
-			if err := res.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchJSON)
-		}
-		if !res.Report.SLO.Pass {
-			return fmt.Errorf("SLO verdict failed: %v", res.Report.SLO.Violations)
-		}
-		return nil
-	})
-	run("GROUPCOMMIT", func() error {
-		res, err := experiments.RunGroupCommit(w, *n/2, *rounds)
-		if err != nil {
-			return err
-		}
-		if *benchJSON != "" {
-			if err := res.WriteJSON(*benchJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchJSON)
-		}
-		return nil
-	})
+		fmt.Printf("[%s done in %v]\n\n", e.id, time.Since(start).Round(time.Millisecond))
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchrunner: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 }

@@ -50,8 +50,9 @@
 // package wraps that client as a database/sql driver, so standard Go
 // applications can `sql.Open("instantdb", "host:port?purpose=stats")`.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction of the paper's figures and claims.
+// See DESIGN.md for the architecture. cmd/benchrunner reproduces the
+// paper's figures and claims as printed tables; bench/README.md
+// describes the performance harness.
 package instantdb
 
 import (

@@ -67,8 +67,7 @@ func auditLostSeals(recs []*wal.Record, tbl *catalog.Table, lost *metrics.Counte
 }
 
 // instrument registers (idempotently, by name) the backup counters on
-// the database's registry. Both return nil on a NoMetrics database, and
-// every caller goes through the nil-safe instrument methods.
+// the database's registry.
 func instrument(db *engine.DB) (bytesArchived, lostSeals *metrics.Counter) {
 	reg := db.Metrics()
 	bytesArchived = reg.Counter("instantdb_backup_bytes_total",

@@ -132,10 +132,6 @@ type Config struct {
 	// AutoDegrade starts a background degradation loop with this tick
 	// interval (0 = call Tick/DegradeNow manually — simulations).
 	AutoDegrade time.Duration
-	// NoMetrics disables the metrics registry: Metrics() returns nil and
-	// every instrument is a nil no-op. Benchmarks use it to measure the
-	// instrumentation overhead; production leaves it off.
-	NoMetrics bool
 	// TraceSample controls hot-path request tracing: 0 records only
 	// remote-forced traces (the wire OpTraced wrapper), 1 traces every
 	// request, n traces one request in n. Finished traces land in the
@@ -235,9 +231,7 @@ func Open(cfg Config) (*DB, error) {
 		indexes:     make(map[string]*indexInst),
 		byTable:     make(map[uint32][]*indexInst),
 		reservedPKs: make(map[string]struct{}),
-	}
-	if !cfg.NoMetrics {
-		db.reg = metrics.NewRegistry()
+		reg:         metrics.NewRegistry(),
 	}
 
 	ephemeral := cfg.Dir == ""

@@ -5,10 +5,7 @@ import (
 	"instantdb/internal/metrics"
 )
 
-// dbMetrics holds the engine-layer instruments. All fields are nil-safe
-// no-ops when the database was opened with Config.NoMetrics (the
-// registry is nil, so every constructor returned nil) — the overhead
-// benchmark compares exactly these two configurations.
+// dbMetrics holds the engine-layer instruments.
 type dbMetrics struct {
 	// queries / writes count statements by session purpose (the paper's
 	// purpose-binding made observable: which purposes actually read).
@@ -24,8 +21,7 @@ type dbMetrics struct {
 }
 
 // initMetrics registers the engine's instruments and collect-time views
-// of subsystem state. reg may be nil (NoMetrics); every instrument then
-// comes back nil and the hot paths pay one untaken branch.
+// of subsystem state.
 func (db *DB) initMetrics(reg *metrics.Registry) {
 	db.met = dbMetrics{
 		queries: reg.CounterVec("instantdb_queries_total",
@@ -92,6 +88,5 @@ func (db *DB) initMetrics(reg *metrics.Registry) {
 // Metrics returns the database's metrics registry: every subsystem
 // (WAL, degradation engine, storage, sessions) registers its
 // instruments here, and the server layers expose it over /metrics and
-// the wire Stats opcode. nil when the database was opened with
-// Config.NoMetrics.
+// the wire Stats opcode.
 func (db *DB) Metrics() *metrics.Registry { return db.reg }

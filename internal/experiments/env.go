@@ -1,9 +1,11 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure and per claim of the paper, plus the engineering
 // ablations of §III (storage, log, index, transaction, recovery). Every
-// experiment prints the table or series it regenerates; cmd/benchrunner
-// drives them all and EXPERIMENTS.md records the measured outcomes.
-// Simulated time makes month-scale policies run in milliseconds.
+// experiment prints the table or series it regenerates and its tests
+// assert the outcome; cmd/benchrunner drives them all. System
+// performance is measured by the separate harness in bench/ (see
+// bench/README.md). Simulated time makes month-scale policies run in
+// milliseconds.
 package experiments
 
 import (
@@ -59,18 +61,6 @@ type EnvOptions struct {
 	LogMode engine.LogMode
 	// DegradeBatch overrides the degradation batch size.
 	DegradeBatch int
-	// NoMetrics opens the database without a metrics registry (the
-	// baseline side of the instrumentation-overhead benchmark).
-	NoMetrics bool
-	// TraceSample sets the tracer's sampling rate (0 = remote-forced
-	// traces only, 1 = every request) — the tracing-overhead benchmark
-	// compares its sides.
-	TraceSample int
-	// NoGroupCommit forces one fsync per commit batch (the baseline
-	// side of the group-commit benchmark). Applies when Dir is set.
-	NoGroupCommit bool
-	// GroupWindow stretches the group-commit leader's gathering window.
-	GroupWindow time.Duration
 	// Seed for the person generator.
 	Seed int64
 }
@@ -102,15 +92,7 @@ func (o EnvOptions) withDefaults() EnvOptions {
 func NewEnv(opts EnvOptions) (*Env, error) {
 	opts = opts.withDefaults()
 	clock := vclock.NewSimulated(vclock.Epoch)
-	cfg := engine.Config{
-		Clock:         clock,
-		Dir:           opts.Dir,
-		LogMode:       opts.LogMode,
-		NoMetrics:     opts.NoMetrics,
-		NoGroupCommit: opts.NoGroupCommit,
-		GroupWindow:   opts.GroupWindow,
-		TraceSample:   opts.TraceSample,
-	}
+	cfg := engine.Config{Clock: clock, Dir: opts.Dir, LogMode: opts.LogMode}
 	cfg.Degrade.BatchSize = opts.DegradeBatch
 	db, err := engine.Open(cfg)
 	if err != nil {

@@ -162,7 +162,7 @@ func (f *family) flatten() []Sample {
 		case *Histogram:
 			// Snapshot-only quantile estimates (interpolated; see
 			// Histogram.Quantile). They ride the wire Stats opcode for
-			// degradectl/loadgen but stay out of the Prometheus
+			// degradectl and the router but stay out of the Prometheus
 			// exposition, which carries the raw buckets instead.
 			out = append(out,
 				Sample{Key: f.name + "_count" + suffixLabels(f, labels[i]), Value: float64(m.Count())},

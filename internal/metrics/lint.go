@@ -1,7 +1,7 @@
 // Lint validates Prometheus text-format exposition output. It is the
-// checker behind `make metrics-smoke` (internal/tools/metricssmoke) and
-// the package's own round-trip tests: WritePrometheus output must
-// always lint clean, so a scraper never chokes on what we serve.
+// checker behind the package's own round-trip tests and the server's
+// end-to-end /metrics test: WritePrometheus output must always lint
+// clean, so a scraper never chokes on what we serve.
 package metrics
 
 import (

@@ -11,9 +11,9 @@
 //     resolve their instrument once and cache the pointer (the engine
 //     caches per-purpose counters on the session).
 //   - Nil-safe. Every method no-ops on a nil receiver and every
-//     constructor on a nil *Registry returns nil, so a database opened
-//     with metrics disabled (engine.Config.NoMetrics) pays only an
-//     untaken branch per event — measured in BENCH_PR6.json.
+//     constructor on a nil *Registry returns nil, so a component built
+//     without a registry needs no branches of its own and pays only an
+//     untaken branch per event.
 //   - Readable while written. Exposition readers see each atomic once;
 //     a histogram's _count is computed as the sum of the bucket reads,
 //     so buckets and count are mutually consistent in every scrape even
@@ -297,9 +297,8 @@ func (h *Histogram) Count() uint64 {
 // snapshotted once, the rank q·count is located in the cumulative
 // distribution, and the result interpolates between the bucket's lower
 // and upper bound. Observations in the +Inf bucket clamp to the
-// highest finite bound — fixed buckets cannot see past it (the load
-// harness's HDR histogram exists for exact tails). Returns 0 on an
-// empty or nil histogram.
+// highest finite bound — fixed buckets cannot see past it. Returns 0 on
+// an empty or nil histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

@@ -245,3 +245,66 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 		t.Fatalf("vec total = %d, want %d", vecTotal, total)
 	}
 }
+
+func TestHistogramQuantileKnownDistribution(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("q_test_seconds", "quantile fixture", []float64{1, 2, 4})
+	// 50 observations ≤ 1s (uniform within bucket → interpolates from
+	// 0), 50 in (1,2]: Q(0.5) lands exactly at the first bound.
+	for i := 0; i < 50; i++ {
+		h.Observe(500 * time.Millisecond)
+		h.Observe(1500 * time.Millisecond)
+	}
+	checks := []struct{ q, want float64 }{
+		{0.25, 0.5}, // rank 25 of 50 in [0,1] → 0.5
+		{0.50, 1.0}, // rank 50 = whole first bucket → upper bound 1.0
+		{0.75, 1.5}, // rank 75: halfway through (1,2]
+		{1.00, 2.0},
+	}
+	for _, c := range checks {
+		if got := h.Quantile(c.q); abs(got-c.want) > 1e-9 {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	// +Inf bucket clamps to the highest finite bound.
+	h.Observe(100 * time.Second)
+	if got := h.Quantile(1); got != 4 {
+		t.Errorf("Quantile(1) with +Inf observation = %v, want clamp to 4", got)
+	}
+	var nilH *Histogram
+	if nilH.Quantile(0.5) != 0 {
+		t.Error("nil Histogram Quantile must be 0")
+	}
+	if r.Histogram("q_empty_seconds", "empty", nil).Quantile(0.99) != 0 {
+		t.Error("empty Histogram Quantile must be 0")
+	}
+}
+
+func TestSnapshotHistogramQuantiles(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramVec("snap_q_seconds", "labeled quantile fixture", "op", []float64{0.01, 0.1, 1}).With("exec")
+	for i := 0; i < 100; i++ {
+		h.Observe(5 * time.Millisecond)
+	}
+	snap := map[string]float64{}
+	for _, s := range r.Snapshot() {
+		snap[s.Key] = s.Value
+	}
+	p50, ok := snap[`snap_q_seconds_p50{op="exec"}`]
+	if !ok {
+		t.Fatalf("snapshot missing p50 key; have %v", snap)
+	}
+	if p50 <= 0 || p50 > 0.01 {
+		t.Errorf("p50 = %v, want in (0, 0.01]", p50)
+	}
+	if _, ok := snap[`snap_q_seconds_p99{op="exec"}`]; !ok {
+		t.Error("snapshot missing p99 key")
+	}
+}
+
+func abs(v float64) float64 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}

@@ -19,8 +19,7 @@ import (
 // It is served on a separate listener from the wire protocol
 // (cmd/instantdb-server -metrics-listen), so scrapers and profilers
 // never consume a database connection slot and a wedged scraper cannot
-// interfere with sessions. A database opened with NoMetrics serves an
-// empty exposition.
+// interfere with sessions.
 func MetricsHandler(db *engine.DB) http.Handler {
 	mux := http.NewServeMux()
 	AttachDebug(mux, db.Tracer())

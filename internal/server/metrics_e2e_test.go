@@ -14,11 +14,18 @@ import (
 // over the wire Stats opcode and on /metrics, and it moves — zero while
 // nothing is overdue, the exact overdue distance once simulated time
 // crosses an LCP deadline, and back to zero after the degrader runs.
+// The exposition lints clean and carries the queue, transaction and
+// per-index / per-table resident-state families.
 func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	db, clock, addr := startServer(t, Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
+	// A B+tree index, so the per-index resident-state gauges have a
+	// series to report.
+	if _, err := c.Exec(ctx, `CREATE INDEX ix_place ON visits (place) USING BTREE`); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Exec(ctx, `INSERT INTO visits (id, who, place) VALUES (1, 'anciaux', 'Dam 1')`); err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +76,17 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	}
 	if errs := metrics.Lint(rec.Body.Bytes()); len(errs) > 0 {
 		t.Fatalf("/metrics exposition lint: %v", errs)
+	}
+	for _, want := range []string{
+		"instantdb_degrade_queue_depth",
+		"instantdb_active_txns",
+		"instantdb_index_entries{index=",
+		"instantdb_index_bytes{index=",
+		"instantdb_storage_directory_bytes{table=",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %s", want)
+		}
 	}
 	rec = httptest.NewRecorder()
 	MetricsHandler(db).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

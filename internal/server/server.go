@@ -72,8 +72,7 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// srvMetrics holds the server-layer instruments (nil no-ops when the
-// database was opened with NoMetrics).
+// srvMetrics holds the server-layer instruments.
 type srvMetrics struct {
 	conns      *metrics.Gauge
 	framesIn   *metrics.Counter
@@ -592,9 +591,7 @@ func (s *Server) serveRequest(nc net.Conn, sess *session, op byte, payload []byt
 	}
 }
 
-// serveStats answers OpStats with the full metrics snapshot. A database
-// opened with NoMetrics answers an empty sample list — the opcode stays
-// valid so monitoring never has to branch on server configuration.
+// serveStats answers OpStats with the full metrics snapshot.
 func (s *Server) serveStats(nc net.Conn) bool {
 	samples := s.db.Metrics().Snapshot()
 	stats := make([]wire.Stat, len(samples))

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,12 +16,15 @@ import (
 	"instantdb/internal/vclock"
 )
 
-// startDurableServer is startServer on a durable directory: the commit
-// path then routes through the WAL group committer, so traced writes
-// carry the wal_append span and its group-commit phase children.
+// startDurableServer is startServer on a durable directory (cfg.Dir, or
+// a fresh temporary one): the commit path then routes through the WAL
+// group committer, so traced writes carry the wal_append span and its
+// group-commit phase children.
 func startDurableServer(t *testing.T, cfg engine.Config, opts Options) (*engine.DB, string) {
 	t.Helper()
-	cfg.Dir = t.TempDir()
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.NewSimulated(vclock.Epoch)
 	}
@@ -119,6 +124,64 @@ func TestTracedInsertSpansCommitPipeline(t *testing.T) {
 	if pub := byName["publish"][0]; pub.Start.Before(fs.Start.Add(fs.Duration)) {
 		t.Fatalf("publish started %v, before fsync finished %v",
 			pub.Start, fs.Start.Add(fs.Duration))
+	}
+}
+
+// TestDebugEndpointsAndAuditTrail walks the diagnostic loop an operator
+// has on a durable server: the traced insert on /debug/traces, the
+// profiler on the same handler, a crossed deadline in the wire audit
+// tail, and a hash chain on disk that verifies.
+func TestDebugEndpointsAndAuditTrail(t *testing.T) {
+	dir := t.TempDir()
+	clock := vclock.NewSimulated(vclock.Epoch)
+	db, addr := startDurableServer(t, engine.Config{Dir: dir, Clock: clock}, Options{})
+	c := dial(t, addr)
+	ctx := ctxT(t)
+
+	_, tid, err := c.ExecTraced(ctx,
+		`INSERT INTO visits (id, who, place) VALUES (1, 'anciaux', 'Dam 1')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpByID(t, c, tid, 1)
+
+	h := MetricsHandler(db)
+	for path, want := range map[string]string{
+		"/debug/traces":        "serve_exec",
+		"/debug/pprof/cmdline": "",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("GET %s: status %d, want 200 mentioning %q:\n%s",
+				path, rec.Code, want, rec.Body.String())
+		}
+	}
+
+	// Cross the 15-minute address deadline: the wire tail must hold the
+	// scheduled and the fired transition.
+	clock.Advance(16 * time.Minute)
+	if _, err := db.DegradeNow(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := c.AuditTail(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[trace.Kind]bool{}
+	for _, ev := range evs {
+		kinds[ev.Kind] = true
+	}
+	if !kinds[trace.EvScheduled] || !kinds[trace.EvFired] {
+		t.Fatalf("audit tail misses EvScheduled/EvFired: %v", evs)
+	}
+	// The newest events sit in the trail's open block; a checkpoint
+	// seals it before verification.
+	if err := db.AuditLog().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := trace.Verify(filepath.Join(dir, "audit")); err != nil || n == 0 {
+		t.Fatalf("audit chain: %d events verified, err %v; want > 0 and nil", n, err)
 	}
 }
 

@@ -3,8 +3,9 @@
 //
 // Tracing follows the metrics package's design constraints: every type
 // is nil-safe (a nil *Tracer, *T or *S no-ops on every method), so an
-// unsampled request pays only untaken branches on the hot path —
-// measured in BENCH_PR9.json. A trace is a flat bag of spans sharing
+// unsampled request pays only untaken branches on the hot path (the
+// bench/ harness's trace.overhead_share row measures it). A trace is a
+// flat bag of spans sharing
 // one 64-bit trace id; span ids are unique across processes (seeded
 // from crypto/rand), so a router and its shards can record spans for
 // the same trace independently and a later merge stitches them into

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"instantdb/internal/gentree"
-	"instantdb/internal/value"
 )
 
 // LocationUniverse is a synthetic location hierarchy with the Figure 1
@@ -177,64 +176,5 @@ func (g *QueryGen) Mix(point, rng, agg int) Query {
 		return g.Range()
 	default:
 		return g.Aggregate()
-	}
-}
-
-// ParamQuery is a generated query in prepared-statement form: SQL is
-// constant per generator and kind (prepare it once per session), Args
-// carries the drawn values. The load harness uses this form so that
-// parse/bind cost doesn't pollute server-side latency attribution; the
-// text form above remains for the -text comparison path.
-type ParamQuery struct {
-	Kind QueryKind
-	SQL  string
-	Args []value.Value
-}
-
-// PointSQL is the constant parameterized form of Point.
-func (g *QueryGen) PointSQL() string {
-	return "SELECT id, name FROM person WHERE location = ? FOR PURPOSE " + g.Purpose
-}
-
-// PointArgs draws an OLTP point query in prepared form.
-func (g *QueryGen) PointArgs() ParamQuery {
-	return ParamQuery{Kind: QPoint, SQL: g.PointSQL(),
-		Args: []value.Value{value.Text(g.valueAt())}}
-}
-
-// RangeSQL is the constant parameterized form of Range.
-func (g *QueryGen) RangeSQL() string {
-	return "SELECT id, name FROM person WHERE salary = ? FOR PURPOSE " + g.Purpose
-}
-
-// RangeArgs draws a salary-bucket query in prepared form.
-func (g *QueryGen) RangeArgs() ParamQuery {
-	lo := int64(g.rng.Intn(10)) * 1000
-	return ParamQuery{Kind: QRange, SQL: g.RangeSQL(),
-		Args: []value.Value{value.Text(fmt.Sprintf("%d-%d", lo, lo+1000))}}
-}
-
-// AggregateSQL is the constant form of Aggregate (no parameters — the
-// sweep shape is fixed; it still benefits from a prepared plan).
-func (g *QueryGen) AggregateSQL() string {
-	return "SELECT location, COUNT(*) AS n FROM person GROUP BY location FOR PURPOSE " + g.Purpose
-}
-
-// AggregateArgs draws an OLAP sweep in prepared form.
-func (g *QueryGen) AggregateArgs() ParamQuery {
-	return ParamQuery{Kind: QAggregate, SQL: g.AggregateSQL()}
-}
-
-// MixArgs draws a prepared-form query by OLTP/OLAP weights.
-func (g *QueryGen) MixArgs(point, rng, agg int) ParamQuery {
-	total := point + rng + agg
-	r := g.rng.Intn(total)
-	switch {
-	case r < point:
-		return g.PointArgs()
-	case r < point+rng:
-		return g.RangeArgs()
-	default:
-		return g.AggregateArgs()
 	}
 }
