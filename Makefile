@@ -51,8 +51,9 @@ fuzz-smoke:
 # budgets runs the tests that hold a committed size: heap bytes per row
 # of an open database, a B+tree under churn against a fresh tree of the
 # same content, heap bytes per posting id and per pending degradation
-# task, audit-trail bytes per event, and WAL bytes per insert and per
-# degrade record (with the allocations per sealed payload).
+# task, audit-trail bytes per event, WAL bytes per insert and per
+# degrade record (with the allocations per sealed payload), and page
+# reads plus writes per degradation transition.
 budgets:
 	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 

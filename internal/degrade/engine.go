@@ -798,16 +798,32 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 
 	var recs []*wal.Record
 	var followups []task
-	var skipped, held []task
+	var locked, skipped, held []task
 	nowNano := now.UTC().UnixNano()
 
 	for _, t := range due {
-		if !e.locks.TryAcquire(sysTxn, txn.RowRes(q.tbl.ID, t.tid), txn.LockX) {
+		if e.locks.TryAcquire(sysTxn, txn.RowRes(q.tbl.ID, t.tid), txn.LockX) {
+			locked = append(locked, t)
+		} else {
 			skipped = append(skipped, t)
-			continue
 		}
-		tup, err := ts.Get(t.tid)
-		if err != nil {
+	}
+	// The locked tuples are read together, each heap page once.
+	ids := make([]storage.TupleID, len(locked))
+	for i, t := range locked {
+		ids[i] = t.tid
+	}
+	tups, err := ts.GetMany(ids)
+	if err != nil {
+		// Only a deleted tuple lets its task go; a failed read puts the
+		// whole batch back, as a failed commit does.
+		e.requeue(q, due, now)
+		return 0, true, fmt.Errorf("degrade: read batch: %w", err)
+	}
+
+	for i, t := range locked {
+		tup := tups[i]
+		if tup.ID == 0 {
 			continue // deleted meanwhile: nothing to do
 		}
 		if pred != nil && !pred(tup) {

@@ -1,7 +1,9 @@
 package degrade
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,6 +59,12 @@ type fixture struct {
 // engine over a simulated clock.
 func newFixture(t *testing.T, opts Options, build func(loc *gentree.Tree) *lcp.Policy) *fixture {
 	t.Helper()
+	return newFixtureOn(t, storage.NewMemStore(), opts, build)
+}
+
+// newFixtureOn is newFixture over a given page store.
+func newFixtureOn(t *testing.T, store storage.Store, opts Options, build func(loc *gentree.Tree) *lcp.Policy) *fixture {
+	t.Helper()
 	cat := catalog.New()
 	loc := gentree.Figure1Locations()
 	if err := cat.AddDomain(loc); err != nil {
@@ -73,7 +81,7 @@ func newFixture(t *testing.T, opts Options, build func(loc *gentree.Tree) *lcp.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := storage.NewManager(storage.NewMemStore())
+	mgr := storage.NewManager(store)
 	clock := vclock.NewSimulated(vclock.Epoch)
 	locks := txn.NewLockManager(20 * time.Millisecond)
 	ids := &txn.IDSource{}
@@ -264,6 +272,45 @@ func TestLockedRowSkippedThenRetried(t *testing.T) {
 	}
 	if got, _ := f.stateOf(t, tid); got != 1 {
 		t.Fatalf("state=%d", got)
+	}
+}
+
+// flakyStore fails the next ReadPage once armed.
+type flakyStore struct {
+	*storage.MemStore
+	failNext atomic.Bool
+}
+
+func (s *flakyStore) ReadPage(id storage.PageID, buf []byte) error {
+	if s.failNext.CompareAndSwap(true, false) {
+		return errors.New("injected page read failure")
+	}
+	return s.MemStore.ReadPage(id, buf)
+}
+
+// TestFailedReadKeepsDeadline: a page read that fails while a batch
+// reads its tuples is not a deleted tuple. The tick reports it, the task
+// stays in the backlog, and the transition fires on the next tick.
+func TestFailedReadKeepsDeadline(t *testing.T) {
+	store := &flakyStore{MemStore: storage.NewMemStore()}
+	f := newFixtureOn(t, store, Options{RecheckInterval: time.Millisecond}, figure2Policy)
+	tid := f.insert(t, 1, "45 avenue des Etats-Unis")
+	store.failNext.Store(true)
+	if n, err := f.eng.Tick(); err == nil || n != 0 {
+		t.Fatalf("tick over a failed page read: n=%d err=%v, want 0 and the read error", n, err)
+	}
+	if st, _ := f.stateOf(t, tid); st != 0 {
+		t.Fatalf("state=%d after a failed read, want 0", st)
+	}
+	if bl := f.eng.Backlog(); len(bl) == 0 || bl[0].Tuple != tid || bl[0].Attr != 0 || bl[0].State != 0 {
+		t.Fatalf("backlog after a failed read = %+v, want the tuple's state-0 task first", bl)
+	}
+	f.clock.Advance(time.Millisecond)
+	if n, err := f.eng.Tick(); err != nil || n != 1 {
+		t.Fatalf("next tick: n=%d err=%v, want 1 transition", n, err)
+	}
+	if st, _ := f.stateOf(t, tid); st != 1 {
+		t.Fatalf("state=%d after the retry, want 1", st)
 	}
 }
 

@@ -854,16 +854,28 @@ func (db *DB) commitLocked(recs []*wal.Record) (checkpointDue bool, err error) {
 // publish past them. For durable databases, reopening replays the WAL,
 // which completes the batch and heals the tear; an ephemeral database
 // has no log to replay and stays fenced for its lifetime.
+//
+// The apply runs inside a storage page scope, so the batch reads and
+// writes each heap page once; the scope writes its pages back before
+// the epoch publishes, and a failed write-back fences like a failed
+// apply.
 func (db *DB) applyCommittedLocked(recs []*wal.Record) (checkpointDue bool, err error) {
 	epoch := db.epochs.Next()
 	db.mgr.SetStampEpoch(epoch, db.epochs.OldestActive())
+	db.mgr.BeginPageScope()
 	for _, r := range recs {
-		if err := db.applyRecord(r, true); err != nil {
-			// Apply failures after a durable append are unrecoverable
-			// in-process: fence commits and surface loudly.
-			db.failed = true
-			return false, fmt.Errorf("engine: apply after append: %w", err)
+		if err = db.applyRecord(r, true); err != nil {
+			break
 		}
+	}
+	if werr := db.mgr.EndPageScope(); err == nil {
+		err = werr
+	}
+	if err != nil {
+		// Apply failures after a durable append are unrecoverable
+		// in-process: fence commits and surface loudly.
+		db.failed = true
+		return false, fmt.Errorf("engine: apply after append: %w", err)
 	}
 	db.epochs.Publish(epoch)
 	db.commits++

@@ -348,10 +348,9 @@ func (db *DB) applyRecord(r *wal.Record, live bool) error {
 			return err
 		}
 		if live {
-			t, err := ts.Get(r.Tuple)
-			if err != nil {
-				return err
-			}
+			// The indexes take the tuple as just stored; reading it back
+			// from its page would only copy the page once more.
+			t := storage.Tuple{ID: r.Tuple, InsertedAt: at, States: r.States, Row: row}
 			for _, inst := range db.byTable[tbl.ID] {
 				inst.add(&t)
 			}

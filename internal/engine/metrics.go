@@ -40,6 +40,12 @@ func (db *DB) initMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("instantdb_storage_version_prunes_total",
 		"Superseded row versions pruned from MVCC version chains.",
 		func() float64 { return float64(db.mgr.PrunedVersions()) })
+	reg.CounterFunc("instantdb_storage_page_reads_total",
+		"Heap page reads issued to the page store (a commit batch reads each page it touches once).",
+		func() float64 { r, _ := db.mgr.PageIO(); return float64(r) })
+	reg.CounterFunc("instantdb_storage_page_writes_total",
+		"Heap page writes issued to the page store (a commit batch writes each page it dirties once).",
+		func() float64 { _, w := db.mgr.PageIO(); return float64(w) })
 	// Which structure holds the memory: read from counters each one keeps
 	// (B+tree indexes only; bitmap and GT indexes keep none).
 	btreeStats := func(emit func(string, float64), pick func(index.Stats) int) {

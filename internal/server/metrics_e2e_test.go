@@ -14,8 +14,8 @@ import (
 // over the wire Stats opcode and on /metrics, and it moves — zero while
 // nothing is overdue, the exact overdue distance once simulated time
 // crosses an LCP deadline, and back to zero after the degrader runs.
-// The exposition lints clean and carries the queue, transaction and
-// per-index / per-table resident-state families.
+// The exposition lints clean and carries the queue, transaction,
+// per-index / per-table resident-state and page I/O families.
 func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	db, clock, addr := startServer(t, Options{})
 	ctx := ctxT(t)
@@ -83,6 +83,8 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 		"instantdb_index_entries{index=",
 		"instantdb_index_bytes{index=",
 		"instantdb_storage_directory_bytes{table=",
+		"instantdb_storage_page_reads_total",
+		"instantdb_storage_page_writes_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s", want)

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,8 +12,10 @@ import (
 
 // Manager owns one Store and hands out TableStores over it. It maintains
 // the free-page list (scrubbed pages ready for reuse) and rebuilds all
-// in-memory directories from raw pages at recovery. It also carries the
-// snapshot-epoch stamps of the MVCC-lite read path: the engine sets the
+// in-memory directories from raw pages at recovery. Every page read and
+// write of its TableStores goes through it (readPage, writePage), which
+// is what lets a page scope hold a commit batch's pages. It also carries
+// the snapshot-epoch stamps of the MVCC-lite read path: the engine sets the
 // stamping epoch before applying a commit batch, and every tuple written
 // during the apply is born at that epoch (see table.go; epoch 0 — the
 // default for callers that never wire epochs — disables versioning and
@@ -31,7 +35,38 @@ type Manager struct {
 	// pruned counts version-chain entries dropped (low-water or
 	// MaxTupleVersions truncation); exposed as a metric by the engine.
 	pruned atomic.Uint64
+
+	// pmu guards the page scope (BeginPageScope): while scopeOpen, scope
+	// holds the pages touched so far, each read from the store at most
+	// once. A slice with linear search, not a map: it never holds more
+	// than scopePages entries, and an emptied map would keep its buckets.
+	pmu       sync.Mutex
+	scopeOpen bool
+	scope     []scopedPage
+	// scopeErr is the first write-back of the open scope that failed,
+	// whichever goroutine's page overflowed the scope: it fails every
+	// later scoped access, so no one reads the store's stale copy of a
+	// lost page, and EndPageScope reports it to the committer.
+	scopeErr error
+	// pageReads and pageWrites count the ReadPage and WritePage calls
+	// this Manager issued to the store.
+	pageReads, pageWrites atomic.Uint64
 }
+
+// scopePages bounds a page scope: the first page past it writes the
+// dirty ones back and empties the scope, so a batch of any size holds at
+// most scopePages pooled buffers (256 KiB) at a time.
+const scopePages = 64
+
+// scopedPage is one page held by the page scope, in a pagePool buffer.
+type scopedPage struct {
+	id    PageID
+	buf   *[]byte
+	dirty bool
+}
+
+// zeroPage is what freePage writes over a released page. Never mutated.
+var zeroPage [PageSize]byte
 
 // PrunedVersions returns the total number of superseded row versions
 // pruned from version chains since open.
@@ -117,14 +152,138 @@ func (m *Manager) allocPage(tableID uint32, buf []byte) (PageID, error) {
 
 // freePage scrubs a page and returns it to the free list.
 func (m *Manager) freePage(pid PageID) error {
-	buf := make([]byte, PageSize)
-	if err := m.store.WritePage(pid, buf); err != nil {
+	if err := m.writePage(pid, zeroPage[:]); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	m.free = append(m.free, pid)
 	m.mu.Unlock()
 	return nil
+}
+
+// PageIO returns how many page reads and page writes this Manager has
+// issued to its store since open: the physical I/O a page scope saves.
+func (m *Manager) PageIO() (reads, writes uint64) {
+	return m.pageReads.Load(), m.pageWrites.Load()
+}
+
+// BeginPageScope opens a write-back page scope. Until EndPageScope every
+// page TableStore code touches is read from the store once, then read
+// and modified in a pooled buffer; concurrent readers go through the
+// same buffers, so they see the pages as modified so far. The engine
+// opens a scope around each commit batch's apply, under its commit
+// mutex, so a batch reads and writes each heap page once instead of
+// once per tuple. Scopes do not nest.
+func (m *Manager) BeginPageScope() {
+	m.pmu.Lock()
+	m.scopeOpen = true
+	m.pmu.Unlock()
+}
+
+// EndPageScope writes the scope's dirty pages back to the store in page
+// id order and closes the scope, which then holds no page. An error
+// means some page of the scope may not have reached the store, now or
+// when the scope filled up; the scope is closed regardless.
+func (m *Manager) EndPageScope() error {
+	m.pmu.Lock()
+	defer m.pmu.Unlock()
+	m.scopeOpen = false
+	err := m.flushScopeLocked()
+	if m.scopeErr != nil {
+		err, m.scopeErr = m.scopeErr, nil
+	}
+	return err
+}
+
+// flushScopeLocked writes the dirty scope pages back in page id order,
+// returns every buffer to the pool and empties the scope. A failed write
+// does not stop the others; the first error is returned. Caller holds
+// pmu.
+func (m *Manager) flushScopeLocked() error {
+	slices.SortFunc(m.scope, func(a, b scopedPage) int { return cmp.Compare(a.id, b.id) })
+	var first error
+	for _, p := range m.scope {
+		if p.dirty {
+			m.pageWrites.Add(1)
+			if err := m.store.WritePage(p.id, *p.buf); err != nil && first == nil {
+				first = err
+			}
+		}
+		pagePool.Put(p.buf)
+	}
+	clear(m.scope)
+	m.scope = m.scope[:0]
+	return first
+}
+
+// readPage copies page pid into buf. Every page read of TableStore code
+// goes through it: inside a page scope it copies the scope's buffer,
+// loaded from the store on first touch; outside one it reads the store.
+func (m *Manager) readPage(pid PageID, buf []byte) error {
+	m.pmu.Lock()
+	if !m.scopeOpen {
+		m.pmu.Unlock()
+		m.pageReads.Add(1)
+		return m.store.ReadPage(pid, buf)
+	}
+	defer m.pmu.Unlock()
+	p, err := m.scopedLocked(pid, true)
+	if err != nil {
+		return err
+	}
+	copy(buf, *p.buf)
+	return nil
+}
+
+// writePage overwrites page pid with data, the counterpart of readPage:
+// inside a page scope the write lands in the scope's buffer and reaches
+// the store when the scope ends (or fills); outside one it writes the
+// store.
+func (m *Manager) writePage(pid PageID, data []byte) error {
+	m.pmu.Lock()
+	if !m.scopeOpen {
+		m.pmu.Unlock()
+		m.pageWrites.Add(1)
+		return m.store.WritePage(pid, data)
+	}
+	defer m.pmu.Unlock()
+	p, err := m.scopedLocked(pid, false)
+	if err != nil {
+		return err
+	}
+	copy(*p.buf, data)
+	p.dirty = true
+	return nil
+}
+
+// scopedLocked returns pid's scope entry, adding it on first touch: read
+// from the store when load is set, left for the caller to overwrite
+// otherwise. Caller holds pmu with the scope open.
+func (m *Manager) scopedLocked(pid PageID, load bool) (*scopedPage, error) {
+	if m.scopeErr != nil {
+		return nil, m.scopeErr
+	}
+	for i := range m.scope {
+		if m.scope[i].id == pid {
+			return &m.scope[i], nil
+		}
+	}
+	if len(m.scope) == scopePages {
+		if err := m.flushScopeLocked(); err != nil {
+			m.scopeErr = err
+			return nil, err
+		}
+	}
+	bufp := pagePool.Get().(*[]byte)
+	if load {
+		m.pageReads.Add(1)
+		if err := m.store.ReadPage(pid, *bufp); err != nil {
+			pagePool.Put(bufp)
+			return nil, err
+		}
+	}
+	m.scope = append(m.scope, scopedPage{id: pid, buf: bufp})
+	return &m.scope[len(m.scope)-1], nil
 }
 
 // Sync flushes the page store (checkpoint support).

@@ -8,6 +8,14 @@
 // store never recovers an expired accuracy state (paper §III, citing
 // Stahlberg et al. on unintended retention).
 //
+// All page I/O of the tuple stores goes through their Manager. Outside a
+// page scope each access is one store call. Inside one
+// (BeginPageScope/EndPageScope, which the engine wraps around each commit
+// batch's apply) a page is read from the store once, read and modified
+// in a pooled buffer, and written back when the scope ends, so a batch
+// pays per page instead of per tuple. A scope holds at most 64 pages and
+// writes its dirty ones back, scrubs included, before it closes.
+//
 // For the engine's lock-free snapshot reads, each TableStore also keeps
 // a bounded in-memory version chain per tuple (SnapshotGet,
 // SnapshotScan): stable-column updates retain the superseded image for
@@ -20,7 +28,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
@@ -165,9 +172,10 @@ func (s *FileStore) ReadPage(id PageID, buf []byte) error {
 	if uint32(id) >= s.n {
 		return fmt.Errorf("%w: read %d of %d", ErrPageRange, id, s.n)
 	}
-	_, err := s.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
-	if err != nil && err != io.EOF {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
+	// A short read (the file truncated behind the store's back) is an
+	// error: the rest of buf would be whatever page it held before.
+	if n, err := s.f.ReadAt(buf[:PageSize], int64(id)*PageSize); n < PageSize {
+		return fmt.Errorf("storage: read page %d: %d of %d bytes: %w", id, n, PageSize, err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -142,6 +143,33 @@ func TestFileStorePersistence(t *testing.T) {
 	}
 	if s2.Path() != path {
 		t.Fatalf("Path()=%q", s2.Path())
+	}
+}
+
+// TestFileStoreShortReadFails truncates pages.db behind an open store:
+// reading the cut page must fail, not hand back a buffer whose tail is
+// whatever it held before.
+func TestFileStoreShortReadFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := s.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(path, PageSize+100); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0xAA}, PageSize)
+	if err := s.ReadPage(0, buf); err != nil {
+		t.Fatalf("whole page before the cut: %v", err)
+	}
+	if err := s.ReadPage(1, buf); err == nil {
+		t.Fatal("read of a truncated page succeeded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -200,7 +201,7 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 	// Try open pages from most recently opened.
 	for len(seg.open) > 0 {
 		pid := seg.open[len(seg.open)-1]
-		if err := ts.mgr.store.ReadPage(pid, buf); err != nil {
+		if err := ts.mgr.readPage(pid, buf); err != nil {
 			return RID{}, err
 		}
 		slot, ok := pageInsert(buf, rec)
@@ -208,7 +209,7 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 			if pageFreeSpace(buf) < openSpaceThreshold {
 				seg.open = seg.open[:len(seg.open)-1]
 			}
-			if err := ts.mgr.store.WritePage(pid, buf); err != nil {
+			if err := ts.mgr.writePage(pid, buf); err != nil {
 				return RID{}, err
 			}
 			return RID{Page: pid, Slot: slot}, nil
@@ -224,7 +225,7 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 	if !ok {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
-	if err := ts.mgr.store.WritePage(pid, buf); err != nil {
+	if err := ts.mgr.writePage(pid, buf); err != nil {
 		return RID{}, err
 	}
 	seg.pages[pid] = struct{}{}
@@ -246,14 +247,56 @@ func (ts *TableStore) Get(id TupleID) (Tuple, error) {
 	return ts.readLocked(e.rid())
 }
 
+// GetMany materializes the tuples ids under one read lock, reading each
+// distinct page they live on once, and returns them in ids order. An id
+// naming no live tuple (deleted meanwhile) gets the zero Tuple, whose ID
+// 0 no tuple has. A page read or decode error fails the whole call.
+func (ts *TableStore) GetMany(ids []TupleID) ([]Tuple, error) {
+	type loc struct {
+		rid RID
+		i   int
+	}
+	out := make([]Tuple, len(ids))
+	locs := make([]loc, 0, len(ids))
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	for i, id := range ids {
+		if e := ts.dir.get(id); e != nil {
+			locs = append(locs, loc{e.rid(), i})
+		}
+	}
+	slices.SortFunc(locs, func(a, b loc) int { return cmp.Compare(a.rid.Page, b.rid.Page) })
+	bufp := pagePool.Get().(*[]byte)
+	defer pagePool.Put(bufp)
+	buf := *bufp
+	for j, l := range locs {
+		if j == 0 || l.rid.Page != locs[j-1].rid.Page {
+			if err := ts.mgr.readPage(l.rid.Page, buf); err != nil {
+				return nil, err
+			}
+		}
+		t, err := ts.decodeSlot(buf, l.rid)
+		if err != nil {
+			return nil, err
+		}
+		out[l.i] = t
+	}
+	return out, nil
+}
+
 func (ts *TableStore) readLocked(rid RID) (Tuple, error) {
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
-	if err := ts.mgr.store.ReadPage(rid.Page, buf); err != nil {
+	if err := ts.mgr.readPage(rid.Page, buf); err != nil {
 		return Tuple{}, err
 	}
-	rec, ok := pageRead(buf, rid.Slot)
+	return ts.decodeSlot(buf, rid)
+}
+
+// decodeSlot decodes the record at rid from its page's content.
+func (ts *TableStore) decodeSlot(page []byte, rid RID) (Tuple, error) {
+	rec, ok := pageRead(page, rid.Slot)
 	if !ok {
 		return Tuple{}, fmt.Errorf("storage: %s: dangling rid %v", ts.tbl.Name, rid)
 	}
@@ -285,7 +328,7 @@ func (ts *TableStore) eraseLocked(rid RID) error {
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
-	if err := ts.mgr.store.ReadPage(rid.Page, buf); err != nil {
+	if err := ts.mgr.readPage(rid.Page, buf); err != nil {
 		return err
 	}
 	live, err := pageDelete(buf, rid.Slot)
@@ -295,7 +338,7 @@ func (ts *TableStore) eraseLocked(rid RID) error {
 	if live == 0 {
 		return ts.recyclePageLocked(rid.Page)
 	}
-	return ts.mgr.store.WritePage(rid.Page, buf)
+	return ts.mgr.writePage(rid.Page, buf)
 }
 
 func (ts *TableStore) recyclePageLocked(pid PageID) error {
@@ -441,12 +484,12 @@ func (ts *TableStore) rewriteLocked(ent *dirEntry, t Tuple) error {
 		// Same segment: try the in-place path.
 		bufp := pagePool.Get().(*[]byte)
 		buf := *bufp
-		if err := ts.mgr.store.ReadPage(rid.Page, buf); err != nil {
+		if err := ts.mgr.readPage(rid.Page, buf); err != nil {
 			pagePool.Put(bufp)
 			return err
 		}
 		if pageOverwrite(buf, rid.Slot, rec) {
-			err := ts.mgr.store.WritePage(rid.Page, buf)
+			err := ts.mgr.writePage(rid.Page, buf)
 			pagePool.Put(bufp)
 			return err
 		}
@@ -636,7 +679,7 @@ func (ts *TableStore) collectPageLocked(pid PageID, snap uint64, seen map[TupleI
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
-	if err := ts.mgr.store.ReadPage(pid, buf); err != nil {
+	if err := ts.mgr.readPage(pid, buf); err != nil {
 		return err
 	}
 	n := pageNumSlots(buf)
@@ -723,7 +766,7 @@ func (ts *TableStore) scanPageLocked(pid PageID, fn func(Tuple) bool) (stop bool
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
-	if err := ts.mgr.store.ReadPage(pid, buf); err != nil {
+	if err := ts.mgr.readPage(pid, buf); err != nil {
 		return false, err
 	}
 	n := pageNumSlots(buf)
