@@ -37,8 +37,9 @@ md-check:
 # the WAL batch-payload decoder (replication and recovery feed it bytes
 # from outside the process), the audit trail's block decoder (Verify
 # and every reopen feed it bytes from a directory an attacker may have
-# written), and the B+tree's, the posting's and the degradation queue's
-# op streams against their models.
+# written), the B+tree's, the posting's and the degradation queue's op
+# streams against their models, and the degrade record patcher against
+# decode, modify and re-encode.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -47,13 +48,14 @@ fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzPosting -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/degrade -run '^$$' -fuzz FuzzTaskFIFO -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzPatchRecord -fuzztime $(FUZZTIME)
 
 # budgets runs the tests that hold a committed size: heap bytes per row
 # of an open database, a B+tree under churn against a fresh tree of the
 # same content, heap bytes per posting id and per pending degradation
 # task, audit-trail bytes per event, WAL bytes per insert and per
 # degrade record (with the allocations per sealed payload), and page
-# reads plus writes per degradation transition.
+# reads plus writes and heap bytes allocated per degradation transition.
 budgets:
 	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 

@@ -808,12 +808,21 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 			skipped = append(skipped, t)
 		}
 	}
-	// The locked tuples are read together, each heap page once.
+	// The locked tuples are read together, each heap page once. An
+	// attribute transition without a predicate needs only the attribute:
+	// its state and stored form.
 	ids := make([]storage.TupleID, len(locked))
 	for i, t := range locked {
 		ids[i] = t.tid
 	}
-	tups, err := ts.GetMany(ids)
+	full := q.isDelete || pred != nil
+	var tups []storage.Tuple
+	var cells []storage.DegCell
+	if full {
+		tups, err = ts.GetMany(ids)
+	} else {
+		cells, err = ts.DegradableMany(ids, key.attr)
+	}
 	if err != nil {
 		// Only a deleted tuple lets its task go; a failed read puts the
 		// whole batch back, as a failed commit does.
@@ -821,25 +830,34 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 		return 0, true, fmt.Errorf("degrade: read batch: %w", err)
 	}
 
+	var col int
+	if !q.isDelete {
+		col = q.tbl.DegradableColumns()[key.attr]
+	}
 	for i, t := range locked {
-		tup := tups[i]
-		if tup.ID == 0 {
-			continue // deleted meanwhile: nothing to do
-		}
-		if pred != nil && !pred(tup) {
-			held = append(held, t)
-			continue
-		}
-		if q.isDelete {
-			recs = append(recs, &wal.Record{Type: wal.RecDelete, Table: q.tbl.ID, Tuple: t.tid,
-				InsertNano: t.insertNano})
-			continue
+		var cell storage.DegCell
+		if full {
+			tup := tups[i]
+			if tup.ID == 0 {
+				continue // deleted meanwhile: nothing to do
+			}
+			if pred != nil && !pred(tup) {
+				held = append(held, t)
+				continue
+			}
+			if q.isDelete {
+				recs = append(recs, &wal.Record{Type: wal.RecDelete, Table: q.tbl.ID, Tuple: t.tid,
+					InsertNano: t.insertNano})
+				continue
+			}
+			cell = storage.DegCell{ID: tup.ID, State: tup.States[key.attr], Stored: tup.Row[col]}
+		} else if cell = cells[i]; cell.ID == 0 {
+			continue // deleted meanwhile
 		}
 		// Stale check: the tuple must still be in the source state.
-		if int(tup.States[key.attr]) != q.fromState {
+		if int(cell.State) != q.fromState {
 			continue
 		}
-		col := q.tbl.DegradableColumns()[key.attr]
 		dom := q.tbl.Columns[col].Domain
 		rec := &wal.Record{
 			Type:       wal.RecDegrade,
@@ -854,7 +872,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 		} else {
 			fromLevel := q.pol.LevelOf(q.fromState)
 			toLevel := q.pol.LevelOf(q.toState)
-			next, err := dom.Degrade(tup.Row[col], fromLevel, toLevel)
+			next, err := dom.Degrade(cell.Stored, fromLevel, toLevel)
 			if err != nil {
 				return 0, true, fmt.Errorf("degrade: %s.%s tuple %d: %w", q.tbl.Name, q.tbl.Columns[col].Name, t.tid, err)
 			}

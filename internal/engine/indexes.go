@@ -274,14 +274,12 @@ func (inst *indexInst) remove(t *storage.Tuple) {
 	}
 }
 
-// degrade maintains the index across one LCP transition of column
-// position degPos. before is the pre-transition tuple.
-func (inst *indexInst) degrade(before *storage.Tuple, degPos int, newStored value.Value, newState uint8) {
-	if inst.deg != degPos {
-		return // index on another column: tuple id is stable, no work
-	}
-	id := before.ID
-	oldStored, oldState := before.Row[inst.col], before.States[degPos]
+// degrade maintains the index across one LCP transition of the
+// degradable column it indexes; before is that column ahead of the
+// transition. An index on any other column has no work: tuple ids are
+// stable.
+func (inst *indexInst) degrade(before storage.DegCell, newStored value.Value, newState uint8) {
+	id, oldStored, oldState := before.ID, before.Stored, before.State
 	switch {
 	case inst.bt != nil:
 		if k, ok := inst.keyFor(oldStored, oldState); ok {
@@ -313,6 +311,11 @@ func (inst *indexInst) degrade(before *storage.Tuple, degPos int, newStored valu
 			inst.gt.Add(to, id)
 		}
 	}
+}
+
+// indexed reports whether some index of table tableID satisfies on.
+func (db *DB) indexed(tableID uint32, on func(*indexInst) bool) bool {
+	return slices.ContainsFunc(db.byTable[tableID], on)
 }
 
 // applyRecord applies one redo record to storage (always) and to indexes
@@ -372,48 +375,55 @@ func (db *DB) applyRecord(r *wal.Record, live bool) error {
 		// races this update always sees the history marker on its
 		// post-probe re-check (planCandidates) and falls back to a scan
 		// instead of silently missing the row.
+		// Only the indexes on the updated column move, so only they need
+		// the before-image; the after-image is the before-image with the
+		// new value, not a second read.
+		col := int(r.Col)
 		var old storage.Tuple
 		haveOld := false
-		if live {
+		if live && db.indexed(tbl.ID, func(inst *indexInst) bool { return inst.col == col }) {
 			if t, err := ts.Get(r.Tuple); err == nil {
 				old, haveOld = t, true
 			}
 		}
-		if err := ts.UpdateStable(r.Tuple, int(r.Col), r.Val); err != nil {
+		if err := ts.UpdateStable(r.Tuple, col, r.Val); err != nil {
 			return err
 		}
-		if live && haveOld {
+		if haveOld {
+			after := old
+			after.Row = slices.Clone(old.Row)
+			after.Row[col] = r.Val
 			for _, inst := range db.byTable[tbl.ID] {
-				if inst.col == int(r.Col) {
+				if inst.col == col {
 					inst.remove(&old)
-				}
-			}
-			if t, err := ts.Get(r.Tuple); err == nil {
-				for _, inst := range db.byTable[tbl.ID] {
-					if inst.col == int(r.Col) {
-						inst.add(&t)
-					}
+					inst.add(&after)
 				}
 			}
 		}
 	case wal.RecDegrade:
-		if live {
-			if t, err := ts.Get(r.Tuple); err == nil {
+		// The column's before-state is read only for what needs it: the
+		// indexes on the column, and a replica's follow-up scheduling.
+		pos := int(r.DegPos)
+		onCol := func(inst *indexInst) bool { return inst.deg == pos }
+		if live && (db.applyingRepl || db.indexed(tbl.ID, onCol)) {
+			if c, err := ts.Degradable(r.Tuple, pos); err == nil {
 				// Monotone gate, mirroring storage.DegradeAttr: a
 				// transition the attribute already made (a leader batch
 				// landing after the replica's own clock fired it) must
 				// not touch the indexes either — moving an entry back to
 				// a more accurate key would resurrect expired accuracy
 				// in index structure.
-				if int(r.DegPos) < len(t.States) && !storage.StateAdvances(t.States[r.DegPos], r.NewState) {
+				if !storage.StateAdvances(c.State, r.NewState) {
 					return nil
 				}
 				for _, inst := range db.byTable[tbl.ID] {
-					inst.degrade(&t, int(r.DegPos), r.NewStored, r.NewState)
+					if onCol(inst) {
+						inst.degrade(c, r.NewStored, r.NewState)
+					}
 				}
 			}
 		}
-		if err := ts.DegradeAttr(r.Tuple, int(r.DegPos), r.NewStored, r.NewState); err != nil {
+		if err := ts.DegradeAttr(r.Tuple, pos, r.NewStored, r.NewState); err != nil {
 			return err
 		}
 		if live && db.applyingRepl {
@@ -424,7 +434,7 @@ func (db *DB) applyRecord(r *wal.Record, live bool) error {
 			// fired transitions don't pass here (applyingRepl is set
 			// only while a replicated batch applies): the degrade
 			// engine enqueues their follow-ups itself.
-			db.deg.OnExternalTransition(tbl, r.Tuple, int(r.DegPos), r.NewState, r.InsertNano)
+			db.deg.OnExternalTransition(tbl, r.Tuple, pos, r.NewState, r.InsertNano)
 		}
 		return nil
 	default:

@@ -56,7 +56,9 @@ type Tuple struct {
 
 // Record layout: tupleID u64 | insertNano i64 | nDeg u8 | states nDeg |
 // EncodeRow(row). Self-delimiting, so in-place shrink with zero-fill is
-// safe.
+// safe. recordHeader is the fixed prefix before the state vector.
+const recordHeader = 17
+
 func encodeRecord(dst []byte, id TupleID, at time.Time, states []uint8, row []value.Value) []byte {
 	var b [16]byte
 	binary.LittleEndian.PutUint64(b[0:], uint64(id))
@@ -68,23 +70,80 @@ func encodeRecord(dst []byte, id TupleID, at time.Time, states []uint8, row []va
 }
 
 func decodeRecord(src []byte) (Tuple, error) {
-	if len(src) < 17 {
-		return Tuple{}, fmt.Errorf("storage: record too short (%d bytes)", len(src))
+	states, err := recordStates(src)
+	if err != nil {
+		return Tuple{}, err
 	}
-	var t Tuple
-	t.ID = TupleID(binary.LittleEndian.Uint64(src[0:]))
-	t.InsertedAt = time.Unix(0, int64(binary.LittleEndian.Uint64(src[8:]))).UTC()
-	n := int(src[16])
-	if len(src) < 17+n {
-		return Tuple{}, fmt.Errorf("storage: record truncated in state vector")
+	t := Tuple{
+		ID:         recordID(src),
+		InsertedAt: time.Unix(0, int64(binary.LittleEndian.Uint64(src[8:]))).UTC(),
+		States:     append([]uint8(nil), states...),
 	}
-	t.States = append([]uint8(nil), src[17:17+n]...)
-	row, _, err := value.DecodeRow(src[17+n:])
+	row, _, err := value.DecodeRow(src[recordHeader+len(states):])
 	if err != nil {
 		return Tuple{}, fmt.Errorf("storage: record row: %w", err)
 	}
 	t.Row = row
 	return t, nil
+}
+
+// recordID returns the tuple id of a record at least recordHeader long.
+func recordID(rec []byte) TupleID { return TupleID(binary.LittleEndian.Uint64(rec)) }
+
+// recordStates returns the state vector of a record, aliasing it.
+func recordStates(rec []byte) ([]uint8, error) {
+	if len(rec) < recordHeader {
+		return nil, fmt.Errorf("storage: record too short (%d bytes)", len(rec))
+	}
+	n := int(rec[16])
+	if len(rec) < recordHeader+n {
+		return nil, fmt.Errorf("storage: record truncated in state vector")
+	}
+	return rec[recordHeader : recordHeader+n], nil
+}
+
+// recordColumn locates column col of a record without decoding any
+// column: its encoded value is rec[start:end].
+func recordColumn(rec []byte, col int) (start, end int, err error) {
+	states, err := recordStates(rec)
+	if err != nil {
+		return 0, 0, err
+	}
+	off := recordHeader + len(states)
+	n, sz := binary.Uvarint(rec[off:])
+	if sz <= 0 || col < 0 || uint64(col) >= n {
+		return 0, 0, fmt.Errorf("storage: record has no column %d", col)
+	}
+	off += sz
+	for i := 0; ; i++ {
+		l, err := value.Skip(rec[off:])
+		if err != nil {
+			return 0, 0, fmt.Errorf("storage: record row: field %d: %w", i, err)
+		}
+		if i == col {
+			return off, off + l, nil
+		}
+		off += l
+	}
+}
+
+// patchRecord appends to dst a copy of rec whose degradable position
+// degPos is in state st and whose column col holds stored form v — the
+// bytes encodeRecord gives the decoded tuple so modified — splicing the
+// new value between the untouched bytes around the old one.
+func patchRecord(dst, rec []byte, degPos, col int, st uint8, v value.Value) ([]byte, error) {
+	start, end, err := recordColumn(rec, col)
+	if err != nil {
+		return nil, err
+	}
+	if degPos < 0 || degPos >= int(rec[16]) {
+		return nil, fmt.Errorf("storage: record has no degradable position %d", degPos)
+	}
+	base := len(dst)
+	dst = append(dst, rec[:start]...)
+	dst[base+recordHeader+degPos] = st
+	dst = value.Encode(dst, v)
+	return append(dst, rec[end:]...), nil
 }
 
 // stateKey packs a state vector into a comparable key. At most

@@ -16,6 +16,11 @@
 // pays per page instead of per tuple. A scope holds at most 64 pages and
 // writes its dirty ones back, scrubs included, before it closes.
 //
+// A degradation transition (DegradeAttr) patches the stored record: it
+// splices the new state byte and the column's new stored form between
+// the record's untouched bytes, decoding no column, and the degrader reads
+// only the column it degrades (DegradableMany).
+//
 // For the engine's lock-free snapshot reads, each TableStore also keeps
 // a bounded in-memory version chain per tuple (SnapshotGet,
 // SnapshotScan): stable-column updates retain the superseded image for

@@ -252,11 +252,88 @@ func (ts *TableStore) Get(id TupleID) (Tuple, error) {
 // naming no live tuple (deleted meanwhile) gets the zero Tuple, whose ID
 // 0 no tuple has. A page read or decode error fails the whole call.
 func (ts *TableStore) GetMany(ids []TupleID) ([]Tuple, error) {
+	out := make([]Tuple, len(ids))
+	err := ts.readMany(ids, func(i int, rec []byte) (err error) {
+		out[i], err = decodeRecord(rec)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DegCell is one degradable column of a tuple: its LCP state and its
+// stored form. DegradableMany gives a tuple that is gone the zero DegCell,
+// whose ID 0 no tuple has.
+type DegCell struct {
+	ID     TupleID
+	State  uint8
+	Stored value.Value
+}
+
+// Degradable reads the degradable column at position degPos of a tuple,
+// decoding that column alone.
+func (ts *TableStore) Degradable(id TupleID, degPos int) (DegCell, error) {
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	e := ts.dir.get(id)
+	if e == nil {
+		return DegCell{}, fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
+	}
+	var c DegCell
+	err := ts.recordLocked(e.rid(), func(rec []byte) (err error) {
+		c, err = ts.decodeCell(rec, degPos)
+		return err
+	})
+	return c, err
+}
+
+// DegradableMany is GetMany projected on the degradable column at
+// position degPos: each tuple's state and stored form of that column,
+// nothing else decoded.
+func (ts *TableStore) DegradableMany(ids []TupleID, degPos int) ([]DegCell, error) {
+	out := make([]DegCell, len(ids))
+	err := ts.readMany(ids, func(i int, rec []byte) (err error) {
+		out[i], err = ts.decodeCell(rec, degPos)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeCell decodes the degradable column at position degPos of a
+// record.
+func (ts *TableStore) decodeCell(rec []byte, degPos int) (DegCell, error) {
+	states, err := recordStates(rec)
+	if err != nil {
+		return DegCell{}, err
+	}
+	if degPos < 0 || degPos >= len(states) {
+		return DegCell{}, fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(states))
+	}
+	start, end, err := recordColumn(rec, ts.tbl.DegradableColumns()[degPos])
+	if err != nil {
+		return DegCell{}, err
+	}
+	v, _, err := value.Decode(rec[start:end])
+	if err != nil {
+		return DegCell{}, err
+	}
+	return DegCell{ID: recordID(rec), State: states[degPos], Stored: v}, nil
+}
+
+// readMany hands fn the record of every live tuple of ids with its index
+// in ids, under one read lock, reading each distinct page they live on
+// once. The record aliases a pooled page buffer: fn must not keep it. A
+// page read or fn error stops the walk and is returned.
+func (ts *TableStore) readMany(ids []TupleID, fn func(i int, rec []byte) error) error {
 	type loc struct {
 		rid RID
 		i   int
 	}
-	out := make([]Tuple, len(ids))
 	locs := make([]loc, 0, len(ids))
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
@@ -272,33 +349,60 @@ func (ts *TableStore) GetMany(ids []TupleID) ([]Tuple, error) {
 	for j, l := range locs {
 		if j == 0 || l.rid.Page != locs[j-1].rid.Page {
 			if err := ts.mgr.readPage(l.rid.Page, buf); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		t, err := ts.decodeSlot(buf, l.rid)
+		rec, err := ts.slotRecord(buf, l.rid)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[l.i] = t
+		if err := fn(l.i, rec); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 func (ts *TableStore) readLocked(rid RID) (Tuple, error) {
+	var t Tuple
+	err := ts.recordLocked(rid, func(rec []byte) (err error) {
+		t, err = decodeRecord(rec)
+		return err
+	})
+	return t, err
+}
+
+// recordLocked hands fn the record at rid, read into a pooled page
+// buffer: fn must not keep it.
+func (ts *TableStore) recordLocked(rid RID, fn func(rec []byte) error) error {
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
 	if err := ts.mgr.readPage(rid.Page, buf); err != nil {
-		return Tuple{}, err
+		return err
 	}
-	return ts.decodeSlot(buf, rid)
+	rec, err := ts.slotRecord(buf, rid)
+	if err != nil {
+		return err
+	}
+	return fn(rec)
+}
+
+// slotRecord returns the record at rid from its page's content, aliasing
+// the page.
+func (ts *TableStore) slotRecord(page []byte, rid RID) ([]byte, error) {
+	rec, ok := pageRead(page, rid.Slot)
+	if !ok {
+		return nil, fmt.Errorf("storage: %s: dangling rid %v", ts.tbl.Name, rid)
+	}
+	return rec, nil
 }
 
 // decodeSlot decodes the record at rid from its page's content.
 func (ts *TableStore) decodeSlot(page []byte, rid RID) (Tuple, error) {
-	rec, ok := pageRead(page, rid.Slot)
-	if !ok {
-		return Tuple{}, fmt.Errorf("storage: %s: dangling rid %v", ts.tbl.Name, rid)
+	rec, err := ts.slotRecord(page, rid)
+	if err != nil {
+		return Tuple{}, err
 	}
 	return decodeRecord(rec)
 }
@@ -331,14 +435,19 @@ func (ts *TableStore) eraseLocked(rid RID) error {
 	if err := ts.mgr.readPage(rid.Page, buf); err != nil {
 		return err
 	}
-	live, err := pageDelete(buf, rid.Slot)
+	return ts.scrubSlotLocked(rid, buf)
+}
+
+// scrubSlotLocked is eraseLocked on page, the content of rid's page.
+func (ts *TableStore) scrubSlotLocked(rid RID, page []byte) error {
+	live, err := pageDelete(page, rid.Slot)
 	if err != nil {
 		return err
 	}
 	if live == 0 {
 		return ts.recyclePageLocked(rid.Page)
 	}
-	return ts.mgr.writePage(rid.Page, buf)
+	return ts.mgr.writePage(rid.Page, page)
 }
 
 func (ts *TableStore) recyclePageLocked(pid PageID) error {
@@ -368,6 +477,10 @@ func (ts *TableStore) recyclePageLocked(pid PageID) error {
 // reader lifetimes, so a snapshot reader straddling the deadline
 // observes the degraded value (the documented deviation from classic
 // snapshot isolation). Unknown ids are a no-op (idempotent redo).
+//
+// The record is patched, not re-encoded: the state byte and the one
+// column are spliced into a copy of the stored bytes, and no other
+// column is decoded.
 func (ts *TableStore) DegradeAttr(id TupleID, degPos int, newStored value.Value, newState uint8) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -375,24 +488,37 @@ func (ts *TableStore) DegradeAttr(id TupleID, degPos int, newStored value.Value,
 	if e == nil {
 		return nil
 	}
-	t, err := ts.readLocked(e.rid())
+	bufp := pagePool.Get().(*[]byte)
+	defer pagePool.Put(bufp)
+	page := *bufp
+	if err := ts.mgr.readPage(e.page, page); err != nil {
+		return err
+	}
+	rec, err := ts.slotRecord(page, e.rid())
 	if err != nil {
 		return err
 	}
-	if degPos < 0 || degPos >= len(t.States) {
-		return fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(t.States))
+	states, err := recordStates(rec)
+	if err != nil {
+		return err
+	}
+	if degPos < 0 || degPos >= len(states) {
+		return fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(states))
 	}
 	// Transitions are monotone down the generalization tree: a
 	// transition the attribute has already made (or passed) is a no-op.
 	// This is what makes a leader's degrade batch and a replica's
 	// locally fired transition reconcile idempotently — whichever clock
 	// fires first wins, and the late copy can never resurrect accuracy.
-	if !StateAdvances(t.States[degPos], newState) {
+	if !StateAdvances(states[degPos], newState) {
 		return nil
 	}
 	col := ts.tbl.DegradableColumns()[degPos]
-	t.States[degPos] = newState
-	t.Row[col] = newStored
+	var stack [256]byte
+	patched, err := patchRecord(stack[:0], rec, degPos, col, newState, newStored)
+	if err != nil {
+		return fmt.Errorf("storage: %s #%d: %w", ts.tbl.Name, id, err)
+	}
 	for i := range ts.hist[id] {
 		v := &ts.hist[id][i]
 		if degPos < len(v.t.States) {
@@ -400,7 +526,8 @@ func (ts *TableStore) DegradeAttr(id TupleID, degPos int, newStored value.Value,
 			v.t.Row[col] = newStored
 		}
 	}
-	return ts.rewriteLocked(e, t)
+	key := ts.segKeyFor(patched[recordHeader : recordHeader+len(states)])
+	return ts.replaceLocked(e, id, page, patched, key)
 }
 
 // UpdateStable overwrites a stable column, retaining the superseded row
@@ -417,13 +544,20 @@ func (ts *TableStore) UpdateStable(id TupleID, col int, v value.Value) error {
 	if e == nil {
 		return fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
 	}
-	t, err := ts.readLocked(e.rid())
+	bufp := pagePool.Get().(*[]byte)
+	defer pagePool.Put(bufp)
+	page := *bufp
+	if err := ts.mgr.readPage(e.page, page); err != nil {
+		return err
+	}
+	t, err := ts.decodeSlot(page, e.rid())
 	if err != nil {
 		return err
 	}
 	old := cloneTuple(t)
 	t.Row[col] = v
-	if err := ts.rewriteLocked(e, t); err != nil {
+	rec := encodeRecord(nil, t.ID, t.InsertedAt, t.States, t.Row)
+	if err := ts.replaceLocked(e, id, page, rec, ts.segKeyFor(t.States)); err != nil {
 		return err
 	}
 	ts.pushVersionLocked(e, old)
@@ -469,43 +603,30 @@ func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
 	ent.born = e
 }
 
-// rewriteLocked re-encodes a tuple after modification, preferring
-// in-place overwrite when the layout keeps the tuple in its segment,
-// falling back to scrub-and-move.
-func (ts *TableStore) rewriteLocked(ent *dirEntry, t Tuple) error {
-	rid := ent.rid()
-	rec := encodeRecord(nil, t.ID, t.InsertedAt, t.States, t.Row)
+// replaceLocked makes rec the record of tuple id, whose directory entry
+// is ent and whose page's content is page (rec must not alias it). It
+// overwrites the old record in place when rec belongs to the same
+// segment (key) and fits the old slot, and otherwise scrubs the old copy
+// and places rec in key's segment. Either way the old bytes are gone
+// from the page.
+func (ts *TableStore) replaceLocked(ent *dirEntry, id TupleID, page, rec []byte, key uint64) error {
 	if len(rec) > MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
-	oldKey := ts.pageSeg[rid.Page]
-	newKey := ts.segKeyFor(t.States)
-	if oldKey == newKey {
-		// Same segment: try the in-place path.
-		bufp := pagePool.Get().(*[]byte)
-		buf := *bufp
-		if err := ts.mgr.readPage(rid.Page, buf); err != nil {
-			pagePool.Put(bufp)
-			return err
-		}
-		if pageOverwrite(buf, rid.Slot, rec) {
-			err := ts.mgr.writePage(rid.Page, buf)
-			pagePool.Put(bufp)
-			return err
-		}
-		pagePool.Put(bufp)
+	rid := ent.rid()
+	if ts.pageSeg[rid.Page] == key && pageOverwrite(page, rid.Slot, rec) {
+		return ts.mgr.writePage(rid.Page, page)
 	}
-	// Move: scrub the old copy, place the new one in its segment.
-	if err := ts.eraseLocked(rid); err != nil {
+	if err := ts.scrubSlotLocked(rid, page); err != nil {
 		return err
 	}
-	newRID, err := ts.placeLocked(newKey, rec)
+	newRID, err := ts.placeLocked(key, rec)
 	if err != nil {
 		return err
 	}
 	ent.page, ent.slot = newRID.Page, newRID.Slot
 	if ts.scans > 0 {
-		ts.relocated = append(ts.relocated, t.ID)
+		ts.relocated = append(ts.relocated, id)
 	}
 	return nil
 }

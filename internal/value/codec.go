@@ -73,6 +73,36 @@ func Decode(src []byte) (Value, int, error) {
 	}
 }
 
+// Skip returns the length of the encoded value at the start of src — the
+// byte count Decode would consume — without materializing it, so a
+// caller can step over the columns of an encoded row without allocating.
+func Skip(src []byte) (int, error) {
+	if len(src) == 0 {
+		return 0, fmt.Errorf("value: skip on empty input")
+	}
+	n := 0
+	switch Kind(src[0]) {
+	case KindNull:
+		return 1, nil
+	case KindInt, KindTime, KindFloat:
+		n = 9
+	case KindBool:
+		n = 2
+	case KindText:
+		l, sz := binary.Uvarint(src[1:])
+		if sz <= 0 || l > uint64(len(src)) {
+			return 0, fmt.Errorf("value: bad TEXT length")
+		}
+		n = 1 + sz + int(l)
+	default:
+		return 0, fmt.Errorf("value: unknown kind byte 0x%02x", src[0])
+	}
+	if n > len(src) {
+		return 0, fmt.Errorf("value: short %s payload", Kind(src[0]))
+	}
+	return n, nil
+}
+
 // EncodedSize returns len(Encode(nil, v)) without building the buffer.
 func EncodedSize(v Value) int {
 	switch v.kind {

@@ -326,6 +326,32 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesDecode: Skip steps over exactly the bytes Decode
+// consumes, whatever follows, and refuses every truncation.
+func TestSkipMatchesDecode(t *testing.T) {
+	for _, v := range []Value{
+		Null(), Int(-1), Float(3.14), Bool(true), Time(time.Unix(7, 0)),
+		Text(""), Text("x"), Text(string(make([]byte, 200))), Text(string(make([]byte, 40000))),
+	} {
+		enc := Encode(nil, v)
+		_, want, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Skip(append(enc, byte(KindInt), 1, 2)); err != nil || got != want {
+			t.Errorf("Skip(%v) = %d, %v; Decode consumes %d", v, got, err, want)
+		}
+		for n := range len(enc) {
+			if _, err := Skip(enc[:n]); err == nil {
+				t.Errorf("Skip of %v cut to %d of %d bytes: no error", v, n, len(enc))
+			}
+		}
+	}
+	if _, err := Skip([]byte{0x7f}); err == nil {
+		t.Error("Skip of an unknown kind byte: no error")
+	}
+}
+
 func TestDecodeRowHostileCount(t *testing.T) {
 	// A row claiming 2^60 fields in a 3-byte payload must error, not
 	// attempt the allocation.
