@@ -13,7 +13,8 @@ race:
 
 # race-txn repeats the lock manager's tests under the race detector: its
 # stress test is the one tier-1 failure this repository has had that a
-# single run does not show.
+# single run does not show, and its model test drives queued requests
+# from goroutines.
 race-txn:
 	$(GO) test -race -count=20 ./internal/txn
 
@@ -38,8 +39,9 @@ md-check:
 # from outside the process), the audit trail's block decoder (Verify
 # and every reopen feed it bytes from a directory an attacker may have
 # written), the B+tree's, the posting's and the degradation queue's op
-# streams against their models, and the degrade record patcher against
-# decode, modify and re-encode.
+# streams against their models, the degrade record patcher against
+# decode, modify and re-encode, storage runs against the same history
+# applied tuple by tuple, and the lock table against its model.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -49,13 +51,16 @@ fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzPosting -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/degrade -run '^$$' -fuzz FuzzTaskFIFO -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzPatchRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzRuns -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/txn -run '^$$' -fuzz FuzzLockManager -fuzztime $(FUZZTIME)
 
 # budgets runs the tests that hold a committed size: heap bytes per row
 # of an open database, a B+tree under churn against a fresh tree of the
 # same content, heap bytes per posting id and per pending degradation
 # task, audit-trail bytes per event, WAL bytes per insert and per
-# degrade record (with the allocations per sealed payload), and page
-# reads plus writes and heap bytes allocated per degradation transition.
+# degrade record (with the allocations per sealed payload), page reads
+# plus writes and heap bytes allocated per degradation transition, and
+# heap bytes allocated per row of a 500-row insert commit.
 budgets:
 	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 

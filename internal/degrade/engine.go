@@ -18,7 +18,7 @@
 // transactions go through the engine's snapshot path and never delay a
 // transition. The snapshot path is also where this engine pins version
 // garbage collection to LCP deadlines: a transition's storage apply
-// (TableStore.DegradeAttr) scrubs the expired accuracy state from every
+// (TableStore.DegradeRun) scrubs the expired accuracy state from every
 // retained tuple version at the tick, regardless of open snapshots, so
 // MVCC never extends the life of expired data.
 package degrade
@@ -284,36 +284,56 @@ func (e *Engine) queueFor(tbl *catalog.Table, attr int, state uint8) *transQueue
 	return q
 }
 
-// OnInsert registers a freshly inserted tuple with every queue that will
-// eventually degrade it. Call after the insert commits.
-func (e *Engine) OnInsert(tbl *catalog.Table, tid storage.TupleID, insertedAt time.Time) {
+// OnInsertRun registers freshly inserted tuples of tbl with every queue
+// that will eventually degrade them, under one hold of the queue lock,
+// each queue looked up once, and hands their scheduled events to the
+// trail in one call, built as it takes them. Call after the inserts
+// commit.
+func (e *Engine) OnInsertRun(tbl *catalog.Table, tups []storage.Tuple) {
 	tl := tbl.TupleLCP()
-	if tl == nil {
+	if tl == nil || len(tups) == 0 {
 		return
 	}
-	nano := insertedAt.UTC().UnixNano()
-	// The tuple's scheduled events go to the trail in one call.
-	var evs [8]trace.Event
-	sched := evs[:0]
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	// The queues of the tuples' first transitions: one per degradable
+	// column, whose position attrs holds, then the tuple deletion (-1).
+	var qs [catalog.MaxDegradableColumns + 1]*transQueue
+	var attrs [catalog.MaxDegradableColumns + 1]int
+	n := 0
 	for attr := range tbl.DegradableColumns() {
 		if q := e.queueFor(tbl, attr, 0); q != nil {
-			q.fifo.push(task{tid: tid, insertNano: nano})
-			sched = append(sched, trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
-				Table: tbl.Name, Tuple: uint64(tid), Attr: attrName(tbl, attr),
-				Deadline: nano + q.ageNano})
+			qs[n], attrs[n] = q, attr
+			n++
 		}
 	}
 	if _, ok := tl.DeleteAge(); ok {
 		if q := e.queueFor(tbl, -1, 0); q != nil {
-			q.fifo.push(task{tid: tid, insertNano: nano})
-			sched = append(sched, trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
-				Table: tbl.Name, Tuple: uint64(tid), Detail: "tuple-delete",
-				Deadline: nano + q.ageNano})
+			qs[n], attrs[n] = q, -1
+			n++
 		}
 	}
-	e.audit.Append(sched...)
+	if n == 0 {
+		return
+	}
+	for i := range tups {
+		tk := task{tid: tups[i].ID, insertNano: tups[i].InsertedAt.UnixNano()}
+		for _, q := range qs[:n] {
+			q.fifo.push(tk)
+		}
+	}
+	e.audit.AppendN(len(tups)*n, func(k int) trace.Event {
+		t, q, attr := &tups[k/n], qs[k%n], attrs[k%n]
+		nano := t.InsertedAt.UnixNano()
+		ev := trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
+			Table: tbl.Name, Tuple: uint64(t.ID), Deadline: nano + q.ageNano}
+		if attr == -1 {
+			ev.Detail = "tuple-delete"
+		} else {
+			ev.Attr = attrName(tbl, attr)
+		}
+		return ev
+	})
 }
 
 // OnExternalTransition registers the follow-up transition of a tuple
@@ -894,26 +914,15 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 		e.ctr.batches.Add(1)
 	}
 
-	// The batch's events go to the trail in one call. The fired events
-	// are its core evidence: identity plus deadline-vs-actual, the
-	// timeliness delta the paper claims.
-	attr := attrName(q.tbl, key.attr)
-	evs := make([]trace.Event, 0, len(recs)+len(skipped)+len(held))
 	for _, r := range recs {
-		ev := trace.Event{Kind: trace.EvFired, UnixNano: nowNano,
-			Table: q.tbl.Name, Tuple: uint64(r.Tuple),
-			Deadline: r.InsertNano + q.ageNano, Actual: nowNano}
 		switch {
 		case r.Type == wal.RecDelete:
 			e.ctr.deletions.Add(1)
-			ev.Detail = "tuple-delete"
 		case r.NewState == storage.StateErased:
 			e.ctr.transitions.Add(1)
 			e.ctr.erasures.Add(1)
-			ev.Attr, ev.Detail = attr, "erased"
 		default:
 			e.ctr.transitions.Add(1)
-			ev.Attr, ev.Detail = attr, q.firedDetail
 		}
 		if lag := nowNano - (r.InsertNano + q.ageNano); lag > 0 {
 			e.ctr.sumLagNano.Add(lag)
@@ -924,19 +933,37 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 				}
 			}
 		}
-		evs = append(evs, ev)
 	}
-	for _, t := range skipped {
-		evs = append(evs, trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
+	// The batch's events go to the trail in one call. The fired events
+	// are its core evidence: identity plus deadline-vs-actual, the
+	// timeliness delta the paper claims.
+	attr := attrName(q.tbl, key.attr)
+	retried := func(t task, detail string) trace.Event {
+		return trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
 			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,
-			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: "row lock busy"})
+			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: detail}
 	}
-	for _, t := range held {
-		evs = append(evs, trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
-			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,
-			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: "predicate held"})
-	}
-	aud.Append(evs...)
+	aud.AppendN(len(recs)+len(skipped)+len(held), func(i int) trace.Event {
+		if i < len(recs) {
+			r := recs[i]
+			ev := trace.Event{Kind: trace.EvFired, UnixNano: nowNano,
+				Table: q.tbl.Name, Tuple: uint64(r.Tuple),
+				Deadline: r.InsertNano + q.ageNano, Actual: nowNano}
+			switch {
+			case r.Type == wal.RecDelete:
+				ev.Detail = "tuple-delete"
+			case r.NewState == storage.StateErased:
+				ev.Attr, ev.Detail = attr, "erased"
+			default:
+				ev.Attr, ev.Detail = attr, q.firedDetail
+			}
+			return ev
+		}
+		if i -= len(recs); i < len(skipped) {
+			return retried(skipped[i], "row lock busy")
+		}
+		return retried(held[i-len(skipped)], "predicate held")
+	})
 	e.ctr.lockSkips.Add(uint64(len(skipped)))
 	e.ctr.predicateHold.Add(uint64(len(held)))
 	e.mu.Lock()

@@ -102,7 +102,7 @@ func (f *fixture) insert(t *testing.T, id int64, addr string) storage.TupleID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.eng.OnInsert(f.tbl, tid, f.clock.Now())
+	f.eng.OnInsertRun(f.tbl, []storage.Tuple{{ID: tid, InsertedAt: f.clock.Now()}})
 	return tid
 }
 

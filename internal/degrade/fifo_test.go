@@ -311,7 +311,9 @@ func TestQueueSizeBudget(t *testing.T) {
 			}
 		}
 		measure("pushed live", func(eng *Engine) {
-			feed(func(id storage.TupleID, at time.Time) { eng.OnInsert(f.tbl, id, at) })
+			feed(func(id storage.TupleID, at time.Time) {
+				eng.OnInsertRun(f.tbl, []storage.Tuple{{ID: id, InsertedAt: at}})
+			})
 		})
 		measure("reseeded", func(eng *Engine) {
 			tup := storage.Tuple{States: []uint8{0}}

@@ -31,6 +31,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -182,9 +183,10 @@ type DB struct {
 	indexes    map[string]*indexInst
 	byTable    map[uint32][]*indexInst
 	// reservedPKs holds the primary keys of inserts currently between
-	// group-commit admission and apply (under mu): the authoritative
-	// uniqueness check runs before the WAL append, the pk index is
-	// updated only at apply, and this set closes the window in between.
+	// admission and apply (under mu): the authoritative uniqueness check
+	// runs before the WAL append, the pk index is updated only at apply,
+	// and this set closes the window in between — and catches a key a
+	// batch inserts twice.
 	reservedPKs map[string]struct{}
 	commits     int
 	ddlFile     *os.File
@@ -203,7 +205,7 @@ type DB struct {
 	// been served under (persisted to shard.ver; see CheckShardVersion).
 	shardVer uint64
 	// applyingRepl is set (under mu) while a replicated leader batch
-	// applies, so applyRecord can tell external degrade transitions —
+	// applies, so applyDegrades can tell external degrade transitions —
 	// which must schedule the replica's own follow-up — from the
 	// replica's locally fired ones, whose follow-ups the degrade engine
 	// already enqueues itself.
@@ -367,11 +369,21 @@ func (db *DB) recover() error {
 			db.shardVer = v
 		}
 	}
-	// 3. Redo the log (idempotent; complete batches only).
+	// 3. Redo the log (idempotent; complete batches only), in runs of at
+	// most replayRun records.
 	if db.log != nil {
+		var pending []*wal.Record
 		err := db.log.Replay(func(r *wal.Record) error {
-			return db.applyRecord(r, false)
+			if pending = append(pending, r); len(pending) < replayRun {
+				return nil
+			}
+			err := db.applyRecords(pending, false)
+			pending = pending[:0]
+			return err
 		})
+		if err == nil {
+			err = db.applyRecords(pending, false)
+		}
 		if err != nil {
 			return fmt.Errorf("engine: wal replay: %w", err)
 		}
@@ -379,6 +391,11 @@ func (db *DB) recover() error {
 	// 4. Derived state.
 	return db.rebuildDerived()
 }
+
+// replayRun bounds the records WAL replay holds before applying them, so
+// a never-checkpointed log does not keep every decoded record alive at
+// once; a run that long already writes each page it fills once.
+const replayRun = 1024
 
 // Catalog exposes the schema registry (tools, experiments).
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
@@ -675,9 +692,10 @@ func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error
 		defer sp.End()
 		db.mu.Lock()
 		var due bool
-		err := db.checkUniqueLocked(recs)
+		err := db.reservePKsLocked(recs)
 		if err == nil {
 			due, err = db.commitLocked(recs)
+			db.releasePKsLocked(recs)
 		}
 		db.mu.Unlock()
 		if err != nil {
@@ -697,13 +715,7 @@ func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error
 		db.commitGate.RUnlock()
 		return err
 	}
-	if err := db.checkUniqueLocked(recs); err != nil {
-		db.mu.Unlock()
-		db.commitGate.RUnlock()
-		return err
-	}
-	keys, err := db.reservePKsLocked(recs)
-	if err != nil {
+	if err := db.reservePKsLocked(recs); err != nil {
 		db.mu.Unlock()
 		db.commitGate.RUnlock()
 		return err
@@ -733,7 +745,9 @@ func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error
 		}
 	}
 	if err != nil {
-		db.releasePKs(keys)
+		db.mu.Lock()
+		db.releasePKsLocked(recs)
+		db.mu.Unlock()
 		db.commitGate.RUnlock()
 		return err
 	}
@@ -746,9 +760,7 @@ func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error
 	if err == nil {
 		due, err = db.applyCommittedLocked(recs)
 	}
-	for _, k := range keys {
-		delete(db.reservedPKs, k)
-	}
+	db.releasePKsLocked(recs)
 	db.mu.Unlock()
 	db.commitGate.RUnlock()
 	psp.End()
@@ -772,52 +784,63 @@ func (db *DB) commitFenceLocked() error {
 	return nil
 }
 
-// reservePKsLocked reserves the batch's insert primary keys against
-// concurrent in-flight commits (caller holds mu and has already passed
-// checkUniqueLocked). On conflict nothing stays reserved.
-func (db *DB) reservePKsLocked(recs []*wal.Record) ([]string, error) {
-	var keys []string
+// pkOf returns the primary key an insert record claims, ok=false when
+// its table has no primary-key index.
+func (db *DB) pkOf(r *wal.Record) (tbl *catalog.Table, pk value.Value, ok bool) {
+	if r.Type != wal.RecInsert {
+		return nil, pk, false
+	}
+	tbl, err := db.cat.TableByID(r.Table)
+	if err != nil || tbl.PrimaryKey < 0 {
+		return nil, pk, false
+	}
+	if _, ok := db.indexes["pk_"+tbl.Name]; !ok {
+		return nil, pk, false
+	}
+	return tbl, r.StableRow[tbl.PrimaryKey], true
+}
+
+// pkKey appends the reservation key of primary key pk of table tableID
+// to dst: the full table id, then the key's pk-index key.
+func pkKey(dst []byte, tableID uint32, pk value.Value) []byte {
+	return value.AppendOrderedKey(binary.BigEndian.AppendUint32(dst, tableID), pk)
+}
+
+// reservePKsLocked is the authoritative primary-key check: every key the
+// batch's inserts claim must be absent from its pk index and from the
+// reservations of the batches between admission and apply, this one's
+// included, so a key the batch claims twice is refused too. It reserves
+// them until releasePKsLocked; on a duplicate nothing stays reserved.
+// Caller holds mu.
+func (db *DB) reservePKsLocked(recs []*wal.Record) error {
+	var buf [64]byte
+	for i, r := range recs {
+		tbl, pk, ok := db.pkOf(r)
+		if !ok {
+			continue
+		}
+		key := pkKey(buf[:0], r.Table, pk)
+		_, dup := db.reservedPKs[string(key)]
+		if !dup {
+			db.indexes["pk_"+tbl.Name].bt.Exact(key[4:], func([]storage.TupleID) { dup = true })
+		}
+		if dup {
+			db.releasePKsLocked(recs[:i])
+			return fmt.Errorf("%w: %s=%v", ErrDuplicateKey, tbl.Columns[tbl.PrimaryKey].Name, pk)
+		}
+		db.reservedPKs[string(key)] = struct{}{}
+	}
+	return nil
+}
+
+// releasePKsLocked drops the reservations of recs. Caller holds mu.
+func (db *DB) releasePKsLocked(recs []*wal.Record) {
+	var buf [64]byte
 	for _, r := range recs {
-		if r.Type != wal.RecInsert {
-			continue
+		if _, pk, ok := db.pkOf(r); ok {
+			delete(db.reservedPKs, string(pkKey(buf[:0], r.Table, pk)))
 		}
-		tbl, err := db.cat.TableByID(r.Table)
-		if err != nil || tbl.PrimaryKey < 0 {
-			continue
-		}
-		if _, ok := db.indexes["pk_"+tbl.Name]; !ok {
-			continue
-		}
-		pk := r.StableRow[tbl.PrimaryKey]
-		key := pkKey(r.Table, pk)
-		if _, busy := db.reservedPKs[key]; busy {
-			for _, k := range keys {
-				delete(db.reservedPKs, k)
-			}
-			return nil, fmt.Errorf("%w: %s=%v", ErrDuplicateKey, tbl.Columns[tbl.PrimaryKey].Name, pk)
-		}
-		db.reservedPKs[key] = struct{}{}
-		keys = append(keys, key)
 	}
-	return keys, nil
-}
-
-// releasePKs drops reservations (error paths; the success path clears
-// them under the mu hold of phase 4).
-func (db *DB) releasePKs(keys []string) {
-	if len(keys) == 0 {
-		return
-	}
-	db.mu.Lock()
-	for _, k := range keys {
-		delete(db.reservedPKs, k)
-	}
-	db.mu.Unlock()
-}
-
-// pkKey builds the reservation/uniqueness key for one insert PK.
-func pkKey(tableID uint32, pk value.Value) string {
-	return string(append([]byte{byte(tableID)}, value.Encode(nil, pk)...))
 }
 
 // commitLocked is the single-mutex commit path (system commits from the
@@ -863,11 +886,7 @@ func (db *DB) applyCommittedLocked(recs []*wal.Record) (checkpointDue bool, err 
 	epoch := db.epochs.Next()
 	db.mgr.SetStampEpoch(epoch, db.epochs.OldestActive())
 	db.mgr.BeginPageScope()
-	for _, r := range recs {
-		if err = db.applyRecord(r, true); err != nil {
-			break
-		}
-	}
+	err = db.applyRecords(recs, true)
 	if werr := db.mgr.EndPageScope(); err == nil {
 		err = werr
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +312,40 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	res := db.MustExec(`SELECT COUNT(*) AS n FROM person`)
 	if res.Rows.Data[0][0].Int() != 5 {
 		t.Fatalf("count=%v", res.Rows.Data[0])
+	}
+}
+
+// TestPrimaryKeysOfTablesFarApart: every table has a key space of its
+// own, also for table ids 256 apart (the first and the 257th table). One
+// transaction inserts the same key into both, on the single-mutex commit
+// path and on the group-commit path, and a second insert of the key into
+// either is still refused.
+func TestPrimaryKeysOfTablesFarApart(t *testing.T) {
+	var ddl strings.Builder
+	for i := 0; i <= 256; i++ {
+		fmt.Fprintf(&ddl, "CREATE TABLE t%d (id INT PRIMARY KEY, v TEXT);\n", i)
+	}
+	nosync := false
+	for _, durable := range []bool{false, true} {
+		db, _ := openSim(t)
+		if durable {
+			db = openDurable(t, Config{WALSync: &nosync})
+		}
+		if err := db.ExecScript(ddl.String()); err != nil {
+			t.Fatal(err)
+		}
+		conn := db.NewConn()
+		for _, stmt := range []string{`BEGIN`, `INSERT INTO t0 (id, v) VALUES (5, 'a')`,
+			`INSERT INTO t256 (id, v) VALUES (5, 'b')`, `COMMIT`} {
+			if _, err := conn.Exec(stmt); err != nil {
+				t.Fatalf("durable=%v: %s: %v", durable, stmt, err)
+			}
+		}
+		for _, tbl := range []string{"t0", "t256"} {
+			if _, err := db.Exec(`INSERT INTO ` + tbl + ` (id, v) VALUES (5, 'c')`); !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("durable=%v: second key 5 in %s: err = %v, want ErrDuplicateKey", durable, tbl, err)
+			}
+		}
 	}
 }
 

@@ -318,17 +318,38 @@ func (db *DB) indexed(tableID uint32, on func(*indexInst) bool) bool {
 	return slices.ContainsFunc(db.byTable[tableID], on)
 }
 
-// applyRecord applies one redo record to storage (always) and to indexes
+// applyRecords applies redo records to storage (always) and to indexes
 // and degradation queues (live mode only; recovery rebuilds both
-// afterwards in bulk).
-func (db *DB) applyRecord(r *wal.Record, live bool) error {
-	if r.Type == wal.RecReplMark {
+// afterwards in bulk), one run at a time: a run is a stretch of
+// consecutive records of one type and one table — for transitions also
+// one degradable column — and applies under one hold of the table's
+// storage lock, each page it touches copied in and out once.
+func (db *DB) applyRecords(recs []*wal.Record, live bool) error {
+	for len(recs) > 0 {
+		head, n := recs[0], 1
+		for n < len(recs) && recs[n].Type == head.Type && recs[n].Table == head.Table &&
+			(head.Type != wal.RecDegrade || recs[n].DegPos == head.DegPos) {
+			n++
+		}
+		if err := db.applyRun(recs[:n], live); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
+	return nil
+}
+
+// applyRun applies one run (see applyRecords).
+func (db *DB) applyRun(run []*wal.Record, live bool) error {
+	head := run[0]
+	if head.Type == wal.RecReplMark {
 		// Follower resume bookkeeping; no storage effect. Handled before
 		// the table lookup — marks carry no table.
-		db.replPos = wal.Pos{Seg: r.ReplSeg, Off: r.ReplOff}
+		last := run[len(run)-1]
+		db.replPos = wal.Pos{Seg: last.ReplSeg, Off: last.ReplOff}
 		return nil
 	}
-	tbl, err := db.cat.TableByID(r.Table)
+	tbl, err := db.cat.TableByID(head.Table)
 	if err != nil {
 		// Records of dropped tables are ignorable during replay.
 		if !live {
@@ -337,108 +358,171 @@ func (db *DB) applyRecord(r *wal.Record, live bool) error {
 		return err
 	}
 	ts := db.mgr.Table(tbl)
-	switch r.Type {
+	switch head.Type {
 	case wal.RecInsert:
-		row := make([]value.Value, len(tbl.Columns))
-		copy(row, r.StableRow)
-		for i, col := range tbl.DegradableColumns() {
-			if i < len(r.DegVals) {
-				row[col] = r.DegVals[i]
-			}
-		}
-		at := time.Unix(0, r.InsertNano).UTC()
-		if err := ts.InsertWithID(r.Tuple, row, r.States, at); err != nil {
-			return err
-		}
-		if live {
-			// The indexes take the tuple as just stored; reading it back
-			// from its page would only copy the page once more.
-			t := storage.Tuple{ID: r.Tuple, InsertedAt: at, States: r.States, Row: row}
-			for _, inst := range db.byTable[tbl.ID] {
-				inst.add(&t)
-			}
-			db.deg.OnInsert(tbl, r.Tuple, at)
-		}
-	case wal.RecDelete:
-		if live {
-			if t, err := ts.Get(r.Tuple); err == nil {
-				for _, inst := range db.byTable[tbl.ID] {
-					inst.remove(&t)
-				}
-			}
-		}
-		return ts.Delete(r.Tuple)
-	case wal.RecUpdateStable:
-		// Storage first, indexes second: UpdateStable records the
-		// superseded image (and the table's supersede epoch) before any
-		// index entry moves, so a snapshot reader whose index probe
-		// races this update always sees the history marker on its
-		// post-probe re-check (planCandidates) and falls back to a scan
-		// instead of silently missing the row.
-		// Only the indexes on the updated column move, so only they need
-		// the before-image; the after-image is the before-image with the
-		// new value, not a second read.
-		col := int(r.Col)
-		var old storage.Tuple
-		haveOld := false
-		if live && db.indexed(tbl.ID, func(inst *indexInst) bool { return inst.col == col }) {
-			if t, err := ts.Get(r.Tuple); err == nil {
-				old, haveOld = t, true
-			}
-		}
-		if err := ts.UpdateStable(r.Tuple, col, r.Val); err != nil {
-			return err
-		}
-		if haveOld {
-			after := old
-			after.Row = slices.Clone(old.Row)
-			after.Row[col] = r.Val
-			for _, inst := range db.byTable[tbl.ID] {
-				if inst.col == col {
-					inst.remove(&old)
-					inst.add(&after)
-				}
-			}
-		}
+		return db.applyInserts(tbl, ts, run, live)
 	case wal.RecDegrade:
-		// The column's before-state is read only for what needs it: the
-		// indexes on the column, and a replica's follow-up scheduling.
-		pos := int(r.DegPos)
-		onCol := func(inst *indexInst) bool { return inst.deg == pos }
-		if live && (db.applyingRepl || db.indexed(tbl.ID, onCol)) {
-			if c, err := ts.Degradable(r.Tuple, pos); err == nil {
-				// Monotone gate, mirroring storage.DegradeAttr: a
-				// transition the attribute already made (a leader batch
-				// landing after the replica's own clock fired it) must
-				// not touch the indexes either — moving an entry back to
-				// a more accurate key would resurrect expired accuracy
-				// in index structure.
-				if !storage.StateAdvances(c.State, r.NewState) {
-					return nil
-				}
-				for _, inst := range db.byTable[tbl.ID] {
-					if onCol(inst) {
-						inst.degrade(c, r.NewStored, r.NewState)
+		return db.applyDegrades(tbl, ts, run, live)
+	case wal.RecDelete:
+		for _, r := range run {
+			if live {
+				if t, err := ts.Get(r.Tuple); err == nil {
+					for _, inst := range db.byTable[tbl.ID] {
+						inst.remove(&t)
 					}
 				}
 			}
+			if err := ts.Delete(r.Tuple); err != nil {
+				return err
+			}
 		}
-		if err := ts.DegradeAttr(r.Tuple, pos, r.NewStored, r.NewState); err != nil {
+	case wal.RecUpdateStable:
+		for _, r := range run {
+			if err := db.applyUpdate(tbl, ts, r, live); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("engine: unknown record type %d", head.Type)
+	}
+	return nil
+}
+
+// applyInserts stores an insert run, then registers it with the indexes
+// and the degradation queues, which take the tuples as just stored:
+// reading them back from their pages would only copy the pages once
+// more.
+func (db *DB) applyInserts(tbl *catalog.Table, ts *storage.TableStore, run []*wal.Record, live bool) error {
+	cols := len(tbl.Columns)
+	tups := make([]storage.Tuple, len(run))
+	vals := make([]value.Value, len(run)*cols)
+	for i, r := range run {
+		row := vals[i*cols : (i+1)*cols : (i+1)*cols]
+		copy(row, r.StableRow)
+		for j, col := range tbl.DegradableColumns() {
+			if j < len(r.DegVals) {
+				row[col] = r.DegVals[j]
+			}
+		}
+		tups[i] = storage.Tuple{ID: r.Tuple, InsertedAt: time.Unix(0, r.InsertNano).UTC(), States: r.States, Row: row}
+	}
+	if err := ts.InsertRun(tups); err != nil {
+		return err
+	}
+	if live {
+		for _, inst := range db.byTable[tbl.ID] {
+			for i := range tups {
+				inst.add(&tups[i])
+			}
+		}
+		db.deg.OnInsertRun(tbl, tups)
+	}
+	return nil
+}
+
+// applyUpdate applies one stable-column update.
+func (db *DB) applyUpdate(tbl *catalog.Table, ts *storage.TableStore, r *wal.Record, live bool) error {
+	// Storage first, indexes second: UpdateStable records the
+	// superseded image (and the table's supersede epoch) before any
+	// index entry moves, so a snapshot reader whose index probe
+	// races this update always sees the history marker on its
+	// post-probe re-check (planCandidates) and falls back to a scan
+	// instead of silently missing the row.
+	// Only the indexes on the updated column move, so only they need
+	// the before-image; the after-image is the before-image with the
+	// new value, not a second read.
+	col := int(r.Col)
+	var old storage.Tuple
+	haveOld := false
+	if live && db.indexed(tbl.ID, func(inst *indexInst) bool { return inst.col == col }) {
+		if t, err := ts.Get(r.Tuple); err == nil {
+			old, haveOld = t, true
+		}
+	}
+	if err := ts.UpdateStable(r.Tuple, col, r.Val); err != nil {
+		return err
+	}
+	if haveOld {
+		after := old
+		after.Row = slices.Clone(old.Row)
+		after.Row[col] = r.Val
+		for _, inst := range db.byTable[tbl.ID] {
+			if inst.col == col {
+				inst.remove(&old)
+				inst.add(&after)
+			}
+		}
+	}
+	return nil
+}
+
+// applyDegrades applies a run of transitions of one degradable column.
+// The column's before-states are read, with one DegradableMany, only for
+// what needs them: the indexes on the column, moved before storage is,
+// and a replica's follow-up scheduling.
+func (db *DB) applyDegrades(tbl *catalog.Table, ts *storage.TableStore, run []*wal.Record, live bool) error {
+	pos := int(run[0].DegPos)
+	onCol := func(inst *indexInst) bool { return inst.deg == pos }
+	var before []storage.DegCell
+	dups := false
+	if live && (db.applyingRepl || db.indexed(tbl.ID, onCol)) {
+		ids := make([]storage.TupleID, len(run))
+		for i, r := range run {
+			ids[i] = r.Tuple
+		}
+		var err error
+		if before, err = ts.DegradableMany(ids, pos); err != nil {
 			return err
 		}
-		if live && db.applyingRepl {
-			// Autonomous-clock rule: an externally committed transition
-			// must schedule this replica's own follow-up transition, so
-			// the next deadline fires on the replica's clock even if the
-			// leader is partitioned away when it comes due. Locally
-			// fired transitions don't pass here (applyingRepl is set
-			// only while a replicated batch applies): the degrade
-			// engine enqueues their follow-ups itself.
-			db.deg.OnExternalTransition(tbl, r.Tuple, pos, r.NewState, r.InsertNano)
+		slices.Sort(ids)
+		dups = len(slices.Compact(ids)) < len(run)
+	}
+	to := make([]storage.DegCell, 0, len(run))
+	var ext []*wal.Record // transitions a replica schedules follow-ups for
+	for i, r := range run {
+		next := storage.DegCell{ID: r.Tuple, State: r.NewState, Stored: r.NewStored}
+		if before != nil && before[i].ID != 0 {
+			c := before[i]
+			if dups {
+				// A tuple the run names twice: its later transition
+				// starts where the earlier one left it.
+				for k := len(to) - 1; k >= 0; k-- {
+					if to[k].ID == r.Tuple {
+						c = to[k]
+						break
+					}
+				}
+			}
+			// Monotone gate, mirroring storage's: a transition the
+			// attribute already made (a leader batch landing after the
+			// replica's own clock fired it) must not touch the indexes
+			// either — moving an entry back to a more accurate key would
+			// resurrect expired accuracy in index structure.
+			if !storage.StateAdvances(c.State, r.NewState) {
+				continue
+			}
+			for _, inst := range db.byTable[tbl.ID] {
+				if onCol(inst) {
+					inst.degrade(c, r.NewStored, r.NewState)
+				}
+			}
 		}
-		return nil
-	default:
-		return fmt.Errorf("engine: unknown record type %d", r.Type)
+		to = append(to, next)
+		if live && db.applyingRepl {
+			ext = append(ext, r)
+		}
+	}
+	if err := ts.DegradeRun(pos, to); err != nil {
+		return err
+	}
+	// Autonomous-clock rule: an externally committed transition must
+	// schedule this replica's own follow-up transition, so the next
+	// deadline fires on the replica's clock even if the leader is
+	// partitioned away when it comes due. Locally fired transitions don't
+	// pass here (applyingRepl is set only while a replicated batch
+	// applies): the degrade engine enqueues their follow-ups itself.
+	for _, r := range ext {
+		db.deg.OnExternalTransition(tbl, r.Tuple, pos, r.NewState, r.InsertNano)
 	}
 	return nil
 }

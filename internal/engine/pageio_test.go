@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -86,13 +87,15 @@ func TestDegradePageIOSizeBudget(t *testing.T) {
 
 // Allocation budgets of a degradation wave: heap bytes allocated per
 // transition, all of it — degrader, WAL, apply, audit. The wave below
-// measures 928 B with the location column unindexed and 1 008 B with a
-// B+tree index on it; what is left is mostly the WAL record, the row
-// lock and the audit event. A whole-tuple decode or re-encode back on
-// the transition path breaks them: with three it measures ~1 600 B.
+// measures 585 B with the location column unindexed and 745 B with a
+// B+tree index on it; what is left is mostly the WAL record and the
+// degrader's batch read. A row lock allocating its table entry again
+// breaks them (tuple by tuple, with a map per lock, it measured 925 and
+// 1 008 B), and so does a whole-tuple decode or re-encode back on the
+// transition path (with three it measured ~1 600 B).
 const (
-	allocBudgetPerTransition        = 1050
-	allocBudgetPerTransitionIndexed = 1150
+	allocBudgetPerTransition        = 730
+	allocBudgetPerTransitionIndexed = 940
 )
 
 // TestDegradeAllocSizeBudget degrades 2 000 rows of a durable database in
@@ -142,6 +145,81 @@ func TestDegradeAllocSizeBudget(t *testing.T) {
 			t.Logf("wave of %d transitions: %.0f B allocated per transition (budget %.0f)", n, per, tc.budget)
 			if per > tc.budget {
 				t.Errorf("%.0f B allocated per transition, budget %.0f", per, tc.budget)
+			}
+		})
+	}
+}
+
+// Allocation budgets of a 500-row commit: heap bytes the COMMIT
+// allocates per row — primary-key check, WAL encoding and group append,
+// apply to storage, indexes and queues, audit events. The commit below
+// measures 440 B with only the primary key indexed and 488 B with a
+// B+tree on the location column as well; tuple by tuple, encoding each
+// record afresh, checking and reserving primary keys through a map of
+// their own and collecting each row's audit events, it measured 731 and
+// 779 B.
+const (
+	allocBudgetPerInsert        = 550
+	allocBudgetPerInsertIndexed = 610
+)
+
+// TestInsertAllocSizeBudget commits 500-row transactions to a durable
+// database and holds the bytes the COMMIT allocates per row to a
+// committed budget, on the person table as it is and with its location
+// column indexed. Each reading is the smallest of three commits, after
+// one that grows the structures every commit reuses.
+func TestInsertAllocSizeBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	for _, tc := range []struct {
+		name   string
+		index  string
+		budget float64
+	}{
+		{"unindexed", "", allocBudgetPerInsert},
+		{"indexed", `CREATE INDEX ix_loc ON person (location) USING BTREE`, allocBudgetPerInsertIndexed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nosync := false
+			db := openDurable(t, Config{WALSync: &nosync})
+			installSchema(t, db)
+			if tc.index != "" {
+				db.MustExec(tc.index)
+			}
+			conn := db.NewConn()
+			ins, err := conn.Prepare(`INSERT INTO person (id, name, location, salary) VALUES (?, ?, ?, ?)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ins.Close()
+			const rows = 500
+			per := math.Inf(1)
+			for c := 0; c < 4; c++ {
+				if _, err := conn.Exec(`BEGIN`); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < rows; i++ {
+					id := c*rows + i + 1
+					if _, err := ins.Exec(value.Int(int64(id)), value.Text(fmt.Sprintf("name-%06d", id)),
+						value.Text(figure1Addresses[id%len(figure1Addresses)]), value.Int(int64(1000+id%3000))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.GC()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				if _, err := conn.Exec(`COMMIT`); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&m1)
+				if c > 0 {
+					per = min(per, float64(m1.TotalAlloc-m0.TotalAlloc)/rows)
+				}
+			}
+			t.Logf("500-row commit: %.0f B allocated per row (budget %.0f)", per, tc.budget)
+			if per > tc.budget {
+				t.Errorf("%.0f B allocated per row, budget %.0f", per, tc.budget)
 			}
 		})
 	}

@@ -407,37 +407,6 @@ func (c *Conn) rollbackTx() {
 	c.db.met.activeTxns.Dec()
 }
 
-// checkUniqueLocked verifies primary-key uniqueness of the batch's
-// inserts against the pk indexes and within the batch itself.
-func (db *DB) checkUniqueLocked(recs []*wal.Record) error {
-	seen := make(map[string]bool)
-	for _, r := range recs {
-		if r.Type != wal.RecInsert {
-			continue
-		}
-		tbl, err := db.cat.TableByID(r.Table)
-		if err != nil || tbl.PrimaryKey < 0 {
-			continue
-		}
-		pkInst, ok := db.indexes["pk_"+tbl.Name]
-		if !ok {
-			continue
-		}
-		pk := r.StableRow[tbl.PrimaryKey]
-		key := string(append([]byte{byte(r.Table)}, value.Encode(nil, pk)...))
-		if seen[key] {
-			return fmt.Errorf("%w: %s=%v", ErrDuplicateKey, tbl.Columns[tbl.PrimaryKey].Name, pk)
-		}
-		seen[key] = true
-		dup := false
-		pkInst.bt.Exact(value.AppendOrderedKey(nil, pk), func([]storage.TupleID) { dup = true })
-		if dup {
-			return fmt.Errorf("%w: %s=%v", ErrDuplicateKey, tbl.Columns[tbl.PrimaryKey].Name, pk)
-		}
-	}
-	return nil
-}
-
 // runInsert buffers RecInsert records for each VALUES row. Inserts are
 // granted only in the most accurate state (paper §II): degradable
 // values resolve through the domain's level-0 form.

@@ -38,11 +38,10 @@ type Manager struct {
 
 	// pmu guards the page scope (BeginPageScope): while scopeOpen, scope
 	// holds the pages touched so far, each read from the store at most
-	// once. A slice with linear search, not a map: it never holds more
-	// than scopePages entries, and an emptied map would keep its buckets.
+	// once.
 	pmu       sync.Mutex
 	scopeOpen bool
-	scope     []scopedPage
+	scope     pageSet
 	// scopeErr is the first write-back of the open scope that failed,
 	// whichever goroutine's page overflowed the scope: it fails every
 	// later scoped access, so no one reads the store's stale copy of a
@@ -53,16 +52,77 @@ type Manager struct {
 	pageReads, pageWrites atomic.Uint64
 }
 
-// scopePages bounds a page scope: the first page past it writes the
-// dirty ones back and empties the scope, so a batch of any size holds at
-// most scopePages pooled buffers (256 KiB) at a time.
+// scopePages bounds a pageSet: the first page past it writes the dirty
+// ones back and empties the set, so a batch of any size holds at most
+// scopePages pooled buffers (256 KiB) in the Manager's page scope, and as
+// many in the run a TableStore is applying.
 const scopePages = 64
 
-// scopedPage is one page held by the page scope, in a pagePool buffer.
+// scopedPage is one page held by a pageSet, in a pagePool buffer.
 type scopedPage struct {
 	id    PageID
 	buf   *[]byte
 	dirty bool
+}
+
+// pageSet is a working set of at most scopePages pages, each read once
+// and written back once: the Manager's page scope, and the pages of the
+// run a TableStore is applying (see TableStore.runPage). A slice with
+// linear search, not a map: it never holds more than scopePages entries,
+// and an emptied map would keep its buckets.
+type pageSet []scopedPage
+
+// find returns pid's entry, nil when the set does not hold it. The
+// pointer is valid until the set next changes.
+func (s pageSet) find(pid PageID) *scopedPage {
+	for i := range s {
+		if s[i].id == pid {
+			return &s[i]
+		}
+	}
+	return nil
+}
+
+// add adds pid, which the set does not hold, in a pooled buffer that
+// load fills; a nil load leaves the content to the caller. The set must
+// have room: a full one is flushed first.
+func (s *pageSet) add(pid PageID, load func(PageID, []byte) error) (*scopedPage, error) {
+	bufp := pagePool.Get().(*[]byte)
+	if load != nil {
+		if err := load(pid, *bufp); err != nil {
+			pagePool.Put(bufp)
+			return nil, err
+		}
+	}
+	*s = append(*s, scopedPage{id: pid, buf: bufp})
+	return &(*s)[len(*s)-1], nil
+}
+
+// drop forgets pid without writing it back (a page freed meanwhile).
+func (s *pageSet) drop(pid PageID) {
+	if i := slices.IndexFunc(*s, func(p scopedPage) bool { return p.id == pid }); i >= 0 {
+		pagePool.Put((*s)[i].buf)
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
+// flush writes the dirty pages back through write in page id order,
+// returns every buffer to the pool and empties the set. A failed write
+// does not stop the others; the first error is returned.
+func (s *pageSet) flush(write func(PageID, []byte) error) error {
+	slices.SortFunc(*s, func(a, b scopedPage) int { return cmp.Compare(a.id, b.id) })
+	var first error
+	for _, p := range *s {
+		if p.dirty {
+			if err := write(p.id, *p.buf); err != nil && first == nil {
+				first = err
+			}
+		}
+		pagePool.Put(p.buf)
+	}
+	clear(*s)
+	*s = (*s)[:0]
+	return first
 }
 
 // zeroPage is what freePage writes over a released page. Never mutated.
@@ -129,25 +189,18 @@ func (m *Manager) DropTable(tableID uint32) error {
 	return nil
 }
 
-// allocPage returns a fresh (or recycled) page initialized for tableID.
-// buf (len PageSize) receives the initialized content; the page is not
-// yet written — the caller writes after filling it.
-func (m *Manager) allocPage(tableID uint32, buf []byte) (PageID, error) {
+// allocPage returns a fresh (or recycled) page id. Nothing is read or
+// written: the caller initializes the page (initPage) and writes it after
+// filling it.
+func (m *Manager) allocPage() (PageID, error) {
 	m.mu.Lock()
-	var pid PageID
-	var err error
+	defer m.mu.Unlock()
 	if n := len(m.free); n > 0 {
-		pid = m.free[n-1]
+		pid := m.free[n-1]
 		m.free = m.free[:n-1]
-	} else {
-		pid, err = m.store.Allocate()
+		return pid, nil
 	}
-	m.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	initPage(buf, tableID)
-	return pid, nil
+	return m.store.Allocate()
 }
 
 // freePage scrubs a page and returns it to the free list.
@@ -195,25 +248,19 @@ func (m *Manager) EndPageScope() error {
 	return err
 }
 
-// flushScopeLocked writes the dirty scope pages back in page id order,
-// returns every buffer to the pool and empties the scope. A failed write
-// does not stop the others; the first error is returned. Caller holds
-// pmu.
-func (m *Manager) flushScopeLocked() error {
-	slices.SortFunc(m.scope, func(a, b scopedPage) int { return cmp.Compare(a.id, b.id) })
-	var first error
-	for _, p := range m.scope {
-		if p.dirty {
-			m.pageWrites.Add(1)
-			if err := m.store.WritePage(p.id, *p.buf); err != nil && first == nil {
-				first = err
-			}
-		}
-		pagePool.Put(p.buf)
-	}
-	clear(m.scope)
-	m.scope = m.scope[:0]
-	return first
+// flushScopeLocked writes the dirty scope pages back to the store (see
+// pageSet.flush). Caller holds pmu.
+func (m *Manager) flushScopeLocked() error { return m.scope.flush(m.storeWrite) }
+
+// storeRead and storeWrite are the store's page calls, counted.
+func (m *Manager) storeRead(pid PageID, buf []byte) error {
+	m.pageReads.Add(1)
+	return m.store.ReadPage(pid, buf)
+}
+
+func (m *Manager) storeWrite(pid PageID, data []byte) error {
+	m.pageWrites.Add(1)
+	return m.store.WritePage(pid, data)
 }
 
 // readPage copies page pid into buf. Every page read of TableStore code
@@ -223,8 +270,7 @@ func (m *Manager) readPage(pid PageID, buf []byte) error {
 	m.pmu.Lock()
 	if !m.scopeOpen {
 		m.pmu.Unlock()
-		m.pageReads.Add(1)
-		return m.store.ReadPage(pid, buf)
+		return m.storeRead(pid, buf)
 	}
 	defer m.pmu.Unlock()
 	p, err := m.scopedLocked(pid, true)
@@ -243,8 +289,7 @@ func (m *Manager) writePage(pid PageID, data []byte) error {
 	m.pmu.Lock()
 	if !m.scopeOpen {
 		m.pmu.Unlock()
-		m.pageWrites.Add(1)
-		return m.store.WritePage(pid, data)
+		return m.storeWrite(pid, data)
 	}
 	defer m.pmu.Unlock()
 	p, err := m.scopedLocked(pid, false)
@@ -263,10 +308,8 @@ func (m *Manager) scopedLocked(pid PageID, load bool) (*scopedPage, error) {
 	if m.scopeErr != nil {
 		return nil, m.scopeErr
 	}
-	for i := range m.scope {
-		if m.scope[i].id == pid {
-			return &m.scope[i], nil
-		}
+	if p := m.scope.find(pid); p != nil {
+		return p, nil
 	}
 	if len(m.scope) == scopePages {
 		if err := m.flushScopeLocked(); err != nil {
@@ -274,16 +317,11 @@ func (m *Manager) scopedLocked(pid PageID, load bool) (*scopedPage, error) {
 			return nil, err
 		}
 	}
-	bufp := pagePool.Get().(*[]byte)
+	var read func(PageID, []byte) error
 	if load {
-		m.pageReads.Add(1)
-		if err := m.store.ReadPage(pid, *bufp); err != nil {
-			pagePool.Put(bufp)
-			return nil, err
-		}
+		read = m.storeRead
 	}
-	m.scope = append(m.scope, scopedPage{id: pid, buf: bufp})
-	return &m.scope[len(m.scope)-1], nil
+	return m.scope.add(pid, read)
 }
 
 // Sync flushes the page store (checkpoint support).

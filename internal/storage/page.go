@@ -83,15 +83,10 @@ func pageFreeSpace(p []byte) int {
 	return gap
 }
 
-func pageHasDeadSlot(p []byte) bool {
-	n := pageNumSlots(p)
-	for s := uint16(0); s < n; s++ {
-		if off, _ := slotEntry(p, s); off == 0 {
-			return true
-		}
-	}
-	return false
-}
+// pageHasDeadSlot reports whether the slot directory holds a dead entry.
+// Slots are never removed from the directory, only marked dead, and the
+// header counts the live ones, so the difference is the dead count.
+func pageHasDeadSlot(p []byte) bool { return pageNumSlots(p) > pageLive(p) }
 
 // pageInsert places rec in the page, returning the slot index. ok is
 // false when the page lacks space.
@@ -101,13 +96,15 @@ func pageInsert(p []byte, rec []byte) (slot uint16, ok bool) {
 	}
 	freeStart := int(binary.LittleEndian.Uint16(p[4:]))
 	freeEnd := int(binary.LittleEndian.Uint16(p[6:]))
-	// Prefer recycling a dead slot's directory entry.
+	// Prefer recycling a dead slot's directory entry, when there is one.
 	n := pageNumSlots(p)
 	slot = n
-	for s := uint16(0); s < n; s++ {
-		if off, _ := slotEntry(p, s); off == 0 {
-			slot = s
-			break
+	if pageHasDeadSlot(p) {
+		for s := uint16(0); s < n; s++ {
+			if off, _ := slotEntry(p, s); off == 0 {
+				slot = s
+				break
+			}
 		}
 	}
 	need := len(rec)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -268,5 +269,46 @@ func TestPageRejectsOversized(t *testing.T) {
 	}
 	if _, ok := pageInsert(p, make([]byte, MaxRecordSize)); !ok {
 		t.Fatal("max-size record refused")
+	}
+}
+
+// TestPageDeadSlotCount: over random inserts, deletes and overwrites,
+// the header's counts tell a dead slot exactly when the slot directory
+// holds one, and an insert takes the first dead slot when there is one
+// and a new slot otherwise.
+func TestPageDeadSlotCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := make([]byte, PageSize)
+	initPage(p, 1)
+	for step := 0; step < 20000; step++ {
+		n := pageNumSlots(p)
+		firstDead := n
+		for s := n; s > 0; s-- {
+			if off, _ := slotEntry(p, s-1); off == 0 {
+				firstDead = s - 1
+			}
+		}
+		if got, want := pageHasDeadSlot(p), firstDead < n; got != want {
+			t.Fatalf("step %d: pageHasDeadSlot = %v with %d slots, %d live, first dead slot %d",
+				step, got, n, pageLive(p), firstDead)
+		}
+		rec := bytes.Repeat([]byte{byte(step)}, 1+rng.Intn(300))
+		switch op := rng.Intn(3); {
+		case op == 0 || n == 0:
+			free := pageFreeSpace(p)
+			slot, ok := pageInsert(p, rec)
+			if ok != (len(rec) <= free) {
+				t.Fatalf("step %d: a %d-byte insert with %d bytes free: ok = %v", step, len(rec), free, ok)
+			}
+			if ok && slot != firstDead {
+				t.Fatalf("step %d: insert took slot %d, want %d", step, slot, firstDead)
+			}
+		case op == 1:
+			if _, err := pageDelete(p, uint16(rng.Intn(int(n)))); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			pageOverwrite(p, uint16(rng.Intn(int(n))), rec[:len(rec)/2])
+		}
 	}
 }

@@ -88,6 +88,11 @@ type TableStore struct {
 	// is truncated when the last scan finishes.
 	scans     int
 	relocated []TupleID
+
+	// run holds the pages of the run being applied: every write method
+	// is a run, of one tuple or of many, and reads and modifies pages
+	// only through runPage (see there). Empty whenever ts.mu is free.
+	run pageSet
 }
 
 func newTableStore(mgr *Manager, tbl *catalog.Table) *TableStore {
@@ -124,33 +129,52 @@ func (ts *TableStore) ReserveID() TupleID {
 	return ts.nextID
 }
 
-// Insert stores a new tuple and returns its id.
+// Insert stores a new tuple under the next free id and returns the id: a
+// run of one (InsertRun).
 func (ts *TableStore) Insert(row []value.Value, states []uint8, at time.Time) (TupleID, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	id := ts.nextID + 1
-	if err := ts.insertLocked(id, row, states, at); err != nil {
+	if err := ts.insertRunLocked([]Tuple{{ID: id, InsertedAt: at, States: states, Row: row}}); err != nil {
 		return 0, err
 	}
-	ts.nextID = id
 	return id, nil
 }
 
-// InsertWithID stores a tuple under a caller-chosen id; it is a no-op if
-// the id already exists (idempotent redo during recovery).
+// InsertWithID stores a tuple under a caller-chosen id, or does nothing
+// if the id exists (idempotent redo during recovery): a run of one
+// (InsertRun).
 func (ts *TableStore) InsertWithID(id TupleID, row []value.Value, states []uint8, at time.Time) error {
+	return ts.InsertRun([]Tuple{{ID: id, InsertedAt: at, States: states, Row: row}})
+}
+
+// InsertRun stores tuples under their caller-chosen ids (the engine
+// reserves them before the commit), in order, under one hold of the
+// table lock: each page the run touches is read once and written back
+// once (runPage), and every record is encoded into one buffer. A tuple
+// whose id already exists is skipped (idempotent redo during recovery).
+// A tuple that fails ends the run; the ones before it are stored.
+func (ts *TableStore) InsertRun(tups []Tuple) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.dir.get(id) != nil {
-		return nil
+	return ts.insertRunLocked(tups)
+}
+
+func (ts *TableStore) insertRunLocked(tups []Tuple) error {
+	var stack [512]byte
+	rec := stack[:0]
+	var err error
+	for i := range tups {
+		t := &tups[i]
+		if ts.dir.get(t.ID) != nil {
+			continue
+		}
+		if rec, err = ts.insertLocked(rec[:0], t); err != nil {
+			break
+		}
+		ts.nextID = max(ts.nextID, t.ID)
 	}
-	if err := ts.insertLocked(id, row, states, at); err != nil {
-		return err
-	}
-	if id > ts.nextID {
-		ts.nextID = id
-	}
-	return nil
+	return ts.endRunLocked(err)
 }
 
 // CheckRecordSize reports whether a tuple would fit a page, without
@@ -168,69 +192,104 @@ func CheckRecordSize(states []uint8, row []value.Value) error {
 	return nil
 }
 
-func (ts *TableStore) insertLocked(id TupleID, row []value.Value, states []uint8, at time.Time) error {
-	if len(row) != len(ts.tbl.Columns) {
-		return fmt.Errorf("storage: %s: row has %d columns, want %d", ts.tbl.Name, len(row), len(ts.tbl.Columns))
+// insertLocked encodes tuple t into rec's space and places it; it
+// returns the record, whose space the run reuses.
+func (ts *TableStore) insertLocked(rec []byte, t *Tuple) ([]byte, error) {
+	if len(t.Row) != len(ts.tbl.Columns) {
+		return rec, fmt.Errorf("storage: %s: row has %d columns, want %d", ts.tbl.Name, len(t.Row), len(ts.tbl.Columns))
 	}
-	if len(states) != len(ts.tbl.DegradableColumns()) {
-		return fmt.Errorf("storage: %s: state vector has %d entries, want %d",
-			ts.tbl.Name, len(states), len(ts.tbl.DegradableColumns()))
+	if len(t.States) != len(ts.tbl.DegradableColumns()) {
+		return rec, fmt.Errorf("storage: %s: state vector has %d entries, want %d",
+			ts.tbl.Name, len(t.States), len(ts.tbl.DegradableColumns()))
 	}
-	rec := encodeRecord(nil, id, at, states, row)
+	rec = encodeRecord(rec, t.ID, t.InsertedAt, t.States, t.Row)
 	if len(rec) > MaxRecordSize {
-		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
+		return rec, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
-	rid, err := ts.placeLocked(ts.segKeyFor(states), rec)
+	rid, err := ts.placeLocked(ts.segKeyFor(t.States), rec)
 	if err != nil {
-		return err
+		return rec, err
 	}
-	ts.dir.put(id, rid, ts.mgr.stamp.Load())
-	return nil
+	ts.dir.put(t.ID, rid, ts.mgr.stamp.Load())
+	return rec, nil
 }
 
-// placeLocked finds room for rec in the segment and writes it.
+// runPage returns page pid as the run in progress holds it. The run's
+// first touch of a page reads it through the Manager (load) or, for a
+// page just allocated, leaves its buffer to the caller to initialize;
+// later touches find it in the run, where it is modified in place, so a
+// page costs one copy in and one copy out however many of the run's
+// tuples it holds. The caller sets dirty on what it modifies;
+// endRunLocked writes the dirty pages back in page id order. The pointer
+// is valid until the run's next runPage or recyclePageLocked. Caller
+// holds ts.mu.
+func (ts *TableStore) runPage(pid PageID, load bool) (*scopedPage, error) {
+	if p := ts.run.find(pid); p != nil {
+		return p, nil
+	}
+	if len(ts.run) == scopePages {
+		if err := ts.run.flush(ts.mgr.writePage); err != nil {
+			return nil, err
+		}
+	}
+	var read func(PageID, []byte) error
+	if load {
+		read = ts.mgr.readPage
+	}
+	return ts.run.add(pid, read)
+}
+
+// endRunLocked ends the run in progress: its dirty pages go back to the
+// Manager in page id order. It returns err if set, else the write-back's
+// error.
+func (ts *TableStore) endRunLocked(err error) error {
+	if werr := ts.run.flush(ts.mgr.writePage); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// placeLocked finds room for rec in the segment and writes it: the most
+// recently opened page with room, else a fresh page.
 func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 	seg, ok := ts.segs[key]
 	if !ok {
 		seg = newSegment()
 		ts.segs[key] = seg
 	}
-	bufp := pagePool.Get().(*[]byte)
-	defer pagePool.Put(bufp)
-	buf := *bufp
-	// Try open pages from most recently opened.
 	for len(seg.open) > 0 {
 		pid := seg.open[len(seg.open)-1]
-		if err := ts.mgr.readPage(pid, buf); err != nil {
+		p, err := ts.runPage(pid, true)
+		if err != nil {
 			return RID{}, err
 		}
-		slot, ok := pageInsert(buf, rec)
+		slot, ok := pageInsert(*p.buf, rec)
 		if ok {
-			if pageFreeSpace(buf) < openSpaceThreshold {
+			p.dirty = true
+			if pageFreeSpace(*p.buf) < openSpaceThreshold {
 				seg.open = seg.open[:len(seg.open)-1]
-			}
-			if err := ts.mgr.writePage(pid, buf); err != nil {
-				return RID{}, err
 			}
 			return RID{Page: pid, Slot: slot}, nil
 		}
 		seg.open = seg.open[:len(seg.open)-1]
 	}
-	// Allocate a fresh page.
-	pid, err := ts.mgr.allocPage(ts.tbl.ID, buf)
+	pid, err := ts.mgr.allocPage()
 	if err != nil {
 		return RID{}, err
 	}
-	slot, ok := pageInsert(buf, rec)
+	p, err := ts.runPage(pid, false)
+	if err != nil {
+		return RID{}, err
+	}
+	initPage(*p.buf, ts.tbl.ID)
+	slot, ok := pageInsert(*p.buf, rec)
 	if !ok {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
-	if err := ts.mgr.writePage(pid, buf); err != nil {
-		return RID{}, err
-	}
+	p.dirty = true
 	seg.pages[pid] = struct{}{}
 	ts.pageSeg[pid] = key
-	if pageFreeSpace(buf) >= openSpaceThreshold {
+	if pageFreeSpace(*p.buf) >= openSpaceThreshold {
 		seg.open = append(seg.open, pid)
 	}
 	return RID{Page: pid, Slot: slot}, nil
@@ -270,23 +329,6 @@ type DegCell struct {
 	ID     TupleID
 	State  uint8
 	Stored value.Value
-}
-
-// Degradable reads the degradable column at position degPos of a tuple,
-// decoding that column alone.
-func (ts *TableStore) Degradable(id TupleID, degPos int) (DegCell, error) {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	e := ts.dir.get(id)
-	if e == nil {
-		return DegCell{}, fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
-	}
-	var c DegCell
-	err := ts.recordLocked(e.rid(), func(rec []byte) (err error) {
-		c, err = ts.decodeCell(rec, degPos)
-		return err
-	})
-	return c, err
 }
 
 // DegradableMany is GetMany projected on the degradable column at
@@ -363,29 +405,15 @@ func (ts *TableStore) readMany(ids []TupleID, fn func(i int, rec []byte) error) 
 	return nil
 }
 
+// readLocked decodes the tuple at rid, read into a pooled page buffer.
 func (ts *TableStore) readLocked(rid RID) (Tuple, error) {
-	var t Tuple
-	err := ts.recordLocked(rid, func(rec []byte) (err error) {
-		t, err = decodeRecord(rec)
-		return err
-	})
-	return t, err
-}
-
-// recordLocked hands fn the record at rid, read into a pooled page
-// buffer: fn must not keep it.
-func (ts *TableStore) recordLocked(rid RID, fn func(rec []byte) error) error {
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
 	if err := ts.mgr.readPage(rid.Page, buf); err != nil {
-		return err
+		return Tuple{}, err
 	}
-	rec, err := ts.slotRecord(buf, rid)
-	if err != nil {
-		return err
-	}
-	return fn(rec)
+	return ts.decodeSlot(buf, rid)
 }
 
 // slotRecord returns the record at rid from its page's content, aliasing
@@ -419,37 +447,34 @@ func (ts *TableStore) Delete(id TupleID) error {
 	if e == nil {
 		return nil
 	}
-	if err := ts.eraseLocked(e.rid()); err != nil {
-		return err
+	p, err := ts.runPage(e.page, true)
+	if err == nil {
+		err = ts.scrubSlotLocked(e.rid(), p)
 	}
-	ts.dir.del(id)
-	delete(ts.hist, id)
-	return nil
+	if err == nil {
+		ts.dir.del(id)
+		delete(ts.hist, id)
+	}
+	return ts.endRunLocked(err)
 }
 
-// eraseLocked scrubs the slot and recycles the page if it became empty.
-func (ts *TableStore) eraseLocked(rid RID) error {
-	bufp := pagePool.Get().(*[]byte)
-	defer pagePool.Put(bufp)
-	buf := *bufp
-	if err := ts.mgr.readPage(rid.Page, buf); err != nil {
-		return err
-	}
-	return ts.scrubSlotLocked(rid, buf)
-}
-
-// scrubSlotLocked is eraseLocked on page, the content of rid's page.
-func (ts *TableStore) scrubSlotLocked(rid RID, page []byte) error {
-	live, err := pageDelete(page, rid.Slot)
+// scrubSlotLocked scrubs the slot rid of p, the run's copy of its page,
+// and recycles the page if it became empty.
+func (ts *TableStore) scrubSlotLocked(rid RID, p *scopedPage) error {
+	live, err := pageDelete(*p.buf, rid.Slot)
 	if err != nil {
 		return err
 	}
 	if live == 0 {
 		return ts.recyclePageLocked(rid.Page)
 	}
-	return ts.mgr.writePage(rid.Page, page)
+	p.dirty = true
+	return nil
 }
 
+// recyclePageLocked takes an empty page out of its segment and the run,
+// and frees it (zero-filled) for any table to allocate, this run
+// included.
 func (ts *TableStore) recyclePageLocked(pid PageID) error {
 	key, ok := ts.pageSeg[pid]
 	if ok {
@@ -463,6 +488,7 @@ func (ts *TableStore) recyclePageLocked(pid PageID) error {
 		}
 		delete(ts.pageSeg, pid)
 	}
+	ts.run.drop(pid)
 	return ts.mgr.freePage(pid)
 }
 
@@ -476,58 +502,82 @@ func (ts *TableStore) recyclePageLocked(pid PageID) error {
 // states is pinned to the LCP deadline that drives this call, never to
 // reader lifetimes, so a snapshot reader straddling the deadline
 // observes the degraded value (the documented deviation from classic
-// snapshot isolation). Unknown ids are a no-op (idempotent redo).
+// snapshot isolation). Unknown ids are a no-op (idempotent redo). It is
+// a run of one (DegradeRun).
 //
 // The record is patched, not re-encoded: the state byte and the one
 // column are spliced into a copy of the stored bytes, and no other
 // column is decoded.
 func (ts *TableStore) DegradeAttr(id TupleID, degPos int, newStored value.Value, newState uint8) error {
+	return ts.DegradeRun(degPos, []DegCell{{ID: id, State: newState, Stored: newStored}})
+}
+
+// DegradeRun applies DegradeAttr's transition to each tuple to[i].ID, in
+// order, under one hold of the table lock: the degradable column at
+// position degPos moves to state to[i].State with stored form
+// to[i].Stored. Each page the run touches is read once and written back
+// once (runPage), and every record is patched into one buffer; the
+// monotone gate, the scrub and the version-chain overwrite stay per
+// tuple. A transition that fails ends the run; the ones before it are
+// applied.
+func (ts *TableStore) DegradeRun(degPos int, to []DegCell) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	e := ts.dir.get(id)
+	var stack [256]byte
+	buf := stack[:0]
+	var err error
+	for i := range to {
+		if buf, err = ts.degradeLocked(buf[:0], degPos, &to[i]); err != nil {
+			break
+		}
+	}
+	return ts.endRunLocked(err)
+}
+
+// degradeLocked applies one transition of a run, patching the record
+// into buf's space; it returns the buffer, whose space the run reuses.
+func (ts *TableStore) degradeLocked(buf []byte, degPos int, to *DegCell) ([]byte, error) {
+	e := ts.dir.get(to.ID)
 	if e == nil {
-		return nil
+		return buf, nil
 	}
-	bufp := pagePool.Get().(*[]byte)
-	defer pagePool.Put(bufp)
-	page := *bufp
-	if err := ts.mgr.readPage(e.page, page); err != nil {
-		return err
-	}
-	rec, err := ts.slotRecord(page, e.rid())
+	p, err := ts.runPage(e.page, true)
 	if err != nil {
-		return err
+		return buf, err
+	}
+	rec, err := ts.slotRecord(*p.buf, e.rid())
+	if err != nil {
+		return buf, err
 	}
 	states, err := recordStates(rec)
 	if err != nil {
-		return err
+		return buf, err
 	}
 	if degPos < 0 || degPos >= len(states) {
-		return fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(states))
+		return buf, fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(states))
 	}
 	// Transitions are monotone down the generalization tree: a
 	// transition the attribute has already made (or passed) is a no-op.
 	// This is what makes a leader's degrade batch and a replica's
 	// locally fired transition reconcile idempotently — whichever clock
 	// fires first wins, and the late copy can never resurrect accuracy.
-	if !StateAdvances(states[degPos], newState) {
-		return nil
+	if !StateAdvances(states[degPos], to.State) {
+		return buf, nil
 	}
 	col := ts.tbl.DegradableColumns()[degPos]
-	var stack [256]byte
-	patched, err := patchRecord(stack[:0], rec, degPos, col, newState, newStored)
+	patched, err := patchRecord(buf, rec, degPos, col, to.State, to.Stored)
 	if err != nil {
-		return fmt.Errorf("storage: %s #%d: %w", ts.tbl.Name, id, err)
+		return buf, fmt.Errorf("storage: %s #%d: %w", ts.tbl.Name, to.ID, err)
 	}
-	for i := range ts.hist[id] {
-		v := &ts.hist[id][i]
+	for i := range ts.hist[to.ID] {
+		v := &ts.hist[to.ID][i]
 		if degPos < len(v.t.States) {
-			v.t.States[degPos] = newState
-			v.t.Row[col] = newStored
+			v.t.States[degPos] = to.State
+			v.t.Row[col] = to.Stored
 		}
 	}
 	key := ts.segKeyFor(patched[recordHeader : recordHeader+len(states)])
-	return ts.replaceLocked(e, id, page, patched, key)
+	return patched, ts.replaceLocked(e, to.ID, p, patched, key)
 }
 
 // UpdateStable overwrites a stable column, retaining the superseded row
@@ -544,20 +594,22 @@ func (ts *TableStore) UpdateStable(id TupleID, col int, v value.Value) error {
 	if e == nil {
 		return fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
 	}
-	bufp := pagePool.Get().(*[]byte)
-	defer pagePool.Put(bufp)
-	page := *bufp
-	if err := ts.mgr.readPage(e.page, page); err != nil {
+	return ts.endRunLocked(ts.updateStableLocked(e, id, col, v))
+}
+
+func (ts *TableStore) updateStableLocked(e *dirEntry, id TupleID, col int, v value.Value) error {
+	p, err := ts.runPage(e.page, true)
+	if err != nil {
 		return err
 	}
-	t, err := ts.decodeSlot(page, e.rid())
+	t, err := ts.decodeSlot(*p.buf, e.rid())
 	if err != nil {
 		return err
 	}
 	old := cloneTuple(t)
 	t.Row[col] = v
 	rec := encodeRecord(nil, t.ID, t.InsertedAt, t.States, t.Row)
-	if err := ts.replaceLocked(e, id, page, rec, ts.segKeyFor(t.States)); err != nil {
+	if err := ts.replaceLocked(e, id, p, rec, ts.segKeyFor(t.States)); err != nil {
 		return err
 	}
 	ts.pushVersionLocked(e, old)
@@ -604,20 +656,21 @@ func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
 }
 
 // replaceLocked makes rec the record of tuple id, whose directory entry
-// is ent and whose page's content is page (rec must not alias it). It
+// is ent and whose page the run holds as p (rec must not alias it). It
 // overwrites the old record in place when rec belongs to the same
 // segment (key) and fits the old slot, and otherwise scrubs the old copy
 // and places rec in key's segment. Either way the old bytes are gone
 // from the page.
-func (ts *TableStore) replaceLocked(ent *dirEntry, id TupleID, page, rec []byte, key uint64) error {
+func (ts *TableStore) replaceLocked(ent *dirEntry, id TupleID, p *scopedPage, rec []byte, key uint64) error {
 	if len(rec) > MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
 	rid := ent.rid()
-	if ts.pageSeg[rid.Page] == key && pageOverwrite(page, rid.Slot, rec) {
-		return ts.mgr.writePage(rid.Page, page)
+	if ts.pageSeg[rid.Page] == key && pageOverwrite(*p.buf, rid.Slot, rec) {
+		p.dirty = true
+		return nil
 	}
-	if err := ts.scrubSlotLocked(rid, page); err != nil {
+	if err := ts.scrubSlotLocked(rid, p); err != nil {
 		return err
 	}
 	newRID, err := ts.placeLocked(key, rec)
@@ -832,7 +885,7 @@ func (ts *TableStore) collectPageLocked(pid PageID, snap uint64, seen map[TupleI
 // taken at or after the last supersede can never observe a chain
 // image, so indexes serve it even while old chains linger. Callers on
 // the snapshot read path must re-check *after* probing an index: the
-// supersede marker is set before the index is touched (applyRecord
+// supersede marker is set before the index is touched (applyUpdate
 // updates storage first), so a probe that raced a concurrent update is
 // always caught by the second check.
 func (ts *TableStore) HasVisibleHistory(snap uint64) bool {

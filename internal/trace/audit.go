@@ -392,7 +392,14 @@ func (a *Audit) startSegment() error {
 // to persist refuses further appends rather than recording a gap, and
 // the error surfaces on the next Sync/Close.
 func (a *Audit) Append(evs ...Event) {
-	if a == nil || len(evs) == 0 {
+	a.AppendN(len(evs), func(i int) Event { return evs[i] })
+}
+
+// AppendN is Append of the n events ev(0), …, ev(n-1), for a caller that
+// would otherwise collect many events only to hand them over. ev runs
+// under the trail's lock: it must not block or use the trail.
+func (a *Audit) AppendN(n int, ev func(i int) Event) {
+	if a == nil || n == 0 {
 		return
 	}
 	a.mu.Lock()
@@ -401,8 +408,8 @@ func (a *Audit) Append(evs ...Event) {
 		return
 	}
 	var now int64
-	for i := range evs {
-		ev := evs[i]
+	for i := range n {
+		ev := ev(i)
 		if ev.UnixNano == 0 {
 			if now == 0 {
 				now = time.Now().UnixNano()

@@ -117,10 +117,39 @@ func (r Resource) String() string {
 	return fmt.Sprintf("table %d", r.Table)
 }
 
+// lockState is one resource's entry in the lock table: its holders —
+// a small slice, one entry on a row, a few on a table — and the FIFO of
+// requests waiting for it. Entries are pooled (statePool): a row lock
+// takes and returns one, so locking a row allocates nothing.
 type lockState struct {
-	holders map[ID]LockMode
+	holders []holder
 	queue   []*waiter
 }
+
+// holder is one transaction's grant on a resource.
+type holder struct {
+	txn  ID
+	mode LockMode
+}
+
+// mode returns txn's mode on the resource, ok=false when it holds none.
+func (st *lockState) mode(txn ID) (LockMode, bool) {
+	for _, h := range st.holders {
+		if h.txn == txn {
+			return h.mode, true
+		}
+	}
+	return 0, false
+}
+
+// statePool recycles idle lock-table entries, heldPool the held lists of
+// finished transactions. Pools, not free lists kept on the manager: they
+// keep nothing across garbage collections, so the lock table's resident
+// size stays what the held locks need.
+var (
+	statePool = sync.Pool{New: func() any { return new(lockState) }}
+	heldPool  = sync.Pool{New: func() any { return new([]Resource) }}
+)
 
 type waiter struct {
 	txn     ID
@@ -130,9 +159,11 @@ type waiter struct {
 
 // LockManager grants hierarchical locks with bounded waiting.
 type LockManager struct {
-	mu      sync.Mutex
-	locks   map[Resource]*lockState
-	held    map[ID]map[Resource]LockMode
+	mu    sync.Mutex
+	locks map[Resource]*lockState
+	// held lists the resources each transaction holds, in grant order,
+	// each once.
+	held    map[ID]*[]Resource
 	timeout time.Duration
 }
 
@@ -144,7 +175,7 @@ func NewLockManager(timeout time.Duration) *LockManager {
 	}
 	return &LockManager{
 		locks:   make(map[Resource]*lockState),
-		held:    make(map[ID]map[Resource]LockMode),
+		held:    make(map[ID]*[]Resource),
 		timeout: timeout,
 	}
 }
@@ -157,12 +188,8 @@ func NewLockManager(timeout time.Duration) *LockManager {
 // it.
 func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 	lm.mu.Lock()
-	st, ok := lm.locks[res]
-	if !ok {
-		st = &lockState{holders: make(map[ID]LockMode)}
-		lm.locks[res] = st
-	}
-	cur, holds := st.holders[txn]
+	st := lm.stateLocked(res)
+	cur, holds := st.mode(txn)
 	if holds && stronger(cur, mode) {
 		lm.mu.Unlock()
 		return nil
@@ -177,7 +204,7 @@ func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 	if holds {
 		at = 0
 		for _, q := range st.queue {
-			held, up := st.holders[q.txn]
+			held, up := st.mode(q.txn)
 			if !up {
 				break
 			}
@@ -226,12 +253,8 @@ func (lm *LockManager) Acquire(txn ID, res Resource, mode LockMode) error {
 func (lm *LockManager) TryAcquire(txn ID, res Resource, mode LockMode) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	st, ok := lm.locks[res]
-	if !ok {
-		st = &lockState{holders: make(map[ID]LockMode)}
-		lm.locks[res] = st
-	}
-	if cur, holds := st.holders[txn]; holds && stronger(cur, mode) {
+	st := lm.stateLocked(res)
+	if cur, holds := st.mode(txn); holds && stronger(cur, mode) {
 		return true
 	}
 	if len(st.queue) > 0 || !lm.grantableLocked(st, txn, mode) {
@@ -241,12 +264,23 @@ func (lm *LockManager) TryAcquire(txn ID, res Resource, mode LockMode) bool {
 	return true
 }
 
+// stateLocked returns res's entry, adding an empty one (pooled) when
+// the table has none.
+func (lm *LockManager) stateLocked(res Resource) *lockState {
+	st, ok := lm.locks[res]
+	if !ok {
+		st = statePool.Get().(*lockState)
+		lm.locks[res] = st
+	}
+	return st
+}
+
 func (lm *LockManager) grantableLocked(st *lockState, txn ID, mode LockMode) bool {
-	for holder, held := range st.holders {
-		if holder == txn {
+	for _, h := range st.holders {
+		if h.txn == txn {
 			continue // upgrade: only others matter
 		}
-		if !compatible[held][mode] {
+		if !compatible[h.mode][mode] {
 			return false
 		}
 	}
@@ -254,17 +288,32 @@ func (lm *LockManager) grantableLocked(st *lockState, txn ID, mode LockMode) boo
 }
 
 func (lm *LockManager) grantLocked(st *lockState, txn ID, res Resource, mode LockMode) {
-	if cur, ok := st.holders[txn]; !ok || !stronger(cur, mode) {
-		st.holders[txn] = mode
+	for i := range st.holders {
+		if h := &st.holders[i]; h.txn == txn {
+			if !stronger(h.mode, mode) {
+				h.mode = mode
+			}
+			return // an upgrade: res is on txn's list already
+		}
 	}
+	st.holders = append(st.holders, holder{txn, mode})
 	h := lm.held[txn]
 	if h == nil {
-		h = make(map[Resource]LockMode)
+		h = heldPool.Get().(*[]Resource)
 		lm.held[txn] = h
 	}
-	if cur, ok := h[res]; !ok || !stronger(cur, mode) {
-		h[res] = mode
+	*h = append(*h, res)
+}
+
+// dropHolderLocked takes txn off res's holders, reporting whether it
+// held res.
+func (lm *LockManager) dropHolderLocked(st *lockState, txn ID) bool {
+	i := slices.IndexFunc(st.holders, func(h holder) bool { return h.txn == txn })
+	if i < 0 {
+		return false
 	}
+	st.holders = slices.Delete(st.holders, i, i+1)
+	return true
 }
 
 // Release drops one lock early. Strict two-phase locking only permits
@@ -274,16 +323,38 @@ func (lm *LockManager) Release(txn ID, res Resource) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	st := lm.locks[res]
-	if st == nil {
+	if st == nil || !lm.dropHolderLocked(st, txn) {
 		return
 	}
-	if _, ok := st.holders[txn]; !ok {
-		return
+	// Early releases are of the rows locked last: search from the end.
+	h := lm.held[txn]
+	if i := lastIndex(*h, res); i >= 0 {
+		*h = slices.Delete(*h, i, i+1)
 	}
-	delete(st.holders, txn)
-	delete(lm.held[txn], res)
+	if len(*h) == 0 {
+		lm.retireHeldLocked(txn, h)
+	}
 	lm.wakeLocked(st, res)
 	lm.dropIdleLocked(st, res)
+}
+
+// lastIndex returns the index of the last res in rs, -1 if none.
+func lastIndex(rs []Resource, res Resource) int {
+	for i := len(rs) - 1; i >= 0; i-- {
+		if rs[i] == res {
+			return i
+		}
+	}
+	return -1
+}
+
+// retireHeldLocked forgets txn's held list, now empty of locks, and
+// returns it to the pool.
+func (lm *LockManager) retireHeldLocked(txn ID, h *[]Resource) {
+	delete(lm.held, txn)
+	clear(*h)
+	*h = (*h)[:0]
+	heldPool.Put(h)
 }
 
 // ReleaseAll releases every lock of txn and wakes eligible waiters (the
@@ -291,16 +362,17 @@ func (lm *LockManager) Release(txn ID, res Resource) {
 func (lm *LockManager) ReleaseAll(txn ID) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	for res := range lm.held[txn] {
-		st := lm.locks[res]
-		if st == nil {
-			continue
-		}
-		delete(st.holders, txn)
-		lm.wakeLocked(st, res)
-		lm.dropIdleLocked(st, res)
+	h := lm.held[txn]
+	if h == nil {
+		return
 	}
-	delete(lm.held, txn)
+	for _, res := range *h {
+		if st := lm.locks[res]; st != nil && lm.dropHolderLocked(st, txn) {
+			lm.wakeLocked(st, res)
+			lm.dropIdleLocked(st, res)
+		}
+	}
+	lm.retireHeldLocked(txn, h)
 }
 
 // wakeLocked grants queued waiters in FIFO order while compatible.
@@ -312,14 +384,18 @@ func (lm *LockManager) wakeLocked(st *lockState, res Resource) {
 		}
 		lm.grantLocked(st, w.txn, res, w.mode)
 		close(w.granted)
+		st.queue[0] = nil
 		st.queue = st.queue[1:]
 	}
 }
 
-// dropIdleLocked forgets a resource nobody holds or waits for.
+// dropIdleLocked forgets a resource nobody holds or waits for, and
+// returns its entry to the pool.
 func (lm *LockManager) dropIdleLocked(st *lockState, res Resource) {
 	if len(st.holders) == 0 && len(st.queue) == 0 {
 		delete(lm.locks, res)
+		st.queue = nil
+		statePool.Put(st)
 	}
 }
 
@@ -327,5 +403,8 @@ func (lm *LockManager) dropIdleLocked(st *lockState, res Resource) {
 func (lm *LockManager) HeldCount(txn ID) int {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	return len(lm.held[txn])
+	if h := lm.held[txn]; h != nil {
+		return len(*h)
+	}
+	return 0
 }
