@@ -59,8 +59,10 @@ fuzz-smoke:
 # same content, heap bytes per posting id and per pending degradation
 # task, audit-trail bytes per event, WAL bytes per insert and per
 # degrade record (with the allocations per sealed payload), page reads
-# plus writes and heap bytes allocated per degradation transition, and
-# heap bytes allocated per row of a 500-row insert commit.
+# plus writes per degradation transition, per row a THEN DELETE wave
+# deletes and per row a bulk UPDATE rewrites, heap bytes allocated per
+# transition, and heap bytes allocated per row of a 500-row insert
+# commit.
 budgets:
 	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 

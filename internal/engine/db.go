@@ -878,19 +878,14 @@ func (db *DB) commitLocked(recs []*wal.Record) (checkpointDue bool, err error) {
 // which completes the batch and heals the tear; an ephemeral database
 // has no log to replay and stays fenced for its lifetime.
 //
-// The apply runs inside a storage page scope, so the batch reads and
-// writes each heap page once; the scope writes its pages back before
-// the epoch publishes, and a failed write-back fences like a failed
-// apply.
+// Each run of the batch writes its pages back before the next run
+// starts, so all of them have reached the page file before the epoch
+// publishes; a failed write-back fails its run, and fences like any
+// failed apply.
 func (db *DB) applyCommittedLocked(recs []*wal.Record) (checkpointDue bool, err error) {
 	epoch := db.epochs.Next()
 	db.mgr.SetStampEpoch(epoch, db.epochs.OldestActive())
-	db.mgr.BeginPageScope()
-	err = db.applyRecords(recs, true)
-	if werr := db.mgr.EndPageScope(); err == nil {
-		err = werr
-	}
-	if err != nil {
+	if err := db.applyRecords(recs, true); err != nil {
 		// Apply failures after a durable append are unrecoverable
 		// in-process: fence commits and surface loudly.
 		db.failed = true

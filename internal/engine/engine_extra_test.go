@@ -226,6 +226,23 @@ func TestUpdateMaintainsStableIndex(t *testing.T) {
 	if res.Rows.Len() != 0 {
 		t.Fatal("index kept stale entry")
 	}
+	// One commit updating a row twice, with another row's update between:
+	// its update run names the tuple twice, and the second update must
+	// move the entry the first one added.
+	conn := db.NewConn()
+	for _, stmt := range []string{`BEGIN`, `UPDATE person SET name = 'first' WHERE id = 2`,
+		`UPDATE person SET name = 'other' WHERE id = 3`, `UPDATE person SET name = 'second' WHERE id = 2`, `COMMIT`} {
+		if _, err := conn.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.indexes["ix_name"].bt.Len(); n != 5 {
+		t.Fatalf("name index holds %d entries after the double update, want 5 (one per row)", n)
+	}
+	res = db.MustExec(`SELECT id FROM person WHERE name = 'second'`)
+	if res.Rows.Len() != 1 || res.Rows.Data[0][0].Int() != 2 {
+		t.Fatalf("index missed the twice-updated row: %v", res.Rows.Data)
+	}
 }
 
 // TestCheckpointEvery verifies automatic checkpoints truncate the log.

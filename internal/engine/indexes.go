@@ -364,28 +364,21 @@ func (db *DB) applyRun(run []*wal.Record, live bool) error {
 	case wal.RecDegrade:
 		return db.applyDegrades(tbl, ts, run, live)
 	case wal.RecDelete:
-		for _, r := range run {
-			if live {
-				if t, err := ts.Get(r.Tuple); err == nil {
-					for _, inst := range db.byTable[tbl.ID] {
-						inst.remove(&t)
-					}
-				}
-			}
-			if err := ts.Delete(r.Tuple); err != nil {
-				return err
-			}
-		}
+		return db.applyDeletes(tbl, ts, run, live)
 	case wal.RecUpdateStable:
-		for _, r := range run {
-			if err := db.applyUpdate(tbl, ts, r, live); err != nil {
-				return err
-			}
-		}
+		return db.applyUpdates(tbl, ts, run, live)
 	default:
 		return fmt.Errorf("engine: unknown record type %d", head.Type)
 	}
-	return nil
+}
+
+// tupleIDs returns the tuple id of each record of a run.
+func tupleIDs(run []*wal.Record) []storage.TupleID {
+	ids := make([]storage.TupleID, len(run))
+	for i, r := range run {
+		ids[i] = r.Tuple
+	}
+	return ids
 }
 
 // applyInserts stores an insert run, then registers it with the indexes
@@ -420,38 +413,75 @@ func (db *DB) applyInserts(tbl *catalog.Table, ts *storage.TableStore, run []*wa
 	return nil
 }
 
-// applyUpdate applies one stable-column update.
-func (db *DB) applyUpdate(tbl *catalog.Table, ts *storage.TableStore, r *wal.Record, live bool) error {
-	// Storage first, indexes second: UpdateStable records the
-	// superseded image (and the table's supersede epoch) before any
-	// index entry moves, so a snapshot reader whose index probe
-	// races this update always sees the history marker on its
-	// post-probe re-check (planCandidates) and falls back to a scan
-	// instead of silently missing the row.
-	// Only the indexes on the updated column move, so only they need
-	// the before-image; the after-image is the before-image with the
-	// new value, not a second read.
-	col := int(r.Col)
-	var old storage.Tuple
-	haveOld := false
-	if live && db.indexed(tbl.ID, func(inst *indexInst) bool { return inst.col == col }) {
-		if t, err := ts.Get(r.Tuple); err == nil {
-			old, haveOld = t, true
+// applyDeletes applies a delete run: indexes first, from the tuples'
+// images read with one GetMany, then storage, with one DeleteRun. A
+// tuple the run names twice is unregistered twice, which is a no-op.
+func (db *DB) applyDeletes(tbl *catalog.Table, ts *storage.TableStore, run []*wal.Record, live bool) error {
+	ids := tupleIDs(run)
+	if insts := db.byTable[tbl.ID]; live && len(insts) > 0 {
+		before, err := ts.GetMany(ids)
+		if err != nil {
+			return err
+		}
+		for i := range before {
+			if before[i].ID != 0 {
+				for _, inst := range insts {
+					inst.remove(&before[i])
+				}
+			}
 		}
 	}
-	if err := ts.UpdateStable(r.Tuple, col, r.Val); err != nil {
+	return ts.DeleteRun(ids)
+}
+
+// applyUpdates applies a run of stable-column updates: storage first,
+// with one UpdateRun, then the indexes on the updated columns. UpdateRun
+// records each superseded image (and the table's supersede epoch) before
+// any index entry moves, so a snapshot reader whose index probe races
+// this run always sees the history marker on its post-probe re-check
+// (planCandidates) and falls back to a scan instead of silently missing
+// the row. Only the indexes on an updated column move, so only they need
+// the before-images, read with one GetMany ahead of UpdateRun; each
+// after-image is its before-image with the new value, not a second read.
+func (db *DB) applyUpdates(tbl *catalog.Table, ts *storage.TableStore, run []*wal.Record, live bool) error {
+	ups := make([]storage.StableUpdate, len(run))
+	for i, r := range run {
+		ups[i] = storage.StableUpdate{ID: r.Tuple, Col: int(r.Col), Val: r.Val}
+	}
+	onCol := func(inst *indexInst) bool {
+		return slices.ContainsFunc(ups, func(u storage.StableUpdate) bool { return u.Col == inst.col })
+	}
+	var imgs []storage.Tuple
+	if live && db.indexed(tbl.ID, onCol) {
+		var err error
+		if imgs, err = ts.GetMany(tupleIDs(run)); err != nil {
+			return err
+		}
+	}
+	if err := ts.UpdateRun(ups); err != nil {
 		return err
 	}
-	if haveOld {
+	// A tuple the run names twice: its later update starts where the
+	// earlier one left it.
+	latest := make(map[storage.TupleID]storage.Tuple)
+	for i, old := range imgs {
+		if old.ID == 0 {
+			continue
+		}
+		if t, ok := latest[old.ID]; ok {
+			old = t
+		}
+		up := &ups[i]
 		after := old
 		after.Row = slices.Clone(old.Row)
-		after.Row[col] = r.Val
+		after.Row[up.Col] = up.Val
 		for _, inst := range db.byTable[tbl.ID] {
-			if inst.col == col {
+			if inst.col == up.Col {
 				inst.remove(&old)
 				inst.add(&after)
 			}
 		}
+		latest[old.ID] = after
 	}
 	return nil
 }
@@ -466,10 +496,7 @@ func (db *DB) applyDegrades(tbl *catalog.Table, ts *storage.TableStore, run []*w
 	var before []storage.DegCell
 	dups := false
 	if live && (db.applyingRepl || db.indexed(tbl.ID, onCol)) {
-		ids := make([]storage.TupleID, len(run))
-		for i, r := range run {
-			ids[i] = r.Tuple
-		}
+		ids := tupleIDs(run)
 		var err error
 		if before, err = ts.DegradableMany(ids, pos); err != nil {
 			return err

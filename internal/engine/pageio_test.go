@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"instantdb/internal/forensic"
-	"instantdb/internal/index"
 	"instantdb/internal/storage"
 	"instantdb/internal/value"
 	"instantdb/internal/vclock"
@@ -45,43 +46,97 @@ func loadPeople(t *testing.T, db *DB, rows int) {
 	}
 }
 
-// Page I/O budget of a degradation wave: physical page reads plus writes
-// per transition. The wave below measures 0.066 (85 reads and 47 writes
-// for 2 000 transitions); reading and applying tuple by tuple it measured
-// 6.98 (the degrader's read, the apply's read, DegradeAttr's read, and a
-// read and a write each to scrub the old copy and to place the new one).
-const pageIOBudgetPerTransition = 0.2
+// Page I/O budgets: physical page reads plus writes issued to the page
+// file per row an operation applies to. A wave of 2 000 transitions
+// measures 0.082 unindexed and 0.101 with the degraded column indexed
+// (the apply reads the before-states' pages, then its run reads them
+// again); reading and applying tuple by tuple it measured 6.98 (the
+// degrader's read, the apply's read, DegradeAttr's read, and a read and a
+// write each to scrub the old copy and to place the new one). The wave
+// that ends 2 000 rows' life cycle measures 0.134 per deleted row; with
+// each row deleted on its own it measured 3.09. An UPDATE of 2 000 rows
+// by primary-key range in one commit reads two pages per row at
+// statement time (each candidate the primary-key index yields, then its
+// re-read under the row's lock) and measures 2.05 in all; with each row updated on its own it
+// measured 5.98.
+const (
+	pageIOBudgetPerTransition = 0.2
+	pageIOBudgetPerDelete     = 0.2
+	pageIOBudgetPerUpdate     = 2.2
+)
 
-// TestDegradePageIOSizeBudget degrades 2 000 rows of a durable database
-// in one wave and holds the page reads and writes it issues to the page
-// file per transition to a committed budget.
+// TestDegradePageIOSizeBudget loads 2 000 rows into a durable database
+// and holds the page reads and writes that one operation over all of
+// them issues to the page file, per row, to a committed budget: a
+// transition wave, unindexed and indexed, the THEN DELETE wave at the
+// end of the location column's life cycle, and an UPDATE of every row
+// in one commit.
 func TestDegradePageIOSizeBudget(t *testing.T) {
-	clock := vclock.NewSimulated(vclock.Epoch)
-	nosync := false
-	db, err := Open(Config{Dir: t.TempDir(), Clock: clock, WALSync: &nosync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	installSchema(t, db)
 	const rows = 2000
-	loadPeople(t, db, rows)
-
-	clock.Advance(16 * time.Minute)
-	r0, w0 := db.mgr.PageIO()
-	n, err := db.DegradeNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, w1 := db.mgr.PageIO()
-	if n != rows {
-		t.Fatalf("wave fired %d transitions, want %d", n, rows)
-	}
-	per := float64(r1-r0+w1-w0) / float64(n)
-	t.Logf("wave of %d transitions: %d page reads, %d page writes, %.3f per transition (budget %.2f)",
-		n, r1-r0, w1-w0, per, pageIOBudgetPerTransition)
-	if per > pageIOBudgetPerTransition {
-		t.Errorf("%.3f page reads+writes per transition, budget %.2f", per, pageIOBudgetPerTransition)
+	wave := func(db *DB) (int, error) { return db.DegradeNow() }
+	for _, tc := range []struct {
+		name   string
+		index  string
+		before time.Duration // clock advance and waves before the measured op
+		op     func(*DB) (int, error)
+		fired  int // records op applies: transitions, deletions, updates
+		budget float64
+	}{
+		{"transitions", "", 0, wave, rows, pageIOBudgetPerTransition},
+		{"transitions indexed", `CREATE INDEX ix_loc ON person (location) USING BTREE`, 0, wave, rows, pageIOBudgetPerTransition},
+		// 31 days take every row to country, its last state; a day later
+		// the wave erases each row's location and deletes the row (THEN
+		// DELETE), and the budget is per deleted row.
+		{"delete wave", "", 31 * 24 * time.Hour, wave, 2 * rows, pageIOBudgetPerDelete},
+		{"update", "", 0, func(db *DB) (int, error) {
+			res, err := db.Exec(`UPDATE person SET name = 'renamed person' WHERE id <= 2000`)
+			if err != nil {
+				return 0, err
+			}
+			return res.RowsAffected, nil
+		}, rows, pageIOBudgetPerUpdate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := vclock.NewSimulated(vclock.Epoch)
+			nosync := false
+			db, err := Open(Config{Dir: t.TempDir(), Clock: clock, WALSync: &nosync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			installSchema(t, db)
+			if tc.index != "" {
+				db.MustExec(tc.index)
+			}
+			loadPeople(t, db, rows)
+			if tc.before > 0 {
+				// A wave fires one step of each row's life cycle; the
+				// steps due by now take a wave each.
+				clock.Advance(tc.before)
+				for n := 1; n > 0; {
+					if n, err = db.DegradeNow(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				clock.Advance(24 * time.Hour)
+			}
+			clock.Advance(16 * time.Minute)
+			r0, w0 := db.mgr.PageIO()
+			n, err := tc.op(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r1, w1 := db.mgr.PageIO()
+			if n != tc.fired {
+				t.Fatalf("%s applied %d records, want %d", tc.name, n, tc.fired)
+			}
+			per := float64(r1-r0+w1-w0) / rows
+			t.Logf("%s of %d rows: %d page reads, %d page writes, %.3f per row (budget %.2f)",
+				tc.name, rows, r1-r0, w1-w0, per, tc.budget)
+			if per > tc.budget {
+				t.Errorf("%.3f page reads+writes per row, budget %.2f", per, tc.budget)
+			}
+		})
 	}
 }
 
@@ -272,7 +327,7 @@ func TestNoExpiredAddressInPagesAfterDegradeNow(t *testing.T) {
 
 // TestSnapshotReadsDuringDegradeBatches runs SnapshotScan and SnapshotGet
 // against a table while degradation batches move its tuples between
-// pages inside page scopes. No read may fail (a dangling rid), miss a
+// pages, one run at a time. No read may fail (a dangling rid), miss a
 // tuple, return a torn (state, value) pair, or return a state older than
 // one the reader has already seen or one a finished wave left behind.
 // Run it under -race.
@@ -391,141 +446,93 @@ func TestSnapshotReadsDuringDegradeBatches(t *testing.T) {
 	wg.Wait()
 }
 
-// failingStore fails every WritePage once armed.
+// failingStore fails the next fails WritePage calls.
 type failingStore struct {
 	storage.Store
-	fail atomic.Bool
+	fails atomic.Int64
 }
 
 var errWriteInjected = errors.New("injected page write failure")
 
 func (s *failingStore) WritePage(id storage.PageID, data []byte) error {
-	if s.fail.Load() {
+	if s.fails.Add(-1) >= 0 {
 		return errWriteInjected
 	}
 	return s.Store.WritePage(id, data)
 }
 
 // TestWriteBackFailureFencesAndReplays: a commit whose page write-back
-// fails at the end of its apply fences the database like any apply
-// failure, and reopening the directory replays the batch from the WAL.
+// fails fences the database like any apply failure, and reopening the
+// directory replays the batch from the WAL. The write that fails is the
+// first of the commit's: at the end of a one-row run, and in the flush a
+// run spanning more than its 64 pages makes midway, whose other writes
+// and whose final write-back succeed.
 func TestWriteBackFailureFencesAndReplays(t *testing.T) {
-	dir := t.TempDir()
-	clock := vclock.NewSimulated(vclock.Epoch)
-	db, err := Open(Config{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Route the (still empty) database's pages through a store that can
-	// be made to fail. Nothing in this test ticks the degrader, which
-	// keeps the manager it was built with.
-	fs := &failingStore{Store: db.mgr.Store()}
-	db.mgr = storage.NewManager(fs)
-	installSchema(t, db)
-	db.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (1, 'a', 'Dam 1', 1000)`)
+	for _, tc := range []struct {
+		name string
+		rows int // inserted by the failing commit
+		size int // bytes of each row's name
+	}{
+		{"end of run", 1, 1},
+		{"mid-run flush", 300, 1000}, // four rows a page
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := vclock.NewSimulated(vclock.Epoch)
+			db, err := Open(Config{Dir: dir, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Route the (still empty) database's pages through a store
+			// that can be made to fail. Nothing in this test ticks the
+			// degrader, which keeps the manager it was built with.
+			fs := &failingStore{Store: db.mgr.Store()}
+			db.mgr = storage.NewManager(fs)
+			installSchema(t, db)
+			db.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (1, 'a', 'Dam 1', 1000)`)
 
-	fs.fail.Store(true)
-	if _, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (2, 'b', 'Dam 1', 1000)`); !errors.Is(err, errWriteInjected) {
-		t.Fatalf("commit over a failed write-back: err = %v, want the injected failure", err)
-	}
-	fs.fail.Store(false)
-	if _, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (3, 'c', 'Dam 1', 1000)`); err == nil {
-		t.Fatal("a commit after a failed write-back must be refused")
-	}
-	db.Close()
+			conn := db.NewConn()
+			ins, err := conn.Prepare(`INSERT INTO person (id, name, location, salary) VALUES (?, ?, 'Dam 1', 1000)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Exec(`BEGIN`); err != nil {
+				t.Fatal(err)
+			}
+			for id := 2; id <= tc.rows+1; id++ {
+				if _, err := ins.Exec(value.Int(int64(id)), value.Text(strings.Repeat("b", tc.size))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ins.Close()
+			fs.fails.Store(1)
+			if _, err := conn.Exec(`COMMIT`); !errors.Is(err, errWriteInjected) {
+				t.Fatalf("commit over a failed write-back: err = %v, want the injected failure", err)
+			}
+			if _, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (100000, 'c', 'Dam 1', 1000)`); err == nil {
+				t.Fatal("a commit after a failed write-back must be refused")
+			}
+			db.Close()
 
-	db2, err := Open(Config{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	rows, err := db2.NewConn().Query(`SELECT id FROM person ORDER BY id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := textsOf(rows, 0); len(got) != 2 || got[0] != "1" || got[1] != "2" {
-		t.Fatalf("rows after reopen = %v, want 1 and 2 (the failed write-back's batch replayed)", got)
-	}
-}
-
-// TestReaderOverflowWriteBackFailureFences: a snapshot scan that runs
-// while a commit's page scope is open fills the scope past its bound and
-// so writes the commit's dirty page back itself. When that write fails,
-// the commit must still fail and fence the database instead of
-// publishing a batch whose page never reached the page file, and
-// reopening replays the batch.
-func TestReaderOverflowWriteBackFailureFences(t *testing.T) {
-	dir := t.TempDir()
-	clock := vclock.NewSimulated(vclock.Epoch)
-	db, err := Open(Config{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := &failingStore{Store: db.mgr.Store()}
-	db.mgr = storage.NewManager(fs)
-	installSchema(t, db)
-	db.MustExec(`CREATE INDEX ix_name ON person (name) USING BTREE`)
-	loadPeople(t, db, 6000)
-	tbl, err := db.cat.Table("person")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := db.mgr.Table(tbl)
-	if p := ts.Stats().Pages; p <= 64 {
-		t.Fatalf("sanity: %d pages do not fill a page scope (64)", p)
-	}
-	var bt *index.BTree
-	for _, inst := range db.byTable[tbl.ID] {
-		if inst.bt != nil {
-			bt = inst.bt
-		}
-	}
-
-	// Hold the name index's read lock: the commit below places its row
-	// in a page of its open scope, then waits for the lock to index it,
-	// and the scope stays open until the lock is released.
-	held, release := make(chan struct{}), make(chan struct{})
-	go bt.Range(nil, nil, func([]byte, []storage.TupleID) bool {
-		close(held)
-		<-release
-		return false
-	})
-	<-held
-	fs.fail.Store(true)
-	done := make(chan error, 1)
-	go func() {
-		_, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (9999, 'z', 'Dam 1', 1000)`)
-		done <- err
-	}()
-	var scanErr error
-	for deadline := time.Now().Add(10 * time.Second); scanErr == nil && time.Now().Before(deadline); {
-		snap := db.epochs.Snapshot()
-		scanErr = ts.SnapshotScan(snap, func(storage.Tuple) bool { return true })
-		db.epochs.Release(snap)
-	}
-	close(release)
-	if !errors.Is(scanErr, errWriteInjected) {
-		t.Fatalf("scans over the open scope: err = %v, want the injected write-back failure", scanErr)
-	}
-	if err := <-done; !errors.Is(err, errWriteInjected) {
-		t.Fatalf("commit whose page a reader failed to write back: err = %v, want the injected failure", err)
-	}
-	fs.fail.Store(false)
-	if _, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (10000, 'y', 'Dam 1', 1000)`); err == nil {
-		t.Fatal("a commit after a failed write-back must be refused")
-	}
-	db.Close()
-
-	db2, err := Open(Config{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	rows, err := db2.NewConn().Query(`SELECT name FROM person WHERE id = 9999`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := textsOf(rows, 0); len(got) != 1 || got[0] != "z" {
-		t.Fatalf("row 9999 after reopen = %v, want the failed write-back's batch replayed", got)
+			db2, err := Open(Config{Dir: dir, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			rows, err := db2.NewConn().Query(`SELECT COUNT(*) FROM person`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := textsOf(rows, 0); len(got) != 1 || got[0] != strconv.Itoa(tc.rows+1) {
+				t.Fatalf("rows after reopen = %v, want %d (the failed write-back's batch replayed)", got, tc.rows+1)
+			}
+			tbl, err := db2.cat.Table("person")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := db2.mgr.Table(tbl).Stats().Pages; tc.rows > 1 && p <= 64 {
+				t.Fatalf("sanity: the batch spans %d pages, not more than a run holds (64)", p)
+			}
+		})
 	}
 }

@@ -41,7 +41,7 @@ func pagesOf(s Store) ([]byte, error) {
 
 // sameStores reports the first difference between two sides: their page
 // bytes, free lists, directories, segments (page sets and open lists),
-// page-to-segment maps and next ids.
+// page-to-segment maps, version chains and next ids.
 func sameStores(a, b runSide) error {
 	pa, err := pagesOf(a.store)
 	if err != nil {
@@ -68,6 +68,8 @@ func sameStores(a, b runSide) error {
 		return fmt.Errorf("segments differ")
 	case !maps.Equal(a.ts.pageSeg, b.ts.pageSeg):
 		return fmt.Errorf("page-to-segment maps differ")
+	case !reflect.DeepEqual(a.ts.hist, b.ts.hist) || a.ts.lastSupersede != b.ts.lastSupersede:
+		return fmt.Errorf("version chains differ")
 	case a.ts.nextID != b.ts.nextID:
 		return fmt.Errorf("next id %d, one at a time %d", a.ts.nextID, b.ts.nextID)
 	case len(a.ts.run) != 0:
@@ -87,25 +89,30 @@ func runText(c, seed byte) value.Value {
 	return value.Text(string(s))
 }
 
-// runRunOps interprets ops as a history of insert runs, degrade runs and
-// deletes on a table of a stable and a degradable TEXT column, applies it
-// to one store as runs (InsertRun, DegradeRun) and to another tuple by
-// tuple (Insert, InsertWithID, DegradeAttr), and compares the two after
-// every step. Past its end the stream reads as zeros.
+// runRunOps interprets ops as a history of insert, update, degrade and
+// delete runs on a table of a stable and a degradable TEXT column,
+// applies it to one store as runs (InsertRun, UpdateRun, DegradeRun,
+// DeleteRun) and to another tuple by tuple (Insert, InsertWithID,
+// UpdateStable, DegradeAttr, Delete), and compares the two after every
+// step. Each step stamps its writes with an epoch of its own, so updates
+// keep version chains. Past its end the stream reads as zeros.
 //
 // The first byte picks the layout (odd: LayoutInPlace). Then each step
-// is an opcode byte — bit 7 runs the step inside a page scope, the low
-// two bits pick the operation — and its arguments:
+// is an opcode byte, whose low two bits pick the operation, and its
+// arguments:
 //
-//   - 0, 1: an insert run of 1+n%96 tuples (n the next byte), one byte
+//   - 0: an insert run of 1+n%96 tuples (n the next byte), one byte
 //     each: bits 0–1 the id (0, 1: the next; 2: the next after a gap;
 //     3: one inserted before, so the tuple is skipped), bits 2–3 the
 //     state, bits 4–5 and 6–7 the size classes of the two columns;
+//   - 1: an update run of up to 1+n%96 stable-column updates, two bytes
+//     each: which tuple (counting back from the last inserted, deleted
+//     ones too, which are left out of the run), then the new value's
+//     size class (bits 0–1) and letters;
 //   - 2: a degrade run of 1+n%96 transitions, two bytes each: which
-//     tuple (counting back from the last inserted, deleted ones too),
-//     then bits 0–2 the new state (1 plus their value, 8 standing for
-//     StateErased) and bits 3–4 the new value's size class;
-//   - 3: n%8 deletes, one byte each picking the tuple as above.
+//     tuple, then bits 0–2 the new state (1 plus their value, 8 standing
+//     for StateErased) and bits 3–4 the new value's size class;
+//   - 3: a delete run of n%8 tuples, one byte each picking the tuple.
 func runRunOps(data []byte) error {
 	in := &patchInput{data}
 	tbl, err := patchTable(2, 0b10, catalog.StorageLayout(in.next()%2))
@@ -123,13 +130,11 @@ func runRunOps(data []byte) error {
 	}
 	for step := 0; len(in.b) > 0; step++ {
 		op := in.next()
-		if op&0x80 != 0 {
-			runs.mgr.BeginPageScope()
-			single.mgr.BeginPageScope()
-		}
+		runs.mgr.SetStampEpoch(uint64(step+1), 0)
+		single.mgr.SetStampEpoch(uint64(step+1), 0)
 		var errRuns, errSingle error
 		switch op % 4 {
-		case 0, 1:
+		case 0:
 			tups := make([]Tuple, 1+int(in.next())%96)
 			for i := range tups {
 				spec := in.next()
@@ -157,6 +162,18 @@ func runRunOps(data []byte) error {
 					errSingle = single.ts.InsertWithID(t.ID, t.Row, t.States, t.InsertedAt)
 				}
 			}
+		case 1:
+			var ups []StableUpdate
+			for range 1 + int(in.next())%96 {
+				id, spec := pick(), in.next()
+				if runs.ts.dir.get(id) != nil {
+					ups = append(ups, StableUpdate{ID: id, Col: 0, Val: runText(spec, spec>>2)})
+				}
+			}
+			errRuns = runs.ts.UpdateRun(ups)
+			for i := 0; i < len(ups) && errSingle == nil; i++ {
+				errSingle = single.ts.UpdateStable(ups[i].ID, ups[i].Col, ups[i].Val)
+			}
 		case 2:
 			to := make([]DegCell, 1+int(in.next())%96)
 			for i := range to {
@@ -174,16 +191,14 @@ func runRunOps(data []byte) error {
 				errSingle = single.ts.DegradeAttr(to[i].ID, 0, to[i].Stored, to[i].State)
 			}
 		case 3:
-			for range in.next() % 8 {
-				id := pick()
-				if errRuns = runs.ts.Delete(id); errRuns == nil {
-					errSingle = single.ts.Delete(id)
-				}
+			del := make([]TupleID, in.next()%8)
+			for i := range del {
+				del[i] = pick()
 			}
-		}
-		if op&0x80 != 0 {
-			errRuns = cmp.Or(errRuns, runs.mgr.EndPageScope())
-			errSingle = cmp.Or(errSingle, single.mgr.EndPageScope())
+			errRuns = runs.ts.DeleteRun(del)
+			for i := 0; i < len(del) && errSingle == nil; i++ {
+				errSingle = single.ts.Delete(del[i])
+			}
 		}
 		if err := cmp.Or(errRuns, errSingle, sameStores(runs, single)); err != nil {
 			return fmt.Errorf("step %d (op %d): %w", step, op%4, err)
@@ -215,12 +230,14 @@ func runSeeds() [][]byte {
 			// LayoutMove, out of its slot under LayoutInPlace) empties its
 			// page, which is recycled and at once allocated again.
 			slices.Concat([]byte{layout, 0, 2, 0xb0, 0xb0, 0xb0}, degradeEach(3)),
-			// Small tuples sharing pages, deletes leaving dead slots, a
-			// scoped run refilling them, and a degrade run naming tuples
-			// twice whose transitions do not all advance: state 1, state 1
-			// again, state 2, erased, erased.
-			slices.Concat([]byte{layout, 1, 39}, bytes.Repeat([]byte{0x10, 0x50, 0x02, 0x03}, 10),
-				[]byte{3, 7, 1, 4, 9, 16, 25, 2, 3}, []byte{0x81, 8}, bytes.Repeat([]byte{0x20}, 9),
+			// Small tuples sharing pages, a delete run leaving dead slots,
+			// an insert run refilling them, an update run naming tuples
+			// twice and growing some past their slots, and a degrade run
+			// naming tuples twice whose transitions do not all advance:
+			// state 1, state 1 again, state 2, erased, erased.
+			slices.Concat([]byte{layout, 0, 39}, bytes.Repeat([]byte{0x10, 0x50, 0x02, 0x03}, 10),
+				[]byte{3, 7, 1, 4, 9, 16, 25, 2, 3}, []byte{0, 8}, bytes.Repeat([]byte{0x20}, 9),
+				[]byte{1, 5, 0, 0x03, 0, 0x01, 1, 0x02, 2, 0x03, 0, 0x00, 30, 0x03},
 				[]byte{2, 4, 3, 0x08, 3, 0x00, 5, 0x01, 5, 0x0f, 8, 0x07}),
 		)
 	}

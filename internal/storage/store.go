@@ -8,13 +8,14 @@
 // store never recovers an expired accuracy state (paper §III, citing
 // Stahlberg et al. on unintended retention).
 //
-// All page I/O of the tuple stores goes through their Manager. Outside a
-// page scope each access is one store call. Inside one
-// (BeginPageScope/EndPageScope, which the engine wraps around each commit
-// batch's apply) a page is read from the store once, read and modified
-// in a pooled buffer, and written back when the scope ends, so a batch
-// pays per page instead of per tuple. A scope holds at most 64 pages and
-// writes its dirty ones back, scrubs included, before it closes.
+// All page I/O of the tuple stores goes through their Manager, one
+// counted store call per access. Every write method of a TableStore is a
+// run — InsertRun, UpdateRun, DegradeRun, DeleteRun, or a run of one —
+// which holds the table lock once, reads each page it touches from the
+// store once, modifies it in a pooled buffer, and writes the dirty pages
+// back, scrubs included, before it returns, so a batch pays per page
+// instead of per tuple. A run holds at most 64 pages; the 65th writes
+// them back first.
 //
 // A degradation transition (DegradeAttr) patches the stored record: it
 // splices the new state byte and the column's new stored form between

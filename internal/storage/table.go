@@ -91,8 +91,22 @@ type TableStore struct {
 
 	// run holds the pages of the run being applied: every write method
 	// is a run, of one tuple or of many, and reads and modifies pages
-	// only through runPage (see there). Empty whenever ts.mu is free.
-	run pageSet
+	// only through runPage (see there). A slice with linear search, not
+	// a map: it never holds more than runPages entries, and an emptied
+	// map would keep its buckets. Empty whenever ts.mu is free.
+	run []runBuf
+}
+
+// runPages bounds a run: the first page past it writes the dirty ones
+// back first, so a run of any size holds at most runPages pooled
+// buffers (256 KiB).
+const runPages = 64
+
+// runBuf is one page a run holds, in a pagePool buffer.
+type runBuf struct {
+	id    PageID
+	buf   *[]byte
+	dirty bool
 }
 
 func newTableStore(mgr *Manager, tbl *catalog.Table) *TableStore {
@@ -163,18 +177,10 @@ func (ts *TableStore) InsertRun(tups []Tuple) error {
 func (ts *TableStore) insertRunLocked(tups []Tuple) error {
 	var stack [512]byte
 	rec := stack[:0]
-	var err error
-	for i := range tups {
-		t := &tups[i]
-		if ts.dir.get(t.ID) != nil {
-			continue
-		}
-		if rec, err = ts.insertLocked(rec[:0], t); err != nil {
-			break
-		}
-		ts.nextID = max(ts.nextID, t.ID)
-	}
-	return ts.endRunLocked(err)
+	return ts.runLocked(len(tups), func(i int) (err error) {
+		rec, err = ts.insertLocked(rec[:0], &tups[i])
+		return err
+	})
 }
 
 // CheckRecordSize reports whether a tuple would fit a page, without
@@ -192,9 +198,12 @@ func CheckRecordSize(states []uint8, row []value.Value) error {
 	return nil
 }
 
-// insertLocked encodes tuple t into rec's space and places it; it
-// returns the record, whose space the run reuses.
+// insertLocked encodes tuple t into rec's space and places it, unless
+// its id exists; it returns the record, whose space the run reuses.
 func (ts *TableStore) insertLocked(rec []byte, t *Tuple) ([]byte, error) {
+	if ts.dir.get(t.ID) != nil {
+		return rec, nil
+	}
 	if len(t.Row) != len(ts.tbl.Columns) {
 		return rec, fmt.Errorf("storage: %s: row has %d columns, want %d", ts.tbl.Name, len(t.Row), len(ts.tbl.Columns))
 	}
@@ -211,6 +220,7 @@ func (ts *TableStore) insertLocked(rec []byte, t *Tuple) ([]byte, error) {
 		return rec, err
 	}
 	ts.dir.put(t.ID, rid, ts.mgr.stamp.Load())
+	ts.nextID = max(ts.nextID, t.ID)
 	return rec, nil
 }
 
@@ -218,34 +228,60 @@ func (ts *TableStore) insertLocked(rec []byte, t *Tuple) ([]byte, error) {
 // first touch of a page reads it through the Manager (load) or, for a
 // page just allocated, leaves its buffer to the caller to initialize;
 // later touches find it in the run, where it is modified in place, so a
-// page costs one copy in and one copy out however many of the run's
-// tuples it holds. The caller sets dirty on what it modifies;
-// endRunLocked writes the dirty pages back in page id order. The pointer
-// is valid until the run's next runPage or recyclePageLocked. Caller
-// holds ts.mu.
-func (ts *TableStore) runPage(pid PageID, load bool) (*scopedPage, error) {
-	if p := ts.run.find(pid); p != nil {
-		return p, nil
+// page costs one read and one write however many of the run's tuples it
+// holds. The caller sets dirty on what it modifies; endRunLocked writes
+// the dirty pages back, and so does the run's first page past runPages,
+// before it is read. The pointer is valid until the run's next runPage
+// or recyclePageLocked. Caller holds ts.mu.
+func (ts *TableStore) runPage(pid PageID, load bool) (*runBuf, error) {
+	for i := range ts.run {
+		if ts.run[i].id == pid {
+			return &ts.run[i], nil
+		}
 	}
-	if len(ts.run) == scopePages {
-		if err := ts.run.flush(ts.mgr.writePage); err != nil {
+	if len(ts.run) == runPages {
+		if err := ts.endRunLocked(nil); err != nil {
 			return nil, err
 		}
 	}
-	var read func(PageID, []byte) error
+	bufp := pagePool.Get().(*[]byte)
 	if load {
-		read = ts.mgr.readPage
+		if err := ts.mgr.readPage(pid, *bufp); err != nil {
+			pagePool.Put(bufp)
+			return nil, err
+		}
 	}
-	return ts.run.add(pid, read)
+	ts.run = append(ts.run, runBuf{id: pid, buf: bufp})
+	return &ts.run[len(ts.run)-1], nil
+}
+
+// runLocked applies items 0 to n-1 of a run in order with apply, and
+// ends the run: the first item that fails ends it, the ones before it
+// applied. Caller holds ts.mu.
+func (ts *TableStore) runLocked(n int, apply func(i int) error) error {
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		err = apply(i)
+	}
+	return ts.endRunLocked(err)
 }
 
 // endRunLocked ends the run in progress: its dirty pages go back to the
-// Manager in page id order. It returns err if set, else the write-back's
-// error.
+// Manager in page id order, and every buffer to the pool. A failed write
+// does not stop the others. It returns err if set, else the first
+// write-back error.
 func (ts *TableStore) endRunLocked(err error) error {
-	if werr := ts.run.flush(ts.mgr.writePage); err == nil {
-		err = werr
+	slices.SortFunc(ts.run, func(a, b runBuf) int { return cmp.Compare(a.id, b.id) })
+	for _, p := range ts.run {
+		if p.dirty {
+			if werr := ts.mgr.writePage(p.id, *p.buf); err == nil {
+				err = werr
+			}
+		}
+		pagePool.Put(p.buf)
 	}
+	clear(ts.run)
+	ts.run = ts.run[:0]
 	return err
 }
 
@@ -439,28 +475,90 @@ func (ts *TableStore) decodeSlot(page []byte, rid RID) (Tuple, error) {
 // retained snapshot version: deletion is enforcement-grade in this
 // system (tuple-LCP removals ride the same path), so no image of a
 // deleted tuple survives for readers, whatever snapshots are open.
-// Unknown ids are a no-op (idempotent redo).
-func (ts *TableStore) Delete(id TupleID) error {
+// Unknown ids are a no-op (idempotent redo). It is a run of one
+// (DeleteRun).
+func (ts *TableStore) Delete(id TupleID) error { return ts.DeleteRun([]TupleID{id}) }
+
+// DeleteRun applies Delete to each tuple of ids, in order, under one
+// hold of the table lock: each page the run touches is read once and
+// written back once (runPage). A delete that fails ends the run; the
+// ones before it are applied.
+func (ts *TableStore) DeleteRun(ids []TupleID) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	return ts.runLocked(len(ids), func(i int) error { return ts.deleteLocked(ids[i]) })
+}
+
+func (ts *TableStore) deleteLocked(id TupleID) error {
 	e := ts.dir.get(id)
 	if e == nil {
 		return nil
 	}
 	p, err := ts.runPage(e.page, true)
-	if err == nil {
-		err = ts.scrubSlotLocked(e.rid(), p)
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		ts.dir.del(id)
-		delete(ts.hist, id)
+	if err := ts.scrubSlotLocked(e.rid(), p); err != nil {
+		return err
 	}
-	return ts.endRunLocked(err)
+	ts.dir.del(id)
+	delete(ts.hist, id)
+	return nil
+}
+
+// resolveCopy settles a second copy of a tuple that Rebuild found at
+// rid: a degradation move torn by a crash, both halves in the page file.
+// The copy no finer in any position wins — on equal states the later
+// one, rid — and the other is scrubbed, its page freed if that empties
+// it. Serving the finer copy would serve an expired accuracy state, and
+// leaving both live would return the tuple twice. A run of one.
+func (ts *TableStore) resolveCopy(rid RID) error {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	tuple := func(at RID) (Tuple, error) {
+		p, err := ts.runPage(at.Page, true)
+		if err != nil {
+			return Tuple{}, err
+		}
+		return ts.decodeSlot(*p.buf, at)
+	}
+	return ts.runLocked(1, func(int) error {
+		later, err := tuple(rid)
+		if err != nil {
+			return err
+		}
+		e := ts.dir.get(later.ID)
+		cur, err := tuple(e.rid())
+		if err != nil {
+			return err
+		}
+		loser := rid
+		if noFiner(later.States, cur.States) {
+			loser, e.page, e.slot = e.rid(), rid.Page, rid.Slot
+		}
+		p, err := ts.runPage(loser.Page, true)
+		if err != nil {
+			return err
+		}
+		return ts.scrubSlotLocked(loser, p)
+	})
+}
+
+// noFiner reports whether state vector a is no finer than b, of the same
+// table, in any position: each state equals b's or lies past it
+// (StateAdvances).
+func noFiner(a, b []uint8) bool {
+	for i := range a {
+		if a[i] != b[i] && !StateAdvances(b[i], a[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // scrubSlotLocked scrubs the slot rid of p, the run's copy of its page,
 // and recycles the page if it became empty.
-func (ts *TableStore) scrubSlotLocked(rid RID, p *scopedPage) error {
+func (ts *TableStore) scrubSlotLocked(rid RID, p *runBuf) error {
 	live, err := pageDelete(*p.buf, rid.Slot)
 	if err != nil {
 		return err
@@ -488,7 +586,10 @@ func (ts *TableStore) recyclePageLocked(pid PageID) error {
 		}
 		delete(ts.pageSeg, pid)
 	}
-	ts.run.drop(pid)
+	if i := slices.IndexFunc(ts.run, func(p runBuf) bool { return p.id == pid }); i >= 0 {
+		pagePool.Put(ts.run[i].buf)
+		ts.run = slices.Delete(ts.run, i, i+1)
+	}
 	return ts.mgr.freePage(pid)
 }
 
@@ -525,13 +626,10 @@ func (ts *TableStore) DegradeRun(degPos int, to []DegCell) error {
 	defer ts.mu.Unlock()
 	var stack [256]byte
 	buf := stack[:0]
-	var err error
-	for i := range to {
-		if buf, err = ts.degradeLocked(buf[:0], degPos, &to[i]); err != nil {
-			break
-		}
-	}
-	return ts.endRunLocked(err)
+	return ts.runLocked(len(to), func(i int) (err error) {
+		buf, err = ts.degradeLocked(buf[:0], degPos, &to[i])
+		return err
+	})
 }
 
 // degradeLocked applies one transition of a run, patching the record
@@ -583,37 +681,61 @@ func (ts *TableStore) degradeLocked(buf []byte, degPos int, to *DegCell) ([]byte
 // UpdateStable overwrites a stable column, retaining the superseded row
 // image in the tuple's version chain for open snapshots. Degradable
 // columns are immutable after insert (paper §II); callers enforce that
-// rule — this method checks it defensively.
+// rule — this method checks it defensively. It is a run of one
+// (UpdateRun).
 func (ts *TableStore) UpdateStable(id TupleID, col int, v value.Value) error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.tbl.DegradablePos(col) != -1 {
-		return fmt.Errorf("storage: %s: column %d is degradable and immutable", ts.tbl.Name, col)
-	}
-	e := ts.dir.get(id)
-	if e == nil {
-		return fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, id)
-	}
-	return ts.endRunLocked(ts.updateStableLocked(e, id, col, v))
+	return ts.UpdateRun([]StableUpdate{{ID: id, Col: col, Val: v}})
 }
 
-func (ts *TableStore) updateStableLocked(e *dirEntry, id TupleID, col int, v value.Value) error {
+// StableUpdate sets stable column Col of tuple ID to Val.
+type StableUpdate struct {
+	ID  TupleID
+	Col int
+	Val value.Value
+}
+
+// UpdateRun applies UpdateStable to each update of ups, in order, under
+// one hold of the table lock: each page the run touches is read once and
+// written back once (runPage), and every record is encoded into one
+// buffer. An update that fails — an unknown id, a degradable column —
+// ends the run; the ones before it are applied.
+func (ts *TableStore) UpdateRun(ups []StableUpdate) error {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	var stack [512]byte
+	rec := stack[:0]
+	return ts.runLocked(len(ups), func(i int) (err error) {
+		rec, err = ts.updateLocked(rec[:0], &ups[i])
+		return err
+	})
+}
+
+// updateLocked applies one update of a run, encoding the record into
+// rec's space; it returns the record, whose space the run reuses.
+func (ts *TableStore) updateLocked(rec []byte, up *StableUpdate) ([]byte, error) {
+	if ts.tbl.DegradablePos(up.Col) != -1 {
+		return rec, fmt.Errorf("storage: %s: column %d is degradable and immutable", ts.tbl.Name, up.Col)
+	}
+	e := ts.dir.get(up.ID)
+	if e == nil {
+		return rec, fmt.Errorf("%w: %s #%d", ErrNoTuple, ts.tbl.Name, up.ID)
+	}
 	p, err := ts.runPage(e.page, true)
 	if err != nil {
-		return err
+		return rec, err
 	}
 	t, err := ts.decodeSlot(*p.buf, e.rid())
 	if err != nil {
-		return err
+		return rec, err
 	}
 	old := cloneTuple(t)
-	t.Row[col] = v
-	rec := encodeRecord(nil, t.ID, t.InsertedAt, t.States, t.Row)
-	if err := ts.replaceLocked(e, id, p, rec, ts.segKeyFor(t.States)); err != nil {
-		return err
+	t.Row[up.Col] = up.Val
+	rec = encodeRecord(rec, t.ID, t.InsertedAt, t.States, t.Row)
+	if err := ts.replaceLocked(e, up.ID, p, rec, ts.segKeyFor(t.States)); err != nil {
+		return rec, err
 	}
 	ts.pushVersionLocked(e, old)
-	return nil
+	return rec, nil
 }
 
 // cloneTuple deep-copies a tuple's slices so version-chain images and
@@ -661,7 +783,7 @@ func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
 // segment (key) and fits the old slot, and otherwise scrubs the old copy
 // and places rec in key's segment. Either way the old bytes are gone
 // from the page.
-func (ts *TableStore) replaceLocked(ent *dirEntry, id TupleID, p *scopedPage, rec []byte, key uint64) error {
+func (ts *TableStore) replaceLocked(ent *dirEntry, id TupleID, p *runBuf, rec []byte, key uint64) error {
 	if len(rec) > MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}

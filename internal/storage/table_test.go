@@ -492,6 +492,84 @@ func TestRebuildFreesOrphanPages(t *testing.T) {
 	_ = loc
 }
 
+// TestRebuildHealsTornMove tears a degradation move the way a crash
+// between its two page writes can: the tuple's new, coarser copy reaches
+// the page file, and its source page is written back as it was before
+// the move, finer copy included. Rebuild must serve the coarser copy
+// whichever page is later, list the tuple once, and leave no page
+// holding the finer value.
+func TestRebuildHealsTornMove(t *testing.T) {
+	fine, coarse := strings.Repeat("fine", 250), strings.Repeat("coarse", 250)
+	for _, layout := range []catalog.StorageLayout{catalog.LayoutMove, catalog.LayoutInPlace} {
+		for _, finerLater := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/finer-copy-later=%t", layout, finerLater), func(t *testing.T) {
+				cat, tbl, _ := personFixture(t, layout)
+				store := NewMemStore()
+				ts := NewManager(store).Table(tbl)
+				insert := func(id int64, name, loc string) TupleID {
+					tid, err := ts.Insert([]value.Value{value.Int(id), value.Text(name), value.Text(loc)}, []uint8{0}, vclock.Epoch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tid
+				}
+				// A page-filling tuple, deleted once x and y fill the next
+				// page, leaves a free page below x's for the move to take.
+				var a TupleID
+				if finerLater {
+					a = insert(1, strings.Repeat("a", 2000), strings.Repeat("a", 2000))
+				}
+				x := insert(2, "x", fine)
+				y := insert(3, strings.Repeat("y", 2960), "y")
+				if finerLater {
+					if err := ts.Delete(a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				src := ts.dir.get(x).page
+				saved := make([]byte, PageSize)
+				if err := store.ReadPage(src, saved); err != nil {
+					t.Fatal(err)
+				}
+				// The degraded value outgrows x's slot, so x moves in
+				// either layout.
+				if err := ts.DegradeAttr(x, 0, value.Text(coarse), 1); err != nil {
+					t.Fatal(err)
+				}
+				if dst := ts.dir.get(x).page; dst == src || (dst > src) == finerLater {
+					t.Fatalf("sanity: x moved from page %d to page %d", src, dst)
+				}
+				if err := store.WritePage(src, saved); err != nil {
+					t.Fatal(err)
+				}
+
+				m2 := NewManager(store)
+				if err := m2.Rebuild(cat); err != nil {
+					t.Fatal(err)
+				}
+				ts2 := m2.Table(tbl)
+				got, err := ts2.Get(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.States[0] != 1 || got.Row[2].Text() != coarse {
+					t.Fatalf("rebuilt x in state %d, want the coarser copy (state 1)", got.States[0])
+				}
+				seen := map[TupleID]int{}
+				if err := ts2.Scan(func(tp Tuple) bool { seen[tp.ID]++; return true }); err != nil {
+					t.Fatal(err)
+				}
+				if len(seen) != 2 || seen[x] != 1 || seen[y] != 1 {
+					t.Fatalf("scan after rebuild: %v, want x and y once each", seen)
+				}
+				if rawContains(t, store, fine) {
+					t.Fatal("the finer copy's value survives rebuild in the page file")
+				}
+			})
+		}
+	}
+}
+
 // Property: a random sequence of inserts/deletes/degrades agrees with a
 // map-based model, and the store never leaks deleted payloads.
 func TestQuickTableModel(t *testing.T) {
