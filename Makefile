@@ -38,10 +38,12 @@ md-check:
 # the WAL batch-payload decoder (replication and recovery feed it bytes
 # from outside the process), the audit trail's block decoder (Verify
 # and every reopen feed it bytes from a directory an attacker may have
-# written), the B+tree's, the posting's and the degradation queue's op
-# streams against their models, the degrade record patcher against
-# decode, modify and re-encode, storage runs against the same history
-# applied tuple by tuple, and the lock table against its model.
+# written) and its run encoder on event streams that make and break
+# runs, from single events to whole batches, the B+tree's, the posting's
+# and the degradation queue's op streams against their models, the
+# degrade record patcher against decode, modify and re-encode, storage
+# runs against the same history applied tuple by tuple, and the lock
+# table against its model.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -57,7 +59,8 @@ fuzz-smoke:
 # budgets runs the tests that hold a committed size: heap bytes per row
 # of an open database, a B+tree under churn against a fresh tree of the
 # same content, heap bytes per posting id and per pending degradation
-# task, audit-trail bytes per event, WAL bytes per insert and per
+# task, audit-trail bytes per event (rows inserted one per commit, and
+# the benchmark's 500-row commits), WAL bytes per insert and per
 # degrade record (with the allocations per sealed payload), page reads
 # plus writes per degradation transition, per row a THEN DELETE wave
 # deletes and per row a bulk UPDATE rewrites, heap bytes allocated per

@@ -508,6 +508,12 @@ func (c *Conn) roundTrip(ctx context.Context, op byte, payload []byte) (byte, []
 	if c.closed {
 		return 0, nil, ErrClosed
 	}
+	// A context already done sends nothing: racing the watcher below would
+	// either run the statement anyway or cut the write and poison the
+	// connection.
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err
+	}
 	stop := c.watchCtx(ctx)
 	defer stop()
 

@@ -435,8 +435,8 @@ func runBackup(dir, logMode string, args []string) {
 // statsHeadlines is the degradation-critical subset stats prints by
 // default, in display order: is data expiring on time (lag, queue),
 // what has been enforced (transitions, erasures, shredded keys), what
-// the heap pages cost in I/O, and is the serving/replication path
-// healthy.
+// the heap pages cost in I/O, what the audit trail costs per event, and
+// is the serving/replication path healthy.
 var statsHeadlines = []string{
 	"instantdb_degrade_lag_seconds",
 	"instantdb_degrade_max_lag_seconds",
@@ -449,6 +449,8 @@ var statsHeadlines = []string{
 	"instantdb_keystore_live_keys",
 	"instantdb_storage_page_reads_total",
 	"instantdb_storage_page_writes_total",
+	"instantdb_audit_events_total",
+	"instantdb_audit_bytes_total",
 	"instantdb_server_active_conns",
 	"instantdb_repl_connected",
 	"instantdb_repl_lag_bytes",

@@ -322,8 +322,10 @@ func (e *Engine) OnInsertRun(tbl *catalog.Table, tups []storage.Tuple) {
 			q.fifo.push(tk)
 		}
 	}
+	// Queue-major: every tuple's event of one queue, then the next queue's,
+	// so the trail stores each queue's share as one run.
 	e.audit.AppendN(len(tups)*n, func(k int) trace.Event {
-		t, q, attr := &tups[k/n], qs[k%n], attrs[k%n]
+		t, q, attr := &tups[k%len(tups)], qs[k/len(tups)], attrs[k/len(tups)]
 		nano := t.InsertedAt.UnixNano()
 		ev := trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
 			Table: tbl.Name, Tuple: uint64(t.ID), Deadline: nano + q.ageNano}

@@ -607,4 +607,23 @@ func TestBatchEventsReachTrail(t *testing.T) {
 			t.Fatalf("tuple %d fired event: %+v", tid, fired)
 		}
 	}
+
+	// A multi-row insert run hands its events over queue-major: every
+	// tuple's location event, then every tuple's delete event, so the
+	// trail stores each queue's share as one run.
+	run := make([]storage.Tuple, 5)
+	for i := range run {
+		run[i] = storage.Tuple{ID: storage.TupleID(1000 + i), InsertedAt: f.clock.Now()}
+	}
+	f.eng.OnInsertRun(f.tbl, run)
+	evs = aud.Tail(2 * len(run))
+	for i, ev := range evs {
+		tup, attr, detail := run[i%len(run)].ID, "location", ""
+		if i >= len(run) {
+			attr, detail = "", "tuple-delete"
+		}
+		if ev.Kind != trace.EvScheduled || ev.Tuple != uint64(tup) || ev.Attr != attr || ev.Detail != detail {
+			t.Fatalf("event %d of the insert run: %+v, want tuple %d scheduled for %q%q", i, ev, tup, attr, detail)
+		}
+	}
 }

@@ -213,6 +213,81 @@ func TestEngineCrashMidAuditAppend(t *testing.T) {
 	}
 }
 
+// TestReopenRecordsHealedTornMove tears a degradation move the way a
+// crash between its two page write-backs can — the moved copy reaches
+// pages.db, the scrub of its source page does not — and reopens:
+// recovery must count the repair and append one torn_move_healed event
+// naming the tuple and the states of the copy it kept.
+func TestReopenRecordsHealedTornMove(t *testing.T) {
+	dir := t.TempDir()
+	clock := vclock.NewSimulated(vclock.Epoch)
+	db, err := Open(Config{Dir: dir, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	installSchema(t, db)
+	// Tuple 2, due a minute later, keeps the source page in use, so the
+	// move cannot land on it.
+	db.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (1, 'x', 'Dam 1', 2471)`)
+	clock.Advance(time.Minute)
+	db.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (2, 'y', 'Dam 1', 2471)`)
+	pages := filepath.Join(dir, "pages.db")
+	before, err := os.ReadFile(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(14 * time.Minute)
+	if n, err := db.DegradeNow(); err != nil || n != 1 {
+		t.Fatalf("degrade: n=%d err=%v", n, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The move's destination is a page allocated past the old end of the
+	// file; writing the old pages back restores the finer source copy.
+	f, err := os.OpenFile(pages, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(before, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Config{Dir: dir, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	var healed float64 = -1
+	for _, s := range db2.Metrics().Snapshot() {
+		if s.Key == "instantdb_storage_torn_moves_healed_total" {
+			healed = s.Value
+		}
+	}
+	if healed != 1 {
+		t.Fatalf("instantdb_storage_torn_moves_healed_total = %v, want 1", healed)
+	}
+	var evs []trace.Event
+	for _, ev := range db2.AuditLog().Tail(0) {
+		if ev.Kind == trace.EvTornMoveHealed {
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) != 1 || evs[0].Table != "person" || evs[0].Tuple == 0 || evs[0].Detail != "kept states [1 0]" {
+		t.Fatalf("torn_move_healed events after reopen: %v, want one for person's tuple keeping states [1 0]", evs)
+	}
+	res, err := db2.Exec(`SELECT id, location FROM person`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows.Data) != 1 || res.Rows.Data[0][0].Int() != 2 {
+		t.Fatalf("full accuracy after tuple 1's hold returns %v, want tuple 2 alone", res.Rows.Data)
+	}
+}
+
 // copyTree copies the regular files under src to dst.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()

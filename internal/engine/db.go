@@ -351,6 +351,14 @@ func (db *DB) recover() error {
 	if err := db.mgr.Rebuild(db.cat); err != nil {
 		return err
 	}
+	// 2a. A degradation move torn by a crash that the rebuild healed is
+	// evidence for the trail, which is already open.
+	healed := db.mgr.HealedMoves()
+	db.audit.AppendN(len(healed), func(i int) trace.Event {
+		h := healed[i]
+		return trace.Event{Kind: trace.EvTornMoveHealed, UnixNano: db.clock.Now().UTC().UnixNano(),
+			Table: h.Table.Name, Tuple: uint64(h.Tuple), Detail: fmt.Sprintf("kept states %v", h.States)}
+	})
 	// 2b. Replication floor: a checkpoint scrubs the WAL (and its
 	// RecReplMark records), persisting the position to repl.pos first.
 	// Marks replayed from the log in step 3 only ever move it forward.

@@ -46,6 +46,15 @@ func (db *DB) initMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("instantdb_storage_page_writes_total",
 		"Heap page writes issued to the page store (a commit batch writes each page it dirties once).",
 		func() float64 { _, w := db.mgr.PageIO(); return float64(w) })
+	reg.CounterFunc("instantdb_storage_torn_moves_healed_total",
+		"Degradation moves torn by a crash that recovery found with both copies in the page file and settled on the copy no finer in any position.",
+		func() float64 { return float64(len(db.mgr.HealedMoves())) })
+	reg.CounterFunc("instantdb_audit_events_total",
+		"Events appended to the degradation audit trail since open.",
+		func() float64 { n, _ := db.audit.Written(); return float64(n) })
+	reg.CounterFunc("instantdb_audit_bytes_total",
+		"Bytes written to the audit trail's segments since open, block frames and segment headers both.",
+		func() float64 { _, b := db.audit.Written(); return float64(b) })
 	// Which structure holds the memory: read from counters each one keeps
 	// (B+tree indexes only; bitmap and GT indexes keep none).
 	btreeStats := func(emit func(string, float64), pick func(index.Stats) int) {

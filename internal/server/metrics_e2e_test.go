@@ -15,7 +15,8 @@ import (
 // nothing is overdue, the exact overdue distance once simulated time
 // crosses an LCP deadline, and back to zero after the degrader runs.
 // The exposition lints clean and carries the queue, transaction,
-// per-index / per-table resident-state and page I/O families.
+// per-index / per-table resident-state, page I/O, torn-move repair and
+// audit-trail families.
 func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	db, clock, addr := startServer(t, Options{})
 	ctx := ctxT(t)
@@ -51,6 +52,14 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	if got := stats[`instantdb_writes_total{purpose="full"}`]; got < 1 {
 		t.Fatalf("per-purpose write counter = %v, want >= 1", got)
 	}
+	// The insert's two scheduled events reached the trail; an in-memory
+	// trail writes no segment bytes.
+	if got := stats["instantdb_audit_events_total"]; got != 2 {
+		t.Fatalf("audit events = %v, want 2", got)
+	}
+	if got, ok := stats["instantdb_audit_bytes_total"]; !ok || got != 0 {
+		t.Fatalf("audit bytes of an in-memory trail = %v (present %v), want 0", got, ok)
+	}
 
 	// Cross the 15-minute address deadline by exactly one minute: the
 	// lag gauge must report the overdue distance without any tick.
@@ -85,6 +94,9 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 		"instantdb_storage_directory_bytes{table=",
 		"instantdb_storage_page_reads_total",
 		"instantdb_storage_page_writes_total",
+		"instantdb_storage_torn_moves_healed_total",
+		"instantdb_audit_events_total",
+		"instantdb_audit_bytes_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s", want)

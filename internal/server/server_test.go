@@ -604,7 +604,9 @@ func TestMaxConns(t *testing.T) {
 	}
 }
 
-// TestContextCancellation interrupts an in-flight round trip.
+// TestContextCancellation: a statement sent with a context canceled
+// before the call fails with context.Canceled, does not run, and leaves
+// the connection usable.
 func TestContextCancellation(t *testing.T) {
 	_, _, addr := startServer(t, Options{})
 	c := dial(t, addr)
@@ -612,6 +614,20 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := c.Exec(ctx, `SELECT id FROM visits`); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if _, err := c.Exec(ctx, `INSERT INTO visits (id, who, place) VALUES (1, 'x', 'Dam 1')`); !errors.Is(err, context.Canceled) {
+		t.Fatalf("insert: want context.Canceled, got %v", err)
+	}
+	live := ctxT(t)
+	if err := c.Ping(live); err != nil {
+		t.Fatalf("ping after canceled calls: %v", err)
+	}
+	rows, err := c.Query(live, `SELECT id FROM visits`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Data) != 0 {
+		t.Fatalf("the canceled INSERT landed: %v", rows.Data)
 	}
 }
 

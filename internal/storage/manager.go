@@ -37,6 +37,18 @@ type Manager struct {
 	// pageReads and pageWrites count the ReadPage and WritePage calls
 	// this Manager issued to the store.
 	pageReads, pageWrites atomic.Uint64
+
+	// healed lists the torn degradation moves the last Rebuild settled.
+	healed []HealedMove
+}
+
+// HealedMove is a degradation move torn by a crash that Rebuild settled:
+// the tuple was found twice in the page file, and States is the state
+// vector of the copy kept.
+type HealedMove struct {
+	Table  *catalog.Table
+	Tuple  TupleID
+	States []uint8
 }
 
 // zeroPage is what freePage writes over a released page. Never mutated.
@@ -156,16 +168,18 @@ func (m *Manager) Sync() error { return m.store.Sync() }
 // after reopening a file-backed database. Pages of tables absent from the
 // catalog (dropped tables) are scrubbed and freed. A tuple found twice —
 // a degradation move torn by a crash, both halves in the page file — is
-// settled by resolveCopy once every page is read.
+// settled by resolveCopy once every page is read, and recorded
+// (HealedMoves).
 func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 	m.mu.Lock()
-	m.free = nil
+	m.free, m.healed = nil, nil
 	m.tables = make(map[uint32]*TableStore)
 	m.mu.Unlock()
 
 	// What waits for the scan to end: freeing orphan pages and settling
 	// second copies.
 	var after []func() error
+	var healed []HealedMove
 	err := m.store.ForEachPage(func(pid PageID, data []byte) error {
 		if !pageInUse(data) {
 			m.mu.Lock()
@@ -196,7 +210,13 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 			}
 			live++
 			if rid := (RID{Page: pid, Slot: s}); ts.dir.get(t.ID) != nil {
-				after = append(after, func() error { return ts.resolveCopy(rid) })
+				after = append(after, func() error {
+					h, err := ts.resolveCopy(rid)
+					if err == nil {
+						healed = append(healed, h)
+					}
+					return err
+				})
 			} else {
 				ts.dir.put(t.ID, rid, 0)
 			}
@@ -232,5 +252,16 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 			return err
 		}
 	}
+	m.mu.Lock()
+	m.healed = healed
+	m.mu.Unlock()
 	return nil
+}
+
+// HealedMoves returns the torn degradation moves the last Rebuild
+// settled, in the order it settled them. The caller must not modify it.
+func (m *Manager) HealedMoves() []HealedMove {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.healed
 }

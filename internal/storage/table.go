@@ -512,7 +512,7 @@ func (ts *TableStore) deleteLocked(id TupleID) error {
 // one, rid — and the other is scrubbed, its page freed if that empties
 // it. Serving the finer copy would serve an expired accuracy state, and
 // leaving both live would return the tuple twice. A run of one.
-func (ts *TableStore) resolveCopy(rid RID) error {
+func (ts *TableStore) resolveCopy(rid RID) (HealedMove, error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	tuple := func(at RID) (Tuple, error) {
@@ -522,7 +522,8 @@ func (ts *TableStore) resolveCopy(rid RID) error {
 		}
 		return ts.decodeSlot(*p.buf, at)
 	}
-	return ts.runLocked(1, func(int) error {
+	var healed HealedMove
+	err := ts.runLocked(1, func(int) error {
 		later, err := tuple(rid)
 		if err != nil {
 			return err
@@ -532,16 +533,18 @@ func (ts *TableStore) resolveCopy(rid RID) error {
 		if err != nil {
 			return err
 		}
-		loser := rid
+		loser, kept := rid, cur.States
 		if noFiner(later.States, cur.States) {
-			loser, e.page, e.slot = e.rid(), rid.Page, rid.Slot
+			loser, kept, e.page, e.slot = e.rid(), later.States, rid.Page, rid.Slot
 		}
+		healed = HealedMove{Table: ts.tbl, Tuple: later.ID, States: kept}
 		p, err := ts.runPage(loser.Page, true)
 		if err != nil {
 			return err
 		}
 		return ts.scrubSlotLocked(loser, p)
 	})
+	return healed, err
 }
 
 // noFiner reports whether state vector a is no finer than b, of the same

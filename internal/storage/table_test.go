@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -496,8 +497,8 @@ func TestRebuildFreesOrphanPages(t *testing.T) {
 // between its two page writes can: the tuple's new, coarser copy reaches
 // the page file, and its source page is written back as it was before
 // the move, finer copy included. Rebuild must serve the coarser copy
-// whichever page is later, list the tuple once, and leave no page
-// holding the finer value.
+// whichever page is later, list the tuple once, leave no page holding
+// the finer value, and record the repair with the states it kept.
 func TestRebuildHealsTornMove(t *testing.T) {
 	fine, coarse := strings.Repeat("fine", 250), strings.Repeat("coarse", 250)
 	for _, layout := range []catalog.StorageLayout{catalog.LayoutMove, catalog.LayoutInPlace} {
@@ -564,6 +565,9 @@ func TestRebuildHealsTornMove(t *testing.T) {
 				}
 				if rawContains(t, store, fine) {
 					t.Fatal("the finer copy's value survives rebuild in the page file")
+				}
+				if h := m2.HealedMoves(); len(h) != 1 || h[0].Table != tbl || h[0].Tuple != x || !slices.Equal(h[0].States, []uint8{1}) {
+					t.Fatalf("rebuild recorded repairs %+v, want x kept in state 1", h)
 				}
 			})
 		}

@@ -25,11 +25,13 @@ import (
 //	len u32 | crc u32 | body ‖ chain      chain = SHA-256(prev chain ‖ body)
 //
 // so the frame, the hash link and the repeated table/attribute strings
-// are paid once per block instead of once per event. The trail stays
-// tamper evident end to end at block granularity: flipping a byte
-// breaks that block's CRC, and rewriting a block with a recomputed CRC
-// breaks the chain of every block after it — either way `degradectl
-// audit -chain` fails loud. Segments rotate like the WAL
+// are paid once per block instead of once per event; inside a block, a
+// run of like events (a degrader batch, one queue's share of an insert
+// commit) is stored once. The trail stays tamper evident end to end at
+// block granularity: flipping a byte breaks that block's CRC, and
+// rewriting a block with a recomputed CRC breaks the chain of every
+// block after it — either way `degradectl audit -chain` fails loud.
+// Segments rotate like the WAL
 // (audit-XXXXXXXX.log); each starts with a header naming its first
 // sequence number and the chain value it continues from, so opening
 // reads the newest segment only while Verify checks every header
@@ -73,6 +75,11 @@ const (
 	// EvCheckpoint marks a database checkpoint (the trail's fsync
 	// points; also proves the trail was intact up to here).
 	EvCheckpoint Kind = 8
+	// EvTornMoveHealed records recovery settling a degradation move a
+	// crash tore in two: the tuple was found twice in the page file and
+	// the copy no finer in any position was kept (Detail names its
+	// states).
+	EvTornMoveHealed Kind = 9
 )
 
 // String names an event kind for rendering.
@@ -94,6 +101,8 @@ func (k Kind) String() string {
 		return "backup-lost-seal"
 	case EvCheckpoint:
 		return "checkpoint"
+	case EvTornMoveHealed:
+		return "torn-move-healed"
 	default:
 		return fmt.Sprintf("kind-%d", uint8(k))
 	}
@@ -159,52 +168,145 @@ const (
 	// A block is sealed at blockMaxEvents events or blockMaxBytes encoded
 	// bytes, whichever comes first: one degrader batch fills one block,
 	// and an oversized Detail cannot grow the open block without bound.
+	// Also the most events a block body may claim, which bounds what a
+	// decoder allocates before it has parsed a run.
 	blockMaxEvents = 256
 	blockMaxBytes  = 32 << 10
-	// minEventSize is the shortest event encoding (eight one-byte
-	// fields); it bounds the event count a block body can claim.
-	minEventSize = 8
 
 	// Segment header: magic, format version, first sequence number, chain
 	// value the segment continues from.
 	segMagic   = "IAUD"
-	segVersion = 2
+	segVersion = 3
 	segHdrSize = 4 + 4 + 8 + chainSize
 )
 
-// block is the open, not yet sealed block. Events are encoded as they
-// arrive, each timestamp and the tuple id as a zig-zag delta from the
-// same field of the event before (the block's base time and 0 for the
-// first), strings as indexes into the block's table (0 = empty).
+// block is the open, not yet sealed block. Events are encoded in runs as
+// they arrive: a run is a stretch of consecutive events with one kind,
+// table, attribute and detail whose time, tuple id, deadline and actual
+// each advance by a constant step, and it is written once — its first
+// event, its count and the four steps. Strings are indexes into the
+// block's table (0 = empty).
 type block struct {
 	firstSeq uint64
 	baseNano int64
 	n        int
 	strs     []string
 	strBytes int
-	evs      []byte
-	// Delta state: the previous event's fields.
-	nano, deadline, actual int64
-	tuple                  uint64
+	runs     []byte // the closed runs, encoded
+	run      run    // the open run, closed by the next event it cannot take
+	// The time and tuple id of the last event of the last closed run (the
+	// base time and 0 before the first): a run's first time and tuple id
+	// are deltas from them.
+	nano, tuple int64
+}
+
+// run is the open run: n events of one kind and string triple whose
+// numeric fields (time, tuple id, deadline, actual) are first + i·step.
+type run struct {
+	n                   int
+	kind                Kind
+	table, attr, detail string
+	strs                [3]uint64 // table, attr and detail interned
+	first, last, step   [4]int64
+}
+
+// numeric returns an event's run-encoded fields: time, tuple id,
+// deadline, actual.
+func numeric(ev *Event) [4]int64 {
+	return [4]int64{ev.UnixNano, int64(ev.Tuple), ev.Deadline, ev.Actual}
+}
+
+// extends reports whether the event with numeric fields v continues the
+// run. A second event fixes the steps.
+func (r *run) extends(ev *Event, v [4]int64) bool {
+	if r.n == 0 || ev.Kind != r.kind || ev.Table != r.table || ev.Attr != r.attr || ev.Detail != r.detail {
+		return false
+	}
+	if r.n == 1 {
+		for i := range v {
+			r.step[i] = v[i] - r.last[i]
+		}
+		return true
+	}
+	for i := range v {
+		if v[i] != r.last[i]+r.step[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (b *block) add(ev *Event) {
 	if b.n == 0 {
 		b.firstSeq, b.baseNano = ev.Seq, ev.UnixNano
-		b.nano, b.deadline, b.actual, b.tuple = ev.UnixNano, ev.UnixNano, ev.UnixNano, 0
+		b.nano, b.tuple = ev.UnixNano, 0
 	}
-	p := append(b.evs, byte(ev.Kind))
-	p = binary.AppendVarint(p, ev.UnixNano-b.nano)
-	p = binary.AppendUvarint(p, b.intern(ev.Table))
-	p = binary.AppendVarint(p, int64(ev.Tuple-b.tuple))
-	p = binary.AppendUvarint(p, b.intern(ev.Attr))
-	p = binary.AppendUvarint(p, b.intern(ev.Detail))
-	p = binary.AppendVarint(p, ev.Deadline-b.deadline)
-	p = binary.AppendVarint(p, ev.Actual-b.actual)
-	b.evs = p
-	b.nano, b.deadline, b.actual, b.tuple = ev.UnixNano, ev.Deadline, ev.Actual, ev.Tuple
 	b.n++
+	v := numeric(ev)
+	if !b.run.extends(ev, v) {
+		b.closeRun()
+		b.run = run{kind: ev.Kind, table: ev.Table, attr: ev.Attr, detail: ev.Detail, first: v,
+			strs: [3]uint64{b.intern(ev.Table), b.intern(ev.Attr), b.intern(ev.Detail)}}
+	}
+	b.run.last = v
+	b.run.n++
 }
+
+// closeRun encodes the open run onto the block's runs: kind, the three
+// string indexes, count, the first event's time and tuple id as zig-zag
+// deltas from the previous run's last, its deadline and actual relative
+// to its own time (relCode), and, past one event, the four steps.
+func (b *block) closeRun() {
+	r := &b.run
+	if r.n == 0 {
+		return
+	}
+	p := append(b.runs, byte(r.kind))
+	for _, s := range r.strs {
+		p = binary.AppendUvarint(p, s)
+	}
+	p = binary.AppendUvarint(p, uint64(r.n))
+	p = binary.AppendVarint(p, r.first[0]-b.nano)
+	p = binary.AppendVarint(p, r.first[1]-b.tuple)
+	p = binary.AppendUvarint(p, relCode(r.first[2], r.first[0]))
+	p = binary.AppendUvarint(p, relCode(r.first[3], r.first[0]))
+	if r.n > 1 {
+		for _, s := range r.step {
+			p = binary.AppendVarint(p, s)
+		}
+	}
+	b.runs = p
+	b.nano, b.tuple = r.last[0], r.last[1]
+	*r = run{} // drop the callers' strings
+}
+
+// relCode encodes a deadline or actual v of an event at time t: 0 when v
+// is unset (0), else the zig-zag form of v−t. Codes below that of −t —
+// the difference an unset v would have, so never needed — are shifted
+// up by one to make room for 0, which keeps every int64 v encodable.
+func relCode(v, t int64) uint64 {
+	if v == 0 {
+		return 0
+	}
+	z := zigzag(v - t)
+	if z < zigzag(-t) {
+		z++
+	}
+	return z
+}
+
+// relValue inverts relCode.
+func relValue(c uint64, t int64) int64 {
+	if c == 0 {
+		return 0
+	}
+	if c <= zigzag(-t) {
+		c--
+	}
+	return t + (int64(c>>1) ^ -int64(c&1))
+}
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // intern returns s's index in the block's string table, adding it on
 // first use. Tables hold a handful of names (table, attributes, a few
@@ -224,12 +326,13 @@ func (b *block) intern(s string) uint64 {
 }
 
 func (b *block) full() bool {
-	return b.n >= blockMaxEvents || len(b.evs)+b.strBytes >= blockMaxBytes
+	return b.n >= blockMaxEvents || len(b.runs)+b.strBytes >= blockMaxBytes
 }
 
-// appendBody appends the block's body: header (first seq, base time,
-// event count, string count), string table, events.
+// appendBody closes the open run and appends the block's body: header
+// (first seq, base time, event count, string count), string table, runs.
 func (b *block) appendBody(dst []byte) []byte {
+	b.closeRun()
 	dst = binary.AppendUvarint(dst, b.firstSeq)
 	dst = binary.AppendUvarint(dst, uint64(b.baseNano))
 	dst = binary.AppendUvarint(dst, uint64(b.n))
@@ -238,14 +341,14 @@ func (b *block) appendBody(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
-	return append(dst, b.evs...)
+	return append(dst, b.runs...)
 }
 
 func (b *block) reset() {
 	for i := range b.strs {
 		b.strs[i] = "" // drop the callers' strings
 	}
-	b.strs, b.strBytes, b.evs, b.n = b.strs[:0], 0, b.evs[:0], 0
+	b.strs, b.strBytes, b.runs, b.run, b.n = b.strs[:0], 0, b.runs[:0], run{}, 0
 }
 
 // Audit is the append-only hash-chained event log. All methods are
@@ -265,6 +368,9 @@ type Audit struct {
 	ring    []Event
 	rpos    int
 	broken  error
+	// openSeq is seq at open, and written the segment bytes (headers and
+	// frames) written since: what Written reports.
+	openSeq, written uint64
 }
 
 // OpenAudit opens (or starts) the audit trail in dir; dir "" keeps an
@@ -304,6 +410,7 @@ func OpenAudit(dir string) (*Audit, error) {
 		}
 	}
 	a.chain, a.seq = seg.chain, seg.nextSeq-1
+	a.openSeq = a.seq
 	if err := a.restoreRing(seg.bodies); err != nil {
 		return nil, fmt.Errorf("audit: %s: %w", filepath.Base(path), err)
 	}
@@ -383,6 +490,7 @@ func (a *Audit) startSegment() error {
 		return fmt.Errorf("audit: create segment: %w", err)
 	}
 	a.f, a.segSize = f, segHdrSize
+	a.written += segHdrSize
 	return nil
 }
 
@@ -451,6 +559,7 @@ func (a *Audit) sealLocked() {
 		return
 	}
 	a.segSize += int64(len(out))
+	a.written += uint64(len(out))
 	if a.segSize >= auditRotateBytes {
 		a.rotateLocked()
 	}
@@ -563,6 +672,20 @@ func (a *Audit) Seq() uint64 {
 	return a.seq
 }
 
+// Written returns the events appended since open and the bytes written
+// to segments since open, segment headers and block frames both, so
+// bytes÷events is what the trail costs per event on disk. Events in the
+// open block count as appended but are not written yet; an in-memory
+// trail writes no bytes.
+func (a *Audit) Written() (events, bytes uint64) {
+	if a == nil {
+		return 0, 0
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.seq - a.openSeq, a.written
+}
+
 // blockHead parses a block body's header: first sequence number, base
 // time, event count and string-table size; rest is what follows.
 func blockHead(body []byte) (firstSeq uint64, baseNano int64, n, nstr uint64, rest []byte, err error) {
@@ -575,8 +698,8 @@ func blockHead(body []byte) (firstSeq uint64, baseNano int64, n, nstr uint64, re
 		}
 		hdr[i], rest = v, rest[sz:]
 	}
-	if hdr[2] == 0 || hdr[2] > uint64(len(rest))/minEventSize {
-		return 0, 0, 0, 0, nil, fmt.Errorf("audit: block claims %d events in %d bytes", hdr[2], len(rest))
+	if hdr[2] == 0 || hdr[2] > blockMaxEvents {
+		return 0, 0, 0, 0, nil, fmt.Errorf("audit: block claims %d events (1 to %d)", hdr[2], blockMaxEvents)
 	}
 	if hdr[3] > uint64(len(rest)) {
 		return 0, 0, 0, 0, nil, fmt.Errorf("audit: block claims %d strings in %d bytes", hdr[3], len(rest))
@@ -599,38 +722,61 @@ func decodeAuditBlock(body []byte) ([]Event, error) {
 		}
 		strs[i], p = string(p[sz:sz+int(l)]), p[sz+int(l):]
 	}
-	if n > uint64(len(p))/minEventSize {
-		return nil, fmt.Errorf("audit: block claims %d events in %d bytes", n, len(p))
-	}
-	delta := func(prev *int64) bool {
-		d, sz := binary.Varint(p)
+	uv := func(dst *uint64) bool {
+		v, sz := binary.Uvarint(p)
 		if sz <= 0 {
 			return false
 		}
-		*prev, p = *prev+d, p[sz:]
+		*dst, p = v, p[sz:]
 		return true
 	}
-	str := func(dst *string) bool {
-		i, sz := binary.Uvarint(p)
-		if sz <= 0 || i > nstr {
+	sv := func(dst *int64) bool {
+		v, sz := binary.Varint(p)
+		if sz <= 0 {
 			return false
 		}
-		*dst, p = strs[i], p[sz:]
+		*dst, p = v, p[sz:]
 		return true
 	}
+	var idx [3]uint64
+	str := func(i int) bool { return uv(&idx[i]) && idx[i] <= nstr }
+	malformed := func(i int) error {
+		return fmt.Errorf("audit: malformed run at event %d of block at seq %d", i, firstSeq)
+	}
 	evs := make([]Event, n)
-	nano, deadline, actual, tuple := baseNano, baseNano, baseNano, int64(0)
-	for i := range evs {
-		ev := &evs[i]
+	nano, tuple := baseNano, int64(0)
+	for i := 0; i < len(evs); {
 		if len(p) == 0 {
-			return nil, errors.New("audit: truncated event")
+			return nil, malformed(i)
 		}
-		ev.Seq, ev.Kind, p = firstSeq+uint64(i), Kind(p[0]), p[1:]
-		if !delta(&nano) || !str(&ev.Table) || !delta(&tuple) || !str(&ev.Attr) ||
-			!str(&ev.Detail) || !delta(&deadline) || !delta(&actual) {
-			return nil, fmt.Errorf("audit: malformed event %d of block at seq %d", i, firstSeq)
+		kind := Kind(p[0])
+		p = p[1:]
+		var count, dc, ac uint64
+		if !str(0) || !str(1) || !str(2) || !uv(&count) {
+			return nil, malformed(i)
 		}
-		ev.UnixNano, ev.Tuple, ev.Deadline, ev.Actual = nano, uint64(tuple), deadline, actual
+		if count == 0 || count > uint64(len(evs)-i) {
+			return nil, fmt.Errorf("audit: run of %d events at event %d of a %d-event block at seq %d", count, i, n, firstSeq)
+		}
+		var dt, dtuple int64
+		var step [4]int64
+		if !sv(&dt) || !sv(&dtuple) || !uv(&dc) || !uv(&ac) ||
+			count > 1 && (!sv(&step[0]) || !sv(&step[1]) || !sv(&step[2]) || !sv(&step[3])) {
+			return nil, malformed(i)
+		}
+		v := [4]int64{nano + dt, tuple + dtuple}
+		v[2], v[3] = relValue(dc, v[0]), relValue(ac, v[0])
+		for j := uint64(0); j < count; j++ {
+			if j > 0 {
+				for k := range v {
+					v[k] += step[k]
+				}
+			}
+			evs[i] = Event{Seq: firstSeq + uint64(i), Kind: kind, UnixNano: v[0], Table: strs[idx[0]],
+				Tuple: uint64(v[1]), Attr: strs[idx[1]], Deadline: v[2], Actual: v[3], Detail: strs[idx[2]]}
+			i++
+		}
+		nano, tuple = v[0], v[1]
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("audit: block has %d trailing bytes", len(p))
@@ -666,7 +812,11 @@ func readSegment(path string) (*segment, error) {
 		return nil, fmt.Errorf("audit: %s: no segment header (a format version 1 trail? this build reads version %d only)", name, segVersion)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != segVersion {
-		return nil, fmt.Errorf("audit: %s: unsupported format version %d (want %d)", name, v, segVersion)
+		what := ""
+		if v == 2 {
+			what = ", a per-event block trail"
+		}
+		return nil, fmt.Errorf("audit: %s: unsupported format version %d%s (this build reads version %d, run-encoded blocks, only)", name, v, what, segVersion)
 	}
 	seg := &segment{firstSeq: binary.LittleEndian.Uint64(data[8:]), size: segHdrSize}
 	copy(seg.start[:], data[16:])

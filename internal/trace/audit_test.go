@@ -352,21 +352,35 @@ func TestAuditRefusesOtherFormats(t *testing.T) {
 		t.Fatalf("v1 segment: want a version error from Verify, got %v", err)
 	}
 
-	dir = t.TempDir()
-	a, err := OpenAudit(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(auditSegPath(dir, 1))
-	binary.LittleEndian.PutUint32(data[4:], segVersion+1)
-	if err := os.WriteFile(auditSegPath(dir, 1), data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenAudit(dir); err == nil || !strings.Contains(err.Error(), "unsupported format version 3") {
-		t.Fatalf("future version: got %v", err)
+	// A version 2 trail (per-event blocks) and a future version have
+	// well-formed headers; both are refused by name.
+	for _, tc := range []struct {
+		version uint32
+		want    string
+	}{
+		{2, "unsupported format version 2, a per-event block trail"},
+		{segVersion + 1, "unsupported format version 4"},
+	} {
+		dir = t.TempDir()
+		a, err := OpenAudit(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Append(Event{Kind: EvCheckpoint})
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, _ := os.ReadFile(auditSegPath(dir, 1))
+		binary.LittleEndian.PutUint32(data[4:], tc.version)
+		if err := os.WriteFile(auditSegPath(dir, 1), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenAudit(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("version %d segment: open got %v, want %q", tc.version, err, tc.want)
+		}
+		if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("version %d segment: Verify got %v, want %q", tc.version, err, tc.want)
+		}
 	}
 }
 
@@ -488,12 +502,30 @@ func TestAuditConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestAuditSizeBudget replays the event shape of the benchmark's
-// oltp_durable set-up — per row three scheduled events handed over
-// together, then four waves of fired events in the degrader's 256-event
-// batches, 20 000 rows — and holds the trail to 24 bytes per event on
-// disk and to no per-event heap allocation.
+// TestAuditSizeBudget replays the event shape of the benchmark's set-up
+// — per row three scheduled events, then four waves of fired events in
+// the degrader's 256-event batches, 20 000 rows — and holds the trail's
+// bytes per event on disk to a budget and its appends to no per-event
+// heap allocation. Rows are inserted one per commit (their scheduled
+// events handed over together, 50 µs apart) or 500 per commit (one
+// insert time, handed over queue-major, as OnInsertRun does). It also
+// checks that Written reports what reached the disk.
 func TestAuditSizeBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit int     // rows per insert commit
+		budget float64 // bytes per event on disk
+	}{
+		{"per-row scheduled, batched fired", 1, 8},
+		{"set-up shape, queue-major runs of 500", 500, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			auditSizeBudget(t, tc.commit, tc.budget)
+		})
+	}
+}
+
+func auditSizeBudget(t *testing.T, commit int, budget float64) {
 	const rows = 20000
 	dir := t.TempDir()
 	a, err := OpenAudit(dir)
@@ -501,7 +533,7 @@ func TestAuditSizeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := time.Date(2008, 4, 7, 9, 0, 0, 0, time.UTC).UnixNano()
-	insertNano := func(row int) int64 { return base + int64(row)*int64(50*time.Microsecond) }
+	insertNano := func(row int) int64 { return base + int64(row/commit*commit)*int64(50*time.Microsecond) }
 	holds := []struct {
 		attr, detail string
 		age          time.Duration
@@ -519,17 +551,20 @@ func TestAuditSizeBudget(t *testing.T) {
 		{"salary", "state 0→1", 12 * time.Hour},
 		{"location", "state 2→3", 25*time.Hour + 15*time.Minute},
 	}
-	sched := make([]Event, len(holds))
+	sched := make([]Event, 0, len(holds)*commit)
 	fired := make([]Event, 0, blockMaxEvents)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	events := 0
-	for row := 0; row < rows; row++ {
-		nano := insertNano(row)
-		for i, h := range holds {
-			sched[i] = Event{Kind: EvScheduled, UnixNano: nano, Table: "person", Tuple: uint64(row + 1),
-				Attr: h.attr, Detail: h.detail, Deadline: nano + int64(h.age)}
+	for first := 0; first < rows; first += commit {
+		sched = sched[:0]
+		for _, h := range holds {
+			for row := first; row < first+commit; row++ {
+				nano := insertNano(row)
+				sched = append(sched, Event{Kind: EvScheduled, UnixNano: nano, Table: "person", Tuple: uint64(row + 1),
+					Attr: h.attr, Detail: h.detail, Deadline: nano + int64(h.age)})
+			}
 		}
 		a.Append(sched...)
 		events += len(sched)
@@ -563,11 +598,14 @@ func TestAuditSizeBudget(t *testing.T) {
 		}
 		disk += st.Size()
 	}
+	if n, bytes := a.Written(); n != uint64(events) || bytes != uint64(disk) {
+		t.Errorf("Written() = %d events, %d bytes; appended %d, on disk %d", n, bytes, events, disk)
+	}
 	perEvent := float64(disk) / float64(events)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(events)
 	t.Logf("%d events, %d bytes in %d segment(s): %.2f B/event, %.4f allocs/event", events, disk, len(ids), perEvent, allocs)
-	if perEvent > 24 {
-		t.Errorf("trail costs %.2f bytes/event on disk, budget 24", perEvent)
+	if perEvent > budget {
+		t.Errorf("trail costs %.2f bytes/event on disk, budget %g", perEvent, budget)
 	}
 	if allocs >= 0.1 {
 		t.Errorf("append allocates %.4f times per event, budget < 0.1", allocs)
