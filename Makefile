@@ -35,18 +35,20 @@ md-check:
 	$(GO) run ./internal/tools/mdcheck README.md DESIGN.md ROADMAP.md
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each: the SQL parser,
-# the WAL batch-payload decoder (replication and recovery feed it bytes
-# from outside the process), the audit trail's block decoder (Verify
-# and every reopen feed it bytes from a directory an attacker may have
-# written) and its run encoder on event streams that make and break
-# runs, from single events to whole batches, the B+tree's, the posting's
-# and the degradation queue's op streams against their models, the
-# degrade record patcher against decode, modify and re-encode, storage
-# runs against the same history applied tuple by tuple, and the lock
-# table against its model.
+# the value codec (every accepted value re-encodes to the bytes it was
+# read from), the WAL batch-payload decoder (replication and recovery
+# feed it bytes from outside the process), the audit trail's block
+# decoder (Verify and every reopen feed it bytes from a directory an
+# attacker may have written) and its run encoder on event streams that
+# make and break runs, from single events to whole batches, the
+# B+tree's, the posting's and the degradation queue's op streams against
+# their models, the degrade record patcher against decode, modify and
+# re-encode, storage runs against the same history applied tuple by
+# tuple, and the lock table against its model.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/value -run '^$$' -fuzz FuzzValueCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)
@@ -64,8 +66,8 @@ fuzz-smoke:
 # degrade record (with the allocations per sealed payload), page reads
 # plus writes per degradation transition, per row a THEN DELETE wave
 # deletes and per row a bulk UPDATE rewrites, heap bytes allocated per
-# transition, and heap bytes allocated per row of a 500-row insert
-# commit.
+# transition, heap bytes allocated per row of a 500-row insert commit,
+# and page-file bytes per row once the benchmark's rows have degraded.
 budgets:
 	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 

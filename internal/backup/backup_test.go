@@ -611,20 +611,38 @@ func TestCorruptSectionLengthRejected(t *testing.T) {
 // is refused at its header with the version error — no record byte
 // reaches the decoder, and nothing is left behind at the target.
 func TestRestoreRefusesFormat1Archive(t *testing.T) {
+	// A format 1 insert record: type, table u32, tuple u64, and fields the
+	// run decoder would misread as a count of 2^56 records.
+	rec := append([]byte{byte(wal.RecInsert), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 40)...)
+	refusesArchive(t, 1, rec)
+}
+
+// TestRestoreRefusesFormat2Archive: an archive of runs whose values
+// carry fixed-width INTs is refused the same way — its sections are well
+// framed, and its payloads would misread as varints.
+func TestRestoreRefusesFormat2Archive(t *testing.T) {
+	// A format 2 update run: type, table, count, tuple, then column 1 and
+	// an INT of kind byte plus 8 bytes.
+	rec := []byte{byte(wal.RecUpdateStable), 1, 1, 7, 1, 1, 0, 0, 0, 0, 0, 0, 0, 42}
+	refusesArchive(t, 2, rec)
+}
+
+// refusesArchive restores an archive of format version whose records
+// section is rec, and requires the version error and nothing left at
+// the target.
+func refusesArchive(t *testing.T, version uint16, rec []byte) {
+	t.Helper()
 	var old bytes.Buffer
 	aw, err := newArchiveWriter(&old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := aw.header(Header{Version: 1, End: wal.Pos{Seg: 1, Off: 118}, Epoch: 3}); err != nil {
+	if err := aw.header(Header{Version: version, End: wal.Pos{Seg: 1, Off: 118}, Epoch: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := aw.section(secDDL, []byte(testSchema)); err != nil {
 		t.Fatal(err)
 	}
-	// A format 1 insert record: type, table u32, tuple u64, and fields the
-	// run decoder would misread as a count of 2^56 records.
-	rec := append([]byte{byte(wal.RecInsert), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{0xff}, 40)...)
 	if err := aw.section(secRecords, rec); err != nil {
 		t.Fatal(err)
 	}
@@ -633,8 +651,8 @@ func TestRestoreRefusesFormat1Archive(t *testing.T) {
 	}
 	target := restoreTarget(t, "restored")
 	_, err = Restore(RestoreOptions{Dir: target}, bytes.NewReader(old.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "format version 1 unsupported") {
-		t.Fatalf("restore of a format 1 archive: %v, want the version error", err)
+	if want := fmt.Sprintf("format version %d unsupported", version); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of a format %d archive: %v, want the version error", version, err)
 	}
 	for _, p := range []string{target, target + ".restore-tmp"} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {

@@ -31,10 +31,11 @@ import (
 var archiveMagic = [8]byte{'I', 'D', 'B', 'K', 'U', 'P', 0x01, '\n'}
 
 // FormatVersion is the archive format version this package reads and
-// writes. Version 2 carries run-encoded record sections (wal format 2);
-// a version 1 archive is refused at its header, before any record bytes
-// reach the decoder.
-const FormatVersion uint16 = 2
+// writes. Version 3 carries run-encoded record sections whose values
+// hold INTs as varints (wal format 3). Version 2 held the same runs with
+// fixed-width INTs, version 1 per-record sections; either is refused at
+// its header, before any record bytes reach the decoder.
+const FormatVersion uint16 = 3
 
 // Section kinds. Every section is framed as
 //

@@ -19,8 +19,9 @@ const InvalidNode NodeID = 0
 // representation. Dense small integers would make the encoded stored
 // form byte-indistinguishable from other small integers in raw pages and
 // log records (tuple ids, counters), defeating forensic audits of
-// scrubbed values; the base gives every tree stored form a distinctive
-// byte prefix.
+// scrubbed values. The value codec writes an INT as a zig-zag varint,
+// and the base makes every tree stored form a 5-byte varint, a width no
+// integer of magnitude below 2^27 shares.
 const storedNodeBase int64 = 0x1DB0_0000
 
 // NodeToStored boxes a node id into its stored representation.

@@ -509,6 +509,21 @@ func TestProtocolBadVersion(t *testing.T) {
 	expectError(t, nc, wire.CodeProtocol)
 }
 
+// TestProtocolVersion1Refused: a client of protocol version 1 encodes
+// INTs in 8 fixed bytes, which this server would misread. Its Hello is
+// refused with CodeProtocol, and the connection closes.
+func TestProtocolVersion1Refused(t *testing.T) {
+	_, _, addr := startServer(t, Options{})
+	nc := rawConn(t, addr)
+	if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: 1})); err != nil {
+		t.Fatal(err)
+	}
+	expectError(t, nc, wire.CodeProtocol)
+	if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+		t.Fatal("connection must be closed after a refused version")
+	}
+}
+
 // TestProtocolOversizedFrame announces a payload over the server limit
 // and must be refused before the server buffers it.
 func TestProtocolOversizedFrame(t *testing.T) {

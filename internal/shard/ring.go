@@ -15,9 +15,11 @@
 package shard
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,13 +92,40 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// Slot hashes a primary-key value to its slot. The hash runs over the
-// value's canonical storage encoding (internal/value), so the mapping is
-// stable across processes, restarts and architectures.
+// Slot hashes a primary-key value to its slot. The hash runs over
+// routingKey's frozen byte form of the value, never over the storage
+// codec, so the mapping is stable across processes, restarts,
+// architectures and storage format changes.
 func (t *Table) Slot(key value.Value) int {
 	h := fnv.New64a()
-	h.Write(value.Encode(nil, key))
+	h.Write(routingKey(nil, key))
 	return int(h.Sum64() % uint64(t.Slots))
+}
+
+// routingKey appends the bytes Slot hashes: a kind byte, then 8
+// big-endian bytes for INT, TIME (Unix nanoseconds) and FLOAT (IEEE 754
+// bits), 1 byte for BOOL, a uvarint length and the bytes for TEXT, and
+// nothing for NULL. Every existing routing table assigns keys by this
+// form, so it must never change.
+func routingKey(dst []byte, v value.Value) []byte {
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
+	case value.KindInt:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int()))
+	case value.KindTime:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Time().UnixNano()))
+	case value.KindFloat:
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
+	case value.KindBool:
+		if v.Bool() {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	case value.KindText:
+		dst = binary.AppendUvarint(dst, uint64(len(v.Text())))
+		dst = append(dst, v.Text()...)
+	}
+	return dst
 }
 
 // SlotForTable hashes a table name to a slot: a table without a primary

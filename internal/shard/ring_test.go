@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -49,6 +50,28 @@ func TestRingDeterminism(t *testing.T) {
 	// Text and int keys both route; different key kinds hash independently.
 	if got := a.ShardForKey(value.Text("alice")); got < 0 || got > 2 {
 		t.Fatalf("text key routed to %d", got)
+	}
+}
+
+// TestSlotIsStable pins the slots of a few keys as the routing tables
+// in use assign them: a key must never change slot, whatever becomes of
+// the storage codec, or the keys of an existing table are misrouted.
+func TestSlotIsStable(t *testing.T) {
+	tab := shard.Uniform(threeShards())
+	for _, c := range []struct {
+		key  value.Value
+		slot int
+	}{
+		{value.Int(0), 940},
+		{value.Int(-1), 36},
+		{value.Int(10_000_000), 850},
+		{value.Int(1 << 62), 1004},
+		{value.Text("alice"), 471},
+		{value.Float(math.Pi), 91},
+	} {
+		if got := tab.Slot(c.key); got != c.slot {
+			t.Errorf("key %v hashes to slot %d, pinned at %d", c.key, got, c.slot)
+		}
 	}
 }
 

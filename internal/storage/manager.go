@@ -165,7 +165,9 @@ func (m *Manager) Sync() error { return m.store.Sync() }
 
 // Rebuild reconstructs every table's in-memory state (tuple directory,
 // segments, free list, next tuple id) from raw pages — the recovery path
-// after reopening a file-backed database. Pages of tables absent from the
+// after reopening a file-backed database. Only an all-zero header (magic
+// 0) marks a free page; a page with any other magic than the in-use one
+// fails the rebuild with ErrPageFormat. Pages of tables absent from the
 // catalog (dropped tables) are scrubbed and freed. A tuple found twice —
 // a degradation move torn by a crash, both halves in the page file — is
 // settled by resolveCopy once every page is read, and recorded
@@ -182,6 +184,10 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 	var healed []HealedMove
 	err := m.store.ForEachPage(func(pid PageID, data []byte) error {
 		if !pageInUse(data) {
+			if magic := pageMagicOf(data); magic != 0 {
+				return fmt.Errorf("%w: page %d has magic 0x%04x, this build reads 0x%04x (and 0 for a free page)",
+					ErrPageFormat, pid, magic, pageMagic)
+			}
 			m.mu.Lock()
 			m.free = append(m.free, pid)
 			m.mu.Unlock()

@@ -9,10 +9,12 @@ import (
 // Slotted page layout. The header is followed by a slot directory growing
 // forward and record data growing backward from the page end. A freed
 // page is entirely zero (magic 0), which doubles as the scrub guarantee
-// and as the free-page marker recognized during rebuild.
+// and as the free-page marker recognized during rebuild. Any other magic
+// is a page this build cannot read (see ErrPageFormat): 0xDB08 marked
+// pages whose records carried fixed-width INTs.
 //
 //	offset size field
-//	0      2    magic (0xDB08 in use, 0x0000 free)
+//	0      2    magic (0xDB09 in use, 0x0000 free)
 //	2      2    numSlots
 //	4      2    freeStart (end of slot directory)
 //	6      2    freeEnd   (start of record data)
@@ -21,7 +23,7 @@ import (
 //	12     4    tableID
 //	16     ...  slot directory: per slot {offset u16, length u16}; offset 0 = dead
 const (
-	pageMagic  = 0xDB08
+	pageMagic  = 0xDB09
 	pageHeader = 16
 	slotSize   = 4
 )
@@ -31,6 +33,11 @@ const MaxRecordSize = PageSize - pageHeader - slotSize
 
 // ErrRecordTooLarge is returned when a tuple exceeds MaxRecordSize.
 var ErrRecordTooLarge = errors.New("storage: record exceeds page capacity")
+
+// ErrPageFormat reports a page whose magic is neither the in-use magic
+// nor 0: a page of another format, or a corrupt header. Rebuild refuses
+// it rather than free it, which would overwrite its tuples.
+var ErrPageFormat = errors.New("storage: page of an unknown format")
 
 func initPage(p []byte, tableID uint32) {
 	for i := range p {
@@ -44,9 +51,9 @@ func initPage(p []byte, tableID uint32) {
 	binary.LittleEndian.PutUint32(p[12:], tableID)
 }
 
-func pageInUse(p []byte) bool {
-	return binary.LittleEndian.Uint16(p[0:]) == pageMagic
-}
+func pageMagicOf(p []byte) uint16 { return binary.LittleEndian.Uint16(p[0:]) }
+
+func pageInUse(p []byte) bool { return pageMagicOf(p) == pageMagic }
 
 func pageTableID(p []byte) uint32 {
 	return binary.LittleEndian.Uint32(p[12:])

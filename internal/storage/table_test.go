@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -491,6 +493,56 @@ func TestRebuildFreesOrphanPages(t *testing.T) {
 	_ = cat
 	_ = tbl
 	_ = loc
+}
+
+// TestRebuildRefusesForeignPage: only a page whose magic is 0 is free. A
+// page written with the previous format's magic, or one whose header is
+// garbage, fails the rebuild by name — page id and magic — and is left
+// as it was, instead of joining the free list to be overwritten.
+func TestRebuildRefusesForeignPage(t *testing.T) {
+	garbage := make([]byte, PageSize)
+	for i := range garbage {
+		garbage[i] = byte(i*131 + 7)
+	}
+	for _, c := range []struct {
+		name  string
+		magic uint16
+		page  func(live []byte) []byte
+	}{
+		{"previous format", 0xDB08, func(live []byte) []byte {
+			old := slices.Clone(live)
+			binary.LittleEndian.PutUint16(old, 0xDB08)
+			return old
+		}},
+		{"garbage header", binary.LittleEndian.Uint16(garbage), func([]byte) []byte { return garbage }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cat, tbl, loc := personFixture(t, catalog.LayoutMove)
+			store := NewMemStore()
+			ts := NewManager(store).Table(tbl)
+			insertPerson(t, ts, loc, 1, "kept-sentinel", "Dam 1")
+			live := make([]byte, PageSize)
+			if err := store.ReadPage(0, live); err != nil {
+				t.Fatal(err)
+			}
+			pid, err := store.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign := c.page(live)
+			if err := store.WritePage(pid, foreign); err != nil {
+				t.Fatal(err)
+			}
+			err = NewManager(store).Rebuild(cat)
+			if !errors.Is(err, ErrPageFormat) || !strings.Contains(err.Error(), fmt.Sprintf("page %d has magic 0x%04x", pid, c.magic)) {
+				t.Fatalf("Rebuild over a page of magic 0x%04x: %v, want ErrPageFormat naming page %d", c.magic, err, pid)
+			}
+			after := make([]byte, PageSize)
+			if err := store.ReadPage(pid, after); err != nil || !bytes.Equal(after, foreign) {
+				t.Fatalf("the refused page was modified (err %v)", err)
+			}
+		})
+	}
 }
 
 // TestRebuildHealsTornMove tears a degradation move the way a crash

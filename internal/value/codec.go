@@ -2,35 +2,72 @@ package value
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
 
+// ErrNonCanonical reports bytes Encode never writes: a varint (an INT, or
+// a TEXT length) with more bytes than its value needs, or a BOOL byte
+// other than 0 and 1. Decode and Skip refuse them, so every accepted
+// value re-encodes to exactly the bytes it was read from.
+var ErrNonCanonical = errors.New("value: non-canonical encoding")
+
+// ErrVarintOverflow reports a varint longer than 10 bytes, or one whose
+// tenth byte carries bits past 64.
+var ErrVarintOverflow = errors.New("value: varint overflows 64 bits")
+
 // Encode appends the compact storage encoding of v to dst and returns the
-// extended slice. Layout: 1 byte kind, then a kind-specific payload
-// (fixed 8 bytes for INT/FLOAT/TIME, 1 byte for BOOL, uvarint length +
-// bytes for TEXT, nothing for NULL).
+// extended slice. Layout: 1 byte kind, then a kind-specific payload:
+//
+//	INT    zig-zag varint (binary.AppendVarint), 1 to 10 bytes
+//	FLOAT  8 bytes, big-endian IEEE 754 bits
+//	TIME   8 bytes, big-endian Unix nanoseconds
+//	BOOL   1 byte, 0 or 1
+//	TEXT   uvarint length, then the bytes
+//	NULL   nothing
 func Encode(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KindNull:
-	case KindInt, KindTime:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.i))
-		dst = append(dst, b[:]...)
+	case KindInt:
+		dst = binary.AppendVarint(dst, v.i)
+	case KindTime:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.i))
 	case KindFloat:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.f))
-		dst = append(dst, b[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
 	case KindBool:
 		dst = append(dst, byte(v.i))
 	case KindText:
-		var b [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(b[:], uint64(len(v.s)))
-		dst = append(dst, b[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
 	}
 	return dst
+}
+
+// uvarint reads the canonical uvarint at the start of src: the one
+// binary.AppendUvarint writes, so neither longer than its value needs
+// nor past 64 bits. what names the field in errors.
+func uvarint(src []byte, what string) (uint64, int, error) {
+	x, n := binary.Uvarint(src)
+	switch {
+	case n == 0:
+		return 0, 0, fmt.Errorf("value: short %s", what)
+	case n < 0:
+		return 0, 0, fmt.Errorf("%w: %s", ErrVarintOverflow, what)
+	case n > 1 && src[n-1] == 0:
+		return 0, 0, fmt.Errorf("%w: %s varint of %d bytes is not minimal", ErrNonCanonical, what, n)
+	}
+	return x, n, nil
+}
+
+// unzigzag inverts the zig-zag mapping binary.AppendVarint applies.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
 }
 
 // Decode reads one encoded value from src, returning the value and the
@@ -44,25 +81,34 @@ func Decode(src []byte) (Value, int, error) {
 	switch k {
 	case KindNull:
 		return Null(), 1, nil
-	case KindInt, KindTime:
-		if len(rest) < 8 {
-			return Value{}, 0, fmt.Errorf("value: short %s payload", k)
+	case KindInt:
+		u, n, err := uvarint(rest, "INT payload")
+		if err != nil {
+			return Value{}, 0, err
 		}
-		return Value{kind: k, i: int64(binary.BigEndian.Uint64(rest[:8]))}, 9, nil
+		return Int(unzigzag(u)), 1 + n, nil
+	case KindTime:
+		if len(rest) < 8 {
+			return Value{}, 0, fmt.Errorf("value: short TIME payload")
+		}
+		return Value{kind: k, i: int64(binary.BigEndian.Uint64(rest))}, 9, nil
 	case KindFloat:
 		if len(rest) < 8 {
 			return Value{}, 0, fmt.Errorf("value: short FLOAT payload")
 		}
-		return Float(math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))), 9, nil
+		return Float(math.Float64frombits(binary.BigEndian.Uint64(rest))), 9, nil
 	case KindBool:
 		if len(rest) < 1 {
 			return Value{}, 0, fmt.Errorf("value: short BOOL payload")
 		}
+		if rest[0] > 1 {
+			return Value{}, 0, fmt.Errorf("%w: BOOL byte 0x%02x", ErrNonCanonical, rest[0])
+		}
 		return Bool(rest[0] != 0), 2, nil
 	case KindText:
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return Value{}, 0, fmt.Errorf("value: bad TEXT length")
+		n, sz, err := uvarint(rest, "TEXT length")
+		if err != nil {
+			return Value{}, 0, err
 		}
 		if uint64(len(rest)-sz) < n {
 			return Value{}, 0, fmt.Errorf("value: short TEXT payload (want %d have %d)", n, len(rest)-sz)
@@ -76,6 +122,7 @@ func Decode(src []byte) (Value, int, error) {
 // Skip returns the length of the encoded value at the start of src — the
 // byte count Decode would consume — without materializing it, so a
 // caller can step over the columns of an encoded row without allocating.
+// It refuses every input Decode refuses.
 func Skip(src []byte) (int, error) {
 	if len(src) == 0 {
 		return 0, fmt.Errorf("value: skip on empty input")
@@ -84,14 +131,26 @@ func Skip(src []byte) (int, error) {
 	switch Kind(src[0]) {
 	case KindNull:
 		return 1, nil
-	case KindInt, KindTime, KindFloat:
+	case KindInt:
+		_, sz, err := uvarint(src[1:], "INT payload")
+		if err != nil {
+			return 0, err
+		}
+		return 1 + sz, nil
+	case KindTime, KindFloat:
 		n = 9
 	case KindBool:
+		if len(src) > 1 && src[1] > 1 {
+			return 0, fmt.Errorf("%w: BOOL byte 0x%02x", ErrNonCanonical, src[1])
+		}
 		n = 2
 	case KindText:
-		l, sz := binary.Uvarint(src[1:])
-		if sz <= 0 || l > uint64(len(src)) {
-			return 0, fmt.Errorf("value: bad TEXT length")
+		l, sz, err := uvarint(src[1:], "TEXT length")
+		if err != nil {
+			return 0, err
+		}
+		if l > uint64(len(src)) {
+			return 0, fmt.Errorf("value: short TEXT payload")
 		}
 		n = 1 + sz + int(l)
 	default:
@@ -106,7 +165,9 @@ func Skip(src []byte) (int, error) {
 // EncodedSize returns len(Encode(nil, v)) without building the buffer.
 func EncodedSize(v Value) int {
 	switch v.kind {
-	case KindInt, KindTime, KindFloat:
+	case KindInt:
+		return 1 + uvarintLen(uint64(v.i<<1^v.i>>63)) // zig-zag, as AppendVarint
+	case KindTime, KindFloat:
 		return 9
 	case KindBool:
 		return 2
@@ -139,9 +200,7 @@ func uvarintLen(x uint64) int {
 // EncodeRow appends the encoding of a row (a value sequence, prefixed by
 // its length) to dst.
 func EncodeRow(dst []byte, row []Value) []byte {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], uint64(len(row)))
-	dst = append(dst, b[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	for _, v := range row {
 		dst = Encode(dst, v)
 	}

@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -310,11 +311,31 @@ func TestOrderedKeyTimeOrder(t *testing.T) {
 	}
 }
 
+// intEdges are the INTs at the varint's width steps — the zig-zag form
+// of ±63 and -64 takes one byte, 64 and ±8191 and -8192 two, 8192 three —
+// the two extremes (ten bytes), and the smallest generalization-tree
+// stored form (gentree.NodeToStored(1), five bytes), each with its
+// encoded length.
+var intEdges = []struct {
+	v    int64
+	size int
+}{
+	{0, 2}, {63, 2}, {-63, 2}, {64, 3}, {-64, 2}, {8191, 3}, {-8191, 3},
+	{8192, 4}, {-8192, 3}, {math.MinInt64, 11}, {math.MaxInt64, 11},
+	{0x1DB0_0000 + 1, 6},
+}
+
 func TestEncodedSizeMatchesEncode(t *testing.T) {
 	vals := []Value{
 		Null(), Int(0), Int(-1), Int(1 << 40), Float(3.14), Bool(true),
 		Time(time.Unix(0, 0).UTC()), Text(""), Text("x"), Text(string(make([]byte, 200))),
 		Text(string(make([]byte, 40000))),
+	}
+	for _, e := range intEdges {
+		vals = append(vals, Int(e.v))
+		if got := len(Encode(nil, Int(e.v))); got != e.size {
+			t.Errorf("INT %d encodes to %d bytes, want %d", e.v, got, e.size)
+		}
 	}
 	for _, v := range vals {
 		if got, want := EncodedSize(v), len(Encode(nil, v)); got != want {
@@ -329,14 +350,21 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 // TestSkipMatchesDecode: Skip steps over exactly the bytes Decode
 // consumes, whatever follows, and refuses every truncation.
 func TestSkipMatchesDecode(t *testing.T) {
-	for _, v := range []Value{
+	vals := []Value{
 		Null(), Int(-1), Float(3.14), Bool(true), Time(time.Unix(7, 0)),
 		Text(""), Text("x"), Text(string(make([]byte, 200))), Text(string(make([]byte, 40000))),
-	} {
+	}
+	for _, e := range intEdges {
+		vals = append(vals, Int(e.v))
+	}
+	for _, v := range vals {
 		enc := Encode(nil, v)
-		_, want, err := Decode(enc)
+		got, want, err := Decode(enc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !Equal(got, v) {
+			t.Errorf("Decode(Encode(%v)) = %v", v, got)
 		}
 		if got, err := Skip(append(enc, byte(KindInt), 1, 2)); err != nil || got != want {
 			t.Errorf("Skip(%v) = %d, %v; Decode consumes %d", v, got, err, want)
@@ -350,6 +378,69 @@ func TestSkipMatchesDecode(t *testing.T) {
 	if _, err := Skip([]byte{0x7f}); err == nil {
 		t.Error("Skip of an unknown kind byte: no error")
 	}
+}
+
+// TestDecodeRefusesNonCanonical: bytes Encode never writes are refused
+// by Decode and Skip alike, by name — so no two encodings decode to one
+// value, and every accepted value re-encodes to the bytes it came from.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	// An INT whose varint has nine continuation bytes; full capacity, so
+	// each append below copies.
+	ten := append([]byte{byte(KindInt)}, bytes.Repeat([]byte{0xff}, 9)...)[:10:10]
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want error
+	}{
+		{"INT zero in two bytes", []byte{byte(KindInt), 0x80, 0x00}, ErrNonCanonical},
+		{"INT 1 in three bytes", []byte{byte(KindInt), 0x82, 0x80, 0x00}, ErrNonCanonical},
+		{"INT of eleven bytes", append(append([]byte{byte(KindInt)}, bytes.Repeat([]byte{0x80}, 10)...), 0x01), ErrVarintOverflow},
+		{"INT past 64 bits in ten bytes", append(ten, 0x02), ErrVarintOverflow},
+		{"TEXT length in two bytes", []byte{byte(KindText), 0x81, 0x00, 'x'}, ErrNonCanonical},
+		{"BOOL byte 2", []byte{byte(KindBool), 2}, ErrNonCanonical},
+	} {
+		if _, _, err := Decode(c.enc); !errors.Is(err, c.want) {
+			t.Errorf("%s: Decode err = %v, want %v", c.name, err, c.want)
+		}
+		if _, err := Skip(c.enc); !errors.Is(err, c.want) {
+			t.Errorf("%s: Skip err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	// The widest canonical INT is ten bytes with a tenth byte of 1.
+	if v, n, err := Decode(append(ten, 0x01)); err != nil || n != 11 || v.Int() != math.MinInt64 {
+		t.Errorf("ten-byte INT: %v, %d, %v; want MinInt64 in 11 bytes", v, n, err)
+	}
+}
+
+// FuzzValueCodec: on arbitrary bytes, a value Decode accepts re-encodes
+// to exactly the prefix it consumed, Skip agrees with Decode on accepting
+// and on the length, and EncodedSize agrees with Encode.
+func FuzzValueCodec(f *testing.F) {
+	for _, e := range intEdges {
+		f.Add(Encode(nil, Int(e.v)))
+	}
+	for _, v := range []Value{Null(), Float(-0.5), Bool(true), Time(time.Unix(7, 0)), Text("amsterdam")} {
+		f.Add(Encode(nil, v))
+	}
+	f.Add([]byte{byte(KindInt), 0x80, 0x00})
+	f.Add([]byte{byte(KindText), 0x81, 0x00, 'x'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, n, err := Decode(data)
+		sn, serr := Skip(data)
+		if (err == nil) != (serr == nil) || (err == nil && sn != n) {
+			t.Fatalf("Decode consumes %d (err %v), Skip %d (err %v)", n, err, sn, serr)
+		}
+		if err != nil {
+			return
+		}
+		enc := Encode(nil, v)
+		if !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("%v decoded from %x re-encodes to %x", v, data[:n], enc)
+		}
+		if EncodedSize(v) != len(enc) {
+			t.Fatalf("EncodedSize(%v) = %d, encoded length %d", v, EncodedSize(v), len(enc))
+		}
+	})
 }
 
 func TestDecodeRowHostileCount(t *testing.T) {

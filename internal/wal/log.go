@@ -18,10 +18,13 @@ import (
 )
 
 const (
-	// batchMagic opens every batch frame of format 2 (run-encoded
-	// payloads). Format 1 framed per-record payloads under batchMagicV1;
-	// Open refuses such a log instead of mistaking it for a torn tail.
-	batchMagic      = 0x32415749 // "IWA2"
+	// batchMagic opens every batch frame of format 3: run-encoded
+	// payloads whose values carry INTs as varints. Format 1 framed
+	// per-record payloads under batchMagicV1, format 2 the same runs with
+	// fixed-width INTs under batchMagicV2; Open refuses such a log instead
+	// of mistaking it for a torn tail.
+	batchMagic      = 0x33415749 // "IWA3"
+	batchMagicV2    = 0x32415749 // "IWA2"
 	batchMagicV1    = 0x4C415749 // "IWAL"
 	batchHeaderSize = 12
 	segPrefix       = "wal-"
@@ -230,9 +233,9 @@ func Open(dir string, opts Options) (*Log, error) {
 // does not read.
 var ErrFormatVersion = errors.New("wal: unsupported log format version")
 
-// checkSegmentFormat refuses a segment that opens with a format 1 batch
-// frame. Without the check its first frame would read as a torn tail and
-// Open would truncate the whole segment away.
+// checkSegmentFormat refuses a segment that opens with a batch frame of
+// an earlier format. Without the check its first frame would read as a
+// torn tail and Open would truncate the whole segment away.
 func checkSegmentFormat(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -243,11 +246,17 @@ func checkSegmentFormat(path string) error {
 	if _, err := io.ReadFull(f, head[:]); err != nil {
 		return nil // shorter than a frame header: an empty or torn segment
 	}
-	if binary.LittleEndian.Uint32(head[:]) == batchMagicV1 {
-		return fmt.Errorf("%w: %s holds format 1 (per-record) batches, this build reads format 2 (run-encoded) only",
-			ErrFormatVersion, filepath.Base(path))
+	var old string
+	switch binary.LittleEndian.Uint32(head[:]) {
+	case batchMagicV1:
+		old = "format 1 (per-record)"
+	case batchMagicV2:
+		old = "format 2 (fixed-width INT)"
+	default:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("%w: %s holds %s batches, this build reads format 3 (run-encoded, varint INT) only",
+		ErrFormatVersion, filepath.Base(path), old)
 }
 
 // openSegment opens a segment file for appending, through the

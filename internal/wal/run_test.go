@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,7 +240,10 @@ func TestSealIsCompositionIndependent(t *testing.T) {
 	for i := range batch {
 		batch[i] = &Record{Type: RecDegrade, Table: 1, Tuple: storage.TupleID(1000 + i),
 			InsertNano: vclock.Epoch.UnixNano() + int64(i), DegPos: 0, NewState: 1,
-			NewStored: value.Int(int64(i % 7))} // few distinct plaintexts: equal ciphertexts would show
+			// Few distinct plaintexts, each ten encoded bytes: equal
+			// ciphertexts would show a reused keystream, and are too long
+			// to collide by chance.
+			NewStored: value.Int(1<<56 + int64(i%7))}
 	}
 	whole, err := EncodeRecords(nil, batch, codec)
 	if err != nil {
@@ -390,14 +394,31 @@ func TestVacuumMarksPartOfARunLost(t *testing.T) {
 // TestOpenRefusesFormat1Log: a segment of per-record batches must not be
 // mistaken for a torn tail and truncated away.
 func TestOpenRefusesFormat1Log(t *testing.T) {
+	// One format 1 frame: the old magic over an old-style record (type,
+	// table u32, tuple u64 — a delete).
+	refusesSegment(t, batchMagicV1, append([]byte{byte(RecDelete)}, make([]byte, 12)...), "format 1")
+}
+
+// TestOpenRefusesFormat2Log: a segment of runs whose values carry
+// fixed-width INTs is refused by name too — its frames are well formed,
+// and its payloads would misread as varints.
+func TestOpenRefusesFormat2Log(t *testing.T) {
+	// One format 2 frame: an update run (type, table, count, tuple, then
+	// column 1 and an INT of kind byte plus 8 bytes).
+	payload := []byte{byte(RecUpdateStable), 1, 1, 7, 1, byte(value.KindInt), 0, 0, 0, 0, 0, 0, 0, 42}
+	refusesSegment(t, batchMagicV2, payload, "format 2")
+}
+
+// refusesSegment writes one frame of payload under magic as the only
+// segment of a log, and requires Open to refuse it with ErrFormatVersion
+// naming the format, leaving the segment as it was.
+func refusesSegment(t *testing.T, magic uint32, payload []byte, format string) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		t.Fatal(err)
 	}
-	// One format 1 frame: the old magic over an old-style record (type,
-	// table u32, tuple u64 — a delete).
-	payload := append([]byte{byte(RecDelete)}, make([]byte, 12)...)
-	frame := binary.LittleEndian.AppendUint32(nil, batchMagicV1)
+	frame := binary.LittleEndian.AppendUint32(nil, magic)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 	frame = append(frame, payload...)
@@ -405,8 +426,8 @@ func TestOpenRefusesFormat1Log(t *testing.T) {
 	if err := os.WriteFile(seg, frame, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrFormatVersion) {
-		t.Fatalf("Open over a format 1 segment: %v, want ErrFormatVersion", err)
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), format) {
+		t.Fatalf("Open over a %s segment: %v, want ErrFormatVersion naming it", format, err)
 	}
 	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, frame) {
 		t.Fatalf("the refused segment was modified (err %v)", err)
@@ -418,14 +439,15 @@ func TestOpenRefusesFormat1Log(t *testing.T) {
 // bytes, a location stored as a node id, an INT salary) loaded the way
 // the benchmark loads it — 500-row insert transactions, degradation
 // batches of 256 — under the codec production uses. Budgets, with the
-// per-record encoding's cost beside them: an insert 56 B (was 94), a
-// degradation 13 B (was 43), a one-row insert commit no more than its
-// old 106 B, and no allocation per sealed payload beyond one per
-// hundred (was three, and a key schedule).
+// cost under fixed-width INTs and under the per-record encoding beside
+// them: an insert 40 B (51, 94), a degradation 10 B (12, 43), a one-row
+// insert commit 75 B (85, 106), and no allocation per sealed payload
+// beyond one per hundred (was three, and a key schedule).
 func TestWALSizeBudget(t *testing.T) {
 	codec := openShredCodec(t, time.Hour)
 	rng := rand.New(rand.NewSource(14))
 	const rows, perTxn, perBatch = 20000, 500, 256
+	const insertBudget, degradeBudget, commitBudget = 40, 10, 75
 	now := vclock.Epoch.UnixNano()
 	person := func(id int) *Record {
 		name := "p" + "anderssonxbouganimyz"[:10+rng.Intn(9)]
@@ -451,9 +473,9 @@ func TestWALSizeBudget(t *testing.T) {
 	}
 	insertBytes := l.SizeBytes()
 	perInsert := float64(insertBytes) / rows
-	t.Logf("insert record: %.1f B in %d-row transactions (budget 56)", perInsert, perTxn)
-	if perInsert > 56 {
-		t.Errorf("an insert record costs %.1f B, budget 56", perInsert)
+	t.Logf("insert record: %.1f B in %d-row transactions (budget %d)", perInsert, perTxn, insertBudget)
+	if perInsert > insertBudget {
+		t.Errorf("an insert record costs %.1f B, budget %d", perInsert, insertBudget)
 	}
 
 	// One wave: every location one level up, in the degrader's batches.
@@ -468,18 +490,19 @@ func TestWALSizeBudget(t *testing.T) {
 		}
 	}
 	perDegrade := float64(l.SizeBytes()-insertBytes) / rows
-	t.Logf("degrade record: %.1f B in batches of %d (budget 13)", perDegrade, perBatch)
-	if perDegrade > 13 {
-		t.Errorf("a degrade record costs %.1f B, budget 13", perDegrade)
+	t.Logf("degrade record: %.1f B in batches of %d (budget %d)", perDegrade, perBatch, degradeBudget)
+	if perDegrade > degradeBudget {
+		t.Errorf("a degrade record costs %.1f B, budget %d", perDegrade, degradeBudget)
 	}
 
 	one, err := EncodeRecords(nil, inserts[:1], codec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("one-row insert commit: %d B (budget 106)", batchHeaderSize+len(one))
-	if commit := batchHeaderSize + len(one); commit > 106 {
-		t.Errorf("a one-row insert commit costs %d B, budget 106", commit)
+	commit := batchHeaderSize + len(one)
+	t.Logf("one-row insert commit: %d B (budget %d)", commit, commitBudget)
+	if commit > commitBudget {
+		t.Errorf("a one-row insert commit costs %d B, budget %d", commit, commitBudget)
 	}
 
 	// Allocations: a warm encode of one degrade batch into a reused

@@ -27,8 +27,11 @@ import (
 const Magic uint32 = 0x49444201 // "IDB\x01"
 
 // Version is the protocol version this package implements. The server
-// refuses handshakes with a different major version.
-const Version uint16 = 1
+// refuses handshakes with a different version. Version 2 carries every
+// value — result rows, statement arguments, replication payloads — in
+// the storage codec with INTs as varints; version 1 carried them as 8
+// fixed bytes.
+const Version uint16 = 2
 
 // MaxFrameDefault bounds frame payloads unless overridden: large enough
 // for sizeable result sets, small enough that a hostile length prefix
