@@ -286,10 +286,13 @@ func TestSealIsCompositionIndependent(t *testing.T) {
 // 64-record run has — header, delta columns, stable rows, payloads, last
 // byte — and requires the same of each: the acked batch before it
 // replays, nothing of the torn run does, and the log takes appends again.
+// Every INT sits above 2^50, so each is an 8-byte varint and the cuts
+// also land inside multi-byte varints.
 func TestTornTailInsideRun(t *testing.T) {
 	run := make([]*Record, 64)
 	for i := range run {
-		run[i] = insertRec(storage.TupleID(100+i), fmt.Sprintf("row-%d", i), value.Int(int64(i)))
+		run[i] = insertRec(storage.TupleID(100+i), fmt.Sprintf("row-%d", i), value.Int(1<<50+int64(i)))
+		run[i].StableRow[0] = value.Int(1<<50 + int64(100+i))
 	}
 	payload, err := EncodeRecords(nil, run, PlainCodec{})
 	if err != nil {
