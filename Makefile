@@ -43,8 +43,10 @@ md-check:
 # make and break runs, from single events to whole batches, the
 # B+tree's, the posting's and the degradation queue's op streams against
 # their models, the degrade record patcher against decode, modify and
-# re-encode, storage runs against the same history applied tuple by
-# tuple, and the lock table against its model.
+# re-encode, page records against their frame of reference (decode,
+# rebase round trips, patch and rebase in either order), storage runs
+# against the same history applied tuple by tuple, and the lock table
+# against its model.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzPosting -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/degrade -run '^$$' -fuzz FuzzTaskFIFO -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzPatchRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzPageRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzRuns -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/txn -run '^$$' -fuzz FuzzLockManager -fuzztime $(FUZZTIME)
 
@@ -67,7 +70,8 @@ fuzz-smoke:
 # plus writes per degradation transition, per row a THEN DELETE wave
 # deletes and per row a bulk UPDATE rewrites, heap bytes allocated per
 # transition, heap bytes allocated per row of a 500-row insert commit,
-# and page-file bytes per row once the benchmark's rows have degraded.
+# and page-file bytes per row once the benchmark's rows have degraded,
+# inserted at one instant and on a clock that moves between inserts.
 budgets:
 	$(GO) test -run 'ResidentBudget|ChurnBounded|SizeBudget' ./internal/...
 

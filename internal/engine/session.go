@@ -502,7 +502,7 @@ func (c *Conn) runInsert(s *query.Insert) (*Result, error) {
 		for i, colIdx := range tbl.DegradableColumns() {
 			full[colIdx] = degVals[i]
 		}
-		if err := storage.CheckRecordSize(states, full); err != nil {
+		if err := storage.CheckRecordSize(tbl, full); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", tbl.Name, err)
 		}
 		// No row lock: until the commit applies it the row has no reader
@@ -583,7 +583,7 @@ func (c *Conn) runUpdate(s *query.Update) (*Result, error) {
 			t.Row[so.col] = so.val
 		}
 		// The rewritten tuple must still fit a page (see runInsert).
-		if err := storage.CheckRecordSize(t.States, t.Row); err != nil {
+		if err := storage.CheckRecordSize(tbl, t.Row); err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", tbl.Name, err)
 		}
 		cp := *t

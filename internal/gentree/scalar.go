@@ -2,6 +2,7 @@ package gentree
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -91,12 +92,34 @@ func (d *IntRange) LevelByName(name string) (int, error) {
 // InsertKind implements Domain: range domains ingest INT.
 func (d *IntRange) InsertKind() value.Kind { return value.KindInt }
 
-// ResolveInsert implements Domain.
+// ResolveInsert implements Domain. It refuses an INT whose widest bucket
+// does not fit in int64 (see inBuckets).
 func (d *IntRange) ResolveInsert(v value.Value) (value.Value, error) {
 	if v.Kind() != value.KindInt {
 		return value.Null(), fmt.Errorf("gentree: range %s stores INT, got %s", d.name, v.Kind())
 	}
+	if err := d.inBuckets(v.Int()); err != nil {
+		return value.Null(), err
+	}
 	return v, nil
+}
+
+// inBuckets reports, as ErrUnknownValue naming the domain, an INT whose
+// bucket at the widest width — [lo, lo+w), hi exclusive — does not fit
+// in int64. Widths nest, so that bucket bounds the value's bucket at
+// every level, the exact level [v, v+1) included: past the check, bucket
+// arithmetic on the value and on every form it degrades to cannot wrap.
+func (d *IntRange) inBuckets(v int64) error {
+	w := int64(1)
+	for _, x := range d.widths {
+		w = max(w, x)
+	}
+	q := floorDiv(v, w)
+	if lo := q * w; lo/w != q || lo > math.MaxInt64-w {
+		return fmt.Errorf("%w: %d: its %d-wide bucket of range %s does not fit in a 64-bit integer",
+			ErrUnknownValue, v, w, d.name)
+	}
+	return nil
 }
 
 // widthAt returns the bucket width of a level (1 at level 0 meaning exact,
@@ -156,6 +179,9 @@ func (d *IntRange) Locate(v value.Value, level int) ([]value.Value, error) {
 		if v.Kind() != value.KindInt {
 			return nil, fmt.Errorf("gentree: range %s level 0 locates INT, got %s", d.name, v.Kind())
 		}
+		if err := d.inBuckets(v.Int()); err != nil {
+			return nil, err
+		}
 		return []value.Value{v}, nil
 	case w == 0:
 		if v.Kind() == value.KindText && v.Text() == "*" {
@@ -165,10 +191,16 @@ func (d *IntRange) Locate(v value.Value, level int) ([]value.Value, error) {
 	default:
 		switch v.Kind() {
 		case value.KindInt:
+			if err := d.inBuckets(v.Int()); err != nil {
+				return nil, err
+			}
 			return []value.Value{value.Int(floorDiv(v.Int(), w) * w)}, nil
 		case value.KindText:
 			lo, hi, err := ParseRangeLiteral(v.Text())
 			if err != nil {
+				return nil, err
+			}
+			if err := d.inBuckets(lo); err != nil {
 				return nil, err
 			}
 			if hi-lo != w || floorDiv(lo, w)*w != lo {
@@ -215,9 +247,10 @@ func (d *IntRange) OrderKey(stored value.Value, level int) (value.Value, error) 
 }
 
 // ParseRangeLiteral parses the paper's "lo-hi" range literal. The
-// separator is the last '-' so negative bounds parse ("-100--50").
+// separator is the first '-' past the first byte, so negative bounds
+// parse ("-100--50").
 func ParseRangeLiteral(s string) (lo, hi int64, err error) {
-	i := strings.LastIndex(s, "-")
+	i := strings.IndexByte(s[min(1, len(s)):], '-') + 1
 	if i <= 0 {
 		return 0, 0, fmt.Errorf("gentree: bad range literal %q", s)
 	}

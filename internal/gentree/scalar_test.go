@@ -1,6 +1,9 @@
 package gentree
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -312,5 +315,79 @@ func TestTimeTruncKindErrors(t *testing.T) {
 	}
 	if _, err := d.Locate(value.Text("x"), 1); err == nil {
 		t.Error("non-time locate should fail")
+	}
+}
+
+// TestIntRangeExtremes: a range domain refuses, by name, an INT whose
+// widest bucket does not fit in int64 — at insert, and as a literal to
+// locate — and every value it accepts degrades, renders and spans a
+// bucket that holds it at every level, with no bound wrapped around.
+func TestIntRangeExtremes(t *testing.T) {
+	salary := Figure2Salary() // widths 100, 1000, suppression
+	exactOnly := MustIntRange("flag", 0)
+	for _, c := range []struct {
+		name string
+		d    *IntRange
+		v    int64
+		ok   bool
+	}{
+		{"MinInt64", salary, math.MinInt64, false},
+		{"MinInt64+1", salary, math.MinInt64 + 1, false},
+		{"below the first bucket", salary, -9223372036854775001, false},
+		{"first accepted", salary, -9223372036854775000, true},
+		{"last accepted", salary, 9223372036854774999, true},
+		{"above the last bucket", salary, 9223372036854775000, false},
+		{"MaxInt64", salary, math.MaxInt64, false},
+		{"MinInt64, exact and suppressed", exactOnly, math.MinInt64, true},
+		{"MaxInt64-1, exact and suppressed", exactOnly, math.MaxInt64 - 1, true},
+		{"MaxInt64, exact and suppressed", exactOnly, math.MaxInt64, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stored, err := c.d.ResolveInsert(value.Int(c.v))
+			if !c.ok {
+				if !errors.Is(err, ErrUnknownValue) || !strings.Contains(err.Error(), c.d.Name()) {
+					t.Fatalf("ResolveInsert(%d) = %v, %v; want ErrUnknownValue naming %s", c.v, stored, err, c.d.Name())
+				}
+				for level := range c.d.Levels() {
+					if got, err := c.d.Locate(value.Int(c.v), level); !errors.Is(err, ErrUnknownValue) {
+						t.Errorf("Locate(%d, %s) = %v, %v; want ErrUnknownValue", c.v, c.d.LevelName(level), got, err)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ResolveInsert(%d): %v", c.v, err)
+			}
+			for level := range c.d.Levels() {
+				w := c.d.widthAt(level)
+				if w == 0 {
+					continue
+				}
+				deg, err := c.d.Degrade(stored, 0, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, hi, err := c.d.BucketSpan(deg, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !(lo.Int() <= c.v && c.v < hi.Int() && hi.Int()-lo.Int() == w) {
+					t.Errorf("%s: %d degrades to bucket [%d, %d)", c.d.LevelName(level), c.v, lo.Int(), hi.Int())
+				}
+				if got, err := c.d.Locate(value.Int(c.v), level); err != nil || got[0].Int() != deg.Int() {
+					t.Errorf("%s: Locate(%d) = %v, %v; want %d", c.d.LevelName(level), c.v, got, err, deg.Int())
+				}
+				if level == 0 {
+					continue
+				}
+				r, err := c.d.Render(deg, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := c.d.Locate(r, level); err != nil || got[0].Int() != deg.Int() {
+					t.Errorf("%s: Locate(%q) = %v, %v; want %d", c.d.LevelName(level), r.Text(), got, err, deg.Int())
+				}
+			}
+		})
 	}
 }

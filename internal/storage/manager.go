@@ -201,7 +201,7 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 		ts := m.Table(tbl)
 		ts.mu.Lock()
 		defer ts.mu.Unlock()
-		n := pageNumSlots(data)
+		n, f := pageNumSlots(data), pageFrame(data)
 		var segKeySet bool
 		var segKey uint64
 		live := 0
@@ -210,7 +210,7 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 			if !ok {
 				continue
 			}
-			t, err := decodeRecord(rec)
+			t, err := decodeRecord(rec, f)
 			if err != nil {
 				return fmt.Errorf("storage: rebuild %s page %d slot %d: %w", tbl.Name, pid, s, err)
 			}

@@ -11,24 +11,28 @@ import (
 // page is entirely zero (magic 0), which doubles as the scrub guarantee
 // and as the free-page marker recognized during rebuild. Any other magic
 // is a page this build cannot read (see ErrPageFormat): 0xDB08 marked
-// pages whose records carried fixed-width INTs.
+// pages whose records carried fixed-width INTs, 0xDB09 pages whose
+// records carried a fixed tuple id and insert time.
 //
 //	offset size field
-//	0      2    magic (0xDB09 in use, 0x0000 free)
+//	0      2    magic (0xDB0A in use, 0x0000 free)
 //	2      2    numSlots
 //	4      2    freeStart (end of slot directory)
 //	6      2    freeEnd   (start of record data)
 //	8      2    liveSlots
 //	10     2    reserved
 //	12     4    tableID
-//	16     ...  slot directory: per slot {offset u16, length u16}; offset 0 = dead
+//	16     8    frame tuple id (see frame)
+//	24     8    frame insert nanos
+//	32     ...  slot directory: per slot {offset u16, length u16}; offset 0 = dead
 const (
-	pageMagic  = 0xDB09
-	pageHeader = 16
+	pageMagic  = 0xDB0A
+	pageHeader = 32
 	slotSize   = 4
 )
 
-// MaxRecordSize is the largest record a page can hold.
+// MaxRecordSize is the largest record a page can hold, in its page's
+// frame.
 const MaxRecordSize = PageSize - pageHeader - slotSize
 
 // ErrRecordTooLarge is returned when a tuple exceeds MaxRecordSize.
@@ -39,7 +43,9 @@ var ErrRecordTooLarge = errors.New("storage: record exceeds page capacity")
 // it rather than free it, which would overwrite its tuples.
 var ErrPageFormat = errors.New("storage: page of an unknown format")
 
-func initPage(p []byte, tableID uint32) {
+// initPage makes p an empty page of table tableID whose records are
+// stored in frame f.
+func initPage(p []byte, tableID uint32, f frame) {
 	for i := range p {
 		p[i] = 0
 	}
@@ -49,6 +55,16 @@ func initPage(p []byte, tableID uint32) {
 	binary.LittleEndian.PutUint16(p[6:], PageSize)
 	binary.LittleEndian.PutUint16(p[8:], 0)
 	binary.LittleEndian.PutUint32(p[12:], tableID)
+	binary.LittleEndian.PutUint64(p[16:], uint64(f.id))
+	binary.LittleEndian.PutUint64(p[24:], uint64(f.nanos))
+}
+
+// pageFrame returns the frame the records of page p are stored in.
+func pageFrame(p []byte) frame {
+	return frame{
+		id:    TupleID(binary.LittleEndian.Uint64(p[16:])),
+		nanos: int64(binary.LittleEndian.Uint64(p[24:])),
+	}
 }
 
 func pageMagicOf(p []byte) uint16 { return binary.LittleEndian.Uint16(p[0:]) }
@@ -95,12 +111,20 @@ func pageFreeSpace(p []byte) int {
 // header counts the live ones, so the difference is the dead count.
 func pageHasDeadSlot(p []byte) bool { return pageNumSlots(p) > pageLive(p) }
 
-// pageInsert places rec in the page, returning the slot index. ok is
-// false when the page lacks space.
-func pageInsert(p []byte, rec []byte) (slot uint16, ok bool) {
-	if len(rec) > MaxRecordSize {
-		return 0, false
+// pageInsert places rec, a record encoded in frame from, in the page,
+// rebased into the page's frame (rebaseRecord), and returns the slot
+// index. ok is false when the page lacks space for the rebased record,
+// or rec's delta prefix is malformed.
+func pageInsert(p, rec []byte, from frame) (slot uint16, ok bool) {
+	var prefix [maxRecordPrefix]byte
+	head, body := prefix[:0], rec
+	if to := pageFrame(p); to != from {
+		var err error
+		if head, body, err = rebaseRecord(head, rec, from, to); err != nil {
+			return 0, false
+		}
 	}
+	size := len(head) + len(body)
 	freeStart := int(binary.LittleEndian.Uint16(p[4:]))
 	freeEnd := int(binary.LittleEndian.Uint16(p[6:]))
 	// Prefer recycling a dead slot's directory entry, when there is one.
@@ -114,16 +138,17 @@ func pageInsert(p []byte, rec []byte) (slot uint16, ok bool) {
 			}
 		}
 	}
-	need := len(rec)
+	need := size
 	if slot == n {
 		need += slotSize
 	}
 	if freeEnd-freeStart < need {
 		return 0, false
 	}
-	dataOff := freeEnd - len(rec)
-	copy(p[dataOff:], rec)
-	setSlotEntry(p, slot, uint16(dataOff), uint16(len(rec)))
+	dataOff := freeEnd - size
+	copy(p[dataOff:], head)
+	copy(p[dataOff+len(head):], body)
+	setSlotEntry(p, slot, uint16(dataOff), uint16(size))
 	if slot == n {
 		binary.LittleEndian.PutUint16(p[2:], n+1)
 		binary.LittleEndian.PutUint16(p[4:], uint16(freeStart+slotSize))
@@ -165,9 +190,9 @@ func pageDelete(p []byte, slot uint16) (live uint16, err error) {
 	return live, nil
 }
 
-// pageOverwrite replaces a record in place when the new encoding fits the
-// old slot, scrubbing the tail. ok is false when it does not fit (caller
-// falls back to delete+insert).
+// pageOverwrite replaces a record in place when the new encoding, in the
+// page's frame, fits the old slot, scrubbing the tail. ok is false when
+// it does not fit (caller falls back to delete+insert).
 func pageOverwrite(p []byte, slot uint16, rec []byte) bool {
 	if slot >= pageNumSlots(p) {
 		return false

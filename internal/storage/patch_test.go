@@ -123,24 +123,36 @@ func readPatchCase(data []byte) (patchCase, error) {
 	return pc, nil
 }
 
+// patchFrame is the frame checkPatch encodes its records in: neither the
+// zero frame nor the tuple's own, so both deltas are non-zero.
+var patchFrame = frame{id: 7, nanos: vclock.Epoch.Add(-time.Hour).UnixNano()}
+
+// ownSize returns the length of tuple t's record in its own frame: what
+// it takes as the first record of a fresh page.
+func ownSize(t Tuple) int {
+	return len(encodeRecord(nil, frame{t.ID, t.InsertedAt.UnixNano()}, t.ID, t.InsertedAt, t.States, t.Row))
+}
+
 // checkPatch runs one case. patchRecord must produce, byte for byte, the
-// record decoding, modifying and re-encoding gives. DegradeAttr on a
-// store holding the tuple must leave exactly that record (the original
-// one when the state does not advance or the record would outgrow a
-// page), and no byte of the old value in any page.
+// record decoding, modifying and re-encoding gives, in the frame the
+// record is in. DegradeAttr on a store holding the tuple, on a page
+// whose frame is the tuple's, must leave exactly that record (the
+// original one when the state does not advance or the record would
+// outgrow a page), and no byte of the old value in any page.
 func checkPatch(data []byte) error {
 	pc, err := readPatchCase(data)
 	if err != nil {
 		return err
 	}
 	col := pc.tbl.DegradableColumns()[pc.degPos]
-	rec := encodeRecord(nil, 1, vclock.Epoch, pc.states, pc.row)
-	t, err := decodeRecord(rec)
+	rec := encodeRecord(nil, patchFrame, 1, vclock.Epoch, pc.states, pc.row)
+	t, err := decodeRecord(rec, patchFrame)
 	if err != nil {
 		return err
 	}
+	orig := cloneTuple(t)
 	t.States[pc.degPos], t.Row[col] = pc.newState, pc.newStored
-	want := encodeRecord(nil, t.ID, t.InsertedAt, t.States, t.Row)
+	want := encodeRecord(nil, patchFrame, t.ID, t.InsertedAt, t.States, t.Row)
 	got, err := patchRecord([]byte("dst"), rec, pc.degPos, col, pc.newState, pc.newStored)
 	if err != nil {
 		return err
@@ -152,7 +164,7 @@ func checkPatch(data []byte) error {
 	store := NewMemStore()
 	ts := NewManager(store).Table(pc.tbl)
 	id, err := ts.Insert(pc.row, pc.states, vclock.Epoch)
-	if errors.Is(err, ErrRecordTooLarge) && len(rec) > MaxRecordSize {
+	if errors.Is(err, ErrRecordTooLarge) && ownSize(orig) > MaxRecordSize {
 		return nil
 	}
 	if err != nil {
@@ -162,9 +174,9 @@ func checkPatch(data []byte) error {
 	switch {
 	case !StateAdvances(pc.states[pc.degPos], pc.newState):
 		want = rec
-	case len(want) > MaxRecordSize:
+	case ownSize(t) > MaxRecordSize:
 		if !errors.Is(err, ErrRecordTooLarge) {
-			return fmt.Errorf("a %d-byte record: DegradeAttr err = %v", len(want), err)
+			return fmt.Errorf("a %d-byte record: DegradeAttr err = %v", ownSize(t), err)
 		}
 		want, err = rec, nil
 	}
@@ -175,7 +187,10 @@ func checkPatch(data []byte) error {
 	if err != nil {
 		return err
 	}
-	stored := encodeRecord(nil, tup.ID, tup.InsertedAt, tup.States, tup.Row)
+	if f := pageFrame(pageOf(store, ts, id)); f != (frame{id, vclock.Epoch.UnixNano()}) {
+		return fmt.Errorf("the tuple's page has frame %+v, want its own", f)
+	}
+	stored := encodeRecord(nil, patchFrame, tup.ID, tup.InsertedAt, tup.States, tup.Row)
 	if !bytes.Equal(stored, want) {
 		return fmt.Errorf("stored after DegradeAttr\n%x\nwant\n%x", stored, want)
 	}
@@ -187,6 +202,13 @@ func checkPatch(data []byte) error {
 		return fmt.Errorf("old value %x survives in the pages", needle)
 	}
 	return nil
+}
+
+// pageOf returns the content of the page tuple id lives on.
+func pageOf(s Store, ts *TableStore, id TupleID) []byte {
+	p := make([]byte, PageSize)
+	s.ReadPage(ts.dir.get(id).page, p)
+	return p
 }
 
 // findInPages reports whether needle is in any page of the store past

@@ -2,10 +2,18 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"instantdb/internal/catalog"
+	"instantdb/internal/value"
+	"instantdb/internal/vclock"
 )
 
 func testStores(t *testing.T) map[string]func(t *testing.T) Store {
@@ -176,17 +184,17 @@ func TestFileStoreShortReadFails(t *testing.T) {
 
 func TestPageOps(t *testing.T) {
 	p := make([]byte, PageSize)
-	initPage(p, 42)
+	initPage(p, 42, frame{})
 	if !pageInUse(p) || pageTableID(p) != 42 {
 		t.Fatal("init header wrong")
 	}
 	rec1 := []byte("first record")
-	s1, ok := pageInsert(p, rec1)
+	s1, ok := pageInsert(p, rec1, frame{})
 	if !ok {
 		t.Fatal("insert failed")
 	}
 	rec2 := []byte("second, longer record payload")
-	s2, ok := pageInsert(p, rec2)
+	s2, ok := pageInsert(p, rec2, frame{})
 	if !ok || s2 == s1 {
 		t.Fatal("second insert failed")
 	}
@@ -209,7 +217,7 @@ func TestPageOps(t *testing.T) {
 		t.Fatal("deleted payload bytes survive in page")
 	}
 	// Dead slot directory entry is recycled.
-	s3, ok := pageInsert(p, []byte("third"))
+	s3, ok := pageInsert(p, []byte("third"), frame{})
 	if !ok || s3 != s1 {
 		t.Fatalf("dead slot not recycled: %d", s3)
 	}
@@ -243,16 +251,16 @@ func TestPageOps(t *testing.T) {
 
 func TestPageFillsUp(t *testing.T) {
 	p := make([]byte, PageSize)
-	initPage(p, 1)
+	initPage(p, 1, frame{})
 	rec := bytes.Repeat([]byte("z"), 100)
 	count := 0
 	for {
-		if _, ok := pageInsert(p, rec); !ok {
+		if _, ok := pageInsert(p, rec, frame{}); !ok {
 			break
 		}
 		count++
 	}
-	// 4096-16 bytes / (100+4) per record ≈ 39.
+	// 4096-32 bytes / (100+4) per record ≈ 39.
 	if count < 35 || count > 40 {
 		t.Fatalf("page held %d 100-byte records", count)
 	}
@@ -261,14 +269,72 @@ func TestPageFillsUp(t *testing.T) {
 	}
 }
 
+// TestPageRejectsOversized: a page takes a record of MaxRecordSize bytes
+// in its frame and refuses one a byte longer, and it measures a record
+// handed in another frame after rebasing it into its own.
 func TestPageRejectsOversized(t *testing.T) {
-	p := make([]byte, PageSize)
-	initPage(p, 1)
-	if _, ok := pageInsert(p, make([]byte, MaxRecordSize+1)); ok {
-		t.Fatal("oversized record accepted")
+	pf := frame{id: 100, nanos: vclock.Epoch.UnixNano()}
+	record := func(f frame, textLen int) []byte {
+		return encodeRecord(nil, f, 101, vclock.Epoch.Add(time.Millisecond), nil,
+			[]value.Value{value.Text(strings.Repeat("x", textLen))})
 	}
-	if _, ok := pageInsert(p, make([]byte, MaxRecordSize)); !ok {
-		t.Fatal("max-size record refused")
+	fill := MaxRecordSize - (len(record(pf, 200)) - 200)
+	for _, c := range []struct {
+		name string
+		rec  []byte
+		from frame
+		fits bool
+	}{
+		{"max size", record(pf, fill), pf, true},
+		{"a byte over", record(pf, fill+1), pf, false},
+		{"max size once rebased", record(frame{}, fill), frame{}, true},
+		{"a byte over once rebased", record(frame{}, fill+1), frame{}, false},
+	} {
+		p := make([]byte, PageSize)
+		initPage(p, 1, pf)
+		slot, ok := pageInsert(p, c.rec, c.from)
+		if ok != c.fits {
+			t.Fatalf("%s: a %d-byte record: ok = %v, want %v", c.name, len(c.rec), ok, c.fits)
+		}
+		if got, _ := pageRead(p, slot); ok && !bytes.Equal(got, record(pf, fill)) {
+			t.Fatalf("%s: the page holds\n%x\nwant the record in its frame", c.name, got)
+		}
+	}
+	if n := len(record(frame{}, fill)); n <= MaxRecordSize {
+		t.Fatalf("sanity: in the zero frame the record takes %d bytes, no more than MaxRecordSize", n)
+	}
+}
+
+// TestCheckRecordSizeBoundsLifeCycle: a row CheckRecordSize accepts
+// fits a page at every stored form its degradable column can take — the
+// longest, an 11-byte INT — in the frame farthest from it, where both
+// deltas take ten bytes; and the largest row it accepts then fills a
+// page exactly.
+func TestCheckRecordSizeBoundsLifeCycle(t *testing.T) {
+	tbl, err := patchTable(2, 0b10, catalog.LayoutMove)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, at := TupleID(1), vclock.Epoch
+	far := frame{id: id + 1<<63, nanos: at.UnixNano() + math.MinInt64}
+	largest := 0
+	for n := MaxRecordSize - 60; n <= MaxRecordSize; n++ {
+		row := []value.Value{value.Text(strings.Repeat("x", n)), value.Int(0)}
+		if err := CheckRecordSize(tbl, row); err != nil {
+			if !errors.Is(err, ErrRecordTooLarge) {
+				t.Fatal(err)
+			}
+			continue
+		}
+		largest = n
+		row[1] = value.Int(math.MinInt64)
+		if l := len(encodeRecord(nil, far, id, at, []uint8{0}, row)); l > MaxRecordSize {
+			t.Errorf("a %d-byte name passes, and its record grows to %d bytes", n, l)
+		}
+	}
+	row := []value.Value{value.Text(strings.Repeat("x", largest)), value.Int(math.MinInt64)}
+	if l := len(encodeRecord(nil, far, id, at, []uint8{0}, row)); l != MaxRecordSize {
+		t.Errorf("the largest row accepted grows to %d bytes, want exactly MaxRecordSize (%d)", l, MaxRecordSize)
 	}
 }
 
@@ -279,7 +345,7 @@ func TestPageRejectsOversized(t *testing.T) {
 func TestPageDeadSlotCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := make([]byte, PageSize)
-	initPage(p, 1)
+	initPage(p, 1, frame{})
 	for step := 0; step < 20000; step++ {
 		n := pageNumSlots(p)
 		firstDead := n
@@ -296,7 +362,7 @@ func TestPageDeadSlotCount(t *testing.T) {
 		switch op := rng.Intn(3); {
 		case op == 0 || n == 0:
 			free := pageFreeSpace(p)
-			slot, ok := pageInsert(p, rec)
+			slot, ok := pageInsert(p, rec, frame{})
 			if ok != (len(rec) <= free) {
 				t.Fatalf("step %d: a %d-byte insert with %d bytes free: ok = %v", step, len(rec), free, ok)
 			}

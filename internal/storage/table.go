@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -183,15 +184,27 @@ func (ts *TableStore) insertRunLocked(tups []Tuple) error {
 	})
 }
 
-// CheckRecordSize reports whether a tuple would fit a page, without
-// encoding it. The engine calls it at statement time so an oversized
-// row is refused as a plain SQL error before its redo record reaches
-// the durable log — a record appended to the WAL must never fail to
-// apply (or to replay during recovery).
-func CheckRecordSize(states []uint8, row []value.Value) error {
-	// Record layout (encodeRecord): id u64 | insertNano i64 | nDeg u8 |
-	// states | EncodeRow(row).
-	n := 16 + 1 + len(states) + value.RowEncodedSize(row)
+// maxStoredForm is the longest stored form a domain gives a degradable
+// column at any state of its life cycle: an INT (a tree node, a range's
+// bucket floor) takes a kind byte and up to a 10-byte varint. A truncated
+// TIME takes 9 bytes and an erased value, NULL, one.
+const maxStoredForm = 1 + binary.MaxVarintLen64
+
+// CheckRecordSize reports whether a row of tbl fits a page at every state
+// of its life cycle, without encoding it. The engine calls it at
+// statement time so an oversized row is refused as a plain SQL error
+// before its redo record reaches the durable log — a record appended to
+// the WAL must never fail to apply, to replay during recovery, or to
+// take a later degradation step. It bounds the largest form the record
+// can take: the delta prefix at its widest, whatever the page's frame,
+// the state vector, and each degradable column at the larger of its
+// current form and maxStoredForm.
+func CheckRecordSize(tbl *catalog.Table, row []value.Value) error {
+	deg := tbl.DegradableColumns()
+	n := maxRecordPrefix + 1 + len(deg) + value.RowEncodedSize(row)
+	for _, col := range deg {
+		n += max(0, maxStoredForm-value.EncodedSize(row[col]))
+	}
 	if n > MaxRecordSize {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrRecordTooLarge, n, MaxRecordSize)
 	}
@@ -211,11 +224,11 @@ func (ts *TableStore) insertLocked(rec []byte, t *Tuple) ([]byte, error) {
 		return rec, fmt.Errorf("storage: %s: state vector has %d entries, want %d",
 			ts.tbl.Name, len(t.States), len(ts.tbl.DegradableColumns()))
 	}
-	rec = encodeRecord(rec, t.ID, t.InsertedAt, t.States, t.Row)
-	if len(rec) > MaxRecordSize {
-		return rec, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
-	}
-	rid, err := ts.placeLocked(ts.segKeyFor(t.States), rec)
+	// Encoded in its own frame, the record's prefix is two zero bytes,
+	// and a fresh page takes it as it is.
+	own := frame{id: t.ID, nanos: t.InsertedAt.UnixNano()}
+	rec = encodeRecord(rec, own, t.ID, t.InsertedAt, t.States, t.Row)
+	rid, err := ts.placeLocked(ts.segKeyFor(t.States), rec, own)
 	if err != nil {
 		return rec, err
 	}
@@ -285,9 +298,13 @@ func (ts *TableStore) endRunLocked(err error) error {
 	return err
 }
 
-// placeLocked finds room for rec in the segment and writes it: the most
-// recently opened page with room, else a fresh page.
-func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
+// placeLocked finds room for rec, a record encoded in frame from, in the
+// segment and writes it rebased into its page's frame: the most recently
+// opened page with room, else a fresh page, whose frame rec sets.
+func (ts *TableStore) placeLocked(key uint64, rec []byte, from frame) (RID, error) {
+	if err := checkFits(rec); err != nil {
+		return RID{}, err
+	}
 	seg, ok := ts.segs[key]
 	if !ok {
 		seg = newSegment()
@@ -299,7 +316,7 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 		if err != nil {
 			return RID{}, err
 		}
-		slot, ok := pageInsert(*p.buf, rec)
+		slot, ok := pageInsert(*p.buf, rec, from)
 		if ok {
 			p.dirty = true
 			if pageFreeSpace(*p.buf) < openSpaceThreshold {
@@ -309,6 +326,10 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 		}
 		seg.open = seg.open[:len(seg.open)-1]
 	}
+	id, nanos, _, err := recordOrigin(rec, from)
+	if err != nil {
+		return RID{}, err
+	}
 	pid, err := ts.mgr.allocPage()
 	if err != nil {
 		return RID{}, err
@@ -317,8 +338,8 @@ func (ts *TableStore) placeLocked(key uint64, rec []byte) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
-	initPage(*p.buf, ts.tbl.ID)
-	slot, ok := pageInsert(*p.buf, rec)
+	initPage(*p.buf, ts.tbl.ID, frame{id: id, nanos: nanos})
+	slot, ok := pageInsert(*p.buf, rec, from)
 	if !ok {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
@@ -348,8 +369,8 @@ func (ts *TableStore) Get(id TupleID) (Tuple, error) {
 // 0 no tuple has. A page read or decode error fails the whole call.
 func (ts *TableStore) GetMany(ids []TupleID) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
-	err := ts.readMany(ids, func(i int, rec []byte) (err error) {
-		out[i], err = decodeRecord(rec)
+	err := ts.readMany(ids, func(i int, rec []byte, f frame) (err error) {
+		out[i], err = decodeRecord(rec, f)
 		return err
 	})
 	if err != nil {
@@ -372,8 +393,8 @@ type DegCell struct {
 // nothing else decoded.
 func (ts *TableStore) DegradableMany(ids []TupleID, degPos int) ([]DegCell, error) {
 	out := make([]DegCell, len(ids))
-	err := ts.readMany(ids, func(i int, rec []byte) (err error) {
-		out[i], err = ts.decodeCell(rec, degPos)
+	err := ts.readMany(ids, func(i int, rec []byte, f frame) (err error) {
+		out[i], err = ts.decodeCell(rec, f, degPos)
 		return err
 	})
 	if err != nil {
@@ -383,16 +404,16 @@ func (ts *TableStore) DegradableMany(ids []TupleID, degPos int) ([]DegCell, erro
 }
 
 // decodeCell decodes the degradable column at position degPos of a
-// record.
-func (ts *TableStore) decodeCell(rec []byte, degPos int) (DegCell, error) {
-	states, err := recordStates(rec)
+// record encoded in frame f.
+func (ts *TableStore) decodeCell(rec []byte, f frame, degPos int) (DegCell, error) {
+	off, nDeg, err := recordStatesAt(rec)
 	if err != nil {
 		return DegCell{}, err
 	}
-	if degPos < 0 || degPos >= len(states) {
-		return DegCell{}, fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(states))
+	if degPos < 0 || degPos >= nDeg {
+		return DegCell{}, fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, nDeg)
 	}
-	start, end, err := recordColumn(rec, ts.tbl.DegradableColumns()[degPos])
+	start, end, err := recordColumn(rec, off+nDeg, ts.tbl.DegradableColumns()[degPos])
 	if err != nil {
 		return DegCell{}, err
 	}
@@ -400,14 +421,15 @@ func (ts *TableStore) decodeCell(rec []byte, degPos int) (DegCell, error) {
 	if err != nil {
 		return DegCell{}, err
 	}
-	return DegCell{ID: recordID(rec), State: states[degPos], Stored: v}, nil
+	return DegCell{ID: recordID(rec, f), State: rec[off+degPos], Stored: v}, nil
 }
 
 // readMany hands fn the record of every live tuple of ids with its index
-// in ids, under one read lock, reading each distinct page they live on
-// once. The record aliases a pooled page buffer: fn must not keep it. A
-// page read or fn error stops the walk and is returned.
-func (ts *TableStore) readMany(ids []TupleID, fn func(i int, rec []byte) error) error {
+// in ids and its page's frame, under one read lock, reading each
+// distinct page they live on once. The record aliases a pooled page
+// buffer: fn must not keep it. A page read or fn error stops the walk
+// and is returned.
+func (ts *TableStore) readMany(ids []TupleID, fn func(i int, rec []byte, f frame) error) error {
 	type loc struct {
 		rid RID
 		i   int
@@ -424,17 +446,19 @@ func (ts *TableStore) readMany(ids []TupleID, fn func(i int, rec []byte) error) 
 	bufp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bufp)
 	buf := *bufp
+	var f frame
 	for j, l := range locs {
 		if j == 0 || l.rid.Page != locs[j-1].rid.Page {
 			if err := ts.mgr.readPage(l.rid.Page, buf); err != nil {
 				return err
 			}
+			f = pageFrame(buf)
 		}
 		rec, err := ts.slotRecord(buf, l.rid)
 		if err != nil {
 			return err
 		}
-		if err := fn(l.i, rec); err != nil {
+		if err := fn(l.i, rec, f); err != nil {
 			return err
 		}
 	}
@@ -468,7 +492,7 @@ func (ts *TableStore) decodeSlot(page []byte, rid RID) (Tuple, error) {
 	if err != nil {
 		return Tuple{}, err
 	}
-	return decodeRecord(rec)
+	return decodeRecord(rec, pageFrame(page))
 }
 
 // Delete removes a tuple, scrubbing its payload — including every
@@ -650,19 +674,19 @@ func (ts *TableStore) degradeLocked(buf []byte, degPos int, to *DegCell) ([]byte
 	if err != nil {
 		return buf, err
 	}
-	states, err := recordStates(rec)
+	off, nDeg, err := recordStatesAt(rec)
 	if err != nil {
 		return buf, err
 	}
-	if degPos < 0 || degPos >= len(states) {
-		return buf, fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, len(states))
+	if degPos < 0 || degPos >= nDeg {
+		return buf, fmt.Errorf("storage: %s: degradable position %d out of %d", ts.tbl.Name, degPos, nDeg)
 	}
 	// Transitions are monotone down the generalization tree: a
 	// transition the attribute has already made (or passed) is a no-op.
 	// This is what makes a leader's degrade batch and a replica's
 	// locally fired transition reconcile idempotently — whichever clock
 	// fires first wins, and the late copy can never resurrect accuracy.
-	if !StateAdvances(states[degPos], to.State) {
+	if !StateAdvances(rec[off+degPos], to.State) {
 		return buf, nil
 	}
 	col := ts.tbl.DegradableColumns()[degPos]
@@ -677,7 +701,8 @@ func (ts *TableStore) degradeLocked(buf []byte, degPos int, to *DegCell) ([]byte
 			v.t.Row[col] = to.Stored
 		}
 	}
-	key := ts.segKeyFor(patched[recordHeader : recordHeader+len(states)])
+	// The patch keeps rec's prefix, so its state vector is where rec's is.
+	key := ts.segKeyFor(patched[off : off+nDeg])
 	return patched, ts.replaceLocked(e, to.ID, p, patched, key)
 }
 
@@ -733,7 +758,7 @@ func (ts *TableStore) updateLocked(rec []byte, up *StableUpdate) ([]byte, error)
 	}
 	old := cloneTuple(t)
 	t.Row[up.Col] = up.Val
-	rec = encodeRecord(rec, t.ID, t.InsertedAt, t.States, t.Row)
+	rec = encodeRecord(rec, pageFrame(*p.buf), t.ID, t.InsertedAt, t.States, t.Row)
 	if err := ts.replaceLocked(e, up.ID, p, rec, ts.segKeyFor(t.States)); err != nil {
 		return rec, err
 	}
@@ -781,24 +806,25 @@ func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
 }
 
 // replaceLocked makes rec the record of tuple id, whose directory entry
-// is ent and whose page the run holds as p (rec must not alias it). It
-// overwrites the old record in place when rec belongs to the same
-// segment (key) and fits the old slot, and otherwise scrubs the old copy
-// and places rec in key's segment. Either way the old bytes are gone
-// from the page.
+// is ent and whose page the run holds as p (rec must not alias it, and
+// is encoded in its frame). It overwrites the old record in place when
+// rec belongs to the same segment (key) and fits the old slot, and
+// otherwise scrubs the old copy and places rec in key's segment. Either
+// way the old bytes are gone from the page.
 func (ts *TableStore) replaceLocked(ent *dirEntry, id TupleID, p *runBuf, rec []byte, key uint64) error {
-	if len(rec) > MaxRecordSize {
-		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
-	}
-	rid := ent.rid()
+	rid, from := ent.rid(), pageFrame(*p.buf)
 	if ts.pageSeg[rid.Page] == key && pageOverwrite(*p.buf, rid.Slot, rec) {
 		p.dirty = true
 		return nil
 	}
+	// A record that fits no page fails before the old copy is scrubbed.
+	if err := checkFits(rec); err != nil {
+		return err
+	}
 	if err := ts.scrubSlotLocked(rid, p); err != nil {
 		return err
 	}
-	newRID, err := ts.placeLocked(key, rec)
+	newRID, err := ts.placeLocked(key, rec, from)
 	if err != nil {
 		return err
 	}
@@ -981,13 +1007,13 @@ func (ts *TableStore) collectPageLocked(pid PageID, snap uint64, seen map[TupleI
 	if err := ts.mgr.readPage(pid, buf); err != nil {
 		return err
 	}
-	n := pageNumSlots(buf)
+	n, f := pageNumSlots(buf), pageFrame(buf)
 	for s := uint16(0); s < n; s++ {
 		rec, ok := pageRead(buf, s)
 		if !ok {
 			continue
 		}
-		t, err := decodeRecord(rec)
+		t, err := decodeRecord(rec, f)
 		if err != nil {
 			return fmt.Errorf("storage: %s page %d slot %d: %w", ts.tbl.Name, pid, s, err)
 		}
@@ -1068,13 +1094,13 @@ func (ts *TableStore) scanPageLocked(pid PageID, fn func(Tuple) bool) (stop bool
 	if err := ts.mgr.readPage(pid, buf); err != nil {
 		return false, err
 	}
-	n := pageNumSlots(buf)
+	n, f := pageNumSlots(buf), pageFrame(buf)
 	for s := uint16(0); s < n; s++ {
 		rec, ok := pageRead(buf, s)
 		if !ok {
 			continue
 		}
-		t, err := decodeRecord(rec)
+		t, err := decodeRecord(rec, f)
 		if err != nil {
 			return false, fmt.Errorf("storage: %s page %d slot %d: %w", ts.tbl.Name, pid, s, err)
 		}

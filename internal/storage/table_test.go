@@ -496,7 +496,7 @@ func TestRebuildFreesOrphanPages(t *testing.T) {
 }
 
 // TestRebuildRefusesForeignPage: only a page whose magic is 0 is free. A
-// page written with the previous format's magic, or one whose header is
+// page written with an earlier format's magic, or one whose header is
 // garbage, fails the rebuild by name — page id and magic — and is left
 // as it was, instead of joining the free list to be overwritten.
 func TestRebuildRefusesForeignPage(t *testing.T) {
@@ -509,7 +509,12 @@ func TestRebuildRefusesForeignPage(t *testing.T) {
 		magic uint16
 		page  func(live []byte) []byte
 	}{
-		{"previous format", 0xDB08, func(live []byte) []byte {
+		{"previous format", 0xDB09, func(live []byte) []byte {
+			old := slices.Clone(live)
+			binary.LittleEndian.PutUint16(old, 0xDB09)
+			return old
+		}},
+		{"fixed-width INT format", 0xDB08, func(live []byte) []byte {
 			old := slices.Clone(live)
 			binary.LittleEndian.PutUint16(old, 0xDB08)
 			return old
