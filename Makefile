@@ -14,9 +14,12 @@ race:
 # race-txn repeats the lock manager's tests under the race detector: its
 # stress test is the one tier-1 failure this repository has had that a
 # single run does not show, and its model test drives queued requests
-# from goroutines.
+# from goroutines. It also repeats the WAL's and the engine's group-commit
+# and crash tests, whose groups form behind a parked fsync
+# (wal.FaultInjector.Hold), to show that the gated grouping does not flake.
 race-txn:
 	$(GO) test -race -count=20 ./internal/txn
+	$(GO) test -race -count=10 -run 'Group|Crash' ./internal/wal ./internal/engine
 
 vet:
 	$(GO) vet ./...

@@ -12,9 +12,7 @@
 //	                 [-max-stmts 64] [-replica-of host:port]
 //	                 [-metrics-listen :7655] [-report-interval 0]
 //	                 [-wal-segment-bytes N] [-wal-nosync]
-//	                 [-wal-group-window 0] [-wal-group-max-bytes N]
-//	                 [-wal-no-group-commit] [-trace-sample 0]
-//	                 [-slow-query 0] [-v]
+//	                 [-trace-sample 0] [-slow-query 0] [-v]
 //
 // -dir empty (the default) serves an in-memory database; -log picks the
 // log-degradation strategy for durable ones (default shred). -max-conns
@@ -25,11 +23,8 @@
 // disables the per-commit fsync (see its usage text for the durability
 // caveat).
 //
-// Concurrent commits share their WAL fsync (group commit; see DESIGN.md)
-// unless -wal-no-group-commit restores the per-batch baseline.
-// -wal-group-window stretches groups further by having the flush leader
-// wait for stragglers, and -wal-group-max-bytes caps how much one shared
-// fsync covers.
+// Concurrent commits — user transactions and degradation steps alike —
+// share their WAL fsync (group commit; see DESIGN.md).
 //
 // -metrics-listen serves GET /metrics (Prometheus text exposition),
 // GET /healthz, GET /debug/traces (recent and slow request traces) and
@@ -88,16 +83,12 @@ func main() {
 	metricsListen := flag.String("metrics-listen", "", "HTTP listen address for GET /metrics (Prometheus text) and /healthz (empty = disabled); served on its own listener so scrapers never consume a session slot")
 	reportInterval := flag.Duration("report-interval", 0, "log a one-line self-report (degradation lag, queue depth, sessions, replication lag) at this interval (0 = disabled)")
 	walNoSync := flag.Bool("wal-nosync", false, "disable the per-commit WAL fsync — faster commits, but an OS crash or power loss can silently lose the most recent commits AND the degradation transitions recorded in them, so recovered data may briefly outlive its LCP deadline until the next tick re-degrades it")
-	walGroupWindow := flag.Duration("wal-group-window", 0, "group-commit window: how long a flush leader waits for more committers before the shared fsync (0 = flush immediately; natural batching still amortizes under load). Raising it trades per-commit latency for fewer fsyncs")
-	walGroupMaxBytes := flag.Int64("wal-group-max-bytes", 0, "max bytes of commit batches flushed under one group fsync (0 = default 1 MiB); oversized queues split across several fsyncs")
-	walNoGroupCommit := flag.Bool("wal-no-group-commit", false, "disable WAL group commit: every commit batch pays its own fsync (the pre-group baseline; mainly for benchmarking)")
 	traceSample := flag.Int("trace-sample", 0, "local trace sampling: 0 = only remote-forced traces, 1 = every request, n = one request in n")
 	slowQuery := flag.Duration("slow-query", 0, "log statements taking at least this long, with span breakdown when traced (0 = disabled)")
 	verbose := flag.Bool("v", false, "log per-connection diagnostics")
 	flag.Parse()
 
 	cfg := instantdb.Config{Dir: *dir, AutoDegrade: *tick, SegmentBytes: *walSegBytes, Replica: *replicaOf != "",
-		GroupWindow: *walGroupWindow, GroupMaxBytes: *walGroupMaxBytes, NoGroupCommit: *walNoGroupCommit,
 		TraceSample: *traceSample, SlowQuery: *slowQuery}
 	if *walNoSync {
 		sync := false

@@ -244,7 +244,7 @@ func applyArchive(ar *archiveReader, log *wal.Log, codec wal.Codec,
 				return fmt.Errorf("decode records: %w", err)
 			}
 			trackRecords(recs, attrs, sum, kind == secRecords)
-			if err := log.AppendRaw(payload); err != nil {
+			if _, err := log.GroupAppend(payload); err != nil {
 				return err
 			}
 			if kind == secBatch {
@@ -328,7 +328,8 @@ func appendLostFixups(log *wal.Log, codec wal.Codec, attrs map[attrKey]attrTrack
 		if err != nil {
 			return err
 		}
-		return log.AppendRaw(payload)
+		_, err = log.GroupAppend(payload)
+		return err
 	}
 	var batch []*wal.Record
 	for _, k := range keys {

@@ -37,12 +37,13 @@ func TestEngineCrashAckedCommitsSurviveReopen(t *testing.T) {
 			dir := t.TempDir()
 			clock := vclock.NewSimulated(vclock.Epoch)
 			fi := &wal.FaultInjector{}
-			db, err := Open(Config{Dir: dir, Clock: clock,
-				GroupWindow: time.Millisecond, WALOpenSegment: fi.Open})
+			db, err := Open(Config{Dir: dir, Clock: clock, WALOpenSegment: fi.Open})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer fi.Release()
 			installSchema(t, db)
+			parked := fi.Hold()
 
 			// Arm the cut a few commit fsyncs into the concurrent phase.
 			if torn > 0 {
@@ -73,6 +74,11 @@ func TestEngineCrashAckedCommitsSurviveReopen(t *testing.T) {
 					}
 				}(s)
 			}
+			// Park the first commit's flush until every session has an
+			// insert admitted, so the cut lands on shared fsyncs.
+			<-parked
+			waitReserved(t, db, sessions)
+			fi.Release()
 			wg.Wait()
 			if !fi.Crashed() {
 				t.Fatal("fault point never fired")
@@ -142,6 +148,31 @@ func TestEngineCrashFencesInFlightCommits(t *testing.T) {
 	}
 	if _, err := db.Exec(`INSERT INTO person (id, name, location, salary) VALUES (2, 'b', 'Dam 1', 1)`); err == nil {
 		t.Fatal("commit after a WAL failure must be refused")
+	}
+}
+
+// TestFailedSyncLeavesEndPos: a degrade batch whose fsync fails never
+// becomes part of the log's end. EndPos must stay where the last durable
+// batch left it, or an incremental backup would tail to bytes that never
+// reached the file and a replica heartbeat would report a phantom end.
+func TestFailedSyncLeavesEndPos(t *testing.T) {
+	clock := vclock.NewSimulated(vclock.Epoch)
+	fi := &wal.FaultInjector{}
+	db, err := Open(Config{Dir: t.TempDir(), Clock: clock, WALOpenSegment: fi.Open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	installSchema(t, db)
+	db.MustExec(`INSERT INTO person (id, name, location, salary) VALUES (1, 'a', 'Dam 1', 2471)`)
+	before := db.Log().EndPos()
+	fi.CrashBeforeSync(1)
+	clock.Advance(16 * time.Minute)
+	if _, err := db.DegradeNow(); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("degrade over a failed fsync: err = %v, want ErrInjected", err)
+	}
+	if end := db.Log().EndPos(); end != before {
+		t.Fatalf("EndPos moved from %v to %v over a batch whose fsync failed", before, end)
 	}
 }
 

@@ -108,18 +108,6 @@ type Config struct {
 	WALSync *bool
 	// SegmentBytes is the WAL rotation threshold.
 	SegmentBytes int64
-	// NoGroupCommit disables WAL group commit for user transactions:
-	// every commit batch pays its own fsync under the commit mutex, as
-	// before PR 8. The default (group commit on) lets concurrent
-	// committers share one fsync; benchmarks use this switch as the
-	// per-batch-fsync baseline.
-	NoGroupCommit bool
-	// GroupWindow stretches WAL commit groups: the group leader waits
-	// this long before collecting queued batches (0 = natural batching
-	// only; see wal.Options.GroupWindow).
-	GroupWindow time.Duration
-	// GroupMaxBytes caps the payload bytes per group fsync (0 = 1 MiB).
-	GroupMaxBytes int64
 	// WALOpenSegment is a testing hook forwarded to
 	// wal.Options.OpenSegment — the crash-injection harness installs a
 	// fault-point file layer here. Production leaves it nil.
@@ -271,9 +259,7 @@ func Open(cfg Config) (*DB, error) {
 		}
 		l, err := wal.Open(filepath.Join(cfg.Dir, "wal"), wal.Options{
 			Sync: sync, Codec: codec, SegmentBytes: cfg.SegmentBytes,
-			Metrics:     db.reg,
-			GroupWindow: cfg.GroupWindow, GroupMaxBytes: cfg.GroupMaxBytes,
-			OpenSegment: cfg.WALOpenSegment,
+			Metrics: db.reg, OpenSegment: cfg.WALOpenSegment,
 		})
 		if err != nil {
 			return nil, err
@@ -670,10 +656,10 @@ func (db *DB) commitSystem(recs []*wal.Record) error {
 }
 
 // commitUser commits one user transaction batch: the authoritative
-// primary-key check, then durable append, apply and publish. Durable
-// databases route the append through the WAL's group committer — the
-// fsync is shared with every concurrently committing session — which
-// requires splitting the old single-mutex critical section into phases:
+// primary-key check, then durable append, apply and publish. The append
+// goes through the WAL's group committer — the fsync is shared with
+// every concurrently committing session — so the critical section is
+// split into phases (an ephemeral database, with no log, skips 2 and 3):
 //
 //  1. Admission (under mu): closed/failed fences, the PK uniqueness
 //     check, and reservation of the batch's insert PKs so a concurrent
@@ -693,28 +679,6 @@ func (db *DB) commitSystem(recs []*wal.Record) error {
 // returns, so concurrent batches never conflict on rows and the WAL
 // append order may safely differ from the apply order.
 func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error {
-	if db.log == nil || db.cfg.NoGroupCommit {
-		// Ephemeral databases have no fsync to amortize; NoGroupCommit
-		// keeps the pre-group single-mutex path as a baseline.
-		sp := tt.Span(parent, "commit")
-		defer sp.End()
-		db.mu.Lock()
-		var due bool
-		err := db.reservePKsLocked(recs)
-		if err == nil {
-			due, err = db.commitLocked(recs)
-			db.releasePKsLocked(recs)
-		}
-		db.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if due {
-			return db.Checkpoint()
-		}
-		return nil
-	}
-
 	db.commitGate.RLock()
 	// Phase 1: admission.
 	db.mu.Lock()
@@ -730,28 +694,8 @@ func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error
 	}
 	db.mu.Unlock()
 
-	// Phase 2: encode.
-	esp := tt.Span(parent, "wal_encode")
-	payload, err := wal.EncodeRecords(nil, recs, db.codec)
-	esp.End()
-	if err == nil {
-		// Phase 3: durable group append.
-		if tt == nil {
-			_, err = db.log.GroupAppend(payload)
-		} else {
-			// Traced commits take the timed variant: the group committer
-			// hands back the ack's phase breakdown, recorded as
-			// pre-measured child spans under the append.
-			wsp := tt.Span(parent, "wal_append")
-			wsp.Attr("bytes", strconv.Itoa(len(payload)))
-			start := time.Now()
-			var tm wal.GroupTiming
-			_, err = db.log.GroupAppendTimed(payload, &tm)
-			tt.Add(wsp, "group_enqueue", start, tm.Enqueue)
-			tt.Add(wsp, "group_fsync", start.Add(tm.Enqueue), tm.Fsync)
-			wsp.End()
-		}
-	}
+	// Phases 2 and 3: encode, durable group append.
+	err := db.logBatch(recs, tt, parent)
 	if err != nil {
 		db.mu.Lock()
 		db.releasePKsLocked(recs)
@@ -779,6 +723,37 @@ func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error
 		return db.Checkpoint()
 	}
 	return nil
+}
+
+// logBatch encodes recs with the log's codec and appends them as one
+// batch through the group committer, returning once the batch is
+// durable. Ephemeral databases have no log: nothing to do. Traced
+// commits take the timed append: the group committer hands back the
+// ack's phase breakdown, recorded as pre-measured child spans under the
+// append.
+func (db *DB) logBatch(recs []*wal.Record, tt *trace.T, parent *trace.S) error {
+	if db.log == nil {
+		return nil
+	}
+	esp := tt.Span(parent, "wal_encode")
+	payload, err := wal.EncodeRecords(nil, recs, db.codec)
+	esp.End()
+	if err != nil {
+		return err
+	}
+	if tt == nil {
+		_, err = db.log.GroupAppend(payload)
+		return err
+	}
+	wsp := tt.Span(parent, "wal_append")
+	wsp.Attr("bytes", strconv.Itoa(len(payload)))
+	start := time.Now()
+	var tm wal.GroupTiming
+	_, err = db.log.GroupAppendTimed(payload, &tm)
+	tt.Add(wsp, "group_enqueue", start, tm.Enqueue)
+	tt.Add(wsp, "group_fsync", start.Add(tm.Enqueue), tm.Fsync)
+	wsp.End()
+	return err
 }
 
 // commitFenceLocked refuses commits on a closed or failed database.
@@ -852,8 +827,10 @@ func (db *DB) releasePKsLocked(recs []*wal.Record) {
 }
 
 // commitLocked is the single-mutex commit path (system commits from the
-// degradation engine, replicated batches, ephemeral and NoGroupCommit
-// databases): durable append then apply, all under mu. It returns
+// degradation engine, replicated batches): durable append then apply,
+// all under mu, so no other commit applies between the two. The append
+// still rides the group committer, sharing an in-flight fsync with user
+// commits (which append outside mu). It returns
 // whether a checkpoint is due; the CALLER runs it after releasing mu —
 // Checkpoint needs the exclusive commitGate, which must never be
 // acquired while holding mu.
@@ -861,10 +838,8 @@ func (db *DB) commitLocked(recs []*wal.Record) (checkpointDue bool, err error) {
 	if err := db.commitFenceLocked(); err != nil {
 		return false, err
 	}
-	if db.log != nil {
-		if err := db.log.Append(recs); err != nil {
-			return false, err
-		}
+	if err := db.logBatch(recs, nil, nil); err != nil {
+		return false, err
 	}
 	return db.applyCommittedLocked(recs)
 }

@@ -41,7 +41,7 @@ func TestCrashBetweenAppendAndApply(t *testing.T) {
 
 	// Append a delete record directly to the WAL — durable, never
 	// applied (the simulated crash point).
-	if err := db.log.Append([]*wal.Record{{Type: wal.RecDelete, Table: tbl.ID, Tuple: victim.ID}}); err != nil {
+	if err := db.logBatch([]*wal.Record{{Type: wal.RecDelete, Table: tbl.ID, Tuple: victim.ID}}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()

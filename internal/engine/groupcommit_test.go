@@ -4,15 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"instantdb/internal/value"
 	"instantdb/internal/vclock"
+	"instantdb/internal/wal"
 )
 
-// openDurable opens a durable database in its own temp directory with
-// group-commit tuning for tests.
+// openDurable opens a durable database in its own temp directory.
 func openDurable(t *testing.T, cfg Config) *DB {
 	t.Helper()
 	if cfg.Dir == "" {
@@ -29,13 +30,44 @@ func openDurable(t *testing.T, cfg Config) *DB {
 	return db
 }
 
+// openGated opens a durable database whose WAL fsyncs go through fi,
+// so a test can park them (fi.Hold).
+func openGated(t *testing.T, fi *wal.FaultInjector) *DB {
+	t.Helper()
+	db := openDurable(t, Config{WALOpenSegment: fi.Open})
+	t.Cleanup(fi.Release) // runs before Close: never leave a flush parked
+	return db
+}
+
+// waitReserved blocks until n commits have passed admission — their
+// primary keys are reserved and their batches are on the way to the
+// group committer.
+func waitReserved(t *testing.T, db *DB, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		db.mu.Lock()
+		r := len(db.reservedPKs)
+		db.mu.Unlock()
+		if r >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d commits admitted, want %d", r, n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 // TestGroupCommitConcurrentSessions is the engine-level amortization
 // proof under -race: 32 sessions commit concurrently, every row lands
 // exactly once, and the commit phase issues strictly fewer fsyncs than
 // commits — concurrent batches shared group fsyncs.
 func TestGroupCommitConcurrentSessions(t *testing.T) {
-	db := openDurable(t, Config{GroupWindow: 2 * time.Millisecond})
+	fi := &wal.FaultInjector{}
+	db := openGated(t, fi)
 	installSchema(t, db)
+	parked := fi.Hold()
 
 	const sessions, perSession = 32, 8
 	f0, b0 := db.log.FsyncCount(), db.log.BatchCount()
@@ -58,6 +90,11 @@ func TestGroupCommitConcurrentSessions(t *testing.T) {
 			}
 		}(s)
 	}
+	// The first commit's flush parks; every other session's first
+	// insert is admitted and queues behind it for the next fsync.
+	<-parked
+	waitReserved(t, db, sessions)
+	fi.Release()
 	wg.Wait()
 	for s, err := range errs {
 		if err != nil {
@@ -80,22 +117,36 @@ func TestGroupCommitConcurrentSessions(t *testing.T) {
 
 // TestGroupCommitDuplicatePKRace: concurrent inserts of the SAME key
 // must admit exactly one — the in-flight reservation closes the window
-// between a committer's uniqueness check and its apply.
+// between a committer's uniqueness check and its apply. The winner's
+// fsync stays parked until every other racer has finished, so each of
+// them meets the key while it is reserved, not yet applied.
 func TestGroupCommitDuplicatePKRace(t *testing.T) {
-	db := openDurable(t, Config{GroupWindow: time.Millisecond})
+	fi := &wal.FaultInjector{}
+	db := openGated(t, fi)
 	installSchema(t, db)
+	parked := fi.Hold()
 	const racers = 16
 	var wg sync.WaitGroup
+	var finished atomic.Int32
 	errs := make([]error, racers)
 	for i := 0; i < racers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer finished.Add(1)
 			_, errs[i] = db.NewConn().Exec(
 				`INSERT INTO person (id, name, location, salary) VALUES (7, ?, 'Dam 1', 1)`,
 				value.Text(fmt.Sprintf("racer%d", i)))
 		}(i)
 	}
+	<-parked
+	for deadline := time.Now().Add(10 * time.Second); finished.Load() < racers-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d racers finished while the winner's fsync was parked, want %d", finished.Load(), racers-1)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	fi.Release()
 	wg.Wait()
 	won := 0
 	for i, err := range errs {
@@ -113,28 +164,5 @@ func TestGroupCommitDuplicatePKRace(t *testing.T) {
 	rows := db.MustExec(`SELECT COUNT(*) FROM person WHERE id = 7`)
 	if n := rows.Rows.Data[0][0].Int(); n != 1 {
 		t.Fatalf("pk 7 present %d times", n)
-	}
-}
-
-// TestNoGroupCommitBaseline: the -wal-no-group-commit path still
-// commits correctly and pays one fsync per batch — the benchmark
-// baseline keeps its meaning.
-func TestNoGroupCommitBaseline(t *testing.T) {
-	db := openDurable(t, Config{NoGroupCommit: true})
-	installSchema(t, db)
-	f0, b0 := db.log.FsyncCount(), db.log.BatchCount()
-	const n = 8
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			db.MustExec(fmt.Sprintf(
-				`INSERT INTO person (id, name, location, salary) VALUES (%d, 'u', 'Dam 1', 1)`, s+1))
-		}(s)
-	}
-	wg.Wait()
-	if f, b := db.log.FsyncCount()-f0, db.log.BatchCount()-b0; f != b || b != n {
-		t.Fatalf("baseline fsyncs=%d batches=%d, want %d each", f, b, n)
 	}
 }

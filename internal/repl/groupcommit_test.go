@@ -14,12 +14,12 @@ import (
 	"instantdb/internal/repl"
 	"instantdb/internal/value"
 	"instantdb/internal/vclock"
+	"instantdb/internal/wal"
 )
 
 // stableWorkload drives the same deterministic commit sequence against
-// any database: the byte-stability tests run it twice — once against a
-// per-batch-fsync baseline, once against a group-committed database —
-// and require identical WAL bytes, because the replication and backup
+// any database: the byte-stability test runs it against two databases
+// and requires identical WAL bytes, because the replication and backup
 // streams are raw reads of exactly those bytes.
 func stableWorkload(t *testing.T, db *engine.DB) {
 	t.Helper()
@@ -45,24 +45,24 @@ func stableWorkload(t *testing.T, db *engine.DB) {
 	}
 }
 
-// TestGroupCommitStreamByteStable: group commit changes WHEN batches
-// reach disk (one fsync per group), never WHAT reaches disk — the same
-// workload must leave byte-identical WAL segments either way, so every
-// raw-byte consumer (follower tailers, incremental backup) sees streams
-// indistinguishable from the per-batch-fsync baseline. LogPlain plus a
-// simulated clock makes the bytes reproducible across databases.
+// TestGroupCommitStreamByteStable: what reaches disk depends only on
+// the commit sequence — the same workload against two databases must
+// leave byte-identical WAL segments, so every raw-byte consumer
+// (follower tailers, incremental backup) sees a reproducible stream.
+// LogPlain plus a simulated clock makes the bytes reproducible across
+// databases.
 func TestGroupCommitStreamByteStable(t *testing.T) {
-	open := func(noGroup bool) (*engine.DB, string) {
+	open := func() (*engine.DB, string) {
 		dir := t.TempDir()
 		db, err := engine.Open(engine.Config{Dir: dir, Clock: vclock.NewSimulated(vclock.Epoch),
-			LogMode: engine.LogPlain, NoGroupCommit: noGroup})
+			LogMode: engine.LogPlain})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return db, dir
 	}
-	base, baseDir := open(true)
-	group, groupDir := open(false)
+	base, baseDir := open()
+	group, groupDir := open()
 	stableWorkload(t, base)
 	stableWorkload(t, group)
 	base.Close()
@@ -93,7 +93,7 @@ func TestGroupCommitStreamByteStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bb, gb) {
-			t.Fatalf("segment %s differs between baseline and group commit (%d vs %d bytes)",
+			t.Fatalf("segment %s differs between two runs of the same workload (%d vs %d bytes)",
 				e.Name(), len(bb), len(gb))
 		}
 	}
@@ -105,11 +105,13 @@ func TestGroupCommitStreamByteStable(t *testing.T) {
 // to the replication stream.
 func TestReplicationGroupCommitConvergence(t *testing.T) {
 	leaderDir := t.TempDir()
-	leader, err := engine.Open(engine.Config{Dir: leaderDir, GroupWindow: 2 * time.Millisecond})
+	fi := &wal.FaultInjector{}
+	leader, err := engine.Open(engine.Config{Dir: leaderDir, WALOpenSegment: fi.Open})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leader.Close()
+	defer fi.Release()
 	if err := leader.ExecScript(testSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +130,7 @@ func TestReplicationGroupCommitConvergence(t *testing.T) {
 
 	f0, b0 := leader.Log().FsyncCount(), leader.Log().BatchCount()
 	const writers, perWriter = 8, 8
+	parked := fi.Hold()
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
 	for w := 0; w < writers; w++ {
@@ -145,6 +148,12 @@ func TestReplicationGroupCommitConvergence(t *testing.T) {
 			}
 		}(w)
 	}
+	// The first commit's flush parks; the other writers' inserts get a
+	// moment to queue behind it and share the next fsync. (Natural
+	// batching would group some of them without the gate too.)
+	<-parked
+	time.Sleep(20 * time.Millisecond)
+	fi.Release()
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {

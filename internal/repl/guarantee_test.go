@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -19,19 +20,21 @@ import (
 func feedAll(t *testing.T, leader, follower *engine.DB, pos wal.Pos) wal.Pos {
 	t.Helper()
 	log := leader.Log()
-	for {
-		recs, next, err := log.ReadBatch(pos)
+	end := log.EndPos()
+	if err := log.TailRaw(pos, end, func(payload []byte, next wal.Pos) error {
+		recs, err := wal.DecodeRecords(payload, log.Codec())
 		if err != nil {
-			t.Fatalf("ReadBatch(%v): %v", pos, err)
-		}
-		if recs == nil {
-			return pos
+			return err
 		}
 		if err := follower.ApplyReplicated(recs, next); err != nil {
-			t.Fatalf("ApplyReplicated: %v", err)
+			return fmt.Errorf("ApplyReplicated: %w", err)
 		}
 		pos = next
+		return nil
+	}); err != nil {
+		t.Fatalf("tail %v..%v: %v", pos, end, err)
 	}
+	return pos
 }
 
 // queryPlaces returns place values visible under purpose for tuple id.

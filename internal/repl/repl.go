@@ -76,32 +76,24 @@ func (s *Sender) Serve(nc net.Conn, start wal.Pos) error {
 		return err
 	}
 	pos := start
+	codec := s.Log.Codec()
 	timer := time.NewTimer(hb)
 	defer timer.Stop()
 	for {
-		// Grab the notifier BEFORE reading, so an append racing an
-		// empty read wakes us instead of being missed.
+		// Grab the notifier BEFORE capturing the end, so an append racing
+		// the tail wakes us instead of being missed.
 		notify := s.Log.AppendNotify()
-		recs, next, err := s.Log.ReadBatch(pos)
+		end := s.Log.EndPos()
+		err := s.tail(nc, &pos, end, codec)
+		if errors.Is(err, wal.ErrPosGone) {
+			wire.WriteFrame(nc, wire.OpError, //nolint:errcheck // peer may be gone
+				wire.EncodeError(wire.CodeReplUnavailable, err.Error()))
+		}
 		if err != nil {
-			if errors.Is(err, wal.ErrPosGone) {
-				wire.WriteFrame(nc, wire.OpError, //nolint:errcheck // peer may be gone
-					wire.EncodeError(wire.CodeReplUnavailable, err.Error()))
-			}
 			return err
 		}
-		if recs != nil {
-			payload, err := encodeBatch(recs, next)
-			if err != nil {
-				return fmt.Errorf("repl: encode batch at %v: %w", pos, err)
-			}
-			if err := wire.WriteFrame(nc, wire.OpReplBatch, payload); err != nil {
-				return err
-			}
-			pos = next
-			continue
-		}
-		// Caught up: wait for an append or send a heartbeat.
+		// Caught up with end: wait for an append (notify is already
+		// closed if one landed during the tail) or send a heartbeat.
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -122,8 +114,32 @@ func (s *Sender) Serve(nc net.Conn, start wal.Pos) error {
 	}
 }
 
+// tail ships every batch in [*pos, end) and advances *pos past each
+// one it sent. A position past the log's end is not a position of this
+// log, and is reported as wal.ErrPosGone like any other.
+func (s *Sender) tail(nc net.Conn, pos *wal.Pos, end wal.Pos, codec wal.Codec) error {
+	if end.Before(*pos) {
+		return fmt.Errorf("%w: position %v is past the log end %v", wal.ErrPosGone, *pos, end)
+	}
+	return s.Log.TailRaw(*pos, end, func(payload []byte, next wal.Pos) error {
+		recs, err := wal.DecodeRecords(payload, codec)
+		if err != nil {
+			return fmt.Errorf("repl: decode batch at %v: %w", *pos, err)
+		}
+		frame, err := encodeBatch(recs, next)
+		if err != nil {
+			return fmt.Errorf("repl: encode batch at %v: %w", *pos, err)
+		}
+		if err := wire.WriteFrame(nc, wire.OpReplBatch, frame); err != nil {
+			return err
+		}
+		*pos = next
+		return nil
+	})
+}
+
 // encodeBatch builds an OpReplBatch payload: records in plain form
-// (the leader's codec already unsealed them in ReadBatch), minus any
+// (the leader's codec already unsealed them in tail), minus any
 // RecReplMark records a chained replica's log would carry — they
 // address the upstream leader's log, not this one's.
 func encodeBatch(recs []*wal.Record, next wal.Pos) ([]byte, error) {

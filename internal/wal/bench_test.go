@@ -9,7 +9,7 @@ import (
 	"instantdb/internal/value"
 )
 
-// benchLog opens a durable per-batch-fsync log in a bench temp dir.
+// benchLog opens a durable log in a bench temp dir.
 func benchLog(b *testing.B) *Log {
 	b.Helper()
 	l, err := Open(filepath.Join(b.TempDir(), "wal"), Options{Sync: true})
@@ -28,20 +28,6 @@ func benchPayload(b *testing.B, tuple int) []byte {
 		b.Fatal(err)
 	}
 	return payload
-}
-
-// BenchmarkAppendRaw is the per-batch-fsync floor: every append pays its
-// own fsync.
-func BenchmarkAppendRaw(b *testing.B) {
-	l := benchLog(b)
-	payload := benchPayload(b, 1)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.AppendRaw(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkGroupAppendParallel measures the group-commit path under the

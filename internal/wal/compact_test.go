@@ -153,9 +153,9 @@ func TestKeyStoreCompactsOnOpen(t *testing.T) {
 	}
 }
 
-// TestAppendRawReadBatchRaw: raw batch bytes round-trip verbatim and
-// decode identically to the originals — the primitive incremental
-// backups are built on.
+// TestAppendRawReadBatchRaw: raw batch bytes read by TailRaw and
+// group-appended to another log decode identically to the originals —
+// the primitive incremental backups and restore are built on.
 func TestAppendRawReadBatchRaw(t *testing.T) {
 	dir := t.TempDir()
 	src, err := Open(filepath.Join(dir, "src"), Options{Sync: false})
@@ -168,23 +168,24 @@ func TestAppendRawReadBatchRaw(t *testing.T) {
 			StableRow: nil, DegVals: nil},
 		{Type: RecDelete, Table: 1, Tuple: 9},
 	}
-	if err := src.Append(recs); err != nil {
+	if err := appendRecs(src, recs); err != nil {
 		t.Fatal(err)
 	}
-	raw, next, err := src.ReadBatchRaw(Pos{})
-	if err != nil || raw == nil {
-		t.Fatalf("ReadBatchRaw: raw=%v err=%v", raw, err)
+	var raws [][]byte
+	if err := src.TailRaw(Pos{}, src.EndPos(), func(payload []byte, _ Pos) error {
+		raws = append(raws, payload)
+		return nil
+	}); err != nil || len(raws) != 1 {
+		t.Fatalf("TailRaw: %d batches, err=%v, want one", len(raws), err)
 	}
-	if more, _, err := src.ReadBatchRaw(next); err != nil || more != nil {
-		t.Fatalf("expected caught-up after one batch, got %v err=%v", more, err)
-	}
+	raw := raws[0]
 
 	dst, err := Open(filepath.Join(dir, "dst"), Options{Sync: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	if err := dst.AppendRaw(raw); err != nil {
+	if _, err := dst.GroupAppend(raw); err != nil {
 		t.Fatal(err)
 	}
 	var got []*Record
@@ -212,19 +213,19 @@ func TestTailRawBulkAndBoundaries(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]*Record{{Type: RecDelete, Table: 1, Tuple: storage.TupleID(i + 1)}}); err != nil {
+		if err := appendRecs(l, []*Record{{Type: RecDelete, Table: 1, Tuple: storage.TupleID(i + 1)}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mid := Pos{}
-	for i := 0; i < 2; i++ { // position after the second batch
-		_, next, err := l.ReadBatchRaw(mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mid = next
 	}
 	end := l.EndPos()
+	var after []Pos
+	if err := l.TailRaw(Pos{}, end, func(_ []byte, next Pos) error {
+		after = append(after, next)
+		return nil
+	}); err != nil || len(after) != 5 {
+		t.Fatalf("TailRaw over the whole log: %d batches, err=%v, want 5", len(after), err)
+	}
+	mid := after[1] // position after the second batch
 
 	var got []Pos
 	err = l.TailRaw(mid, end, func(payload []byte, next Pos) error {
@@ -254,9 +255,6 @@ func TestTailRawBulkAndBoundaries(t *testing.T) {
 	bogus := Pos{Seg: mid.Seg, Off: mid.Off + 1}
 	if err := l.TailRaw(bogus, end2, func([]byte, Pos) error { return nil }); !errors.Is(err, ErrPosGone) {
 		t.Fatalf("TailRaw from a mid-batch position: %v, want ErrPosGone", err)
-	}
-	if _, _, err := l.ReadBatchRaw(bogus); !errors.Is(err, ErrPosGone) {
-		t.Fatalf("ReadBatchRaw from a mid-batch sealed position: %v, want ErrPosGone", err)
 	}
 	// A to past the log's actual end is refused.
 	past := Pos{Seg: end2.Seg, Off: 9999}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // Deterministic power-cut scenarios around the group fsync, driven by
@@ -24,6 +23,7 @@ import (
 func openFaultLog(t *testing.T, fi *FaultInjector, opts Options) (*Log, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
+	t.Cleanup(fi.Release) // never leave a flush parked past the test
 	opts.OpenSegment = fi.Open
 	l, err := Open(dir, opts)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestCrashDuringSyncTruncatesTornBatch(t *testing.T) {
 	if len(tuples) != 1 || tuples[0] != 1 {
 		t.Fatalf("torn-tail replay = %v, want [1]", tuples)
 	}
-	if err := l2.AppendRaw(encodeBatch(t, 3)); err != nil {
+	if _, err := l2.GroupAppend(encodeBatch(t, 3)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	l2.Close()
@@ -115,7 +115,8 @@ func TestCrashConcurrentAckedSurvive(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			fi := &FaultInjector{}
-			l, dir := openFaultLog(t, fi, Options{Sync: true, GroupWindow: time.Millisecond})
+			l, dir := openFaultLog(t, fi, Options{Sync: true})
+			parked := fi.Hold()
 			if torn > 0 {
 				fi.CrashDuringSync(5, torn)
 			} else {
@@ -144,6 +145,11 @@ func TestCrashConcurrentAckedSurvive(t *testing.T) {
 					}
 				}(c)
 			}
+			// Park the first flush until every other committer queues
+			// behind it, so the fault fires under shared fsyncs.
+			<-parked
+			waitQueued(t, l, committers-1)
+			fi.Release()
 			wg.Wait()
 			if !fi.Crashed() {
 				t.Fatal("fault point never fired")

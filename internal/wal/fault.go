@@ -24,6 +24,11 @@ import (
 //     frame mid-payload.
 //   - Kill(): immediate power cut; everything unsynced is dropped.
 //
+// Hold parks every Sync until Release, so tests form commit groups by
+// construction instead of by timing: the flush leader waits inside
+// Sync, and every GroupAppend arriving meanwhile queues behind it and
+// rides the next fsync.
+//
 // After a fault fires the injector is "crashed": every later Write and
 // Sync fails, and Close drops buffered bytes instead of flushing them —
 // the process is dead, nothing more reaches disk. Reopening the
@@ -34,8 +39,9 @@ import (
 // ErrInjected is the failure surfaced by an armed fault point.
 var ErrInjected = errors.New("wal: injected crash")
 
-// FaultInjector fabricates power-cut scenarios around the group fsync.
-// Install with Options{OpenSegment: fi.Open}. Safe for concurrent use.
+// FaultInjector fabricates power-cut scenarios around the group fsync
+// and parks it on request (Hold). Install with
+// Options{OpenSegment: fi.Open}. Safe for concurrent use.
 type FaultInjector struct {
 	mu      sync.Mutex
 	crashed bool
@@ -43,6 +49,8 @@ type FaultInjector struct {
 	armedAt int // fire on the armedAt-th Sync (1-based; 0 = disarmed)
 	torn    int // bytes of the buffered tail that still reach disk
 	files   []*FaultFile
+	release chan struct{} // non-nil while held; closed by Release
+	parked  chan struct{} // closed once a Sync waits at the hold
 }
 
 // CrashBeforeSync arms a power cut on the nth Sync call (1-based,
@@ -62,6 +70,26 @@ func (fi *FaultInjector) CrashDuringSync(n, tornBytes int) {
 	defer fi.mu.Unlock()
 	fi.armedAt = fi.syncs + n
 	fi.torn = tornBytes
+}
+
+// Hold makes every later Sync wait until Release. The returned channel
+// closes once a Sync is parked — from then on GroupAppends queue behind
+// the parked flush.
+func (fi *FaultInjector) Hold() <-chan struct{} {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	fi.release, fi.parked = make(chan struct{}), make(chan struct{})
+	return fi.parked
+}
+
+// Release lets the parked Sync, and every later one, proceed.
+func (fi *FaultInjector) Release() {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	if fi.release != nil {
+		close(fi.release)
+		fi.release = nil
+	}
 }
 
 // Kill cuts power now: every buffered (unsynced) byte in every open
@@ -127,9 +155,20 @@ func (ff *FaultFile) Write(p []byte) (int, error) {
 }
 
 // Sync flushes the buffered tail to the real file and fsyncs it —
-// unless an armed fault point fires first.
+// unless an armed fault point fires first. While the injector is held
+// it first waits for Release.
 func (ff *FaultFile) Sync() error {
 	ff.fi.mu.Lock()
+	if release := ff.fi.release; release != nil {
+		select {
+		case <-ff.fi.parked:
+		default:
+			close(ff.fi.parked)
+		}
+		ff.fi.mu.Unlock()
+		<-release
+		ff.fi.mu.Lock()
+	}
 	defer ff.fi.mu.Unlock()
 	if ff.fi.crashed {
 		return ErrInjected

@@ -5,21 +5,19 @@ import (
 	"time"
 )
 
-// Group commit: concurrent committers hand their encoded batch payloads
-// to GroupAppend; the first waiter to find no flush in flight becomes
-// the leader, collects everything queued, writes every batch's frame in
-// one contiguous write and issues ONE fsync, then releases each waiter
-// with the durable position after its own batch. Batches keep their
-// individual magic/len/CRC framing, so the byte stream is
-// indistinguishable from the same batches appended one at a time —
-// replication tailers and incremental backups (ReadBatchRaw/TailRaw)
-// see identical material either way.
+// Group commit is the log's only write path: every committer — user
+// transactions, degrade batches, replicated batches, restore — hands its
+// encoded batch payload to GroupAppend. The first waiter to find no
+// flush in flight becomes the leader, collects everything queued, writes
+// every batch's frame in one contiguous write and issues ONE fsync, then
+// releases each waiter with the durable position after its own batch.
+// Batches keep their individual magic/len/CRC framing, so the byte
+// stream is indistinguishable from the same batches appended one at a
+// time, and tailers (TailRaw) see identical material either way.
 //
 // The amortization is "natural batching": while the leader's write+fsync
 // is in flight, later committers queue behind it and share the next
-// fsync. Options.GroupWindow optionally stretches groups further by
-// having the leader sleep (lock-free) before collecting the queue, and
-// Options.GroupMaxBytes splits an oversized queue across several fsyncs.
+// fsync.
 
 // groupWaiter is one committer's slot in the group-commit queue.
 type groupWaiter struct {
@@ -37,8 +35,8 @@ type groupWaiter struct {
 }
 
 // GroupTiming decomposes one GroupAppend ack into its phases: Enqueue
-// (queued behind an in-flight flush and the group window), Fsync (the
-// shared fsync this batch rode), Ack (total wall time of the call).
+// (queued behind an in-flight flush), Fsync (the shared fsync this
+// batch rode), Ack (total wall time of the call).
 // Ack - Enqueue - Fsync ≈ the group's buffered write plus wakeup.
 type GroupTiming struct {
 	Enqueue time.Duration
@@ -47,7 +45,9 @@ type GroupTiming struct {
 }
 
 // GroupAppend durably appends one commit batch whose record bytes are
-// already encoded (an EncodeRecords sequence), sharing its fsync with
+// already encoded (an EncodeRecords sequence, or a batch payload read
+// verbatim with TailRaw: restore rebuilds a log from archived batches
+// without ever opening their sealed payloads), sharing its fsync with
 // every other batch queued at flush time. It returns the position
 // following the batch once the batch — and every batch ahead of it in
 // its group — is durable. Within one session issuing sequential
@@ -56,7 +56,7 @@ type GroupTiming struct {
 //
 // A write or sync failure fails every waiter of the group (no partial
 // acks: the fsync that would have made any of them durable never
-// succeeded) and latches the log broken, exactly like AppendRaw.
+// succeeded) and latches the log broken.
 func (l *Log) GroupAppend(payload []byte) (Pos, error) {
 	return l.groupAppend(payload, nil)
 }
@@ -87,39 +87,21 @@ func (l *Log) groupAppend(payload []byte, tm *GroupTiming) (Pos, error) {
 		fillTiming(tm, t0, w)
 		return w.pos, w.err
 	}
-	// No flush in flight: this waiter leads the group.
+	// No flush in flight: this waiter leads the group, which is the
+	// whole queue.
 	l.gflushing = true
-	l.gmu.Unlock()
-
-	if d := l.opts.GroupWindow; d > 0 {
-		time.Sleep(d) // no locks held: committers keep enqueueing
-	}
-
-	l.gmu.Lock()
-	batch := l.gqueue
+	group := l.gqueue
 	l.gqueue = nil
 	l.gmu.Unlock()
 
-	for len(batch) > 0 {
-		n := 1
-		total := int64(len(batch[0].payload))
-		for n < len(batch) && total+int64(len(batch[n].payload)) <= l.opts.GroupMaxBytes {
-			total += int64(len(batch[n].payload))
-			n++
-		}
-		chunk := batch[:n]
-		batch = batch[n:]
-		l.flushGroup(chunk)
-		l.gmu.Lock()
-		for _, cw := range chunk {
-			cw.done = true
-		}
-		if len(batch) == 0 {
-			l.gflushing = false
-		}
-		l.gcond.Broadcast()
-		l.gmu.Unlock()
+	l.flushGroup(group)
+	l.gmu.Lock()
+	for _, gw := range group {
+		gw.done = true
 	}
+	l.gflushing = false
+	l.gcond.Broadcast()
+	l.gmu.Unlock()
 	fillTiming(tm, t0, w)
 	return w.pos, w.err
 }

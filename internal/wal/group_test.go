@@ -45,25 +45,77 @@ func replayTuples(t *testing.T, dir string) map[int]bool {
 	return got
 }
 
-// TestGroupAppendMatchesAppendBytes proves the group path is
-// byte-identical to per-batch Append for the same batch sequence: the
-// framing never changes, so tailers (replication, incremental backup)
-// cannot tell which path produced the log.
-func TestGroupAppendMatchesAppendBytes(t *testing.T) {
-	base, baseDir := openTestLog(t, Options{Sync: true})
-	grp, grpDir := openTestLog(t, Options{Sync: true})
-	for i := 1; i <= 20; i++ {
-		payload := encodeBatch(t, i)
-		if err := base.AppendRaw(payload); err != nil {
-			t.Fatal(err)
+// waitQueued blocks until n batches wait in l's group-commit queue
+// behind the flush in flight.
+func waitQueued(t *testing.T, l *Log, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l.gmu.Lock()
+		q := len(l.gqueue)
+		l.gmu.Unlock()
+		if q >= n {
+			return
 		}
-		pos, err := grp.GroupAppend(payload)
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches queued behind the parked flush, want %d", q, n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestGroupAppendMatchesAppendBytes proves grouping never changes the
+// bytes: the same batch sequence appended one group per batch and
+// appended as one shared group leaves byte-identical segments and acks
+// the same positions, so tailers (replication, incremental backup)
+// cannot tell how the batches were grouped.
+func TestGroupAppendMatchesAppendBytes(t *testing.T) {
+	const n = 20
+	base, baseDir := openTestLog(t, Options{Sync: true})
+	fi := &FaultInjector{}
+	grp, grpDir := openFaultLog(t, fi, Options{Sync: true})
+	want := make([]Pos, n+1)
+	for i := 1; i <= n; i++ {
+		pos, err := base.GroupAppend(encodeBatch(t, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := grp.EndPos(); pos != want {
-			t.Fatalf("batch %d: ack pos %v != end pos %v", i, pos, want)
+		if end := base.EndPos(); pos != end {
+			t.Fatalf("batch %d: ack pos %v != end pos %v", i, pos, end)
 		}
+		want[i] = pos
+	}
+
+	// Batch 1's flush parks in Sync; batches 2..n queue behind it one at
+	// a time, so the second group holds them in order.
+	parked := fi.Hold()
+	got := make([]Pos, n+1)
+	errs := make([]error, n+1)
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = grp.GroupAppend(encodeBatch(t, i))
+		}(i)
+		if i == 1 {
+			<-parked
+		} else {
+			waitQueued(t, grp, i-1)
+		}
+	}
+	fi.Release()
+	wg.Wait()
+	for i := 1; i <= n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("grouped batch %d: %v", i, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Fatalf("batch %d: grouped ack %v, one-at-a-time ack %v", i, got[i], want[i])
+		}
+	}
+	if g := grp.GroupCount(); g != 2 {
+		t.Fatalf("grouped log flushed %d groups, want 2", g)
 	}
 	if base.EndPos() != grp.EndPos() {
 		t.Fatalf("end positions differ: %v vs %v", base.EndPos(), grp.EndPos())
@@ -99,7 +151,7 @@ func compareDirs(t *testing.T, a, b string) {
 			t.Fatal(err)
 		}
 		if string(ab) != string(bb) {
-			t.Fatalf("segment %s differs between per-batch and group paths", ae[i].Name())
+			t.Fatalf("segment %s differs between the two logs", ae[i].Name())
 		}
 	}
 }
@@ -109,7 +161,9 @@ func compareDirs(t *testing.T, a, b string) {
 // batch replayable, and strictly fewer fsyncs than batches.
 func TestGroupAppendConcurrent(t *testing.T) {
 	const committers, perCommitter = 32, 10
-	l, dir := openTestLog(t, Options{Sync: true, GroupWindow: 2 * time.Millisecond})
+	fi := &FaultInjector{}
+	l, dir := openFaultLog(t, fi, Options{Sync: true})
+	parked := fi.Hold()
 	var wg sync.WaitGroup
 	errs := make([]error, committers)
 	for c := 0; c < committers; c++ {
@@ -131,6 +185,11 @@ func TestGroupAppendConcurrent(t *testing.T) {
 			}
 		}(c)
 	}
+	// The first flush parks; every other committer's first batch queues
+	// behind it and they share the next fsync.
+	<-parked
+	waitQueued(t, l, committers-1)
+	fi.Release()
 	wg.Wait()
 	for c, err := range errs {
 		if err != nil {
@@ -175,40 +234,6 @@ func TestGroupAppendConcurrent(t *testing.T) {
 	}
 }
 
-// TestGroupAppendMaxBytes proves an oversized queue splits into several
-// fsyncs, each group at most GroupMaxBytes of payload (single batches
-// larger than the cap still flush alone).
-func TestGroupAppendMaxBytes(t *testing.T) {
-	payload := encodeBatch(t, 1)
-	// A cap below two payloads forces one batch per group.
-	l, dir := openTestLog(t, Options{Sync: true,
-		GroupWindow:   5 * time.Millisecond,
-		GroupMaxBytes: int64(len(payload)) + 1})
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = l.GroupAppend(encodeBatch(t, i+1))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if f := l.FsyncCount(); f != n {
-		t.Fatalf("fsyncs = %d, want %d (GroupMaxBytes splits every group to one batch)", f, n)
-	}
-	l.Close()
-	if got := replayTuples(t, dir); len(got) != n {
-		t.Fatalf("replay found %d tuples, want %d", len(got), n)
-	}
-}
-
 // TestGroupAppendEmpty: an empty payload is a no-op ack at the current
 // end position, costing nothing.
 func TestGroupAppendEmpty(t *testing.T) {
@@ -228,16 +253,18 @@ func TestGroupAppendEmpty(t *testing.T) {
 // the log latches broken for later appends.
 func TestGroupAppendFailureFailsWholeGroup(t *testing.T) {
 	fi := &FaultInjector{}
-	dir := filepath.Join(t.TempDir(), "wal")
-	l, err := Open(dir, Options{Sync: true, GroupWindow: 10 * time.Millisecond, OpenSegment: fi.Open})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := openFaultLog(t, fi, Options{Sync: true})
 	defer l.Close()
-	if _, err := l.GroupAppend(encodeBatch(t, 1)); err != nil {
-		t.Fatalf("pre-fault append: %v", err)
-	}
-	fi.CrashBeforeSync(1)
+	// The pre-fault append parks in the first Sync; the n waiters queue
+	// behind it as one group, whose fsync (the second) fails.
+	fi.CrashBeforeSync(2)
+	parked := fi.Hold()
+	pre := make(chan error, 1)
+	go func() {
+		_, err := l.GroupAppend(encodeBatch(t, 1))
+		pre <- err
+	}()
+	<-parked
 	const n = 4
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -247,6 +274,11 @@ func TestGroupAppendFailureFailsWholeGroup(t *testing.T) {
 			defer wg.Done()
 			_, errs[i] = l.GroupAppend(encodeBatch(t, 100+i))
 		}(i)
+	}
+	waitQueued(t, l, n)
+	fi.Release()
+	if err := <-pre; err != nil {
+		t.Fatalf("pre-fault append: %v", err)
 	}
 	wg.Wait()
 	for i, err := range errs {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"instantdb/internal/metrics"
 )
@@ -45,15 +44,6 @@ type Options struct {
 	// Metrics receives WAL instrumentation (fsync latency, rotations,
 	// appended bytes). nil disables it at zero cost.
 	Metrics *metrics.Registry
-	// GroupWindow stretches each commit group: after claiming leadership
-	// the flusher waits this long (holding no locks, so committers keep
-	// enqueueing) before collecting the queue. 0 flushes immediately —
-	// grouping then relies on natural batching: batches that arrive while
-	// a flush's fsync is in flight share the next one.
-	GroupWindow time.Duration
-	// GroupMaxBytes caps the payload bytes flushed under one group
-	// fsync; a larger queue splits into several groups. Default 1 MiB.
-	GroupMaxBytes int64
 	// OpenSegment, when non-nil, intercepts every segment-file open
 	// (active segment at Open, rotation, reset). It exists for the
 	// crash-injection test harness — a wrapper can buffer writes and
@@ -75,9 +65,6 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
 	}
-	if o.GroupMaxBytes <= 0 {
-		o.GroupMaxBytes = 1 << 20
-	}
 	if o.Codec == nil {
 		o.Codec = PlainCodec{}
 	}
@@ -85,10 +72,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Log is a segmented redo-only write-ahead log. Commit batches are
-// appended atomically (length + CRC framing); replay applies complete
-// batches in order and stops cleanly at a torn tail. All methods are safe
-// for concurrent use, though the engine serializes Append with its commit
-// critical section anyway.
+// appended atomically (length + CRC framing) by the group committer
+// (GroupAppend); replay applies complete batches in order and stops
+// cleanly at a torn tail. All methods are safe for concurrent use.
 type Log struct {
 	mu         sync.Mutex
 	dir        string
@@ -126,7 +112,7 @@ type Log struct {
 
 // Pos addresses a batch boundary in the log: a segment id and a byte
 // offset within that segment. The zero Pos means "from the beginning of
-// the oldest retained segment". Positions returned by ReadBatch always
+// the oldest retained segment". Positions handed out by TailRaw always
 // sit on batch boundaries; replication followers persist them to resume
 // tailing exactly where they stopped.
 type Pos struct {
@@ -269,8 +255,8 @@ func (l *Log) openSegment(path string) (SegmentFile, error) {
 }
 
 // FsyncCount returns the number of fsyncs issued for commit batches
-// (AppendRaw with Sync, and one per group flush). Group-commit tests
-// assert it stays far below BatchCount under concurrent committers.
+// (one per group flush with Sync on). Group-commit tests assert it
+// stays far below BatchCount under concurrent committers.
 func (l *Log) FsyncCount() uint64 { return l.statFsyncs.Load() }
 
 // BatchCount returns the number of commit batches appended.
@@ -328,61 +314,6 @@ func (l *Log) recoverTmp() error {
 	return nil
 }
 
-// Append durably appends one commit batch.
-func (l *Log) Append(recs []*Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	payload, err := EncodeRecords(nil, recs, l.opts.Codec)
-	if err != nil {
-		return err
-	}
-	return l.AppendRaw(payload)
-}
-
-// AppendRaw durably appends one commit batch whose record bytes are
-// already encoded (an EncodeRecords sequence, or a batch payload read
-// verbatim with ReadBatchRaw). Restore uses it to rebuild a log from
-// archived batches without ever opening their sealed payloads.
-func (l *Log) AppendRaw(payload []byte) error {
-	if len(payload) == 0 {
-		return nil
-	}
-	buf := make([]byte, batchHeaderSize+len(payload))
-	putBatchHeader(buf, payload)
-	copy(buf[batchHeaderSize:], payload)
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.active == nil {
-		return errors.New("wal: log closed")
-	}
-	if l.broken != nil {
-		return fmt.Errorf("wal: log failed: %w", l.broken)
-	}
-	if _, err := l.active.Write(buf); err != nil {
-		l.broken = err
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.activeSize += int64(len(buf))
-	l.appendedBytes.Add(uint64(len(buf)))
-	l.statBatches.Add(1)
-	if l.opts.Sync {
-		start := time.Now()
-		if err := l.active.Sync(); err != nil {
-			l.broken = err
-			return err
-		}
-		l.statFsyncs.Add(1)
-		l.fsyncSeconds.Observe(time.Since(start))
-	}
-	l.notifyLocked()
-	if l.activeSize >= l.opts.SegmentBytes {
-		return l.rotateLocked()
-	}
-	return nil
-}
-
 // putBatchHeader writes the batch frame header (magic + length + CRC)
 // for payload into hdr[:batchHeaderSize].
 func putBatchHeader(hdr, payload []byte) {
@@ -399,9 +330,9 @@ func (l *Log) notifyLocked() {
 }
 
 // AppendNotify returns a channel closed the next time a batch is
-// appended (or the log is reset). Tailers grab the channel BEFORE a
-// ReadBatch that comes back empty, then wait on it, so an append racing
-// the read is never missed.
+// appended (or the log is reset). Tailers grab the channel BEFORE
+// capturing EndPos for a TailRaw that comes back empty, then wait on it,
+// so an append racing the read is never missed.
 func (l *Log) AppendNotify() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -458,26 +389,16 @@ func (l *Log) Replay(fn func(*Record) error) error {
 // replayBuffer walks complete batches in data, stopping silently at the
 // first incomplete or corrupt batch (torn tail).
 func replayBuffer(data []byte, codec Codec, fn func(*Record) error) error {
-	off := 0
-	for off+batchHeaderSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:]) != batchMagic {
-			return nil
-		}
-		n := int(binary.LittleEndian.Uint32(data[off+4:]))
-		crc := binary.LittleEndian.Uint32(data[off+8:])
-		if off+batchHeaderSize+n > len(data) {
-			return nil
-		}
-		payload := data[off+batchHeaderSize : off+batchHeaderSize+n]
-		if crc32.ChecksumIEEE(payload) != crc {
+	for {
+		payload, size, ok := parseBatchRaw(data)
+		if !ok {
 			return nil
 		}
 		if err := decodeRuns(payload, codec, fn); err != nil {
 			return err
 		}
-		off += batchHeaderSize + n
+		data = data[size:]
 	}
-	return nil
 }
 
 // validPrefixLen returns the byte length of the valid batch prefix of a
@@ -491,21 +412,13 @@ func validPrefixLen(path string) (int64, error) {
 		return 0, err
 	}
 	off := 0
-	for off+batchHeaderSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:]) != batchMagic {
-			break
+	for {
+		_, size, ok := parseBatchRaw(data[off:])
+		if !ok {
+			return int64(off), nil
 		}
-		n := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if off+batchHeaderSize+n > len(data) {
-			break
-		}
-		if crc32.ChecksumIEEE(data[off+batchHeaderSize:off+batchHeaderSize+n]) !=
-			binary.LittleEndian.Uint32(data[off+8:]) {
-			break
-		}
-		off += batchHeaderSize + n
+		off += size
 	}
-	return int64(off), nil
 }
 
 // Reset discards the whole log after a checkpoint: every segment is
@@ -610,19 +523,12 @@ func (l *Log) vacuumSegment(path string, transform func(*Record)) error {
 	}
 	// Re-encode batch by batch, preserving commit boundaries.
 	var out []byte
-	off := 0
-	for off+batchHeaderSize <= len(data) {
-		if binary.LittleEndian.Uint32(data[off:]) != batchMagic {
+	for {
+		payload, size, ok := parseBatchRaw(data)
+		if !ok {
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if off+batchHeaderSize+n > len(data) {
-			break
-		}
-		payload := data[off+batchHeaderSize : off+batchHeaderSize+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+8:]) {
-			break
-		}
+		data = data[size:]
 		recs, err := DecodeRecords(payload, l.opts.Codec)
 		if err == nil {
 			for _, r := range recs {
@@ -638,7 +544,6 @@ func (l *Log) vacuumSegment(path string, transform func(*Record)) error {
 			os.Remove(tmpPath)
 			return err
 		}
-		off += batchHeaderSize + n
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -680,8 +585,13 @@ func (l *Log) SizeBytes() int64 {
 	return total
 }
 
-// EndPos returns the position one past the last appended batch — the
-// point a fully caught-up tailer stands at. Heartbeats carry it so
+// Codec returns the codec that seals this log's payloads; tailers
+// decode TailRaw payloads with it (DecodeRecords).
+func (l *Log) Codec() Codec { return l.opts.Codec }
+
+// EndPos returns the position one past the last batch GroupAppend
+// acked — the point a fully caught-up tailer stands at. A group whose
+// write or fsync failed never moves it. Heartbeats carry it so
 // followers can measure their lag.
 func (l *Log) EndPos() Pos {
 	l.mu.Lock()
@@ -689,114 +599,12 @@ func (l *Log) EndPos() Pos {
 	return Pos{Seg: l.activeID, Off: l.activeSize}
 }
 
-// ReadBatch reads the next complete commit batch at or after from,
-// decoding its records with the log's codec (payloads whose epoch key
-// was shredded come back with their Lost flags set, exactly as Replay
-// would deliver them). It returns the records and the position of the
-// following batch. A caught-up tailer gets (nil, from, nil): no batch is
-// available yet — wait on AppendNotify and retry. A position whose
-// segment was discarded by a checkpoint returns ErrPosGone.
-//
-// Reading the active segment races Append harmlessly: a torn or
-// partially visible tail fails its CRC and reads as "no batch yet".
-func (l *Log) ReadBatch(from Pos) ([]*Record, Pos, error) {
-	recs, _, next, err := l.readBatch(from, true)
-	return recs, next, err
-}
-
-// ReadBatchRaw is ReadBatch without the codec pass: it returns the next
-// complete batch's record bytes verbatim, sealed payloads and all. The
-// bytes are exactly what AppendRaw accepts; incremental backups copy log
-// material with it so archived ciphertext stays under its original epoch
-// keys. Like ReadBatch it returns (nil, from, nil) when caught up and
-// ErrPosGone for discarded positions.
-func (l *Log) ReadBatchRaw(from Pos) ([]byte, Pos, error) {
-	_, raw, next, err := l.readBatch(from, false)
-	return raw, next, err
-}
-
-func (l *Log) readBatch(from Pos, decode bool) ([]*Record, []byte, Pos, error) {
-	l.mu.Lock()
-	ids, err := l.segmentIDs()
-	activeID := l.activeID
-	codec := l.opts.Codec
-	l.mu.Unlock()
-	if err != nil {
-		return nil, nil, from, err
-	}
-	if len(ids) == 0 {
-		return nil, nil, from, nil
-	}
-	if from.Seg == 0 {
-		// A fresh tailer needs the full history. Segment ids start at 1
-		// and rotation retains every sealed segment, so a missing segment
-		// 1 means a checkpoint Reset scrubbed history this tailer never
-		// saw — it must bootstrap from a storage copy, not the log.
-		if ids[0] != 1 {
-			return nil, nil, from, fmt.Errorf("%w: history before segment %d was checkpointed away", ErrPosGone, ids[0])
-		}
-		from = Pos{Seg: ids[0]}
-	}
-	for {
-		idx := -1
-		for i, id := range ids {
-			if id == from.Seg {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			return nil, nil, from, fmt.Errorf("%w: segment %d", ErrPosGone, from.Seg)
-		}
-		data, err := os.ReadFile(l.segPath(from.Seg))
-		if err != nil {
-			return nil, nil, from, fmt.Errorf("wal: read segment %d: %w", from.Seg, err)
-		}
-		if from.Off > int64(len(data)) {
-			// Beyond the segment's end: its bytes were rewritten shorter
-			// underneath us (vacuum) or the caller's position is bogus.
-			return nil, nil, from, fmt.Errorf("%w: segment %d offset %d past end %d",
-				ErrPosGone, from.Seg, from.Off, len(data))
-		}
-		var recs []*Record
-		var raw []byte
-		var size int
-		var ok bool
-		if decode {
-			recs, size, ok, err = parseBatch(data[from.Off:], codec)
-		} else {
-			raw, size, ok = parseBatchRaw(data[from.Off:])
-		}
-		if err != nil {
-			return nil, nil, from, fmt.Errorf("wal: segment %d offset %d: %w", from.Seg, from.Off, err)
-		}
-		if ok {
-			return recs, raw, Pos{Seg: from.Seg, Off: from.Off + int64(size)}, nil
-		}
-		if from.Seg == activeID {
-			return nil, nil, from, nil // caught up; wait on AppendNotify
-		}
-		// A sealed segment's valid content ends exactly at its file size
-		// (torn tails were truncated at open), so a parse failure
-		// anywhere earlier means the position is not a batch boundary of
-		// this log — refuse it rather than silently skipping to the next
-		// segment over a gap of committed batches.
-		if from.Off != int64(len(data)) {
-			return nil, nil, from, fmt.Errorf("%w: segment %d offset %d is not a batch boundary",
-				ErrPosGone, from.Seg, from.Off)
-		}
-		if idx+1 >= len(ids) {
-			return nil, nil, from, nil
-		}
-		from = Pos{Seg: ids[idx+1]}
-	}
-}
-
 // TailRaw streams the raw record bytes of every complete batch in
 // [from, to) to fn, together with the position following each batch.
-// Unlike repeated ReadBatchRaw calls, each segment file is read from
-// disk exactly once, so bulk consumers (incremental backups) pay
-// O(bytes), not O(bytes × batches). to must be a position captured
+// It is the log's one tail: replication senders decode each payload
+// with the log's codec (Codec), incremental backups copy it verbatim.
+// Each segment file is read from disk once per call, so a consumer
+// pays O(bytes), not O(bytes × batches). to must be a position captured
 // from EndPos: every batch strictly before it is fully written, so a
 // parse failure anywhere except the exact end of a sealed segment
 // means the range is not addressable — a from position off a batch
@@ -890,27 +698,6 @@ func parseBatchRaw(data []byte) (payload []byte, size int, ok bool) {
 		return nil, 0, false
 	}
 	return payload, batchHeaderSize + n, true
-}
-
-// parseBatch decodes one complete batch at the start of data. ok is
-// false when no complete, CRC-valid batch is present (torn tail or end
-// of segment).
-func parseBatch(data []byte, codec Codec) (recs []*Record, size int, ok bool, err error) {
-	if len(data) < batchHeaderSize || binary.LittleEndian.Uint32(data) != batchMagic {
-		return nil, 0, false, nil
-	}
-	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if batchHeaderSize+n > len(data) {
-		return nil, 0, false, nil
-	}
-	payload := data[batchHeaderSize : batchHeaderSize+n]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, 0, false, nil
-	}
-	if recs, err = DecodeRecords(payload, codec); err != nil {
-		return nil, 0, false, err
-	}
-	return recs, batchHeaderSize + n, true, nil
 }
 
 // Close syncs and closes the active segment.

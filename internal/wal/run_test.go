@@ -317,7 +317,7 @@ func TestTornTailInsideRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l2.AppendRaw(payload); err != nil {
+			if _, err := l2.GroupAppend(payload); err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
 			l2.Close()
@@ -345,7 +345,7 @@ func TestVacuumMarksPartOfARunLost(t *testing.T) {
 	for i := range run {
 		run[i] = insertRec(storage.TupleID(i+1), "who", value.Text(fmt.Sprintf("secret-address-%02d", i)))
 	}
-	if err := l.Append(run); err != nil {
+	if err := appendRecs(l, run); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
@@ -470,7 +470,7 @@ func TestWALSizeBudget(t *testing.T) {
 		inserts = append(inserts, person(id))
 	}
 	for at := 0; at < rows; at += perTxn {
-		if err := l.Append(inserts[at : at+perTxn]); err != nil {
+		if err := appendRecs(l, inserts[at:at+perTxn]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,7 +488,7 @@ func TestWALSizeBudget(t *testing.T) {
 			DegPos: 0, NewState: 1, NewStored: value.Int(498070000 + rng.Int63n(64))})
 	}
 	for at := 0; at < rows; at += perBatch {
-		if err := l.Append(wave[at:min(at+perBatch, rows)]); err != nil {
+		if err := appendRecs(l, wave[at:min(at+perBatch, rows)]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,24 +12,38 @@ import (
 	"instantdb/internal/value"
 )
 
-// drainBatches tails the log from pos until caught up, returning every
-// record read and the final position.
+// drainBatches tails the log from pos to its current end, decoding each
+// batch with the log's codec, and returns every record read and the
+// final position.
 func drainBatches(t *testing.T, l *Log, pos Pos) ([]*Record, Pos) {
 	t.Helper()
 	var all []*Record
-	for {
-		recs, next, err := l.ReadBatch(pos)
-		if err != nil {
-			t.Fatalf("ReadBatch(%v): %v", pos, err)
-		}
-		if recs == nil {
-			return all, next
-		}
+	end := l.EndPos()
+	if err := l.TailRaw(pos, end, func(payload []byte, next Pos) error {
+		recs, err := DecodeRecords(payload, l.Codec())
 		all = append(all, recs...)
 		pos = next
+		return err
+	}); err != nil {
+		t.Fatalf("TailRaw(%v, %v): %v", pos, end, err)
 	}
+	return all, pos
 }
 
+// appendRecs encodes recs with the log's codec and appends them as one
+// commit batch.
+func appendRecs(l *Log, recs []*Record) error {
+	payload, err := EncodeRecords(nil, recs, l.Codec())
+	if err != nil {
+		return err
+	}
+	_, err = l.GroupAppend(payload)
+	return err
+}
+
+// TestReadBatchFollowsAppends: a tailer reads every appended batch in
+// order, ends at EndPos, reads nothing once caught up, and is woken by
+// an append through a notifier grabbed before its empty read.
 func TestReadBatchFollowsAppends(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -38,10 +52,10 @@ func TestReadBatchFollowsAppends(t *testing.T) {
 	}
 	defer l.Close()
 
-	if err := l.Append([]*Record{insertRec(1, "a", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "a", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]*Record{insertRec(2, "b", value.Int(2)), {Type: RecDelete, Table: 1, Tuple: 1}}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(2, "b", value.Int(2)), {Type: RecDelete, Table: 1, Tuple: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,14 +71,13 @@ func TestReadBatchFollowsAppends(t *testing.T) {
 	}
 
 	// Caught up: no batch, position unchanged.
-	got, same, err := l.ReadBatch(next)
-	if err != nil || got != nil || same != next {
-		t.Fatalf("caught-up read: recs=%v pos=%v err=%v", got, same, err)
+	if got, same := drainBatches(t, l, next); got != nil || same != next {
+		t.Fatalf("caught-up read: recs=%v pos=%v", got, same)
 	}
 
 	// An append wakes a notifier grabbed before the empty read.
 	ch := l.AppendNotify()
-	if err := l.Append([]*Record{insertRec(3, "c", value.Int(3))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(3, "c", value.Int(3))}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -78,6 +91,8 @@ func TestReadBatchFollowsAppends(t *testing.T) {
 	}
 }
 
+// TestReadBatchAcrossRotation: the tail crosses segment boundaries in
+// order and resumes from any batch boundary it handed out.
 func TestReadBatchAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every batch rotates.
@@ -87,14 +102,23 @@ func TestReadBatchAcrossRotation(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 5; i++ {
-		if err := l.Append([]*Record{insertRec(storage.TupleID(i), "x", value.Int(int64(i)))}); err != nil {
+		if err := appendRecs(l, []*Record{insertRec(storage.TupleID(i), "x", value.Int(int64(i)))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if l.SegmentCount() < 3 {
 		t.Fatalf("expected rotations, have %d segments", l.SegmentCount())
 	}
-	recs, next := drainBatches(t, l, Pos{})
+	var after []Pos
+	var recs []*Record
+	if err := l.TailRaw(Pos{}, l.EndPos(), func(payload []byte, next Pos) error {
+		batch, err := DecodeRecords(payload, l.Codec())
+		recs = append(recs, batch...)
+		after = append(after, next)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) != 5 {
 		t.Fatalf("got %d records across segments, want 5", len(recs))
 	}
@@ -104,17 +128,14 @@ func TestReadBatchAcrossRotation(t *testing.T) {
 		}
 	}
 	// Resuming from a mid-log position skips exactly the consumed prefix.
-	_, after2, err := l.ReadBatch(Pos{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, _ := drainBatches(t, l, after2)
+	rest, _ := drainBatches(t, l, after[0])
 	if len(rest) != 4 || rest[0].Tuple != 2 {
 		t.Fatalf("resume read: %d records, first %+v", len(rest), rest[0])
 	}
-	_ = next
 }
 
+// TestReadBatchPosGoneAfterReset: positions in a checkpointed-away
+// segment, and a fresh tail whose history was checkpointed, are gone.
 func TestReadBatchPosGoneAfterReset(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -122,18 +143,20 @@ func TestReadBatchPosGoneAfterReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]*Record{insertRec(1, "a", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "a", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
 	mid := l.EndPos()
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.ReadBatch(mid); !errors.Is(err, ErrPosGone) {
+	end := l.EndPos()
+	none := func([]byte, Pos) error { return nil }
+	if err := l.TailRaw(mid, end, none); !errors.Is(err, ErrPosGone) {
 		t.Fatalf("resume into scrubbed segment: err=%v, want ErrPosGone", err)
 	}
 	// A fresh tailer must also refuse: history it never saw is gone.
-	if _, _, err := l.ReadBatch(Pos{}); !errors.Is(err, ErrPosGone) {
+	if err := l.TailRaw(Pos{}, end, none); !errors.Is(err, ErrPosGone) {
 		t.Fatalf("fresh tail after checkpoint: err=%v, want ErrPosGone", err)
 	}
 }
@@ -159,7 +182,7 @@ func TestReplMarkRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]*Record{mark}); err != nil {
+	if err := appendRecs(l, []*Record{mark}); err != nil {
 		t.Fatal(err)
 	}
 	var got []*Record
@@ -205,16 +228,16 @@ func TestShredReplayAcrossRotation(t *testing.T) {
 	// later. Small SegmentBytes forces rotation between batches, so the
 	// buckets straddle segment files.
 	secret := value.Text("very-secret-street-17")
-	if err := l.Append([]*Record{mkRec(1, base, secret)}); err != nil {
+	if err := appendRecs(l, []*Record{mkRec(1, base, secret)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]*Record{mkRec(2, base.Add(time.Minute), value.Text("still-hour-zero"))}); err != nil {
+	if err := appendRecs(l, []*Record{mkRec(2, base.Add(time.Minute), value.Text("still-hour-zero"))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]*Record{mkRec(3, base.Add(2*time.Hour), value.Text("later-bucket-a"))}); err != nil {
+	if err := appendRecs(l, []*Record{mkRec(3, base.Add(2*time.Hour), value.Text("later-bucket-a"))}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]*Record{mkRec(4, base.Add(2*time.Hour+time.Minute), value.Text("later-bucket-b"))}); err != nil {
+	if err := appendRecs(l, []*Record{mkRec(4, base.Add(2*time.Hour+time.Minute), value.Text("later-bucket-b"))}); err != nil {
 		t.Fatal(err)
 	}
 	if l.SegmentCount() < 2 {

@@ -17,7 +17,7 @@ func TestVacuumAcrossMultipleSegments(t *testing.T) {
 	defer l.Close()
 	secret := "multiseg-secret-payload"
 	for i := 0; i < 30; i++ {
-		if err := l.Append([]*Record{insertRec(storage.TupleID(i), "name", value.Text(secret))}); err != nil {
+		if err := appendRecs(l, []*Record{insertRec(storage.TupleID(i), "name", value.Text(secret))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]*Record{insertRec(1, "x", value.Int(1))}); err == nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "x", value.Int(1))}); err == nil {
 		t.Fatal("append on closed log accepted")
 	}
 	// Double close is a no-op.
@@ -164,7 +164,7 @@ func TestUpdateStableRecordRoundtripThroughLog(t *testing.T) {
 		{Type: RecDegrade, Table: 2, Tuple: 5, InsertNano: vclock.Epoch.UnixNano(),
 			DegPos: 1, NewState: storage.StateErased, NewStored: value.Null()},
 	}
-	if err := l.Append(recs); err != nil {
+	if err := appendRecs(l, recs); err != nil {
 		t.Fatal(err)
 	}
 	var got []*Record

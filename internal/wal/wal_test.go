@@ -122,13 +122,13 @@ func TestAppendReplay(t *testing.T) {
 	defer l.Close()
 	batch1 := []*Record{insertRec(1, "a", value.Int(10)), insertRec(2, "b", value.Int(20))}
 	batch2 := []*Record{{Type: RecDelete, Table: 1, Tuple: 1}}
-	if err := l.Append(batch1); err != nil {
+	if err := appendRecs(l, batch1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(batch2); err != nil {
+	if err := appendRecs(l, batch2); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(nil); err != nil {
+	if err := appendRecs(l, nil); err != nil {
 		t.Fatal("empty batch must be a no-op")
 	}
 	var got []RecType
@@ -148,7 +148,7 @@ func TestAppendReplay(t *testing.T) {
 
 func TestReplayAcrossReopen(t *testing.T) {
 	l, dir := openTestLog(t, Options{Sync: true})
-	if err := l.Append([]*Record{insertRec(1, "a", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "a", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -157,7 +157,7 @@ func TestReplayAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := l2.Append([]*Record{insertRec(2, "b", value.Int(2))}); err != nil {
+	if err := appendRecs(l2, []*Record{insertRec(2, "b", value.Int(2))}); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -171,7 +171,7 @@ func TestRotationAndSegments(t *testing.T) {
 	l, _ := openTestLog(t, Options{Sync: false, SegmentBytes: 256})
 	defer l.Close()
 	for i := 0; i < 20; i++ {
-		if err := l.Append([]*Record{insertRec(storage.TupleID(i), "namename", value.Int(int64(i)))}); err != nil {
+		if err := appendRecs(l, []*Record{insertRec(storage.TupleID(i), "namename", value.Int(int64(i)))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestRotationAndSegments(t *testing.T) {
 
 func TestTornTailIgnoredAndTruncated(t *testing.T) {
 	l, dir := openTestLog(t, Options{Sync: true})
-	if err := l.Append([]*Record{insertRec(1, "a", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "a", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -215,7 +215,7 @@ func TestTornTailIgnoredAndTruncated(t *testing.T) {
 		t.Fatalf("replayed %d want 1", n)
 	}
 	// New appends after the truncated tail are replayable.
-	if err := l2.Append([]*Record{insertRec(2, "b", value.Int(2))}); err != nil {
+	if err := appendRecs(l2, []*Record{insertRec(2, "b", value.Int(2))}); err != nil {
 		t.Fatal(err)
 	}
 	n = 0
@@ -228,7 +228,7 @@ func TestTornTailIgnoredAndTruncated(t *testing.T) {
 func TestResetScrubsSegments(t *testing.T) {
 	l, dir := openTestLog(t, Options{Sync: true})
 	defer l.Close()
-	if err := l.Append([]*Record{insertRec(1, "scrub-sentinel-wal", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "scrub-sentinel-wal", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Reset(); err != nil {
@@ -251,7 +251,7 @@ func TestResetScrubsSegments(t *testing.T) {
 		t.Fatalf("replay after reset saw %d records", n)
 	}
 	// The log remains usable.
-	if err := l.Append([]*Record{insertRec(2, "post-reset", value.Int(2))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(2, "post-reset", value.Int(2))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -391,7 +391,7 @@ func TestShredReplayYieldsLostValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]*Record{
+	if err := appendRecs(l, []*Record{
 		insertRec(1, "alice", value.Int(2471)),
 		{Type: RecDegrade, Table: 1, Tuple: 1, InsertNano: vclock.Epoch.UnixNano(),
 			DegPos: 0, NewState: 1, NewStored: value.Int(2400)},
@@ -436,7 +436,7 @@ func TestVacuumNullsPayloadsAndScrubs(t *testing.T) {
 	l, dir := openTestLog(t, Options{Sync: true})
 	defer l.Close()
 	secret := "vacuum-secret-location-xyzzy"
-	if err := l.Append([]*Record{insertRec(1, "alice", value.Text(secret))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "alice", value.Text(secret))}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Rotate(); err != nil {
@@ -478,7 +478,7 @@ func TestVacuumNullsPayloadsAndScrubs(t *testing.T) {
 func TestVacuumSkipsActiveSegment(t *testing.T) {
 	l, _ := openTestLog(t, Options{Sync: true})
 	defer l.Close()
-	if err := l.Append([]*Record{insertRec(1, "a", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "a", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
 	called := false
@@ -492,7 +492,7 @@ func TestVacuumSkipsActiveSegment(t *testing.T) {
 
 func TestInterruptedVacuumRecovery(t *testing.T) {
 	l, dir := openTestLog(t, Options{Sync: true})
-	if err := l.Append([]*Record{insertRec(1, "a", value.Int(1))}); err != nil {
+	if err := appendRecs(l, []*Record{insertRec(1, "a", value.Int(1))}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
