@@ -39,21 +39,23 @@ md-check:
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each: the SQL parser,
 # the value codec (every accepted value re-encodes to the bytes it was
-# read from), the WAL batch-payload decoder (replication and recovery
-# feed it bytes from outside the process), the audit trail's block
-# decoder (Verify and every reopen feed it bytes from a directory an
-# attacker may have written) and its run encoder on event streams that
-# make and break runs, from single events to whole batches, the
-# B+tree's, the posting's and the degradation queue's op streams against
-# their models, the degrade record patcher against decode, modify and
-# re-encode, page records against their frame of reference (decode,
-# rebase round trips, patch and rebase in either order), storage runs
-# against the same history applied tuple by tuple, and the lock table
-# against its model.
+# read from), the B+tree key codec (keys of one kind order as their
+# values do and none is a proper prefix of another), the WAL
+# batch-payload decoder (replication and recovery feed it bytes from
+# outside the process), the audit trail's block decoder (Verify and
+# every reopen feed it bytes from a directory an attacker may have
+# written) and its run encoder on event streams that make and break
+# runs, from single events to whole batches, the B+tree's, the posting's
+# and the degradation queue's op streams against their models, the
+# degrade record patcher against decode, modify and re-encode, page
+# records against their frame of reference (decode, rebase round trips,
+# patch and rebase in either order), storage runs against the same
+# history applied tuple by tuple, and the lock table against its model.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/value -run '^$$' -fuzz FuzzValueCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/value -run '^$$' -fuzz FuzzOrderedKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)

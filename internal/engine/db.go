@@ -174,7 +174,8 @@ type DB struct {
 	// admission and apply (under mu): the authoritative uniqueness check
 	// runs before the WAL append, the pk index is updated only at apply,
 	// and this set closes the window in between — and catches a key a
-	// batch inserts twice.
+	// batch inserts twice. It is nil while no batch is in flight, so
+	// the largest batch's keys are not held after it.
 	reservedPKs map[string]struct{}
 	commits     int
 	ddlFile     *os.File
@@ -212,16 +213,15 @@ func Open(cfg Config) (*DB, error) {
 		cfg.VacuumEvery = time.Hour
 	}
 	db := &DB{
-		cfg:         cfg,
-		cat:         catalog.New(),
-		locks:       txn.NewLockManager(cfg.LockTimeout),
-		ids:         &txn.IDSource{},
-		epochs:      txn.NewEpochSource(),
-		clock:       cfg.Clock,
-		indexes:     make(map[string]*indexInst),
-		byTable:     make(map[uint32][]*indexInst),
-		reservedPKs: make(map[string]struct{}),
-		reg:         metrics.NewRegistry(),
+		cfg:     cfg,
+		cat:     catalog.New(),
+		locks:   txn.NewLockManager(cfg.LockTimeout),
+		ids:     &txn.IDSource{},
+		epochs:  txn.NewEpochSource(),
+		clock:   cfg.Clock,
+		indexes: make(map[string]*indexInst),
+		byTable: make(map[uint32][]*indexInst),
+		reg:     metrics.NewRegistry(),
 	}
 
 	ephemeral := cfg.Dir == ""
@@ -803,6 +803,9 @@ func (db *DB) reservePKsLocked(recs []*wal.Record) error {
 			continue
 		}
 		key := pkKey(buf[:0], r.Table, pk)
+		if db.reservedPKs == nil {
+			db.reservedPKs = make(map[string]struct{}, len(recs)-i)
+		}
 		_, dup := db.reservedPKs[string(key)]
 		if !dup {
 			db.indexes["pk_"+tbl.Name].bt.Exact(key[4:], func([]storage.TupleID) { dup = true })
@@ -823,6 +826,9 @@ func (db *DB) releasePKsLocked(recs []*wal.Record) {
 		if _, pk, ok := db.pkOf(r); ok {
 			delete(db.reservedPKs, string(pkKey(buf[:0], r.Table, pk)))
 		}
+	}
+	if len(db.reservedPKs) == 0 {
+		db.reservedPKs = nil
 	}
 }
 
@@ -875,6 +881,10 @@ func (db *DB) applyCommittedLocked(recs []*wal.Record) (checkpointDue bool, err 
 		return false, fmt.Errorf("engine: apply after append: %w", err)
 	}
 	db.epochs.Publish(epoch)
+	// With the batch published, only a snapshot already open before it
+	// can still miss its writes: when none is, its births are forgotten
+	// now rather than at the next commit.
+	db.mgr.SetLowWater(db.epochs.OldestActive())
 	db.commits++
 	return db.cfg.CheckpointEvery > 0 && db.commits%db.cfg.CheckpointEvery == 0, nil
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -425,32 +427,80 @@ func (c *Conn) serveFromIndex(inst *indexInst, s query.Sargable, levels []int) (
 	return serveScalar(inst, s, k)
 }
 
-// serveStable answers predicates on stable BTree-indexed columns.
+// serveStable answers predicates on stable BTree-indexed columns. Each
+// constant is converted to the column's kind first (probeKeys), so the
+// index answers what a scan comparing the two values would.
 func serveStable(inst *indexInst, s query.Sargable) ([]storage.TupleID, bool, error) {
 	if inst.bt == nil {
 		return nil, false, nil
 	}
+	kind := inst.tbl.Columns[inst.col].Kind
+	var floorBuf, ceilBuf [2][]byte
+	floors, ceils := floorBuf[:0], ceilBuf[:0]
+	for _, v := range s.Vals {
+		floor, ceil, ok := probeKeys(kind, v)
+		if !ok {
+			return nil, false, nil
+		}
+		floors, ceils = append(floors, floor), append(ceils, ceil)
+	}
 	var out []storage.TupleID
-	key := func(i int) []byte { return value.AppendOrderedKey(nil, s.Vals[i]) }
 	switch s.Op {
 	case "=", "IN":
 		for i := range s.Vals {
-			out = inst.bt.AppendExact(out, key(i))
+			// Distinct keys bracket a FLOAT no INT equals.
+			if bytes.Equal(floors[i], ceils[i]) {
+				out = inst.bt.AppendExact(out, floors[i])
+			}
 		}
 	case "<":
-		out = inst.bt.AppendRange(out, nil, key(0))
+		out = inst.bt.AppendRange(out, nil, ceils[0])
 	case "<=":
-		out = inst.bt.AppendRange(out, nil, append(key(0), 0))
+		out = inst.bt.AppendRange(out, nil, append(floors[0], 0))
 	case ">":
-		out = inst.bt.AppendRange(out, append(key(0), 0), nil)
+		out = inst.bt.AppendRange(out, append(floors[0], 0), nil)
 	case ">=":
-		out = inst.bt.AppendRange(out, key(0), nil)
+		out = inst.bt.AppendRange(out, ceils[0], nil)
 	case "BETWEEN":
-		out = inst.bt.AppendRange(out, key(0), append(key(1), 0))
+		out = inst.bt.AppendRange(out, ceils[0], append(floors[1], 0))
 	default:
 		return nil, false, nil
 	}
 	return out, true, nil
+}
+
+// exactFloatInts bounds the FLOATs whose order against every INT is the
+// order of float64(INT) against them, the comparison a scan makes:
+// below 2⁵³ in magnitude, no INT rounds across them.
+const exactFloatInts = 1 << 53
+
+// probeKeys returns the keys of predicate constant v in the key space of
+// an index on a column of kind k: floor is the key of the greatest
+// value of kind k at or below v, ceil that of the least at or above it,
+// as a scan compares them. They differ only for a FLOAT that falls
+// between two INTs of an INT column. An INT constant on a FLOAT column
+// becomes the FLOAT a scan compares it as; a constant of any other kind
+// keeps its own key, which sorts apart from the column's. ok=false
+// leaves the predicate to the scan: a FLOAT on an INT column that is NaN
+// or 2⁵³ or more in magnitude, whose comparison with the column rounds
+// the column's values.
+func probeKeys(k value.Kind, v value.Value) (floor, ceil []byte, ok bool) {
+	switch {
+	case k == value.KindInt && v.Kind() == value.KindFloat:
+		f := v.Float()
+		if !(math.Abs(f) < exactFloatInts) {
+			return nil, nil, false
+		}
+		floor = value.AppendOrderedKey(nil, value.Int(int64(math.Floor(f))))
+		if math.Floor(f) == f {
+			return floor, floor, true
+		}
+		return floor, value.AppendOrderedKey(nil, value.Int(int64(math.Ceil(f)))), true
+	case k == value.KindFloat && v.Kind() == value.KindInt:
+		v = value.Float(float64(v.Int()))
+	}
+	key := value.AppendOrderedKey(nil, v)
+	return key, key, true
 }
 
 // serveTree answers equality/IN on tree-domain columns at accuracy k:

@@ -77,7 +77,7 @@ func (db *DB) initMetrics(reg *metrics.Registry) {
 			btreeStats(emit, func(s index.Stats) int { return s.Bytes })
 		})
 	reg.GaugeFuncVec("instantdb_storage_directory_bytes",
-		"Heap held by each table's tuple directory (location and birth epoch of every live tuple).", "table",
+		"Heap held by each table's tuple directory (location of every live tuple) and by the birth epochs of its young tuples (those written after a snapshot that may still be open).", "table",
 		func(emit func(string, float64)) {
 			for _, tbl := range db.cat.Tables() {
 				emit(tbl.Name, float64(db.mgr.Table(tbl).Stats().DirectoryBytes))

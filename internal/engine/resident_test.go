@@ -235,18 +235,51 @@ CREATE INDEX bm_loc ON person (location) USING BITMAP;`); err != nil {
 
 // Resident budgets: bytes of live heap per row of the benchmark's schema
 // (person: primary key plus B+tree indexes on both degradable columns)
-// at 20 000 rows, measurement + 10 %. This test measures 88.9 (loaded
-// live) and 78.6 (reopened), the same to a tenth run after run; of the
-// 78.6, the three indexes hold 44 (primary key 22.7, salary 18.5,
-// location 3.0), the tuple directory 16, the three degradation queues 7
-// (2.3 B per pending task on a clock standing still). With postings of
-// 8-byte ids it measured 100 and 88, with 16-byte queue tasks before that
-// 152 and 130, with a posting per key and two directory maps before that
-// 336 and 275.
+// at 20 000 rows, measurement + 11 %. This test measures 68.0 (loaded
+// live) and 61.9 (reopened), the same to a few tenths run after run; of
+// the 61.9, the three indexes hold 36 (primary key 16.6, salary 16.3,
+// location 3.0), the tuple directory 8, the three degradation queues 7
+// (2.3 B per pending task on a clock standing still). With 16-byte
+// directory entries, float64 INT keys and the primary-key reservations
+// kept at their peak it measured 88.2 and 78.3, with postings of 8-byte
+// ids 100 and 88, with 16-byte queue tasks before that 152 and 130, with
+// a posting per key and two directory maps before that 336 and 275.
 const (
-	residentBudgetLive     = 98
-	residentBudgetReopened = 87
+	residentBudgetLive     = 75
+	residentBudgetReopened = 69
 )
+
+// residentParts logs the heap per row of each structure an open
+// database rebuilds — the tuple directory with the young tuples' births,
+// each B+tree index, the degradation queues — and checks the directory:
+// 8 bytes per tuple, and no birth kept once the load's last commit is
+// published with no snapshot open.
+func residentParts(t *testing.T, db *DB, when string, rows int) {
+	t.Helper()
+	tbl, err := db.cat.Table("person")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := db.mgr.Table(tbl).Stats()
+	parts := fmt.Sprintf("directory %.1f", float64(st.DirectoryBytes)/float64(rows))
+	for _, name := range []string{"pk_person", "ix_loc", "ix_sal"} {
+		parts += fmt.Sprintf(", %s %.1f", name, float64(db.indexes[name].bt.Stats().Bytes)/float64(rows))
+	}
+	for _, s := range db.Metrics().Snapshot() {
+		if s.Key == "instantdb_degrade_queue_bytes" {
+			parts += fmt.Sprintf(", queues %.1f", s.Value/float64(rows))
+		}
+	}
+	t.Logf("%s, B/row: %s", when, parts)
+	if st.Young != 0 {
+		t.Errorf("%s: %d tuples keep a birth epoch with no snapshot open", when, st.Young)
+	}
+	// 8-byte entries in chunks of 128 ids: 8 B per dense row, plus the
+	// unfilled rest of the last chunk.
+	if perRow := float64(st.DirectoryBytes) / float64(rows); perRow > 8.1 {
+		t.Errorf("%s: the directory holds %.2f B per row, want 8-byte entries", when, perRow)
+	}
+}
 
 func liveHeap() int64 {
 	runtime.GC()
@@ -320,6 +353,7 @@ CREATE INDEX ix_sal ON person (salary) USING BTREE;`)
 	ins.Close()
 	live := float64(liveHeap()-before) / rows
 	runtime.KeepAlive(conn)
+	residentParts(t, db, "loaded live", rows)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +367,7 @@ CREATE INDEX ix_sal ON person (salary) USING BTREE;`)
 	if n := db2.indexes["pk_person"].bt.Len(); n != rows {
 		t.Fatalf("reopened database indexes %d rows, want %d", n, rows)
 	}
+	residentParts(t, db2, "reopened", rows)
 	db2.Close()
 	t.Logf("resident heap per row: %.1f B loaded live (budget %d), %.1f B reopened (budget %d)",
 		live, residentBudgetLive, reopened, residentBudgetReopened)

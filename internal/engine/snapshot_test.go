@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -378,4 +379,114 @@ func TestScanDegradeInterleaving(t *testing.T) {
 		t.Fatalf("full-accuracy scan after the wave returned %d rows, want 0", rs.Len())
 	}
 	assertNoAddressInStore(t, db, "person")
+}
+
+// TestSnapshotsSeeWholeBatches: while commits land and their births are
+// kept and drained, every snapshot read sees each batch entirely or not
+// at all — its inserts and its update of a row inserted before — and a
+// read-only transaction reads the same rows however many batches land
+// during it.
+func TestSnapshotsSeeWholeBatches(t *testing.T) {
+	db, _ := openSim(t)
+	db.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
+	const batches, perBatch, old = 150, 10, 100000
+	for b := 1; b <= batches; b++ {
+		db.MustExec(`INSERT INTO t (id, v) VALUES (?, 0)`, value.Int(old+int64(b)))
+	}
+	// consistent checks one read: batch b inserts perBatch rows and sets
+	// v of row old+b, which no other batch writes (a row updated by
+	// every batch would outrun MaxTupleVersions).
+	consistent := func(rows [][]value.Value) (string, error) {
+		inserted, updated := 0, 0
+		for _, r := range rows {
+			switch {
+			case r[0].Int() < old:
+				inserted++
+			case r[1].Int() != 0:
+				updated++
+			}
+		}
+		if inserted != updated*perBatch {
+			return "", fmt.Errorf("a read sees %d inserted rows and %d updated ones: a torn batch", inserted, updated)
+		}
+		seen := make([]string, len(rows))
+		for i, r := range rows {
+			seen[i] = fmt.Sprint(r[0].Int(), ":", r[1].Int())
+		}
+		slices.Sort(seen)
+		return strings.Join(seen, " "), nil
+	}
+	stop := make(chan struct{})
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(ro bool) {
+			defer wg.Done()
+			conn := db.NewConn()
+			defer conn.Exec(`ROLLBACK`)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ro {
+					if _, err := conn.Exec(`BEGIN READ ONLY`); err != nil {
+						errc <- err
+						return
+					}
+				}
+				var first string
+				for i := 0; i < 3; i++ {
+					rs, err := conn.Query(`SELECT id, v FROM t`)
+					if err == nil {
+						var seen string
+						if seen, err = consistent(rs.Data); err == nil && ro && i > 0 && seen != first {
+							err = errors.New("a read-only transaction's reads differ")
+						}
+						first = seen
+					}
+					if err != nil {
+						errc <- err
+						return
+					}
+				}
+				if ro {
+					if _, err := conn.Exec(`COMMIT`); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+		}(r == 0)
+	}
+	w := db.NewConn()
+	for b := 1; b <= batches; b++ {
+		stmts := []string{`BEGIN`}
+		for i := 0; i < perBatch; i++ {
+			stmts = append(stmts, fmt.Sprintf(`INSERT INTO t (id, v) VALUES (%d, %d)`, b*perBatch+i, b))
+		}
+		stmts = append(stmts, fmt.Sprintf(`UPDATE t SET v = %d WHERE id = %d`, b, old+b), `COMMIT`)
+		for _, s := range stmts {
+			if _, err := w.Exec(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	// With every snapshot closed, the next commit forgets every birth.
+	db.MustExec(`DELETE FROM t WHERE id = ?`, value.Int(perBatch))
+	tbl, err := db.cat.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.mgr.Table(tbl).Stats(); st.Young != 0 {
+		t.Errorf("%d tuples keep a birth epoch once every snapshot is closed", st.Young)
+	}
 }

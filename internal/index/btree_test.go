@@ -494,7 +494,7 @@ func TestBuildBTreeRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// pkKey is a 9-byte key shaped like an INT primary key's.
+// pkKey is a 9-byte key: a tag byte, then i in 8 big-endian bytes.
 func pkKey(i int) []byte { return binary.BigEndian.AppendUint64([]byte{2}, uint64(i)) }
 
 func TestBTreeExactInlineNoAllocs(t *testing.T) {

@@ -10,15 +10,21 @@ import (
 
 // Key builders for the BTree. Three key spaces:
 //
-//   - Stable columns: the order-preserving encoding of the value.
+//   - Stable columns: the order-preserving encoding of the value
+//     (value.AppendOrderedKey): exact and prefix-free within the
+//     column's kind, an INT in its minimal bytes (an id below 2²⁴ takes
+//     4). A predicate constant of another kind is converted to the
+//     column's before it is encoded, as INT and FLOAT keys do not share
+//     one order.
 //   - Degradable tree-domain columns: the generalization path from root
 //     to the tuple's current node, 4 bytes per node id. A predicate node
 //     at any accuracy level covers exactly the keys having its path as a
 //     prefix, so σP,k becomes one prefix range scan regardless of how
 //     tuple states are mixed.
 //   - Degradable scalar-domain columns: a level byte followed by the
-//     order key of the stored form at that level. Bucket nesting makes a
-//     level-k range predicate the union of k+1 per-level range scans.
+//     order key of the stored form at that level (an INT bucket floor or
+//     a TIME). Bucket nesting makes a level-k range predicate the union
+//     of k+1 per-level range scans.
 
 // StableKey encodes a stable column value.
 func StableKey(v value.Value) []byte {

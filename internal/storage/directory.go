@@ -14,10 +14,10 @@ const (
 )
 
 // dirEntry is what the store keeps on the heap per live tuple: where its
-// record is and the epoch its current image became visible at (0 =
-// visible to every snapshot).
+// record is, in 8 bytes. The epoch a tuple's current image became
+// visible at is kept apart, and only while a snapshot can tell it from 0
+// (births).
 type dirEntry struct {
-	born uint64
 	page PageID
 	slot uint16
 	used bool
@@ -58,12 +58,12 @@ func (d *directory) get(id TupleID) *dirEntry {
 }
 
 // put records a new live tuple; id must not be live.
-func (d *directory) put(id TupleID, rid RID, born uint64) {
+func (d *directory) put(id TupleID, rid RID) {
 	c := d.chunks[id>>dirChunkBits]
 	if c.ents == nil {
 		c.ents = new([dirChunkSize]dirEntry)
 	}
-	c.ents[id&(dirChunkSize-1)] = dirEntry{born: born, page: rid.Page, slot: rid.Slot, used: true}
+	c.ents[id&(dirChunkSize-1)] = dirEntry{page: rid.Page, slot: rid.Slot, used: true}
 	c.live++
 	d.chunks[id>>dirChunkBits] = c
 	d.n++
@@ -83,3 +83,72 @@ func (d *directory) del(id TupleID) {
 
 // bytes returns the heap held by the chunks.
 func (d *directory) bytes() int { return len(d.chunks) * dirChunkBytes }
+
+// births holds the birth epochs of young tuples: those whose current
+// image was written at an epoch above the Manager's low-water mark, so
+// that a snapshot older than the image is open or may still be taken.
+// Every other live tuple's image is visible to every snapshot any reader
+// holds or can take, which is what a missing entry, born at 0, says.
+// Entries sit in at for lookup and, in apply order, in fifo, from whose
+// front a rising low-water mark drains them: an entry is queued once
+// when its tuple turns young and requeued at most once per rebirth, so
+// draining costs amortized O(1) per birth, never a sweep of the table.
+type births struct {
+	at   map[TupleID]uint64
+	fifo []birth
+}
+
+type birth struct {
+	born uint64
+	id   TupleID
+}
+
+// birthMapBytes is what a young tuple costs in at, on top of its fifo
+// entry: a key and value slot with its share of control bytes and of the
+// slots a map keeps free.
+const birthMapBytes = 32
+
+// of returns id's birth epoch, 0 when it is not young.
+func (b *births) of(id TupleID) uint64 { return b.at[id] }
+
+// set records that id's current image was born at epoch born, above the
+// low-water mark.
+func (b *births) set(id TupleID, born uint64) {
+	if _, young := b.at[id]; !young {
+		if b.at == nil {
+			b.at = make(map[TupleID]uint64)
+		}
+		b.fifo = append(b.fifo, birth{born: born, id: id})
+	}
+	b.at[id] = born
+}
+
+// drop forgets id's birth: the tuple is gone, or its image is old enough
+// for every snapshot. A queued entry of id is skipped when drained.
+func (b *births) drop(id TupleID) { delete(b.at, id) }
+
+// drain forgets every birth at or below low, and releases the storage
+// once no tuple is young.
+func (b *births) drain(low uint64) {
+	i := 0
+	for ; i < len(b.fifo) && b.fifo[i].born <= low; i++ {
+		id := b.fifo[i].id
+		switch born, ok := b.at[id]; {
+		case !ok:
+		case born <= low:
+			delete(b.at, id)
+		default: // born again since it was queued: queue it again
+			b.fifo = append(b.fifo, birth{born: born, id: id})
+		}
+	}
+	if len(b.at) == 0 {
+		*b = births{}
+		return
+	}
+	b.fifo = b.fifo[i:]
+}
+
+// bytes returns the heap the young tuples hold.
+func (b *births) bytes() int {
+	return cap(b.fifo)*int(unsafe.Sizeof(birth{})) + len(b.at)*birthMapBytes
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"instantdb/internal/catalog"
 	"instantdb/internal/value"
@@ -139,5 +140,42 @@ func TestDirectoryResetByDropAndRebuild(t *testing.T) {
 	}
 	if fresh := m.Table(tbl); fresh.Count() != 0 || dirBytes(fresh) != 0 {
 		t.Fatal("table recreated after drop is not empty")
+	}
+}
+
+// TestBirthsDrainRebirths: a directory entry is 8 bytes because births
+// live apart. A tuple born again before its first birth drains keeps the
+// later birth until the mark passes that too; a deleted tuple's queued
+// entry is skipped; the last drain releases the storage.
+func TestBirthsDrainRebirths(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n != 8 {
+		t.Fatalf("a directory entry takes %d bytes, want 8", n)
+	}
+	var b births
+	b.set(1, 5)
+	b.set(2, 5)
+	b.set(1, 7)
+	b.set(3, 6)
+	b.drop(2)
+	want := func(step string, born map[TupleID]uint64) {
+		t.Helper()
+		for id := TupleID(1); id <= 3; id++ {
+			if got := b.of(id); got != born[id] {
+				t.Fatalf("%s: tuple %d born at %d, want %d", step, id, got, born[id])
+			}
+		}
+		if len(b.at) != len(born) {
+			t.Fatalf("%s: %d young tuples, want %d", step, len(b.at), len(born))
+		}
+	}
+	want("before", map[TupleID]uint64{1: 7, 3: 6})
+	b.drain(5)
+	want("drain to 5", map[TupleID]uint64{1: 7, 3: 6})
+	b.drain(6)
+	want("drain to 6", map[TupleID]uint64{1: 7})
+	b.drain(7)
+	want("drain to 7", nil)
+	if b.at != nil || b.fifo != nil || b.bytes() != 0 {
+		t.Fatalf("drained births keep storage: %d queued, %d bytes", len(b.fifo), b.bytes())
 	}
 }

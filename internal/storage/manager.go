@@ -26,7 +26,8 @@ type Manager struct {
 
 	// stamp is the epoch in-flight mutations are born at; lowWater is
 	// the oldest snapshot epoch still open, below which superseded row
-	// versions are unreachable and pruned.
+	// versions are unreachable and pruned, and at or below which a birth
+	// is one every snapshot sees.
 	stamp    atomic.Uint64
 	lowWater atomic.Uint64
 
@@ -68,11 +69,34 @@ func NewManager(store Store) *Manager {
 func (m *Manager) Store() Store { return m.store }
 
 // SetStampEpoch sets the epoch subsequently applied mutations are born
-// at, and the low-water mark of open snapshots for version pruning. The
-// engine calls it under its commit mutex before applying each batch.
+// at, and the low-water mark of open snapshots (SetLowWater). The engine
+// calls it under its commit mutex before applying each batch.
 func (m *Manager) SetStampEpoch(stamp, lowWater uint64) {
 	m.stamp.Store(stamp)
-	m.lowWater.Store(lowWater)
+	m.SetLowWater(lowWater)
+}
+
+// SetLowWater sets the low-water mark: the oldest snapshot epoch a reader
+// holds, and below which none can be taken any more. Superseded row
+// versions below it are pruned as their tuples are next updated, and the
+// births at or below it are forgotten, those tuples being visible to
+// every snapshot as a tuple with no birth is: now, in each table no
+// reader or writer holds, and in the others by their next write run.
+// The mark must not fall. The engine calls it under its commit mutex,
+// before a batch applies and once it is published.
+func (m *Manager) SetLowWater(low uint64) {
+	m.lowWater.Store(low)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, ts := range m.tables {
+		// Births are exact until drained, so a busy table costs only
+		// memory until later; and m.mu must not wait for a table lock,
+		// which is taken before m.mu.
+		if ts.mu.TryLock() {
+			ts.births.drain(low)
+			ts.mu.Unlock()
+		}
+	}
 }
 
 // StampEpoch returns the current mutation-stamping epoch.
@@ -108,6 +132,7 @@ func (m *Manager) DropTable(tableID uint32) error {
 		}
 	}
 	ts.dir = newDirectory()
+	ts.births = births{}
 	ts.segs = make(map[uint64]*segment)
 	ts.pageSeg = make(map[PageID]uint64)
 	ts.hist = make(map[TupleID][]tupleVersion)
@@ -224,7 +249,7 @@ func (m *Manager) Rebuild(cat *catalog.Catalog) error {
 					return err
 				})
 			} else {
-				ts.dir.put(t.ID, rid, 0)
+				ts.dir.put(t.ID, rid)
 			}
 			ts.nextID = max(ts.nextID, t.ID)
 			if !segKeySet {

@@ -40,8 +40,8 @@ func pagesOf(s Store) ([]byte, error) {
 }
 
 // sameStores reports the first difference between two sides: their page
-// bytes, free lists, directories, segments (page sets and open lists),
-// page-to-segment maps, version chains and next ids.
+// bytes, free lists, directories and births, segments (page sets and
+// open lists), page-to-segment maps, version chains and next ids.
 func sameStores(a, b runSide) error {
 	pa, err := pagesOf(a.store)
 	if err != nil {
@@ -64,6 +64,8 @@ func sameStores(a, b runSide) error {
 		return fmt.Errorf("free list %v, one at a time %v", a.mgr.free, b.mgr.free)
 	case !reflect.DeepEqual(a.ts.dir, b.ts.dir):
 		return fmt.Errorf("directories differ (%d and %d tuples)", a.ts.dir.n, b.ts.dir.n)
+	case !maps.Equal(a.ts.births.at, b.ts.births.at):
+		return fmt.Errorf("births differ (%d and %d young tuples)", len(a.ts.births.at), len(b.ts.births.at))
 	case !reflect.DeepEqual(a.ts.segs, b.ts.segs):
 		return fmt.Errorf("segments differ")
 	case !maps.Equal(a.ts.pageSeg, b.ts.pageSeg):

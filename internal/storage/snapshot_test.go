@@ -265,3 +265,66 @@ func TestBlockedScanDoesNotDelayDegrader(t *testing.T) {
 		t.Fatalf("post-transition read = %q, want Amsterdam", got.Row[2].Text())
 	}
 }
+
+// TestSnapshotBirthsAcrossLowWater holds a snapshot open across many
+// commits: the births of their inserts and updates stay exact for it
+// however many pile up, and are forgotten, storage and all, once no
+// snapshot can tell them from 0.
+func TestSnapshotBirthsAcrossLowWater(t *testing.T) {
+	mgr, ts := snapTable(t)
+	const commits = 1000
+	mgr.SetStampEpoch(1, 0)
+	qs := make([]TupleID, commits)
+	for i := range qs {
+		qs[i] = snapInsert(t, ts, int64(i), "old", "Dam 1")
+	}
+	const snap = 1 // S: opened once epoch 1 is published, so the mark stays at 1
+	rs := make([]TupleID, commits)
+	for i := range rs {
+		mgr.SetStampEpoch(uint64(i+2), snap)
+		rs[i] = snapInsert(t, ts, int64(commits+i), "r", "Coolsingel 40")
+		if err := ts.UpdateStable(qs[i], 1, value.Text("new")); err != nil {
+			t.Fatal(err)
+		}
+		mgr.SetLowWater(snap)
+	}
+	if st := ts.Stats(); st.Young != 2*commits {
+		t.Fatalf("%d young tuples while S is open, want %d", st.Young, 2*commits)
+	}
+	seen := func(at uint64) (rows int, olds int) {
+		err := ts.SnapshotScan(at, func(tp Tuple) bool {
+			rows++
+			if tp.Row[1].Text() == "old" {
+				olds++
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, olds
+	}
+	if rows, olds := seen(snap); rows != commits || olds != commits {
+		t.Fatalf("S sees %d rows, %d of them old images; want only the %d q rows, all old", rows, olds, commits)
+	}
+	for i := range rs {
+		if _, err := ts.SnapshotGet(rs[i], snap); !errors.Is(err, ErrNoTuple) {
+			t.Fatalf("S reads r #%d inserted after it: %v", rs[i], err)
+		}
+		if q, err := ts.SnapshotGet(qs[i], snap); err != nil || q.Row[1].Text() != "old" {
+			t.Fatalf("S reads q #%d as %v, %v; want its old image", qs[i], q.Row, err)
+		}
+	}
+
+	// S closes; one more commit, which writes no image, lands.
+	mgr.SetStampEpoch(commits+2, commits+1)
+	if err := ts.Delete(rs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := ts.Stats(); st.Young != 0 || ts.births.at != nil || ts.births.fifo != nil {
+		t.Fatalf("births still hold %d tuples (fifo %d) after the mark passed them", st.Young, len(ts.births.fifo))
+	}
+	if rows, olds := seen(commits + 2); rows != 2*commits-1 || olds != 0 {
+		t.Fatalf("a new snapshot sees %d rows, %d old images; want %d rows, none old", rows, olds, 2*commits-1)
+	}
+}

@@ -60,9 +60,11 @@ type TableStore struct {
 	mu  sync.RWMutex
 	mgr *Manager
 	tbl *catalog.Table
-	// dir locates every live tuple and holds the epoch its current image
-	// became visible at (see directory.go).
+	// dir locates every live tuple; births holds the epoch its current
+	// image became visible at while a snapshot can tell it from 0 (see
+	// directory.go).
 	dir     directory
+	births  births
 	segs    map[uint64]*segment
 	pageSeg map[PageID]uint64
 	nextID  TupleID
@@ -232,9 +234,20 @@ func (ts *TableStore) insertLocked(rec []byte, t *Tuple) ([]byte, error) {
 	if err != nil {
 		return rec, err
 	}
-	ts.dir.put(t.ID, rid, ts.mgr.stamp.Load())
+	ts.dir.put(t.ID, rid)
+	ts.bornLocked(t.ID, ts.mgr.stamp.Load())
 	ts.nextID = max(ts.nextID, t.ID)
 	return rec, nil
+}
+
+// bornLocked records that id's current image was written at epoch e. An
+// image at or below the low-water mark is visible to every snapshot a
+// reader holds or can take, and keeps no birth (and the run's drain left
+// none older). Caller holds ts.mu.
+func (ts *TableStore) bornLocked(id TupleID, e uint64) {
+	if e > ts.mgr.lowWater.Load() {
+		ts.births.set(id, e)
+	}
 }
 
 // runPage returns page pid as the run in progress holds it. The run's
@@ -270,8 +283,11 @@ func (ts *TableStore) runPage(pid PageID, load bool) (*runBuf, error) {
 
 // runLocked applies items 0 to n-1 of a run in order with apply, and
 // ends the run: the first item that fails ends it, the ones before it
-// applied. Caller holds ts.mu.
+// applied. It first forgets the births the low-water mark has passed,
+// which SetLowWater leaves to it when the table is busy. Caller holds
+// ts.mu.
 func (ts *TableStore) runLocked(n int, apply func(i int) error) error {
+	ts.births.drain(ts.mgr.lowWater.Load())
 	var err error
 	for i := 0; i < n && err == nil; i++ {
 		err = apply(i)
@@ -526,6 +542,7 @@ func (ts *TableStore) deleteLocked(id TupleID) error {
 		return err
 	}
 	ts.dir.del(id)
+	ts.births.drop(id)
 	delete(ts.hist, id)
 	return nil
 }
@@ -762,7 +779,7 @@ func (ts *TableStore) updateLocked(rec []byte, up *StableUpdate) ([]byte, error)
 	if err := ts.replaceLocked(e, up.ID, p, rec, ts.segKeyFor(t.States)); err != nil {
 		return rec, err
 	}
-	ts.pushVersionLocked(e, old)
+	ts.pushVersionLocked(old)
 	return rec, nil
 }
 
@@ -779,12 +796,13 @@ func cloneTuple(t Tuple) Tuple {
 // truncating to MaxTupleVersions with birth-epoch merging. A stamp
 // epoch of 0 (no epoch wiring) or a same-epoch rewrite (an intermediate
 // image no snapshot can ever observe) keeps no version.
-func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
+func (ts *TableStore) pushVersionLocked(old Tuple) {
 	id, e := old.ID, ts.mgr.stamp.Load()
-	if e == 0 || ent.born == e {
+	born := ts.births.of(id)
+	if e == 0 || born == e {
 		return
 	}
-	chain := append(ts.hist[id], tupleVersion{born: ent.born, died: e, t: old})
+	chain := append(ts.hist[id], tupleVersion{born: born, died: e, t: old})
 	ts.lastSupersede = e
 	low := ts.mgr.lowWater.Load()
 	for len(chain) > 0 && chain[0].died <= low {
@@ -802,7 +820,7 @@ func (ts *TableStore) pushVersionLocked(ent *dirEntry, old Tuple) {
 	} else {
 		ts.hist[id] = chain
 	}
-	ent.born = e
+	ts.bornLocked(id, e)
 }
 
 // replaceLocked makes rec the record of tuple id, whose directory entry
@@ -886,7 +904,7 @@ func (ts *TableStore) SnapshotGet(id TupleID, snap uint64) (Tuple, error) {
 // covering snap. ok=false means the tuple was inserted after the
 // snapshot. Returned tuples never alias chain or page state.
 func (ts *TableStore) visibleLocked(cur Tuple, snap uint64) (Tuple, bool) {
-	if e := ts.dir.get(cur.ID); e == nil || e.born <= snap {
+	if ts.births.of(cur.ID) <= snap {
 		return cur, true
 	}
 	chain := ts.hist[cur.ID]
@@ -1125,8 +1143,12 @@ type Stats struct {
 	Segments map[uint64]int // state key -> page count
 	// Versions counts retained snapshot versions across all tuples.
 	Versions int
-	// DirectoryBytes is the heap the tuple directory's chunks hold.
+	// DirectoryBytes is the heap the tuple directory's chunks and the
+	// young tuples' births hold.
 	DirectoryBytes int
+	// Young counts the tuples whose birth epoch is kept: born above the
+	// low-water mark, or not yet drained past it.
+	Young int
 }
 
 // Stats returns current occupancy.
@@ -1134,7 +1156,7 @@ func (ts *TableStore) Stats() Stats {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
 	s := Stats{Tuples: ts.dir.n, Pages: len(ts.pageSeg), Segments: make(map[uint64]int),
-		DirectoryBytes: ts.dir.bytes()}
+		DirectoryBytes: ts.dir.bytes() + ts.births.bytes(), Young: len(ts.births.at)}
 	for _, chain := range ts.hist {
 		s.Versions += len(chain)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrNonCanonical reports bytes Encode never writes: a varint (an INT, or
@@ -233,33 +234,47 @@ func DecodeRow(src []byte) ([]Value, int, error) {
 	return row, off, nil
 }
 
-// AppendOrderedKey appends an order-preserving byte encoding of v: for any
-// two values a, b of comparable kinds, bytes(a) < bytes(b) iff
-// Compare(a, b) < 0 (with INTs and FLOATs sharing one numeric order).
-// The encoding is used for B+tree keys. Layout: 1 tag byte establishing
-// kind order (NULL < numerics < text < bool is avoided — numerics share a
-// tag), then a payload in big-endian order-preserving form.
+// AppendOrderedKey appends an order-preserving, prefix-free byte
+// encoding of v: for any two values a, b of one kind, bytes.Compare of
+// their keys is Compare(a, b), and no key is a proper prefix of another
+// key of its kind (so a key followed by 0x00 bounds its kind's keys that
+// sort after it). Keys of different kinds order by kind, NULL first, and
+// an INT key never equals a FLOAT one: a probe of an index must be
+// converted to the kind of the column the index keys first. The keys
+// are B+tree keys, built at open and never stored. Layout: a tag byte,
+// then a payload:
+//
+//	NULL   0x00, nothing
+//	INT    0x01..0x12, the tag carrying the sign and the length of the
+//	       value's shortest big-endian two's-complement form without its
+//	       leading sign bytes — 0 to 8 bytes, a negative value's tag
+//	       below a positive one's, a longer negative below a shorter
+//	       and a longer positive above a shorter — then that form
+//	FLOAT  0x20, 8 bytes of sign-flipped IEEE 754 bits (−0 as 0, and
+//	       every NaN as 8 zero bytes, below −Inf, as Compare orders it)
+//	TIME   0x21..0x32, Unix nanoseconds as INT's tag and form
+//	TEXT   0x40, the bytes with 0x00 escaped as 0x00 0xFF, then 0x00 0x00
+//	BOOL   0x50, 0 or 1
+//
+// An INT id below 2²⁴ takes 4 bytes; every INT keeps its exact value.
 func AppendOrderedKey(dst []byte, v Value) []byte {
 	const (
-		tagNull    = 0x00
-		tagNumeric = 0x10
-		tagTime    = 0x20
-		tagText    = 0x30
-		tagBool    = 0x40
+		tagNull  = 0x00
+		tagInt   = 0x01
+		tagFloat = 0x20
+		tagTime  = 0x21
+		tagText  = 0x40
+		tagBool  = 0x50
 	)
 	switch v.kind {
 	case KindNull:
 		return append(dst, tagNull)
-	case KindInt, KindFloat:
-		f := v.f
-		if v.kind == KindInt {
-			f = float64(v.i)
-		}
-		dst = append(dst, tagNumeric)
-		return appendOrderedFloat(dst, f)
+	case KindInt:
+		return appendOrderedInt(dst, tagInt, v.i)
+	case KindFloat:
+		return appendOrderedFloat(append(dst, tagFloat), v.f)
 	case KindTime:
-		dst = append(dst, tagTime)
-		return appendOrderedInt(dst, v.i)
+		return appendOrderedInt(dst, tagTime, v.i)
 	case KindText:
 		dst = append(dst, tagText)
 		// Escape 0x00 as 0x00 0xFF so the 0x00 0x00 terminator cannot
@@ -281,21 +296,38 @@ func AppendOrderedKey(dst []byte, v Value) []byte {
 	}
 }
 
-func appendOrderedInt(dst []byte, i int64) []byte {
-	u := uint64(i) ^ (1 << 63) // flip sign bit: negative ints sort first
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], u)
-	return append(dst, b[:]...)
+// appendOrderedInt appends i under tags base..base+17: i ≥ 0 of n
+// significant bytes takes tag base+9+n, and i < 0 takes base+8−n for the
+// n significant bytes of ^i (−1 takes n = 0); then the low n bytes of
+// i, big-endian.
+func appendOrderedInt(dst []byte, base byte, i int64) []byte {
+	u := uint64(i)
+	n := (bits.Len64(u) + 7) / 8
+	tag := base + 9 + byte(n)
+	if i < 0 {
+		n = (bits.Len64(^u) + 7) / 8
+		tag = base + 8 - byte(n)
+	}
+	dst = append(dst, tag)
+	for sh := 8 * (n - 1); sh >= 0; sh -= 8 {
+		dst = append(dst, byte(u>>sh))
+	}
+	return dst
 }
 
 func appendOrderedFloat(dst []byte, f float64) []byte {
-	u := math.Float64bits(f)
-	if u&(1<<63) != 0 {
-		u = ^u // negative floats: flip all bits
-	} else {
-		u ^= 1 << 63 // positive floats: flip sign bit
+	var u uint64
+	switch {
+	case f != f: // NaN sorts first
+	case f == 0: // −0 equals 0
+		u = 1 << 63
+	default:
+		u = math.Float64bits(f)
+		if u&(1<<63) != 0 {
+			u = ^u // negative floats: flip all bits
+		} else {
+			u ^= 1 << 63 // positive floats: flip sign bit
+		}
 	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], u)
-	return append(dst, b[:]...)
+	return binary.BigEndian.AppendUint64(dst, u)
 }

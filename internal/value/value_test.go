@@ -251,23 +251,31 @@ func TestQuickOrderedKeyInt(t *testing.T) {
 	}
 }
 
-// Property: ordered-key encoding preserves Compare for mixed int/float.
-func TestQuickOrderedKeyNumeric(t *testing.T) {
-	if err := quick.Check(func(a int64, b float64) bool {
-		if math.IsNaN(b) {
-			return true // NaN handled by the dedicated test below
-		}
-		ka := AppendOrderedKey(nil, Int(a))
+// Property: ordered-key encoding preserves Compare for floats. INT and
+// FLOAT keys do not share one order: an index probe is converted to its
+// column's kind first (the engine's TestIndexedIntPredicatesMatchScan).
+func TestQuickOrderedKeyFloat(t *testing.T) {
+	if err := quick.Check(func(a, b float64) bool {
+		ka := AppendOrderedKey(nil, Float(a))
 		kb := AppendOrderedKey(nil, Float(b))
-		c, err := Compare(Int(a), Float(b))
-		if err != nil {
-			return false
-		}
-		// float64(a) may round; Compare uses the same rounding, so the
-		// orderings must agree.
-		return bytes.Compare(ka, kb) == c
+		c, err := Compare(Float(a), Float(b))
+		return err == nil && bytes.Compare(ka, kb) == c
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOrderedKeyIntLength: an INT key is its tag and the value's
+// significant bytes, so an id below 2²⁴ takes 4.
+func TestOrderedKeyIntLength(t *testing.T) {
+	for _, c := range []struct {
+		v int64
+		n int
+	}{{0, 1}, {-1, 1}, {1, 2}, {-2, 2}, {255, 2}, {-256, 2}, {256, 3}, {-257, 3},
+		{10_000_000, 4}, {1<<53 + 1, 8}, {math.MaxInt64, 9}, {math.MinInt64, 9}} {
+		if k := AppendOrderedKey(nil, Int(c.v)); len(k) != c.n {
+			t.Errorf("key of %d is %x, %d bytes; want %d", c.v, k, len(k), c.n)
+		}
 	}
 }
 
@@ -451,4 +459,45 @@ func TestDecodeRowHostileCount(t *testing.T) {
 	if _, _, err := DecodeRow(enc); err == nil {
 		t.Fatal("want error for hostile field count")
 	}
+}
+
+// FuzzOrderedKey checks the key codec on pairs of values of one kind:
+// the order of their keys is Compare's, and neither key is a proper
+// prefix of the other.
+func FuzzOrderedKey(f *testing.F) {
+	edges := []int64{0, -1, 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1<<53 - 1), -(1 << 53), -(1<<53 + 1),
+		255, 256, -256, -257, math.MinInt64, math.MaxInt64}
+	for _, a := range edges {
+		for _, b := range edges {
+			f.Add(a, b, float64(a), float64(b), "", "a")
+		}
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1, math.SmallestNonzeroFloat64}
+	for _, fa := range specials {
+		for _, fb := range specials {
+			f.Add(int64(0), int64(-1), fa, fb, "a\x00", "a")
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b int64, fa, fb float64, sa, sb string) {
+		pairs := [][2]Value{
+			{Int(a), Int(b)},
+			{Time(time.Unix(0, a)), Time(time.Unix(0, b))},
+			{Float(fa), Float(fb)},
+			{Text(sa), Text(sb)},
+			{Bool(a&1 == 1), Bool(b&1 == 1)},
+		}
+		for _, p := range pairs {
+			ka, kb := AppendOrderedKey(nil, p[0]), AppendOrderedKey(nil, p[1])
+			c, err := Compare(p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytes.Compare(ka, kb); got != c {
+				t.Fatalf("%v vs %v: keys %x, %x compare %d, values %d", p[0], p[1], ka, kb, got, c)
+			}
+			if len(ka) != len(kb) && (bytes.HasPrefix(ka, kb) || bytes.HasPrefix(kb, ka)) {
+				t.Fatalf("%v vs %v: key %x and key %x, one a proper prefix of the other", p[0], p[1], ka, kb)
+			}
+		}
+	})
 }
