@@ -17,9 +17,13 @@ race:
 # from goroutines. It also repeats the WAL's and the engine's group-commit
 # and crash tests, whose groups form behind a parked fsync
 # (wal.FaultInjector.Hold), to show that the gated grouping does not flake.
+# And it repeats the wire front end's lifecycle tests, whose Close,
+# connection tracking and Accept loop race; each runs as a /server and a
+# /router subtest in internal/server.
 race-txn:
 	$(GO) test -race -count=20 ./internal/txn
 	$(GO) test -race -count=10 -run 'Group|Crash' ./internal/wal ./internal/engine
+	$(GO) test -race -count=10 -run 'MaxConns|GracefulClose|Protocol' ./internal/server
 
 vet:
 	$(GO) vet ./...

@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -101,6 +102,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("instantdb-router: %v", err)
 	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatalf("instantdb-router: %v", err)
+	}
 
 	var metricsSrv *http.Server
 	if *metricsListen != "" {
@@ -116,17 +121,9 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
-	go func() { done <- r.ListenAndServe(*listen) }()
-	for i := 0; i < 100 && r.Addr() == nil; i++ {
-		select {
-		case err := <-done:
-			log.Fatalf("instantdb-router: %v", err)
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	go func() { done <- r.Serve(ln) }()
 	log.Printf("instantdb-router: routing table v%d over %d shards, serving on %s",
-		r.Table().Version, len(r.Table().Shards), r.Addr())
+		r.Table().Version, len(r.Table().Shards), ln.Addr())
 
 	select {
 	case s := <-sig:

@@ -58,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -110,6 +111,11 @@ func main() {
 		opts.Logf = log.Printf
 	}
 	srv := server.New(db, opts)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		db.Close()
+		log.Fatalf("instantdb-server: %v", err)
+	}
 
 	var follower *repl.Follower
 	if *replicaOf != "" {
@@ -137,24 +143,14 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(*listen) }()
+	go func() { done <- srv.Serve(ln) }()
 
-	// Give the listener a beat to bind so the startup line is truthful.
-	for i := 0; i < 100 && srv.Addr() == nil; i++ {
-		select {
-		case err := <-done:
-			db.Close()
-			log.Fatal(err)
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	role := ""
 	if *replicaOf != "" {
 		role = fmt.Sprintf(" as replica of %s", *replicaOf)
 	}
 	log.Printf("instantdb-server: serving %s on %s%s (log=%s tick=%v max-conns=%d)",
-		dbName(*dir), srv.Addr(), role, *logMode, *tick, *maxConns)
+		dbName(*dir), ln.Addr(), role, *logMode, *tick, *maxConns)
 
 	select {
 	case s := <-sig:

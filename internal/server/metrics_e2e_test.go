@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"net/http/httptest"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"instantdb/internal/metrics"
+	"instantdb/internal/server"
 )
 
 // TestStatsOpcodeAndMetricsExposition is the observability acceptance
@@ -18,7 +19,7 @@ import (
 // per-index / per-table resident-state, page I/O, torn-move repair and
 // audit-trail families.
 func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
-	db, clock, addr := startServer(t, Options{})
+	db, clock, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -75,7 +76,7 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 	// HTTP side: same gauge on /metrics, lint-clean exposition, and a
 	// liveness line on /healthz.
 	rec := httptest.NewRecorder()
-	MetricsHandler(db).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	server.MetricsHandler(db).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/metrics status %d", rec.Code)
 	}
@@ -103,7 +104,7 @@ func TestStatsOpcodeAndMetricsExposition(t *testing.T) {
 		}
 	}
 	rec = httptest.NewRecorder()
-	MetricsHandler(db).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	server.MetricsHandler(db).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if got := rec.Body.String(); !strings.HasPrefix(got, "ok lag=60.000s") {
 		t.Fatalf("/healthz = %q, want ok lag=60.000s", got)
 	}

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"errors"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"instantdb/client"
+	"instantdb/internal/server"
 	"instantdb/internal/value"
 	"instantdb/internal/wire"
 )
@@ -14,7 +15,7 @@ import (
 // execution with bound args over the wire returns exactly what the
 // equivalent text SQL does, under the session's purpose views.
 func TestPreparedOverTCP(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -75,7 +76,7 @@ func TestPreparedOverTCP(t *testing.T) {
 }
 
 func TestOneShotArgsOverTCP(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -94,7 +95,7 @@ func TestOneShotArgsOverTCP(t *testing.T) {
 }
 
 func TestStmtEviction(t *testing.T) {
-	_, _, addr := startServer(t, Options{MaxStmts: 2})
+	_, _, addr := startServer(t, server.Options{MaxStmts: 2})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -131,7 +132,7 @@ func TestStmtEviction(t *testing.T) {
 }
 
 func TestPreparedSQLErrorKeepsSession(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -159,7 +160,7 @@ func TestPreparedSQLErrorKeepsSession(t *testing.T) {
 // client's subsequent Rollback still succeeds instead of reporting a
 // spurious "no open transaction" error.
 func TestRollbackIdempotent(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -192,7 +193,7 @@ func TestRollbackIdempotent(t *testing.T) {
 // shutdown, all matched with errors.Is instead of string matching.
 func TestSentinelErrors(t *testing.T) {
 	t.Run("unknown purpose", func(t *testing.T) {
-		_, _, addr := startServer(t, Options{})
+		_, _, addr := startServer(t, server.Options{})
 		ctx := ctxT(t)
 		if _, err := client.Dial(ctx, addr, client.WithPurpose("nosuch")); !errors.Is(err, client.ErrUnknownPurpose) {
 			t.Fatalf("handshake: %v, want ErrUnknownPurpose", err)
@@ -207,7 +208,7 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	})
 	t.Run("server busy", func(t *testing.T) {
-		_, _, addr := startServer(t, Options{MaxConns: 1})
+		_, _, addr := startServer(t, server.Options{MaxConns: 1})
 		ctx := ctxT(t)
 		_ = dial(t, addr)
 		if _, err := client.Dial(ctx, addr); !errors.Is(err, client.ErrServerBusy) {
@@ -215,7 +216,7 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	})
 	t.Run("frame too large", func(t *testing.T) {
-		_, _, addr := startServer(t, Options{MaxFrame: 1 << 10})
+		_, _, addr := startServer(t, server.Options{MaxFrame: 1 << 10})
 		ctx := ctxT(t)
 		c := dial(t, addr)
 		big := make([]byte, 4<<10)
@@ -232,7 +233,7 @@ func TestSentinelErrors(t *testing.T) {
 // TestUnknownStmtWireLevel drives OpExecPrepared with a never-prepared
 // id straight at the wire to pin the error code.
 func TestUnknownStmtWireLevel(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 	st, err := c.Prepare(ctx, "SELECT id FROM visits")

@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"context"
@@ -12,6 +12,9 @@ import (
 
 	"instantdb/client"
 	"instantdb/internal/engine"
+	"instantdb/internal/metrics"
+	"instantdb/internal/server"
+	"instantdb/internal/shard"
 	"instantdb/internal/vclock"
 	"instantdb/internal/wire"
 )
@@ -38,35 +41,106 @@ DECLARE PURPOSE cities SET ACCURACY LEVEL city FOR visits.place;
 DECLARE PURPOSE stats SET ACCURACY LEVEL country FOR visits.place;
 `
 
-// startServer opens an ephemeral database on a simulated clock, installs
-// the schema, and serves it on a loopback listener.
-func startServer(t *testing.T, opts Options) (*engine.DB, *vclock.Simulated, string) {
+// roles are the two front ends that serve the wire protocol: the
+// database server, and the shard router over one such server.
+var roles = []string{"server", "router"}
+
+// front is one role's front end under test.
+type front struct {
+	role  string
+	db    *engine.DB // the database behind it
+	clock *vclock.Simulated
+	addr  string
+	reg   *metrics.Registry // where its instantdb_<role>_* instruments live
+	// stop closes the front end and reports Serve's return, which must be
+	// nil after a graceful Close. It runs once; the test's cleanup calls
+	// it too.
+	stop func() error
+}
+
+// startFront opens a database on a simulated clock, installs the
+// schema, and serves it on a loopback listener behind role's front end.
+// The server's database is ephemeral. A router takes the same MaxConns
+// and MaxFrame and routes to a durable database (it mirrors the
+// schema from the catalog file) through a server of its own.
+func startFront(t *testing.T, role string, opts server.Options) *front {
 	t.Helper()
 	clock := vclock.NewSimulated(vclock.Epoch)
-	db, err := engine.Open(engine.Config{Clock: clock})
+	cfg := engine.Config{Clock: clock}
+	if role == "router" {
+		cfg.Dir = t.TempDir()
+	}
+	db, err := engine.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	if err := db.ExecScript(paperSchema); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, opts)
+	f := &front{role: role, db: db, clock: clock}
+	if role == "server" {
+		f.addr, f.stop = serve(t, server.New(db, opts))
+		f.reg = db.Metrics()
+		return f
+	}
+	shardAddr, _ := serve(t, server.New(db, server.Options{}))
+	r, err := shard.New(context.Background(), shard.Uniform([]shard.Info{{Name: "s0", Addr: shardAddr}}),
+		shard.Options{MaxConns: opts.MaxConns, MaxFrame: opts.MaxFrame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.addr, f.stop = serve(t, r)
+	f.reg = r.Metrics()
+	return f
+}
+
+// serve runs a front end on a loopback listener until the test ends.
+func serve(t *testing.T, fe interface {
+	Serve(net.Listener) error
+	Close() error
+}) (string, func() error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	go func() { done <- fe.Serve(ln) }()
+	var once sync.Once
+	var stopErr error
+	stop := func() error {
+		once.Do(func() {
+			stopErr = fe.Close()
+			if err := <-done; err != nil {
+				stopErr = fmt.Errorf("serve: %w", err)
+			}
+		})
+		return stopErr
+	}
 	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("server close: %v", err)
+		if err := stop(); err != nil {
+			t.Error(err)
 		}
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-		db.Close()
 	})
-	return db, clock, ln.Addr().String()
+	return ln.Addr().String(), stop
+}
+
+// startServer serves the paper schema from the database server.
+func startServer(t *testing.T, opts server.Options) (*engine.DB, *vclock.Simulated, string) {
+	t.Helper()
+	f := startFront(t, "server", opts)
+	return f.db, f.clock, f.addr
+}
+
+// sample reads one key from a registry snapshot (0 when absent).
+func sample(reg *metrics.Registry, key string) float64 {
+	for _, s := range reg.Snapshot() {
+		if s.Key == key {
+			return s.Value
+		}
+	}
+	return 0
 }
 
 func dial(t *testing.T, addr string, opts ...client.Option) *client.Conn {
@@ -91,7 +165,7 @@ func ctxT(t *testing.T) context.Context {
 // session observes exactly the purpose-limited views an embedded
 // engine.Conn with the same purpose does.
 func TestRemoteMatchesEmbedded(t *testing.T) {
-	db, _, addr := startServer(t, Options{})
+	db, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 
 	c := dial(t, addr)
@@ -131,7 +205,7 @@ func TestRemoteMatchesEmbedded(t *testing.T) {
 // TestSetPurposeViaSQL checks SET PURPOSE works as a plain statement
 // over the wire too (the shell's remote mode relies on it).
 func TestSetPurposeViaSQL(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 	if _, err := c.Exec(ctx, `INSERT INTO visits (id, who, place) VALUES (1, 'x', 'Dam 1')`); err != nil {
@@ -154,7 +228,7 @@ func TestSetPurposeViaSQL(t *testing.T) {
 // readers, all against one server. Run under -race this is the
 // concurrent-session safety check demanded by the engine contract.
 func TestConcurrentClients(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 
 	places := []string{"Dam 1", "Coolsingel 40", "10 rue de Rivoli"}
 	cityOf := map[string]string{"Dam 1": "Amsterdam", "Coolsingel 40": "Rotterdam", "10 rue de Rivoli": "Paris"}
@@ -245,7 +319,7 @@ func TestConcurrentClients(t *testing.T) {
 // (state address is no longer computable), the stats session keeps its
 // country view.
 func TestDegradationVisibleToConnectedClients(t *testing.T) {
-	db, clock, addr := startServer(t, Options{})
+	db, clock, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 
 	full := dial(t, addr)
@@ -282,7 +356,7 @@ func TestDegradationVisibleToConnectedClients(t *testing.T) {
 
 // TestTransactions exercises the Begin/Commit/Rollback frames.
 func TestTransactions(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -322,7 +396,7 @@ func TestTransactions(t *testing.T) {
 // wire: snapshot reads across concurrent commits, deadline-crossing
 // degradation visible mid-transaction, and writes refused.
 func TestReadOnlyTransaction(t *testing.T) {
-	db, clock, addr := startServer(t, Options{})
+	db, clock, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 
 	seed := dial(t, addr)
@@ -384,7 +458,7 @@ func TestReadOnlyTransaction(t *testing.T) {
 // the server rolled it back (its row locks are released, its writes are
 // gone).
 func TestDisconnectReleasesLocks(t *testing.T) {
-	db, _, addr := startServer(t, Options{})
+	db, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 
 	c := dial(t, addr)
@@ -412,7 +486,7 @@ func TestDisconnectReleasesLocks(t *testing.T) {
 
 // TestSQLErrorsKeepSession checks statement failures are non-fatal.
 func TestSQLErrorsKeepSession(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -439,7 +513,7 @@ func TestSQLErrorsKeepSession(t *testing.T) {
 // TestHandshakeUnknownPurpose rejects a Dial naming an undeclared
 // purpose.
 func TestHandshakeUnknownPurpose(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	ctx := ctxT(t)
 	_, err := client.Dial(ctx, addr, client.WithPurpose("nonexistent"))
 	var werr *client.Error
@@ -478,92 +552,105 @@ func expectError(t *testing.T, nc net.Conn, code uint16) {
 	}
 }
 
+// forRoles runs a test against each role's front end.
+func forRoles(t *testing.T, opts server.Options, test func(t *testing.T, f *front)) {
+	for _, role := range roles {
+		t.Run(role, func(t *testing.T) { test(t, startFront(t, role, opts)) })
+	}
+}
+
 // TestProtocolBadMagic sends an HTTP-looking first frame.
 func TestProtocolBadMagic(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
-	nc := rawConn(t, addr)
-	if err := wire.WriteFrame(nc, wire.OpHello, []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, nc, wire.CodeProtocol)
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		if err := wire.WriteFrame(nc, wire.OpHello, []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+	})
 }
 
 // TestProtocolWrongFirstOpcode requires Hello before anything else.
 func TestProtocolWrongFirstOpcode(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
-	nc := rawConn(t, addr)
-	if err := wire.WriteFrame(nc, wire.OpExec, []byte("SELECT 1")); err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, nc, wire.CodeProtocol)
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		if err := wire.WriteFrame(nc, wire.OpExec, []byte("SELECT 1")); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+	})
 }
 
 // TestProtocolBadVersion rejects a future protocol version.
 func TestProtocolBadVersion(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
-	nc := rawConn(t, addr)
-	h := wire.EncodeHello(wire.Hello{Version: wire.Version + 1})
-	if err := wire.WriteFrame(nc, wire.OpHello, h); err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, nc, wire.CodeProtocol)
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		h := wire.EncodeHello(wire.Hello{Version: wire.Version + 1})
+		if err := wire.WriteFrame(nc, wire.OpHello, h); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+	})
 }
 
 // TestProtocolVersion1Refused: a client of protocol version 1 encodes
-// INTs in 8 fixed bytes, which this server would misread. Its Hello is
+// INTs in 8 fixed bytes, which this build would misread. Its Hello is
 // refused with CodeProtocol, and the connection closes.
 func TestProtocolVersion1Refused(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
-	nc := rawConn(t, addr)
-	if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: 1})); err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, nc, wire.CodeProtocol)
-	if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
-		t.Fatal("connection must be closed after a refused version")
-	}
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: 1})); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+			t.Fatal("connection must be closed after a refused version")
+		}
+	})
 }
 
-// TestProtocolOversizedFrame announces a payload over the server limit
-// and must be refused before the server buffers it.
+// TestProtocolOversizedFrame announces a payload over the frame limit
+// and must be refused before the front end buffers it.
 func TestProtocolOversizedFrame(t *testing.T) {
-	_, _, addr := startServer(t, Options{MaxFrame: 4096})
-	nc := rawConn(t, addr)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := nc.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, nc, wire.CodeFrameTooLarge)
+	forRoles(t, server.Options{MaxFrame: 4096}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], 1<<30)
+		if _, err := nc.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeFrameTooLarge)
+	})
 }
 
 // TestProtocolUnknownOpcode closes the session after an undefined
 // request opcode.
 func TestProtocolUnknownOpcode(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
-	nc := rawConn(t, addr)
-	if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: wire.Version})); err != nil {
-		t.Fatal(err)
-	}
-	op, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault)
-	if err != nil || op != wire.OpWelcome {
-		t.Fatalf("handshake: op=%#x err=%v", op, err)
-	}
-	if err := wire.WriteFrame(nc, 0x7F, nil); err != nil {
-		t.Fatal(err)
-	}
-	expectError(t, nc, wire.CodeProtocol)
-	// The server must then close the connection.
-	if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
-		t.Fatal("connection must be closed after a protocol error")
-	}
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: wire.Version})); err != nil {
+			t.Fatal(err)
+		}
+		op, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault)
+		if err != nil || op != wire.OpWelcome {
+			t.Fatalf("handshake: op=%#x err=%v", op, err)
+		}
+		if err := wire.WriteFrame(nc, 0x7F, nil); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+		// The front end must then close the connection.
+		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+			t.Fatal("connection must be closed after a protocol error")
+		}
+	})
 }
 
 // TestOversizedResult checks a result bigger than the frame limit comes
 // back as a statement error, not a frame the client must reject, and
 // the session survives.
 func TestOversizedResult(t *testing.T) {
-	_, _, addr := startServer(t, Options{MaxFrame: 4096})
+	_, _, addr := startServer(t, server.Options{MaxFrame: 4096})
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -590,40 +677,43 @@ func TestOversizedResult(t *testing.T) {
 }
 
 // TestMaxConns rejects sessions over the configured cap with a busy
-// error, and frees the slot when a session ends.
+// error, counts the reject, and frees the slot when a session ends.
 func TestMaxConns(t *testing.T) {
-	_, _, addr := startServer(t, Options{MaxConns: 2})
-	ctx := ctxT(t)
-
-	c1 := dial(t, addr)
-	c2 := dial(t, addr)
-	_ = c2
-	_, err := client.Dial(ctx, addr)
-	var werr *client.Error
-	if !errors.As(err, &werr) || werr.Code != wire.CodeServerBusy {
-		t.Fatalf("want CodeServerBusy, got %v", err)
-	}
-
-	c1.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c4, err := client.Dial(ctx, addr)
-		if err == nil {
-			c4.Close()
-			break
+	forRoles(t, server.Options{MaxConns: 2}, func(t *testing.T, f *front) {
+		ctx := ctxT(t)
+		c1 := dial(t, f.addr)
+		dial(t, f.addr)
+		_, err := client.Dial(ctx, f.addr)
+		var werr *client.Error
+		if !errors.As(err, &werr) || werr.Code != wire.CodeServerBusy {
+			t.Fatalf("want CodeServerBusy, got %v", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot not released after close: %v", err)
+		busy := "instantdb_" + f.role + "_busy_rejects_total"
+		if got := sample(f.reg, busy); got != 1 {
+			t.Fatalf("%s = %v after one reject, want 1", busy, got)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
+
+		c1.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			c4, err := client.Dial(ctx, f.addr)
+			if err == nil {
+				c4.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("slot not released after close: %v", err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // TestContextCancellation: a statement sent with a context canceled
 // before the call fails with context.Canceled, does not run, and leaves
 // the connection usable.
 func TestContextCancellation(t *testing.T) {
-	_, _, addr := startServer(t, Options{})
+	_, _, addr := startServer(t, server.Options{})
 	c := dial(t, addr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -646,50 +736,33 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestGracefulClose drains sessions and leaves the DB consistent.
+// TestGracefulClose drains sessions: Serve returns nil, new dials are
+// refused, and the server rolls back a session's open transaction.
 func TestGracefulClose(t *testing.T) {
-	clock := vclock.NewSimulated(vclock.Epoch)
-	db, err := engine.Open(engine.Config{Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.ExecScript(paperSchema); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(db, Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		ctx := ctxT(t)
+		c := dial(t, f.addr)
+		if f.role == "server" {
+			if err := c.Begin(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Exec(ctx, `INSERT INTO visits (id, who, place) VALUES (1, 'x', 'Dam 1')`); err != nil {
+			t.Fatal(err)
+		}
 
-	ctx := ctxT(t)
-	c, err := client.Dial(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Begin(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec(ctx, `INSERT INTO visits (id, who, place) VALUES (1, 'x', 'Dam 1')`); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("serve returned %v after graceful close", err)
-	}
-	// The orphaned transaction was rolled back during the drain.
-	res, err := db.Exec(`INSERT INTO visits (id, who, place) VALUES (1, 'y', 'Dam 1')`)
-	if err != nil || res.RowsAffected != 1 {
-		t.Fatalf("post-shutdown insert: res=%+v err=%v", res, err)
-	}
-	// And new connections are refused.
-	if _, err := client.Dial(ctx, ln.Addr().String()); err == nil {
-		t.Fatal("dial must fail after Close")
-	}
+		if err := f.stop(); err != nil {
+			t.Fatalf("graceful close: %v", err)
+		}
+		if f.role == "server" {
+			// The orphaned transaction was rolled back during the drain.
+			res, err := f.db.Exec(`INSERT INTO visits (id, who, place) VALUES (1, 'y', 'Dam 1')`)
+			if err != nil || res.RowsAffected != 1 {
+				t.Fatalf("post-shutdown insert: res=%+v err=%v", res, err)
+			}
+		}
+		if _, err := client.Dial(ctx, f.addr); err == nil {
+			t.Fatal("dial must fail after Close")
+		}
+	})
 }

@@ -1,8 +1,7 @@
-package server
+package server_test
 
 import (
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"instantdb/client"
 	"instantdb/internal/engine"
+	"instantdb/internal/server"
 	"instantdb/internal/trace"
 	"instantdb/internal/vclock"
 )
@@ -20,7 +20,7 @@ import (
 // a fresh temporary one): the commit path then routes through the WAL
 // group committer, so traced writes carry the wal_append span and its
 // group-commit phase children.
-func startDurableServer(t *testing.T, cfg engine.Config, opts Options) (*engine.DB, string) {
+func startDurableServer(t *testing.T, cfg engine.Config, opts server.Options) (*engine.DB, string) {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
@@ -32,26 +32,12 @@ func startDurableServer(t *testing.T, cfg engine.Config, opts Options) (*engine.
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	if err := db.ExecScript(paperSchema); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("server close: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-		db.Close()
-	})
-	return db, ln.Addr().String()
+	addr, _ := serve(t, server.New(db, opts))
+	return db, addr
 }
 
 // dumpByID polls the server for the finished trace (the root span ends
@@ -81,7 +67,7 @@ func dumpByID(t *testing.T, c *client.Conn, tid uint64, wantSpans int) *trace.Re
 // append decomposes into the group-commit phases, with durability
 // (group_fsync) strictly inside the append and publish after it.
 func TestTracedInsertSpansCommitPipeline(t *testing.T) {
-	_, addr := startDurableServer(t, engine.Config{}, Options{})
+	_, addr := startDurableServer(t, engine.Config{}, server.Options{})
 	c := dial(t, addr)
 	ctx := ctxT(t)
 
@@ -125,6 +111,19 @@ func TestTracedInsertSpansCommitPipeline(t *testing.T) {
 		t.Fatalf("publish started %v, before fsync finished %v",
 			pub.Start, fs.Start.Add(fs.Duration))
 	}
+
+	// The traced request is one latency sample, under traced, as the
+	// router counts it; the statement it wraps is not counted again.
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats[`instantdb_server_request_seconds_count{op="traced"}`]; got != 1 {
+		t.Fatalf("traced requests counted %v, want 1", got)
+	}
+	if got := stats[`instantdb_server_request_seconds_count{op="exec"}`]; got != 0 {
+		t.Fatalf("exec requests counted %v after one traced exec, want 0", got)
+	}
 }
 
 // TestDebugEndpointsAndAuditTrail walks the diagnostic loop an operator
@@ -134,7 +133,7 @@ func TestTracedInsertSpansCommitPipeline(t *testing.T) {
 func TestDebugEndpointsAndAuditTrail(t *testing.T) {
 	dir := t.TempDir()
 	clock := vclock.NewSimulated(vclock.Epoch)
-	db, addr := startDurableServer(t, engine.Config{Dir: dir, Clock: clock}, Options{})
+	db, addr := startDurableServer(t, engine.Config{Dir: dir, Clock: clock}, server.Options{})
 	c := dial(t, addr)
 	ctx := ctxT(t)
 
@@ -145,7 +144,7 @@ func TestDebugEndpointsAndAuditTrail(t *testing.T) {
 	}
 	dumpByID(t, c, tid, 1)
 
-	h := MetricsHandler(db)
+	h := server.MetricsHandler(db)
 	for path, want := range map[string]string{
 		"/debug/traces":        "serve_exec",
 		"/debug/pprof/cmdline": "",
@@ -188,7 +187,7 @@ func TestDebugEndpointsAndAuditTrail(t *testing.T) {
 // TestLocalSamplingRecordsEveryRequest proves Config.TraceSample 1
 // traces unforced wire statements into the recent ring.
 func TestLocalSamplingRecordsEveryRequest(t *testing.T) {
-	db, addr := startDurableServer(t, engine.Config{TraceSample: 1}, Options{})
+	db, addr := startDurableServer(t, engine.Config{TraceSample: 1}, server.Options{})
 	c := dial(t, addr)
 	ctx := ctxT(t)
 
@@ -228,7 +227,7 @@ func TestSlowQueryLog(t *testing.T) {
 		mu.Unlock()
 	}
 	_, addr := startDurableServer(t, engine.Config{TraceSample: 1},
-		Options{SlowQuery: time.Nanosecond, SlowLogf: logf})
+		server.Options{SlowQuery: time.Nanosecond, SlowLogf: logf})
 	c := dial(t, addr)
 	ctx := ctxT(t)
 

@@ -1,18 +1,16 @@
 package shard
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"time"
 
 	"instantdb/client"
 	"instantdb/internal/metrics"
 	"instantdb/internal/query"
+	"instantdb/internal/server"
 	"instantdb/internal/trace"
 	"instantdb/internal/value"
 	"instantdb/internal/wire"
@@ -54,11 +52,12 @@ type Options struct {
 // persist what they have seen. The router holds no state a restart
 // cannot rebuild from the routing table and the shards themselves.
 type Router struct {
-	opts   Options
-	schema *Schema
-	reg    *metrics.Registry
-	met    routerMetrics
-	tracer *trace.Tracer
+	*server.Front // Serve, Addr and Close
+	opts          Options
+	schema        *Schema
+	reg           *metrics.Registry
+	met           routerMetrics
+	tracer        *trace.Tracer
 
 	tableMu sync.RWMutex
 	table   *Table
@@ -72,17 +71,9 @@ type Router struct {
 	statsMu sync.Mutex
 	shardUp map[string]float64
 	maxLag  float64
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 type routerMetrics struct {
-	conns     *metrics.Gauge
-	requests  *metrics.CounterVec
 	scatters  *metrics.Counter
 	broadcast *metrics.Counter
 }
@@ -106,14 +97,10 @@ func New(ctx context.Context, t *Table, opts Options) (*Router, error) {
 		opts.RequestTimeout = 30 * time.Second
 	}
 	r := &Router{opts: opts, table: t.Clone(), schema: NewSchema(),
-		reg: metrics.NewRegistry(), conns: make(map[net.Conn]struct{}),
-		tracer: trace.New("router", opts.TraceSample, opts.SlowTrace)}
+		reg: metrics.NewRegistry(), tracer: trace.New("router", opts.TraceSample, opts.SlowTrace)}
 	metrics.InstrumentBuildInfo(r.reg)
+	r.Front = server.NewFront("router", r.reg, opts.MaxConns, opts.MaxFrame, opts.Logf, r.admit)
 	r.met = routerMetrics{
-		conns: r.reg.Gauge("instantdb_router_active_conns",
-			"Client connections currently served by the router."),
-		requests: r.reg.CounterVec("instantdb_router_requests_total",
-			"Requests handled by the router, by opcode.", "op"),
 		scatters: r.reg.Counter("instantdb_router_scatter_total",
 			"SELECTs fanned out to every shard and merged."),
 		broadcast: r.reg.Counter("instantdb_router_broadcast_total",
@@ -252,107 +239,6 @@ func (r *Router) Flip(ctx context.Context, next *Table) error {
 	return nil
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (r *Router) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(ln)
-}
-
-// Serve accepts client connections on ln until Close.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		ln.Close()
-		return errors.New("shard: router already closed")
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		if !r.track(nc) {
-			continue
-		}
-		go func() {
-			defer r.wg.Done()
-			r.handle(nc)
-		}()
-	}
-}
-
-// Addr returns the bound listener address (nil before Serve).
-func (r *Router) Addr() net.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return nil
-	}
-	return r.ln.Addr()
-}
-
-// Close stops accepting, closes every live session and waits for the
-// handlers to drain. Idempotent.
-func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	ln := r.ln
-	for nc := range r.conns {
-		nc.Close()
-	}
-	r.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	r.wg.Wait()
-	return err
-}
-
-func (r *Router) track(nc net.Conn) bool {
-	r.mu.Lock()
-	switch {
-	case r.closed:
-		r.mu.Unlock()
-		wire.WriteFrame(nc, wire.OpError, wire.EncodeError(wire.CodeShutdown, "router: shutting down"))
-		nc.Close()
-		return false
-	case r.opts.MaxConns > 0 && len(r.conns) >= r.opts.MaxConns:
-		r.mu.Unlock()
-		wire.WriteFrame(nc, wire.OpError, wire.EncodeError(wire.CodeServerBusy,
-			fmt.Sprintf("router: connection limit (%d) reached", r.opts.MaxConns)))
-		nc.Close()
-		return false
-	}
-	r.conns[nc] = struct{}{}
-	r.wg.Add(1)
-	r.mu.Unlock()
-	r.met.conns.Inc()
-	return true
-}
-
-func (r *Router) untrack(nc net.Conn) {
-	r.mu.Lock()
-	delete(r.conns, nc)
-	r.mu.Unlock()
-	r.met.conns.Dec()
-}
-
 func (r *Router) logf(format string, args ...any) {
 	if r.opts.Logf != nil {
 		r.opts.Logf(format, args...)
@@ -399,173 +285,127 @@ func (ss *rsession) conn(ctx context.Context, t *Table, idx int) (*client.Conn, 
 	return c, nil
 }
 
-func (ss *rsession) closeAll() {
+// Serve answers one request frame (server.Session).
+func (ss *rsession) Serve(p *server.Peer, op byte, payload []byte) bool {
+	return ss.r.serveRequest(p, ss, op, payload)
+}
+
+// Close ends every downstream session.
+func (ss *rsession) Close() {
 	for _, c := range ss.conns {
 		c.Close()
 	}
 }
 
-// handle runs one client session: handshake, then the request loop.
-func (r *Router) handle(nc net.Conn) {
-	defer r.untrack(nc)
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-
-	ss, err := r.handshake(nc, br)
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			r.logf("handshake %s: %v", nc.RemoteAddr(), err)
-		}
-		return
-	}
-	defer ss.closeAll()
-	for {
-		op, payload, err := wire.ReadFrame(br, r.opts.MaxFrame)
-		if err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				r.fail(nc, wire.CodeFrameTooLarge, err.Error())
-			}
-			return
-		}
-		r.met.requests.With(routerOpName(op)).Inc()
-		if !r.serveRequest(nc, ss, op, payload) {
-			return
-		}
-	}
-}
-
-// handshake accepts the client Hello. The purpose is not validated here
-// — the router has no purpose catalog — but every downstream dial
-// carries it, so the owning shard enforces it on the session's first
-// routed statement.
-func (r *Router) handshake(nc net.Conn, br *bufio.Reader) (*rsession, error) {
-	op, payload, err := wire.ReadFrame(br, r.opts.MaxFrame)
-	if err != nil {
-		return nil, err
-	}
-	if op != wire.OpHello {
-		r.fail(nc, wire.CodeProtocol, fmt.Sprintf("router: expected hello, got opcode %#x", op))
-		return nil, fmt.Errorf("first frame opcode %#x", op)
-	}
-	h, err := wire.DecodeHello(payload)
-	if err != nil {
-		r.fail(nc, wire.CodeProtocol, err.Error())
-		return nil, err
-	}
-	if h.Version != wire.Version {
-		r.fail(nc, wire.CodeProtocol,
-			fmt.Sprintf("router: protocol version %d unsupported (want %d)", h.Version, wire.Version))
-		return nil, fmt.Errorf("protocol version %d", h.Version)
-	}
-	ss := &rsession{r: r, purpose: h.Purpose, coarse: h.Coarse, conns: make(map[int]*client.Conn)}
-	if err := wire.WriteFrame(nc, wire.OpWelcome, wire.EncodeWelcome()); err != nil {
-		return nil, err
-	}
-	return ss, nil
+// admit opens a client session. The purpose is not validated here —
+// the router has no purpose catalog — but every downstream dial carries
+// it, so the owning shard enforces it on the session's first routed
+// statement.
+func (r *Router) admit(_ *server.Peer, h wire.Hello) (server.Session, error) {
+	return &rsession{r: r, purpose: h.Purpose, coarse: h.Coarse, conns: make(map[int]*client.Conn)}, nil
 }
 
 // serveRequest dispatches one request. Returns false to end the session.
-func (r *Router) serveRequest(nc net.Conn, ss *rsession, op byte, payload []byte) bool {
+func (r *Router) serveRequest(p *server.Peer, ss *rsession, op byte, payload []byte) bool {
 	switch op {
 	case wire.OpPing:
-		return wire.WriteFrame(nc, wire.OpPong, nil) == nil
+		return p.WriteFrame(wire.OpPong, nil) == nil
 	case wire.OpStats:
 		ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 		defer cancel()
 		stats := r.MergedStats(ctx)
-		return wire.WriteFrame(nc, wire.OpStatsReply, wire.EncodeStats(stats)) == nil
+		return p.WriteFrame(wire.OpStatsReply, wire.EncodeStats(stats)) == nil
 	case wire.OpSchema:
-		return wire.WriteFrame(nc, wire.OpSchemaReply, []byte(r.schema.Script())) == nil
+		return p.WriteFrame(wire.OpSchemaReply, []byte(r.schema.Script())) == nil
 	case wire.OpExec, wire.OpQuery:
-		return r.execSQL(nc, ss, string(payload), nil)
+		return r.execSQL(p, ss, string(payload), nil)
 	case wire.OpExecArgs:
 		sql, args, err := wire.DecodeExecArgs(payload)
 		if err != nil {
-			r.fail(nc, wire.CodeProtocol, err.Error())
+			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
-		return r.execSQL(nc, ss, sql, args)
+		return r.execSQL(p, ss, sql, args)
 	case wire.OpSetPurpose:
-		return r.setPurpose(nc, ss, string(payload))
+		return r.setPurpose(p, ss, string(payload))
 	case wire.OpBegin, wire.OpBeginRO, wire.OpCommit:
-		return r.sendErr(nc, wire.CodeSQL, errors.New(
+		return p.SendErr(wire.CodeSQL, errors.New(
 			"router: transactions are not supported through the shard router (no cross-shard transaction protocol); connect to a single shard"))
 	case wire.OpRollback:
-		return r.rollbackAll(nc, ss)
+		return r.rollbackAll(p, ss)
 	case wire.OpPrepare, wire.OpExecPrepared, wire.OpCloseStmt:
-		return r.sendErr(nc, wire.CodeSQL, errors.New(
+		return p.SendErr(wire.CodeSQL, errors.New(
 			"router: prepared statements are not supported through the shard router; use Exec with arguments"))
 	case wire.OpBackup, wire.OpKeyExport:
-		return r.sendErr(nc, wire.CodeSQL, errors.New(
+		return p.SendErr(wire.CodeSQL, errors.New(
 			"router: back up each shard directly (epoch keys and WALs are per-shard)"))
 	case wire.OpTraced:
 		trd, err := wire.DecodeTraced(payload)
 		if err != nil {
-			r.fail(nc, wire.CodeProtocol, err.Error())
+			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
-		return r.serveTraced(nc, ss, trd)
+		return r.serveTraced(p, ss, trd)
 	case wire.OpTraceDump:
 		mode, id, err := wire.DecodeTraceDump(payload)
 		if err != nil {
-			r.fail(nc, wire.CodeProtocol, err.Error())
+			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
-		return r.serveTraceDump(nc, ss, mode, id)
+		return r.serveTraceDump(p, ss, mode, id)
 	case wire.OpAuditTail:
 		n, err := wire.DecodeAuditTail(payload)
 		if err != nil {
-			r.fail(nc, wire.CodeProtocol, err.Error())
+			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
-		return r.serveAuditTail(nc, ss, n)
+		return r.serveAuditTail(p, ss, n)
 	default:
-		r.fail(nc, wire.CodeProtocol, fmt.Sprintf("router: unknown opcode %#x", op))
+		p.Fail(wire.CodeProtocol, fmt.Sprintf("router: unknown opcode %#x", op))
 		return false
 	}
 }
 
 // setPurpose switches the session purpose and propagates it to every
 // already-open downstream session (future dials carry it at handshake).
-func (r *Router) setPurpose(nc net.Conn, ss *rsession, name string) bool {
+func (r *Router) setPurpose(p *server.Peer, ss *rsession, name string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
-	for idx, c := range ss.conns {
+	for _, c := range ss.conns {
 		if err := c.SetPurpose(ctx, name); err != nil {
 			code := wire.CodeSQL
 			if errors.Is(err, wire.ErrUnknownPurpose) {
 				code = wire.CodeUnknownPurpose
 			}
-			_ = idx
-			return r.sendErr(nc, code, err)
+			return p.SendErr(code, err)
 		}
 	}
 	ss.purpose = name
-	return r.sendResultFrame(nc, &wire.Result{})
+	return p.SendResult(&wire.Result{})
 }
 
 // rollbackAll rolls back on every open downstream session; like the
 // single-node server, rollback is idempotent.
-func (r *Router) rollbackAll(nc net.Conn, ss *rsession) bool {
+func (r *Router) rollbackAll(p *server.Peer, ss *rsession) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
 	for _, c := range ss.conns {
 		if err := c.Rollback(ctx); err != nil {
-			return r.sendErr(nc, wire.CodeSQL, err)
+			return p.SendErr(wire.CodeSQL, err)
 		}
 	}
-	return r.sendResultFrame(nc, &wire.Result{})
+	return p.SendResult(&wire.Result{})
 }
 
 // execSQL parses, plans and executes one statement under local trace
 // sampling (a remote-forced trace instead enters via serveTraced).
-func (r *Router) execSQL(nc net.Conn, ss *rsession, sql string, args []value.Value) bool {
+func (r *Router) execSQL(p *server.Peer, ss *rsession, sql string, args []value.Value) bool {
 	tt, root := r.tracer.Start("exec")
 	if root != nil {
 		root.Attr("sql", sql)
 		defer root.End()
 	}
-	return r.execSQLTraced(nc, ss, sql, args, tt, root)
+	return r.execSQLTraced(p, ss, sql, args, tt, root)
 }
 
 // execSQLTraced parses, plans and executes one statement. The original
@@ -575,62 +415,62 @@ func (r *Router) execSQL(nc net.Conn, ss *rsession, sql string, args []value.Val
 // non-nil the statement is being traced: routing
 // work records spans under root, and every downstream request wraps in
 // OpTraced so the shards' server-side spans join the same tree.
-func (r *Router) execSQLTraced(nc net.Conn, ss *rsession, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
+func (r *Router) execSQLTraced(p *server.Peer, ss *rsession, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
 	psp := tt.Span(root, "plan")
 	st, err := parseForRouting(sql, args)
 	if err != nil {
 		psp.End()
-		return r.sendErr(nc, wire.CodeSQL, err)
+		return p.SendErr(wire.CodeSQL, err)
 	}
 	r.pauseMu.RLock()
 	defer r.pauseMu.RUnlock()
 	t := r.currentTable()
-	p, err := planStatement(t, r.schema, st)
+	pl, err := planStatement(t, r.schema, st)
 	psp.End()
 	if err != nil {
-		return r.sendErr(nc, wire.CodeSQL, err)
+		return p.SendErr(wire.CodeSQL, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
 
-	switch p.act {
+	switch pl.act {
 	case actSingle:
-		c, err := ss.conn(ctx, t, p.shard)
+		c, err := ss.conn(ctx, t, pl.shard)
 		if err != nil {
-			return r.sendErr(nc, wire.CodeSQL, err)
+			return p.SendErr(wire.CodeSQL, err)
 		}
-		res, err := r.shardExec(ctx, c, tt, root, t.Shards[p.shard].Name, sql, args)
+		res, err := r.shardExec(ctx, c, tt, root, t.Shards[pl.shard].Name, sql, args)
 		if err != nil {
-			return r.forwardErr(nc, ss, p.shard, err)
+			return r.forwardErr(p, ss, pl.shard, err)
 		}
-		return r.sendResult(nc, res)
+		return p.SendResult(wireResult(res))
 	case actScatter:
 		r.met.scatters.Inc()
-		return r.scatter(ctx, nc, ss, t, p, sql, args, tt, root)
+		return r.scatter(ctx, p, ss, t, pl, sql, args, tt, root)
 	case actBroadcast:
 		r.met.broadcast.Inc()
 		affected := 0
 		for idx := range t.Shards {
 			c, err := ss.conn(ctx, t, idx)
 			if err != nil {
-				return r.sendErr(nc, wire.CodeSQL, err)
+				return p.SendErr(wire.CodeSQL, err)
 			}
 			res, err := r.shardExec(ctx, c, tt, root, t.Shards[idx].Name, sql, args)
 			if err != nil {
-				return r.forwardErr(nc, ss, idx, err)
+				return r.forwardErr(p, ss, idx, err)
 			}
 			affected += res.RowsAffected
 		}
-		if p.ddl {
+		if pl.ddl {
 			r.schema.ApplyStmt(st, sql)
 		}
-		return r.sendResultFrame(nc, &wire.Result{RowsAffected: uint64(affected)})
+		return p.SendResult(&wire.Result{RowsAffected: uint64(affected)})
 	case actSetPurpose:
-		return r.setPurpose(nc, ss, p.name)
+		return r.setPurpose(p, ss, pl.name)
 	case actRollback:
-		return r.rollbackAll(nc, ss)
+		return r.rollbackAll(p, ss)
 	}
-	return r.sendErr(nc, wire.CodeSQL, fmt.Errorf("router: unhandled plan action %d", p.act))
+	return p.SendErr(wire.CodeSQL, fmt.Errorf("router: unhandled plan action %d", pl.act))
 }
 
 // shardExec forwards one statement to a shard. Under a trace, the
@@ -653,15 +493,15 @@ func (r *Router) shardExec(ctx context.Context, c *client.Conn, tt *trace.T, par
 // rather than silently returning partial data — but only this query:
 // routes that avoid the dead shard keep working. An aggregated statement
 // goes out in its partial form; a plain scan verbatim.
-func (r *Router) scatter(ctx context.Context, nc net.Conn, ss *rsession, t *Table, p *plan, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
-	if p.partial != "" {
-		sql, args = p.partial, nil
+func (r *Router) scatter(ctx context.Context, p *server.Peer, ss *rsession, t *Table, pl *plan, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
+	if pl.partial != "" {
+		sql, args = pl.partial, nil
 	}
 	conns := make([]*client.Conn, len(t.Shards))
 	for idx := range t.Shards {
 		c, err := ss.conn(ctx, t, idx)
 		if err != nil {
-			return r.sendErr(nc, wire.CodeSQL, err)
+			return p.SendErr(wire.CodeSQL, err)
 		}
 		conns[idx] = c
 	}
@@ -687,16 +527,16 @@ func (r *Router) scatter(ctx context.Context, nc net.Conn, ss *rsession, t *Tabl
 	wg.Wait()
 	for idx, err := range errs {
 		if err != nil {
-			return r.forwardErr(nc, ss, idx, fmt.Errorf("shard %s: %w", t.Shards[idx].Name, err))
+			return r.forwardErr(p, ss, idx, fmt.Errorf("shard %s: %w", t.Shards[idx].Name, err))
 		}
 	}
 	msp := tt.Span(root, "merge")
-	merged, err := mergeParts(p.shape, parts)
+	merged, err := mergeParts(pl.shape, parts)
 	msp.End()
 	if err != nil {
-		return r.sendErr(nc, wire.CodeSQL, err)
+		return p.SendErr(wire.CodeSQL, err)
 	}
-	return r.sendResultFrame(nc, &wire.Result{RowsAffected: uint64(len(merged.Data)), Rows: merged})
+	return p.SendResult(&wire.Result{RowsAffected: uint64(len(merged.Data)), Rows: merged})
 }
 
 // forwardErr relays a downstream failure to the client. Wire errors keep
@@ -704,15 +544,15 @@ func (r *Router) scatter(ctx context.Context, nc net.Conn, ss *rsession, t *Tabl
 // exactly as a direct connection would see them); transport failures
 // surface as CodeSQL with the shard named, and the dead downstream
 // session is dropped so the next statement redials.
-func (r *Router) forwardErr(nc net.Conn, ss *rsession, idx int, err error) bool {
+func (r *Router) forwardErr(p *server.Peer, ss *rsession, idx int, err error) bool {
 	var werr *wire.Error
 	if errors.As(err, &werr) && !werr.Fatal() {
-		return r.sendErr(nc, werr.Code, werr)
+		return p.SendErr(werr.Code, werr)
 	}
 	if c, ok := ss.conns[idx]; ok && c.Closed() {
 		delete(ss.conns, idx)
 	}
-	return r.sendErr(nc, wire.CodeSQL, err)
+	return p.SendErr(wire.CodeSQL, err)
 }
 
 // parseForRouting parses one statement, binding arguments to
@@ -728,51 +568,11 @@ func parseForRouting(sql string, args []value.Value) (query.Statement, error) {
 	return query.BindKnown(st, args, n)
 }
 
-func (r *Router) sendResult(nc net.Conn, res *client.Result) bool {
+// wireResult renders a shard's result for the client.
+func wireResult(res *client.Result) *wire.Result {
 	w := &wire.Result{RowsAffected: uint64(res.RowsAffected), LastInsertID: res.LastInsertID}
 	if res.Rows != nil {
 		w.Rows = &wire.Rows{Columns: res.Rows.Columns, Data: res.Rows.Data}
 	}
-	return r.sendResultFrame(nc, w)
-}
-
-func (r *Router) sendResultFrame(nc net.Conn, res *wire.Result) bool {
-	return wire.WriteFrame(nc, wire.OpResult, wire.EncodeResult(res)) == nil
-}
-
-func (r *Router) sendErr(nc net.Conn, code uint16, err error) bool {
-	return wire.WriteFrame(nc, wire.OpError, wire.EncodeError(code, err.Error())) == nil
-}
-
-func (r *Router) fail(nc net.Conn, code uint16, msg string) {
-	wire.WriteFrame(nc, wire.OpError, wire.EncodeError(code, msg))
-}
-
-func routerOpName(op byte) string {
-	switch op {
-	case wire.OpPing:
-		return "ping"
-	case wire.OpExec:
-		return "exec"
-	case wire.OpQuery:
-		return "query"
-	case wire.OpExecArgs:
-		return "exec_args"
-	case wire.OpSetPurpose:
-		return "set_purpose"
-	case wire.OpRollback:
-		return "rollback"
-	case wire.OpStats:
-		return "stats"
-	case wire.OpSchema:
-		return "schema"
-	case wire.OpTraced:
-		return "traced"
-	case wire.OpTraceDump:
-		return "trace_dump"
-	case wire.OpAuditTail:
-		return "audit_tail"
-	default:
-		return fmt.Sprintf("0x%02x", op)
-	}
+	return w
 }

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"instantdb/internal/shard"
 	"instantdb/internal/value"
 	"instantdb/internal/vclock"
+	"instantdb/internal/wire"
 )
 
 // testSchema mirrors the paper's running example: a degradable location
@@ -87,6 +89,13 @@ type cluster struct {
 
 func startCluster(t *testing.T, n int) *cluster {
 	t.Helper()
+	return startClusterWith(t, n, shard.Options{})
+}
+
+// startClusterWith is startCluster with the router's options (the
+// request timeout is always 10s).
+func startClusterWith(t *testing.T, n int, opts shard.Options) *cluster {
+	t.Helper()
 	c := &cluster{}
 	var infos []shard.Info
 	for i := 0; i < n; i++ {
@@ -95,7 +104,8 @@ func startCluster(t *testing.T, n int) *cluster {
 		infos = append(infos, shard.Info{Name: s.name, Addr: s.addr})
 	}
 	c.table = shard.Uniform(infos)
-	r, err := shard.New(context.Background(), c.table, shard.Options{RequestTimeout: 10 * time.Second})
+	opts.RequestTimeout = 10 * time.Second
+	r, err := shard.New(context.Background(), c.table, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +240,40 @@ func TestRouterSingleKeyRouting(t *testing.T) {
 	rows, err = conn.Query(ctx, "SELECT body FROM logs")
 	if err != nil || rows.Len() != 6 {
 		t.Fatalf("logs through router: %d rows err=%v", rows.Len(), err)
+	}
+}
+
+// TestRouterOversizedMergedResult: every shard's part fits the frame
+// limit but the merged scan does not. The router must refuse it as a
+// statement error, as a server does, instead of sending a frame its
+// client has to reject, and the session must survive.
+func TestRouterOversizedMergedResult(t *testing.T) {
+	c := startClusterWith(t, 2, shard.Options{MaxFrame: 4096})
+	conn := dialRouter(t, c, client.WithMaxFrame(4096))
+	ctx := context.Background()
+	who := strings.Repeat("x", 700)
+	for id := 1; id <= 6; id++ {
+		if _, err := conn.Exec(ctx, "INSERT INTO visits (id, who, place) VALUES (?, ?, 'Dam 1')",
+			value.Int(int64(id)), value.Text(who)); err != nil {
+			t.Fatalf("insert %d: %v", id, err)
+		}
+	}
+	for _, s := range c.shards {
+		if n := len(shardIDs(t, s)); n > 4 {
+			t.Fatalf("shard %s holds %d rows; its part would not fit the frame limit", s.name, n)
+		}
+	}
+	_, err := conn.Query(ctx, "SELECT id, who FROM visits")
+	var werr *client.Error
+	if !errors.As(err, &werr) || werr.Code != wire.CodeSQL {
+		t.Fatalf("want CodeSQL frame-limit error, got %v", err)
+	}
+	if err := conn.Ping(ctx); err != nil {
+		t.Fatalf("session should survive an oversized result: %v", err)
+	}
+	rows, err := conn.Query(ctx, "SELECT id, who FROM visits ORDER BY id LIMIT 2")
+	if err != nil || rows.Len() != 2 {
+		t.Fatalf("narrowed query: rows=%v err=%v", rows, err)
 	}
 }
 

@@ -3,9 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 
+	"instantdb/internal/server"
 	"instantdb/internal/trace"
 	"instantdb/internal/wire"
 )
@@ -14,24 +14,24 @@ import (
 // statement runs with the router's spans rooted under the caller's
 // span, and every shard it touches receives the same trace id — the
 // one stitched tree a later TraceByID dump reassembles.
-func (r *Router) serveTraced(nc net.Conn, ss *rsession, trd wire.Traced) bool {
-	tt, root := r.tracer.StartRemote(trd.TraceID, trd.ParentSpanID, "route_"+routerOpName(trd.Op))
+func (r *Router) serveTraced(p *server.Peer, ss *rsession, trd wire.Traced) bool {
+	tt, root := r.tracer.StartRemote(trd.TraceID, trd.ParentSpanID, "route_"+server.OpName(trd.Op))
 	defer root.End()
 	switch trd.Op {
 	case wire.OpExec, wire.OpQuery:
 		sql := string(trd.Payload)
 		root.Attr("sql", sql)
-		return r.execSQLTraced(nc, ss, sql, nil, tt, root)
+		return r.execSQLTraced(p, ss, sql, nil, tt, root)
 	case wire.OpExecArgs:
 		sql, args, err := wire.DecodeExecArgs(trd.Payload)
 		if err != nil {
-			r.fail(nc, wire.CodeProtocol, err.Error())
+			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
 		root.Attr("sql", sql)
-		return r.execSQLTraced(nc, ss, sql, args, tt, root)
+		return r.execSQLTraced(p, ss, sql, args, tt, root)
 	default:
-		return r.sendErr(nc, wire.CodeSQL,
+		return p.SendErr(wire.CodeSQL,
 			fmt.Errorf("router: OpTraced wraps unsupported opcode %#x", trd.Op))
 	}
 }
@@ -43,12 +43,12 @@ func (r *Router) serveTraced(nc net.Conn, ss *rsession, trd wire.Traced) bool {
 // the remote parent ids planted at scatter time. A shard that cannot
 // answer is skipped (logged) — a partial tree of a diagnostic dump
 // beats no tree; the audit path below makes the opposite choice.
-func (r *Router) serveTraceDump(nc net.Conn, ss *rsession, mode byte, id uint64) bool {
+func (r *Router) serveTraceDump(p *server.Peer, ss *rsession, mode byte, id uint64) bool {
 	switch mode {
 	case wire.TraceRecent:
-		return r.sendTraceData(nc, r.tracer.Recent())
+		return r.sendTraceData(p, r.tracer.Recent())
 	case wire.TraceSlow:
-		return r.sendTraceData(nc, r.tracer.SlowTraces())
+		return r.sendTraceData(p, r.tracer.SlowTraces())
 	}
 	var rec *trace.Rec
 	if lr := r.tracer.ByID(id); lr != nil {
@@ -83,18 +83,18 @@ func (r *Router) serveTraceDump(nc net.Conn, ss *rsession, mode byte, id uint64)
 	if rec != nil {
 		out = []*trace.Rec{rec}
 	}
-	return r.sendTraceData(nc, out)
+	return r.sendTraceData(p, out)
 }
 
-func (r *Router) sendTraceData(nc net.Conn, recs []*trace.Rec) bool {
-	return wire.WriteFrame(nc, wire.OpTraceData, wire.EncodeTraceRecs(recs)) == nil
+func (r *Router) sendTraceData(p *server.Peer, recs []*trace.Rec) bool {
+	return p.WriteFrame(wire.OpTraceData, wire.EncodeTraceRecs(recs)) == nil
 }
 
 // serveAuditTail merges the audit tails of every shard, ordered by
 // event time (sequence numbers are per-shard and would collide). An
 // unreachable shard fails the request: an audit answer that silently
 // omits a shard's degradation evidence would be worse than no answer.
-func (r *Router) serveAuditTail(nc net.Conn, ss *rsession, n uint64) bool {
+func (r *Router) serveAuditTail(p *server.Peer, ss *rsession, n uint64) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
 	t := r.currentTable()
@@ -102,11 +102,11 @@ func (r *Router) serveAuditTail(nc net.Conn, ss *rsession, n uint64) bool {
 	for idx := range t.Shards {
 		c, err := ss.conn(ctx, t, idx)
 		if err != nil {
-			return r.sendErr(nc, wire.CodeSQL, err)
+			return p.SendErr(wire.CodeSQL, err)
 		}
 		evs, err := c.AuditTail(ctx, int(n))
 		if err != nil {
-			return r.forwardErr(nc, ss, idx, fmt.Errorf("shard %s: %w", t.Shards[idx].Name, err))
+			return r.forwardErr(p, ss, idx, fmt.Errorf("shard %s: %w", t.Shards[idx].Name, err))
 		}
 		all = append(all, evs...)
 	}
@@ -114,5 +114,5 @@ func (r *Router) serveAuditTail(nc net.Conn, ss *rsession, n uint64) bool {
 	if n > 0 && uint64(len(all)) > n {
 		all = all[uint64(len(all))-n:]
 	}
-	return wire.WriteFrame(nc, wire.OpAuditData, wire.EncodeAuditEvents(all)) == nil
+	return p.WriteFrame(wire.OpAuditData, wire.EncodeAuditEvents(all)) == nil
 }
