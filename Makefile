@@ -72,8 +72,10 @@ fuzz-smoke:
 
 # budgets runs the tests that hold a committed size: heap bytes per row
 # of an open database, a B+tree under churn against a fresh tree of the
-# same content, heap bytes per posting id and per pending degradation
-# task, audit-trail bytes per event (rows inserted one per commit, and
+# same content, B+tree bytes per entry and Stats accuracy (the heap a
+# grown tree holds per entry, Stats within 3 % of it, and each node
+# type within its size class), heap bytes per posting id and per
+# pending degradation task, audit-trail bytes per event (rows inserted one per commit, and
 # the benchmark's 500-row commits), WAL bytes per insert and per
 # degrade record (with the allocations per sealed payload), page reads
 # plus writes per degradation transition, per row a THEN DELETE wave

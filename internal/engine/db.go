@@ -454,10 +454,13 @@ func (db *DB) BackupPin() (epoch uint64, pos wal.Pos, release func(), err error)
 
 // CatalogScript returns the persisted DDL script (catalog.sql) under the
 // commit mutex, so a concurrently executing DDL statement is either
-// fully included or fully absent.
+// fully included or fully absent. An in-memory database has none.
 func (db *DB) CatalogScript() (string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.cfg.Dir == "" {
+		return "", nil
+	}
 	data, err := os.ReadFile(filepath.Join(db.cfg.Dir, "catalog.sql"))
 	if err != nil && !os.IsNotExist(err) {
 		return "", err

@@ -600,3 +600,25 @@ func TestTwoDeadlinesInOneTick(t *testing.T) {
 		t.Fatalf("stat purpose sees %d rows, want %d", got, rows)
 	}
 }
+
+// TestCatalogScriptInMemory: an in-memory database has no catalog.sql,
+// whatever the working directory holds.
+func TestCatalogScriptInMemory(t *testing.T) {
+	wd := t.TempDir()
+	if err := os.WriteFile(filepath.Join(wd, "catalog.sql"), []byte("CREATE TABLE leaked (x INT);\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(wd)
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	script, err := db.CatalogScript()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if script != "" {
+		t.Fatalf("in-memory database serves the working directory's catalog.sql: %q", script)
+	}
+}

@@ -235,18 +235,19 @@ CREATE INDEX bm_loc ON person (location) USING BITMAP;`); err != nil {
 
 // Resident budgets: bytes of live heap per row of the benchmark's schema
 // (person: primary key plus B+tree indexes on both degradable columns)
-// at 20 000 rows, measurement + 11 %. This test measures 68.0 (loaded
-// live) and 61.9 (reopened), the same to a few tenths run after run; of
-// the 61.9, the three indexes hold 36 (primary key 16.6, salary 16.3,
-// location 3.0), the tuple directory 8, the three degradation queues 7
-// (2.3 B per pending task on a clock standing still). With 16-byte
-// directory entries, float64 INT keys and the primary-key reservations
-// kept at their peak it measured 88.2 and 78.3, with postings of 8-byte
+// at 20 000 rows, measurement + 5 %. This test measures 57.7 (loaded
+// live) and 53.5 (reopened), the same to a few tenths run after run; of
+// the 53.5, the three indexes hold 30 (primary key 10.9, salary 15.7,
+// location 3.1), the tuple directory 8, the three degradation queues 7
+// (2.3 B per pending task on a clock standing still). With B+tree leaves
+// of 8-byte value slots and 4-byte key offsets it measured 68.2 and 61.9,
+// with 16-byte directory entries, float64 INT keys and the primary-key
+// reservations kept at their peak 88.2 and 78.3, with postings of 8-byte
 // ids 100 and 88, with 16-byte queue tasks before that 152 and 130, with
 // a posting per key and two directory maps before that 336 and 275.
 const (
-	residentBudgetLive     = 75
-	residentBudgetReopened = 69
+	residentBudgetLive     = 60
+	residentBudgetReopened = 56
 )
 
 // residentParts logs the heap per row of each structure an open

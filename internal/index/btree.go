@@ -11,8 +11,8 @@
 //     degradation step moves an id between two postings, and a predicate
 //     at any accuracy level is one subtree collection.
 //
-// A posting — the ids of a B+tree key with more than one, or of a GT node
-// — is one type for both: chunks of up to 128 ascending ids, the first in
+// A posting — the ids of a B+tree key with more than one (or with one out
+// of its leaf's reach), or of a GT node — is one type for both: chunks of up to 128 ascending ids, the first in
 // the clear and the rest as uvarint gaps (posting.go).
 //
 // Indexes are memory-resident, rebuilt from the heap at open: the
@@ -23,15 +23,22 @@
 // zeroed and is zeroed and dropped with its last id. What the BTree does
 // not do is merge underfull leaves: a leaf keeps its footprint until its
 // last key is gone (BTree.Stats reports what is held).
+//
+// A node is sized to an allocator size class: key offsets are 2 bytes, so
+// a node's keys take at most 64 KiB, and a leaf's value slots are 4: an
+// id within 2³⁰ of the leaf's base id, or where a spilled posting starts.
+// A leaf is 464 bytes in the 480-byte class, an inner node 1 184 in the
+// 1 280-byte class.
 package index
 
 import (
 	"bytes"
 	"cmp"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"instantdb/internal/storage"
 )
@@ -43,11 +50,26 @@ const fanout = 64
 // need; nodes of longer keys grow theirs geometrically.
 const arenaPresizeMax = 4096
 
+// arenaMax is the most key bytes a node holds, the largest end a 2-byte
+// offset records. A node splits before its arena would pass it.
+const arenaMax = math.MaxUint16
+
+// maxKeyLen is the longest key a tree takes. A split leaves each half at
+// most half the arena plus one key, so either half has room for one more
+// key of this length. An index key is bounded by its row, which a page
+// bounds to 4 KiB.
+const maxKeyLen = arenaMax / 4
+
+// alloc returns an empty slice with room for at least n elements: the
+// whole size class the allocator rounds the array up to, so that cap is
+// the heap it holds.
+func alloc[E any](n int) []E { return slices.Grow([]E(nil), n) }
+
 // packedKeys is a node's sorted keys, stored back to back in one arena:
 // key i is arena[ends[i-1]:ends[i]].
 type packedKeys struct {
 	n     int
-	ends  [fanout]uint32
+	ends  [fanout]uint16
 	arena []byte
 }
 
@@ -81,20 +103,33 @@ func (k *packedKeys) search(key []byte) (int, bool) {
 // arenaCap sizes an arena that must hold need bytes in nkeys keys: room
 // for a full node of keys of that mean length, so a node filled in key
 // order allocates once and ends exactly full. Long keys get a quarter of
-// headroom instead.
+// headroom instead, up to the most a node holds.
 func arenaCap(need, nkeys int) int {
 	if est := (need + nkeys - 1) / nkeys * fanout; est <= arenaPresizeMax {
 		return max(est, need)
 	}
-	return need + need/4
+	return min(need+need/4, arenaMax)
+}
+
+// full reports whether a node that holds at most limit keys must split
+// before it takes key.
+func (k *packedKeys) full(key []byte, limit int) bool {
+	return k.n == limit || len(k.arena)+len(key) > arenaMax
+}
+
+// half returns where a split cuts the keys: at the first key that starts
+// in the second half of the arena, and so that either side keeps one key
+// at least. Neither side keeps more than half the bytes plus one key.
+func (k *packedKeys) half() int {
+	i, _ := slices.BinarySearch(k.ends[:k.n-1], uint16(len(k.arena)/2))
+	return min(i+1, k.n-1)
 }
 
 // insert places key at index i and returns the arena capacity gained.
 func (k *packedKeys) insert(i int, key []byte) int {
 	grown := 0
 	if need := len(k.arena) + len(key); need > cap(k.arena) {
-		a := make([]byte, len(k.arena), arenaCap(need, k.n+1))
-		copy(a, k.arena)
+		a := append(alloc[byte](arenaCap(need, k.n+1)), k.arena...)
 		clear(k.arena)
 		grown = cap(a) - cap(k.arena)
 		k.arena = a
@@ -104,9 +139,9 @@ func (k *packedKeys) insert(i int, key []byte) int {
 	copy(k.arena[start+len(key):], k.arena[start:old])
 	copy(k.arena[start:], key)
 	copy(k.ends[i+1:k.n+1], k.ends[i:k.n])
-	k.ends[i] = uint32(start + len(key))
+	k.ends[i] = uint16(start + len(key))
 	for j := i + 1; j <= k.n; j++ {
-		k.ends[j] += uint32(len(key))
+		k.ends[j] += uint16(len(key))
 	}
 	k.n++
 	return grown
@@ -116,7 +151,7 @@ func (k *packedKeys) insert(i int, key []byte) int {
 // bulk build has sized for it.
 func (k *packedKeys) push(key []byte) {
 	k.arena = append(k.arena, key...)
-	k.ends[k.n] = uint32(len(k.arena))
+	k.ends[k.n] = uint16(len(k.arena))
 	k.n++
 }
 
@@ -130,7 +165,7 @@ func (k *packedKeys) remove(i int) {
 	k.n--
 	k.ends[k.n] = 0
 	for j := i; j < k.n; j++ {
-		k.ends[j] -= uint32(end - start)
+		k.ends[j] -= uint16(end - start)
 	}
 }
 
@@ -142,10 +177,9 @@ func (k *packedKeys) moveTail(dst *packedKeys, upto, from int) int {
 	start := k.start(from)
 	tail := k.arena[start:]
 	dst.n = k.n - from
-	dst.arena = make([]byte, len(tail), arenaCap(len(tail), max(dst.n, 1)))
-	copy(dst.arena, tail)
+	dst.arena = append(alloc[byte](arenaCap(len(tail), max(dst.n, 1))), tail...)
 	for j := 0; j < dst.n; j++ {
-		dst.ends[j] = k.ends[from+j] - uint32(start)
+		dst.ends[j] = k.ends[from+j] - uint16(start)
 	}
 	cut := k.start(upto)
 	clear(k.arena[cut:])
@@ -155,57 +189,68 @@ func (k *packedKeys) moveTail(dst *packedKeys, upto, from int) int {
 	return cap(dst.arena)
 }
 
-// spillBit marks a leaf value slot that holds, instead of the key's one
-// tuple id, where its posting lies in the leaf's posts: the index of its
-// first chunk in the low 32 bits, the number of its chunks above them.
-// Ids with the bit set themselves always spill.
-const spillBit storage.TupleID = 1 << 63
+// spilled marks a leaf value slot that holds, instead of the key's one
+// tuple id, the index in the leaf's posts of its posting's first chunk.
+// The posting ends where the next spilled key's begins, or at the end of
+// posts.
+const spilled = 1 << 31
 
-// spanRef is the value slot of a posting on posts[lo:hi].
-func spanRef(lo, hi int) storage.TupleID {
-	return spillBit | storage.TupleID(hi-lo)<<32 | storage.TupleID(lo)
-}
+// slotRange bounds how far from its leaf's base an inline id lies: a slot
+// holds the id as a signed 31-bit offset.
+const slotRange = 1 << 30
 
-// span returns the chunks of the posting a spilled value slot refers to.
-func span(v storage.TupleID) (lo, hi int) {
-	lo = int(uint32(v))
-	return lo, lo + int((v&^spillBit)>>32)
-}
-
-// leaf holds up to fanout keys and one 8-byte value slot per key. A key
+// leaf holds up to fanout keys and one 4-byte value slot per key. A key
 // with a single tuple id — every key of a unique index — keeps it in the
-// slot; further ids move the key's set to a posting of its own.
+// slot, as an offset from base; further ids, or one too far from base,
+// move the key's set to a posting of its own.
 type leaf struct {
 	keys packedKeys
-	vals [fanout]storage.TupleID
+	vals [fanout]uint32
+	// base is the id inline offsets count from: the first id the leaf
+	// took while it held no key, or, for the right half of a split, the
+	// left half's base.
+	base storage.TupleID
 	// posts holds the chunks of every spilled posting of the leaf, one
 	// run of chunks per key, in key order; nil when no key spilled.
 	posts      []chunk
 	prev, next *leaf
 }
 
+// slot returns the inline value slot of id, if id lies close enough to
+// the leaf's base.
+func (lf *leaf) slot(id storage.TupleID) (uint32, bool) {
+	d := int64(id - lf.base)
+	return uint32(d) &^ spilled, -slotRange <= d && d < slotRange
+}
+
+// id returns the id an inline value slot holds.
+func (lf *leaf) id(v uint32) storage.TupleID {
+	return lf.base + storage.TupleID(int32(v<<1)>>1)
+}
+
+// after returns the index of the first chunk of the postings of the keys
+// after key i.
+func (lf *leaf) after(i int) int {
+	for j := i + 1; j < lf.keys.n; j++ {
+		if v := lf.vals[j]; v&spilled != 0 {
+			return int(v &^ spilled)
+		}
+	}
+	return len(lf.posts)
+}
+
 // postingOf returns the posting of spilled key i.
 func (lf *leaf) postingOf(i int) posting {
-	lo, hi := span(lf.vals[i])
-	return posting{tab: &lf.posts, lo: lo, hi: hi}
+	return posting{tab: &lf.posts, lo: int(lf.vals[i] &^ spilled), hi: lf.after(i)}
 }
 
 // appendTIDs appends the ids under key i to dst.
 func (lf *leaf) appendTIDs(dst []storage.TupleID, i int) []storage.TupleID {
-	if v := lf.vals[i]; v&spillBit == 0 {
-		return append(dst, v)
+	if v := lf.vals[i]; v&spilled == 0 {
+		return append(dst, lf.id(v))
 	}
 	p := lf.postingOf(i)
 	return p.appendTo(dst)
-}
-
-// resize records that spilled key i's posting now ends before chunk hi
-// and moves the postings of the keys after it by as many chunks as it
-// gained or lost.
-func (lf *leaf) resize(i, hi int) {
-	lo, was := span(lf.vals[i])
-	lf.vals[i] = spanRef(lo, hi)
-	lf.shiftSpans(i, hi-was)
 }
 
 // shiftSpans moves the postings of the spilled keys after key i by d
@@ -215,8 +260,8 @@ func (lf *leaf) shiftSpans(i, d int) {
 		return
 	}
 	for j := i + 1; j < lf.keys.n; j++ {
-		if lf.vals[j]&spillBit != 0 {
-			lf.vals[j] += storage.TupleID(d)
+		if lf.vals[j]&spilled != 0 {
+			lf.vals[j] += uint32(d)
 		}
 	}
 }
@@ -224,17 +269,11 @@ func (lf *leaf) shiftSpans(i, d int) {
 // spill gives key i a posting of its own holding ids, behind the chunks
 // of the keys before it, and returns the capacity gained.
 func (lf *leaf) spill(i int, ids ...storage.TupleID) int {
-	at := 0
-	for j := i - 1; j >= 0; j-- {
-		if v := lf.vals[j]; v&spillBit != 0 {
-			_, at = span(v)
-			break
-		}
-	}
+	at := lf.after(i)
 	var c chunk
-	d := c.pack(ids)
+	d := c.pack(ids, minEnc)
 	d += insertChunk(&lf.posts, at, c)
-	lf.vals[i] = spanRef(at, at+1)
+	lf.vals[i] = spilled | uint32(at)
 	lf.shiftSpans(i, 1)
 	return d
 }
@@ -260,9 +299,12 @@ type node interface{ isNode() }
 func (*leaf) isNode()  {}
 func (*inner) isNode() {}
 
+// leafBytes and innerBytes are the heap a leaf and an inner node take:
+// the allocator size classes their structs fill (TestBTreeSizeBudget
+// holds the structs to them).
 const (
-	leafBytes  = int(unsafe.Sizeof(leaf{}))
-	innerBytes = int(unsafe.Sizeof(inner{}))
+	leafBytes  = 480
+	innerBytes = 1280
 )
 
 // BTree is an in-memory B+tree mapping byte keys to TupleID postings.
@@ -301,7 +343,8 @@ type Stats struct {
 	// ArenaBytes is the capacity of every node's key arena.
 	ArenaBytes int
 	// Bytes is the heap the tree holds: nodes (offsets, value slots,
-	// child pointers), key arenas and spilled postings.
+	// child pointers) at their size class, key arenas and spilled
+	// postings at the capacity their allocations were rounded up to.
 	Bytes int
 }
 
@@ -316,8 +359,11 @@ func (t *BTree) Stats() Stats {
 	}
 }
 
-// Add inserts tid under key.
+// Add inserts tid under key, which must be shorter than 16 KiB.
 func (t *BTree) Add(key []byte, tid storage.TupleID) {
+	if len(key) > maxKeyLen {
+		panic(errKeyLen(key))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	right, sep, added := t.insert(t.root, key, tid)
@@ -350,12 +396,12 @@ func (t *BTree) insert(n node, key []byte, tid storage.TupleID) (node, []byte, b
 		if child == nil {
 			return nil, nil, added
 		}
-		if nd.keys.n+1 < fanout {
+		if !nd.keys.full(sep, fanout-1) {
 			t.putChild(nd, ci, sep, child)
 			return nil, nil, added
 		}
 		// Full: the middle key moves up, the upper half to a new sibling.
-		mid := nd.keys.n / 2
+		mid := nd.keys.half()
 		up := bytes.Clone(nd.keys.key(mid))
 		right := &inner{}
 		t.inners++
@@ -388,19 +434,19 @@ func (t *BTree) insertLeaf(lf *leaf, key []byte, tid storage.TupleID) (*leaf, bo
 	}
 	var right *leaf
 	target := lf
-	if lf.keys.n == fanout {
-		right = &leaf{prev: lf, next: lf.next}
+	if lf.keys.full(key, fanout) {
+		right = &leaf{base: lf.base, prev: lf, next: lf.next}
 		t.leaves++
 		if lf.next != nil {
 			lf.next.prev = right
 		}
 		lf.next = right
-		if i == fanout && right.next == nil {
+		if i == lf.keys.n && right.next == nil {
 			// Past the last key of the last leaf — ascending keys, the
 			// common case for a primary key: the full leaf stays full.
 			target, i = right, 0
 		} else {
-			mid := fanout / 2
+			mid := lf.keys.half()
 			t.splitLeaf(lf, right, mid)
 			if i > mid {
 				target, i = right, i-mid
@@ -409,10 +455,13 @@ func (t *BTree) insertLeaf(lf *leaf, key []byte, tid storage.TupleID) (*leaf, bo
 	}
 	t.arenaBytes += target.keys.insert(i, key)
 	copy(target.vals[i+1:target.keys.n], target.vals[i:target.keys.n-1])
-	if tid&spillBit != 0 {
-		t.postBytes += target.spill(i, tid)
+	if target.keys.n == 1 { // an empty leaf: no slot counts from base
+		target.base = tid
+	}
+	if v, ok := target.slot(tid); ok {
+		target.vals[i] = v
 	} else {
-		target.vals[i] = tid
+		t.postBytes += target.spill(i, tid)
 	}
 	t.nkeys++
 	return right, true
@@ -428,20 +477,19 @@ func (t *BTree) splitLeaf(lf, right *leaf, mid int) {
 	clear(lf.vals[mid:n])
 	cut := -1
 	for j, v := range right.vals[:n-mid] {
-		if v&spillBit == 0 {
+		if v&spilled == 0 {
 			continue
 		}
 		if cut < 0 {
-			cut, _ = span(v)
+			cut = int(v &^ spilled)
 		}
-		right.vals[j] = v - storage.TupleID(cut)
+		right.vals[j] = v - uint32(cut)
 	}
 	if cut < 0 {
 		return
 	}
 	before := cap(lf.posts)
-	right.posts = make([]chunk, len(lf.posts)-cut)
-	copy(right.posts, lf.posts[cut:])
+	right.posts = append(alloc[chunk](len(lf.posts)-cut), lf.posts[cut:]...)
 	clear(lf.posts[cut:])
 	if lf.posts = lf.posts[:cut]; cut == 0 {
 		lf.posts = nil
@@ -452,42 +500,45 @@ func (t *BTree) splitLeaf(lf, right *leaf, mid int) {
 // addTID adds tid to the ids of key i and reports whether it was new.
 func (t *BTree) addTID(lf *leaf, i int, tid storage.TupleID) bool {
 	v := lf.vals[i]
-	if v&spillBit == 0 {
-		if v == tid {
+	if v&spilled == 0 {
+		id := lf.id(v)
+		if id == tid {
 			return false
 		}
-		t.postBytes += lf.spill(i, min(v, tid), max(v, tid))
+		t.postBytes += lf.spill(i, min(id, tid), max(id, tid))
 		return true
 	}
 	p := lf.postingOf(i)
+	was := p.hi
 	added, d := p.add(tid)
 	t.postBytes += d
-	lf.resize(i, p.hi)
+	lf.shiftSpans(i, p.hi-was)
 	return added
 }
 
 // removeTID removes tid from the ids of key i. A posting left with one
-// id collapses back into the value slot; gone tells that none is left.
+// id that fits the value slot collapses back into it; gone tells that
+// none is left.
 func (t *BTree) removeTID(lf *leaf, i int, tid storage.TupleID) (removed, gone bool) {
 	v := lf.vals[i]
-	if v&spillBit == 0 {
-		return v == tid, v == tid
+	if v&spilled == 0 {
+		gone = lf.id(v) == tid
+		return gone, gone
 	}
 	p := lf.postingOf(i)
+	was := p.hi
 	removed, d := p.remove(tid)
 	t.postBytes += d
-	if p.hi-p.lo == 1 {
-		if c := &lf.posts[p.lo]; c.len() == 1 && c.first&spillBit == 0 {
-			id := c.first
+	gone = p.lo == p.hi
+	if p.hi-p.lo == 1 && lf.posts[p.lo].len() == 1 {
+		if v, ok := lf.slot(lf.posts[p.lo].first); ok {
 			p.hi--
 			t.postBytes += deleteChunk(&lf.posts, p.lo)
-			lf.resize(i, p.hi)
-			lf.vals[i] = id
-			return removed, false
+			lf.vals[i] = v
 		}
 	}
-	lf.resize(i, p.hi)
-	return removed, p.lo == p.hi
+	lf.shiftSpans(i, p.hi-was)
+	return removed, gone
 }
 
 // Remove deletes tid from key's ids. A key left without ids is deleted
@@ -586,18 +637,13 @@ func (t *BTree) seekLeaf(key []byte) (*leaf, int, bool) {
 // call holds one until it returns, so calls in a row allocate none.
 var tidBufs = sync.Pool{New: func() any { return new([]storage.TupleID) }}
 
-// Exact calls fn with the ids stored under key, ascending, if any: the
-// value slot itself for an inline id, else the posting decoded into a
-// buffer the call holds. The slice must not be retained or modified.
+// Exact calls fn with the ids stored under key, ascending, if any,
+// decoded into a buffer the call holds. The slice must not be retained
+// or modified.
 func (t *BTree) Exact(key []byte, fn func(tids []storage.TupleID)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	lf, i, found := t.seekLeaf(key)
-	switch {
-	case !found:
-	case lf.vals[i]&spillBit == 0:
-		fn(lf.vals[i : i+1])
-	default:
+	if lf, i, found := t.seekLeaf(key); found {
 		buf := tidBufs.Get().(*[]storage.TupleID)
 		*buf = lf.appendTIDs((*buf)[:0], i)
 		fn(*buf)
@@ -622,20 +668,12 @@ func (t *BTree) AppendExact(dst []storage.TupleID, key []byte) []storage.TupleID
 func (t *BTree) Range(lo, hi []byte, fn func(key []byte, tids []storage.TupleID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var buf *[]storage.TupleID
+	buf := tidBufs.Get().(*[]storage.TupleID)
 	t.scan(lo, hi, func(lf *leaf, i int) bool {
-		if lf.vals[i]&spillBit == 0 {
-			return fn(lf.keys.key(i), lf.vals[i:i+1])
-		}
-		if buf == nil {
-			buf = tidBufs.Get().(*[]storage.TupleID)
-		}
 		*buf = lf.appendTIDs((*buf)[:0], i)
 		return fn(lf.keys.key(i), *buf)
 	})
-	if buf != nil {
-		tidBufs.Put(buf)
-	}
+	tidBufs.Put(buf)
 }
 
 // AppendRange appends the ids of every key with lo <= key < hi (hi nil =
@@ -688,6 +726,10 @@ func CompareEntries(a, b Entry) int {
 	return cmp.Compare(a.TID, b.TID)
 }
 
+func errKeyLen(key []byte) error {
+	return fmt.Errorf("index: a %d-byte key, over the B+tree's %d", len(key), maxKeyLen)
+}
+
 // ErrUnsortedRun is returned by BuildBTree for a run out of order.
 var ErrUnsortedRun = errors.New("index: bulk-build run is not sorted")
 
@@ -698,6 +740,11 @@ var ErrUnsortedRun = errors.New("index: bulk-build run is not sorted")
 func BuildBTree(run []Entry) (*BTree, error) {
 	if !slices.IsSortedFunc(run, CompareEntries) {
 		return nil, ErrUnsortedRun
+	}
+	for _, e := range run {
+		if len(e.Key) > maxKeyLen {
+			return nil, errKeyLen(e.Key)
+		}
 	}
 	t := &BTree{}
 	// level is the row of nodes under construction with each node's
@@ -711,10 +758,10 @@ func BuildBTree(run []Entry) (*BTree, error) {
 	var ids []storage.TupleID // one key's ids, deduplicated
 	for i := 0; i < len(run); {
 		lf := &leaf{prev: last}
-		// First pass: the leaf's extent in the run, its key bytes and the
-		// chunks its postings take.
-		end, size, nchunks := i, 0, 0
-		for nk := 0; end < len(run) && nk < fanout; nk++ {
+		// First pass: the leaf's extent in the run, its key bytes, its
+		// base (the first lone id) and the chunks its postings take.
+		end, size, nchunks, based := i, 0, 0, false
+		for nk := 0; end < len(run) && nk < fanout && size+len(run[end].Key) <= arenaMax; nk++ {
 			k, n := run[end].Key, 0
 			size += len(k)
 			for start := end; end < len(run) && bytes.Equal(run[end].Key, k); end++ {
@@ -722,13 +769,16 @@ func BuildBTree(run []Entry) (*BTree, error) {
 					n++
 				}
 			}
-			if n > 1 || run[end-1].TID&spillBit != 0 {
+			if n == 1 && !based {
+				lf.base, based = run[end-1].TID, true
+			}
+			if _, ok := lf.slot(run[end-1].TID); n > 1 || !ok {
 				nchunks += (n + chunkIDs - 1) / chunkIDs
 			}
 		}
-		lf.keys.arena = make([]byte, 0, size)
+		lf.keys.arena = alloc[byte](size)
 		if nchunks > 0 {
-			lf.posts = make([]chunk, 0, nchunks)
+			lf.posts = alloc[chunk](nchunks)
 		}
 		for i < end {
 			j := i + 1
@@ -737,8 +787,8 @@ func BuildBTree(run []Entry) (*BTree, error) {
 			}
 			k := lf.keys.n
 			lf.keys.push(run[i].Key)
-			if run[i].TID == run[j-1].TID && run[i].TID&spillBit == 0 {
-				lf.vals[k] = run[i].TID
+			if v, ok := lf.slot(run[i].TID); ok && run[i].TID == run[j-1].TID {
+				lf.vals[k] = v
 				t.n++
 			} else {
 				ids = ids[:0]
@@ -751,15 +801,15 @@ func BuildBTree(run []Entry) (*BTree, error) {
 				lo := len(lf.posts)
 				for rest := ids; len(rest) > 0; rest = rest[min(chunkIDs, len(rest)):] {
 					var c chunk
-					t.postBytes += c.pack(rest[:min(chunkIDs, len(rest))])
+					t.postBytes += c.pack(rest[:min(chunkIDs, len(rest))], 0)
 					lf.posts = append(lf.posts, c)
 				}
-				lf.vals[k] = spanRef(lo, len(lf.posts))
+				lf.vals[k] = spilled | uint32(lo)
 			}
 			i = j
 		}
 		t.nkeys += lf.keys.n
-		t.arenaBytes += size
+		t.arenaBytes += cap(lf.keys.arena)
 		t.postBytes += cap(lf.posts) * chunkBytes
 		t.leaves++
 		if last != nil {
@@ -774,21 +824,22 @@ func BuildBTree(run []Entry) (*BTree, error) {
 	for len(level) > 1 {
 		var up []built
 		for len(level) > 0 {
-			group := level[:min(fanout, len(level))]
-			level = level[len(group):]
-			in := &inner{}
-			size := 0
-			for _, b := range group[1:] {
-				size += len(b.min)
+			// A node takes children while their separators fit it.
+			g, size := 1, 0
+			for ; g < min(fanout, len(level)) && size+len(level[g].min) <= arenaMax; g++ {
+				size += len(level[g].min)
 			}
-			in.keys.arena = make([]byte, 0, size)
+			group := level[:g]
+			level = level[g:]
+			in := &inner{}
+			in.keys.arena = alloc[byte](size)
 			for j, b := range group {
 				in.kids[j] = b.n
 				if j > 0 {
 					in.keys.push(b.min)
 				}
 			}
-			t.arenaBytes += size
+			t.arenaBytes += cap(in.keys.arena)
 			t.inners++
 			up = append(up, built{in, group[0].min})
 		}

@@ -52,10 +52,17 @@ func (c *chunk) appendIDs(dst []storage.TupleID) []storage.TupleID {
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
+// minEnc is the smallest byte array a chunk that changes with single
+// adds and removes allocates. The allocator packs smaller ones into
+// shared 16-byte blocks, which garbage allocated beside them keeps alive:
+// a key built for one insert pins half a block.
+const minEnc = 16
+
 // pack encodes ids (sorted, unique, 1 to chunkIDs of them) into c: in
 // place when they fit, zeroing the bytes they no longer use, else into an
-// array of exactly their size. It returns the capacity gained.
-func (c *chunk) pack(ids []storage.TupleID) int {
+// array of their size's class, least bytes at least. It returns the
+// capacity gained.
+func (c *chunk) pack(ids []storage.TupleID, least int) int {
 	need := 1
 	for k := 1; k < len(ids); k++ {
 		need += uvarintLen(uint64(ids[k] - ids[k-1]))
@@ -63,7 +70,7 @@ func (c *chunk) pack(ids []storage.TupleID) int {
 	before := cap(c.enc)
 	if need > before {
 		clear(c.enc)
-		c.enc = make([]byte, 0, need)
+		c.enc = alloc[byte](max(need, least))
 	}
 	enc := append(c.enc[:0], byte(len(ids)-1))
 	for k := 1; k < len(ids); k++ {
@@ -102,8 +109,7 @@ func (c *chunk) popFirst() {
 func insertChunk(tab *[]chunk, at int, c chunk) int {
 	cs, grown := *tab, 0
 	if len(cs) == cap(cs) {
-		bigger := make([]chunk, len(cs), len(cs)+len(cs)/4+1)
-		copy(bigger, cs)
+		bigger := append(alloc[chunk](len(cs)+len(cs)/4+1), cs...)
 		grown = (cap(bigger) - cap(cs)) * chunkBytes
 		cs = bigger
 	}
@@ -129,8 +135,7 @@ func deleteChunk(tab *[]chunk, at int) int {
 		d -= cap(cs) * chunkBytes
 		cs = nil
 	case len(cs) < cap(cs)/4:
-		smaller := make([]chunk, len(cs), len(cs)+len(cs)/4+1)
-		copy(smaller, cs)
+		smaller := append(alloc[chunk](len(cs)+len(cs)/4+1), cs...)
 		d -= (cap(cs) - cap(smaller)) * chunkBytes
 		cs = smaller
 	}
@@ -190,7 +195,7 @@ func (p *posting) add(tid storage.TupleID) (bool, int) {
 	cs := p.chunks()
 	if len(cs) == 0 {
 		var c chunk
-		d := c.pack([]storage.TupleID{tid})
+		d := c.pack([]storage.TupleID{tid}, minEnc)
 		p.hi++
 		return true, d + insertChunk(p.tab, p.lo, c)
 	}
@@ -202,13 +207,12 @@ func (p *posting) add(tid storage.TupleID) (bool, int) {
 		// next one to come out the same size.
 		d := 0
 		if cap(tail.enc)-len(tail.enc) > len(tail.enc)/8 {
-			enc := make([]byte, len(tail.enc))
-			copy(enc, tail.enc)
+			enc := append(alloc[byte](len(tail.enc)), tail.enc...)
 			d = cap(enc) - cap(tail.enc)
 			clear(tail.enc)
 			tail.enc = enc
 		}
-		enc := make([]byte, 1, len(tail.enc))
+		enc := alloc[byte](len(tail.enc))[:1]
 		d += cap(enc) + insertChunk(p.tab, p.hi, chunk{first: tid, last: tid, enc: enc})
 		p.hi++
 		return true, d
@@ -226,12 +230,12 @@ func (p *posting) add(tid storage.TupleID) (bool, int) {
 	}
 	ids = slices.Insert(ids, i, tid)
 	if len(ids) <= chunkIDs {
-		return true, c.pack(ids)
+		return true, c.pack(ids, minEnc)
 	}
 	half := len(ids) / 2
-	d := c.pack(ids[:half])
+	d := c.pack(ids[:half], minEnc)
 	var right chunk
-	d += right.pack(ids[half:])
+	d += right.pack(ids[half:], minEnc)
 	p.hi++
 	return true, d + insertChunk(p.tab, p.lo+j+1, right)
 }
@@ -262,5 +266,5 @@ func (p *posting) remove(tid storage.TupleID) (bool, int) {
 	if !found {
 		return false, 0
 	}
-	return true, c.pack(slices.Delete(ids, i, i+1))
+	return true, c.pack(slices.Delete(ids, i, i+1), minEnc)
 }

@@ -76,8 +76,8 @@ func checkVacatedChunks(cs []chunk) error {
 // ones read as zero).
 func runPostingOps(ops []byte) error {
 	var before, after chunk
-	before.pack([]storage.TupleID{7, 9})
-	after.pack([]storage.TupleID{5})
+	before.pack([]storage.TupleID{7, 9}, minEnc)
+	after.pack([]storage.TupleID{5}, minEnc)
 	tab := []chunk{before, after}
 	p := posting{tab: &tab, lo: 1, hi: 1}
 	held := cap(tab)*chunkBytes + cap(before.enc) + cap(after.enc) // what the table holds, by the returned deltas
@@ -134,8 +134,8 @@ func runPostingOps(ops []byte) error {
 		case 3: // a tail run 2⁴⁰ apart, as after a restore
 			err = run(arg()%8+1, func() storage.TupleID { return 1 << 40 })
 		case 4: // ids with the top bit set
-			if cur < spillBit {
-				cur = spillBit | storage.TupleID(arg())
+			if cur < 1<<63 {
+				cur = 1<<63 | storage.TupleID(arg())
 			}
 			err = run(arg()%16+1, func() storage.TupleID { return storage.TupleID(1 + arg()) })
 		case 5: // a duplicate
