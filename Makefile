@@ -51,7 +51,10 @@ md-check:
 # written) and its run encoder on event streams that make and break
 # runs, from single events to whole batches, the B+tree's, the posting's
 # and the degradation queue's op streams against their models, the
-# degrade record patcher against decode, modify and re-encode, page
+# degradation engine's queues (one arrival log per table, read through
+# cursors) against a reference that keeps one FIFO per (column, state)
+# queue, under inserts, ticks, row locks, predicates, events, replicated
+# transitions, user deletes and reseeds, the degrade record patcher against decode, modify and re-encode, page
 # records against their frame of reference (decode, rebase round trips,
 # patch and rebase in either order), storage runs against the same
 # history applied tuple by tuple, and the lock table against its model.
@@ -65,6 +68,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzPosting -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/degrade -run '^$$' -fuzz FuzzTaskFIFO -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/degrade -run '^$$' -fuzz FuzzQueues -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzPatchRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzPageRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzRuns -fuzztime $(FUZZTIME)
@@ -74,9 +78,11 @@ fuzz-smoke:
 # of an open database, a B+tree under churn against a fresh tree of the
 # same content, B+tree bytes per entry and Stats accuracy (the heap a
 # grown tree holds per entry, Stats within 3 % of it, and each node
-# type within its size class), heap bytes per posting id and per
-# pending degradation task, audit-trail bytes per event (rows inserted one per commit, and
-# the benchmark's 500-row commits), WAL bytes per insert and per
+# type within its size class), heap bytes per posting id and per tuple
+# pending three degradation transitions (one arrival-log task, on a
+# still clock and on a moving one), audit-trail bytes per event (rows
+# inserted one per commit, and the benchmark's 500-row commits), WAL
+# bytes per insert and per
 # degrade record (with the allocations per sealed payload), page reads
 # plus writes per degradation transition, per row a THEN DELETE wave
 # deletes and per row a bulk UPDATE rewrites, heap bytes allocated per

@@ -1,12 +1,13 @@
 // Package degrade implements the degradation engine: the component that
 // makes LCP transitions actually happen on time (paper §III, "How to
-// enforce timely data degradation?"). It keeps, per table and per
-// degradable attribute, a FIFO queue of tuples ordered by their next
-// transition deadline (insert order equals deadline order under a uniform
-// policy), and on every tick executes due transitions in small batches as
-// system transactions: X row locks, one WAL commit batch, physical
-// rewrite with scrubbing, index maintenance; the tick ends with log
-// scrubbing (epoch key shredding or vacuum) through the Scrubber hook.
+// enforce timely data degradation?"). It keeps, per table, one log of
+// tuples in arrival order (insert order equals deadline order under a
+// uniform policy), which every (attribute, state) transition queue of
+// the table reads through a cursor of its own, and on every tick
+// executes due transitions in small batches as system transactions: X
+// row locks, one WAL commit batch, physical rewrite with scrubbing,
+// index maintenance; the tick ends with log scrubbing (epoch key
+// shredding or vacuum) through the Scrubber hook.
 // Queues are drained one at a time in (table, attribute, state) order,
 // so a transition out of a state never runs while tuples are still on
 // their way into it.
@@ -101,10 +102,20 @@ func (o Options) withDefaults() Options {
 }
 
 // retry is a task that came due but could not run (row lock busy,
-// predicate false, commit failed), gated until notBefore.
+// predicate false, commit failed), gated until notBefore. released marks
+// one an event made due whatever its deadline.
 type retry struct {
 	task
 	notBefore int64
+	released  bool
+}
+
+// item is a task a tick popped: pos is its arrival-log position, or -1
+// for one from a private FIFO or the retries.
+type item struct {
+	task
+	pos      int64
+	released bool
 }
 
 // queueKey identifies a transition queue.
@@ -117,9 +128,14 @@ type queueKey struct {
 	state uint8
 }
 
-// transQueue holds the FIFO of tuples awaiting one transition.
+// transQueue holds the tuples awaiting one transition: the stretch of
+// its table's arrival log between its cursor and the end of its range,
+// plus a private FIFO for what cannot follow arrival order, plus the
+// tasks waiting out a retry gate.
 type transQueue struct {
 	tbl *catalog.Table
+	// attr is the degradable column position, -1 for the tuple deletion.
+	attr int
 	// ageNano is the deadline age of this transition from insert.
 	ageNano int64
 	// For attribute transitions:
@@ -134,10 +150,56 @@ type transQueue struct {
 	// of this queue ("state 0→1"), rendered once per queue.
 	firedDetail string
 
-	fifo    taskFIFO
+	log *arrivalLog
+	cur cursor
+	// settled is where cur stood when the last batch popped from the range
+	// was settled: every log task before it has left this queue for good,
+	// fired in order into the next range or marked a hole.
+	settled int64
+	// prev is the queue of the state before this one: where it settled
+	// ends this queue's range (nil for a first state and the tuple
+	// deletion, whose range ends at the log's tail). next is the queue of
+	// the state after, which the tuples fired from this one enter (nil
+	// when none waits).
+	prev, next *transQueue
+	// live counts the tasks of the range that are not holes.
+	live int
+	// private holds, in stamp order, the tuples that entered this state out
+	// of arrival order: fired from the previous state's retries, advanced
+	// by a replicated batch, or found out of order by Reseed.
+	private taskFIFO
 	retries []retry
-	// eventFired drains the queue regardless of deadlines.
-	eventFired bool
+	// eventEnd: the log tasks before it were in range when the event last
+	// fired, and are due regardless of deadlines; eventNano is that
+	// instant.
+	eventEnd  int64
+	eventNano int64
+}
+
+// end returns the log position this queue's range ends at. Caller holds
+// e.mu.
+func (q *transQueue) end() int64 {
+	if q.prev == nil {
+		return q.log.tail
+	}
+	return q.prev.settled
+}
+
+// peek returns the oldest task of the range, skipping the holes in front
+// of it. Caller holds e.mu.
+func (q *transQueue) peek() (task, bool) {
+	l, end, start := q.log, q.end(), q.cur.pos
+	for q.cur.pos < end && l.hole(q.cur.pos, q.attr) {
+		l.advance(&q.cur)
+	}
+	if q.cur.pos != start {
+		l.release()
+	}
+	if q.cur.pos == end {
+		return task{}, false
+	}
+	t, _ := l.head(&q.cur)
+	return t, true
 }
 
 // Stats aggregates engine activity. It is a point-in-time snapshot of
@@ -154,7 +216,8 @@ type Stats struct {
 	// timeliness of enforcement.
 	MaxLag time.Duration
 	SumLag time.Duration
-	// Pending counts tuples currently enqueued.
+	// Pending counts pending transitions: a tuple once per transition it
+	// awaits.
 	Pending int
 }
 
@@ -189,6 +252,7 @@ type Engine struct {
 	opts   Options
 
 	queues map[queueKey]*transQueue
+	logs   map[uint32]*arrivalLog
 	preds  map[string]Predicate
 	ctr    counters
 	// audit is the tamper-evident degradation trail (nil drops events);
@@ -217,6 +281,7 @@ func New(clock vclock.Clock, cat *catalog.Catalog, mgr *storage.Manager,
 		scrub:  scrub,
 		opts:   opts.withDefaults(),
 		queues: make(map[queueKey]*transQueue),
+		logs:   make(map[uint32]*arrivalLog),
 		preds:  make(map[string]Predicate),
 	}
 }
@@ -247,92 +312,113 @@ func (e *Engine) RegisterPredicate(name string, p Predicate) {
 	e.preds[name] = p
 }
 
-// queueFor returns (creating if needed) the queue for a transition.
-func (e *Engine) queueFor(tbl *catalog.Table, attr int, state uint8) *transQueue {
-	key := queueKey{table: tbl.ID, attr: attr, state: state}
-	q, ok := e.queues[key]
-	if ok {
-		return q
-	}
-	q = &transQueue{tbl: tbl}
+// newQueue builds the queue of a transition, nil when the state has no
+// outgoing one (the final state of a Remain policy).
+func newQueue(tbl *catalog.Table, attr int, state uint8) *transQueue {
+	q := &transQueue{tbl: tbl, attr: attr}
 	if attr == -1 {
 		age, _ := tbl.TupleLCP().DeleteAge()
 		q.ageNano = int64(age)
 		q.isDelete = true
-	} else {
-		pol := tbl.Columns[tbl.DegradableColumns()[attr]].Policy
-		q.pol = pol
-		q.fromState = int(state)
-		age, ok := pol.DeadlineFromInsert(int(state))
-		if !ok {
-			// Final state of a Remain policy: no outgoing transition.
-			return nil
-		}
-		q.ageNano = int64(age)
-		if int(state) == pol.StateCount()-1 {
-			q.toState = -1 // terminal: suppress / awaiting delete
-		} else {
-			q.toState = int(state) + 1
-			q.firedDetail = fmt.Sprintf("state %d\u2192%d", q.fromState, q.toState)
-		}
-		st := pol.StateAt(int(state))
-		q.trigger = st.Trigger
-		q.event = st.Event
-		q.predicate = st.Predicate
+		return q
 	}
-	e.queues[key] = q
+	pol := tbl.Columns[tbl.DegradableColumns()[attr]].Policy
+	q.pol = pol
+	q.fromState = int(state)
+	age, ok := pol.DeadlineFromInsert(int(state))
+	if !ok {
+		return nil
+	}
+	q.ageNano = int64(age)
+	if int(state) == pol.StateCount()-1 {
+		q.toState = -1 // terminal: suppress / awaiting delete
+	} else {
+		q.toState = int(state) + 1
+		q.firedDetail = fmt.Sprintf("state %d\u2192%d", q.fromState, q.toState)
+	}
+	st := pol.StateAt(int(state))
+	q.trigger = st.Trigger
+	q.event = st.Event
+	q.predicate = st.Predicate
 	return q
 }
 
-// OnInsertRun registers freshly inserted tuples of tbl with every queue
-// that will eventually degrade them, under one hold of the queue lock,
-// each queue looked up once, and hands their scheduled events to the
-// trail in one call, built as it takes them. Call after the inserts
+// logFor returns (creating if needed) tbl's arrival log, with a queue
+// reading it for every transition of the table: each degradable column's
+// chain of states, then the tuple deletion. Caller holds e.mu.
+func (e *Engine) logFor(tbl *catalog.Table) *arrivalLog {
+	if l, ok := e.logs[tbl.ID]; ok {
+		return l
+	}
+	l := &arrivalLog{nattrs: len(tbl.DegradableColumns())}
+	add := func(q *transQueue, state uint8) {
+		q.log = l
+		l.readers = append(l.readers, q)
+		e.queues[queueKey{table: tbl.ID, attr: q.attr, state: state}] = q
+	}
+	if tl := tbl.TupleLCP(); tl != nil {
+		for attr, col := range tbl.DegradableColumns() {
+			var prev *transQueue
+			for state := 0; state < tbl.Columns[col].Policy.StateCount(); state++ {
+				q := newQueue(tbl, attr, uint8(state))
+				if q == nil {
+					break
+				}
+				if q.prev = prev; prev != nil {
+					prev.next = q
+				}
+				add(q, uint8(state))
+				prev = q
+			}
+		}
+		if _, ok := tl.DeleteAge(); ok {
+			add(newQueue(tbl, -1, 0), 0)
+		}
+	}
+	e.logs[tbl.ID] = l
+	return l
+}
+
+// OnInsertRun appends freshly inserted tuples of tbl to its arrival log,
+// once each, under one hold of the queue lock — every queue of a first
+// transition sees them from there — and hands their scheduled events to
+// the trail in one call, built as it takes them. Call after the inserts
 // commit.
 func (e *Engine) OnInsertRun(tbl *catalog.Table, tups []storage.Tuple) {
-	tl := tbl.TupleLCP()
-	if tl == nil || len(tups) == 0 {
+	if tbl.TupleLCP() == nil || len(tups) == 0 {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	l := e.logFor(tbl)
 	// The queues of the tuples' first transitions: one per degradable
-	// column, whose position attrs holds, then the tuple deletion (-1).
+	// column, then the tuple deletion.
 	var qs [catalog.MaxDegradableColumns + 1]*transQueue
-	var attrs [catalog.MaxDegradableColumns + 1]int
 	n := 0
-	for attr := range tbl.DegradableColumns() {
-		if q := e.queueFor(tbl, attr, 0); q != nil {
-			qs[n], attrs[n] = q, attr
+	for _, q := range l.readers {
+		if q.prev == nil {
+			qs[n] = q
 			n++
-		}
-	}
-	if _, ok := tl.DeleteAge(); ok {
-		if q := e.queueFor(tbl, -1, 0); q != nil {
-			qs[n], attrs[n] = q, -1
-			n++
+			q.live += len(tups)
 		}
 	}
 	if n == 0 {
 		return
 	}
 	for i := range tups {
-		tk := task{tid: tups[i].ID, insertNano: tups[i].InsertedAt.UnixNano()}
-		for _, q := range qs[:n] {
-			q.fifo.push(tk)
-		}
+		l.push(task{tid: tups[i].ID, insertNano: tups[i].InsertedAt.UnixNano()})
 	}
 	// Queue-major: every tuple's event of one queue, then the next queue's,
 	// so the trail stores each queue's share as one run.
 	e.audit.AppendN(len(tups)*n, func(k int) trace.Event {
-		t, q, attr := &tups[k%len(tups)], qs[k/len(tups)], attrs[k/len(tups)]
+		t, q := &tups[k%len(tups)], qs[k/len(tups)]
 		nano := t.InsertedAt.UnixNano()
 		ev := trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
 			Table: tbl.Name, Tuple: uint64(t.ID), Deadline: nano + q.ageNano}
-		if attr == -1 {
+		if q.isDelete {
 			ev.Detail = "tuple-delete"
 		} else {
-			ev.Attr = attrName(tbl, attr)
+			ev.Attr = attrName(tbl, q.attr)
 		}
 		return ev
 	})
@@ -353,14 +439,16 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	q := e.queueFor(tbl, attr, newState)
+	e.logFor(tbl)
+	q := e.queues[queueKey{table: tbl.ID, attr: attr, state: newState}]
 	if q == nil {
 		return
 	}
-	// Keep the FIFO in deadline (= insert) order: catch-up after a
+	// The tuple did not get here along its arrival log, so it waits in the
+	// private FIFO, kept in deadline (= insert) order: catch-up after a
 	// partition can deliver transitions for tuples older than the queue
 	// tail, and an out-of-order tail would delay them behind newer heads.
-	q.fifo.insertSorted(task{tid: tid, insertNano: insertNano})
+	q.private.insertSorted(task{tid: tid, insertNano: insertNano})
 	e.audit.Append(trace.Event{Kind: trace.EvExternal,
 		UnixNano: e.clock.Now().UTC().UnixNano(),
 		Table:    tbl.Name, Tuple: uint64(tid), Attr: attrName(tbl, attr),
@@ -371,67 +459,149 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 // Reseed rebuilds all queues from the current storage state — the
 // recovery path. scan must hand add every live tuple of every table
 // once: the engine layer feeds it from the same pass over the pages that
-// rebuilds its indexes. Existing queue content is discarded; each queue
-// ends up in deadline order.
+// rebuilds its indexes. Existing queue content is discarded.
+//
+// Each table's arrival log is built once, in stamp order, and each
+// column's cursors are placed where its states change along it: the
+// cursor of state s after every tuple further along than s. A tuple out
+// of that monotone order is a hole for the column's cursors and waits in
+// the private FIFO of the state it is in.
 func (e *Engine) Reseed(scan func(add func(*catalog.Table, *storage.Tuple)) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.queues = make(map[queueKey]*transQueue)
-	// A scan that meets the tuples in insert order — an append-only table
-	// read page by page — packs every queue as it goes. The queues it
-	// reaches out of order are noted here and sorted afterwards.
-	unsorted := make(map[*transQueue]bool)
-	push := func(q *transQueue, tk task) {
-		if q.fifo.len() > 0 && tk.insertNano < q.fifo.last.insertNano {
-			unsorted[q] = true
-		}
-		q.fifo.push(tk)
+	e.logs = make(map[uint32]*arrivalLog)
+	type seed struct {
+		tbl    *catalog.Table
+		tasks  []task
+		states []uint8 // every tuple's state per degradable column, row by row
 	}
+	var order []uint32
+	seeds := make(map[uint32]*seed)
 	err := scan(func(tbl *catalog.Table, t *storage.Tuple) {
-		tl := tbl.TupleLCP()
-		if tl == nil {
+		if tbl.TupleLCP() == nil {
 			return
 		}
-		tk := task{tid: t.ID, insertNano: t.InsertedAt.UnixNano()}
-		for attr, st := range t.States {
-			if st == storage.StateErased {
-				continue
-			}
-			if q := e.queueFor(tbl, attr, st); q != nil {
-				push(q, tk)
-			}
+		sd := seeds[tbl.ID]
+		if sd == nil {
+			sd = &seed{tbl: tbl}
+			seeds[tbl.ID] = sd
+			order = append(order, tbl.ID)
 		}
-		if _, ok := tl.DeleteAge(); ok {
-			if q := e.queueFor(tbl, -1, 0); q != nil {
-				push(q, tk)
-			}
-		}
+		sd.tasks = append(sd.tasks, task{tid: t.ID, insertNano: t.InsertedAt.UnixNano()})
+		sd.states = append(sd.states, t.States...)
 	})
 	if err != nil {
 		return err
 	}
-	for q := range unsorted {
-		ts := make([]task, 0, q.fifo.len())
-		q.fifo.each(func(t task) { ts = append(ts, t) })
-		slices.SortStableFunc(ts, func(a, b task) int { return cmp.Compare(a.insertNano, b.insertNano) })
-		q.fifo = taskFIFO{}
-		for _, t := range ts {
-			q.fifo.push(t)
-		}
+	for _, id := range order {
+		sd := seeds[id]
+		e.seedLog(sd.tbl, sd.tasks, sd.states)
 	}
 	return nil
 }
 
+// seedLog builds tbl's arrival log from its tuples' tasks and states
+// (len(tbl.DegradableColumns()) per tuple) and places every cursor.
+// Caller holds e.mu.
+func (e *Engine) seedLog(tbl *catalog.Table, tasks []task, states []uint8) {
+	na := len(tbl.DegradableColumns())
+	perm := make([]int32, len(tasks))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	// A scan that meets the tuples in insert order — an append-only table
+	// read page by page — needs no sort.
+	if !slices.IsSortedFunc(tasks, func(a, b task) int { return cmp.Compare(a.insertNano, b.insertNano) }) {
+		slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(tasks[a].insertNano, tasks[b].insertNano) })
+	}
+	l := e.logFor(tbl)
+	if len(l.readers) == 0 {
+		return
+	}
+	for _, k := range perm {
+		l.push(tasks[k])
+	}
+	n := int64(len(tasks))
+	for _, q := range l.readers {
+		if q.isDelete {
+			q.live = len(tasks)
+			continue
+		}
+		if q.prev != nil {
+			continue
+		}
+		// The column's chain, q the first of it; a tuple in a state past
+		// the chain (erased, or a final state without an outgoing
+		// transition) reads as len(chain).
+		var chain []*transQueue
+		for c := q; c != nil; c = c.next {
+			chain = append(chain, c)
+		}
+		m := len(chain)
+		stateOf := func(i int64) int {
+			st := int(states[int(perm[i])*na+q.attr])
+			if st == int(storage.StateErased) || st >= m {
+				return m
+			}
+			return st
+		}
+		// bound[s] is where state s's cursor goes: after every tuple further
+		// along than s.
+		bound := make([]int64, m)
+		for i := int64(0); i < n; i++ {
+			for s := range stateOf(i) {
+				bound[s]++
+			}
+		}
+		for s, c := range chain {
+			c.cur = l.cursorAt(bound[s])
+			c.settled = bound[s]
+		}
+		for i := int64(0); i < n; i++ {
+			zone := m // the range i lies in: the first state whose cursor is at or before it
+			for s := 0; s < m; s++ {
+				if bound[s] <= i {
+					zone = s
+					break
+				}
+			}
+			st := stateOf(i)
+			switch {
+			case st == zone:
+				if zone < m {
+					chain[zone].live++
+				}
+			default:
+				if zone < m {
+					l.setHole(i, q.attr)
+				}
+				if st < m {
+					chain[st].private.push(tasks[perm[i]])
+				}
+			}
+		}
+	}
+}
+
 // FireEvent makes every event-triggered transition waiting on name due
-// immediately (paper §IV: transitions caused by events). The transitions
-// execute on the next Tick.
+// immediately (paper §IV: transitions caused by events): exactly the
+// tuples its queues hold at this instant, not those that arrive later.
+// The transitions execute on the next Tick.
 func (e *Engine) FireEvent(name string) {
+	nowNano := e.clock.Now().UTC().UnixNano()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, q := range e.queues {
-		if q.trigger == lcp.TriggerEvent && q.event == name {
-			q.eventFired = true
+		if q.trigger != lcp.TriggerEvent || q.event != name {
+			continue
 		}
+		q.eventEnd, q.eventNano = q.end(), nowNano
+		for i := range q.retries {
+			q.retries[i].released = true
+		}
+		q.private.each(func(t task) { q.retries = append(q.retries, retry{task: t, released: true}) })
+		q.private = taskFIFO{}
 	}
 }
 
@@ -444,6 +614,7 @@ func (e *Engine) DropTable(tableID uint32) {
 			delete(e.queues, k)
 		}
 	}
+	delete(e.logs, tableID)
 }
 
 // Stats returns a snapshot of engine counters.
@@ -485,25 +656,49 @@ func (e *Engine) Lag(now time.Time) time.Duration {
 	return time.Duration(worst)
 }
 
-// pending counts the tuples the queue holds. Caller holds e.mu.
-func (q *transQueue) pending() int { return q.fifo.len() + len(q.retries) }
+// pending counts the tasks the queue holds. Caller holds e.mu.
+func (q *transQueue) pending() int { return q.live + q.private.len() + len(q.retries) }
 
-// lagNano returns the queue's lag at nowNano (0 if nothing overdue).
-// The FIFO is deadline-ordered so its head is the oldest; retries lost
-// their order and are scanned. Caller holds e.mu.
-func (q *transQueue) lagNano(nowNano int64) int64 {
-	var worst int64
-	if t, ok := q.fifo.peek(); ok {
-		if l := nowNano - (t.insertNano + q.ageNano); l > worst {
-			worst = l
-		}
+// heads calls yield with the stamp of the oldest task of the range, of
+// the private FIFO, and of every retry: the tasks whose deadlines bound
+// the queue's lag and its state's retirement. Caller holds e.mu.
+func (q *transQueue) heads(yield func(insertNano int64)) {
+	if t, ok := q.peek(); ok {
+		yield(t.insertNano)
+	}
+	if t, ok := q.private.peek(); ok {
+		yield(t.insertNano)
 	}
 	for _, t := range q.retries {
-		if l := nowNano - (t.insertNano + q.ageNano); l > worst {
-			worst = l
-		}
+		yield(t.insertNano)
 	}
+}
+
+// lagNano returns the queue's lag at nowNano (0 if nothing overdue).
+// The range and the private FIFO are deadline-ordered so their heads are
+// the oldest; retries lost their order and are scanned. Caller holds
+// e.mu.
+func (q *transQueue) lagNano(nowNano int64) int64 {
+	var worst int64
+	q.heads(func(insertNano int64) {
+		worst = max(worst, nowNano-(insertNano+q.ageNano))
+	})
 	return worst
+}
+
+// queueBytes returns the heap the queues hold: every arrival log once,
+// and every private FIFO.
+func (e *Engine) queueBytes() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, l := range e.logs {
+		n += l.bytes()
+	}
+	for _, q := range e.queues {
+		n += q.private.bytes()
+	}
+	return n
 }
 
 // Instrument registers the engine's observability surface on reg: the
@@ -519,7 +714,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 		"Degradation lag: seconds past deadline of the oldest pending transition (0 = guarantee holding).",
 		func() float64 { return e.Lag(e.clock.Now()).Seconds() })
 	reg.GaugeFunc("instantdb_degrade_queue_depth",
-		"Tuples currently awaiting a degradation transition across all queues.",
+		"Pending degradation transitions across all queues: a tuple counts once per transition it awaits.",
 		func() float64 {
 			e.mu.Lock()
 			defer e.mu.Unlock()
@@ -530,16 +725,8 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 			return float64(n)
 		})
 	reg.GaugeFunc("instantdb_degrade_queue_bytes",
-		"Heap bytes held by the packed chunks of all degradation queues.",
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			n := 0
-			for _, q := range e.queues {
-				n += q.fifo.bytes()
-			}
-			return float64(n)
-		})
+		"Heap bytes held by the degradation queues: each table's arrival log once, with its hole bitmaps, plus every queue's private FIFO.",
+		func() float64 { return float64(e.queueBytes()) })
 	reg.GaugeFuncVec("instantdb_degrade_table_lag_seconds",
 		"Degradation lag per table (seconds past the oldest overdue deadline).", "table",
 		func(emit func(string, float64)) {
@@ -559,7 +746,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 			}
 		})
 	reg.GaugeFuncVec("instantdb_degrade_table_queue_depth",
-		"Tuples awaiting a degradation transition, per table.", "table",
+		"Pending degradation transitions, per table: a tuple counts once per transition it awaits.", "table",
 		func(emit func(string, float64)) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
@@ -632,9 +819,9 @@ func (e *Engine) Tick() (int, error) {
 // transition, the insert time before which no tuple is in that state
 // any more: the transition's deadline age behind now, held back to the
 // oldest tuple still queued for it or for an earlier state — a
-// lock-skipped or predicate-held tuple keeps its key. Queues are created
-// on demand, so a state every tuple left before the last restart is
-// still visited.
+// lock-skipped or predicate-held tuple keeps its key. Every table's
+// queues are created with its log, so a state every tuple left before
+// the last restart is still visited.
 func (e *Engine) retire(now time.Time) error {
 	type retirement struct {
 		tbl    *catalog.Table
@@ -650,23 +837,17 @@ func (e *Engine) retire(now time.Time) error {
 		if tbl.TupleLCP() == nil {
 			continue
 		}
-		for attr, col := range tbl.DegradableColumns() {
+		for _, q := range e.logFor(tbl).readers {
+			if q.prev != nil || q.isDelete {
+				continue
+			}
 			// oldest runs over this state's queue and every earlier one: a
 			// tuple still on its way into the state will be sealed under
 			// the state's key when it gets there.
 			oldest := int64(math.MaxInt64)
-			for state := 0; state < tbl.Columns[col].Policy.StateCount(); state++ {
-				q := e.queueFor(tbl, attr, uint8(state))
-				if q == nil {
-					continue
-				}
-				if t, ok := q.fifo.peek(); ok {
-					oldest = min(oldest, t.insertNano)
-				}
-				for _, t := range q.retries {
-					oldest = min(oldest, t.insertNano)
-				}
-				rs = append(rs, retirement{tbl, attr, uint8(state), min(nowNano-q.ageNano, oldest)})
+			for state := 0; q != nil; state, q = state+1, q.next {
+				q.heads(func(insertNano int64) { oldest = min(oldest, insertNano) })
+				rs = append(rs, retirement{tbl, q.attr, uint8(state), min(nowNano-q.ageNano, oldest)})
 			}
 		}
 	}
@@ -744,8 +925,8 @@ type Pending struct {
 }
 
 // Backlog lists every pending transition: queues in the order ticks
-// drain them, within a queue the deadline-ordered FIFO first, then the
-// tasks waiting out a retry gate.
+// drain them, within a queue its stretch of the arrival log first, then
+// its private FIFO, then the tasks waiting out a retry gate.
 func (e *Engine) Backlog() []Pending {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -756,7 +937,8 @@ func (e *Engine) Backlog() []Pending {
 			out = append(out, Pending{Table: q.tbl.Name, Attr: k.attr, State: k.state, Tuple: t.tid,
 				Deadline: time.Unix(0, t.insertNano+q.ageNano).UTC()})
 		}
-		q.fifo.each(add)
+		q.log.each(q.cur, q.end(), q.attr, add)
+		q.private.each(add)
 		for _, r := range q.retries {
 			add(r.task)
 		}
@@ -764,28 +946,66 @@ func (e *Engine) Backlog() []Pending {
 	return out
 }
 
-// popDue collects up to BatchSize due tasks from a queue.
-func (e *Engine) popDue(q *transQueue, now time.Time) []task {
+// popDue collects up to BatchSize due tasks from a queue: retries whose
+// gate has passed, then the private FIFO's head, then the range's. The
+// cursor moves past what it hands out; runQueue settles their fate.
+func (e *Engine) popDue(q *transQueue, now time.Time) []item {
 	nowNano := now.UTC().UnixNano()
-	var due []task
-	// Retries whose gate has passed.
+	var due []item
 	keep := q.retries[:0]
 	for _, t := range q.retries {
 		if len(due) < e.opts.BatchSize && t.notBefore <= nowNano &&
-			(q.eventFired || t.insertNano+q.ageNano <= nowNano) {
-			due = append(due, t.task)
+			(t.released || t.insertNano+q.ageNano <= nowNano) {
+			due = append(due, item{t.task, -1, t.released})
 		} else {
 			keep = append(keep, t)
 		}
 	}
 	q.retries = keep
-	due = q.fifo.popWhile(due, e.opts.BatchSize-len(due), func(t task) bool {
-		return q.eventFired || t.insertNano+q.ageNano <= nowNano
-	})
-	if q.pending() == 0 {
-		q.eventFired = false
+	for len(due) < e.opts.BatchSize {
+		t, ok := q.private.peek()
+		if !ok || t.insertNano+q.ageNano > nowNano {
+			break
+		}
+		due = append(due, item{t, -1, false})
+		q.private.pop()
 	}
+	for len(due) < e.opts.BatchSize {
+		t, ok := q.peek()
+		released := q.cur.pos < q.eventEnd
+		if !ok || (!released && t.insertNano+q.ageNano > nowNano) {
+			break
+		}
+		due = append(due, item{t, q.cur.pos, released})
+		q.live--
+		q.log.advance(&q.cur)
+	}
+	q.log.release()
 	return due
+}
+
+// settle decides the fate of a batch's tasks in the queues after q's:
+// those of fired, fired in order along the arrival log, are already in
+// the next state's range and are counted there; a task fired from the
+// private FIFO or the retries enters the next state's private FIFO; a
+// log task that did not fire in order — retried, stale, or dropped —
+// becomes a hole the cursors behind skip. Caller holds e.mu.
+func (q *transQueue) settle(due []item, fired []bool) {
+	q.settled = q.cur.pos
+	nq := q.next
+	if nq == nil {
+		return
+	}
+	for i, t := range due {
+		switch {
+		case fired[i] && t.pos >= 0:
+			nq.live++
+		case fired[i]:
+			nq.private.insertSorted(t.task)
+		case t.pos >= 0:
+			q.log.setHole(t.pos, q.attr)
+		}
+	}
 }
 
 // runQueue executes one batch of a queue's due tasks as a system
@@ -808,34 +1028,48 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	if len(due) == 0 {
 		return 0, false, nil
 	}
+	// fired marks the tasks whose transition committed into a state the
+	// tuple leaves again; settle hands them to the next queue.
+	fired := make([]bool, len(due))
+	var retried []item
+	defer func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		at := now.UTC().UnixNano() + int64(e.opts.RecheckInterval)
+		for _, t := range retried {
+			q.retries = append(q.retries, retry{t.task, at, t.released})
+		}
+		q.settle(due, fired)
+	}()
 
 	ts := e.mgr.Table(q.tbl)
 	sysTxn := e.ids.Next()
 	defer e.locks.ReleaseAll(sysTxn)
 	if err := e.locks.Acquire(sysTxn, txn.TableRes(q.tbl.ID), txn.LockIX); err != nil {
 		// A DDL holds the table; retry the whole batch next tick.
-		e.requeue(q, due, now)
+		retried = due
 		return 0, true, nil
 	}
 
 	var recs []*wal.Record
-	var followups []task
-	var locked, skipped, held []task
+	// recDue maps each record to its task's index in due.
+	var recDue []int
+	var locked, skipped, held []int
 	nowNano := now.UTC().UnixNano()
 
-	for _, t := range due {
+	for i, t := range due {
 		if e.locks.TryAcquire(sysTxn, txn.RowRes(q.tbl.ID, t.tid), txn.LockX) {
-			locked = append(locked, t)
+			locked = append(locked, i)
 		} else {
-			skipped = append(skipped, t)
+			skipped = append(skipped, i)
 		}
 	}
 	// The locked tuples are read together, each heap page once. An
 	// attribute transition without a predicate needs only the attribute:
 	// its state and stored form.
 	ids := make([]storage.TupleID, len(locked))
-	for i, t := range locked {
-		ids[i] = t.tid
+	for i, d := range locked {
+		ids[i] = due[d].tid
 	}
 	full := q.isDelete || pred != nil
 	var tups []storage.Tuple
@@ -848,7 +1082,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	if err != nil {
 		// Only a deleted tuple lets its task go; a failed read puts the
 		// whole batch back, as a failed commit does.
-		e.requeue(q, due, now)
+		retried = due
 		return 0, true, fmt.Errorf("degrade: read batch: %w", err)
 	}
 
@@ -856,7 +1090,8 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	if !q.isDelete {
 		col = q.tbl.DegradableColumns()[key.attr]
 	}
-	for i, t := range locked {
+	for i, d := range locked {
+		t := due[d]
 		var cell storage.DegCell
 		if full {
 			tup := tups[i]
@@ -864,12 +1099,13 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 				continue // deleted meanwhile: nothing to do
 			}
 			if pred != nil && !pred(tup) {
-				held = append(held, t)
+				held = append(held, d)
 				continue
 			}
 			if q.isDelete {
 				recs = append(recs, &wal.Record{Type: wal.RecDelete, Table: q.tbl.ID, Tuple: t.tid,
 					InsertNano: t.insertNano})
+				recDue = append(recDue, d)
 				continue
 			}
 			cell = storage.DegCell{ID: tup.ID, State: tup.States[key.attr], Stored: tup.Row[col]}
@@ -900,23 +1136,23 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 			}
 			rec.NewState = uint8(q.toState)
 			rec.NewStored = next
-			followups = append(followups, t)
 		}
 		recs = append(recs, rec)
+		recDue = append(recDue, d)
 	}
 
 	if len(recs) > 0 {
 		if err := e.commit(recs); err != nil {
 			// Nothing applied: put every popped task back for retry so
 			// a transient commit failure cannot silently drop deadlines.
-			e.requeue(q, due, now)
+			retried = due
 			return 0, true, fmt.Errorf("degrade: commit batch: %w", err)
 		}
 		n = len(recs)
 		e.ctr.batches.Add(1)
 	}
 
-	for _, r := range recs {
+	for i, r := range recs {
 		switch {
 		case r.Type == wal.RecDelete:
 			e.ctr.deletions.Add(1)
@@ -925,6 +1161,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 			e.ctr.erasures.Add(1)
 		default:
 			e.ctr.transitions.Add(1)
+			fired[recDue[i]] = true
 		}
 		if lag := nowNano - (r.InsertNano + q.ageNano); lag > 0 {
 			e.ctr.sumLagNano.Add(lag)
@@ -940,7 +1177,7 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	// are its core evidence: identity plus deadline-vs-actual, the
 	// timeliness delta the paper claims.
 	attr := attrName(q.tbl, key.attr)
-	retried := func(t task, detail string) trace.Event {
+	retriedEv := func(t task, detail string) trace.Event {
 		return trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
 			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,
 			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: detail}
@@ -962,43 +1199,19 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 			return ev
 		}
 		if i -= len(recs); i < len(skipped) {
-			return retried(skipped[i], "row lock busy")
+			return retriedEv(due[skipped[i]].task, "row lock busy")
 		}
-		return retried(held[i-len(skipped)], "predicate held")
+		return retriedEv(due[held[i-len(skipped)]].task, "predicate held")
 	})
 	e.ctr.lockSkips.Add(uint64(len(skipped)))
 	e.ctr.predicateHold.Add(uint64(len(held)))
-	e.mu.Lock()
-	retryAt := nowNano + int64(e.opts.RecheckInterval)
-	for _, t := range skipped {
-		q.retries = append(q.retries, retry{t, retryAt})
+	for _, d := range skipped {
+		retried = append(retried, due[d])
 	}
-	for _, t := range held {
-		q.retries = append(q.retries, retry{t, retryAt})
+	for _, d := range held {
+		retried = append(retried, due[d])
 	}
-	// Enqueue follow-up transitions for tuples that advanced to a
-	// non-terminal state.
-	if len(followups) > 0 && q.toState != -1 {
-		nq := e.queueFor(q.tbl, key.attr, uint8(q.toState))
-		if nq != nil {
-			for _, t := range followups {
-				nq.fifo.push(t)
-			}
-		}
-	}
-	e.mu.Unlock()
-
 	return n, true, nil
-}
-
-// requeue returns tasks to a queue's retry list with a recheck delay.
-func (e *Engine) requeue(q *transQueue, tasks []task, now time.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	at := now.UTC().UnixNano() + int64(e.opts.RecheckInterval)
-	for _, t := range tasks {
-		q.retries = append(q.retries, retry{t, at})
-	}
 }
 
 // NextDeadline returns the earliest pending transition deadline, ok=false
@@ -1009,21 +1222,30 @@ func (e *Engine) NextDeadline() (time.Time, bool) {
 	defer e.mu.Unlock()
 	var best int64
 	found := false
+	at := func(d int64) {
+		if !found || d < best {
+			best, found = d, true
+		}
+	}
 	for _, q := range e.queues {
-		if t, ok := q.fifo.peek(); ok {
-			d := t.insertNano + q.ageNano
-			if !found || d < best {
-				best, found = d, true
+		// A task an event released is due from the instant it fired.
+		released := func(deadline int64) int64 { return min(deadline, q.eventNano) }
+		if t, ok := q.peek(); ok {
+			if d := t.insertNano + q.ageNano; q.cur.pos < q.eventEnd {
+				at(released(d))
+			} else {
+				at(d)
 			}
 		}
+		if t, ok := q.private.peek(); ok {
+			at(t.insertNano + q.ageNano)
+		}
 		for _, t := range q.retries {
-			d := t.notBefore
-			if dl := t.insertNano + q.ageNano; dl > d {
-				d = dl
+			d := t.insertNano + q.ageNano
+			if t.released {
+				d = released(d)
 			}
-			if !found || d < best {
-				best, found = d, true
-			}
+			at(max(d, t.notBefore))
 		}
 	}
 	if !found {

@@ -341,6 +341,66 @@ func TestEventTrigger(t *testing.T) {
 	}
 }
 
+// TestEventReleasesOnlyWaitingTuples: an event releases exactly the
+// tuples its queue holds when it fires, whenever the tick that executes
+// it comes; a tuple that arrives later waits for its own deadline, and
+// one a reader's row lock held back stays released until it fires.
+func TestEventReleasesOnlyWaitingTuples(t *testing.T) {
+	eventPolicy := func(loc *gentree.Tree) *lcp.Policy {
+		return lcp.NewBuilder("p", loc).
+			HoldUntilEvent(0, 100*time.Hour, "ev").
+			Hold(1, time.Hour).ThenSuppress().MustBuild()
+	}
+	for _, tickAfterEvent := range []bool{false, true} {
+		f := newFixture(t, Options{}, eventPolicy)
+		t1 := f.insert(t, 1, "Dam 1")
+		f.eng.FireEvent("ev")
+		if tickAfterEvent {
+			if n, _ := f.eng.Tick(); n != 1 {
+				t.Fatalf("tick after the event: %d transitions, want 1", n)
+			}
+		}
+		t2 := f.insert(t, 2, "Dam 1")
+		f.eng.Tick()
+		if st, _ := f.stateOf(t, t1); st != 1 {
+			t.Errorf("tick right after the event %v: the waiting tuple is in state %d, want 1", tickAfterEvent, st)
+		}
+		if st, _ := f.stateOf(t, t2); st != 0 {
+			t.Errorf("tick right after the event %v: the tuple inserted after it is in state %d, want 0", tickAfterEvent, st)
+		}
+	}
+
+	f := newFixture(t, Options{RecheckInterval: time.Minute}, eventPolicy)
+	t1 := f.insert(t, 1, "Dam 1")
+	t2 := f.insert(t, 2, "Dam 1")
+	reader := txn.ID(99999)
+	if err := f.locks.Acquire(reader, txn.RowRes(f.tbl.ID, t1), txn.LockS); err != nil {
+		t.Fatal(err)
+	}
+	f.eng.FireEvent("ev")
+	if n, _ := f.eng.Tick(); n != 1 {
+		t.Fatalf("tick after the event: %d transitions, want 1 (the unlocked tuple)", n)
+	}
+	t3 := f.insert(t, 3, "Dam 1")
+	f.clock.Advance(time.Minute)
+	if n, _ := f.eng.Tick(); n != 0 {
+		t.Fatalf("tick while the reader holds its lock: %d transitions, want 0", n)
+	}
+	f.locks.ReleaseAll(reader)
+	f.clock.Advance(time.Minute)
+	if n, _ := f.eng.Tick(); n != 1 {
+		t.Fatalf("tick after the reader let go: %d transitions, want 1", n)
+	}
+	for _, c := range []struct {
+		tid  storage.TupleID
+		want uint8
+	}{{t1, 1}, {t2, 1}, {t3, 0}} {
+		if st, _ := f.stateOf(t, c.tid); st != c.want {
+			t.Errorf("tuple %d in state %d, want %d", c.tid, st, c.want)
+		}
+	}
+}
+
 func TestEventDeadlineStillApplies(t *testing.T) {
 	// Event states also expire at their retention deadline without the
 	// event.
@@ -392,8 +452,9 @@ func (f *fixture) scanAll(add func(*catalog.Table, *storage.Tuple)) error {
 }
 
 // TestReseedOrdersAndSizesQueues: whatever order the scan meets the
-// tuples in, every queue comes out in deadline order, in as few chunks
-// as hold its tasks.
+// tuples in, the table's arrival log comes out in deadline order, in as
+// few chunks as hold its tasks, and the queues of the tuples' state list
+// every tuple from it in that order.
 func TestReseedOrdersAndSizesQueues(t *testing.T) {
 	f := newFixture(t, Options{}, figure2Policy)
 	var tuples []storage.Tuple
@@ -419,20 +480,24 @@ func TestReseedOrdersAndSizesQueues(t *testing.T) {
 		if err := eng.Reseed(scan); err != nil {
 			t.Fatal(err)
 		}
-		if len(eng.queues) != 2 { // location out of state 0, tuple delete
-			t.Fatalf("%d queues", len(eng.queues))
+		l := eng.logs[f.tbl.ID]
+		if l == nil || l.tail != int64(len(tuples)) || len(l.chunks) != 3 || l.holes != nil {
+			t.Fatalf("arrival log: %+v, want %d tasks in 3 chunks and no hole", l, len(tuples))
 		}
-		for k, q := range eng.queues {
-			if q.fifo.len() != len(tuples) || len(q.fifo.chunks) != 3 {
-				t.Fatalf("queue %+v: %d tasks in %d chunks, want %d in 3", k, q.fifo.len(), len(q.fifo.chunks), len(tuples))
+		var got []Pending
+		for _, p := range eng.Backlog() {
+			if (p.Attr == 0 && p.State == 0) || p.Attr == -1 {
+				got = append(got, p)
 			}
-			i := 0
-			q.fifo.each(func(tk task) {
-				if tk.tid != tuples[i].ID || tk.insertNano != tuples[i].InsertedAt.UnixNano() {
-					t.Fatalf("queue %+v: task %d is %+v, want tuple %d", k, i, tk, tuples[i].ID)
-				}
-				i++
-			})
+		}
+		if len(got) != 2*len(tuples) || len(eng.Backlog()) != len(got) {
+			t.Fatalf("%d pending, %d of them out of state 0 or deletes, want %d", len(eng.Backlog()), len(got), 2*len(tuples))
+		}
+		for i, p := range got {
+			tp := tuples[i%len(tuples)]
+			if p.Tuple != tp.ID || p.Attr != []int{0, -1}[i/len(tuples)] {
+				t.Fatalf("pending %d is %+v, want tuple %d", i, p, tp.ID)
+			}
 		}
 	}
 }
@@ -500,6 +565,26 @@ func TestNextDeadline(t *testing.T) {
 	if f.eng.Stats().Transitions != 2 {
 		t.Fatalf("transitions=%d", f.eng.Stats().Transitions)
 	}
+
+	// A released event makes its tuples due at the instant it fired.
+	f = newFixture(t, Options{}, func(loc *gentree.Tree) *lcp.Policy {
+		return lcp.NewBuilder("p", loc).HoldUntilEvent(0, 100*time.Hour, "ev").Hold(1, time.Hour).ThenSuppress().MustBuild()
+	})
+	f.insert(t, 1, "Dam 1")
+	f.clock.Advance(time.Hour)
+	fired := f.clock.Now()
+	f.eng.FireEvent("ev")
+	f.clock.Advance(time.Minute)
+	if d, ok := f.eng.NextDeadline(); !ok || !d.Equal(fired) {
+		t.Fatalf("NextDeadline after the event = (%v, %v), want the instant it fired, %v", d, ok, fired)
+	}
+	if n, _ := f.eng.Tick(); n != 1 {
+		t.Fatal("the released transition did not fire")
+	}
+	// Deadlines run from insert: the next one is 100 h + 1 h after it.
+	if d, ok := f.eng.NextDeadline(); !ok || !d.Equal(vclock.Epoch.Add(101*time.Hour)) {
+		t.Fatalf("NextDeadline after the tick = (%v, %v), want the next state's deadline %v", d, ok, vclock.Epoch.Add(101*time.Hour))
+	}
 }
 
 func TestRunBackgroundLoop(t *testing.T) {
@@ -553,6 +638,7 @@ func TestDrainedQueuesHoldNoBacklog(t *testing.T) {
 	if lag := f.eng.Lag(f.clock.Now()); lag != time.Minute {
 		t.Fatalf("lag %v before the tick, want 1m", lag)
 	}
+	bytes := f.eng.queueBytes()
 	if n, err := f.eng.Tick(); err != nil || n != rows {
 		t.Fatalf("tick: n=%d err=%v", n, err)
 	}
@@ -562,10 +648,17 @@ func TestDrainedQueuesHoldNoBacklog(t *testing.T) {
 	if lag := f.eng.Lag(f.clock.Now()); lag != 0 {
 		t.Fatalf("lag %v after the tick", lag)
 	}
-	f.eng.mu.Lock()
-	defer f.eng.mu.Unlock()
-	if q := f.eng.queues[queueKey{table: f.tbl.ID, attr: 0, state: 0}]; q.fifo.chunks != nil || q.fifo.bytes() != 0 {
-		t.Fatalf("drained state-0 queue still holds %d chunks, %d bytes", len(q.fifo.chunks), q.fifo.bytes())
+	// The wave moved cursors only: nothing was stored again.
+	if got := f.eng.queueBytes(); got != bytes {
+		t.Fatalf("queues hold %d bytes after the wave, %d before", got, bytes)
+	}
+	// Once every tuple is gone, so is every chunk.
+	f.clock.Advance(40 * 24 * time.Hour)
+	if _, err := f.eng.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if p, b := f.eng.Stats().Pending, f.eng.queueBytes(); p != 0 || b != 0 {
+		t.Fatalf("after the horizon: %d pending in %d bytes, want none", p, b)
 	}
 }
 

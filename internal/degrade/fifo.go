@@ -58,21 +58,65 @@ func packChunk(ts []task) *chunk {
 	return c
 }
 
-// taskFIFO is a queue's backlog in the order it was pushed — deadline
-// order, under one hold per state — packed into chunks. The oldest task
+// packed is an append-only run of chunks, each filled to chunkTasks
+// before the next push opens another.
+type packed struct {
+	chunks []*chunk
+	// last is the newest task: the next push is encoded against it.
+	last task
+}
+
+// push appends t behind every task packed and reports whether it opened
+// a new chunk.
+func (p *packed) push(t task) bool {
+	k, prev := len(p.chunks), p.last
+	p.last = t
+	if k > 0 && p.chunks[k-1].n < chunkTasks {
+		c := p.chunks[k-1]
+		c.enc = appendDelta(c.enc, prev, t)
+		c.minNano = min(c.minNano, t.insertNano)
+		c.n++
+		return false
+	}
+	// The chunk before is full: give back what append left over, and
+	// expect this one to come out the same size. Only a first chunk grows
+	// from nothing.
+	c := &chunk{first: t, minNano: t.insertNano, n: 1}
+	if k > 0 {
+		full := p.chunks[k-1]
+		if cap(full.enc)-len(full.enc) > len(full.enc)/8 {
+			full.enc = slices.Clone(full.enc)
+		}
+		c.enc = make([]byte, 0, len(full.enc))
+	}
+	p.chunks = append(p.chunks, c)
+	return true
+}
+
+// bytes returns the heap the chunks hold.
+func (p *packed) bytes() int {
+	n := cap(p.chunks) * int(unsafe.Sizeof((*chunk)(nil)))
+	for _, c := range p.chunks {
+		n += int(unsafe.Sizeof(*c)) + cap(c.enc)
+	}
+	return n
+}
+
+// taskFIFO is a queue's private backlog — the tuples that reached its
+// state out of arrival order, kept in stamp order by insertSorted, or in
+// the order Reseed pushed them, which is stamp order — packed into
+// chunks. The oldest task
 // is kept decoded, so reading it costs nothing and popping decodes one
 // pair; a chunk is let go as the head leaves it, and a drained queue
 // holds no chunk at all.
 type taskFIFO struct {
-	chunks []*chunk
-	n      int
+	packed
+	n int
 	// head is the oldest task, the idx-th of chunks[0]; the pair of the
 	// task after it starts at off.
 	head task
 	idx  int
 	off  int
-	// last is the newest task: the next push is encoded against it.
-	last task
 }
 
 func (f *taskFIFO) len() int { return f.n }
@@ -82,29 +126,9 @@ func (f *taskFIFO) peek() (task, bool) { return f.head, f.n > 0 }
 
 // push appends t behind every task queued.
 func (f *taskFIFO) push(t task) {
-	k := len(f.chunks)
-	if k > 0 && f.chunks[k-1].n < chunkTasks {
-		c := f.chunks[k-1]
-		c.enc = appendDelta(c.enc, f.last, t)
-		c.minNano = min(c.minNano, t.insertNano)
-		c.n++
-	} else {
-		// The chunk before is full: give back what append left over, and
-		// expect this one to come out the same size. Only a queue's first
-		// chunk grows from nothing.
-		c := &chunk{first: t, minNano: t.insertNano, n: 1}
-		if k > 0 {
-			full := f.chunks[k-1]
-			if cap(full.enc)-len(full.enc) > len(full.enc)/8 {
-				full.enc = slices.Clone(full.enc)
-			}
-			c.enc = make([]byte, 0, len(full.enc))
-		} else {
-			f.enter(c)
-		}
-		f.chunks = append(f.chunks, c)
+	if f.packed.push(t) && len(f.chunks) == 1 {
+		f.enter(f.chunks[0])
 	}
-	f.last = t
 	f.n++
 }
 
@@ -198,13 +222,4 @@ func (f *taskFIFO) insertSorted(t task) {
 		f.enter(f.chunks[0])
 	}
 	f.n++
-}
-
-// bytes returns the heap the queue's chunks hold.
-func (f *taskFIFO) bytes() int {
-	n := cap(f.chunks) * int(unsafe.Sizeof((*chunk)(nil)))
-	for _, c := range f.chunks {
-		n += int(unsafe.Sizeof(*c)) + cap(c.enc)
-	}
-	return n
 }

@@ -11,6 +11,7 @@ import (
 	"instantdb/internal/catalog"
 	"instantdb/internal/storage"
 	"instantdb/internal/txn"
+	"instantdb/internal/value"
 	"instantdb/internal/vclock"
 )
 
@@ -248,13 +249,17 @@ func TestTaskFIFO(t *testing.T) {
 	}
 }
 
-// Queue budgets: heap bytes per pending task at 100 000 tasks of
-// consecutive ids. 2.3 measured with every stamp the same (a simulated
-// clock standing still), 4.3 with stamps 50–500 µs apart. A slice of
-// 16-byte tasks took 16 exactly sized, up to twice that grown by append.
+// Queue budgets: heap bytes per pending tuple at 100 000 tuples of
+// consecutive ids, each awaiting three transitions (two degradable
+// columns out of state 0, and the tuple deletion): one arrival-log task
+// each. 2.34 measured with every stamp the same (a simulated clock
+// standing still), 4.35 with stamps 50–500 µs apart. One packed task per
+// (tuple, queue) took three times that, 6.9 and 13 B; a slice of
+// 16-byte tasks per queue 48 exactly sized, up to twice that grown by
+// append.
 const (
-	queueBudgetStill = 3.0
-	queueBudgetWall  = 6.0
+	queueBudgetStill = 2.6
+	queueBudgetWall  = 4.8
 )
 
 func heapInUse() int64 {
@@ -265,11 +270,29 @@ func heapInUse() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// TestQueueSizeBudget holds the heap the queues keep per pending task
+// newWideFixture is newFixture with a second degradable column, home,
+// under the same Figure 2 policy: three transitions wait on every tuple.
+func newWideFixture(t *testing.T) *fixture {
+	t.Helper()
+	f := newFixture(t, Options{}, figure2Policy)
+	pol := f.tbl.Columns[1].Policy
+	tbl, err := f.cat.CreateTable("resident", []catalog.Column{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "location", Kind: value.KindText, Degradable: true, Domain: f.loc, Policy: pol},
+		{Name: "home", Kind: value.KindText, Degradable: true, Domain: f.loc, Policy: pol},
+	}, 0, catalog.LayoutMove)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.tbl, f.ts = tbl, f.mgr.Table(tbl)
+	return f
+}
+
+// TestQueueSizeBudget holds the heap the queues keep per pending tuple
 // to the committed budget, pushed live and rebuilt by Reseed, and checks
-// that the queue-bytes gauge's sum accounts for that heap.
+// that the queue-bytes gauge accounts for that heap.
 func TestQueueSizeBudget(t *testing.T) {
-	const tuples = 50_000 // two tasks each: location out of state 0, tuple delete
+	const tuples, transitions = 100_000, 3
 	for _, tc := range []struct {
 		name   string
 		budget float64
@@ -278,7 +301,7 @@ func TestQueueSizeBudget(t *testing.T) {
 		{"still clock", queueBudgetStill, func(*rand.Rand) int64 { return 0 }},
 		{"stamps 50-500us apart", queueBudgetWall, func(r *rand.Rand) int64 { return 50_000 + r.Int63n(450_000) }},
 	} {
-		f := newFixture(t, Options{}, figure2Policy)
+		f := newWideFixture(t)
 		// feed hands every tuple's id and insert instant to add, the same
 		// sequence on every call.
 		feed := func(add func(storage.TupleID, time.Time)) {
@@ -294,17 +317,14 @@ func TestQueueSizeBudget(t *testing.T) {
 			eng := New(f.clock, f.cat, f.mgr, f.locks, &txn.IDSource{}, applier(f.cat, f.mgr), nil, Options{})
 			fill(eng)
 			heap := heapInUse() - before
-			if p := eng.Stats().Pending; p != 2*tuples {
-				t.Fatalf("%s, %s: %d tasks pending, want %d", tc.name, how, p, 2*tuples)
+			if p := eng.Stats().Pending; p != transitions*tuples {
+				t.Fatalf("%s, %s: %d transitions pending, want %d", tc.name, how, p, transitions*tuples)
 			}
-			gauge := 0
-			for _, q := range eng.queues {
-				gauge += q.fifo.bytes()
-			}
-			per := float64(heap) / (2 * tuples)
-			t.Logf("%s, %s: %.2f B per pending task (budget %.0f), gauge %.2f", tc.name, how, per, tc.budget, float64(gauge)/(2*tuples))
+			gauge := eng.queueBytes()
+			per := float64(heap) / tuples
+			t.Logf("%s, %s: %.2f B per pending tuple (budget %.1f), gauge %.2f", tc.name, how, per, tc.budget, float64(gauge)/tuples)
 			if per > tc.budget {
-				t.Errorf("%s, %s: queues keep %.2f B per pending task, budget %.0f", tc.name, how, per, tc.budget)
+				t.Errorf("%s, %s: queues keep %.2f B per pending tuple, budget %.1f", tc.name, how, per, tc.budget)
 			}
 			if g := float64(gauge); g > float64(heap) || g < 0.85*float64(heap) {
 				t.Errorf("%s, %s: gauge sums to %d bytes, the heap grew by %d", tc.name, how, gauge, heap)
@@ -316,7 +336,7 @@ func TestQueueSizeBudget(t *testing.T) {
 			})
 		})
 		measure("reseeded", func(eng *Engine) {
-			tup := storage.Tuple{States: []uint8{0}}
+			tup := storage.Tuple{States: []uint8{0, 0}}
 			err := eng.Reseed(func(add func(*catalog.Table, *storage.Tuple)) error {
 				feed(func(id storage.TupleID, at time.Time) {
 					tup.ID, tup.InsertedAt = id, at

@@ -235,19 +235,21 @@ CREATE INDEX bm_loc ON person (location) USING BITMAP;`); err != nil {
 
 // Resident budgets: bytes of live heap per row of the benchmark's schema
 // (person: primary key plus B+tree indexes on both degradable columns)
-// at 20 000 rows, measurement + 5 %. This test measures 57.7 (loaded
-// live) and 53.5 (reopened), the same to a few tenths run after run; of
-// the 53.5, the three indexes hold 30 (primary key 10.9, salary 15.7,
-// location 3.1), the tuple directory 8, the three degradation queues 7
-// (2.3 B per pending task on a clock standing still). With B+tree leaves
-// of 8-byte value slots and 4-byte key offsets it measured 68.2 and 61.9,
-// with 16-byte directory entries, float64 INT keys and the primary-key
-// reservations kept at their peak 88.2 and 78.3, with postings of 8-byte
-// ids 100 and 88, with 16-byte queue tasks before that 152 and 130, with
-// a posting per key and two directory maps before that 336 and 275.
+// at 20 000 rows, measurement + 5 %. This test measures 52.9 (loaded
+// live) and 49.2 (reopened), the same to a few tenths run after run; of
+// the 49.2, the three indexes hold 30 (primary key 10.9, salary 15.7,
+// location 3.1), the tuple directory 8, the degradation queues 2.3 (one
+// arrival-log task per row on a clock standing still, however many
+// transitions wait on it). With a packed task per (row, queue) — three
+// queues, 6.9 B — it measured 57.7 and 53.5, with B+tree leaves of
+// 8-byte value slots and 4-byte key offsets 68.2 and 61.9, with 16-byte
+// directory entries, float64 INT keys and the primary-key reservations
+// kept at their peak 88.2 and 78.3, with postings of 8-byte ids 100 and
+// 88, with 16-byte queue tasks before that 152 and 130, with a posting
+// per key and two directory maps before that 336 and 275.
 const (
-	residentBudgetLive     = 60
-	residentBudgetReopened = 56
+	residentBudgetLive     = 55.5
+	residentBudgetReopened = 51.7
 )
 
 // residentParts logs the heap per row of each structure an open
@@ -370,12 +372,12 @@ CREATE INDEX ix_sal ON person (salary) USING BTREE;`)
 	}
 	residentParts(t, db2, "reopened", rows)
 	db2.Close()
-	t.Logf("resident heap per row: %.1f B loaded live (budget %d), %.1f B reopened (budget %d)",
+	t.Logf("resident heap per row: %.1f B loaded live (budget %.1f), %.1f B reopened (budget %.1f)",
 		live, residentBudgetLive, reopened, residentBudgetReopened)
 	if live > residentBudgetLive {
-		t.Errorf("live-loaded database keeps %.1f B/row, budget %d", live, residentBudgetLive)
+		t.Errorf("live-loaded database keeps %.1f B/row, budget %.1f", live, residentBudgetLive)
 	}
 	if reopened > residentBudgetReopened {
-		t.Errorf("reopened database keeps %.1f B/row, budget %d", reopened, residentBudgetReopened)
+		t.Errorf("reopened database keeps %.1f B/row, budget %.1f", reopened, residentBudgetReopened)
 	}
 }
