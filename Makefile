@@ -49,8 +49,12 @@ md-check:
 # outside the process), the audit trail's block decoder (Verify and
 # every reopen feed it bytes from a directory an attacker may have
 # written) and its run encoder on event streams that make and break
-# runs, from single events to whole batches, the B+tree's, the posting's
-# and the degradation queue's op streams against their models, the
+# runs, from single events to whole batches, the B+tree's op stream
+# against its model (keys filled past the 128-id spill threshold and
+# drained under the 64-id return, ids 2⁴⁰ and 2⁶³−1 apart in one leaf,
+# an inline posting emptied in the middle of its leaf's id arena), the
+# posting's and the degradation queue's op streams against their
+# models, the
 # degradation engine's queues (one arrival log per table, read through
 # cursors) against a reference that keeps one FIFO per (column, state)
 # queue, under inserts, ticks, row locks, predicates, events, replicated
@@ -77,8 +81,10 @@ fuzz-smoke:
 # budgets runs the tests that hold a committed size: heap bytes per row
 # of an open database, a B+tree under churn against a fresh tree of the
 # same content, B+tree bytes per entry and Stats accuracy (the heap a
-# grown tree holds per entry, Stats within 3 % of it, and each node
-# type within its size class), heap bytes per posting id and per tuple
+# grown tree holds per entry — unique keys ascending and random, about 3
+# ids per key, and mixed levels shaped like an index on a degraded
+# salary — Stats within 3 % of it, and each node type within its size
+# class), heap bytes per posting id and per tuple
 # pending three degradation transitions (one arrival-log task, on a
 # still clock and on a moving one), audit-trail bytes per event (rows
 # inserted one per commit, and the benchmark's 500-row commits), WAL

@@ -80,8 +80,9 @@ type Predicate func(storage.Tuple) bool
 
 // Options tunes the engine.
 type Options struct {
-	// BatchSize bounds the tuples degraded per queue per tick
-	// (default 256).
+	// BatchSize bounds the tuples one system transaction degrades
+	// (default 256): a tick drains every due task of a queue in batches
+	// of this size before it moves to the next queue.
 	BatchSize int
 	// RecheckInterval delays re-examination of tuples whose predicate
 	// gate refused the transition or whose row lock was busy
@@ -255,6 +256,9 @@ type Engine struct {
 	logs   map[uint32]*arrivalLog
 	preds  map[string]Predicate
 	ctr    counters
+	// lateness is instantdb_degrade_lateness_seconds{table,attr}, set by
+	// Instrument (nil observes nothing).
+	lateness *metrics.HistogramVec
 	// audit is the tamper-evident degradation trail (nil drops events);
 	// attached by SetAudit after construction so the engine layer can
 	// wire it without recovery replay re-auditing reseeded queues.
@@ -703,9 +707,10 @@ func (e *Engine) queueBytes() int {
 
 // Instrument registers the engine's observability surface on reg: the
 // headline instantdb_degrade_lag_seconds gauge, queue depths, per-table
-// breakdowns, and the activity counters Stats() reports. Everything is
-// collect-time — scrapes read the atomics and queue state the engine
-// already maintains, so instrumentation adds zero hot-path work.
+// breakdowns, the activity counters Stats() reports, and the lateness
+// histogram. Everything but the histogram is collect-time — scrapes read
+// the atomics and queue state the engine already maintains; the
+// histogram costs one allocation-free observe per fired transition.
 func (e *Engine) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -779,7 +784,15 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("instantdb_degrade_max_lag_seconds",
 		"Worst (execution time - deadline) ever observed for a committed transition.",
 		func() float64 { return time.Duration(e.ctr.maxLagNano.Load()).Seconds() })
+	e.lateness = reg.HistogramVec("instantdb_degrade_lateness_seconds",
+		"Seconds each committed transition fired past its deadline, by table and attribute (attr empty for tuple deletions).",
+		"table,attr", LatenessBuckets)
 }
+
+// LatenessBuckets are the bounds, in seconds, of
+// instantdb_degrade_lateness_seconds: from a tick's own delay on a
+// keeping-up degrader to a day of downtime.
+var LatenessBuckets = []float64{0.01, 0.1, 1, 10, 60, 300, 1800, 3600, 6 * 3600, 24 * 3600}
 
 // Tick executes every transition due at the clock's current instant,
 // then lets the scrubber retire what no tuple needs any more, and
@@ -1152,6 +1165,10 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 		e.ctr.batches.Add(1)
 	}
 
+	// Lateness is observed per fired transition into the queue's
+	// (table, attr) series, resolved once for the batch.
+	attr := attrName(q.tbl, key.attr)
+	late := e.lateness.With(q.tbl.Name, attr)
 	for i, r := range recs {
 		switch {
 		case r.Type == wal.RecDelete:
@@ -1163,7 +1180,9 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 			e.ctr.transitions.Add(1)
 			fired[recDue[i]] = true
 		}
-		if lag := nowNano - (r.InsertNano + q.ageNano); lag > 0 {
+		lag := nowNano - (r.InsertNano + q.ageNano)
+		late.Observe(time.Duration(max(lag, 0)))
+		if lag > 0 {
 			e.ctr.sumLagNano.Add(lag)
 			for {
 				cur := e.ctr.maxLagNano.Load()
@@ -1176,7 +1195,6 @@ func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err 
 	// The batch's events go to the trail in one call. The fired events
 	// are its core evidence: identity plus deadline-vs-actual, the
 	// timeliness delta the paper claims.
-	attr := attrName(q.tbl, key.attr)
 	retriedEv := func(t task, detail string) trace.Event {
 		return trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
 			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,

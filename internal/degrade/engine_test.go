@@ -3,6 +3,7 @@ package degrade
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"instantdb/internal/catalog"
 	"instantdb/internal/gentree"
 	"instantdb/internal/lcp"
+	"instantdb/internal/metrics"
 	"instantdb/internal/storage"
 	"instantdb/internal/trace"
 	"instantdb/internal/txn"
@@ -240,6 +242,39 @@ func TestLagMetrics(t *testing.T) {
 	st := f.eng.Stats()
 	if st.MaxLag < 30*time.Minute || st.MaxLag > 31*time.Minute {
 		t.Fatalf("MaxLag=%v want ~30m", st.MaxLag)
+	}
+}
+
+// TestLatenessHistogram fires one transition 90 s past its deadline on
+// the sim clock: it lands in the (60 s, 300 s] bucket of its (table,
+// attr) series, and the observe allocates nothing.
+func TestLatenessHistogram(t *testing.T) {
+	f := newFixture(t, Options{}, func(loc *gentree.Tree) *lcp.Policy {
+		return lcp.NewBuilder("p", loc).Hold(0, time.Hour).Hold(1, time.Hour).ThenSuppress().MustBuild()
+	})
+	reg := metrics.NewRegistry()
+	f.eng.Instrument(reg)
+	f.insert(t, 1, "Dam 1")
+	f.clock.Advance(time.Hour + 90*time.Second)
+	if n, err := f.eng.Tick(); n != 1 || err != nil {
+		t.Fatalf("tick fired %d, %v", n, err)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`instantdb_degrade_lateness_seconds_bucket{table="person",attr="location",le="60"} 0`,
+		`instantdb_degrade_lateness_seconds_bucket{table="person",attr="location",le="300"} 1`,
+		`instantdb_degrade_lateness_seconds_sum{table="person",attr="location"} 90`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition lacks %s:\n%s", want, b.String())
+		}
+	}
+	h := f.eng.lateness.With("person", "location")
+	if n := testing.AllocsPerRun(100, func() { h.Observe(90 * time.Second) }); n != 0 {
+		t.Fatalf("a lateness observe allocates %v times", n)
 	}
 }
 

@@ -72,7 +72,7 @@ func (db *DB) initMetrics(reg *metrics.Registry) {
 			btreeStats(emit, func(s index.Stats) int { return s.Entries })
 		})
 	reg.GaugeFuncVec("instantdb_index_bytes",
-		"Heap held per B+tree index: nodes, key arenas and spilled postings.", "index",
+		"Heap held per B+tree index: nodes, key and id arenas, and spilled postings.", "index",
 		func(emit func(string, float64)) {
 			btreeStats(emit, func(s index.Stats) int { return s.Bytes })
 		})

@@ -235,21 +235,23 @@ CREATE INDEX bm_loc ON person (location) USING BITMAP;`); err != nil {
 
 // Resident budgets: bytes of live heap per row of the benchmark's schema
 // (person: primary key plus B+tree indexes on both degradable columns)
-// at 20 000 rows, measurement + 5 %. This test measures 52.9 (loaded
-// live) and 49.2 (reopened), the same to a few tenths run after run; of
-// the 49.2, the three indexes hold 30 (primary key 10.9, salary 15.7,
-// location 3.1), the tuple directory 8, the degradation queues 2.3 (one
+// at 20 000 rows, measurement + 5 %. This test measures 39.5 (loaded
+// live) and 37.7 (reopened), within a few tenths run after run; of the
+// 37.7, the three indexes hold 18.6 (primary key 10.4, salary 5.9,
+// location 2.3), the tuple directory 8, the degradation queues 2.3 (one
 // arrival-log task per row on a clock standing still, however many
-// transitions wait on it). With a packed task per (row, queue) — three
-// queues, 6.9 B — it measured 57.7 and 53.5, with B+tree leaves of
-// 8-byte value slots and 4-byte key offsets 68.2 and 61.9, with 16-byte
-// directory entries, float64 INT keys and the primary-key reservations
-// kept at their peak 88.2 and 78.3, with postings of 8-byte ids 100 and
-// 88, with 16-byte queue tasks before that 152 and 130, with a posting
-// per key and two directory maps before that 336 and 275.
+// transitions wait on it). With a chunk of its own for every B+tree key
+// of two ids or more it measured 52.9 and 49.2 (salary 15.7), with a
+// packed task per (row, queue) — three queues, 6.9 B — 57.7 and 53.5,
+// with B+tree leaves of 8-byte value slots and 4-byte key offsets 68.2
+// and 61.9, with 16-byte directory entries, float64 INT keys and the
+// primary-key reservations kept at their peak 88.2 and 78.3, with
+// postings of 8-byte ids 100 and 88, with 16-byte queue tasks before that
+// 152 and 130, with a posting per key and two directory maps before that
+// 336 and 275.
 const (
-	residentBudgetLive     = 55.5
-	residentBudgetReopened = 51.7
+	residentBudgetLive     = 41.5
+	residentBudgetReopened = 39.6
 )
 
 // residentParts logs the heap per row of each structure an open

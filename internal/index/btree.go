@@ -11,32 +11,39 @@
 //     degradation step moves an id between two postings, and a predicate
 //     at any accuracy level is one subtree collection.
 //
-// A posting — the ids of a B+tree key with more than one (or with one out
-// of its leaf's reach), or of a GT node — is one type for both: chunks of up to 128 ascending ids, the first in
-// the clear and the rest as uvarint gaps (posting.go).
+// A B+tree key's tuple ids live in its leaf: the leaf packs every key's
+// ids back to back in an id arena beside its key arena, the first id as
+// a zigzag varint from the leaf's base id and each later one as a uvarint
+// gap. A key that passes 128 ids moves them to a posting of its own — the
+// one type the GT index uses too: chunks of up to 128 ascending ids, the
+// first in the clear and the rest as uvarint gaps (posting.go) — and
+// moves back inline when it drops to 64.
 //
 // Indexes are memory-resident, rebuilt from the heap at open: the
 // persistent artifacts audited for non-recoverability are the page store
 // and the log. Removal erases eagerly all the same: a BTree key whose last
-// tuple id leaves is deleted and its bytes zeroed, a leaf that empties is
-// unlinked, a posting chunk shrinks in place with its vacated bytes
-// zeroed and is zeroed and dropped with its last id. What the BTree does
-// not do is merge underfull leaves: a leaf keeps its footprint until its
-// last key is gone (BTree.Stats reports what is held).
+// tuple id leaves is deleted and its key and id bytes zeroed, an inline
+// posting that loses an id is re-packed with its vacated bytes zeroed, a
+// leaf that empties is unlinked, a posting chunk shrinks in place with
+// its vacated bytes zeroed and is zeroed and dropped with its last id.
+// What the BTree does not do is merge underfull leaves: a leaf keeps its
+// footprint until its last key is gone (BTree.Stats reports what is
+// held).
 //
-// A node is sized to an allocator size class: key offsets are 2 bytes, so
-// a node's keys take at most 64 KiB, and a leaf's value slots are 4: an
-// id within 2³⁰ of the leaf's base id, or where a spilled posting starts.
-// A leaf is 464 bytes in the 480-byte class, an inner node 1 184 in the
-// 1 280-byte class.
+// A node is sized to an allocator size class: arena offsets are 2 bytes,
+// so a node's keys take at most 64 KiB, and so do a leaf's inline ids
+// (an inline posting is held to a 64th of that). A leaf is 376 bytes in
+// the 384-byte class, an inner node 1 184 in the 1 280-byte class.
 package index
 
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -65,30 +72,31 @@ const maxKeyLen = arenaMax / 4
 // the heap it holds.
 func alloc[E any](n int) []E { return slices.Grow([]E(nil), n) }
 
-// packedKeys is a node's sorted keys, stored back to back in one arena:
-// key i is arena[ends[i-1]:ends[i]].
-type packedKeys struct {
+// packed is byte strings stored back to back in one arena: string i is
+// arena[ends[i-1]:ends[i]]. A node's keys are one, in key order; a leaf's
+// postings, one per key, are another.
+type packed struct {
 	n     int
 	ends  [fanout]uint16
 	arena []byte
 }
 
-func (k *packedKeys) start(i int) int {
+func (k *packed) start(i int) int {
 	if i == 0 {
 		return 0
 	}
 	return int(k.ends[i-1])
 }
 
-func (k *packedKeys) key(i int) []byte { return k.arena[k.start(i):k.ends[i]] }
+func (k *packed) at(i int) []byte { return k.arena[k.start(i):k.ends[i]] }
 
 // search returns the index of the first key >= key and whether it equals
 // key.
-func (k *packedKeys) search(key []byte) (int, bool) {
+func (k *packed) search(key []byte) (int, bool) {
 	lo, hi := 0, k.n
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		switch c := bytes.Compare(k.key(m), key); {
+		switch c := bytes.Compare(k.at(m), key); {
 		case c < 0:
 			lo = m + 1
 		case c > 0:
@@ -100,10 +108,10 @@ func (k *packedKeys) search(key []byte) (int, bool) {
 	return lo, false
 }
 
-// arenaCap sizes an arena that must hold need bytes in nkeys keys: room
-// for a full node of keys of that mean length, so a node filled in key
-// order allocates once and ends exactly full. Long keys get a quarter of
-// headroom instead, up to the most a node holds.
+// arenaCap sizes an arena that must hold need bytes in nkeys strings: room
+// for a full node of strings of that mean length, so a node filled in key
+// order allocates once and ends exactly full. Long strings get a quarter
+// of headroom instead, up to the most a node holds.
 func arenaCap(need, nkeys int) int {
 	if est := (need + nkeys - 1) / nkeys * fanout; est <= arenaPresizeMax {
 		return max(est, need)
@@ -113,67 +121,76 @@ func arenaCap(need, nkeys int) int {
 
 // full reports whether a node that holds at most limit keys must split
 // before it takes key.
-func (k *packedKeys) full(key []byte, limit int) bool {
+func (k *packed) full(key []byte, limit int) bool {
 	return k.n == limit || len(k.arena)+len(key) > arenaMax
 }
 
 // half returns where a split cuts the keys: at the first key that starts
 // in the second half of the arena, and so that either side keeps one key
 // at least. Neither side keeps more than half the bytes plus one key.
-func (k *packedKeys) half() int {
+func (k *packed) half() int {
 	i, _ := slices.BinarySearch(k.ends[:k.n-1], uint16(len(k.arena)/2))
 	return min(i+1, k.n-1)
 }
 
-// insert places key at index i and returns the arena capacity gained.
-func (k *packedKeys) insert(i int, key []byte) int {
-	grown := 0
-	if need := len(k.arena) + len(key); need > cap(k.arena) {
-		a := append(alloc[byte](arenaCap(need, k.n+1)), k.arena...)
+// insert places b at index i and returns the arena capacity gained.
+func (k *packed) insert(i int, b []byte) int {
+	start := k.start(i)
+	copy(k.ends[i+1:k.n+1], k.ends[i:k.n])
+	k.ends[i] = uint16(start)
+	k.n++
+	return k.set(i, b)
+}
+
+// set replaces string i with b, zeroing the bytes a shorter one vacates,
+// and returns the arena capacity gained.
+func (k *packed) set(i int, b []byte) int { return k.splice(i, 0, int(k.ends[i])-k.start(i), b) }
+
+// splice replaces bytes [lo, hi) of string i with b, zeroing the bytes a
+// shorter replacement vacates, and returns the arena capacity gained.
+func (k *packed) splice(i, lo, hi int, b []byte) int {
+	at := k.start(i)
+	start, end, old := at+lo, at+hi, len(k.arena)
+	d, grown := len(b)-(end-start), 0
+	if need := old + d; need > cap(k.arena) {
+		a := append(alloc[byte](arenaCap(need, k.n)), k.arena...)
 		clear(k.arena)
 		grown = cap(a) - cap(k.arena)
 		k.arena = a
 	}
-	start, old := k.start(i), len(k.arena)
-	k.arena = k.arena[:old+len(key)]
-	copy(k.arena[start+len(key):], k.arena[start:old])
-	copy(k.arena[start:], key)
-	copy(k.ends[i+1:k.n+1], k.ends[i:k.n])
-	k.ends[i] = uint16(start + len(key))
-	for j := i + 1; j <= k.n; j++ {
-		k.ends[j] += uint16(len(key))
+	k.arena = k.arena[:max(old, old+d)]
+	copy(k.arena[end+d:], k.arena[end:old])
+	copy(k.arena[start:], b)
+	clear(k.arena[old+d:])
+	k.arena = k.arena[:old+d]
+	ends := k.ends[i:k.n]
+	for j := range ends {
+		ends[j] += uint16(d)
 	}
-	k.n++
 	return grown
 }
 
-// push appends key, which sorts after every key held, into an arena the
+// push appends b, which sorts after every string held, into an arena the
 // bulk build has sized for it.
-func (k *packedKeys) push(key []byte) {
-	k.arena = append(k.arena, key...)
+func (k *packed) push(b []byte) {
+	k.arena = append(k.arena, b...)
 	k.ends[k.n] = uint16(len(k.arena))
 	k.n++
 }
 
-// remove deletes key i, zeroing the bytes it vacates.
-func (k *packedKeys) remove(i int) {
-	start, end := k.start(i), int(k.ends[i])
-	old := len(k.arena)
-	k.arena = k.arena[:start+copy(k.arena[start:], k.arena[end:])]
-	clear(k.arena[len(k.arena):old])
+// remove deletes string i, zeroing the bytes it vacates.
+func (k *packed) remove(i int) {
+	k.set(i, nil)
 	copy(k.ends[i:k.n-1], k.ends[i+1:k.n])
 	k.n--
 	k.ends[k.n] = 0
-	for j := i; j < k.n; j++ {
-		k.ends[j] -= uint16(end - start)
-	}
 }
 
-// moveTail moves keys [from, n) to the empty dst and truncates k to
-// [0, upto), zeroing everything it gives up (upto < from drops keys in
+// moveTail moves strings [from, n) to the empty dst and truncates k to
+// [0, upto), zeroing everything it gives up (upto < from drops strings in
 // between: an inner split lifts its middle key out). It returns the
 // capacity of dst's new arena.
-func (k *packedKeys) moveTail(dst *packedKeys, upto, from int) int {
+func (k *packed) moveTail(dst *packed, upto, from int) int {
 	start := k.start(from)
 	tail := k.arena[start:]
 	dst.n = k.n - from
@@ -189,26 +206,45 @@ func (k *packedKeys) moveTail(dst *packedKeys, upto, from int) int {
 	return cap(dst.arena)
 }
 
-// spilled marks a leaf value slot that holds, instead of the key's one
-// tuple id, the index in the leaf's posts of its posting's first chunk.
-// The posting ends where the next spilled key's begins, or at the end of
-// posts.
-const spilled = 1 << 31
+// inlineGaps bounds the gap bytes of an inline posting: with its first
+// id, at any base, one takes at most a 64th of what 2-byte offsets reach,
+// so a leaf's id arena never outgrows them.
+const inlineGaps = arenaMax/fanout - binary.MaxVarintLen64
 
-// slotRange bounds how far from its leaf's base an inline id lies: a slot
-// holds the id as a signed 31-bit offset.
-const slotRange = 1 << 30
+// appendInline appends ids (sorted, unique, at least one) in their inline
+// form to dst: the first as a zigzag varint from base, each later one as
+// a uvarint gap from its predecessor. It reports false, appending
+// nothing, for more than chunkIDs ids or more than inlineGaps gap bytes.
+func appendInline(dst []byte, base storage.TupleID, ids []storage.TupleID) ([]byte, bool) {
+	if len(ids) > chunkIDs {
+		return dst, false
+	}
+	n := 0
+	for k := 1; k < len(ids); k++ {
+		n += uvarintLen(uint64(ids[k] - ids[k-1]))
+	}
+	if n > inlineGaps {
+		return dst, false
+	}
+	dst = binary.AppendVarint(dst, int64(ids[0]-base))
+	for k := 1; k < len(ids); k++ {
+		dst = binary.AppendUvarint(dst, uint64(ids[k]-ids[k-1]))
+	}
+	return dst, true
+}
 
-// leaf holds up to fanout keys and one 4-byte value slot per key. A key
-// with a single tuple id — every key of a unique index — keeps it in the
-// slot, as an offset from base; further ids, or one too far from base,
-// move the key's set to a posting of its own.
+// leaf holds up to fanout keys and, in ids, a posting per key: inline,
+// the key's tuple ids packed as appendInline writes them against base —
+// every key of a unique index, and every key with up to chunkIDs ids —
+// or, for a key whose bit is set in spills, the uvarint count of the
+// chunks in posts that hold its ids instead. A key spills past chunkIDs
+// ids and returns inline at chunkIDs/2.
 type leaf struct {
-	keys packedKeys
-	vals [fanout]uint32
-	// base is the id inline offsets count from: the first id the leaf
-	// took while it held no key, or, for the right half of a split, the
-	// left half's base.
+	keys, ids packed
+	spills    uint64
+	// base is the id inline postings count their first id from: the
+	// first id the leaf took while it held no key, or, after a split, the
+	// first id of a middle key.
 	base storage.TupleID
 	// posts holds the chunks of every spilled posting of the leaf, one
 	// run of chunks per key, in key order; nil when no key spilled.
@@ -216,72 +252,117 @@ type leaf struct {
 	prev, next *leaf
 }
 
-// slot returns the inline value slot of id, if id lies close enough to
-// the leaf's base.
-func (lf *leaf) slot(id storage.TupleID) (uint32, bool) {
-	d := int64(id - lf.base)
-	return uint32(d) &^ spilled, -slotRange <= d && d < slotRange
-}
+func (lf *leaf) spilled(i int) bool { return lf.spills>>i&1 != 0 }
 
-// id returns the id an inline value slot holds.
-func (lf *leaf) id(v uint32) storage.TupleID {
-	return lf.base + storage.TupleID(int32(v<<1)>>1)
-}
-
-// after returns the index of the first chunk of the postings of the keys
-// after key i.
-func (lf *leaf) after(i int) int {
-	for j := i + 1; j < lf.keys.n; j++ {
-		if v := lf.vals[j]; v&spilled != 0 {
-			return int(v &^ spilled)
-		}
+// chunksBefore returns the index in posts of the first chunk of the
+// postings of keys i and after.
+func (lf *leaf) chunksBefore(i int) int {
+	n := 0
+	for m := lf.spills & (1<<i - 1); m != 0; m &= m - 1 {
+		c, _ := binary.Uvarint(lf.ids.at(bits.TrailingZeros64(m)))
+		n += int(c)
 	}
-	return len(lf.posts)
+	return n
 }
 
 // postingOf returns the posting of spilled key i.
 func (lf *leaf) postingOf(i int) posting {
-	return posting{tab: &lf.posts, lo: int(lf.vals[i] &^ spilled), hi: lf.after(i)}
+	lo := lf.chunksBefore(i)
+	c, _ := binary.Uvarint(lf.ids.at(i))
+	return posting{tab: &lf.posts, lo: lo, hi: lo + int(c)}
 }
 
 // appendTIDs appends the ids under key i to dst.
 func (lf *leaf) appendTIDs(dst []storage.TupleID, i int) []storage.TupleID {
-	if v := lf.vals[i]; v&spilled == 0 {
-		return append(dst, lf.id(v))
+	if !lf.spilled(i) {
+		enc := lf.ids.at(i)
+		v, k := binary.Varint(enc)
+		first := lf.base + storage.TupleID(v)
+		return appendGaps(append(dst, first), first, enc[k:])
 	}
 	p := lf.postingOf(i)
 	return p.appendTo(dst)
 }
 
-// shiftSpans moves the postings of the spilled keys after key i by d
-// chunks.
-func (lf *leaf) shiftSpans(i, d int) {
-	if d == 0 {
-		return
-	}
-	for j := i + 1; j < lf.keys.n; j++ {
-		if lf.vals[j]&spilled != 0 {
-			lf.vals[j] += uint32(d)
-		}
-	}
+// setCount records that spilled key i's posting takes n chunks and
+// returns the capacity gained.
+func (lf *leaf) setCount(i, n int) int {
+	var buf [binary.MaxVarintLen64]byte
+	return lf.ids.set(i, binary.AppendUvarint(buf[:0], uint64(n)))
 }
 
-// spill gives key i a posting of its own holding ids, behind the chunks
-// of the keys before it, and returns the capacity gained.
-func (lf *leaf) spill(i int, ids ...storage.TupleID) int {
-	at := lf.after(i)
-	var c chunk
-	d := c.pack(ids, minEnc)
-	d += insertChunk(&lf.posts, at, c)
-	lf.vals[i] = spilled | uint32(at)
-	lf.shiftSpans(i, 1)
-	return d
+// inline stores ids as key i's inline posting, dropping the chunks of a
+// spilled key, if they fit one. It returns the capacity gained and
+// whether they did.
+func (lf *leaf) inline(i int, ids []storage.TupleID) (int, bool) {
+	var buf [inlineGaps + binary.MaxVarintLen64]byte
+	enc, ok := appendInline(buf[:0], lf.base, ids)
+	if !ok {
+		return 0, false
+	}
+	d := 0
+	if lf.spilled(i) {
+		p := lf.postingOf(i)
+		for ; p.hi > p.lo; p.hi-- {
+			d += deleteChunk(p.tab, p.lo)
+		}
+		lf.spills &^= 1 << i
+	}
+	return d + lf.ids.set(i, enc), true
+}
+
+// spill moves the ids of inline key i, given as ids, to chunks of their
+// own and returns the capacity gained.
+func (lf *leaf) spill(i int, ids []storage.TupleID) int {
+	at, n, d := lf.chunksBefore(i), 0, 0
+	for rest := ids; len(rest) > 0; rest = rest[min(chunkIDs, len(rest)):] {
+		var c chunk
+		d += c.pack(rest[:min(chunkIDs, len(rest))], minEnc)
+		d += insertChunk(&lf.posts, at+n, c)
+		n++
+	}
+	lf.spills |= 1 << i
+	return d + lf.setCount(i, n)
+}
+
+// rebase moves base to the first id of a middle inline key, re-encoding
+// every inline posting into a new arena, and returns the capacity gained.
+// A split calls it on both halves, so that a leaf whose keys' ids lie
+// close together keeps its first ids short.
+func (lf *leaf) rebase() int {
+	n := lf.keys.n
+	to := lf.base
+	for j := range n {
+		if i := (n/2 + j) % n; !lf.spilled(i) {
+			v, _ := binary.Varint(lf.ids.at(i))
+			to += storage.TupleID(v)
+			break
+		}
+	}
+	if to == lf.base {
+		return 0
+	}
+	old := lf.ids
+	a := alloc[byte](arenaCap(len(old.arena), n))
+	for i := range n {
+		enc := old.at(i)
+		if !lf.spilled(i) {
+			v, k := binary.Varint(enc)
+			a = binary.AppendVarint(a, int64(lf.base+storage.TupleID(v)-to))
+			enc = enc[k:]
+		}
+		a = append(a, enc...)
+		lf.ids.ends[i] = uint16(len(a))
+	}
+	clear(old.arena)
+	lf.ids.arena, lf.base = a, to
+	return cap(a) - cap(old.arena)
 }
 
 type inner struct {
-	// keys.key(i) is a lower bound of every key under kids[i+1] and
+	// keys.at(i) is a lower bound of every key under kids[i+1] and
 	// greater than every key under kids[i]; kids[:keys.n+1] are in use.
-	keys packedKeys
+	keys packed
 	kids [fanout]node
 }
 
@@ -303,7 +384,7 @@ func (*inner) isNode() {}
 // the allocator size classes their structs fill (TestBTreeSizeBudget
 // holds the structs to them).
 const (
-	leafBytes  = 480
+	leafBytes  = 384
 	innerBytes = 1280
 )
 
@@ -317,8 +398,8 @@ type BTree struct {
 
 // counts is a tree's occupancy, kept current by every mutation so that
 // Stats never walks the tree: live (key, tid) pairs, distinct keys,
-// nodes, and the capacity in bytes of key arenas and of spilled postings
-// (chunk tables and chunk byte arrays).
+// nodes, the capacity in bytes of key arenas, and that of postings: id
+// arenas, chunk tables and chunk byte arrays.
 type counts struct {
 	n, nkeys, leaves, inners int
 	arenaBytes, postBytes    int
@@ -342,9 +423,9 @@ type Stats struct {
 	Inners  int
 	// ArenaBytes is the capacity of every node's key arena.
 	ArenaBytes int
-	// Bytes is the heap the tree holds: nodes (offsets, value slots,
-	// child pointers) at their size class, key arenas and spilled
-	// postings at the capacity their allocations were rounded up to.
+	// Bytes is the heap the tree holds: nodes (offsets, child pointers)
+	// at their size class, key and id arenas and spilled postings at the
+	// capacity their allocations were rounded up to.
 	Bytes int
 }
 
@@ -389,7 +470,7 @@ func (t *BTree) insert(n node, key []byte, tid storage.TupleID) (node, []byte, b
 		if right == nil {
 			return nil, nil, added
 		}
-		return right, right.keys.key(0), added
+		return right, right.keys.at(0), added
 	case *inner:
 		ci := nd.childFor(key)
 		child, sep, added := t.insert(nd.kids[ci], key, tid)
@@ -402,7 +483,7 @@ func (t *BTree) insert(n node, key []byte, tid storage.TupleID) (node, []byte, b
 		}
 		// Full: the middle key moves up, the upper half to a new sibling.
 		mid := nd.keys.half()
-		up := bytes.Clone(nd.keys.key(mid))
+		up := bytes.Clone(nd.keys.at(mid))
 		right := &inner{}
 		t.inners++
 		t.arenaBytes += nd.keys.moveTail(&right.keys, mid, mid+1)
@@ -454,91 +535,129 @@ func (t *BTree) insertLeaf(lf *leaf, key []byte, tid storage.TupleID) (*leaf, bo
 		}
 	}
 	t.arenaBytes += target.keys.insert(i, key)
-	copy(target.vals[i+1:target.keys.n], target.vals[i:target.keys.n-1])
-	if target.keys.n == 1 { // an empty leaf: no slot counts from base
+	low := uint64(1)<<i - 1
+	target.spills = target.spills&low | target.spills&^low<<1
+	if target.keys.n == 1 { // an empty leaf: no posting counts from base
 		target.base = tid
 	}
-	if v, ok := target.slot(tid); ok {
-		target.vals[i] = v
-	} else {
-		t.postBytes += target.spill(i, tid)
-	}
+	var buf [binary.MaxVarintLen64]byte
+	t.postBytes += target.ids.insert(i, binary.AppendVarint(buf[:0], int64(tid-target.base)))
 	t.nkeys++
 	return right, true
 }
 
-// splitLeaf moves keys [mid, n) of lf, with their values, to the empty
-// right. Postings are in key order, so the moved keys' chunks are the
-// tail of lf's posts.
+// splitLeaf moves keys [mid, n) of lf, with their postings, to the empty
+// right and rebases both. Spilled postings are in key order, so the moved
+// keys' chunks are the tail of lf's posts.
 func (t *BTree) splitLeaf(lf, right *leaf, mid int) {
-	n := lf.keys.n
+	cut := lf.chunksBefore(mid)
 	t.arenaBytes += lf.keys.moveTail(&right.keys, mid, mid)
-	copy(right.vals[:], lf.vals[mid:n])
-	clear(lf.vals[mid:n])
-	cut := -1
-	for j, v := range right.vals[:n-mid] {
-		if v&spilled == 0 {
-			continue
+	t.postBytes += lf.ids.moveTail(&right.ids, mid, mid)
+	right.spills, lf.spills = lf.spills>>mid, lf.spills&(1<<mid-1)
+	if cut < len(lf.posts) {
+		before := cap(lf.posts)
+		right.posts = append(alloc[chunk](len(lf.posts)-cut), lf.posts[cut:]...)
+		clear(lf.posts[cut:])
+		if lf.posts = lf.posts[:cut]; cut == 0 {
+			lf.posts = nil
 		}
-		if cut < 0 {
-			cut = int(v &^ spilled)
-		}
-		right.vals[j] = v - uint32(cut)
+		t.postBytes += (cap(right.posts) + cap(lf.posts) - before) * chunkBytes
 	}
-	if cut < 0 {
-		return
-	}
-	before := cap(lf.posts)
-	right.posts = append(alloc[chunk](len(lf.posts)-cut), lf.posts[cut:]...)
-	clear(lf.posts[cut:])
-	if lf.posts = lf.posts[:cut]; cut == 0 {
-		lf.posts = nil
-	}
-	t.postBytes += (cap(right.posts) + cap(lf.posts) - before) * chunkBytes
+	t.postBytes += lf.rebase() + right.rebase()
 }
 
 // addTID adds tid to the ids of key i and reports whether it was new.
 func (t *BTree) addTID(lf *leaf, i int, tid storage.TupleID) bool {
-	v := lf.vals[i]
-	if v&spilled == 0 {
-		id := lf.id(v)
-		if id == tid {
-			return false
+	if lf.spilled(i) {
+		p := lf.postingOf(i)
+		was := p.hi
+		added, d := p.add(tid)
+		t.postBytes += d
+		if p.hi != was {
+			t.postBytes += lf.setCount(i, p.hi-p.lo)
 		}
-		t.postBytes += lf.spill(i, min(id, tid), max(id, tid))
-		return true
+		return added
 	}
-	p := lf.postingOf(i)
-	was := p.hi
-	added, d := p.add(tid)
-	t.postBytes += d
-	lf.shiftSpans(i, p.hi-was)
-	return added
+	// Ids mostly arrive in insert order: one more gap at the end, past
+	// the sum of the gaps held.
+	enc := lf.ids.at(i)
+	v, k := binary.Varint(enc)
+	g, n := sumGaps(enc[k:])
+	if last := lf.base + storage.TupleID(v) + storage.TupleID(g); tid > last {
+		var b [binary.MaxVarintLen64]byte
+		gap := binary.AppendUvarint(b[:0], uint64(tid-last))
+		if n+1 < chunkIDs && len(enc)-k+len(gap) <= inlineGaps {
+			t.postBytes += lf.ids.splice(i, len(enc), len(enc), gap)
+			return true
+		}
+	}
+	return t.repack(lf, i, tid, true)
 }
 
-// removeTID removes tid from the ids of key i. A posting left with one
-// id that fits the value slot collapses back into it; gone tells that
-// none is left.
+// removeTID removes tid from the ids of key i; gone tells that none is
+// left. A spilled posting left with chunkIDs/2 ids returns inline.
 func (t *BTree) removeTID(lf *leaf, i int, tid storage.TupleID) (removed, gone bool) {
-	v := lf.vals[i]
-	if v&spilled == 0 {
-		gone = lf.id(v) == tid
-		return gone, gone
+	if !lf.spilled(i) {
+		// Ids mostly leave in insert order: the first goes, and the
+		// first gap becomes the first id.
+		enc := lf.ids.at(i)
+		v, k := binary.Varint(enc)
+		first := lf.base + storage.TupleID(v)
+		switch {
+		case tid < first:
+			return false, false
+		case len(enc) == k:
+			return tid == first, tid == first
+		case tid == first:
+			g, w := binary.Uvarint(enc[k:])
+			var b [binary.MaxVarintLen64]byte
+			next := binary.AppendVarint(b[:0], int64(first+storage.TupleID(g)-lf.base))
+			t.postBytes += lf.ids.splice(i, 0, k+w, next)
+			return true, false
+		}
+		return t.repack(lf, i, tid, false), false
 	}
 	p := lf.postingOf(i)
 	was := p.hi
 	removed, d := p.remove(tid)
 	t.postBytes += d
-	gone = p.lo == p.hi
-	if p.hi-p.lo == 1 && lf.posts[p.lo].len() == 1 {
-		if v, ok := lf.slot(lf.posts[p.lo].first); ok {
-			p.hi--
-			t.postBytes += deleteChunk(&lf.posts, p.lo)
-			lf.vals[i] = v
-		}
+	if !removed || p.lo == p.hi {
+		return removed, p.lo == p.hi
 	}
-	lf.shiftSpans(i, p.hi-was)
-	return removed, gone
+	if p.hi != was {
+		t.postBytes += lf.setCount(i, p.hi-p.lo)
+	}
+	if p.hi-p.lo <= chunkIDs/2 && p.len() <= chunkIDs/2 {
+		var buf [chunkIDs / 2]storage.TupleID
+		d, _ := lf.inline(i, p.appendTo(buf[:0]))
+		t.postBytes += d
+	}
+	return true, false
+}
+
+// repack adds tid to (add) or removes it from the inline ids of key i —
+// on a remove, more ids than tid alone — by decoding them, editing and
+// packing them again, inline if they fit, else spilled, and reports
+// whether they changed.
+func (t *BTree) repack(lf *leaf, i int, tid storage.TupleID, add bool) bool {
+	var buf [chunkIDs + 1]storage.TupleID
+	ids := lf.appendTIDs(buf[:0], i)
+	j, found := slices.BinarySearch(ids, tid)
+	if found == add {
+		return false
+	}
+	if add {
+		ids = slices.Insert(ids, j, tid)
+	} else {
+		ids = slices.Delete(ids, j, j+1)
+	}
+	d, ok := lf.inline(i, ids)
+	if !ok {
+		// Fewer ids take fewer gap bytes, so only an add spills.
+		d = lf.spill(i, ids)
+	}
+	t.postBytes += d
+	return true
 }
 
 // Remove deletes tid from key's ids. A key left without ids is deleted
@@ -575,14 +694,16 @@ func (t *BTree) remove(n node, key []byte, tid storage.TupleID) (empty bool) {
 			return false
 		}
 		nd.keys.remove(i)
-		copy(nd.vals[i:nd.keys.n], nd.vals[i+1:nd.keys.n+1])
-		nd.vals[nd.keys.n] = 0
+		nd.ids.remove(i)
+		low := uint64(1)<<i - 1
+		nd.spills = nd.spills&low | nd.spills>>1&^low
 		t.nkeys--
 		if nd.keys.n > 0 {
 			return false
 		}
 		t.arenaBytes -= cap(nd.keys.arena)
-		nd.keys.arena = nil
+		t.postBytes -= cap(nd.ids.arena)
+		nd.keys.arena, nd.ids.arena = nil, nil
 		if nd != t.root {
 			if nd.prev != nil {
 				nd.prev.next = nd.next
@@ -671,7 +792,7 @@ func (t *BTree) Range(lo, hi []byte, fn func(key []byte, tids []storage.TupleID)
 	buf := tidBufs.Get().(*[]storage.TupleID)
 	t.scan(lo, hi, func(lf *leaf, i int) bool {
 		*buf = lf.appendTIDs((*buf)[:0], i)
-		return fn(lf.keys.key(i), *buf)
+		return fn(lf.keys.at(i), *buf)
 	})
 	tidBufs.Put(buf)
 }
@@ -694,7 +815,7 @@ func (t *BTree) scan(lo, hi []byte, fn func(lf *leaf, i int) bool) {
 	lf, i, _ := t.seekLeaf(lo)
 	for ; lf != nil; lf, i = lf.next, 0 {
 		for ; i < lf.keys.n; i++ {
-			if hi != nil && bytes.Compare(lf.keys.key(i), hi) >= 0 {
+			if hi != nil && bytes.Compare(lf.keys.at(i), hi) >= 0 {
 				return
 			}
 			if !fn(lf, i) {
@@ -755,59 +876,64 @@ func BuildBTree(run []Entry) (*BTree, error) {
 	}
 	var level []built
 	var last *leaf
-	var ids []storage.TupleID // one key's ids, deduplicated
+	// Scratch for one leaf: a key's ids, deduplicated, and the leaf's id
+	// arena and chunks before they are copied to exactly sized arrays.
+	var ids []storage.TupleID
+	var enc []byte
+	var posts []chunk
 	for i := 0; i < len(run); {
 		lf := &leaf{prev: last}
-		// First pass: the leaf's extent in the run, its key bytes, its
-		// base (the first lone id) and the chunks its postings take.
-		end, size, nchunks, based := i, 0, 0, false
-		for nk := 0; end < len(run) && nk < fanout && size+len(run[end].Key) <= arenaMax; nk++ {
-			k, n := run[end].Key, 0
+		// First pass: the leaf's extent in the run, its key bytes and
+		// where each key's pairs start.
+		var starts [fanout]int
+		end, size, nk := i, 0, 0
+		for ; end < len(run) && nk < fanout && size+len(run[end].Key) <= arenaMax; nk++ {
+			k := run[end].Key
 			size += len(k)
-			for start := end; end < len(run) && bytes.Equal(run[end].Key, k); end++ {
-				if end == start || run[end].TID != run[end-1].TID {
-					n++
-				}
-			}
-			if n == 1 && !based {
-				lf.base, based = run[end-1].TID, true
-			}
-			if _, ok := lf.slot(run[end-1].TID); n > 1 || !ok {
-				nchunks += (n + chunkIDs - 1) / chunkIDs
+			starts[nk] = end
+			for end < len(run) && bytes.Equal(run[end].Key, k) {
+				end++
 			}
 		}
 		lf.keys.arena = alloc[byte](size)
-		if nchunks > 0 {
-			lf.posts = alloc[chunk](nchunks)
-		}
-		for i < end {
-			j := i + 1
-			for j < end && bytes.Equal(run[j].Key, run[i].Key) {
-				j++
+		lf.base = run[starts[nk/2]].TID
+		enc = enc[:0]
+		for k := range nk {
+			j := end
+			if k+1 < nk {
+				j = starts[k+1]
 			}
-			k := lf.keys.n
 			lf.keys.push(run[i].Key)
-			if v, ok := lf.slot(run[i].TID); ok && run[i].TID == run[j-1].TID {
-				lf.vals[k] = v
-				t.n++
-			} else {
-				ids = ids[:0]
-				for _, e := range run[i:j] {
-					if len(ids) == 0 || ids[len(ids)-1] != e.TID {
-						ids = append(ids, e.TID)
-					}
+			ids = ids[:0]
+			for _, e := range run[i:j] {
+				if len(ids) == 0 || ids[len(ids)-1] != e.TID {
+					ids = append(ids, e.TID)
 				}
-				t.n += len(ids)
-				lo := len(lf.posts)
+			}
+			t.n += len(ids)
+			var ok bool
+			if enc, ok = appendInline(enc, lf.base, ids); !ok {
+				n := 0
 				for rest := ids; len(rest) > 0; rest = rest[min(chunkIDs, len(rest)):] {
 					var c chunk
 					t.postBytes += c.pack(rest[:min(chunkIDs, len(rest))], 0)
-					lf.posts = append(lf.posts, c)
+					posts = append(posts, c)
+					n++
 				}
-				lf.vals[k] = spilled | uint32(lo)
+				enc = binary.AppendUvarint(enc, uint64(n))
+				lf.spills |= 1 << k
 			}
+			lf.ids.ends[k] = uint16(len(enc))
 			i = j
 		}
+		lf.ids.n = nk
+		lf.ids.arena = append(alloc[byte](len(enc)), enc...)
+		if len(posts) > 0 {
+			lf.posts = append(alloc[chunk](len(posts)), posts...)
+			clear(posts)
+			posts = posts[:0]
+		}
+		t.postBytes += cap(lf.ids.arena)
 		t.nkeys += lf.keys.n
 		t.arenaBytes += cap(lf.keys.arena)
 		t.postBytes += cap(lf.posts) * chunkBytes
@@ -816,7 +942,7 @@ func BuildBTree(run []Entry) (*BTree, error) {
 			last.next = lf
 		}
 		last = lf
-		level = append(level, built{lf, lf.keys.key(0)})
+		level = append(level, built{lf, lf.keys.at(0)})
 	}
 	if len(level) == 0 {
 		return NewBTree(), nil

@@ -27,13 +27,17 @@ const chunkBytes = int(unsafe.Sizeof(chunk{}))
 
 func (c *chunk) len() int { return int(c.enc[0]) + 1 }
 
-// appendIDs appends the chunk's ids to dst. Gaps of one and two bytes —
-// ids less than 16 384 apart — decode without a branch on their length,
-// which is what a posting whose gaps straddle 128 would mispredict.
+// appendIDs appends the chunk's ids to dst.
 func (c *chunk) appendIDs(dst []storage.TupleID) []storage.TupleID {
-	id, enc := c.first, c.enc
-	dst = append(dst, id)
-	for off := 1; off < len(enc); {
+	return appendGaps(append(dst, c.first), c.first, c.enc[1:])
+}
+
+// appendGaps appends to dst the ids that the uvarint gaps in enc lead to
+// from id. Gaps of one and two bytes — ids less than 16 384 apart —
+// decode without a branch on their length, which is what a posting whose
+// gaps straddle 128 would mispredict.
+func appendGaps(dst []storage.TupleID, id storage.TupleID, enc []byte) []storage.TupleID {
+	for off := 0; off < len(enc); {
 		b0, b1 := uint64(enc[off]), uint64(0)
 		if off+1 < len(enc) {
 			b1 = uint64(enc[off+1])
@@ -48,6 +52,53 @@ func (c *chunk) appendIDs(dst []storage.TupleID) []storage.TupleID {
 		off += k
 	}
 	return dst
+}
+
+// sumGaps returns the sum of the uvarint gaps in enc and how many there
+// are: the distance from a posting's first id to its last, and its
+// length less one. It adds eight bytes at a time while the gaps take one
+// or two bytes each (ids under 16 384 apart) and decodes a longer one,
+// or one that a word would cut, on its own.
+func sumGaps(enc []byte) (sum uint64, n int) {
+	const (
+		flags = 0x8080808080808080 // each byte's continuation bit
+		low7  = 0x7f7f7f7f7f7f7f7f
+	)
+	for len(enc) > 0 {
+		if len(enc) >= 8 {
+			w := binary.LittleEndian.Uint64(enc)
+			more := w & flags
+			if more == 0 { // eight one-byte gaps
+				sum += laneSum(w)
+				n += 8
+				enc = enc[8:]
+				continue
+			}
+			// Byte j+1 ends a two-byte gap when byte j continues.
+			second := more >> 7 << 8
+			if more>>63 == 0 && more&(second<<7) == 0 {
+				// Every gap in w starts and ends in it, none is longer
+				// than two bytes: add the first bytes, and the second
+				// ones times 128.
+				hi := second * 0xff
+				sum += laneSum(w&low7&^hi) + laneSum(w&low7&hi)<<7
+				n += 8 - bits.OnesCount64(more)
+				enc = enc[8:]
+				continue
+			}
+		}
+		g, k := binary.Uvarint(enc)
+		sum += g
+		n++
+		enc = enc[k:]
+	}
+	return sum, n
+}
+
+// laneSum adds up the eight bytes of w, each under 128.
+func laneSum(w uint64) uint64 {
+	w = w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff // four 16-bit lanes, each ≤ 254
+	return w * 0x0001000100010001 >> 48
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

@@ -12,8 +12,8 @@ const BuildVersion = "0.9.0"
 
 // InstrumentBuildInfo registers the conventional instantdb_build_info
 // series (constant 1) on reg, carrying the build version and Go
-// runtime in its label. This registry supports one label per series,
-// so version, Go release and platform fold into it together. Both the
+// runtime in its label: version, Go release and platform fold into one
+// label value together. Both the
 // server (per-database registry) and the shard router (its own
 // registry) register it, so every /metrics endpoint answers the same
 // question: what exactly is running here?

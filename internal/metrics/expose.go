@@ -80,12 +80,27 @@ func (f *family) seriesSorted() (labels []string, ins []any) {
 	return labels, ins
 }
 
-// seriesName renders the family name with the label pair for one value.
+// seriesName renders the family name with the label pairs for one value.
 func (f *family) seriesName(labelValue string) string {
 	if f.label == "" {
 		return f.name
 	}
-	return fmt.Sprintf("%s{%s=%q}", f.name, f.label, labelValue)
+	return f.name + "{" + f.pairs(labelValue) + "}"
+}
+
+// pairs renders the label pairs of one series: each of the family's keys
+// with its value, taken in order from labelValue (joined by labelSep).
+func (f *family) pairs(labelValue string) string {
+	var b strings.Builder
+	for i, k := range f.keys {
+		v, rest, _ := strings.Cut(labelValue, labelSep)
+		labelValue = rest
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", k, v)
+	}
+	return b.String()
 }
 
 // render writes the family's samples in exposition format.
@@ -124,7 +139,7 @@ func (f *family) render(b *strings.Builder) {
 func (h *Histogram) render(b *strings.Builder, f *family, labelValue string) {
 	labelPrefix := ""
 	if f.label != "" {
-		labelPrefix = fmt.Sprintf("%s=%q,", f.label, labelValue)
+		labelPrefix = f.pairs(labelValue) + ","
 	}
 	var cum uint64
 	for i, bound := range h.bounds {
@@ -174,13 +189,13 @@ func (f *family) flatten() []Sample {
 	return out
 }
 
-// suffixLabels renders the label pair for histogram _sum/_count sample
+// suffixLabels renders the label pairs for histogram _sum/_count sample
 // names ("" for unlabeled families).
 func suffixLabels(f *family, labelValue string) string {
 	if f.label == "" {
 		return ""
 	}
-	return fmt.Sprintf("{%s=%q}", f.label, labelValue)
+	return "{" + f.pairs(labelValue) + "}"
 }
 
 // fmtFloat renders a sample value the way Prometheus expects: shortest

@@ -30,6 +30,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,11 +70,12 @@ type family struct {
 	name   string
 	help   string
 	kind   kind
-	label  string    // label key for vec families ("" = unlabeled)
+	label  string    // label keys for vec families, comma-separated ("" = unlabeled)
+	keys   []string  // label split at its commas
 	bounds []float64 // histogram bucket upper bounds (seconds)
 
 	mu     sync.RWMutex
-	series map[string]any // label value → *Counter | *Gauge | *Histogram
+	series map[string]any // label values, joined by labelSep → *Counter | *Gauge | *Histogram
 
 	// Collect-time callbacks (exclusive with series).
 	valueFn func() float64
@@ -108,12 +110,20 @@ func (r *Registry) family(name, help string, k kind, label string, bounds []floa
 	}
 	f := &family{name: name, help: help, kind: k, label: label, bounds: bounds,
 		series: make(map[string]any)}
+	if label != "" {
+		f.keys = strings.Split(label, ",")
+	}
 	r.fams = append(r.fams, f)
 	r.byName[name] = f
 	return f
 }
 
-// instrument returns (creating if needed) the series for one label value.
+// labelSep joins the label values of one series of a family labelled by
+// several keys. No valid UTF-8 string contains it.
+const labelSep = "\xff"
+
+// instrument returns (creating if needed) the series for one label value
+// (several joined by labelSep).
 func (f *family) instrument(labelValue string, mk func() any) any {
 	f.mu.RLock()
 	in, ok := f.series[labelValue]
@@ -165,19 +175,21 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.instrument("", func() any { return &Counter{} }).(*Counter)
 }
 
-// CounterVec is a counter family keyed by one label.
+// CounterVec is a counter family keyed by one label, or by several.
 type CounterVec struct{ f *family }
 
-// With returns the counter for one label value. Resolve once and cache
-// the pointer on hot paths — With takes a read lock.
-func (v *CounterVec) With(labelValue string) *Counter {
+// With returns the counter for one value per label key, in the order
+// the family names its keys. Resolve once and cache the pointer on hot
+// paths — With takes a read lock.
+func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return v.f.instrument(labelValue, func() any { return &Counter{} }).(*Counter)
+	return v.f.instrument(strings.Join(values, labelSep), func() any { return &Counter{} }).(*Counter)
 }
 
-// CounterVec returns the labeled counter family registered under name.
+// CounterVec returns the labeled counter family registered under name;
+// label names its keys, comma-separated ("table,attr").
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	if r == nil {
 		return nil
@@ -371,20 +383,22 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return f.instrument("", func() any { return newHistogram(f.bounds) }).(*Histogram)
 }
 
-// HistogramVec is a latency histogram family keyed by one label.
+// HistogramVec is a latency histogram family keyed by one label, or by
+// several.
 type HistogramVec struct{ f *family }
 
-// With returns the histogram for one label value (read lock; cache the
-// pointer on hot paths).
-func (v *HistogramVec) With(labelValue string) *Histogram {
+// With returns the histogram for one value per label key, in the order
+// the family names its keys (read lock; cache the pointer on hot paths).
+func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	return v.f.instrument(labelValue, func() any { return newHistogram(v.f.bounds) }).(*Histogram)
+	return v.f.instrument(strings.Join(values, labelSep), func() any { return newHistogram(v.f.bounds) }).(*Histogram)
 }
 
 // HistogramVec returns the labeled histogram family registered under
-// name. buckets are upper bounds in seconds (nil = DefBuckets).
+// name; label names its keys, comma-separated ("table,attr"). buckets
+// are upper bounds in seconds (nil = DefBuckets).
 func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
 	if r == nil {
 		return nil

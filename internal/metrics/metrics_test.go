@@ -127,6 +127,32 @@ func TestSnapshotMatchesInstruments(t *testing.T) {
 	}
 }
 
+// TestSeveralLabelKeys renders families keyed by two labels: each
+// series carries both pairs, and a value with a comma stays one value.
+func TestSeveralLabelKeys(t *testing.T) {
+	r := NewRegistry()
+	r.CounterVec("multi_total", "c", "table,attr").With("person", "location").Add(3)
+	r.CounterVec("multi_total", "c", "table,attr").With("a,b", "").Inc()
+	r.HistogramVec("multi_seconds", "h", "table,attr", []float64{1}).With("person", "salary").Observe(time.Second)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if errs := Lint([]byte(b.String())); len(errs) != 0 {
+		t.Fatalf("exposition does not lint: %v\n%s", errs, b.String())
+	}
+	for _, want := range []string{
+		`multi_total{table="person",attr="location"} 3`,
+		`multi_total{table="a,b",attr=""} 1`,
+		`multi_seconds_bucket{table="person",attr="salary",le="1"} 1`,
+		`multi_seconds_count{table="person",attr="salary"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %s:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestLintCatchesViolations(t *testing.T) {
 	for name, bad := range map[string]string{
 		"no trailing newline": "a_total 1",
