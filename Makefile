@@ -19,11 +19,15 @@ race:
 # (wal.FaultInjector.Hold), to show that the gated grouping does not flake.
 # And it repeats the wire front end's lifecycle tests, whose Close,
 # connection tracking and Accept loop race; each runs as a /server and a
-# /router subtest in internal/server.
+# /router subtest in internal/server. And it repeats the degrader's tick
+# against concurrent inserts, events and readers' row locks, which meet
+# in the queue lock between a batch's pop and its settle (the whole
+# package under -race takes 20 s, this test a fraction of one).
 race-txn:
 	$(GO) test -race -count=20 ./internal/txn
 	$(GO) test -race -count=10 -run 'Group|Crash' ./internal/wal ./internal/engine
 	$(GO) test -race -count=10 -run 'MaxConns|GracefulClose|Protocol' ./internal/server
+	$(GO) test -race -count=10 -run 'TickRacesWriters' ./internal/degrade
 
 vet:
 	$(GO) vet ./...

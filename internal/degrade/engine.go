@@ -88,8 +88,6 @@ type Options struct {
 	// gate refused the transition or whose row lock was busy
 	// (default 1s).
 	RecheckInterval time.Duration
-	// LockTimeoutSkip: the engine never waits for row locks; this is
-	// fixed behavior, documented here for clarity.
 }
 
 func (o Options) withDefaults() Options {
@@ -102,22 +100,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// retry is a task that came due but could not run (row lock busy,
-// predicate false, commit failed), gated until notBefore. released marks
-// one an event made due whatever its deadline.
-type retry struct {
-	task
-	notBefore int64
-	released  bool
-}
-
-// item is a task a tick popped: pos is its arrival-log position, or -1
-// for one from a private FIFO or the retries.
+// item is a task a batch popped, or one in a queue's retries: a task
+// that came due but could not run, gated until notBefore.
 type item struct {
 	task
-	pos      int64
+	// pos is the task's arrival-log position, -1 for one from a private
+	// FIFO or the retries.
+	pos       int64
+	notBefore int64
+	// released marks one an event made due whatever its deadline.
 	released bool
+	fate     fate
 }
+
+// fate is what a batch made of one task. The order is the order settle
+// hands a batch's events to the trail in: a batch's records are all
+// fired or all terminal, so its fired events come in record order, then
+// lock-busy, then predicate-held, then failed.
+type fate uint8
+
+const (
+	pending  fate = iota // popped, not decided yet
+	gone                 // the tuple was deleted meanwhile
+	stale                // the tuple is no longer in the queue's from-state
+	fired                // committed; the tuple goes on to the next queue
+	terminal             // committed; the attribute is erased or the tuple deleted
+	lockBusy             // a reader holds the row lock: retried
+	held                 // the predicate gate refused it: retried
+	failed               // its record could not be built, or its batch failed: retried
+)
 
 // queueKey identifies a transition queue.
 type queueKey struct {
@@ -147,9 +158,11 @@ type transQueue struct {
 	event     string
 	predicate string
 	isDelete  bool
-	// firedDetail is the audit detail of a non-terminal transition out
-	// of this queue ("state 0→1"), rendered once per queue.
-	firedDetail string
+	// col is attr's column position in the rows, name its name ("" for
+	// the deletion), firedDetail the audit detail of a transition out of
+	// this queue ("state 0→1", "erased", "tuple-delete").
+	col               int
+	name, firedDetail string
 
 	log *arrivalLog
 	cur cursor
@@ -169,7 +182,7 @@ type transQueue struct {
 	// of arrival order: fired from the previous state's retries, advanced
 	// by a replicated batch, or found out of order by Reseed.
 	private taskFIFO
-	retries []retry
+	retries []item
 	// eventEnd: the log tasks before it were in range when the event last
 	// fired, and are due regardless of deadlines; eventNano is that
 	// instant.
@@ -213,10 +226,8 @@ type Stats struct {
 	Batches       uint64
 	LockSkips     uint64
 	PredicateHold uint64
-	// MaxLag and SumLag measure (execution time - deadline): the
-	// timeliness of enforcement.
+	// MaxLag is the worst (execution time - deadline) yet.
 	MaxLag time.Duration
-	SumLag time.Duration
 	// Pending counts pending transitions: a tuple once per transition it
 	// awaits.
 	Pending int
@@ -233,7 +244,7 @@ type counters struct {
 	lockSkips     atomic.Uint64
 	predicateHold atomic.Uint64
 	maxLagNano    atomic.Int64
-	sumLagNano    atomic.Int64
+	failures      atomic.Uint64
 }
 
 // Engine schedules and executes LCP transitions.
@@ -248,7 +259,7 @@ type Engine struct {
 	mgr    *storage.Manager
 	locks  *txn.LockManager
 	ids    *txn.IDSource
-	commit Committer
+	apply  Committer
 	scrub  Scrubber
 	opts   Options
 
@@ -281,7 +292,7 @@ func New(clock vclock.Clock, cat *catalog.Catalog, mgr *storage.Manager,
 		mgr:    mgr,
 		locks:  locks,
 		ids:    ids,
-		commit: commit,
+		apply:  commit,
 		scrub:  scrub,
 		opts:   opts.withDefaults(),
 		queues: make(map[queueKey]*transQueue),
@@ -299,15 +310,6 @@ func (e *Engine) SetAudit(a *trace.Audit) {
 	e.mu.Unlock()
 }
 
-// attrName resolves a degradable-column position to its column name
-// ("" for the tuple-delete queue).
-func attrName(tbl *catalog.Table, attr int) string {
-	if attr < 0 {
-		return ""
-	}
-	return tbl.Columns[tbl.DegradableColumns()[attr]].Name
-}
-
 // RegisterPredicate binds a named predicate used by TriggerPredicate
 // states. Unregistered predicates default to true (transition proceeds).
 func (e *Engine) RegisterPredicate(name string, p Predicate) {
@@ -323,11 +325,12 @@ func newQueue(tbl *catalog.Table, attr int, state uint8) *transQueue {
 	if attr == -1 {
 		age, _ := tbl.TupleLCP().DeleteAge()
 		q.ageNano = int64(age)
-		q.isDelete = true
+		q.isDelete, q.firedDetail = true, "tuple-delete"
 		return q
 	}
-	pol := tbl.Columns[tbl.DegradableColumns()[attr]].Policy
-	q.pol = pol
+	q.col = tbl.DegradableColumns()[attr]
+	pol := tbl.Columns[q.col].Policy
+	q.pol, q.name = pol, tbl.Columns[q.col].Name
 	q.fromState = int(state)
 	age, ok := pol.DeadlineFromInsert(int(state))
 	if !ok {
@@ -335,7 +338,7 @@ func newQueue(tbl *catalog.Table, attr int, state uint8) *transQueue {
 	}
 	q.ageNano = int64(age)
 	if int(state) == pol.StateCount()-1 {
-		q.toState = -1 // terminal: suppress / awaiting delete
+		q.toState, q.firedDetail = -1, "erased" // terminal: suppress / awaiting delete
 	} else {
 		q.toState = int(state) + 1
 		q.firedDetail = fmt.Sprintf("state %d\u2192%d", q.fromState, q.toState)
@@ -418,11 +421,9 @@ func (e *Engine) OnInsertRun(tbl *catalog.Table, tups []storage.Tuple) {
 		t, q := &tups[k%len(tups)], qs[k/len(tups)]
 		nano := t.InsertedAt.UnixNano()
 		ev := trace.Event{Kind: trace.EvScheduled, UnixNano: nano,
-			Table: tbl.Name, Tuple: uint64(t.ID), Deadline: nano + q.ageNano}
+			Table: tbl.Name, Tuple: uint64(t.ID), Attr: q.name, Deadline: nano + q.ageNano}
 		if q.isDelete {
 			ev.Detail = "tuple-delete"
-		} else {
-			ev.Attr = attrName(tbl, q.attr)
 		}
 		return ev
 	})
@@ -455,7 +456,7 @@ func (e *Engine) OnExternalTransition(tbl *catalog.Table, tid storage.TupleID, a
 	q.private.insertSorted(task{tid: tid, insertNano: insertNano})
 	e.audit.Append(trace.Event{Kind: trace.EvExternal,
 		UnixNano: e.clock.Now().UTC().UnixNano(),
-		Table:    tbl.Name, Tuple: uint64(tid), Attr: attrName(tbl, attr),
+		Table:    tbl.Name, Tuple: uint64(tid), Attr: q.name,
 		Detail:   fmt.Sprintf("replicated to state %d; follow-up scheduled", newState),
 		Deadline: insertNano + q.ageNano})
 }
@@ -604,7 +605,7 @@ func (e *Engine) FireEvent(name string) {
 		for i := range q.retries {
 			q.retries[i].released = true
 		}
-		q.private.each(func(t task) { q.retries = append(q.retries, retry{task: t, released: true}) })
+		q.private.each(func(t task) { q.retries = append(q.retries, item{task: t, pos: -1, released: true}) })
 		q.private = taskFIFO{}
 	}
 }
@@ -631,7 +632,6 @@ func (e *Engine) Stats() Stats {
 		LockSkips:     e.ctr.lockSkips.Load(),
 		PredicateHold: e.ctr.predicateHold.Load(),
 		MaxLag:        time.Duration(e.ctr.maxLagNano.Load()),
-		SumLag:        time.Duration(e.ctr.sumLagNano.Load()),
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -720,15 +720,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 		func() float64 { return e.Lag(e.clock.Now()).Seconds() })
 	reg.GaugeFunc("instantdb_degrade_queue_depth",
 		"Pending degradation transitions across all queues: a tuple counts once per transition it awaits.",
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			n := 0
-			for _, q := range e.queues {
-				n += q.pending()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(e.Stats().Pending) })
 	reg.GaugeFunc("instantdb_degrade_queue_bytes",
 		"Heap bytes held by the degradation queues: each table's arrival log once, with its hole bitmaps, plus every queue's private FIFO.",
 		func() float64 { return float64(e.queueBytes()) })
@@ -740,11 +732,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 			defer e.mu.Unlock()
 			worst := make(map[string]int64)
 			for _, q := range e.queues {
-				if l := q.lagNano(nowNano); l > worst[q.tbl.Name] {
-					worst[q.tbl.Name] = l
-				} else if _, ok := worst[q.tbl.Name]; !ok {
-					worst[q.tbl.Name] = 0
-				}
+				worst[q.tbl.Name] = max(worst[q.tbl.Name], q.lagNano(nowNano))
 			}
 			for name, l := range worst {
 				emit(name, time.Duration(l).Seconds())
@@ -781,6 +769,9 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("instantdb_degrade_predicate_holds_total",
 		"Due tuples held back by a false predicate gate (retried next tick).",
 		func() float64 { return float64(e.ctr.predicateHold.Load()) })
+	reg.CounterFunc("instantdb_degrade_failures_total",
+		"Degradation batches that failed and committed nothing (table lock, read, commit), plus tuples whose degraded value could not be computed; every task concerned is retried with its deadline.",
+		func() float64 { return float64(e.ctr.failures.Load()) })
 	reg.GaugeFunc("instantdb_degrade_max_lag_seconds",
 		"Worst (execution time - deadline) ever observed for a committed transition.",
 		func() float64 { return time.Duration(e.ctr.maxLagNano.Load()).Seconds() })
@@ -795,19 +786,16 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 var LatenessBuckets = []float64{0.01, 0.1, 1, 10, 60, 300, 1800, 3600, 6 * 3600, 24 * 3600}
 
 // Tick executes every transition due at the clock's current instant,
-// then lets the scrubber retire what no tuple needs any more, and
-// returns the number of tuples degraded or deleted.
-func (e *Engine) Tick() (int, error) {
+// then lets the scrubber retire what no tuple needs any more. It returns
+// the tuples degraded or deleted and the first failed batch or task.
+func (e *Engine) Tick() (total int, failed error) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
 	now := e.clock.Now()
-	total := 0
 	for retired := false; ; {
 		n, err := e.tickOnce(now)
 		total += n
-		if err != nil {
-			return total, err
-		}
+		failed = cmp.Or(failed, err)
 		if n > 0 {
 			continue
 		}
@@ -817,6 +805,8 @@ func (e *Engine) Tick() (int, error) {
 		// Nothing more is due. Retiring costs a few fsyncs, so the tick
 		// looks once more afterwards: it ends on a pass that found
 		// nothing, whatever committed meanwhile with an older insert time.
+		// A failed batch does not hold retiring up: its tasks wait as
+		// retries, which hold their states' cutoffs back as any task does.
 		if err := e.retire(now); err != nil {
 			return total, fmt.Errorf("degrade: scrub: %w", err)
 		}
@@ -825,7 +815,7 @@ func (e *Engine) Tick() (int, error) {
 	if err := e.scrub.Periodic(now); err != nil {
 		return total, err
 	}
-	return total, nil
+	return total, failed
 }
 
 // retire hands the scrubber, for every state with an outgoing
@@ -881,24 +871,29 @@ func (e *Engine) retire(now time.Time) error {
 // could leave that state. Follow-ups land in queues this pass may
 // already be past; Tick calls again until nothing is due, and only then
 // lets the scrubber retire keys.
-func (e *Engine) tickOnce(now time.Time) (int, error) {
+func (e *Engine) tickOnce(now time.Time) (total int, failed error) {
 	e.mu.Lock()
 	keys := e.queueOrder()
 	e.mu.Unlock()
-	total := 0
+	nowNano := now.UTC().UnixNano()
 	for _, k := range keys {
-		for {
-			n, popped, err := e.runQueue(k, now)
+		for b := e.pop(k, nowNano); b != nil; b = e.pop(k, nowNano) {
+			e.lock(b)
+			e.read(b)
+			b.compute()
+			e.commit(b)
+			n, err := e.settle(b)
 			total += n
+			failed = cmp.Or(failed, err)
+			// A failure ends the queue's share of the pass, so a failing
+			// disk is not handed the whole backlog; the other queues go on,
+			// and Tick passes again while anything commits.
 			if err != nil {
-				return total, err
-			}
-			if !popped {
 				break
 			}
 		}
 	}
-	return total, nil
+	return total, failed
 }
 
 // queueOrder returns the queue keys in the deterministic order ticks
@@ -959,17 +954,44 @@ func (e *Engine) Backlog() []Pending {
 	return out
 }
 
-// popDue collects up to BatchSize due tasks from a queue: retries whose
-// gate has passed, then the private FIFO's head, then the range's. The
-// cursor moves past what it hands out; runQueue settles their fate.
-func (e *Engine) popDue(q *transQueue, now time.Time) []item {
-	nowNano := now.UTC().UnixNano()
+// batch is one system transaction's worth of a queue's due tasks, taken
+// through pop, lock, read, compute, commit and settle in that order.
+// Every task carries its fate; recs holds the records of those that
+// fire, in task order. err is the failure that ended the batch: the
+// stages after it do nothing, and nothing commits.
+type batch struct {
+	q     *transQueue
+	now   int64
+	pred  Predicate
+	items []item
+	sys   txn.ID
+	// tups (for a deletion or a predicate) or cells hold what read found
+	// of the locked tasks' tuples, in task order.
+	tups  []storage.Tuple
+	cells []storage.DegCell
+	recs  []*wal.Record
+	err   error
+	// errs holds why each failed task's record could not be built.
+	errs map[storage.TupleID]error
+}
+
+// pop collects up to BatchSize due tasks of queue key into a batch:
+// retries whose gate has passed, then the private FIFO's head, then the
+// range's. The cursor moves past what it hands out; settle decides
+// where it goes. pop returns nil when nothing is due.
+func (e *Engine) pop(key queueKey, nowNano int64) *batch {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	q := e.queues[key]
+	if q == nil {
+		return nil
+	}
 	var due []item
 	keep := q.retries[:0]
 	for _, t := range q.retries {
 		if len(due) < e.opts.BatchSize && t.notBefore <= nowNano &&
 			(t.released || t.insertNano+q.ageNano <= nowNano) {
-			due = append(due, item{t.task, -1, t.released})
+			due = append(due, t)
 		} else {
 			keep = append(keep, t)
 		}
@@ -980,7 +1002,7 @@ func (e *Engine) popDue(q *transQueue, now time.Time) []item {
 		if !ok || t.insertNano+q.ageNano > nowNano {
 			break
 		}
-		due = append(due, item{t, -1, false})
+		due = append(due, item{task: t, pos: -1})
 		q.private.pop()
 	}
 	for len(due) < e.opts.BatchSize {
@@ -989,247 +1011,223 @@ func (e *Engine) popDue(q *transQueue, now time.Time) []item {
 		if !ok || (!released && t.insertNano+q.ageNano > nowNano) {
 			break
 		}
-		due = append(due, item{t, q.cur.pos, released})
+		due = append(due, item{task: t, pos: q.cur.pos, released: released})
 		q.live--
 		q.log.advance(&q.cur)
 	}
 	q.log.release()
-	return due
+	if len(due) == 0 {
+		return nil
+	}
+	b := &batch{q: q, now: nowNano, items: due, sys: e.ids.Next()}
+	if q.predicate != "" {
+		b.pred = e.preds[q.predicate]
+	}
+	return b
 }
 
-// settle decides the fate of a batch's tasks in the queues after q's:
-// those of fired, fired in order along the arrival log, are already in
-// the next state's range and are counted there; a task fired from the
-// private FIFO or the retries enters the next state's private FIFO; a
-// log task that did not fire in order — retried, stale, or dropped —
-// becomes a hole the cursors behind skip. Caller holds e.mu.
-func (q *transQueue) settle(due []item, fired []bool) {
-	q.settled = q.cur.pos
-	nq := q.next
-	if nq == nil {
+// lock takes the table's IX lock, then the X lock of every task's row
+// that it can have without waiting: a row a reader holds is lock-busy.
+func (e *Engine) lock(b *batch) {
+	tbl := b.q.tbl
+	if err := e.locks.Acquire(b.sys, txn.TableRes(tbl.ID), txn.LockIX); err != nil {
+		b.err = fmt.Errorf("degrade: lock table %s: %w", tbl.Name, err)
 		return
 	}
-	for i, t := range due {
-		switch {
-		case fired[i] && t.pos >= 0:
-			nq.live++
-		case fired[i]:
-			nq.private.insertSorted(t.task)
-		case t.pos >= 0:
-			q.log.setHole(t.pos, q.attr)
+	for i := range b.items {
+		if !e.locks.TryAcquire(b.sys, txn.RowRes(tbl.ID, b.items[i].tid), txn.LockX) {
+			b.items[i].fate = lockBusy
 		}
 	}
 }
 
-// runQueue executes one batch of a queue's due tasks as a system
-// transaction and returns the tuples degraded or deleted; popped tells
-// whether the queue had anything due at all.
-func (e *Engine) runQueue(key queueKey, now time.Time) (n int, popped bool, err error) {
-	e.mu.Lock()
-	q := e.queues[key]
-	if q == nil {
-		e.mu.Unlock()
-		return 0, false, nil
+// read fetches the locked tasks' tuples together, each heap page once.
+// An attribute transition without a predicate needs only the attribute:
+// its state and stored form.
+func (e *Engine) read(b *batch) {
+	if b.err != nil {
+		return
 	}
-	due := e.popDue(q, now)
-	pred := Predicate(nil)
-	if q.predicate != "" {
-		pred = e.preds[q.predicate]
+	ids := make([]storage.TupleID, 0, len(b.items))
+	for _, it := range b.items {
+		if it.fate == pending {
+			ids = append(ids, it.tid)
+		}
+	}
+	ts := e.mgr.Table(b.q.tbl)
+	var err error
+	if b.q.isDelete || b.pred != nil {
+		b.tups, err = ts.GetMany(ids)
+	} else {
+		b.cells, err = ts.DegradableMany(ids, b.q.attr)
+	}
+	if err != nil {
+		b.err = fmt.Errorf("degrade: read batch: %w", err)
+	}
+}
+
+// compute decides the fate of every locked task from what read found of
+// its tuple, and builds the record of each that fires. A value its
+// domain cannot degrade fails that task alone.
+func (b *batch) compute() {
+	if b.err != nil {
+		return
+	}
+	q := b.q
+	k := -1 // the task's index in tups or cells
+	for i := range b.items {
+		it := &b.items[i]
+		if it.fate != pending {
+			continue
+		}
+		k++
+		var cell storage.DegCell
+		if b.tups == nil {
+			cell = b.cells[k]
+		} else if cell.ID = b.tups[k].ID; cell.ID != 0 && !q.isDelete {
+			cell.State, cell.Stored = b.tups[k].States[q.attr], b.tups[k].Row[q.col]
+		}
+		switch {
+		case cell.ID == 0:
+			it.fate = gone
+		case b.pred != nil && !b.pred(b.tups[k]):
+			it.fate = held
+		case q.isDelete:
+			it.fate = terminal
+			b.recs = append(b.recs, &wal.Record{Type: wal.RecDelete, Table: q.tbl.ID, Tuple: it.tid,
+				InsertNano: it.insertNano})
+		case int(cell.State) != q.fromState:
+			it.fate = stale
+		default:
+			rec := &wal.Record{Type: wal.RecDegrade, Table: q.tbl.ID, Tuple: it.tid, InsertNano: it.insertNano,
+				DegPos: uint8(q.attr), NewState: storage.StateErased, NewStored: value.Null()}
+			it.fate = terminal
+			if q.toState != -1 {
+				next, err := q.tbl.Columns[q.col].Domain.Degrade(cell.Stored, q.pol.LevelOf(q.fromState), q.pol.LevelOf(q.toState))
+				if err != nil {
+					if b.errs == nil {
+						b.errs = make(map[storage.TupleID]error)
+					}
+					it.fate, b.errs[it.tid] = failed, fmt.Errorf("degrade: %s.%s tuple %d: %w", q.tbl.Name, q.name, it.tid, err)
+					continue
+				}
+				it.fate, rec.NewState, rec.NewStored = fired, uint8(q.toState), next
+			}
+			b.recs = append(b.recs, rec)
+		}
+	}
+}
+
+// commit persists and applies the batch's records.
+func (e *Engine) commit(b *batch) {
+	if b.err != nil || len(b.recs) == 0 {
+		return
+	}
+	if err := e.apply(b.recs); err != nil {
+		b.err = fmt.Errorf("degrade: commit batch: %w", err)
+	}
+}
+
+// settle releases the batch's locks and is where its fates take effect.
+// A batch that failed committed nothing, and the one failure rule
+// applies: every task whose tuple is still there — not gone, not stale —
+// is retried with its deadline. Under e.mu, settle requeues the
+// retries, hands what fired to the next queue, makes every log task
+// that did not fire in order a hole for the cursors behind, bumps the
+// counters and observes lateness; then it hands the events to the
+// trail. It returns the transitions committed and the first failure,
+// the batch's or a task's.
+func (e *Engine) settle(b *batch) (int, error) {
+	e.locks.ReleaseAll(b.sys)
+	q := b.q
+	n, failures, first := len(b.recs), uint64(0), b.err
+	if b.err != nil {
+		n, failures = 0, 1
+	}
+	for i := range b.items {
+		switch it := &b.items[i]; {
+		case it.fate == failed:
+			failures++
+			first = cmp.Or(first, b.errs[it.tid])
+		case b.err != nil && it.fate != gone && it.fate != stale:
+			it.fate = failed
+		}
+	}
+	// In fate order the events come out in the order the trail takes them,
+	// and the retries queue up lock-busy first.
+	slices.SortStableFunc(b.items, func(x, y item) int { return cmp.Compare(x.fate, y.fate) })
+
+	if n > 0 {
+		e.ctr.batches.Add(1)
+	}
+	e.ctr.failures.Add(failures)
+	// Lateness is observed per fired transition into the queue's (table,
+	// attr) series, resolved once for the batch.
+	late := e.lateness.With(q.tbl.Name, q.name)
+	evs := b.items
+	at := b.now + int64(e.opts.RecheckInterval)
+	e.mu.Lock()
+	q.settled = q.cur.pos
+	for i, it := range b.items {
+		if nq := q.next; nq != nil {
+			switch {
+			case it.fate == fired && it.pos >= 0:
+				nq.live++ // already the newest task of the next state's range
+			case it.fate == fired:
+				nq.private.insertSorted(it.task)
+			case it.pos >= 0:
+				q.log.setHole(it.pos, q.attr)
+			}
+		}
+		if it.fate >= lockBusy {
+			q.retries = append(q.retries, item{task: it.task, pos: -1, notBefore: at, released: it.released})
+		}
+		switch it.fate {
+		case gone, stale:
+			evs = b.items[i+1:]
+		case fired, terminal:
+			switch {
+			case q.isDelete:
+				e.ctr.deletions.Add(1)
+			case it.fate == terminal:
+				e.ctr.transitions.Add(1)
+				e.ctr.erasures.Add(1)
+			default:
+				e.ctr.transitions.Add(1)
+			}
+			lag := b.now - (it.insertNano + q.ageNano)
+			late.Observe(time.Duration(max(lag, 0)))
+			if lag > e.ctr.maxLagNano.Load() { // settle, under e.mu, is its one writer
+				e.ctr.maxLagNano.Store(lag)
+			}
+		case lockBusy:
+			e.ctr.lockSkips.Add(1)
+		case held:
+			e.ctr.predicateHold.Add(1)
+		}
 	}
 	aud := e.audit
 	e.mu.Unlock()
-	if len(due) == 0 {
-		return 0, false, nil
-	}
-	// fired marks the tasks whose transition committed into a state the
-	// tuple leaves again; settle hands them to the next queue.
-	fired := make([]bool, len(due))
-	var retried []item
-	defer func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		at := now.UTC().UnixNano() + int64(e.opts.RecheckInterval)
-		for _, t := range retried {
-			q.retries = append(q.retries, retry{t.task, at, t.released})
-		}
-		q.settle(due, fired)
-	}()
-
-	ts := e.mgr.Table(q.tbl)
-	sysTxn := e.ids.Next()
-	defer e.locks.ReleaseAll(sysTxn)
-	if err := e.locks.Acquire(sysTxn, txn.TableRes(q.tbl.ID), txn.LockIX); err != nil {
-		// A DDL holds the table; retry the whole batch next tick.
-		retried = due
-		return 0, true, nil
-	}
-
-	var recs []*wal.Record
-	// recDue maps each record to its task's index in due.
-	var recDue []int
-	var locked, skipped, held []int
-	nowNano := now.UTC().UnixNano()
-
-	for i, t := range due {
-		if e.locks.TryAcquire(sysTxn, txn.RowRes(q.tbl.ID, t.tid), txn.LockX) {
-			locked = append(locked, i)
-		} else {
-			skipped = append(skipped, i)
-		}
-	}
-	// The locked tuples are read together, each heap page once. An
-	// attribute transition without a predicate needs only the attribute:
-	// its state and stored form.
-	ids := make([]storage.TupleID, len(locked))
-	for i, d := range locked {
-		ids[i] = due[d].tid
-	}
-	full := q.isDelete || pred != nil
-	var tups []storage.Tuple
-	var cells []storage.DegCell
-	if full {
-		tups, err = ts.GetMany(ids)
-	} else {
-		cells, err = ts.DegradableMany(ids, key.attr)
-	}
-	if err != nil {
-		// Only a deleted tuple lets its task go; a failed read puts the
-		// whole batch back, as a failed commit does.
-		retried = due
-		return 0, true, fmt.Errorf("degrade: read batch: %w", err)
-	}
-
-	var col int
-	if !q.isDelete {
-		col = q.tbl.DegradableColumns()[key.attr]
-	}
-	for i, d := range locked {
-		t := due[d]
-		var cell storage.DegCell
-		if full {
-			tup := tups[i]
-			if tup.ID == 0 {
-				continue // deleted meanwhile: nothing to do
-			}
-			if pred != nil && !pred(tup) {
-				held = append(held, d)
-				continue
-			}
-			if q.isDelete {
-				recs = append(recs, &wal.Record{Type: wal.RecDelete, Table: q.tbl.ID, Tuple: t.tid,
-					InsertNano: t.insertNano})
-				recDue = append(recDue, d)
-				continue
-			}
-			cell = storage.DegCell{ID: tup.ID, State: tup.States[key.attr], Stored: tup.Row[col]}
-		} else if cell = cells[i]; cell.ID == 0 {
-			continue // deleted meanwhile
-		}
-		// Stale check: the tuple must still be in the source state.
-		if int(cell.State) != q.fromState {
-			continue
-		}
-		dom := q.tbl.Columns[col].Domain
-		rec := &wal.Record{
-			Type:       wal.RecDegrade,
-			Table:      q.tbl.ID,
-			Tuple:      t.tid,
-			InsertNano: t.insertNano,
-			DegPos:     uint8(key.attr),
-		}
-		if q.toState == -1 {
-			rec.NewState = storage.StateErased
-			rec.NewStored = value.Null()
-		} else {
-			fromLevel := q.pol.LevelOf(q.fromState)
-			toLevel := q.pol.LevelOf(q.toState)
-			next, err := dom.Degrade(cell.Stored, fromLevel, toLevel)
-			if err != nil {
-				return 0, true, fmt.Errorf("degrade: %s.%s tuple %d: %w", q.tbl.Name, q.tbl.Columns[col].Name, t.tid, err)
-			}
-			rec.NewState = uint8(q.toState)
-			rec.NewStored = next
-		}
-		recs = append(recs, rec)
-		recDue = append(recDue, d)
-	}
-
-	if len(recs) > 0 {
-		if err := e.commit(recs); err != nil {
-			// Nothing applied: put every popped task back for retry so
-			// a transient commit failure cannot silently drop deadlines.
-			retried = due
-			return 0, true, fmt.Errorf("degrade: commit batch: %w", err)
-		}
-		n = len(recs)
-		e.ctr.batches.Add(1)
-	}
-
-	// Lateness is observed per fired transition into the queue's
-	// (table, attr) series, resolved once for the batch.
-	attr := attrName(q.tbl, key.attr)
-	late := e.lateness.With(q.tbl.Name, attr)
-	for i, r := range recs {
-		switch {
-		case r.Type == wal.RecDelete:
-			e.ctr.deletions.Add(1)
-		case r.NewState == storage.StateErased:
-			e.ctr.transitions.Add(1)
-			e.ctr.erasures.Add(1)
-		default:
-			e.ctr.transitions.Add(1)
-			fired[recDue[i]] = true
-		}
-		lag := nowNano - (r.InsertNano + q.ageNano)
-		late.Observe(time.Duration(max(lag, 0)))
-		if lag > 0 {
-			e.ctr.sumLagNano.Add(lag)
-			for {
-				cur := e.ctr.maxLagNano.Load()
-				if lag <= cur || e.ctr.maxLagNano.CompareAndSwap(cur, lag) {
-					break
-				}
-			}
-		}
-	}
 	// The batch's events go to the trail in one call. The fired events
 	// are its core evidence: identity plus deadline-vs-actual, the
 	// timeliness delta the paper claims.
-	retriedEv := func(t task, detail string) trace.Event {
-		return trace.Event{Kind: trace.EvRetried, UnixNano: nowNano,
-			Table: q.tbl.Name, Tuple: uint64(t.tid), Attr: attr,
-			Deadline: t.insertNano + q.ageNano, Actual: nowNano, Detail: detail}
-	}
-	aud.AppendN(len(recs)+len(skipped)+len(held), func(i int) trace.Event {
-		if i < len(recs) {
-			r := recs[i]
-			ev := trace.Event{Kind: trace.EvFired, UnixNano: nowNano,
-				Table: q.tbl.Name, Tuple: uint64(r.Tuple),
-				Deadline: r.InsertNano + q.ageNano, Actual: nowNano}
-			switch {
-			case r.Type == wal.RecDelete:
-				ev.Detail = "tuple-delete"
-			case r.NewState == storage.StateErased:
-				ev.Attr, ev.Detail = attr, "erased"
-			default:
-				ev.Attr, ev.Detail = attr, q.firedDetail
-			}
-			return ev
+	aud.AppendN(len(evs), func(i int) trace.Event {
+		it := &evs[i]
+		ev := trace.Event{Kind: trace.EvRetried, UnixNano: b.now, Table: q.tbl.Name, Tuple: uint64(it.tid),
+			Attr: q.name, Deadline: it.insertNano + q.ageNano, Actual: b.now}
+		switch it.fate {
+		case fired, terminal:
+			ev.Kind, ev.Detail = trace.EvFired, q.firedDetail
+		case lockBusy:
+			ev.Detail = "row lock busy"
+		case held:
+			ev.Detail = "predicate held"
+		default:
+			ev.Detail = cmp.Or(b.errs[it.tid], b.err).Error()
 		}
-		if i -= len(recs); i < len(skipped) {
-			return retriedEv(due[skipped[i]].task, "row lock busy")
-		}
-		return retriedEv(due[held[i-len(skipped)]].task, "predicate held")
+		return ev
 	})
-	e.ctr.lockSkips.Add(uint64(len(skipped)))
-	e.ctr.predicateHold.Add(uint64(len(held)))
-	for _, d := range skipped {
-		retried = append(retried, due[d])
-	}
-	for _, d := range held {
-		retried = append(retried, due[d])
-	}
-	return n, true, nil
+	return n, first
 }
 
 // NextDeadline returns the earliest pending transition deadline, ok=false
@@ -1293,7 +1291,7 @@ func (e *Engine) Run(interval time.Duration) {
 			case <-stop:
 				return
 			case <-ticker.C:
-				e.Tick() //nolint:errcheck // background loop; stats carry failures
+				e.Tick() //nolint:errcheck // background loop; instantdb_degrade_failures_total counts failures
 			}
 		}
 	}()

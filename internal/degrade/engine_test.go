@@ -3,7 +3,11 @@ package degrade
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -349,6 +353,171 @@ func TestFailedReadKeepsDeadline(t *testing.T) {
 	}
 }
 
+// TestFailedComputeKeepsDeadline: a stored cell its domain cannot
+// degrade fails its own task, not the batch it was popped with. The
+// valid tuple beside it commits; the failed task is retried with its
+// deadline, so Lag shows it; its retried event carries the error; and
+// every tick that meets it reports it and counts it.
+func TestFailedComputeKeepsDeadline(t *testing.T) {
+	f := newFixture(t, Options{RecheckInterval: time.Millisecond}, figure2Policy)
+	aud, err := trace.OpenAudit("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.SetAudit(aud)
+	bad, err := f.ts.Insert([]value.Value{value.Int(1), value.Int(5)}, []uint8{0}, f.clock.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.OnInsertRun(f.tbl, []storage.Tuple{{ID: bad, InsertedAt: f.clock.Now()}})
+	good := f.insert(t, 2, "45 avenue des Etats-Unis")
+	f.clock.Advance(2 * time.Hour)
+	for tick := 1; tick <= 2; tick++ {
+		_, err := f.eng.Tick()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tuple %d", bad)) {
+			t.Fatalf("tick %d: err = %v, want the poisoned tuple's error", tick, err)
+		}
+		// Figure 2 degrades state 0 at insert and state 1 an hour later.
+		if st, _ := f.stateOf(t, good); st != 2 {
+			t.Fatalf("tick %d: the valid tuple is in state %d, want 2", tick, st)
+		}
+		if st, _ := f.stateOf(t, bad); st != 0 {
+			t.Fatalf("tick %d: the poisoned tuple is in state %d, want 0", tick, st)
+		}
+		if lag, want := f.eng.Lag(f.clock.Now()), f.clock.Now().Sub(vclock.Epoch); lag != want {
+			t.Fatalf("tick %d: lag %v, want %v: the failed task keeps its deadline", tick, lag, want)
+		}
+		if n := f.eng.ctr.failures.Load(); n != uint64(tick) {
+			t.Fatalf("tick %d: %d failures counted, want %d", tick, n, tick)
+		}
+		var retried []trace.Event
+		for _, ev := range aud.Tail(0) {
+			if ev.Tuple == uint64(bad) && ev.Kind != trace.EvScheduled {
+				retried = append(retried, ev)
+			}
+		}
+		if len(retried) != tick || retried[tick-1].Kind != trace.EvRetried ||
+			retried[tick-1].Detail != err.Error() || retried[tick-1].Deadline != vclock.Epoch.UnixNano() {
+			t.Fatalf("tick %d: the poisoned tuple's events %+v, want one retried event per tick carrying its error", tick, retried)
+		}
+		f.clock.Advance(time.Millisecond)
+	}
+}
+
+// TestFailedCommitKeepsDeadline: a batch whose table lock or commit
+// fails commits nothing, and every task it popped — from a retry, from
+// the private FIFO and from the arrival log — is retried with its
+// deadline. No transition is counted and no fired event written until
+// the next tick fires them all.
+func TestFailedCommitKeepsDeadline(t *testing.T) {
+	f := newFixture(t, Options{RecheckInterval: time.Millisecond}, func(loc *gentree.Tree) *lcp.Policy {
+		return lcp.NewBuilder("p", loc).Hold(0, time.Hour).Hold(1, time.Hour).Hold(2, 1000*time.Hour).ThenSuppress().MustBuild()
+	})
+	var failCommit atomic.Bool
+	apply := applier(f.cat, f.mgr)
+	f.eng = New(f.clock, f.cat, f.mgr, f.locks, &txn.IDSource{}, func(recs []*wal.Record) error {
+		if failCommit.CompareAndSwap(true, false) {
+			return errors.New("injected commit failure")
+		}
+		return apply(recs)
+	}, nil, Options{RecheckInterval: time.Millisecond})
+	aud, err := trace.OpenAudit("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.SetAudit(aud)
+
+	// retried waits in the state-1 queue's retries, logged in its range,
+	// private in its private FIFO: all three come due at 2h30m.
+	retried := f.insert(t, 1, "Dam 1")
+	f.clock.Advance(30 * time.Minute)
+	logged := f.insert(t, 2, "Dam 1")
+	private := f.insert(t, 3, "Dam 1")
+	tup, err := f.ts.Get(private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := f.tbl.Columns[1].Policy
+	next, err := f.loc.Degrade(tup.Row[1], pol.LevelOf(0), pol.LevelOf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ts.DegradeAttr(private, 0, next, 1); err != nil {
+		t.Fatal(err)
+	}
+	f.eng.OnExternalTransition(f.tbl, private, 0, 1, tup.InsertedAt.UnixNano())
+	f.clock.Advance(time.Hour)
+	if n, err := f.eng.Tick(); err != nil || n != 2 {
+		t.Fatalf("state-0 tick: n=%d err=%v, want 2", n, err)
+	}
+	reader := txn.ID(99999)
+	if err := f.locks.Acquire(reader, txn.RowRes(f.tbl.ID, retried), txn.LockS); err != nil {
+		t.Fatal(err)
+	}
+	f.clock.Advance(30 * time.Minute)
+	if n, err := f.eng.Tick(); err != nil || n != 0 {
+		t.Fatalf("tick under the reader's lock: n=%d err=%v, want 0", n, err)
+	}
+	f.locks.ReleaseAll(reader)
+	f.clock.Advance(30 * time.Minute)
+
+	// inState1 checks the state-1 queue's backlog: its range, then its
+	// private FIFO, then its retries in the order they were popped.
+	inState1 := func(stage string, want ...storage.TupleID) {
+		t.Helper()
+		var got []storage.TupleID
+		for _, p := range f.eng.Backlog() {
+			if p.Attr == 0 && p.State == 1 {
+				got = append(got, p.Tuple)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s the state-1 queue holds %v, want %v", stage, got, want)
+		}
+		if lag := f.eng.Lag(f.clock.Now()); lag < 30*time.Minute {
+			t.Fatalf("%s lag %v, want the retried task's 30m and more", stage, lag)
+		}
+	}
+	inState1("before the failures", logged, private, retried)
+	before := f.eng.Stats().Transitions
+	ddl := txn.ID(88888)
+	if err := f.locks.Acquire(ddl, txn.TableRes(f.tbl.ID), txn.LockX); err != nil {
+		t.Fatal(err)
+	}
+	for i, stage := range []string{"a table lock held by DDL", "a failed commit"} {
+		n, err := f.eng.Tick()
+		if err == nil || n != 0 {
+			t.Fatalf("tick over %s: n=%d err=%v, want 0 and the error", stage, n, err)
+		}
+		inState1("after "+stage, retried, private, logged)
+		if st := f.eng.Stats(); st.Transitions != before || f.eng.ctr.failures.Load() != uint64(i+1) {
+			t.Fatalf("after %s: %d transitions (want %d), %d failures (want %d)",
+				stage, st.Transitions, before, f.eng.ctr.failures.Load(), i+1)
+		}
+		evs := aud.Tail(3)
+		for _, ev := range evs {
+			if ev.Kind != trace.EvRetried || ev.Detail != err.Error() {
+				t.Fatalf("after %s: events %+v, want three retried events carrying the error", stage, evs)
+			}
+		}
+		f.locks.ReleaseAll(ddl)
+		failCommit.Store(true)
+		f.clock.Advance(time.Millisecond)
+	}
+	failCommit.Store(false)
+	if n, err := f.eng.Tick(); err != nil || n != 3 {
+		t.Fatalf("tick after the failures: n=%d err=%v, want 3", n, err)
+	}
+	for _, tid := range []storage.TupleID{retried, logged, private} {
+		if st, _ := f.stateOf(t, tid); st != 2 {
+			t.Fatalf("tuple %d in state %d, want 2", tid, st)
+		}
+	}
+	if bl := f.eng.Backlog(); len(bl) != 3 || bl[0].State != 2 {
+		t.Fatalf("backlog %+v, want the three tuples waiting in state 2", bl)
+	}
+}
+
 func TestEventTrigger(t *testing.T) {
 	f := newFixture(t, Options{}, func(loc *gentree.Tree) *lcp.Policy {
 		return lcp.NewBuilder("p", loc).
@@ -478,6 +647,57 @@ func TestPredicateGate(t *testing.T) {
 	}
 	if st, _ := f.stateOf(t, tid); st != 1 {
 		t.Fatalf("state=%d", st)
+	}
+}
+
+// TestBatchEventOrder: one batch holds a tuple whose row a reader
+// locks, one its predicate holds, one that fires and one whose value
+// its domain cannot degrade. The trail gets the fired event first, then
+// lock-busy, then predicate-held, then the failure; the retries queue
+// in the same order.
+func TestBatchEventOrder(t *testing.T) {
+	f := newFixture(t, Options{}, func(loc *gentree.Tree) *lcp.Policy {
+		return lcp.NewBuilder("p", loc).HoldIf(0, time.Hour, "gate").Hold(1, time.Hour).ThenSuppress().MustBuild()
+	})
+	aud, err := trace.OpenAudit("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.SetAudit(aud)
+	bad, err := f.ts.Insert([]value.Value{value.Int(0), value.Int(5)}, []uint8{0}, f.clock.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.OnInsertRun(f.tbl, []storage.Tuple{{ID: bad, InsertedAt: f.clock.Now()}})
+	heldBack, locked, fires := f.insert(t, 1, "Dam 1"), f.insert(t, 2, "Dam 1"), f.insert(t, 3, "Dam 1")
+	f.eng.RegisterPredicate("gate", func(tup storage.Tuple) bool { return tup.ID != heldBack })
+	if err := f.locks.Acquire(txn.ID(99999), txn.RowRes(f.tbl.ID, locked), txn.LockS); err != nil {
+		t.Fatal(err)
+	}
+	f.clock.Advance(time.Hour)
+	if n, err := f.eng.Tick(); n != 1 || err == nil {
+		t.Fatalf("tick: n=%d err=%v, want 1 and the poisoned tuple's error", n, err)
+	}
+	want := []struct {
+		tid    storage.TupleID
+		kind   trace.Kind
+		detail string
+	}{{fires, trace.EvFired, "state 0→1"}, {locked, trace.EvRetried, "row lock busy"},
+		{heldBack, trace.EvRetried, "predicate held"}, {bad, trace.EvRetried, "tuple"}}
+	evs := aud.Tail(len(want))
+	for i, w := range want {
+		if ev := evs[i]; ev.Tuple != uint64(w.tid) || ev.Kind != w.kind || !strings.Contains(ev.Detail, w.detail) {
+			t.Fatalf("event %d of the batch: %+v, want tuple %d %v %q", i, ev, w.tid, w.kind, w.detail)
+		}
+	}
+	var retries []storage.TupleID
+	for _, p := range f.eng.Backlog() {
+		if p.State == 0 {
+			retries = append(retries, p.Tuple)
+		}
+	}
+	if !slices.Equal(retries, []storage.TupleID{locked, heldBack, bad}) {
+		t.Fatalf("state-0 retries %v, want %d, %d, %d", retries, locked, heldBack, bad)
 	}
 }
 
@@ -753,5 +973,129 @@ func TestBatchEventsReachTrail(t *testing.T) {
 		if ev.Kind != trace.EvScheduled || ev.Tuple != uint64(tup) || ev.Attr != attr || ev.Detail != detail {
 			t.Fatalf("event %d of the insert run: %+v, want tuple %d scheduled for %q%q", i, ev, tup, attr, detail)
 		}
+	}
+}
+
+// TestTickRacesWriters ticks on one goroutine, on a clock it moves a
+// minute a tick, while others insert runs, fire the event, and take and
+// drop readers' row locks. Once they stop and the event fires a last
+// time, one tick more fires every tuple out of state 0 exactly once:
+// nothing is late, and every tuple waits in the state-1 queue. Run it
+// under the race detector (make race-txn).
+func TestTickRacesWriters(t *testing.T) {
+	opts := Options{BatchSize: 16, RecheckInterval: time.Minute}
+	f := newFixture(t, opts, func(loc *gentree.Tree) *lcp.Policy {
+		return lcp.NewBuilder("p", loc).HoldUntilEvent(0, time.Hour, "ev").Hold(1, 1000*time.Hour).ThenSuppress().MustBuild()
+	})
+	var mu sync.Mutex
+	fired := make(map[storage.TupleID]int) // every record is a state-0 transition
+	apply := applier(f.cat, f.mgr)
+	f.eng = New(f.clock, f.cat, f.mgr, f.locks, &txn.IDSource{}, func(recs []*wal.Record) error {
+		mu.Lock()
+		for _, r := range recs {
+			fired[r.Tuple]++
+		}
+		mu.Unlock()
+		return apply(recs)
+	}, nil, opts)
+	stored, err := f.loc.ResolveInsert(value.Text("Dam 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		wg    sync.WaitGroup
+		idsMu sync.Mutex
+		ids   []storage.TupleID
+	)
+	// ticks waits until the ticker has moved the clock twice, so at least
+	// one whole tick ran in between. The ticker stops only once every
+	// writer has returned.
+	ticks := func() {
+		for start := f.clock.Now(); !f.clock.Now().After(start.Add(time.Minute)); {
+			runtime.Gosched()
+		}
+	}
+	wg.Add(3)
+	go func() { // insert runs
+		defer wg.Done()
+		for r := 0; r < 100; r++ {
+			tups := make([]storage.Tuple, 4)
+			for i := range tups {
+				at := f.clock.Now()
+				tid, err := f.ts.Insert([]value.Value{value.Int(int64(r*len(tups) + i)), stored}, []uint8{0}, at)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tups[i] = storage.Tuple{ID: tid, InsertedAt: at}
+			}
+			f.eng.OnInsertRun(f.tbl, tups)
+			idsMu.Lock()
+			for _, tp := range tups {
+				ids = append(ids, tp.ID)
+			}
+			idsMu.Unlock()
+		}
+	}()
+	go func() { // events
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			f.eng.FireEvent("ev")
+			ticks()
+		}
+	}()
+	go func() { // readers' row locks
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 200; i++ {
+			reader := txn.ID(1<<40 + uint64(i))
+			idsMu.Lock()
+			for k := 0; k < 8 && len(ids) > 0; k++ {
+				f.locks.TryAcquire(reader, txn.RowRes(f.tbl.ID, ids[rng.Intn(len(ids))]), txn.LockS)
+			}
+			idsMu.Unlock()
+			ticks()
+			f.locks.ReleaseAll(reader)
+		}
+	}()
+	stop, ticked := make(chan struct{}), make(chan struct{})
+	go func() { // the ticker
+		defer close(ticked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f.clock.Advance(time.Minute)
+			if _, err := f.eng.Tick(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-ticked
+
+	f.eng.FireEvent("ev")
+	f.clock.Advance(opts.RecheckInterval) // past every retry gate
+	if _, err := f.eng.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != len(ids) {
+		t.Errorf("%d tuples fired, %d inserted", len(fired), len(ids))
+	}
+	for _, tid := range ids {
+		if fired[tid] != 1 {
+			t.Errorf("tuple %d fired %d times, want once", tid, fired[tid])
+		}
+	}
+	if lag := f.eng.Lag(f.clock.Now()); lag != 0 {
+		t.Errorf("lag %v after the last tick, want 0", lag)
+	}
+	if p := f.eng.Stats().Pending; p != len(ids) {
+		t.Errorf("%d transitions pending, want %d: one state-1 transition per tuple", p, len(ids))
 	}
 }

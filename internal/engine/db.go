@@ -101,9 +101,6 @@ type Config struct {
 	// ShredBucket is the epoch-key bucket width (default 1h). It bounds
 	// the lag between a deadline and log erasure in LogShred mode.
 	ShredBucket time.Duration
-	// VacuumEvery triggers a segment vacuum at most once per interval in
-	// LogVacuum mode (default 1h).
-	VacuumEvery time.Duration
 	// WALSync fsyncs every commit (default true for durable databases).
 	WALSync *bool
 	// SegmentBytes is the WAL rotation threshold.
@@ -208,9 +205,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	if cfg.ShredBucket <= 0 {
 		cfg.ShredBucket = time.Hour
-	}
-	if cfg.VacuumEvery <= 0 {
-		cfg.VacuumEvery = time.Hour
 	}
 	db := &DB{
 		cfg:     cfg,

@@ -42,6 +42,10 @@ func (s *shredScrubber) Retire(tbl *catalog.Table, degPos int, state uint8, cuto
 // Periodic implements degrade.Scrubber (nothing periodic to do).
 func (s *shredScrubber) Periodic(time.Time) error { return nil }
 
+// vacuumEvery is how often LogVacuum mode rewrites the sealed log
+// segments at most.
+const vacuumEvery = time.Hour
+
 // vacuumScrubber rewrites sealed log segments periodically, NULLing
 // degradable payloads that are more accurate than the tuple's current
 // state (or that belong to deleted tuples). This is the classic
@@ -58,7 +62,7 @@ func (v *vacuumScrubber) Periodic(now time.Time) error {
 		return nil
 	}
 	db.mu.Lock()
-	if now.Sub(db.lastVac) < db.cfg.VacuumEvery {
+	if now.Sub(db.lastVac) < vacuumEvery {
 		db.mu.Unlock()
 		return nil
 	}
