@@ -16,7 +16,12 @@ race:
 # single run does not show, and its model test drives queued requests
 # from goroutines. It also repeats the WAL's and the engine's group-commit
 # and crash tests, whose groups form behind a parked fsync
-# (wal.FaultInjector.Hold), to show that the gated grouping does not flake.
+# (wal.FaultInjector.Hold), to show that the gated grouping does not flake,
+# and the engine's checks that the commit mutex is free while a
+# degradation batch's fsync is parked and that a DROP TABLE landing in
+# that window leaves the database open. It repeats a replica applying its
+# leader's batches while its own degrader ticks, which race in the one
+# commit path.
 # And it repeats the wire front end's lifecycle tests, whose Close,
 # connection tracking and Accept loop race; each runs as a /server and a
 # /router subtest in internal/server. And it repeats the degrader's tick
@@ -25,7 +30,8 @@ race:
 # package under -race takes 20 s, this test a fraction of one).
 race-txn:
 	$(GO) test -race -count=20 ./internal/txn
-	$(GO) test -race -count=10 -run 'Group|Crash' ./internal/wal ./internal/engine
+	$(GO) test -race -count=10 -run 'Group|Crash|DuringDegradeFsync' ./internal/wal ./internal/engine
+	$(GO) test -race -count=10 -run 'ReplicaAppliesWhileTicking' ./internal/repl
 	$(GO) test -race -count=10 -run 'MaxConns|GracefulClose|Protocol' ./internal/server
 	$(GO) test -race -count=10 -run 'TickRacesWriters' ./internal/degrade
 
@@ -45,8 +51,9 @@ doc-check:
 md-check:
 	$(GO) run ./internal/tools/mdcheck README.md DESIGN.md ROADMAP.md
 
-# fuzz-smoke runs every fuzz target for FUZZTIME each: the SQL parser,
-# the value codec (every accepted value re-encodes to the bytes it was
+# fuzz-smoke runs every fuzz target for FUZZTIME each: the SQL parser
+# and its script splitter (each statement text it returns parses on its
+# own to the same statement), the value codec (every accepted value re-encodes to the bytes it was
 # read from), the B+tree key codec (keys of one kind order as their
 # values do and none is a proper prefix of another), the WAL
 # batch-payload decoder (replication and recovery feed it bytes from
@@ -68,7 +75,8 @@ md-check:
 # history applied tuple by tuple, and the lock table against its model.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzParseScript$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/value -run '^$$' -fuzz FuzzValueCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/value -run '^$$' -fuzz FuzzOrderedKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME)

@@ -114,21 +114,26 @@ type item struct {
 }
 
 // fate is what a batch made of one task. The order is the order settle
-// hands a batch's events to the trail in: a batch's records are all
+// hands a batch's events to the trail in: a queue's transitions are all
 // fired or all terminal, so its fired events come in record order, then
-// lock-busy, then predicate-held, then failed.
+// the undegradable erasures, then lock-busy, then predicate-held, then
+// failed.
 type fate uint8
 
 const (
-	pending  fate = iota // popped, not decided yet
-	gone                 // the tuple was deleted meanwhile
-	stale                // the tuple is no longer in the queue's from-state
-	fired                // committed; the tuple goes on to the next queue
-	terminal             // committed; the attribute is erased or the tuple deleted
-	lockBusy             // a reader holds the row lock: retried
-	held                 // the predicate gate refused it: retried
-	failed               // its record could not be built, or its batch failed: retried
+	pending      fate = iota // popped, not decided yet
+	gone                     // the tuple was deleted meanwhile
+	stale                    // the tuple is no longer in the queue's from-state
+	fired                    // committed; the tuple goes on to the next queue
+	terminal                 // committed; the attribute is erased or the tuple deleted
+	undegradable             // committed; its domain cannot degrade the stored value, so it is erased
+	lockBusy                 // a reader holds the row lock: retried
+	held                     // the predicate gate refused it: retried
+	failed                   // its batch failed: retried
 )
+
+// undegradableDetail is the audit detail of an undegradable erasure.
+const undegradableDetail = "erased: its domain cannot degrade the stored value"
 
 // queueKey identifies a transition queue.
 type queueKey struct {
@@ -770,7 +775,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 		"Due tuples held back by a false predicate gate (retried next tick).",
 		func() float64 { return float64(e.ctr.predicateHold.Load()) })
 	reg.CounterFunc("instantdb_degrade_failures_total",
-		"Degradation batches that failed and committed nothing (table lock, read, commit), plus tuples whose degraded value could not be computed; every task concerned is retried with its deadline.",
+		"Degradation batches that failed and committed nothing (table lock, read, commit), whose tasks are retried with their deadlines, plus stored values their domain could not degrade, erased at their deadlines instead.",
 		func() float64 { return float64(e.ctr.failures.Load()) })
 	reg.GaugeFunc("instantdb_degrade_max_lag_seconds",
 		"Worst (execution time - deadline) ever observed for a committed transition.",
@@ -971,8 +976,6 @@ type batch struct {
 	cells []storage.DegCell
 	recs  []*wal.Record
 	err   error
-	// errs holds why each failed task's record could not be built.
-	errs map[storage.TupleID]error
 }
 
 // pop collects up to BatchSize due tasks of queue key into a batch:
@@ -1068,7 +1071,9 @@ func (e *Engine) read(b *batch) {
 
 // compute decides the fate of every locked task from what read found of
 // its tuple, and builds the record of each that fires. A value its
-// domain cannot degrade fails that task alone.
+// domain cannot degrade is erased at its deadline: degrading early is the
+// one direction that is always safe, and retrying would keep the expired
+// state readable for good.
 func (b *batch) compute() {
 	if b.err != nil {
 		return
@@ -1105,13 +1110,10 @@ func (b *batch) compute() {
 			if q.toState != -1 {
 				next, err := q.tbl.Columns[q.col].Domain.Degrade(cell.Stored, q.pol.LevelOf(q.fromState), q.pol.LevelOf(q.toState))
 				if err != nil {
-					if b.errs == nil {
-						b.errs = make(map[storage.TupleID]error)
-					}
-					it.fate, b.errs[it.tid] = failed, fmt.Errorf("degrade: %s.%s tuple %d: %w", q.tbl.Name, q.name, it.tid, err)
-					continue
+					it.fate = undegradable
+				} else {
+					it.fate, rec.NewState, rec.NewStored = fired, uint8(q.toState), next
 				}
-				it.fate, rec.NewState, rec.NewStored = fired, uint8(q.toState), next
 			}
 			b.recs = append(b.recs, rec)
 		}
@@ -1135,23 +1137,22 @@ func (e *Engine) commit(b *batch) {
 // retries, hands what fired to the next queue, makes every log task
 // that did not fire in order a hole for the cursors behind, bumps the
 // counters and observes lateness; then it hands the events to the
-// trail. It returns the transitions committed and the first failure,
-// the batch's or a task's.
+// trail. It returns the transitions committed and the batch's failure.
+// An undegradable erasure counts as a failure, once: it committed.
 func (e *Engine) settle(b *batch) (int, error) {
 	e.locks.ReleaseAll(b.sys)
 	q := b.q
-	n, failures, first := len(b.recs), uint64(0), b.err
-	if b.err != nil {
-		n, failures = 0, 1
-	}
+	n, failures := len(b.recs), uint64(0)
 	for i := range b.items {
 		switch it := &b.items[i]; {
-		case it.fate == failed:
-			failures++
-			first = cmp.Or(first, b.errs[it.tid])
 		case b.err != nil && it.fate != gone && it.fate != stale:
 			it.fate = failed
+		case it.fate == undegradable:
+			failures++
 		}
+	}
+	if b.err != nil {
+		n, failures = 0, 1
 	}
 	// In fate order the events come out in the order the trail takes them,
 	// and the retries queue up lock-busy first.
@@ -1185,11 +1186,11 @@ func (e *Engine) settle(b *batch) (int, error) {
 		switch it.fate {
 		case gone, stale:
 			evs = b.items[i+1:]
-		case fired, terminal:
+		case fired, terminal, undegradable:
 			switch {
 			case q.isDelete:
 				e.ctr.deletions.Add(1)
-			case it.fate == terminal:
+			case it.fate != fired:
 				e.ctr.transitions.Add(1)
 				e.ctr.erasures.Add(1)
 			default:
@@ -1218,16 +1219,18 @@ func (e *Engine) settle(b *batch) (int, error) {
 		switch it.fate {
 		case fired, terminal:
 			ev.Kind, ev.Detail = trace.EvFired, q.firedDetail
+		case undegradable:
+			ev.Kind, ev.Detail = trace.EvFired, undegradableDetail
 		case lockBusy:
 			ev.Detail = "row lock busy"
 		case held:
 			ev.Detail = "predicate held"
 		default:
-			ev.Detail = cmp.Or(b.errs[it.tid], b.err).Error()
+			ev.Detail = b.err.Error()
 		}
 		return ev
 	})
-	return n, first
+	return n, b.err
 }
 
 // NextDeadline returns the earliest pending transition deadline, ok=false

@@ -353,12 +353,13 @@ func TestFailedReadKeepsDeadline(t *testing.T) {
 	}
 }
 
-// TestFailedComputeKeepsDeadline: a stored cell its domain cannot
-// degrade fails its own task, not the batch it was popped with. The
-// valid tuple beside it commits; the failed task is retried with its
-// deadline, so Lag shows it; its retried event carries the error; and
-// every tick that meets it reports it and counts it.
-func TestFailedComputeKeepsDeadline(t *testing.T) {
+// TestUndegradableCellIsErased: a stored cell its domain cannot degrade
+// is erased at its deadline — degrading early is the one direction that
+// is always safe — in the batch it was popped with, beside the valid
+// tuple that degrades. The erasure is counted once as a failure and
+// audited once, as a fired event with a fixed detail; later ticks neither
+// meet it again nor report it, and nothing is overdue.
+func TestUndegradableCellIsErased(t *testing.T) {
 	f := newFixture(t, Options{RecheckInterval: time.Millisecond}, figure2Policy)
 	aud, err := trace.OpenAudit("")
 	if err != nil {
@@ -373,34 +374,37 @@ func TestFailedComputeKeepsDeadline(t *testing.T) {
 	good := f.insert(t, 2, "45 avenue des Etats-Unis")
 	f.clock.Advance(2 * time.Hour)
 	for tick := 1; tick <= 2; tick++ {
-		_, err := f.eng.Tick()
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tuple %d", bad)) {
-			t.Fatalf("tick %d: err = %v, want the poisoned tuple's error", tick, err)
+		if _, err := f.eng.Tick(); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
 		}
 		// Figure 2 degrades state 0 at insert and state 1 an hour later.
 		if st, _ := f.stateOf(t, good); st != 2 {
 			t.Fatalf("tick %d: the valid tuple is in state %d, want 2", tick, st)
 		}
-		if st, _ := f.stateOf(t, bad); st != 0 {
-			t.Fatalf("tick %d: the poisoned tuple is in state %d, want 0", tick, st)
+		tup, err := f.ts.Get(bad)
+		if err != nil || tup.States[0] != storage.StateErased || !tup.Row[1].IsNull() {
+			t.Fatalf("tick %d: the undegradable cell is %+v (err %v), want it erased", tick, tup, err)
 		}
-		if lag, want := f.eng.Lag(f.clock.Now()), f.clock.Now().Sub(vclock.Epoch); lag != want {
-			t.Fatalf("tick %d: lag %v, want %v: the failed task keeps its deadline", tick, lag, want)
+		if lag := f.eng.Lag(f.clock.Now()); lag != 0 {
+			t.Fatalf("tick %d: lag %v, want 0", tick, lag)
 		}
-		if n := f.eng.ctr.failures.Load(); n != uint64(tick) {
-			t.Fatalf("tick %d: %d failures counted, want %d", tick, n, tick)
+		if n := f.eng.ctr.failures.Load(); n != 1 {
+			t.Fatalf("tick %d: %d failures counted, want 1", tick, n)
 		}
-		var retried []trace.Event
+		var evs []trace.Event
 		for _, ev := range aud.Tail(0) {
 			if ev.Tuple == uint64(bad) && ev.Kind != trace.EvScheduled {
-				retried = append(retried, ev)
+				evs = append(evs, ev)
 			}
 		}
-		if len(retried) != tick || retried[tick-1].Kind != trace.EvRetried ||
-			retried[tick-1].Detail != err.Error() || retried[tick-1].Deadline != vclock.Epoch.UnixNano() {
-			t.Fatalf("tick %d: the poisoned tuple's events %+v, want one retried event per tick carrying its error", tick, retried)
+		if len(evs) != 1 || evs[0].Kind != trace.EvFired || evs[0].Detail != undegradableDetail ||
+			evs[0].Deadline != vclock.Epoch.UnixNano() {
+			t.Fatalf("tick %d: the undegradable tuple's events %+v, want one fired event with detail %q", tick, evs, undegradableDetail)
 		}
 		f.clock.Advance(time.Millisecond)
+	}
+	if st := f.eng.Stats(); st.Erasures != 1 {
+		t.Fatalf("%d erasures counted, want 1", st.Erasures)
 	}
 }
 
@@ -653,8 +657,8 @@ func TestPredicateGate(t *testing.T) {
 // TestBatchEventOrder: one batch holds a tuple whose row a reader
 // locks, one its predicate holds, one that fires and one whose value
 // its domain cannot degrade. The trail gets the fired event first, then
-// lock-busy, then predicate-held, then the failure; the retries queue
-// in the same order.
+// the undegradable erasure, then lock-busy, then predicate-held; the
+// retries queue in the same order.
 func TestBatchEventOrder(t *testing.T) {
 	f := newFixture(t, Options{}, func(loc *gentree.Tree) *lcp.Policy {
 		return lcp.NewBuilder("p", loc).HoldIf(0, time.Hour, "gate").Hold(1, time.Hour).ThenSuppress().MustBuild()
@@ -675,15 +679,15 @@ func TestBatchEventOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.clock.Advance(time.Hour)
-	if n, err := f.eng.Tick(); n != 1 || err == nil {
-		t.Fatalf("tick: n=%d err=%v, want 1 and the poisoned tuple's error", n, err)
+	if n, err := f.eng.Tick(); n != 2 || err != nil {
+		t.Fatalf("tick: n=%d err=%v, want 2 (a transition and an erasure)", n, err)
 	}
 	want := []struct {
 		tid    storage.TupleID
 		kind   trace.Kind
 		detail string
-	}{{fires, trace.EvFired, "state 0→1"}, {locked, trace.EvRetried, "row lock busy"},
-		{heldBack, trace.EvRetried, "predicate held"}, {bad, trace.EvRetried, "tuple"}}
+	}{{fires, trace.EvFired, "state 0→1"}, {bad, trace.EvFired, undegradableDetail},
+		{locked, trace.EvRetried, "row lock busy"}, {heldBack, trace.EvRetried, "predicate held"}}
 	evs := aud.Tail(len(want))
 	for i, w := range want {
 		if ev := evs[i]; ev.Tuple != uint64(w.tid) || ev.Kind != w.kind || !strings.Contains(ev.Detail, w.detail) {
@@ -696,8 +700,8 @@ func TestBatchEventOrder(t *testing.T) {
 			retries = append(retries, p.Tuple)
 		}
 	}
-	if !slices.Equal(retries, []storage.TupleID{locked, heldBack, bad}) {
-		t.Fatalf("state-0 retries %v, want %d, %d, %d", retries, locked, heldBack, bad)
+	if !slices.Equal(retries, []storage.TupleID{locked, heldBack}) {
+		t.Fatalf("state-0 retries %v, want %d, %d", retries, locked, heldBack)
 	}
 }
 
@@ -981,11 +985,14 @@ func TestBatchEventsReachTrail(t *testing.T) {
 // drop readers' row locks. Once they stop and the event fires a last
 // time, one tick more fires every tuple out of state 0 exactly once:
 // nothing is late, and every tuple waits in the state-1 queue. Run it
-// under the race detector (make race-txn).
+// under the race detector (make race-txn). The ticker moves the clock
+// for as long as the writers run, and a loaded machine can starve them
+// for tens of thousands of ticks: the state-1 hold is 90 years, so no
+// run of the test comes near it.
 func TestTickRacesWriters(t *testing.T) {
 	opts := Options{BatchSize: 16, RecheckInterval: time.Minute}
 	f := newFixture(t, opts, func(loc *gentree.Tree) *lcp.Policy {
-		return lcp.NewBuilder("p", loc).HoldUntilEvent(0, time.Hour, "ev").Hold(1, 1000*time.Hour).ThenSuppress().MustBuild()
+		return lcp.NewBuilder("p", loc).HoldUntilEvent(0, time.Hour, "ev").Hold(1, 90*365*24*time.Hour).ThenSuppress().MustBuild()
 	})
 	var mu sync.Mutex
 	fired := make(map[storage.TupleID]int) // every record is a state-0 transition

@@ -18,7 +18,7 @@ import (
 
 // Engine-level crash injection: a simulated power cut at the WAL group
 // fsync, then a real reopen of the same directory. The contract under
-// test is the durability boundary commitUser enforces — a commit is
+// test is the durability boundary commit enforces — a commit is
 // acked (Exec returned nil) only after its group's fsync, and it
 // becomes visible to other sessions only after that — so:
 //

@@ -113,8 +113,6 @@ type Config struct {
 	LockTimeout time.Duration
 	// Degrade tunes the degradation engine.
 	Degrade degrade.Options
-	// CheckpointEvery checkpoints after this many commits (0 = manual).
-	CheckpointEvery int
 	// AutoDegrade starts a background degradation loop with this tick
 	// interval (0 = call Tick/DegradeNow manually — simulations).
 	AutoDegrade time.Duration
@@ -156,8 +154,8 @@ type DB struct {
 	tracer *trace.Tracer
 	audit  *trace.Audit
 
-	// commitGate fences the phased group-commit path: user committers
-	// hold it shared from PK reservation through apply, so holders of
+	// commitGate fences the phased group-commit path: committers hold it
+	// shared from PK reservation through apply, so holders of
 	// the exclusive side (BackupPin, Checkpoint, Close) never observe a
 	// batch that is appended to the WAL but not yet applied/published.
 	// Lock order: commitGate before mu; never acquire commitGate while
@@ -174,7 +172,6 @@ type DB struct {
 	// batch inserts twice. It is nil while no batch is in flight, so
 	// the largest batch's keys are not held after it.
 	reservedPKs map[string]struct{}
-	commits     int
 	ddlFile     *os.File
 	lastVac     time.Time
 	closed      bool
@@ -190,12 +187,6 @@ type DB struct {
 	// shardVer is the highest routing-table version this database has
 	// been served under (persisted to shard.ver; see CheckShardVersion).
 	shardVer uint64
-	// applyingRepl is set (under mu) while a replicated leader batch
-	// applies, so applyDegrades can tell external degrade transitions —
-	// which must schedule the replica's own follow-up — from the
-	// replica's locally fired ones, whose follow-ups the degrade engine
-	// already enqueues itself.
-	applyingRepl bool
 }
 
 // Open opens (or creates) a database.
@@ -270,7 +261,8 @@ func Open(cfg Config) (*DB, error) {
 	case LogVacuum:
 		scrub = &vacuumScrubber{db: db}
 	}
-	db.deg = degrade.New(db.clock, db.cat, db.mgr, db.locks, db.ids, db.commitSystem, scrub, cfg.Degrade)
+	db.deg = degrade.New(db.clock, db.cat, db.mgr, db.locks, db.ids,
+		func(recs []*wal.Record) error { return db.commit(recs, local, nil, nil) }, scrub, cfg.Degrade)
 	db.initMetrics(db.reg)
 	db.tracer = trace.New("server", cfg.TraceSample, cfg.SlowQuery)
 
@@ -308,13 +300,13 @@ func (db *DB) recover() error {
 	// 1. Catalog: replay persisted DDL.
 	ddlPath := filepath.Join(db.cfg.Dir, "catalog.sql")
 	if data, err := os.ReadFile(ddlPath); err == nil && len(data) > 0 {
-		stmts, err := query.ParseScript(string(data))
+		stmts, texts, err := query.ParseScript(string(data))
 		if err != nil {
 			return fmt.Errorf("engine: corrupt catalog.sql: %w", err)
 		}
 		db.replaying = true
-		for _, st := range stmts {
-			if err := db.execDDL(st, ""); err != nil {
+		for i, st := range stmts {
+			if err := db.execDDL(st, texts[i]); err != nil {
 				db.replaying = false
 				return fmt.Errorf("engine: catalog replay: %w", err)
 			}
@@ -365,12 +357,12 @@ func (db *DB) recover() error {
 			if pending = append(pending, r); len(pending) < replayRun {
 				return nil
 			}
-			err := db.applyRecords(pending, false)
+			err := db.applyRecords(pending, replay)
 			pending = pending[:0]
 			return err
 		})
 		if err == nil {
-			err = db.applyRecords(pending, false)
+			err = db.applyRecords(pending, replay)
 		}
 		if err != nil {
 			return fmt.Errorf("engine: wal replay: %w", err)
@@ -544,7 +536,7 @@ func (db *DB) ApplyReplicatedDDL(script string) error {
 	if !db.cfg.Replica {
 		return errors.New("engine: ApplyReplicatedDDL on a non-replica database")
 	}
-	stmts, err := query.ParseScript(script)
+	stmts, texts, err := query.ParseScript(script)
 	if err != nil {
 		return fmt.Errorf("engine: leader DDL script: %w", err)
 	}
@@ -554,8 +546,8 @@ func (db *DB) ApplyReplicatedDDL(script string) error {
 		return fmt.Errorf("engine: replica has %d DDL statements but the leader script has %d — this replica was not seeded from that leader",
 			db.ddlApplied, len(stmts))
 	}
-	for _, st := range stmts[db.ddlApplied:] {
-		if err := db.execDDL(st, ""); err != nil {
+	for i := db.ddlApplied; i < len(stmts); i++ {
+		if err := db.execDDL(stmts[i], texts[i]); err != nil {
 			return fmt.Errorf("engine: replicated DDL: %w", err)
 		}
 	}
@@ -563,18 +555,24 @@ func (db *DB) ApplyReplicatedDDL(script string) error {
 }
 
 // ApplyReplicated applies one replicated leader commit batch on a
-// replica, through the same durable-append-then-apply path local
-// commits take: the batch lands in the follower's own WAL (sealed under
-// the follower's own epoch keys), applies to storage and indexes,
-// seeds the degradation queues, and publishes a snapshot epoch — so
-// lock-free snapshot reads observe leader batches atomically. next is
-// the position after the batch in the LEADER's log; a RecReplMark
-// carrying it joins the batch, making the resume position durable
-// exactly when the batch is — also when every record of the batch was a
-// late copy of a transition this replica already made and only the mark
-// is left. Records referencing tables this replica does not know yet are
-// refused before anything is logged (the follower reconnects, catches up
-// on DDL, and retries).
+// replica, through the same commit path local batches take: the batch
+// lands in the follower's own WAL (sealed under the follower's own epoch
+// keys), applies to storage and indexes, seeds the degradation queues,
+// and publishes a snapshot epoch — so lock-free snapshot reads observe
+// leader batches atomically. next is the position after the batch in
+// the LEADER's log; a RecReplMark carrying it joins the batch, making the
+// resume position durable exactly when the batch is — also when every
+// record of the batch was a late copy of a transition this replica
+// already made and only the mark is left. Records referencing tables
+// this replica does not know yet are refused before anything is logged
+// (the follower reconnects, catches up on DDL, and retries).
+//
+// The filter runs under mu, the commit after it: a local tick that fires
+// a transition in between turns the record into a late copy that the
+// monotone gates of storage and applyDegrades make a no-op, and one that
+// also shreds the key the record would be sealed under fails the encode
+// before anything is logged, so the follower resumes from ReplPos and the
+// filter drops the record on the retry.
 func (db *DB) ApplyReplicated(recs []*wal.Record, next wal.Pos) error {
 	if !db.cfg.Replica {
 		return errors.New("engine: ApplyReplicated on a non-replica database")
@@ -612,18 +610,9 @@ func (db *DB) ApplyReplicated(recs []*wal.Record, next wal.Pos) error {
 		}
 		batch = append(batch, r)
 	}
-	batch = append(batch, &wal.Record{Type: wal.RecReplMark, ReplSeg: next.Seg, ReplOff: next.Off})
-	db.applyingRepl = true
-	due, err := db.commitLocked(batch)
-	db.applyingRepl = false
 	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if due {
-		return db.Checkpoint()
-	}
-	return nil
+	batch = append(batch, &wal.Record{Type: wal.RecReplMark, ReplSeg: next.Seg, ReplOff: next.Off})
+	return db.commit(batch, replicated, nil, nil)
 }
 
 // lateCopyLocked reports whether a replicated degrade or delete record
@@ -638,88 +627,64 @@ func (db *DB) lateCopyLocked(tbl *catalog.Table, r *wal.Record) bool {
 		!storage.StateAdvances(t.States[r.DegPos], r.NewState)
 }
 
-// commitSystem is the degrade.Committer: durable append then apply.
-func (db *DB) commitSystem(recs []*wal.Record) error {
-	db.mu.Lock()
-	due, err := db.commitLocked(recs)
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if due {
-		return db.Checkpoint()
-	}
-	return nil
-}
-
-// commitUser commits one user transaction batch: the authoritative
-// primary-key check, then durable append, apply and publish. The append
-// goes through the WAL's group committer — the fsync is shared with
-// every concurrently committing session — so the critical section is
-// split into phases (an ephemeral database, with no log, skips 2 and 3):
+// commit is the one commit path: a user transaction's batch, a
+// degradation batch (a system transaction) and a replicated leader batch
+// all take it. The append goes through the WAL's group committer — the
+// fsync is shared with every concurrently committing batch — so the
+// critical section is split into phases, and mu is never held across the
+// encode or the fsync (an ephemeral database, with no log, skips phase
+// 2):
 //
-//  1. Admission (under mu): closed/failed fences, the PK uniqueness
-//     check, and reservation of the batch's insert PKs so a concurrent
-//     same-key insert cannot pass its own check while this one is
-//     between append and apply.
-//  2. Encode (no locks): record encoding and payload sealing — the
-//     crypto leaves the commit mutex.
-//  3. Durable append (no locks): wal.GroupAppend blocks until this
-//     batch's group fsync completes.
-//  4. Apply + publish (under mu): storage/index apply, epoch
-//     publication — visibility strictly after durability, exactly as
-//     before.
+//  1. Admission (under mu): closed/failed fences, the primary-key
+//     uniqueness check, and reservation of the batch's insert PKs so a
+//     concurrent same-key insert cannot pass its own check while this
+//     one is between append and apply. Degrade and delete records
+//     reserve nothing.
+//  2. Encode and durable append (no locks): record encoding and payload
+//     sealing, then wal.GroupAppend, which blocks until this batch's
+//     group fsync completes.
+//  3. Apply + publish (under mu): storage/index apply, epoch
+//     publication — visibility strictly after durability.
 //
 // The whole span holds commitGate shared, so BackupPin/Checkpoint (the
-// exclusive holders) never see an appended-but-unapplied batch. The
-// caller still holds the transaction's 2PL locks until commitUser
-// returns, so concurrent batches never conflict on rows and the WAL
-// append order may safely differ from the apply order.
-func (db *DB) commitUser(recs []*wal.Record, tt *trace.T, parent *trace.S) error {
+// exclusive holders) never see an appended-but-unapplied batch. WAL
+// order may differ from apply order only between batches that share no
+// row: a user transaction holds its 2PL locks and a degradation batch
+// its X row locks (and its table's IX lock) until commit returns. A
+// replicated batch takes no locks; what it shares with a local
+// degradation batch is a transition both make, and the monotone gates
+// of storage and applyDegrades make whichever applies second a no-op, in
+// either order and on replay alike.
+func (db *DB) commit(recs []*wal.Record, from origin, tt *trace.T, parent *trace.S) error {
 	db.commitGate.RLock()
+	defer db.commitGate.RUnlock()
 	// Phase 1: admission.
 	db.mu.Lock()
-	if err := db.commitFenceLocked(); err != nil {
-		db.mu.Unlock()
-		db.commitGate.RUnlock()
-		return err
-	}
-	if err := db.reservePKsLocked(recs); err != nil {
-		db.mu.Unlock()
-		db.commitGate.RUnlock()
-		return err
+	err := db.commitFenceLocked()
+	if err == nil {
+		err = db.reservePKsLocked(recs)
 	}
 	db.mu.Unlock()
-
-	// Phases 2 and 3: encode, durable group append.
-	err := db.logBatch(recs, tt, parent)
 	if err != nil {
-		db.mu.Lock()
-		db.releasePKsLocked(recs)
-		db.mu.Unlock()
-		db.commitGate.RUnlock()
 		return err
 	}
 
-	// Phase 4: apply + publish.
+	// Phase 2: encode, durable group append.
+	err = db.logBatch(recs, tt, parent)
+
+	// Phase 3: apply + publish.
 	psp := tt.Span(parent, "publish")
 	db.mu.Lock()
-	var due bool
-	err = db.commitFenceLocked()
 	if err == nil {
-		due, err = db.applyCommittedLocked(recs)
+		err = db.commitFenceLocked()
+	}
+	if err == nil {
+		err = db.applyCommittedLocked(recs, from)
 	}
 	db.releasePKsLocked(recs)
 	db.mu.Unlock()
-	db.commitGate.RUnlock()
 	psp.End()
-	if err != nil {
-		return err
-	}
-	if due {
-		return db.Checkpoint()
-	}
-	return nil
+	return err
 }
 
 // logBatch encodes recs with the log's codec and appends them as one
@@ -829,24 +794,6 @@ func (db *DB) releasePKsLocked(recs []*wal.Record) {
 	}
 }
 
-// commitLocked is the single-mutex commit path (system commits from the
-// degradation engine, replicated batches): durable append then apply,
-// all under mu, so no other commit applies between the two. The append
-// still rides the group committer, sharing an in-flight fsync with user
-// commits (which append outside mu). It returns
-// whether a checkpoint is due; the CALLER runs it after releasing mu —
-// Checkpoint needs the exclusive commitGate, which must never be
-// acquired while holding mu.
-func (db *DB) commitLocked(recs []*wal.Record) (checkpointDue bool, err error) {
-	if err := db.commitFenceLocked(); err != nil {
-		return false, err
-	}
-	if err := db.logBatch(recs, nil, nil); err != nil {
-		return false, err
-	}
-	return db.applyCommittedLocked(recs)
-}
-
 // applyCommittedLocked applies a batch whose bytes are already durable
 // in the WAL, then publishes its epoch. Caller holds mu.
 //
@@ -868,22 +815,21 @@ func (db *DB) commitLocked(recs []*wal.Record) (checkpointDue bool, err error) {
 // starts, so all of them have reached the page file before the epoch
 // publishes; a failed write-back fails its run, and fences like any
 // failed apply.
-func (db *DB) applyCommittedLocked(recs []*wal.Record) (checkpointDue bool, err error) {
+func (db *DB) applyCommittedLocked(recs []*wal.Record, from origin) error {
 	epoch := db.epochs.Next()
 	db.mgr.SetStampEpoch(epoch, db.epochs.OldestActive())
-	if err := db.applyRecords(recs, true); err != nil {
+	if err := db.applyRecords(recs, from); err != nil {
 		// Apply failures after a durable append are unrecoverable
 		// in-process: fence commits and surface loudly.
 		db.failed = true
-		return false, fmt.Errorf("engine: apply after append: %w", err)
+		return fmt.Errorf("engine: apply after append: %w", err)
 	}
 	db.epochs.Publish(epoch)
 	// With the batch published, only a snapshot already open before it
 	// can still miss its writes: when none is, its births are forgotten
 	// now rather than at the next commit.
 	db.mgr.SetLowWater(db.epochs.OldestActive())
-	db.commits++
-	return db.cfg.CheckpointEvery > 0 && db.commits%db.cfg.CheckpointEvery == 0, nil
+	return nil
 }
 
 // Checkpoint makes the page store durable and truncates (scrubs) the

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"instantdb/internal/catalog"
@@ -12,8 +11,8 @@ import (
 	"instantdb/internal/value"
 )
 
-// execDDL executes a DDL statement. src is the original statement text
-// persisted to catalog.sql ("" regenerates it from the AST).
+// execDDL executes a DDL statement. src is its text as written, persisted
+// to catalog.sql.
 func (db *DB) execDDL(st query.Statement, src string) error {
 	switch s := st.(type) {
 	case *query.CreateDomain:
@@ -23,9 +22,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 		}
 		if err := db.cat.AddDomain(d); err != nil {
 			return err
-		}
-		if src == "" {
-			src = DomainDDL(d)
 		}
 		return db.persistDDL(src)
 	case *query.CreatePolicy:
@@ -39,9 +35,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 		}
 		if err := db.cat.AddPolicy(p); err != nil {
 			return err
-		}
-		if src == "" {
-			src = PolicyDDL(p)
 		}
 		return db.persistDDL(src)
 	case *query.CreateTable:
@@ -60,9 +53,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 			if err := db.buildIndexInst(def); err != nil {
 				return err
 			}
-		}
-		if src == "" {
-			src = TableDDL(tbl)
 		}
 		return db.persistDDL(src)
 	case *query.CreateIndex:
@@ -99,10 +89,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 			db.cat.DropIndex(def.Name) //nolint:errcheck // best-effort rollback
 			return err
 		}
-		if src == "" {
-			src = fmt.Sprintf("CREATE INDEX %s ON %s (%s) USING %s",
-				def.Name, tbl.Name, tbl.Columns[ci].Name, typ)
-		}
 		return db.persistDDL(src)
 	case *query.DropTable:
 		tbl, err := db.cat.Table(s.Name)
@@ -117,9 +103,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 		if err := db.mgr.DropTable(tbl.ID); err != nil {
 			return err
 		}
-		if src == "" {
-			src = "DROP TABLE " + tbl.Name
-		}
 		return db.persistDDL(src)
 	case *query.DropIndex:
 		inst, ok := db.indexes[strings.ToLower(s.Name)]
@@ -130,9 +113,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 			return err
 		}
 		db.dropIndexInst(inst)
-		if src == "" {
-			src = "DROP INDEX " + inst.def.Name
-		}
 		return db.persistDDL(src)
 	case *query.DeclarePurpose:
 		p, err := db.buildPurpose(s)
@@ -141,9 +121,6 @@ func (db *DB) execDDL(st query.Statement, src string) error {
 		}
 		if err := db.cat.DeclarePurpose(p); err != nil {
 			return err
-		}
-		if src == "" {
-			src = db.PurposeDDL(p)
 		}
 		return db.persistDDL(src)
 	default:
@@ -273,7 +250,7 @@ func (db *DB) buildPurpose(s *query.DeclarePurpose) (*catalog.Purpose, error) {
 	return p, nil
 }
 
-// --- DDL generators (canonical persistence for programmatic objects) ---
+// --- DDL generators (persistence for programmatically registered objects) ---
 
 // DomainDDL renders a domain as a CREATE DOMAIN statement.
 func DomainDDL(d gentree.Domain) string {
@@ -347,60 +324,4 @@ func PolicyDDL(p *lcp.Policy) string {
 	}
 	fmt.Fprintf(&sb, "\n) THEN %s", p.Terminal())
 	return sb.String()
-}
-
-// TableDDL renders a table as a CREATE TABLE statement.
-func TableDDL(t *catalog.Table) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "CREATE TABLE %s (", t.Name)
-	for i, c := range t.Columns {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		fmt.Fprintf(&sb, "\n  %s %s", c.Name, c.Kind)
-		if i == t.PrimaryKey {
-			sb.WriteString(" PRIMARY KEY")
-		} else if c.NotNull {
-			sb.WriteString(" NOT NULL")
-		}
-		if c.Degradable {
-			fmt.Fprintf(&sb, " DEGRADABLE DOMAIN %s POLICY %s", c.Domain.Name(), c.Policy.Name())
-		}
-	}
-	fmt.Fprintf(&sb, "\n) LAYOUT %s", t.Layout)
-	return sb.String()
-}
-
-// PurposeDDL renders a purpose as a DECLARE PURPOSE statement, resolving
-// level names through the catalog's column domains.
-func (db *DB) PurposeDDL(p *catalog.Purpose) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "DECLARE PURPOSE %s SET ACCURACY LEVEL ", p.Name)
-	keys := make([]string, 0, len(p.Levels))
-	for k := range p.Levels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s FOR %s", db.levelNameFor(p, k), k)
-	}
-	if p.AllowUnlisted {
-		sb.WriteString(" ALLOW UNLISTED")
-	}
-	return sb.String()
-}
-
-func (db *DB) levelNameFor(p *catalog.Purpose, qualified string) string {
-	parts := strings.SplitN(qualified, ".", 2)
-	if len(parts) == 2 {
-		if tbl, err := db.cat.Table(parts[0]); err == nil {
-			if ci, err := tbl.ColumnIndex(parts[1]); err == nil && tbl.Columns[ci].Domain != nil {
-				return tbl.Columns[ci].Domain.LevelName(p.Levels[qualified])
-			}
-		}
-	}
-	return fmt.Sprintf("level%d", p.Levels[qualified])
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,5 +165,93 @@ func TestGroupCommitDuplicatePKRace(t *testing.T) {
 	rows := db.MustExec(`SELECT COUNT(*) FROM person WHERE id = 7`)
 	if n := rows.Rows.Data[0][0].Int(); n != 1 {
 		t.Fatalf("pk 7 present %d times", n)
+	}
+}
+
+// TestCommitMutexFreeDuringDegradeFsync: a degradation batch commits
+// through the same phases as a user batch, so the engine mutex is free
+// while its fsync is parked — the catalog script (the router's OpSchema,
+// a replica's handshake) and a shard check answer meanwhile, and the
+// batch still applies once the fsync returns.
+func TestCommitMutexFreeDuringDegradeFsync(t *testing.T) {
+	fi := &wal.FaultInjector{}
+	db := openGated(t, fi)
+	installSchema(t, db)
+	insertPeople(t, db)
+	db.clock.(*vclock.Simulated).Advance(16 * time.Minute) // past the address hold
+
+	parked := fi.Hold()
+	type tick struct {
+		n   int
+		err error
+	}
+	ticked := make(chan tick, 1)
+	go func() {
+		n, err := db.DegradeNow()
+		ticked <- tick{n, err}
+	}()
+	<-parked
+
+	answered := make(chan error, 1)
+	go func() {
+		script, err := db.CatalogScript()
+		if err == nil && !strings.Contains(script, "CREATE TABLE person") {
+			err = fmt.Errorf("catalog script lacks the person table:\n%s", script)
+		}
+		if err == nil {
+			_, err = db.CheckShardVersion(1)
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("CatalogScript blocked behind the degradation batch's parked fsync")
+	}
+	select {
+	case tk := <-ticked:
+		t.Fatalf("the tick returned (n=%d err=%v) while its fsync was parked", tk.n, tk.err)
+	default:
+	}
+
+	fi.Release()
+	if tk := <-ticked; tk.err != nil || tk.n != 5 {
+		t.Fatalf("tick: n=%d err=%v, want the 5 address transitions", tk.n, tk.err)
+	}
+	if rows := db.MustExec(`SELECT name, location FROM person`); rows.Rows.Len() != 0 {
+		t.Fatalf("a full-accuracy read sees %d rows after the address hold, want 0", rows.Rows.Len())
+	}
+}
+
+// TestDropTableDuringDegradeFsync: with the commit mutex free during a
+// degradation batch's fsync, a DROP TABLE can land between the batch's
+// append and its apply. The batch's records then have no table to apply
+// to, as replay finds them, and are skipped: the tick succeeds and the
+// database stays open for commits.
+func TestDropTableDuringDegradeFsync(t *testing.T) {
+	fi := &wal.FaultInjector{}
+	db := openGated(t, fi)
+	installSchema(t, db)
+	insertPeople(t, db)
+	db.MustExec(`CREATE TABLE other (id INT PRIMARY KEY)`)
+	db.clock.(*vclock.Simulated).Advance(16 * time.Minute)
+
+	parked := fi.Hold()
+	ticked := make(chan error, 1)
+	go func() {
+		_, err := db.DegradeNow()
+		ticked <- err
+	}()
+	<-parked
+	db.MustExec(`DROP TABLE person`)
+	fi.Release()
+	if err := <-ticked; err != nil {
+		t.Fatalf("tick across the drop: %v", err)
+	}
+	if _, err := db.Exec(`INSERT INTO other (id) VALUES (1)`); err != nil {
+		t.Fatalf("commit after the drop: %v", err)
 	}
 }

@@ -318,20 +318,36 @@ func (db *DB) indexed(tableID uint32, on func(*indexInst) bool) bool {
 	return slices.ContainsFunc(db.byTable[tableID], on)
 }
 
+// origin is where a batch of records comes from, which decides what
+// applying it maintains besides storage.
+type origin uint8
+
+const (
+	// replay: WAL replay at open; recovery rebuilds indexes and
+	// degradation queues afterwards in bulk, so applying maintains
+	// neither.
+	replay origin = iota
+	// local: a user transaction or a degradation batch of this database.
+	local
+	// replicated: a leader's batch on a replica, whose transitions
+	// schedule the replica's own follow-ups (applyDegrades).
+	replicated
+)
+
 // applyRecords applies redo records to storage (always) and to indexes
-// and degradation queues (live mode only; recovery rebuilds both
-// afterwards in bulk), one run at a time: a run is a stretch of
-// consecutive records of one type and one table — for transitions also
-// one degradable column — and applies under one hold of the table's
-// storage lock, each page it touches copied in and out once.
-func (db *DB) applyRecords(recs []*wal.Record, live bool) error {
+// and degradation queues (live batches only, not replay), one run at a
+// time: a run is a stretch of consecutive records of one type and one
+// table — for transitions also one degradable column — and applies under
+// one hold of the table's storage lock, each page it touches copied in
+// and out once.
+func (db *DB) applyRecords(recs []*wal.Record, from origin) error {
 	for len(recs) > 0 {
 		head, n := recs[0], 1
 		for n < len(recs) && recs[n].Type == head.Type && recs[n].Table == head.Table &&
 			(head.Type != wal.RecDegrade || recs[n].DegPos == head.DegPos) {
 			n++
 		}
-		if err := db.applyRun(recs[:n], live); err != nil {
+		if err := db.applyRun(recs[:n], from); err != nil {
 			return err
 		}
 		recs = recs[n:]
@@ -340,7 +356,7 @@ func (db *DB) applyRecords(recs []*wal.Record, live bool) error {
 }
 
 // applyRun applies one run (see applyRecords).
-func (db *DB) applyRun(run []*wal.Record, live bool) error {
+func (db *DB) applyRun(run []*wal.Record, from origin) error {
 	head := run[0]
 	if head.Type == wal.RecReplMark {
 		// Follower resume bookkeeping; no storage effect. Handled before
@@ -351,18 +367,17 @@ func (db *DB) applyRun(run []*wal.Record, live bool) error {
 	}
 	tbl, err := db.cat.TableByID(head.Table)
 	if err != nil {
-		// Records of dropped tables are ignorable during replay.
-		if !live {
-			return nil
-		}
-		return err
+		// The records of a dropped table have nothing to apply to: replay
+		// meets them, and so does a batch that a DROP TABLE overtook
+		// between its append and its apply.
+		return nil
 	}
-	ts := db.mgr.Table(tbl)
+	ts, live := db.mgr.Table(tbl), from != replay
 	switch head.Type {
 	case wal.RecInsert:
 		return db.applyInserts(tbl, ts, run, live)
 	case wal.RecDegrade:
-		return db.applyDegrades(tbl, ts, run, live)
+		return db.applyDegrades(tbl, ts, run, from)
 	case wal.RecDelete:
 		return db.applyDeletes(tbl, ts, run, live)
 	case wal.RecUpdateStable:
@@ -490,12 +505,12 @@ func (db *DB) applyUpdates(tbl *catalog.Table, ts *storage.TableStore, run []*wa
 // The column's before-states are read, with one DegradableMany, only for
 // what needs them: the indexes on the column, moved before storage is,
 // and a replica's follow-up scheduling.
-func (db *DB) applyDegrades(tbl *catalog.Table, ts *storage.TableStore, run []*wal.Record, live bool) error {
+func (db *DB) applyDegrades(tbl *catalog.Table, ts *storage.TableStore, run []*wal.Record, from origin) error {
 	pos := int(run[0].DegPos)
 	onCol := func(inst *indexInst) bool { return inst.deg == pos }
 	var before []storage.DegCell
 	dups := false
-	if live && (db.applyingRepl || db.indexed(tbl.ID, onCol)) {
+	if from == replicated || (from == local && db.indexed(tbl.ID, onCol)) {
 		ids := tupleIDs(run)
 		var err error
 		if before, err = ts.DegradableMany(ids, pos); err != nil {
@@ -535,7 +550,7 @@ func (db *DB) applyDegrades(tbl *catalog.Table, ts *storage.TableStore, run []*w
 			}
 		}
 		to = append(to, next)
-		if live && db.applyingRepl {
+		if from == replicated {
 			ext = append(ext, r)
 		}
 	}
@@ -546,8 +561,7 @@ func (db *DB) applyDegrades(tbl *catalog.Table, ts *storage.TableStore, run []*w
 	// schedule this replica's own follow-up transition, so the next
 	// deadline fires on the replica's clock even if the leader is
 	// partitioned away when it comes due. Locally fired transitions don't
-	// pass here (applyingRepl is set only while a replicated batch
-	// applies): the degrade engine enqueues their follow-ups itself.
+	// pass here: the degrade engine enqueues their follow-ups itself.
 	for _, r := range ext {
 		db.deg.OnExternalTransition(tbl, r.Tuple, pos, r.NewState, r.InsertNano)
 	}

@@ -154,13 +154,13 @@ func (db *DB) Exec(src string, args ...value.Value) (*Result, error) {
 // ExecScript executes a semicolon-separated statement sequence on a
 // fresh session, stopping at the first error.
 func (db *DB) ExecScript(src string) error {
-	stmts, err := query.ParseScript(src)
+	stmts, texts, err := query.ParseScript(src)
 	if err != nil {
 		return err
 	}
 	conn := db.NewConn()
-	for _, st := range stmts {
-		if _, err := conn.ExecParsed(st, ""); err != nil {
+	for i, st := range stmts {
+		if _, err := conn.ExecParsed(st, texts[i]); err != nil {
 			return err
 		}
 	}
@@ -226,8 +226,8 @@ func (c *Conn) Query(src string, args ...value.Value) (*Rows, error) {
 	return res.Rows, nil
 }
 
-// ExecParsed executes an already parsed statement. src is used verbatim
-// for DDL persistence (may be empty to regenerate canonical DDL).
+// ExecParsed executes an already parsed statement. src is its source
+// text, persisted verbatim for DDL.
 func (c *Conn) ExecParsed(st query.Statement, src string) (*Result, error) {
 	if c.aborted {
 		switch st.(type) {
@@ -300,8 +300,18 @@ func (c *Conn) ExecParsed(st query.Statement, src string) (*Result, error) {
 		}
 		c.db.mu.Lock()
 		defer c.db.mu.Unlock()
-		return &Result{}, c.db.execDDL(st, strings.TrimSuffix(strings.TrimSpace(src), ";"))
+		return &Result{}, c.db.execDDL(st, ddlText(src))
 	}
+}
+
+// ddlText returns the statement src holds without the space, comments
+// and ';' around it, as catalog.sql persists it: a trailing comment kept
+// there would swallow the ';' that ends the statement.
+func ddlText(src string) string {
+	if _, texts, err := query.ParseScript(src); err == nil && len(texts) == 1 {
+		return texts[0]
+	}
+	return strings.TrimSuffix(strings.TrimSpace(src), ";")
 }
 
 // execSelect runs a SELECT, tearing down the explicit transaction on
@@ -384,11 +394,11 @@ func (c *Conn) commitTx() error {
 	if len(tx.recs) == 0 {
 		return nil
 	}
-	// commitUser runs the authoritative primary-key check and then the
+	// commit runs the authoritative primary-key check and then the
 	// group-commit path: the transaction's 2PL locks (released by the
 	// defer above, after durability and apply) keep concurrent batches
 	// disjoint while their WAL appends interleave.
-	return c.db.commitUser(tx.recs, c.tr, c.tsp)
+	return c.db.commit(tx.recs, local, c.tr, c.tsp)
 }
 
 // rollbackTx discards the write set and releases locks (or, for a

@@ -37,11 +37,11 @@ func TestParsePlaceholders(t *testing.T) {
 func TestParseScriptRejectsPlaceholders(t *testing.T) {
 	// Scripts have no bind path, so a stray ? must fail at parse time —
 	// not data-dependently at evaluation time.
-	_, err := ParseScript("INSERT INTO t (id) VALUES (1); DELETE FROM t WHERE id = ?;")
+	_, _, err := ParseScript("INSERT INTO t (id) VALUES (1); DELETE FROM t WHERE id = ?;")
 	if err == nil || !strings.Contains(err.Error(), "statement 2") {
 		t.Fatalf("script with placeholder: %v, want statement-2 rejection", err)
 	}
-	if _, err := ParseScript("INSERT INTO t (id) VALUES (1); DELETE FROM t WHERE id = 1;"); err != nil {
+	if _, _, err := ParseScript("INSERT INTO t (id) VALUES (1); DELETE FROM t WHERE id = 1;"); err != nil {
 		t.Fatalf("placeholder-free script rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"testing"
 
 	"instantdb/internal/value"
@@ -77,6 +78,35 @@ func FuzzParse(f *testing.F) {
 		}
 		if NumPlaceholders(bound) != 0 {
 			t.Fatalf("bound statement of %q still has placeholders", src)
+		}
+	})
+}
+
+// FuzzParseScript checks the statement texts ParseScript returns: each
+// must parse on its own to the statement the script gave for it, so a
+// catalog that persists the texts replays the same schema.
+func FuzzParseScript(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Add("CREATE DOMAIN d TREE LEVELS (a, b) PATH ('x;y', 'z');; DROP TABLE t -- a ; in a comment\n;")
+	f.Add("SELECT id FROM t WHERE name = 'a;''b'; -- the end")
+	f.Fuzz(func(t *testing.T, src string) {
+		stmts, texts, err := ParseScript(src)
+		if err != nil {
+			return
+		}
+		if len(texts) != len(stmts) {
+			t.Fatalf("%d statements, %d texts", len(stmts), len(texts))
+		}
+		for i, text := range texts {
+			st, err := Parse(text)
+			if err != nil {
+				t.Fatalf("statement %d text %q of %q does not parse: %v", i+1, text, src, err)
+			}
+			if !reflect.DeepEqual(st, stmts[i]) {
+				t.Fatalf("statement %d text %q parses to %#v, the script gave %#v", i+1, text, st, stmts[i])
+			}
 		}
 	})
 }

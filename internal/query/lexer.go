@@ -31,7 +31,8 @@ const (
 type token struct {
 	kind tokKind
 	text string // keywords uppercased; idents lowercased; strings unquoted
-	pos  int
+	// pos and end delimit the token's source bytes.
+	pos, end int
 }
 
 // keywords of the dialect (including the paper's extensions).
@@ -89,6 +90,7 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		}
+		l.toks[len(l.toks)-1].end = l.pos
 	}
 }
 

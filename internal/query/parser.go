@@ -36,34 +36,40 @@ func ParseWithParams(src string) (Statement, int, error) {
 	return st, p.params, nil
 }
 
-// ParseScript parses a semicolon-separated statement sequence.
+// ParseScript parses a semicolon-separated statement sequence. It
+// returns each statement with its source text: the script's bytes from
+// the statement's first token to its last, so comments and space around
+// a statement are left out and a literal holding a ';' is kept whole.
 // Placeholders are rejected: no script path can supply arguments, and
 // an unbound placeholder would otherwise fail only when a row reaches
 // the predicate — passing or failing with data volume.
-func ParseScript(src string) ([]Statement, error) {
+func ParseScript(src string) ([]Statement, []string, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{toks: toks, src: src}
 	var out []Statement
+	var texts []string
 	for {
 		for p.accept(tokSymbol, ";") {
 		}
 		if p.at(tokEOF, "") {
-			return out, nil
+			return out, texts, nil
 		}
 		p.params = 0
+		start := p.cur().pos
 		st, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if p.params > 0 {
-			return nil, fmt.Errorf("query: statement %d uses ? placeholders, which scripts cannot bind", len(out)+1)
+			return nil, nil, fmt.Errorf("query: statement %d uses ? placeholders, which scripts cannot bind", len(out)+1)
 		}
 		out = append(out, st)
+		texts = append(texts, src[start:p.toks[p.i-1].end])
 		if !p.accept(tokSymbol, ";") && !p.at(tokEOF, "") {
-			return nil, p.errf("expected ';' between statements")
+			return nil, nil, p.errf("expected ';' between statements")
 		}
 	}
 }

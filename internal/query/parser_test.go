@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -223,17 +224,27 @@ func TestParseSessionStatements(t *testing.T) {
 }
 
 func TestParseScriptAndComments(t *testing.T) {
-	stmts, err := ParseScript(`
+	stmts, texts, err := ParseScript(`
 		-- the paper's running example
 		CREATE DOMAIN salary RANGES (100, 1000, SUPPRESS);
 		CREATE POLICY sp ON salary (HOLD exact FOR '12h') THEN SUPPRESS;;
-		SELECT * FROM person;
-	`)
+		SELECT * FROM person -- all of it
+		;
+		SELECT id FROM t WHERE name = 'a;''b'`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 3 {
+	if len(stmts) != 4 {
 		t.Fatalf("parsed %d statements", len(stmts))
+	}
+	want := []string{
+		"CREATE DOMAIN salary RANGES (100, 1000, SUPPRESS)",
+		"CREATE POLICY sp ON salary (HOLD exact FOR '12h') THEN SUPPRESS",
+		"SELECT * FROM person",
+		"SELECT id FROM t WHERE name = 'a;''b'",
+	}
+	if !slices.Equal(texts, want) {
+		t.Fatalf("statement texts %q, want %q", texts, want)
 	}
 }
 

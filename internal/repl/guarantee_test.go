@@ -1,8 +1,11 @@
 package repl_test
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,4 +444,176 @@ func TestLateCopiesAfterKeyShred(t *testing.T) {
 	if err != nil || rows.Len() != 1 || rows.Data[0][0].Int() != 3 {
 		t.Fatalf("after the second heal: rows=%v err=%v, want tuple 3 only", rows, err)
 	}
+}
+
+// TestReplicaAppliesWhileTicking: replicated leader batches commit
+// through the replica's one commit path while its own degrader ticks on
+// its own clock, so the two race: either side may fire a transition
+// first, and a local tick may land between a leader batch's late-copy
+// filter and its encode. One goroutine feeds the leader's batches in
+// order (retrying one whose encode met a key the replica has shredded
+// meanwhile, as a reconnecting follower does from its ReplPos) while the
+// replica advances its clock a minute per tick, never more than ten
+// minutes ahead of the leader's inserts. At the end every tuple is in
+// the coarser of the leader's state and the state the replica's clock
+// demands, nothing is overdue, a reopen reads the same states, and the
+// replay position is the end of the fed stream.
+func TestReplicaAppliesWhileTicking(t *testing.T) {
+	const inserts, leaderSteps, replicaSteps, ahead = 40, 120, 100, 10
+	t0 := vclock.Epoch
+	leaderClock := vclock.NewSimulated(t0)
+	leader, err := engine.Open(engine.Config{Dir: t.TempDir(), Clock: leaderClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if err := leader.ExecScript(testSchema); err != nil {
+		t.Fatal(err)
+	}
+
+	// The leader's history, one insert a minute for 40 minutes and a tick
+	// every minute for two hours, cut into its commit batches. Each is
+	// decoded right after the step that wrote it, while the leader still
+	// holds its keys.
+	type leaderBatch struct {
+		recs        []*wal.Record
+		start, next wal.Pos
+		step        int
+	}
+	var stream []leaderBatch
+	var pos wal.Pos
+	for step := 0; step < leaderSteps; step++ {
+		if step < inserts {
+			if _, err := leader.Exec(`INSERT INTO visits (id, who, place) VALUES (?, 'w', ?)`,
+				value.Int(int64(step+1)), value.Text([]string{"Dam 1", "Coolsingel 40"}[step%2])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := leader.DegradeNow(); err != nil {
+			t.Fatal(err)
+		}
+		log := leader.Log()
+		if err := log.TailRaw(pos, log.EndPos(), func(payload []byte, next wal.Pos) error {
+			recs, err := wal.DecodeRecords(payload, log.Codec())
+			stream = append(stream, leaderBatch{recs, pos, next, step})
+			pos = next
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		leaderClock.Advance(time.Minute)
+	}
+
+	dir := t.TempDir()
+	folClock := vclock.NewSimulated(t0)
+	cfg := engine.Config{Dir: dir, Replica: true, Clock: folClock, ShredBucket: time.Minute}
+	follower, err := engine.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { follower.Close() }()
+	_, schema, err := leader.ReplSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyReplicatedDDL(schema); err != nil {
+		t.Fatal(err)
+	}
+
+	var fed atomic.Int64 // the leader step whose batches are all applied
+	fed.Store(-1)
+	feedErr := make(chan error, 1)
+	go func() {
+		defer fed.Store(leaderSteps)
+		for i := 0; i < len(stream); i++ {
+			b := stream[i]
+			err := follower.ApplyReplicated(b.recs, b.next)
+			if errors.Is(err, wal.ErrKeyShredded) && follower.ReplPos() == b.start {
+				i-- // resume from ReplPos: the filter drops the late copy now
+				continue
+			}
+			if err != nil {
+				feedErr <- fmt.Errorf("batch %d (leader step %d): %w", i, b.step, err)
+				return
+			}
+			if i+1 == len(stream) || stream[i+1].step != b.step {
+				fed.Store(int64(b.step))
+			}
+		}
+		feedErr <- nil
+	}()
+	for step := 1; step <= replicaSteps; step++ {
+		for deadline := time.Now().Add(10 * time.Second); step-ahead < inserts && fed.Load() < int64(step-ahead); {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica step %d: the feed is stuck at leader step %d", step, fed.Load())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		folClock.Advance(time.Minute)
+		if _, err := follower.DegradeNow(); err != nil {
+			t.Fatalf("replica tick at step %d: %v", step, err)
+		}
+	}
+	if err := <-feedErr; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.DegradeNow(); err != nil {
+		t.Fatal(err)
+	}
+	if lag := follower.Degrader().Lag(folClock.Now()); lag != 0 {
+		t.Fatalf("replica lag %v after its last tick, want 0", lag)
+	}
+	if got, want := follower.ReplPos(), stream[len(stream)-1].next; got != want {
+		t.Fatalf("replica resumes at %v, want the end of the fed stream %v", got, want)
+	}
+
+	// The state the replica's own clock demands of tuple id (inserted at
+	// minute id-1): address for 15 minutes, city for an hour after that,
+	// region for the rest of this test.
+	byClock := func(id int64) uint8 {
+		switch age := folClock.Now().Sub(t0.Add(time.Duration(id-1) * time.Minute)); {
+		case age < 15*time.Minute:
+			return 0
+		case age < 75*time.Minute:
+			return 1
+		}
+		return 2
+	}
+	want := placeStates(t, leader)
+	for id, st := range want {
+		want[id] = max(st, byClock(id))
+	}
+	if got := placeStates(t, follower); !maps.Equal(got, want) {
+		t.Fatalf("replica states %v, want the coarser of the leader's and its clock's %v", got, want)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	follower, err = engine.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := placeStates(t, follower); !maps.Equal(got, want) {
+		t.Fatalf("reopened replica states %v, want %v", got, want)
+	}
+	if got, want := follower.ReplPos(), stream[len(stream)-1].next; got != want {
+		t.Fatalf("reopened replica resumes at %v, want %v", got, want)
+	}
+}
+
+// placeStates returns the stored state of each visits row's place, by id.
+func placeStates(t *testing.T, db *engine.DB) map[int64]uint8 {
+	t.Helper()
+	tbl, err := db.Catalog().Table("visits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int64]uint8)
+	if err := db.StorageManager().Table(tbl).Scan(func(tup storage.Tuple) bool {
+		out[tup.Row[0].Int()] = tup.States[0]
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

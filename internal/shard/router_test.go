@@ -7,12 +7,14 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"instantdb/client"
 	"instantdb/internal/engine"
+	"instantdb/internal/query"
 	"instantdb/internal/server"
 	"instantdb/internal/shard"
 	"instantdb/internal/value"
@@ -609,5 +611,46 @@ func TestRouterSchemaMirror(t *testing.T) {
 	}
 	if found != 1 {
 		t.Fatalf("broadcast-created table holds %d rows across shards, want 1", found)
+	}
+}
+
+// TestSchemaScriptKeepsLiterals: a DDL literal holding a ';' survives
+// the router's schema mirror. The shard persists each statement as
+// written, the mirror keeps each statement of the shard's script whole,
+// and the script it serves for OpSchema parses to the same statements.
+func TestSchemaScriptKeepsLiterals(t *testing.T) {
+	const ddl = `CREATE DOMAIN codes TREE LEVELS (code, family) PATH ('x;y', 'z') PATH ('w', 'z');
+CREATE POLICY cp ON codes (HOLD code FOR '1h') THEN SUPPRESS;
+CREATE TABLE tagged (id INT PRIMARY KEY, code TEXT DEGRADABLE DOMAIN codes POLICY cp)`
+	db, err := engine.Open(engine.Config{Dir: t.TempDir(), Clock: vclock.NewSimulated(vclock.Epoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ExecScript(ddl); err != nil {
+		t.Fatal(err)
+	}
+	script, err := db.CatalogScript()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := shard.NewSchema()
+	if err := mirror.ApplyScript(script); err != nil {
+		t.Fatal(err)
+	}
+	served := mirror.Script()
+	got, _, err := query.ParseScript(served)
+	if err != nil {
+		t.Fatalf("the mirror's script does not parse: %v\n%s", err, served)
+	}
+	want, _, err := query.ParseScript(ddl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the mirror serves\n%s\nwhich parses to %#v, want %#v", served, got, want)
+	}
+	if names := mirror.TableNames(); len(names) != 1 || names[0] != "tagged" {
+		t.Fatalf("mirrored tables %v, want [tagged]", names)
 	}
 }

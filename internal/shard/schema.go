@@ -37,18 +37,17 @@ func NewSchema() *Schema {
 // ApplyScript parses a full catalog DDL script and mirrors it,
 // replacing the current state.
 func (s *Schema) ApplyScript(script string) error {
-	stmts, err := query.ParseScript(script)
+	stmts, texts, err := query.ParseScript(script)
 	if err != nil {
 		return fmt.Errorf("shard: schema script: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables = make(map[string]*tableShape)
-	s.stmts = nil
 	for _, st := range stmts {
 		s.applyLocked(st)
 	}
-	s.stmts = append(s.stmts, splitScript(script)...)
+	s.stmts = texts
 	return nil
 }
 
@@ -109,16 +108,4 @@ func (s *Schema) Script() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// splitScript cuts a DDL script into trimmed statements (best effort:
-// the script is machine-generated, one statement per ';').
-func splitScript(script string) []string {
-	var out []string
-	for _, part := range strings.Split(script, ";") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p+";")
-		}
-	}
-	return out
 }
