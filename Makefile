@@ -53,8 +53,11 @@ md-check:
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each: the SQL parser
 # and its script splitter (each statement text it returns parses on its
-# own to the same statement), the value codec (every accepted value re-encodes to the bytes it was
-# read from), the B+tree key codec (keys of one kind order as their
+# own to the same statement, and the shell's Split finds the same
+# texts), the value codec (every accepted value re-encodes to the bytes it was
+# read from), the wire's statement frame decoder (every request a client
+# or router sends is one; an accepted frame re-encodes to one that
+# decodes the same, and no claimed count sizes an allocation), the B+tree key codec (keys of one kind order as their
 # values do and none is a proper prefix of another), the WAL
 # batch-payload decoder (replication and recovery feed it bytes from
 # outside the process), the audit trail's block decoder (Verify and
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzParseScript$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/value -run '^$$' -fuzz FuzzValueCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/value -run '^$$' -fuzz FuzzOrderedKey -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeExec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeAuditBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME)

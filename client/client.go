@@ -42,8 +42,8 @@ var ErrClosed = errors.New("client: connection closed")
 //
 //	if errors.Is(err, client.ErrServerBusy) { backoff() }
 var (
-	// ErrUnknownPurpose: the handshake or SET PURPOSE named a purpose
-	// the server has not declared.
+	// ErrUnknownPurpose: the handshake, SetPurpose or a SET PURPOSE
+	// statement named a purpose the server has not declared.
 	ErrUnknownPurpose = wire.ErrUnknownPurpose
 	// ErrServerBusy: the server's connection limit is reached (fatal).
 	ErrServerBusy = wire.ErrServerBusy
@@ -183,23 +183,14 @@ func (c *Conn) Close() error {
 // need no quoting and cannot inject. For statements executed
 // repeatedly, Prepare amortizes the parse as well.
 func (c *Conn) Exec(ctx context.Context, sql string, args ...value.Value) (*Result, error) {
-	if len(args) == 0 {
-		return c.request(ctx, wire.OpExec, []byte(sql))
-	}
-	return c.request(ctx, wire.OpExecArgs, wire.EncodeExecArgs(sql, args))
+	return c.request(ctx, wire.OpExec, wire.EncodeExec(wire.Exec{SQL: sql, Args: args}))
 }
 
 // Query runs one SQL statement and returns its rows (empty, never nil,
 // for statements that produce none). Args bind to `?` placeholders as
 // in Exec.
 func (c *Conn) Query(ctx context.Context, sql string, args ...value.Value) (*Rows, error) {
-	var res *Result
-	var err error
-	if len(args) == 0 {
-		res, err = c.request(ctx, wire.OpQuery, []byte(sql))
-	} else {
-		res, err = c.request(ctx, wire.OpExecArgs, wire.EncodeExecArgs(sql, args))
-	}
+	res, err := c.Exec(ctx, sql, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -269,17 +260,14 @@ func (s *Stmt) Close(ctx context.Context) error {
 	return err
 }
 
-// SetPurpose switches the session purpose by name.
+// SetPurpose switches the session purpose by name: it executes SET
+// PURPOSE name.
 func (c *Conn) SetPurpose(ctx context.Context, name string) error {
-	_, err := c.request(ctx, wire.OpSetPurpose, []byte(name))
-	return err
+	return c.execOnly(ctx, "SET PURPOSE "+name)
 }
 
 // Begin opens an explicit read-write transaction on the session.
-func (c *Conn) Begin(ctx context.Context) error {
-	_, err := c.request(ctx, wire.OpBegin, nil)
-	return err
-}
+func (c *Conn) Begin(ctx context.Context) error { return c.execOnly(ctx, "BEGIN") }
 
 // BeginReadOnly opens a read-only transaction on the session: every
 // statement until Commit/Rollback reads one consistent snapshot, takes
@@ -288,22 +276,19 @@ func (c *Conn) Begin(ctx context.Context) error {
 // Note the one intentional deviation from classic snapshot isolation:
 // LCP transitions crossing their deadline mid-transaction ARE visible —
 // expired accuracy states are never readable, whatever snapshot is open.
-func (c *Conn) BeginReadOnly(ctx context.Context) error {
-	_, err := c.request(ctx, wire.OpBeginRO, nil)
-	return err
-}
+func (c *Conn) BeginReadOnly(ctx context.Context) error { return c.execOnly(ctx, "BEGIN READ ONLY") }
 
 // Commit commits the open transaction.
-func (c *Conn) Commit(ctx context.Context) error {
-	_, err := c.request(ctx, wire.OpCommit, nil)
-	return err
-}
+func (c *Conn) Commit(ctx context.Context) error { return c.execOnly(ctx, "COMMIT") }
 
 // Rollback aborts the open transaction. It is idempotent: rolling back
 // when no transaction is open — in particular after a statement failure
 // already aborted it server-side — succeeds.
-func (c *Conn) Rollback(ctx context.Context) error {
-	_, err := c.request(ctx, wire.OpRollback, nil)
+func (c *Conn) Rollback(ctx context.Context) error { return c.execOnly(ctx, "ROLLBACK") }
+
+// execOnly executes a statement whose result carries nothing.
+func (c *Conn) execOnly(ctx context.Context, sql string) error {
+	_, err := c.Exec(ctx, sql)
 	return err
 }
 

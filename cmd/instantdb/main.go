@@ -10,8 +10,9 @@
 //	instantdb [-dir path] [-log shred|plain|vacuum] [-tick 1s] [-e 'stmt; stmt']
 //	instantdb -connect host:7654 [-purpose name] [-e 'stmt; stmt']
 //
-// Without -e the shell reads statements from stdin, one per line
-// (terminate with ';'; multi-line statements are accumulated).
+// Without -e the shell reads statements from stdin, each ended by ';'
+// (a statement may span lines, and a ';' inside a string literal or a
+// -- comment does not end it).
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 
 	"instantdb"
 	"instantdb/client"
+	"instantdb/internal/query"
 )
 
 // stmtResult is the shell's view of one statement outcome, common to
@@ -74,7 +76,11 @@ func main() {
 	defer sess.close()
 
 	if *exec != "" {
-		for _, stmt := range splitStatements(*exec) {
+		stmts, rest := query.Split(*exec)
+		if rest != "" {
+			stmts = append(stmts, rest)
+		}
+		for _, stmt := range stmts {
 			if err := runStatement(sess, stmt); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)
@@ -91,9 +97,10 @@ func main() {
 	fmt.Println(`type SQL terminated by ';' — try "help;" or "quit;"`)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var acc strings.Builder
+	// acc holds input read but not yet ended by a ';'.
+	var acc string
 	prompt := func() {
-		if acc.Len() == 0 {
+		if acc == "" {
 			fmt.Print("instantdb> ")
 		} else {
 			fmt.Print("       ... ")
@@ -101,16 +108,9 @@ func main() {
 	}
 	prompt()
 	for sc.Scan() {
-		line := sc.Text()
-		acc.WriteString(line)
-		acc.WriteString("\n")
-		if !strings.Contains(line, ";") {
-			prompt()
-			continue
-		}
-		input := acc.String()
-		acc.Reset()
-		for _, stmt := range splitStatements(input) {
+		var stmts []string
+		stmts, acc = query.Split(acc + "\n" + sc.Text())
+		for _, stmt := range stmts {
 			switch strings.ToLower(stmt) {
 			case "quit", "exit":
 				return
@@ -240,16 +240,6 @@ func (s *remoteSession) command(word string) bool {
 }
 
 func (s *remoteSession) close() { s.conn.Close() }
-
-func splitStatements(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ";") {
-		if t := strings.TrimSpace(part); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
 
 func runStatement(sess session, stmt string) error {
 	start := time.Now()

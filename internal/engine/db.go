@@ -117,7 +117,7 @@ type Config struct {
 	// interval (0 = call Tick/DegradeNow manually — simulations).
 	AutoDegrade time.Duration
 	// TraceSample controls hot-path request tracing: 0 records only
-	// remote-forced traces (the wire OpTraced wrapper), 1 traces every
+	// remote-forced traces (a trace id in a wire OpExec frame), 1 traces every
 	// request, n traces one request in n. Finished traces land in the
 	// tracer's bounded recent/slow rings (trace.RecentCap/SlowCap).
 	TraceSample int

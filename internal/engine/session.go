@@ -25,9 +25,13 @@ var (
 	ErrDegradableImmutable = errors.New("engine: degradable attributes are immutable after insert")
 	// ErrDuplicateKey marks a primary key violation.
 	ErrDuplicateKey = errors.New("engine: duplicate primary key")
-	// ErrNoTransaction is returned by COMMIT/ROLLBACK outside a
-	// transaction.
+	// ErrNoTransaction is returned by COMMIT outside a transaction.
+	// ROLLBACK outside one succeeds: a statement failure may already
+	// have rolled the transaction back, and the caller cannot tell.
 	ErrNoTransaction = errors.New("engine: no open transaction")
+	// ErrUnknownPurpose marks SET PURPOSE (or SetPurpose) naming a
+	// purpose the catalog does not declare.
+	ErrUnknownPurpose = errors.New("engine: unknown purpose")
 	// ErrTxAborted is returned by statements issued after a failure
 	// aborted the open transaction, until ROLLBACK acknowledges it.
 	// Without this state, a statement issued after the abort would
@@ -180,7 +184,7 @@ func (db *DB) MustExec(src string, args ...value.Value) *Result {
 func (c *Conn) SetPurpose(name string) error {
 	p, err := c.db.cat.Purpose(name)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %s", ErrUnknownPurpose, name)
 	}
 	c.purpose = p
 	c.bindPurposeCounters()
@@ -277,10 +281,9 @@ func (c *Conn) ExecParsed(st query.Statement, src string) (*Result, error) {
 		}
 		return &Result{}, c.commitTx()
 	case *query.Rollback:
-		if c.tx == nil {
-			return nil, ErrNoTransaction
+		if c.tx != nil {
+			c.rollbackTx()
 		}
-		c.rollbackTx()
 		return &Result{}, nil
 	case *query.SetPurpose:
 		return &Result{}, c.SetPurpose(s.Name)

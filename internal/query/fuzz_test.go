@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"instantdb/internal/value"
@@ -84,7 +85,8 @@ func FuzzParse(f *testing.F) {
 
 // FuzzParseScript checks the statement texts ParseScript returns: each
 // must parse on its own to the statement the script gave for it, so a
-// catalog that persists the texts replays the same schema.
+// catalog that persists the texts replays the same schema. Split, which
+// the shell cuts its input with, must find the same texts.
 func FuzzParseScript(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -98,6 +100,13 @@ func FuzzParseScript(f *testing.F) {
 		}
 		if len(texts) != len(stmts) {
 			t.Fatalf("%d statements, %d texts", len(stmts), len(texts))
+		}
+		split, rest := Split(src)
+		if rest != "" {
+			split = append(split, rest)
+		}
+		if !slices.Equal(split, texts) {
+			t.Fatalf("Split(%q) = %q, ParseScript's texts %q", src, split, texts)
 		}
 		for i, text := range texts {
 			st, err := Parse(text)

@@ -94,6 +94,43 @@ func lex(src string) ([]token, error) {
 	}
 }
 
+// Split cuts src at each ';' that ends a statement as the lexer reads
+// it: a ';' inside a string literal or a -- comment does not split.
+// Each statement runs from its first token to its last, as ParseScript
+// gives its texts, and empty ones are dropped. rest is the text after
+// the last ';' taken the same way ("" when none is there), or, when src
+// ends inside a string literal, from its first token to the end of src.
+// A reader of lines that appends the next line to rest after a newline
+// reads each statement whole.
+func Split(src string) (stmts []string, rest string) {
+	l := &lexer{src: src}
+	start, end := -1, 0
+	for l.skipSpace(); l.pos < len(src); l.skipSpace() {
+		c := src[l.pos]
+		if c == ';' {
+			if start >= 0 {
+				stmts = append(stmts, src[start:end])
+				start = -1
+			}
+			l.pos++
+			continue
+		}
+		if start < 0 {
+			start = l.pos
+		}
+		if c != '\'' {
+			l.pos++
+		} else if _, err := l.lexString(); err != nil {
+			return stmts, src[start:] // src ends inside the literal
+		}
+		end = l.pos
+	}
+	if start >= 0 {
+		rest = src[start:end]
+	}
+	return stmts, rest
+}
+
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

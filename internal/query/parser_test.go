@@ -248,6 +248,31 @@ func TestParseScriptAndComments(t *testing.T) {
 	}
 }
 
+// TestSplit covers what a reader of lines meets: a ';' in a literal or
+// a comment, input that ends inside a literal or before its ';', and
+// nothing but a comment after the last ';'.
+func TestSplit(t *testing.T) {
+	cases := []struct {
+		src   string
+		stmts []string
+		rest  string
+	}{
+		{"PATH ('x;y', 'z'); tick;", []string{"PATH ('x;y', 'z')", "tick"}, ""},
+		{"help; -- a; comment\n", []string{"help"}, ""},
+		{";; SELECT 1 -- one;\n;", []string{"SELECT 1"}, ""},
+		{"SELECT 1; SELECT", []string{"SELECT 1"}, "SELECT"},
+		{"INSERT INTO t VALUES ('a;\nb", nil, "INSERT INTO t VALUES ('a;\nb"},
+		{"SELECT 'it''s;' -- c\n", nil, "SELECT 'it''s;'"},
+		{"  -- only a comment", nil, ""},
+	}
+	for _, c := range cases {
+		stmts, rest := Split(c.src)
+		if !slices.Equal(stmts, c.stmts) || rest != c.rest {
+			t.Errorf("Split(%q) = %q, %q; want %q, %q", c.src, stmts, rest, c.stmts, c.rest)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "SELECT", "SELECT * FROM", "SELECT * FROM t WHERE",

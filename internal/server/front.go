@@ -79,19 +79,17 @@ func NewFront(role string, reg *metrics.Registry, maxConns, maxFrame int, logf f
 		}}
 }
 
-// opNames labels request opcodes in metrics and trace roots.
+// opNames labels request opcodes in metrics.
 var opNames = [256]string{
-	wire.OpPing: "ping", wire.OpExec: "exec", wire.OpQuery: "query",
-	wire.OpSetPurpose: "set_purpose", wire.OpBegin: "begin", wire.OpBeginRO: "begin_ro",
-	wire.OpCommit: "commit", wire.OpRollback: "rollback", wire.OpPrepare: "prepare",
+	wire.OpPing: "ping", wire.OpExec: "exec", wire.OpPrepare: "prepare",
 	wire.OpExecPrepared: "exec_prepared", wire.OpCloseStmt: "close_stmt",
-	wire.OpExecArgs: "exec_args", wire.OpBackup: "backup", wire.OpStats: "stats",
+	wire.OpBackup: "backup", wire.OpStats: "stats",
 	wire.OpShardCheck: "shard_check", wire.OpKeyExport: "key_export", wire.OpSchema: "schema",
-	wire.OpTraced: "traced", wire.OpTraceDump: "trace_dump", wire.OpAuditTail: "audit_tail",
+	wire.OpTraceDump: "trace_dump", wire.OpAuditTail: "audit_tail",
 }
 
-// OpName renders a request opcode as a metric label.
-func OpName(op byte) string {
+// opName renders a request opcode as a metric label.
+func opName(op byte) string {
 	if name := opNames[op]; name != "" {
 		return name
 	}
@@ -233,7 +231,7 @@ func (f *Front) handle(nc net.Conn) {
 		}
 		start := time.Now()
 		ok := sess.Serve(p, op, payload)
-		f.met.reqSeconds.With(OpName(op)).Observe(time.Since(start))
+		f.met.reqSeconds.With(opName(op)).Observe(time.Since(start))
 		if !ok {
 			return
 		}

@@ -48,7 +48,8 @@ type Options struct {
 	ReplHeartbeat time.Duration
 	// SlowQuery, when positive, logs every statement whose handling
 	// time reaches it, with the per-span breakdown when the statement
-	// was traced (locally sampled or remote-forced via OpTraced).
+	// was traced (locally sampled, or forced by the trace id its OpExec
+	// frame carries).
 	SlowQuery time.Duration
 	// SlowLogf receives slow-query lines (default Logf).
 	SlowLogf func(format string, args ...any)
@@ -88,10 +89,6 @@ type session struct {
 	lru    *list.List               // front = least recently used
 	nextID uint64
 	max    int
-	// remote is the forced trace of the OpTraced request currently
-	// being served (nil otherwise). While set, statement execution must
-	// not start a competing local trace.
-	remote *trace.T
 }
 
 type stmtEntry struct {
@@ -140,7 +137,7 @@ func (sess *session) Serve(p *Peer, op byte, payload []byte) bool {
 // Close rolls back the session's open transaction: a dropped
 // connection must not leak its transaction's locks.
 func (sess *session) Close() {
-	if _, err := sess.conn.Exec("ROLLBACK"); err != nil && !errors.Is(err, engine.ErrNoTransaction) {
+	if _, err := sess.conn.Exec("ROLLBACK"); err != nil {
 		sess.s.log("rollback %s: %v", sess.peer, err)
 	}
 }
@@ -191,27 +188,20 @@ func (s *Server) serveRequest(p *Peer, sess *session, op byte, payload []byte) b
 		return p.WriteFrame(wire.OpPong, nil) == nil
 	case wire.OpStats:
 		return s.serveStats(p)
-	case wire.OpExec, wire.OpQuery:
-		return s.execSQL(p, sess, string(payload))
-	case wire.OpSetPurpose:
-		if err := sess.conn.SetPurpose(string(payload)); err != nil {
-			return p.SendErr(wire.CodeUnknownPurpose, err)
+	case wire.OpExec:
+		e, err := wire.DecodeExec(payload)
+		if err != nil {
+			p.Fail(wire.CodeProtocol, err.Error())
+			return false
 		}
-		return p.SendResult(&wire.Result{})
-	case wire.OpBegin:
-		return s.execSQL(p, sess, "BEGIN")
-	case wire.OpBeginRO:
-		return s.execSQL(p, sess, "BEGIN READ ONLY")
-	case wire.OpCommit:
-		return s.execSQL(p, sess, "COMMIT")
-	case wire.OpRollback:
-		// Idempotent: a statement failure inside the transaction already
-		// aborted it engine-side, and the client cannot distinguish that
-		// state — its Rollback must not report a spurious error.
-		if _, err := sess.conn.Exec("ROLLBACK"); err != nil && !errors.Is(err, engine.ErrNoTransaction) {
-			return p.SendErr(wire.CodeSQL, err)
+		var res *engine.Result
+		s.traceStmt(sess, e.TraceID, e.ParentSpanID, "exec", e.SQL, func() {
+			res, err = sess.conn.Exec(e.SQL, e.Args...)
+		})
+		if err != nil {
+			return p.SendErr(sqlCode(err), err)
 		}
-		return p.SendResult(&wire.Result{})
+		return p.SendResult(wireResult(res))
 	case wire.OpPrepare:
 		st, err := sess.conn.Prepare(string(payload))
 		if err != nil {
@@ -232,7 +222,7 @@ func (s *Server) serveRequest(p *Peer, sess *session, op byte, payload []byte) b
 				fmt.Errorf("server: unknown statement id %d (closed or evicted); re-prepare", id))
 		}
 		var res *engine.Result
-		s.traceStmt(sess, "exec_prepared", fmt.Sprintf("stmt#%d", id), func() {
+		s.traceStmt(sess, 0, 0, "exec_prepared", fmt.Sprintf("stmt#%d", id), func() {
 			res, err = st.Exec(args...)
 		})
 		if err != nil {
@@ -247,20 +237,6 @@ func (s *Server) serveRequest(p *Peer, sess *session, op byte, payload []byte) b
 		}
 		sess.closeStmt(id)
 		return p.SendResult(&wire.Result{})
-	case wire.OpExecArgs:
-		sql, args, err := wire.DecodeExecArgs(payload)
-		if err != nil {
-			p.Fail(wire.CodeProtocol, err.Error())
-			return false
-		}
-		var res *engine.Result
-		s.traceStmt(sess, "exec_args", sql, func() {
-			res, err = sess.conn.Exec(sql, args...)
-		})
-		if err != nil {
-			return p.SendErr(sqlCode(err), err)
-		}
-		return p.SendResult(wireResult(res))
 	case wire.OpBackup:
 		req, err := wire.DecodeBackupReq(payload)
 		if err != nil {
@@ -285,13 +261,6 @@ func (s *Server) serveRequest(p *Peer, sess *session, op byte, payload []byte) b
 		return p.WriteFrame(wire.OpShardCheckReply, wire.EncodeShardCheckReply(prev)) == nil
 	case wire.OpKeyExport:
 		return s.serveKeyExport(p)
-	case wire.OpTraced:
-		trd, err := wire.DecodeTraced(payload)
-		if err != nil {
-			p.Fail(wire.CodeProtocol, err.Error())
-			return false
-		}
-		return s.serveTraced(p, sess, trd)
 	case wire.OpTraceDump:
 		mode, id, err := wire.DecodeTraceDump(payload)
 		if err != nil {
@@ -449,34 +418,22 @@ func (cw *chunkWriter) flush() error {
 	return nil
 }
 
-// execSQL runs one statement on the session and answers with its result
-// or a non-fatal SQL error.
-func (s *Server) execSQL(p *Peer, sess *session, sql string) bool {
-	var res *engine.Result
-	var err error
-	s.traceStmt(sess, "exec", sql, func() {
-		res, err = sess.conn.Exec(sql)
-	})
-	if err != nil {
-		return p.SendErr(sqlCode(err), err)
-	}
-	return p.SendResult(wireResult(res))
-}
-
 // traceStmt wraps one statement execution with tracing and the
-// slow-query log. Inside an OpTraced request the session already
-// carries the remote-forced trace, so only timing applies here;
-// otherwise a locally sampled trace is attached for the statement's
-// duration. When nothing sampled the statement, fn runs with zero
-// tracing state and the hot path pays only untaken nil checks.
-func (s *Server) traceStmt(sess *session, name, sql string, fn func()) {
-	t := sess.remote
+// slow-query log. A non-zero traceID forces a trace rooted under the
+// caller's span parentID, so a router scatter and its shards later
+// stitch into one cross-process tree; otherwise local sampling decides.
+// When nothing traces the statement, fn runs with zero tracing state
+// and the hot path pays only untaken nil checks.
+func (s *Server) traceStmt(sess *session, traceID, parentID uint64, name, sql string, fn func()) {
+	var t *trace.T
 	var root *trace.S
-	if t == nil {
-		if t, root = s.db.Tracer().Start(name); root != nil {
-			root.Attr("sql", sql)
-			sess.conn.AttachTrace(t, root)
-		}
+	if traceID != 0 {
+		t, root = s.db.Tracer().StartRemote(traceID, parentID, "serve_"+name)
+	} else if t, root = s.db.Tracer().Start(name); root != nil {
+		root.Attr("sql", sql)
+	}
+	if root != nil {
+		sess.conn.AttachTrace(t, root)
 	}
 	start := time.Now()
 	fn()
@@ -488,21 +445,6 @@ func (s *Server) traceStmt(sess *session, name, sql string, fn func()) {
 	if s.opts.SlowQuery > 0 && d >= s.opts.SlowQuery {
 		s.slowf("slow query (%v): %s%s", d.Round(10*time.Microsecond), sql, spanBreakdown(t))
 	}
-}
-
-// serveTraced unwraps an OpTraced frame: the inner request runs under
-// a forced trace whose root hangs off the caller's span, so a router
-// scatter and its shards later stitch into one cross-process tree. The
-// response frame is the inner request's normal response.
-func (s *Server) serveTraced(p *Peer, sess *session, trd wire.Traced) bool {
-	t, root := s.db.Tracer().StartRemote(trd.TraceID, trd.ParentSpanID, "serve_"+OpName(trd.Op))
-	sess.conn.AttachTrace(t, root)
-	sess.remote = t
-	ok := s.serveRequest(p, sess, trd.Op, trd.Payload)
-	sess.remote = nil
-	sess.conn.DetachTrace()
-	root.End()
-	return ok
 }
 
 // serveTraceDump answers OpTraceDump from the tracer's bounded rings.
@@ -550,11 +492,15 @@ func spanBreakdown(t *trace.T) string {
 }
 
 // sqlCode picks the wire error code for a statement failure. Replica
-// write rejections get their own non-fatal code so clients can branch
-// (redirect the write to the leader) without string matching.
+// write rejections and unknown purposes get their own non-fatal codes
+// so clients can branch (redirect the write to the leader, pick another
+// purpose) without string matching.
 func sqlCode(err error) uint16 {
-	if errors.Is(err, engine.ErrReadOnlyReplica) {
+	switch {
+	case errors.Is(err, engine.ErrReadOnlyReplica):
 		return wire.CodeReadOnlyReplica
+	case errors.Is(err, engine.ErrUnknownPurpose):
+		return wire.CodeUnknownPurpose
 	}
 	return wire.CodeSQL
 }

@@ -188,6 +188,48 @@ func TestRollbackIdempotent(t *testing.T) {
 	}
 }
 
+// TestRollbackOutsideTransactionAgrees: ROLLBACK with no transaction
+// open succeeds however it arrives — embedded, as statement text over
+// the wire, or through Rollback — on both roles.
+func TestRollbackOutsideTransactionAgrees(t *testing.T) {
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		ctx := ctxT(t)
+		if _, err := f.db.Exec("ROLLBACK"); err != nil {
+			t.Fatalf("DB.Exec: %v", err)
+		}
+		c := dial(t, f.addr)
+		if _, err := c.Exec(ctx, "ROLLBACK"); err != nil {
+			t.Fatalf("Exec: %v", err)
+		}
+		if err := c.Rollback(ctx); err != nil {
+			t.Fatalf("Rollback: %v", err)
+		}
+	})
+}
+
+// TestSetPurposeStatementUnknownPurpose: the SET PURPOSE statement
+// names an undeclared purpose with the same error SetPurpose gives, on
+// a server and on the router once a routed statement has opened a shard
+// session (before that the router has nothing to check the name with).
+func TestSetPurposeStatementUnknownPurpose(t *testing.T) {
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		ctx := ctxT(t)
+		c := dial(t, f.addr)
+		if _, err := c.Query(ctx, "SELECT id FROM visits WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Exec(ctx, "SET PURPOSE nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
+			t.Fatalf("SET PURPOSE nosuch: %v, want ErrUnknownPurpose", err)
+		}
+		if err := c.SetPurpose(ctx, "nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
+			t.Fatalf("SetPurpose: %v, want ErrUnknownPurpose", err)
+		}
+		if err := c.Ping(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestSentinelErrors exercises the exported error conditions end to end:
 // unknown purpose at handshake and via SetPurpose, server busy, and
 // shutdown, all matched with errors.Is instead of string matching.

@@ -609,6 +609,23 @@ func TestProtocolVersion1Refused(t *testing.T) {
 	})
 }
 
+// TestProtocolVersion2Refused: a client of protocol version 2 sends
+// statements under opcodes this build has retired, and an OpExec
+// payload it would misread. Its Hello is refused with CodeProtocol, and
+// the connection closes.
+func TestProtocolVersion2Refused(t *testing.T) {
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
+		nc := rawConn(t, f.addr)
+		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: 2})); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+			t.Fatal("connection must be closed after a refused version")
+		}
+	})
+}
+
 // TestProtocolOversizedFrame announces a payload over the frame limit
 // and must be refused before the front end buffers it.
 func TestProtocolOversizedFrame(t *testing.T) {

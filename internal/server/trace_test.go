@@ -112,17 +112,17 @@ func TestTracedInsertSpansCommitPipeline(t *testing.T) {
 			pub.Start, fs.Start.Add(fs.Duration))
 	}
 
-	// The traced request is one latency sample, under traced, as the
-	// router counts it; the statement it wraps is not counted again.
+	// The traced statement is one latency sample, under exec, as any
+	// statement is; no other label counts it.
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stats[`instantdb_server_request_seconds_count{op="traced"}`]; got != 1 {
-		t.Fatalf("traced requests counted %v, want 1", got)
+	if got := stats[`instantdb_server_request_seconds_count{op="exec"}`]; got != 1 {
+		t.Fatalf("exec requests counted %v after one traced exec, want 1", got)
 	}
-	if got := stats[`instantdb_server_request_seconds_count{op="exec"}`]; got != 0 {
-		t.Fatalf("exec requests counted %v after one traced exec, want 0", got)
+	if got := stats[`instantdb_server_request_seconds_count{op="traced"}`]; got != 0 {
+		t.Fatalf("traced requests counted %v, want 0", got)
 	}
 }
 

@@ -32,7 +32,8 @@ type Options struct {
 	// TablePath, when set, is where Flip persists the routing table.
 	TablePath string
 	// TraceSample controls local router-side tracing: 0 records only
-	// traces forced by clients (OpTraced), 1 every request, n one in n.
+	// traces clients force (a trace id in their OpExec frame), 1 every
+	// request, n one in n.
 	// Traced statements propagate their context to every shard they
 	// touch, so the shards' spans stitch under the router's.
 	TraceSample int
@@ -317,35 +318,19 @@ func (r *Router) serveRequest(p *server.Peer, ss *rsession, op byte, payload []b
 		return p.WriteFrame(wire.OpStatsReply, wire.EncodeStats(stats)) == nil
 	case wire.OpSchema:
 		return p.WriteFrame(wire.OpSchemaReply, []byte(r.schema.Script())) == nil
-	case wire.OpExec, wire.OpQuery:
-		return r.execSQL(p, ss, string(payload), nil)
-	case wire.OpExecArgs:
-		sql, args, err := wire.DecodeExecArgs(payload)
+	case wire.OpExec:
+		e, err := wire.DecodeExec(payload)
 		if err != nil {
 			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
-		return r.execSQL(p, ss, sql, args)
-	case wire.OpSetPurpose:
-		return r.setPurpose(p, ss, string(payload))
-	case wire.OpBegin, wire.OpBeginRO, wire.OpCommit:
-		return p.SendErr(wire.CodeSQL, errors.New(
-			"router: transactions are not supported through the shard router (no cross-shard transaction protocol); connect to a single shard"))
-	case wire.OpRollback:
-		return r.rollbackAll(p, ss)
+		return r.execSQL(p, ss, e)
 	case wire.OpPrepare, wire.OpExecPrepared, wire.OpCloseStmt:
 		return p.SendErr(wire.CodeSQL, errors.New(
 			"router: prepared statements are not supported through the shard router; use Exec with arguments"))
 	case wire.OpBackup, wire.OpKeyExport:
 		return p.SendErr(wire.CodeSQL, errors.New(
 			"router: back up each shard directly (epoch keys and WALs are per-shard)"))
-	case wire.OpTraced:
-		trd, err := wire.DecodeTraced(payload)
-		if err != nil {
-			p.Fail(wire.CodeProtocol, err.Error())
-			return false
-		}
-		return r.serveTraced(p, ss, trd)
 	case wire.OpTraceDump:
 		mode, id, err := wire.DecodeTraceDump(payload)
 		if err != nil {
@@ -371,13 +356,9 @@ func (r *Router) serveRequest(p *server.Peer, ss *rsession, op byte, payload []b
 func (r *Router) setPurpose(p *server.Peer, ss *rsession, name string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
-	for _, c := range ss.conns {
+	for idx, c := range ss.conns {
 		if err := c.SetPurpose(ctx, name); err != nil {
-			code := wire.CodeSQL
-			if errors.Is(err, wire.ErrUnknownPurpose) {
-				code = wire.CodeUnknownPurpose
-			}
-			return p.SendErr(code, err)
+			return r.forwardErr(p, ss, idx, err)
 		}
 	}
 	ss.purpose = name
@@ -389,33 +370,35 @@ func (r *Router) setPurpose(p *server.Peer, ss *rsession, name string) bool {
 func (r *Router) rollbackAll(p *server.Peer, ss *rsession) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
-	for _, c := range ss.conns {
+	for idx, c := range ss.conns {
 		if err := c.Rollback(ctx); err != nil {
-			return p.SendErr(wire.CodeSQL, err)
+			return r.forwardErr(p, ss, idx, err)
 		}
 	}
 	return p.SendResult(&wire.Result{})
 }
 
-// execSQL parses, plans and executes one statement under local trace
-// sampling (a remote-forced trace instead enters via serveTraced).
-func (r *Router) execSQL(p *server.Peer, ss *rsession, sql string, args []value.Value) bool {
-	tt, root := r.tracer.Start("exec")
+// execSQL parses, plans and executes one statement. The original SQL
+// (and arguments) forward verbatim to the target shards — the router
+// only picks recipients and merges results; the one statement it
+// rewrites is an aggregated scatter, into its partial form. A trace id
+// in the frame forces a trace rooted under the caller's span; otherwise
+// local sampling decides. Under a trace, routing work records spans
+// under the root, and every downstream statement carries the trace id
+// so the shards' server-side spans join the same tree.
+func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
+	sql, args := e.SQL, e.Args
+	var tt *trace.T
+	var root *trace.S
+	if e.TraceID != 0 {
+		tt, root = r.tracer.StartRemote(e.TraceID, e.ParentSpanID, "route_exec")
+	} else {
+		tt, root = r.tracer.Start("exec")
+	}
 	if root != nil {
 		root.Attr("sql", sql)
 		defer root.End()
 	}
-	return r.execSQLTraced(p, ss, sql, args, tt, root)
-}
-
-// execSQLTraced parses, plans and executes one statement. The original
-// SQL (and arguments) forward verbatim to the target shards — the
-// router only picks recipients and merges results; the one statement it
-// rewrites is an aggregated scatter, into its partial form. When tt is
-// non-nil the statement is being traced: routing
-// work records spans under root, and every downstream request wraps in
-// OpTraced so the shards' server-side spans join the same tree.
-func (r *Router) execSQLTraced(p *server.Peer, ss *rsession, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
 	psp := tt.Span(root, "plan")
 	st, err := parseForRouting(sql, args)
 	if err != nil {
@@ -474,7 +457,7 @@ func (r *Router) execSQLTraced(p *server.Peer, ss *rsession, sql string, args []
 }
 
 // shardExec forwards one statement to a shard. Under a trace, the
-// request wraps in OpTraced with a fresh client-side span as the
+// frame carries the trace id and a fresh client-side span as the
 // shard's remote parent, so the shard's root hangs under it in the
 // stitched tree and the span itself shows the round-trip cost.
 func (r *Router) shardExec(ctx context.Context, c *client.Conn, tt *trace.T, parent *trace.S, shard, sql string, args []value.Value) (*client.Result, error) {

@@ -344,7 +344,7 @@ func TestRouterScatterGather(t *testing.T) {
 		}
 	}
 	if err := conn.Begin(ctx); err == nil {
-		t.Fatal("OpBegin through the router should be refused")
+		t.Fatal("Begin through the router should be refused")
 	}
 	if err := conn.Ping(ctx); err != nil {
 		t.Fatalf("session should survive refusals: %v", err)

@@ -10,32 +10,6 @@ import (
 	"instantdb/internal/wire"
 )
 
-// serveTraced unwraps a client-forced trace (OpTraced): the inner
-// statement runs with the router's spans rooted under the caller's
-// span, and every shard it touches receives the same trace id — the
-// one stitched tree a later TraceByID dump reassembles.
-func (r *Router) serveTraced(p *server.Peer, ss *rsession, trd wire.Traced) bool {
-	tt, root := r.tracer.StartRemote(trd.TraceID, trd.ParentSpanID, "route_"+server.OpName(trd.Op))
-	defer root.End()
-	switch trd.Op {
-	case wire.OpExec, wire.OpQuery:
-		sql := string(trd.Payload)
-		root.Attr("sql", sql)
-		return r.execSQLTraced(p, ss, sql, nil, tt, root)
-	case wire.OpExecArgs:
-		sql, args, err := wire.DecodeExecArgs(trd.Payload)
-		if err != nil {
-			p.Fail(wire.CodeProtocol, err.Error())
-			return false
-		}
-		root.Attr("sql", sql)
-		return r.execSQLTraced(p, ss, sql, args, tt, root)
-	default:
-		return p.SendErr(wire.CodeSQL,
-			fmt.Errorf("router: OpTraced wraps unsupported opcode %#x", trd.Op))
-	}
-}
-
 // serveTraceDump answers OpTraceDump. Ring modes (recent, slow) read
 // the router's own rings — per-process views, exactly like asking one
 // shard. TraceByID instead stitches: the router's record plus a by-id

@@ -124,7 +124,7 @@ func TestTracedScatterStitch(t *testing.T) {
 			t.Fatalf("serve_exec recorded by %q, want server", sp.Service)
 		}
 		// The stitching point: the shard's root is parented under the
-		// router span whose id rode the wire in OpTraced.
+		// router span whose id rode the wire in its OpExec frame.
 		if !scatterIDs[sp.ParentID] {
 			t.Fatalf("serve_exec parent %016x matches no shard_exec span", sp.ParentID)
 		}

@@ -42,7 +42,7 @@ const (
 const DefaultSlow = 100 * time.Millisecond
 
 // NewID returns a random non-zero 64-bit id. A client originating a
-// forced trace (the wire OpTraced wrapper) allocates the trace id on
+// forced trace (a trace id in its wire OpExec frame) allocates the id on
 // its own side with this, so it knows what to ask for in a later
 // OpTraceDump without the response having to carry the id back.
 func NewID() uint64 {
@@ -90,7 +90,7 @@ type Rec struct {
 
 // Tracer records traces for one process role. The zero sampling modes:
 // sample <= 0 records only remote-requested traces (a client or router
-// explicitly asked via the wire OpTraced wrapper); sample == 1 records
+// sent a trace id in its wire OpExec frame); sample == 1 records
 // every request; sample == n records one request in n. All methods are
 // safe for concurrent use and nil-safe.
 type Tracer struct {
@@ -164,8 +164,8 @@ func (tr *Tracer) Start(name string) (*T, *S) {
 	return tr.begin(tr.nextID(), 0, name)
 }
 
-// StartRemote begins a trace forced by a remote caller (the wire
-// OpTraced wrapper): always recorded, regardless of sampling. traceID
+// StartRemote begins a trace forced by a remote caller (a trace id in
+// its wire OpExec frame): always recorded, regardless of sampling. traceID
 // 0 allocates a fresh id; parentID is the caller's span the root of
 // this trace hangs under in the stitched tree.
 func (tr *Tracer) StartRemote(traceID, parentID uint64, name string) (*T, *S) {

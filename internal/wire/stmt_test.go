@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"instantdb/internal/value"
 )
@@ -80,25 +83,92 @@ func TestCloseStmtRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExecArgsRoundTrip(t *testing.T) {
-	sql := "SELECT id FROM person WHERE name = ? AND salary > ?"
-	args := []value.Value{value.Text("alice"), value.Int(2000)}
-	gotSQL, gotArgs, err := DecodeExecArgs(EncodeExecArgs(sql, args))
+// TestExecRoundTrip covers the one statement frame: trace identity,
+// text and arguments each survive, and a frame missing a part or
+// carrying trailing bytes is refused.
+func TestExecRoundTrip(t *testing.T) {
+	in := Exec{
+		TraceID:      1<<63 + 5,
+		ParentSpanID: 300,
+		SQL:          "SELECT id FROM person WHERE name = ? AND salary > ?",
+		Args:         []value.Value{value.Text("alice"), value.Int(2000)},
+	}
+	got, err := DecodeExec(EncodeExec(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSQL != sql || len(gotArgs) != 2 || gotArgs[0].Text() != "alice" || gotArgs[1].Int() != 2000 {
-		t.Fatalf("round trip = %q %v", gotSQL, gotArgs)
+	if got.TraceID != in.TraceID || got.ParentSpanID != in.ParentSpanID || got.SQL != in.SQL ||
+		len(got.Args) != 2 || got.Args[0].Text() != "alice" || got.Args[1].Int() != 2000 {
+		t.Fatalf("round trip = %+v", got)
 	}
-	if _, _, err := DecodeExecArgs(nil); err == nil {
-		t.Fatal("empty exec-args should fail")
+	// An untraced statement without arguments: zero ids, an empty row.
+	got, err = DecodeExec(EncodeExec(Exec{SQL: "ROLLBACK"}))
+	if err != nil || got.TraceID != 0 || got.ParentSpanID != 0 || got.SQL != "ROLLBACK" || len(got.Args) != 0 {
+		t.Fatalf("plain round trip = %+v, %v", got, err)
 	}
-	if _, _, err := DecodeExecArgs(appendString(nil, "SELECT 1")); err == nil {
-		t.Fatal("exec-args without arg row should fail")
+	ids := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 2)
+	for name, p := range map[string][]byte{
+		"empty":           nil,
+		"no parent span":  binary.AppendUvarint(nil, 1),
+		"no sql":          ids,
+		"no arg row":      appendString(ids, "SELECT 1"),
+		"short sql":       append(binary.AppendUvarint(ids, 9), "SELECT"...),
+		"trailing bytes":  append(EncodeExec(Exec{SQL: "SELECT 1"}), 0x00),
+		"hostile arg row": binary.AppendUvarint(appendString(ids, "SELECT ?"), 1<<60),
+	} {
+		if _, err := DecodeExec(p); err == nil {
+			t.Errorf("%s: decoded, want an error", name)
+		}
 	}
-	if _, _, err := DecodeExecArgs(append(EncodeExecArgs("SELECT 1", nil), 0x00)); err == nil {
-		t.Fatal("exec-args with trailing bytes should fail")
+}
+
+// FuzzDecodeExec: the statement frame is the one request every client
+// and router sends, so arbitrary bytes must decode to an error, never a
+// panic or an allocation sized by a count the payload merely claims.
+// Whatever decodes re-encodes to a frame that decodes to the same value.
+func FuzzDecodeExec(f *testing.F) {
+	for _, e := range []Exec{
+		{SQL: "SELECT 1"},
+		{SQL: "BEGIN READ ONLY"},
+		{TraceID: 7, ParentSpanID: 9, SQL: "INSERT INTO t VALUES (?, ?)",
+			Args: []value.Value{value.Int(-1), value.Text("a;b")}},
+		{TraceID: 1 << 63, SQL: "SELECT ?", Args: []value.Value{value.Null(), value.Float(0.5),
+			value.Bool(true), value.Time(time.Unix(7, 0))}},
+	} {
+		enc := EncodeExec(e)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
 	}
+	f.Add(binary.AppendUvarint([]byte{0, 0, 0}, 1<<62))
+	f.Add([]byte{})
+	perArg := int(unsafe.Sizeof(value.Value{}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, err := DecodeExec(data)
+		runtime.ReadMemStats(&after)
+		// The text and each argument's bytes are copies of the payload,
+		// and every argument takes at least one payload byte.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4096+(2*perArg+8)*len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeExec(EncodeExec(e))
+		if err != nil {
+			t.Fatalf("%+v re-encodes to a frame that does not decode: %v", e, err)
+		}
+		if again.TraceID != e.TraceID || again.ParentSpanID != e.ParentSpanID || again.SQL != e.SQL ||
+			len(again.Args) != len(e.Args) {
+			t.Fatalf("round trip changed %+v to %+v", e, again)
+		}
+		for i := range e.Args {
+			if !bytes.Equal(value.Encode(nil, again.Args[i]), value.Encode(nil, e.Args[i])) {
+				t.Fatalf("round trip changed argument %d: %v to %v", i, e.Args[i], again.Args[i])
+			}
+		}
+	})
 }
 
 // TestDecodeResultRowWidth pins that a row narrower than the declared

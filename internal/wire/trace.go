@@ -1,7 +1,7 @@
 // Tracing and audit-trail opcodes. These live alongside the core
-// protocol in wire.go; they are deliberate NEW opcodes rather than
-// flags on existing frames so an old server answers CodeProtocol —
-// fails loud — instead of silently dropping the trace context.
+// protocol in wire.go. A statement's trace context rides in its OpExec
+// frame (Exec.TraceID, Exec.ParentSpanID); these opcodes read finished
+// traces and the audit tail back.
 
 package wire
 
@@ -15,13 +15,6 @@ import (
 
 // Tracing/audit request opcodes (client → server).
 const (
-	// OpTraced wraps any request opcode with trace context
-	// (EncodeTraced payload: trace id, parent span id, then the inner
-	// frame). The server records the inner request as a forced trace —
-	// regardless of its sampling rate — rooted under the caller's span,
-	// so a router scatter stitches into one cross-process tree. The
-	// response is the inner request's normal response.
-	OpTraced byte = 0x14
 	// OpTraceDump requests finished traces from the server's rings
 	// (EncodeTraceDump payload: by id, recent, or slow). The server
 	// answers OpTraceData. The router additionally scatters a by-id
@@ -49,52 +42,6 @@ const (
 	// TraceSlow requests the slow-trace ring, newest first.
 	TraceSlow byte = 2
 )
-
-// Traced is the OpTraced wrapper: the caller's trace identity plus the
-// complete inner frame (opcode + payload) it applies to.
-type Traced struct {
-	// TraceID is the trace every span joins (0 lets the server allocate
-	// one, returned implicitly via the recorded trace).
-	TraceID uint64
-	// ParentSpanID is the caller-side span the server's root hangs
-	// under in the stitched tree (0 for a client-originated trace).
-	ParentSpanID uint64
-	// Op and Payload are the wrapped inner request.
-	Op      byte
-	Payload []byte
-}
-
-// EncodeTraced serializes an OpTraced payload.
-func EncodeTraced(t Traced) []byte {
-	b := binary.AppendUvarint(nil, t.TraceID)
-	b = binary.AppendUvarint(b, t.ParentSpanID)
-	b = append(b, t.Op)
-	return append(b, t.Payload...)
-}
-
-// DecodeTraced parses an OpTraced payload. The inner payload aliases p.
-func DecodeTraced(p []byte) (Traced, error) {
-	var t Traced
-	var n int
-	if t.TraceID, n = binary.Uvarint(p); n <= 0 {
-		return t, fmt.Errorf("wire: traced trace id")
-	}
-	p = p[n:]
-	if t.ParentSpanID, n = binary.Uvarint(p); n <= 0 {
-		return t, fmt.Errorf("wire: traced parent span id")
-	}
-	p = p[n:]
-	if len(p) < 1 {
-		return t, fmt.Errorf("wire: traced missing inner opcode")
-	}
-	t.Op, t.Payload = p[0], p[1:]
-	// Wrapping the wrapper would let a hostile client nest frames
-	// arbitrarily deep; one level is all the router needs.
-	if t.Op == OpTraced {
-		return t, fmt.Errorf("wire: traced frame nests OpTraced")
-	}
-	return t, nil
-}
 
 // EncodeTraceDump serializes an OpTraceDump payload: the mode byte and,
 // for TraceByID, the trace id.

@@ -27,11 +27,13 @@ import (
 const Magic uint32 = 0x49444201 // "IDB\x01"
 
 // Version is the protocol version this package implements. The server
-// refuses handshakes with a different version. Version 2 carries every
-// value — result rows, statement arguments, replication payloads — in
-// the storage codec with INTs as varints; version 1 carried them as 8
-// fixed bytes.
-const Version uint16 = 2
+// refuses handshakes with a different version. Version 3 sends every
+// statement as one OpExec frame (Exec payload: trace identity, text,
+// arguments); version 2 had a request opcode per statement kind and a
+// trace wrapper. Since version 2 every value — result rows, statement
+// arguments, replication payloads — travels in the storage codec with
+// INTs as varints; version 1 carried them as 8 fixed bytes.
+const Version uint16 = 3
 
 // MaxFrameDefault bounds frame payloads unless overridden: large enough
 // for sizeable result sets, small enough that a hostile length prefix
@@ -42,18 +44,11 @@ const MaxFrameDefault = 4 << 20
 const (
 	// OpHello is the handshake frame (EncodeHello payload).
 	OpHello byte = 0x01
-	// OpExec executes one SQL statement; the payload is the statement
-	// text. The response is OpResult.
+	// OpExec executes one SQL statement, with its arguments and, when
+	// traced, the caller's trace identity (EncodeExec payload). It is the
+	// only statement request: transaction control and SET PURPOSE travel
+	// as their SQL text. The response is OpResult.
 	OpExec byte = 0x02
-	// OpQuery is OpExec with the declared intent of reading rows; the
-	// server answers OpResult with a (possibly empty) row block.
-	OpQuery byte = 0x03
-	// OpSetPurpose switches the session purpose; payload is the name.
-	OpSetPurpose byte = 0x04
-	// OpBegin/OpCommit/OpRollback control the session transaction.
-	OpBegin    byte = 0x05
-	OpCommit   byte = 0x06
-	OpRollback byte = 0x07
 	// OpPing is a liveness probe; the server answers OpPong.
 	OpPing byte = 0x08
 	// OpPrepare parses the payload (SQL text) into a server-side
@@ -68,16 +63,6 @@ const (
 	// payload). Closing an unknown id is a no-op; the response is an
 	// empty OpResult either way.
 	OpCloseStmt byte = 0x0B
-	// OpExecArgs executes one SQL statement with a bound argument list
-	// in a single round trip (EncodeExecArgs payload) — prepare, bind,
-	// execute, discard. The response is OpResult.
-	OpExecArgs byte = 0x0C
-	// OpBeginRO opens a read-only session transaction: statements
-	// execute against one pinned snapshot epoch, acquire no locks, and
-	// write statements fail. A distinct opcode (rather than a flag on
-	// OpBegin) so a server without snapshot support fails the request
-	// loudly instead of silently granting a read-write transaction.
-	OpBeginRO byte = 0x0D
 	// OpBackup requests a streamed backup archive (EncodeBackupReq
 	// payload: full, or incremental from a log position). The server
 	// answers a sequence of OpBackupChunk frames carrying the raw
@@ -121,6 +106,12 @@ const (
 	// it to mirror table shapes (primary keys, columns) for routing.
 	OpSchema byte = 0x13
 )
+
+// Retired request opcodes, never to be reused: 0x03 (query), 0x04 (set
+// purpose), 0x05–0x07 (begin, commit, rollback), 0x0C (exec with
+// arguments), 0x0D (begin read-only) and 0x14 (trace wrapper) were
+// statement requests of protocol version 2 that OpExec replaced. A
+// server answers each with CodeProtocol, as it does any unknown opcode.
 
 // Response opcodes (server → client).
 const (
@@ -565,28 +556,54 @@ func DecodeCloseStmt(p []byte) (uint64, error) {
 	return id, nil
 }
 
-// EncodeExecArgs serializes an OpExecArgs payload: the SQL text
-// (uvarint-length-prefixed), then the argument list in the
-// internal/value row codec.
-func EncodeExecArgs(sql string, args []value.Value) []byte {
-	b := appendString(nil, sql)
-	return value.EncodeRow(b, args)
+// Exec is the OpExec payload: one statement, its arguments, and the
+// trace it joins.
+type Exec struct {
+	// TraceID forces a trace the receiver's spans join; 0 leaves the
+	// statement to the receiver's local sampling.
+	TraceID uint64
+	// ParentSpanID is the caller's span the receiver's root hangs under
+	// in a stitched tree (0 for a client-originated trace).
+	ParentSpanID uint64
+	SQL          string
+	// Args bind to the statement's `?` placeholders.
+	Args []value.Value
 }
 
-// DecodeExecArgs parses an OpExecArgs payload.
-func DecodeExecArgs(p []byte) (sql string, args []value.Value, err error) {
+// EncodeExec serializes an OpExec payload: the trace id and parent span
+// id as uvarints, the SQL text (uvarint-length-prefixed), then the
+// arguments in the internal/value row codec.
+func EncodeExec(e Exec) []byte {
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(e.SQL)+1)
+	b = binary.AppendUvarint(b, e.TraceID)
+	b = binary.AppendUvarint(b, e.ParentSpanID)
+	b = appendString(b, e.SQL)
+	return value.EncodeRow(b, e.Args)
+}
+
+// DecodeExec parses an OpExec payload.
+func DecodeExec(p []byte) (Exec, error) {
+	var e Exec
+	var err error
+	if e.TraceID, p, err = readUvarint(p, "exec trace id"); err != nil {
+		return Exec{}, err
+	}
+	if e.ParentSpanID, p, err = readUvarint(p, "exec parent span id"); err != nil {
+		return Exec{}, err
+	}
 	sql, used, err := readString(p)
 	if err != nil {
-		return "", nil, fmt.Errorf("wire: exec-args sql: %w", err)
+		return Exec{}, fmt.Errorf("wire: exec sql: %w", err)
 	}
 	args, argBytes, err := value.DecodeRow(p[used:])
 	if err != nil {
-		return "", nil, fmt.Errorf("wire: exec-args args: %w", err)
+		return Exec{}, fmt.Errorf("wire: exec args: %w", err)
 	}
 	if used+argBytes != len(p) {
-		return "", nil, fmt.Errorf("wire: exec-args has %d trailing bytes", len(p)-used-argBytes)
+		return Exec{}, fmt.Errorf("wire: exec has %d trailing bytes", len(p)-used-argBytes)
 	}
-	return sql, args, nil
+	e.SQL, e.Args = sql, args
+	return e, nil
 }
 
 // ReplHello is the replication handshake payload: the leader log
