@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"instantdb/internal/query"
 	"instantdb/internal/value"
 	"instantdb/internal/wire"
 )
@@ -54,9 +55,6 @@ var (
 	// ErrFrameTooLarge: a frame exceeded the size limit — reported by
 	// the server (fatal) or hit locally while reading a response.
 	ErrFrameTooLarge = wire.ErrFrameTooLarge
-	// ErrUnknownStmt: the executed statement id was closed or evicted
-	// from the server's per-session registry; re-prepare and retry.
-	ErrUnknownStmt = wire.ErrUnknownStmt
 	// ErrReadOnlyReplica: the statement would write, but the server is
 	// a read replica (started with -replica-of). Non-fatal — the
 	// session stays usable for reads; send writes to the leader.
@@ -180,8 +178,9 @@ func (c *Conn) Close() error {
 // Exec runs one SQL statement and returns its result. Args bind to `?`
 // placeholders server-side in a single round trip (parse, bind,
 // execute); values never pass through SQL text, so string arguments
-// need no quoting and cannot inject. For statements executed
-// repeatedly, Prepare amortizes the parse as well.
+// need no quoting and cannot inject. The server keeps the parse of a
+// text executed with arguments in a small per-session cache, so a
+// statement run again and again is parsed once.
 func (c *Conn) Exec(ctx context.Context, sql string, args ...value.Value) (*Result, error) {
 	return c.request(ctx, wire.OpExec, wire.EncodeExec(wire.Exec{SQL: sql, Args: args}))
 }
@@ -200,33 +199,25 @@ func (c *Conn) Query(ctx context.Context, sql string, args ...value.Value) (*Row
 	return res.Rows, nil
 }
 
-// Prepare parses sql into a server-side prepared statement and returns
-// its handle. The statement is parsed once on the server; each Exec
-// binds arguments to its `?` placeholders without re-sending or
-// re-parsing the SQL. Statements are per-session: the server caps how
-// many stay registered (least-recently-used eviction), and executing an
-// evicted handle fails with ErrUnknownStmt — re-prepare and retry.
+// Prepare checks sql's syntax and counts its `?` placeholders, locally,
+// and returns a handle that executes it on this session. Preparing
+// sends nothing: each Exec sends the text and its arguments in the same
+// frame as Conn.Exec, whose server-side parse cache spares the repeated
+// parse. A prepared statement therefore works wherever Exec does,
+// through a shard router too.
 func (c *Conn) Prepare(ctx context.Context, sql string) (*Stmt, error) {
-	rop, rp, err := c.roundTripLocked(ctx, wire.OpPrepare, []byte(sql))
+	_, n, err := query.ParseWithParams(sql)
 	if err != nil {
 		return nil, err
 	}
-	if rop != wire.OpStmtReady {
-		return nil, fmt.Errorf("client: unexpected prepare reply opcode %#x", rop)
-	}
-	ready, err := wire.DecodeStmtReady(rp)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{c: c, id: ready.ID, numParams: ready.NumParams}, nil
+	return &Stmt{c: c, sql: sql, numParams: n}, nil
 }
 
-// Stmt is a handle on a server-side prepared statement, bound to the
-// Conn that prepared it. Like the Conn, it serializes its requests
-// internally.
+// Stmt is a prepared statement of the Conn that prepared it. Like the
+// Conn, it serializes its requests internally.
 type Stmt struct {
 	c         *Conn
-	id        uint64
+	sql       string
 	numParams int
 }
 
@@ -236,7 +227,7 @@ func (s *Stmt) NumParams() int { return s.numParams }
 // Exec executes the prepared statement with args bound to its
 // placeholders. The arity must match NumParams exactly.
 func (s *Stmt) Exec(ctx context.Context, args ...value.Value) (*Result, error) {
-	return s.c.request(ctx, wire.OpExecPrepared, wire.EncodeExecPrepared(s.id, args))
+	return s.c.Exec(ctx, s.sql, args...)
 }
 
 // Query is Exec for reads: it returns the result rows (empty, never
@@ -252,13 +243,9 @@ func (s *Stmt) Query(ctx context.Context, args ...value.Value) (*Rows, error) {
 	return res.Rows, nil
 }
 
-// Close discards the server-side statement. Closing an already-evicted
-// or re-closed statement is a no-op; closing over a dead connection
-// returns the transport error.
-func (s *Stmt) Close(ctx context.Context) error {
-	_, err := s.c.request(ctx, wire.OpCloseStmt, wire.EncodeCloseStmt(s.id))
-	return err
-}
+// Close releases the handle. The server holds nothing for it, so Close
+// is local and always succeeds.
+func (s *Stmt) Close(ctx context.Context) error { return nil }
 
 // SetPurpose switches the session purpose by name: it executes SET
 // PURPOSE name.

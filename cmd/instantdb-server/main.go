@@ -9,16 +9,15 @@
 //
 //	instantdb-server [-dir path] [-log shred|plain|vacuum] [-tick 1s]
 //	                 [-listen :7654] [-max-conns 0] [-max-frame 4194304]
-//	                 [-max-stmts 64] [-replica-of host:port]
+//	                 [-replica-of host:port]
 //	                 [-metrics-listen :7655] [-report-interval 0]
 //	                 [-wal-segment-bytes N] [-wal-nosync]
 //	                 [-trace-sample 0] [-slow-query 0] [-v]
 //
 // -dir empty (the default) serves an in-memory database; -log picks the
 // log-degradation strategy for durable ones (default shred). -max-conns
-// caps concurrent sessions (0 = unlimited), -max-frame bounds request
-// and response payloads in bytes, and -max-stmts caps prepared
-// statements per session (LRU eviction past the cap).
+// caps concurrent sessions (0 = unlimited) and -max-frame bounds request
+// and response payloads in bytes.
 // -wal-segment-bytes tunes the WAL rotation threshold and -wal-nosync
 // disables the per-commit fsync (see its usage text for the durability
 // caveat).
@@ -78,7 +77,6 @@ func main() {
 	listen := flag.String("listen", ":7654", "TCP listen address")
 	maxConns := flag.Int("max-conns", 0, "max concurrent client sessions (0 = unlimited)")
 	maxFrame := flag.Int("max-frame", wire.MaxFrameDefault, "max request/response payload bytes")
-	maxStmts := flag.Int("max-stmts", server.DefaultMaxStmts, "max prepared statements per session (LRU eviction past the cap)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the leader at host:port (writes are refused; degradation still runs locally)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 1 MiB)")
 	metricsListen := flag.String("metrics-listen", "", "HTTP listen address for GET /metrics (Prometheus text) and /healthz (empty = disabled); served on its own listener so scrapers never consume a session slot")
@@ -105,8 +103,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := server.Options{MaxConns: *maxConns, MaxFrame: *maxFrame, MaxStmts: *maxStmts,
-		SlowQuery: *slowQuery, SlowLogf: log.Printf}
+	opts := server.Options{MaxConns: *maxConns, MaxFrame: *maxFrame, SlowQuery: *slowQuery, SlowLogf: log.Printf}
 	if *verbose {
 		opts.Logf = log.Printf
 	}

@@ -123,6 +123,9 @@ type Conn struct {
 	// every span site — when the request is untraced).
 	tr  *trace.T
 	tsp *trace.S
+	// stmts caches the parse of texts executed with arguments, keyed by
+	// text (at most stmtCacheCap entries; see stmt).
+	stmts map[string]*Stmt
 }
 
 // AttachTrace binds a trace context to the session for one request:
@@ -164,7 +167,7 @@ func (db *DB) ExecScript(src string) error {
 	}
 	conn := db.NewConn()
 	for i, st := range stmts {
-		if _, err := conn.ExecParsed(st, texts[i]); err != nil {
+		if _, err := conn.execParsed(st, texts[i], nil); err != nil {
 			return err
 		}
 	}
@@ -203,18 +206,48 @@ func (c *Conn) SetCoarse(on bool) { c.coarse = on }
 // Exec parses and executes one statement, binding args to any `?`
 // placeholders (one-shot prepare-and-execute). A zero-arg call on a
 // placeholder-free statement is the classic text path; a statement that
-// does contain placeholders demands exactly matching arguments.
+// does contain placeholders demands exactly matching arguments. A text
+// executed with arguments keeps its parse in the session's statement
+// cache, so running it again binds without parsing.
 func (c *Conn) Exec(src string, args ...value.Value) (*Result, error) {
 	sp := c.tr.Span(c.tsp, "parse_bind")
-	st, nparams, err := query.ParseWithParams(src)
+	s, err := c.stmt(src, len(args) > 0)
+	var bound query.Statement
 	if err == nil {
-		st, err = query.BindKnown(st, args, nparams)
+		bound, err = query.BindKnown(s.ast, args, s.nparams)
 	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return c.ExecParsed(st, src)
+	return c.execParsed(bound, src, s.refCols)
+}
+
+// stmtCacheCap bounds a session's statement cache; a miss on a full
+// cache empties it.
+const stmtCacheCap = 64
+
+// stmt returns src parsed. With cached set (the statement came with
+// arguments) it consults the session's statement cache and keeps a
+// fresh parse that has placeholders there. A text without placeholders
+// is never kept: it is either run once or carries its values as
+// literals, which the cache must not outlive.
+func (c *Conn) stmt(src string, cached bool) (*Stmt, error) {
+	if !cached {
+		return c.Prepare(src)
+	}
+	if s := c.stmts[src]; s != nil {
+		return s, nil
+	}
+	s, err := c.Prepare(src)
+	if err != nil || s.nparams == 0 {
+		return s, err
+	}
+	if c.stmts == nil || len(c.stmts) >= stmtCacheCap {
+		c.stmts = make(map[string]*Stmt)
+	}
+	c.stmts[src] = s
+	return s, nil
 }
 
 // Query is Exec for reads: it returns the result rows (empty, never
@@ -230,9 +263,10 @@ func (c *Conn) Query(src string, args ...value.Value) (*Rows, error) {
 	return res.Rows, nil
 }
 
-// ExecParsed executes an already parsed statement. src is its source
-// text, persisted verbatim for DDL.
-func (c *Conn) ExecParsed(st query.Statement, src string) (*Result, error) {
+// execParsed executes an already parsed statement. src is its source
+// text, persisted verbatim for DDL; refCols, when non-nil, is a SELECT's
+// referenced-column set computed at Prepare.
+func (c *Conn) execParsed(st query.Statement, src string, refCols map[string]bool) (*Result, error) {
 	if c.aborted {
 		switch st.(type) {
 		case *query.Rollback:
@@ -250,7 +284,7 @@ func (c *Conn) ExecParsed(st query.Statement, src string) (*Result, error) {
 	switch s := st.(type) {
 	case *query.Select:
 		c.qCount.Inc()
-		return c.execSelect(s, nil)
+		return c.execSelect(s, refCols)
 	case *query.Insert:
 		c.wCount.Inc()
 		return c.autocommit(func() (*Result, error) { return c.runInsert(s) })

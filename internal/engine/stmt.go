@@ -73,10 +73,7 @@ func (s *Stmt) Exec(args ...value.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := bound.(*query.Select); ok && s.refCols != nil && !s.conn.aborted {
-		return s.conn.execSelect(sel, s.refCols)
-	}
-	return s.conn.ExecParsed(bound, s.src)
+	return s.conn.execParsed(bound, s.src, s.refCols)
 }
 
 // Query is Exec for reads: it returns the result rows (empty, never
@@ -94,7 +91,7 @@ func (s *Stmt) Query(args ...value.Value) (*Rows, error) {
 
 // Close releases the statement; executing it afterwards fails with
 // ErrStmtClosed. The engine keeps no per-statement resources, so Close
-// exists for API symmetry with the network client.
+// only marks the handle.
 func (s *Stmt) Close() error {
 	s.conn = nil
 	return nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -324,5 +325,99 @@ func TestInsertDuplicateColumnRejected(t *testing.T) {
 	_, err := db.Exec("INSERT INTO person (id, name, name, location) VALUES (1, 'a', 'b', 'Dam 1')")
 	if err == nil || !strings.Contains(err.Error(), "assigned twice") {
 		t.Fatalf("duplicate column list: %v", err)
+	}
+}
+
+// TestPreparedSelectsCounted: a SELECT counts in
+// instantdb_queries_total however it runs — text, text with arguments,
+// or a prepared statement.
+func TestPreparedSelectsCounted(t *testing.T) {
+	db, _ := openSim(t)
+	installSchema(t, db)
+	insertPeople(t, db)
+	conn := db.NewConn()
+	queries := db.met.queries.With("full")
+	before := queries.Value()
+
+	st, err := conn.Prepare("SELECT name FROM person WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 5; i++ {
+		if _, err := st.Query(value.Int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(1); i <= 3; i++ {
+		if _, err := conn.Query("SELECT name FROM person WHERE id = ?", value.Int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Query("SELECT name FROM person WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := queries.Value() - before; got != 9 {
+		t.Fatalf("queries counted = %d, want 9", got)
+	}
+}
+
+// TestStmtCache pins the session's parse cache behind Exec with
+// arguments: one entry per repeated text, none for a text without
+// placeholders, a bounded size, and answers that stay those of a fresh
+// parse across DDL.
+func TestStmtCache(t *testing.T) {
+	db, _ := openSim(t)
+	installSchema(t, db)
+	insertPeople(t, db)
+	conn := db.NewConn()
+
+	const q = "SELECT name, location FROM person WHERE id = ?"
+	for i := int64(1); i <= 3; i++ {
+		if _, err := conn.Query(q, value.Int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(conn.stmts) != 1 || conn.stmts[q] == nil {
+		t.Fatalf("cache after one text run three times = %v, want one entry", conn.stmts)
+	}
+
+	if _, err := conn.Query("SELECT name FROM person WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Query("SELECT name FROM person WHERE id = 2", value.Int(2)); err == nil {
+		t.Fatal("an argument for a statement without placeholders should fail")
+	}
+	if len(conn.stmts) != 1 {
+		t.Fatalf("placeholder-free texts entered the cache: %d entries", len(conn.stmts))
+	}
+
+	for i := 0; i < 1000; i++ {
+		if _, err := conn.Query(fmt.Sprintf("SELECT name FROM person WHERE id = ? AND salary > %d", i), value.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(conn.stmts) > stmtCacheCap {
+			t.Fatalf("cache holds %d entries after %d texts, cap %d", len(conn.stmts), i+1, stmtCacheCap)
+		}
+	}
+
+	if _, err := conn.Query(q, value.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("DROP TABLE person")
+	db.MustExec("CREATE TABLE person (location TEXT, salary INT, id INT PRIMARY KEY, name TEXT NOT NULL)")
+	db.MustExec("INSERT INTO person (id, name, location, salary) VALUES (3, 'again', 'Rotterdam', 7)")
+	if conn.stmts[q] == nil {
+		t.Fatal("the text left the cache")
+	}
+	got, err := conn.Query(q, value.Int(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.NewConn().Query(q, value.Int(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Columns, got.Data) != fmt.Sprint(want.Columns, want.Data) || got.Len() != 1 {
+		t.Fatalf("cached statement after re-create = %v %v, fresh parse = %v %v", got.Columns, got.Data, want.Columns, want.Data)
 	}
 }

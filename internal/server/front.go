@@ -81,9 +81,7 @@ func NewFront(role string, reg *metrics.Registry, maxConns, maxFrame int, logf f
 
 // opNames labels request opcodes in metrics.
 var opNames = [256]string{
-	wire.OpPing: "ping", wire.OpExec: "exec", wire.OpPrepare: "prepare",
-	wire.OpExecPrepared: "exec_prepared", wire.OpCloseStmt: "close_stmt",
-	wire.OpBackup: "backup", wire.OpStats: "stats",
+	wire.OpPing: "ping", wire.OpExec: "exec", wire.OpBackup: "backup", wire.OpStats: "stats",
 	wire.OpShardCheck: "shard_check", wire.OpKeyExport: "key_export", wire.OpSchema: "schema",
 	wire.OpTraceDump: "trace_dump", wire.OpAuditTail: "audit_tail",
 }

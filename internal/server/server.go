@@ -9,7 +9,6 @@
 package server
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
@@ -25,10 +24,6 @@ import (
 	"instantdb/internal/wire"
 )
 
-// DefaultMaxStmts is the per-session prepared-statement cap when
-// Options.MaxStmts is zero.
-const DefaultMaxStmts = 64
-
 // Options tunes a Server.
 type Options struct {
 	// MaxConns caps concurrently served sessions (0 = unlimited).
@@ -37,12 +32,6 @@ type Options struct {
 	MaxConns int
 	// MaxFrame bounds request payloads (default wire.MaxFrameDefault).
 	MaxFrame int
-	// MaxStmts caps prepared statements per session (default
-	// DefaultMaxStmts). Preparing past the cap evicts the least
-	// recently used statement, so a hostile client cannot grow server
-	// memory by preparing unboundedly; an evicted id answers
-	// CodeUnknownStmt on its next execution.
-	MaxStmts int
 	// ReplHeartbeat is the replication stream keepalive interval
 	// (default repl.DefaultHeartbeat). Tests shorten it.
 	ReplHeartbeat time.Duration
@@ -68,9 +57,6 @@ type Server struct {
 // New wraps an open database. The server does not own the DB: Close
 // stops serving but leaves the database open.
 func New(db *engine.DB, opts Options) *Server {
-	if opts.MaxStmts <= 0 {
-		opts.MaxStmts = DefaultMaxStmts
-	}
 	s := &Server{db: db, opts: opts}
 	s.Front = NewFront("server", db.Metrics(), opts.MaxConns, opts.MaxFrame, opts.Logf, s.admit)
 	s.replHello = s.serveReplication
@@ -78,55 +64,11 @@ func New(db *engine.DB, opts Options) *Server {
 }
 
 // session is one connection's server-side state: the engine session
-// plus the prepared-statement registry. Statements are registered under
-// monotonically increasing ids and evicted least-recently-used once the
-// cap is reached, bounding per-session memory against hostile clients.
+// and the peer it serves.
 type session struct {
-	s      *Server
-	peer   net.Addr
-	conn   *engine.Conn
-	stmts  map[uint64]*list.Element // id → element holding *stmtEntry
-	lru    *list.List               // front = least recently used
-	nextID uint64
-	max    int
-}
-
-type stmtEntry struct {
-	id   uint64
-	stmt *engine.Stmt
-}
-
-// register adds a freshly prepared statement, evicting the LRU entry
-// over the cap, and returns its id.
-func (sess *session) register(st *engine.Stmt) uint64 {
-	sess.nextID++
-	id := sess.nextID
-	sess.stmts[id] = sess.lru.PushBack(&stmtEntry{id: id, stmt: st})
-	if len(sess.stmts) > sess.max {
-		oldest := sess.lru.Front()
-		sess.lru.Remove(oldest)
-		delete(sess.stmts, oldest.Value.(*stmtEntry).id)
-	}
-	return id
-}
-
-// lookup resolves a statement id, marking it most recently used.
-func (sess *session) lookup(id uint64) (*engine.Stmt, bool) {
-	el, ok := sess.stmts[id]
-	if !ok {
-		return nil, false
-	}
-	sess.lru.MoveToBack(el)
-	return el.Value.(*stmtEntry).stmt, true
-}
-
-// closeStmt discards a statement id; unknown ids (already closed or
-// evicted) are a no-op.
-func (sess *session) closeStmt(id uint64) {
-	if el, ok := sess.stmts[id]; ok {
-		sess.lru.Remove(el)
-		delete(sess.stmts, id)
-	}
+	s    *Server
+	peer net.Addr
+	conn *engine.Conn
 }
 
 // Serve answers one request frame (Session).
@@ -152,7 +94,7 @@ func (s *Server) admit(p *Peer, h wire.Hello) (Session, error) {
 		}
 	}
 	conn.SetCoarse(h.Coarse)
-	return &session{s: s, peer: p.RemoteAddr(), conn: conn, stmts: make(map[uint64]*list.Element), lru: list.New(), max: s.opts.MaxStmts}, nil
+	return &session{s: s, peer: p.RemoteAddr(), conn: conn}, nil
 }
 
 // serveReplication takes over a connection whose first frame is
@@ -194,49 +136,11 @@ func (s *Server) serveRequest(p *Peer, sess *session, op byte, payload []byte) b
 			p.Fail(wire.CodeProtocol, err.Error())
 			return false
 		}
-		var res *engine.Result
-		s.traceStmt(sess, e.TraceID, e.ParentSpanID, "exec", e.SQL, func() {
-			res, err = sess.conn.Exec(e.SQL, e.Args...)
-		})
+		res, err := s.exec(sess, e)
 		if err != nil {
 			return p.SendErr(sqlCode(err), err)
 		}
 		return p.SendResult(wireResult(res))
-	case wire.OpPrepare:
-		st, err := sess.conn.Prepare(string(payload))
-		if err != nil {
-			return p.SendErr(wire.CodeSQL, err)
-		}
-		id := sess.register(st)
-		ready := wire.EncodeStmtReady(wire.StmtReady{ID: id, NumParams: st.NumParams()})
-		return p.WriteFrame(wire.OpStmtReady, ready) == nil
-	case wire.OpExecPrepared:
-		id, args, err := wire.DecodeExecPrepared(payload)
-		if err != nil {
-			p.Fail(wire.CodeProtocol, err.Error())
-			return false
-		}
-		st, ok := sess.lookup(id)
-		if !ok {
-			return p.SendErr(wire.CodeUnknownStmt,
-				fmt.Errorf("server: unknown statement id %d (closed or evicted); re-prepare", id))
-		}
-		var res *engine.Result
-		s.traceStmt(sess, 0, 0, "exec_prepared", fmt.Sprintf("stmt#%d", id), func() {
-			res, err = st.Exec(args...)
-		})
-		if err != nil {
-			return p.SendErr(sqlCode(err), err)
-		}
-		return p.SendResult(wireResult(res))
-	case wire.OpCloseStmt:
-		id, err := wire.DecodeCloseStmt(payload)
-		if err != nil {
-			p.Fail(wire.CodeProtocol, err.Error())
-			return false
-		}
-		sess.closeStmt(id)
-		return p.SendResult(&wire.Result{})
 	case wire.OpBackup:
 		req, err := wire.DecodeBackupReq(payload)
 		if err != nil {
@@ -418,33 +322,34 @@ func (cw *chunkWriter) flush() error {
 	return nil
 }
 
-// traceStmt wraps one statement execution with tracing and the
-// slow-query log. A non-zero traceID forces a trace rooted under the
-// caller's span parentID, so a router scatter and its shards later
-// stitch into one cross-process tree; otherwise local sampling decides.
-// When nothing traces the statement, fn runs with zero tracing state
-// and the hot path pays only untaken nil checks.
-func (s *Server) traceStmt(sess *session, traceID, parentID uint64, name, sql string, fn func()) {
+// exec runs one OpExec statement with tracing and the slow-query log.
+// A non-zero trace id forces a trace rooted under the caller's span, so
+// a router scatter and its shards later stitch into one cross-process
+// tree; otherwise local sampling decides. When nothing traces the
+// statement, it runs with zero tracing state and the hot path pays only
+// untaken nil checks.
+func (s *Server) exec(sess *session, e wire.Exec) (*engine.Result, error) {
 	var t *trace.T
 	var root *trace.S
-	if traceID != 0 {
-		t, root = s.db.Tracer().StartRemote(traceID, parentID, "serve_"+name)
-	} else if t, root = s.db.Tracer().Start(name); root != nil {
-		root.Attr("sql", sql)
+	if e.TraceID != 0 {
+		t, root = s.db.Tracer().StartRemote(e.TraceID, e.ParentSpanID, "serve_exec")
+	} else if t, root = s.db.Tracer().Start("exec"); root != nil {
+		root.Attr("sql", e.SQL)
 	}
 	if root != nil {
 		sess.conn.AttachTrace(t, root)
 	}
 	start := time.Now()
-	fn()
+	res, err := sess.conn.Exec(e.SQL, e.Args...)
 	d := time.Since(start)
 	if root != nil {
 		sess.conn.DetachTrace()
 		root.End()
 	}
 	if s.opts.SlowQuery > 0 && d >= s.opts.SlowQuery {
-		s.slowf("slow query (%v): %s%s", d.Round(10*time.Microsecond), sql, spanBreakdown(t))
+		s.slowf("slow query (%v): %s%s", d.Round(10*time.Microsecond), e.SQL, spanBreakdown(t))
 	}
+	return res, err
 }
 
 // serveTraceDump answers OpTraceDump from the tracer's bounded rings.

@@ -8,14 +8,17 @@ import (
 	"instantdb/client"
 	"instantdb/internal/server"
 	"instantdb/internal/value"
-	"instantdb/internal/wire"
 )
 
 // TestPreparedOverTCP is the network acceptance criterion: prepared
 // execution with bound args over the wire returns exactly what the
-// equivalent text SQL does, under the session's purpose views.
+// equivalent text SQL does, under the session's purpose views, on a
+// server and through the router.
 func TestPreparedOverTCP(t *testing.T) {
-	_, _, addr := startServer(t, server.Options{})
+	forRoles(t, server.Options{}, func(t *testing.T, f *front) { testPrepared(t, f.addr) })
+}
+
+func testPrepared(t *testing.T, addr string) {
 	ctx := ctxT(t)
 	c := dial(t, addr)
 
@@ -91,43 +94,6 @@ func TestOneShotArgsOverTCP(t *testing.T) {
 	}
 	if rows.Len() != 1 || rows.Data[0][0].Text() != "o'hara" {
 		t.Fatalf("bound round trip = %+v", rows)
-	}
-}
-
-func TestStmtEviction(t *testing.T) {
-	_, _, addr := startServer(t, server.Options{MaxStmts: 2})
-	ctx := ctxT(t)
-	c := dial(t, addr)
-
-	s1, err := c.Prepare(ctx, "SELECT id FROM visits WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c.Prepare(ctx, "SELECT who FROM visits WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Touch s1 so s2 is the LRU entry when the cap is exceeded.
-	if _, err := s1.Query(ctx, value.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := c.Prepare(ctx, "SELECT place FROM visits WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Exec(ctx, value.Int(1)); !errors.Is(err, client.ErrUnknownStmt) {
-		t.Fatalf("evicted statement: %v, want ErrUnknownStmt", err)
-	}
-	// Survivors and the session keep working (eviction is non-fatal).
-	if _, err := s1.Query(ctx, value.Int(1)); err != nil {
-		t.Fatalf("s1 after eviction: %v", err)
-	}
-	if _, err := s3.Query(ctx, value.Int(1)); err != nil {
-		t.Fatalf("s3 after eviction: %v", err)
-	}
-	// Closing an evicted statement is a no-op, not an error.
-	if err := s2.Close(ctx); err != nil {
-		t.Fatalf("closing evicted statement: %v", err)
 	}
 }
 
@@ -207,26 +173,40 @@ func TestRollbackOutsideTransactionAgrees(t *testing.T) {
 	})
 }
 
-// TestSetPurposeStatementUnknownPurpose: the SET PURPOSE statement
-// names an undeclared purpose with the same error SetPurpose gives, on
-// a server and on the router once a routed statement has opened a shard
-// session (before that the router has nothing to check the name with).
+// TestSetPurposeStatementUnknownPurpose: an undeclared purpose draws
+// ErrUnknownPurpose however it is named — the SET PURPOSE statement,
+// SetPurpose, or the handshake — on a server and on the router, whether
+// or not a routed statement has opened a shard session yet.
 func TestSetPurposeStatementUnknownPurpose(t *testing.T) {
 	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
 		ctx := ctxT(t)
-		c := dial(t, f.addr)
-		if _, err := c.Query(ctx, "SELECT id FROM visits WHERE id = 1"); err != nil {
-			t.Fatal(err)
+		for _, routedFirst := range []bool{true, false} {
+			c := dial(t, f.addr)
+			if routedFirst {
+				if _, err := c.Query(ctx, "SELECT id FROM visits WHERE id = 1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.Exec(ctx, "SET PURPOSE nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
+				t.Fatalf("routed first %v: SET PURPOSE nosuch: %v, want ErrUnknownPurpose", routedFirst, err)
+			}
+			if err := c.SetPurpose(ctx, "nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
+				t.Fatalf("routed first %v: SetPurpose: %v, want ErrUnknownPurpose", routedFirst, err)
+			}
+			// The session keeps its purpose and stays usable.
+			if _, err := c.Query(ctx, "SELECT id FROM visits WHERE id = 1"); err != nil {
+				t.Fatalf("routed first %v: %v", routedFirst, err)
+			}
 		}
-		if _, err := c.Exec(ctx, "SET PURPOSE nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
-			t.Fatalf("SET PURPOSE nosuch: %v, want ErrUnknownPurpose", err)
+		if _, err := client.Dial(ctx, f.addr, client.WithPurpose("nosuch")); !errors.Is(err, client.ErrUnknownPurpose) {
+			t.Fatalf("handshake: %v, want ErrUnknownPurpose", err)
 		}
-		if err := c.SetPurpose(ctx, "nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
-			t.Fatalf("SetPurpose: %v, want ErrUnknownPurpose", err)
+		// A declared purpose is admitted, in any case.
+		c, err := client.Dial(ctx, f.addr, client.WithPurpose("CITIES"))
+		if err != nil {
+			t.Fatalf("handshake with a declared purpose: %v", err)
 		}
-		if err := c.Ping(ctx); err != nil {
-			t.Fatal(err)
-		}
+		c.Close()
 	})
 }
 
@@ -270,27 +250,4 @@ func TestSentinelErrors(t *testing.T) {
 			t.Fatalf("oversized request: %v, want ErrFrameTooLarge", err)
 		}
 	})
-}
-
-// TestUnknownStmtWireLevel drives OpExecPrepared with a never-prepared
-// id straight at the wire to pin the error code.
-func TestUnknownStmtWireLevel(t *testing.T) {
-	_, _, addr := startServer(t, server.Options{})
-	ctx := ctxT(t)
-	c := dial(t, addr)
-	st, err := c.Prepare(ctx, "SELECT id FROM visits")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	_, err = st.Exec(ctx)
-	var werr *wire.Error
-	if !errors.As(err, &werr) || werr.Code != wire.CodeUnknownStmt {
-		t.Fatalf("closed statement exec: %v, want CodeUnknownStmt", err)
-	}
-	if !errors.Is(err, client.ErrUnknownStmt) {
-		t.Fatalf("closed statement exec: %v, want ErrUnknownStmt", err)
-	}
 }

@@ -593,35 +593,23 @@ func TestProtocolBadVersion(t *testing.T) {
 	})
 }
 
-// TestProtocolVersion1Refused: a client of protocol version 1 encodes
-// INTs in 8 fixed bytes, which this build would misread. Its Hello is
-// refused with CodeProtocol, and the connection closes.
-func TestProtocolVersion1Refused(t *testing.T) {
+// TestProtocolOldVersionRefused: a client of an older protocol version
+// is refused at its Hello with CodeProtocol, and the connection closes.
+// Version 1 encodes INTs in 8 fixed bytes, which this build would
+// misread; version 2 sends statements under opcodes this build has
+// retired, and an OpExec payload it would misread; version 3 prepares
+// statements under opcodes this build has retired.
+func TestProtocolOldVersionRefused(t *testing.T) {
 	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
-		nc := rawConn(t, f.addr)
-		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: 1})); err != nil {
-			t.Fatal(err)
-		}
-		expectError(t, nc, wire.CodeProtocol)
-		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
-			t.Fatal("connection must be closed after a refused version")
-		}
-	})
-}
-
-// TestProtocolVersion2Refused: a client of protocol version 2 sends
-// statements under opcodes this build has retired, and an OpExec
-// payload it would misread. Its Hello is refused with CodeProtocol, and
-// the connection closes.
-func TestProtocolVersion2Refused(t *testing.T) {
-	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
-		nc := rawConn(t, f.addr)
-		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: 2})); err != nil {
-			t.Fatal(err)
-		}
-		expectError(t, nc, wire.CodeProtocol)
-		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
-			t.Fatal("connection must be closed after a refused version")
+		for v := uint16(1); v < wire.Version; v++ {
+			nc := rawConn(t, f.addr)
+			if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: v})); err != nil {
+				t.Fatal(err)
+			}
+			expectError(t, nc, wire.CodeProtocol)
+			if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+				t.Fatalf("version %d: connection must be closed after a refused version", v)
+			}
 		}
 	})
 }
@@ -641,24 +629,27 @@ func TestProtocolOversizedFrame(t *testing.T) {
 }
 
 // TestProtocolUnknownOpcode closes the session after an undefined
-// request opcode.
+// request opcode: one never defined, and the prepared-statement opcodes
+// of protocol version 3 (prepare, execute prepared, close statement).
 func TestProtocolUnknownOpcode(t *testing.T) {
 	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
-		nc := rawConn(t, f.addr)
-		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: wire.Version})); err != nil {
-			t.Fatal(err)
-		}
-		op, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault)
-		if err != nil || op != wire.OpWelcome {
-			t.Fatalf("handshake: op=%#x err=%v", op, err)
-		}
-		if err := wire.WriteFrame(nc, 0x7F, nil); err != nil {
-			t.Fatal(err)
-		}
-		expectError(t, nc, wire.CodeProtocol)
-		// The front end must then close the connection.
-		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
-			t.Fatal("connection must be closed after a protocol error")
+		for _, unknown := range []byte{0x7F, 0x09, 0x0A, 0x0B} {
+			nc := rawConn(t, f.addr)
+			if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: wire.Version})); err != nil {
+				t.Fatal(err)
+			}
+			op, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault)
+			if err != nil || op != wire.OpWelcome {
+				t.Fatalf("handshake: op=%#x err=%v", op, err)
+			}
+			if err := wire.WriteFrame(nc, unknown, nil); err != nil {
+				t.Fatal(err)
+			}
+			expectError(t, nc, wire.CodeProtocol)
+			// The front end must then close the connection.
+			if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+				t.Fatalf("opcode %#x: connection must be closed after a protocol error", unknown)
+			}
 		}
 	})
 }

@@ -37,7 +37,7 @@ type plan struct {
 	// execute in place of the client's (see query.Shape.Partial); it
 	// carries its literals, so it ships without arguments.
 	partial string
-	ddl     bool   // actBroadcast: mirror into the router schema
+	ddl     bool   // actBroadcast: catalog DDL, mirrored into the router schema
 	name    string // actSetPurpose purpose name
 }
 
@@ -78,10 +78,10 @@ func planStatement(t *Table, sch *Schema, st query.Statement) (*plan, error) {
 			return nil, refuse("unknown table %q", s.Table)
 		}
 		return planKeyedWrite(t, shape, s.Where)
-	case *query.CreateDomain, *query.CreatePolicy, *query.CreateIndex,
-		*query.DropIndex, *query.DeclarePurpose, *query.FireEvent:
+	case *query.FireEvent:
 		return &plan{act: actBroadcast}, nil
-	case *query.CreateTable, *query.DropTable:
+	case *query.CreateDomain, *query.CreatePolicy, *query.CreateIndex,
+		*query.DropIndex, *query.DeclarePurpose, *query.CreateTable, *query.DropTable:
 		return &plan{act: actBroadcast, ddl: true}, nil
 	case *query.SetPurpose:
 		return &plan{act: actSetPurpose, name: s.Name}, nil

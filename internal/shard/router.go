@@ -298,12 +298,22 @@ func (ss *rsession) Close() {
 	}
 }
 
-// admit opens a client session. The purpose is not validated here —
-// the router has no purpose catalog — but every downstream dial carries
-// it, so the owning shard enforces it on the session's first routed
-// statement.
-func (r *Router) admit(_ *server.Peer, h wire.Hello) (server.Session, error) {
+// admit opens a client session, refusing a purpose the schema mirror
+// does not know as a server refuses one its catalog does not. Every
+// downstream dial carries the purpose, so each shard enforces it too.
+func (r *Router) admit(p *server.Peer, h wire.Hello) (server.Session, error) {
+	if h.Purpose != "" && !r.schema.hasPurpose(h.Purpose) {
+		err := unknownPurpose(h.Purpose)
+		p.Fail(wire.CodeUnknownPurpose, err.Error())
+		return nil, err
+	}
 	return &rsession{r: r, purpose: h.Purpose, coarse: h.Coarse, conns: make(map[int]*client.Conn)}, nil
+}
+
+// unknownPurpose is the refusal of a purpose the schema mirror does not
+// know.
+func unknownPurpose(name string) error {
+	return fmt.Errorf("router: unknown purpose: %s", name)
 }
 
 // serveRequest dispatches one request. Returns false to end the session.
@@ -325,9 +335,6 @@ func (r *Router) serveRequest(p *server.Peer, ss *rsession, op byte, payload []b
 			return false
 		}
 		return r.execSQL(p, ss, e)
-	case wire.OpPrepare, wire.OpExecPrepared, wire.OpCloseStmt:
-		return p.SendErr(wire.CodeSQL, errors.New(
-			"router: prepared statements are not supported through the shard router; use Exec with arguments"))
 	case wire.OpBackup, wire.OpKeyExport:
 		return p.SendErr(wire.CodeSQL, errors.New(
 			"router: back up each shard directly (epoch keys and WALs are per-shard)"))
@@ -354,6 +361,9 @@ func (r *Router) serveRequest(p *server.Peer, ss *rsession, op byte, payload []b
 // setPurpose switches the session purpose and propagates it to every
 // already-open downstream session (future dials carry it at handshake).
 func (r *Router) setPurpose(p *server.Peer, ss *rsession, name string) bool {
+	if !r.schema.hasPurpose(name) {
+		return p.SendErr(wire.CodeUnknownPurpose, unknownPurpose(name))
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	defer cancel()
 	for idx, c := range ss.conns {
@@ -420,7 +430,7 @@ func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
 	case actSingle:
 		c, err := ss.conn(ctx, t, pl.shard)
 		if err != nil {
-			return p.SendErr(wire.CodeSQL, err)
+			return r.forwardErr(p, ss, pl.shard, err)
 		}
 		res, err := r.shardExec(ctx, c, tt, root, t.Shards[pl.shard].Name, sql, args)
 		if err != nil {
@@ -436,7 +446,7 @@ func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
 		for idx := range t.Shards {
 			c, err := ss.conn(ctx, t, idx)
 			if err != nil {
-				return p.SendErr(wire.CodeSQL, err)
+				return r.forwardErr(p, ss, idx, err)
 			}
 			res, err := r.shardExec(ctx, c, tt, root, t.Shards[idx].Name, sql, args)
 			if err != nil {
@@ -484,7 +494,7 @@ func (r *Router) scatter(ctx context.Context, p *server.Peer, ss *rsession, t *T
 	for idx := range t.Shards {
 		c, err := ss.conn(ctx, t, idx)
 		if err != nil {
-			return p.SendErr(wire.CodeSQL, err)
+			return r.forwardErr(p, ss, idx, err)
 		}
 		conns[idx] = c
 	}
@@ -522,9 +532,10 @@ func (r *Router) scatter(ctx context.Context, p *server.Peer, ss *rsession, t *T
 	return p.SendResult(&wire.Result{RowsAffected: uint64(len(merged.Data)), Rows: merged})
 }
 
-// forwardErr relays a downstream failure to the client. Wire errors keep
-// their code (purpose denials, read-only refusals and SQL errors arrive
-// exactly as a direct connection would see them); transport failures
+// forwardErr relays a downstream failure to the client, a statement's
+// or a refused dial's. Wire errors keep their code (purpose denials,
+// read-only refusals and SQL errors arrive exactly as a direct
+// connection would see them); transport failures
 // surface as CodeSQL with the shard named, and the dead downstream
 // session is dropped so the next statement redials.
 func (r *Router) forwardErr(p *server.Peer, ss *rsession, idx int, err error) bool {

@@ -445,8 +445,8 @@ func TestRouterAvgScatter(t *testing.T) {
 }
 
 // TestRouterPurposeEnforcement proves the purpose travels to every shard
-// and is enforced there: the router itself never needs a purpose
-// catalog.
+// and is enforced there, and that the router refuses an undeclared
+// purpose itself, from its schema mirror, as a server would.
 func TestRouterPurposeEnforcement(t *testing.T) {
 	c := startCluster(t, 3)
 	full := dialRouter(t, c)
@@ -463,11 +463,10 @@ func TestRouterPurposeEnforcement(t *testing.T) {
 		t.Fatalf("precise scatter: %d rows err=%v", rows.Len(), err)
 	}
 
-	// An unknown purpose passes the router handshake (no catalog there)
-	// but fails on the first routed statement, at the shard.
-	bogus := dialRouter(t, c, client.WithPurpose("no-such-purpose"))
-	if _, err := bogus.Query(ctx, "SELECT id FROM visits WHERE id = ?", value.Int(1)); err == nil {
-		t.Fatal("unknown purpose should fail at the shard")
+	// An unknown purpose fails the router handshake, as it fails a
+	// server's.
+	if _, err := client.Dial(ctx, c.addr, client.WithPurpose("no-such-purpose")); !errors.Is(err, client.ErrUnknownPurpose) {
+		t.Fatalf("unknown purpose at the router handshake: %v, want ErrUnknownPurpose", err)
 	}
 
 	// SET PURPOSE switches every downstream session.
@@ -483,6 +482,9 @@ func TestRouterPurposeEnforcement(t *testing.T) {
 	}
 	if err := full.SetPurpose(ctx, "does-not-exist"); err == nil {
 		t.Fatal("SET PURPOSE to unknown purpose should fail")
+	}
+	if err := full.SetPurpose(ctx, "nosuch"); !errors.Is(err, client.ErrUnknownPurpose) {
+		t.Fatalf("SET PURPOSE to unknown purpose: %v, want ErrUnknownPurpose", err)
 	}
 }
 

@@ -21,18 +21,22 @@ type tableShape struct {
 // shape (column order, primary keys) to route statements, learned from
 // the shards' own append-only DDL script (OpSchema) and kept current as
 // the router broadcasts DDL. The shards stay authoritative — the mirror
-// locates primary keys and names a table's columns, it never checks
-// types.
+// locates primary keys, names a table's columns and knows the declared
+// purposes; it never checks types.
 type Schema struct {
-	mu     sync.RWMutex
-	tables map[string]*tableShape
-	stmts  []string // raw statements, in application order
+	mu       sync.RWMutex
+	tables   map[string]*tableShape
+	purposes map[string]bool // declared purpose names, lowercase
+	stmts    []string        // raw statements, in application order
 }
 
 // NewSchema returns an empty mirror.
 func NewSchema() *Schema {
-	return &Schema{tables: make(map[string]*tableShape)}
+	return &Schema{tables: make(map[string]*tableShape), purposes: builtinPurposes()}
 }
+
+// builtinPurposes is the purpose every catalog starts with.
+func builtinPurposes() map[string]bool { return map[string]bool{"full": true} }
 
 // ApplyScript parses a full catalog DDL script and mirrors it,
 // replacing the current state.
@@ -44,6 +48,7 @@ func (s *Schema) ApplyScript(script string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables = make(map[string]*tableShape)
+	s.purposes = builtinPurposes()
 	for _, st := range stmts {
 		s.applyLocked(st)
 	}
@@ -73,7 +78,17 @@ func (s *Schema) applyLocked(st query.Statement) {
 		s.tables[sh.name] = sh
 	case *query.DropTable:
 		delete(s.tables, strings.ToLower(d.Name))
+	case *query.DeclarePurpose:
+		s.purposes[strings.ToLower(d.Name)] = true
 	}
+}
+
+// hasPurpose reports whether name is a declared purpose. Purposes are
+// never dropped, so a name the mirror knows stays valid.
+func (s *Schema) hasPurpose(name string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.purposes[strings.ToLower(name)]
 }
 
 // table returns the shape of a table, or nil if unknown.

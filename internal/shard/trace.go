@@ -76,7 +76,7 @@ func (r *Router) serveAuditTail(p *server.Peer, ss *rsession, n uint64) bool {
 	for idx := range t.Shards {
 		c, err := ss.conn(ctx, t, idx)
 		if err != nil {
-			return p.SendErr(wire.CodeSQL, err)
+			return r.forwardErr(p, ss, idx, err)
 		}
 		evs, err := c.AuditTail(ctx, int(n))
 		if err != nil {

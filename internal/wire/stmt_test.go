@@ -12,77 +12,6 @@ import (
 	"instantdb/internal/value"
 )
 
-func TestStmtReadyRoundTrip(t *testing.T) {
-	in := StmtReady{ID: 300, NumParams: 4}
-	out, err := DecodeStmtReady(EncodeStmtReady(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-	if _, err := DecodeStmtReady(nil); err == nil {
-		t.Fatal("empty stmt-ready should fail")
-	}
-	if _, err := DecodeStmtReady(EncodeCloseStmt(1)); err == nil {
-		t.Fatal("truncated stmt-ready should fail")
-	}
-	if _, err := DecodeStmtReady(append(EncodeStmtReady(in), 0x01)); err == nil {
-		t.Fatal("stmt-ready with trailing bytes should fail")
-	}
-	// A hostile param count must not wrap negative and disable
-	// database/sql arity checking.
-	huge := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<63)
-	if _, err := DecodeStmtReady(huge); err == nil {
-		t.Fatal("implausible param count should fail")
-	}
-}
-
-func TestExecPreparedRoundTrip(t *testing.T) {
-	args := []value.Value{
-		value.Int(-5), value.Float(2.5), value.Text("O'hara"), value.Bool(true),
-		value.Time(time.Date(2008, 4, 7, 12, 0, 0, 0, time.UTC)), value.Null(),
-	}
-	id, got, err := DecodeExecPrepared(EncodeExecPrepared(77, args))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 77 || len(got) != len(args) {
-		t.Fatalf("round trip id=%d args=%d", id, len(got))
-	}
-	for i := range args {
-		if c, err := value.Compare(got[i], args[i]); got[i].Kind() != args[i].Kind() || (err == nil && c != 0) {
-			t.Fatalf("arg %d = %v, want %v", i, got[i], args[i])
-		}
-	}
-	// No args encodes an empty row, not a missing one.
-	if _, got, err := DecodeExecPrepared(EncodeExecPrepared(1, nil)); err != nil || len(got) != 0 {
-		t.Fatalf("empty args round trip: %v %v", got, err)
-	}
-	if _, _, err := DecodeExecPrepared(nil); err == nil {
-		t.Fatal("empty exec-prepared should fail")
-	}
-	if _, _, err := DecodeExecPrepared(EncodeCloseStmt(9)); err == nil {
-		t.Fatal("exec-prepared without arg row should fail")
-	}
-	if _, _, err := DecodeExecPrepared(append(EncodeExecPrepared(1, nil), 0xFF)); err == nil {
-		t.Fatal("exec-prepared with trailing bytes should fail")
-	}
-}
-
-func TestCloseStmtRoundTrip(t *testing.T) {
-	id, err := DecodeCloseStmt(EncodeCloseStmt(123456))
-	if err != nil || id != 123456 {
-		t.Fatalf("round trip = %d, %v", id, err)
-	}
-	if _, err := DecodeCloseStmt(nil); err == nil {
-		t.Fatal("empty close-stmt should fail")
-	}
-	if _, err := DecodeCloseStmt(append(EncodeCloseStmt(1), 0x02)); err == nil {
-		t.Fatal("close-stmt with trailing bytes should fail")
-	}
-}
-
 // TestExecRoundTrip covers the one statement frame: trace identity,
 // text and arguments each survive, and a frame missing a part or
 // carrying trailing bytes is refused.
@@ -193,7 +122,6 @@ func TestErrorSentinelMapping(t *testing.T) {
 		{CodeShutdown, ErrShuttingDown},
 		{CodeProtocol, ErrProtocol},
 		{CodeFrameTooLarge, ErrFrameTooLarge},
-		{CodeUnknownStmt, ErrUnknownStmt},
 	}
 	for _, c := range cases {
 		werr, err := DecodeError(EncodeError(c.code, "boom"))

@@ -27,13 +27,16 @@ import (
 const Magic uint32 = 0x49444201 // "IDB\x01"
 
 // Version is the protocol version this package implements. The server
-// refuses handshakes with a different version. Version 3 sends every
-// statement as one OpExec frame (Exec payload: trace identity, text,
-// arguments); version 2 had a request opcode per statement kind and a
-// trace wrapper. Since version 2 every value — result rows, statement
+// refuses handshakes with a different version. Version 4 has no
+// server-side prepared statements: a prepared statement is a client
+// handle that sends OpExec with arguments; version 3 also had a
+// per-session statement registry. Since version 3 every statement is
+// one OpExec frame (Exec payload: trace identity, text, arguments);
+// version 2 had a request opcode per statement kind and a trace
+// wrapper. Since version 2 every value — result rows, statement
 // arguments, replication payloads — travels in the storage codec with
 // INTs as varints; version 1 carried them as 8 fixed bytes.
-const Version uint16 = 3
+const Version uint16 = 4
 
 // MaxFrameDefault bounds frame payloads unless overridden: large enough
 // for sizeable result sets, small enough that a hostile length prefix
@@ -51,18 +54,6 @@ const (
 	OpExec byte = 0x02
 	// OpPing is a liveness probe; the server answers OpPong.
 	OpPing byte = 0x08
-	// OpPrepare parses the payload (SQL text) into a server-side
-	// prepared statement; the server answers OpStmtReady with the
-	// statement id and parameter count.
-	OpPrepare byte = 0x09
-	// OpExecPrepared executes a prepared statement with a bound argument
-	// list (EncodeExecPrepared payload). The response is OpResult, or a
-	// CodeUnknownStmt error if the id was closed or evicted.
-	OpExecPrepared byte = 0x0A
-	// OpCloseStmt discards a prepared statement (EncodeCloseStmt
-	// payload). Closing an unknown id is a no-op; the response is an
-	// empty OpResult either way.
-	OpCloseStmt byte = 0x0B
 	// OpBackup requests a streamed backup archive (EncodeBackupReq
 	// payload: full, or incremental from a log position). The server
 	// answers a sequence of OpBackupChunk frames carrying the raw
@@ -110,8 +101,12 @@ const (
 // Retired request opcodes, never to be reused: 0x03 (query), 0x04 (set
 // purpose), 0x05–0x07 (begin, commit, rollback), 0x0C (exec with
 // arguments), 0x0D (begin read-only) and 0x14 (trace wrapper) were
-// statement requests of protocol version 2 that OpExec replaced. A
-// server answers each with CodeProtocol, as it does any unknown opcode.
+// statement requests of protocol version 2 that OpExec replaced; 0x09
+// (prepare), 0x0A (execute prepared) and 0x0B (close statement) drove the
+// per-session statement registry of protocol version 3. A server answers
+// each with CodeProtocol, as it does any unknown opcode. Retired with
+// them, and likewise never reused: the response opcode 0x83 (statement
+// ready) and the error code 7 (unknown prepared statement).
 
 // Response opcodes (server → client).
 const (
@@ -122,8 +117,6 @@ const (
 	OpError byte = 0x81
 	// OpResult carries a statement outcome (EncodeResult payload).
 	OpResult byte = 0x82
-	// OpStmtReady acknowledges OpPrepare (EncodeStmtReady payload).
-	OpStmtReady byte = 0x83
 	// OpStatsReply answers OpStats (EncodeStats payload: a sorted list
 	// of metric samples).
 	OpStatsReply byte = 0x84
@@ -177,10 +170,6 @@ const (
 	CodeServerBusy uint16 = 5
 	// CodeShutdown reports that the server is draining connections.
 	CodeShutdown uint16 = 6
-	// CodeUnknownStmt rejects OpExecPrepared naming a statement id that
-	// was never prepared, was closed, or was evicted from the session's
-	// statement registry. Non-fatal: re-prepare and retry.
-	CodeUnknownStmt uint16 = 7
 	// CodeReadOnlyReplica rejects a write statement (or a read-write
 	// BEGIN, or DDL) on a server running as a read replica. Non-fatal:
 	// the session stays usable for reads; direct writes to the leader.
@@ -217,9 +206,6 @@ var (
 	ErrShuttingDown = errors.New("wire: server shutting down")
 	// ErrProtocol matches CodeProtocol (framing violation).
 	ErrProtocol = errors.New("wire: protocol violation")
-	// ErrUnknownStmt matches CodeUnknownStmt (prepared statement id
-	// closed or evicted).
-	ErrUnknownStmt = errors.New("wire: unknown prepared statement")
 	// ErrReadOnlyReplica matches CodeReadOnlyReplica (write refused on a
 	// read replica).
 	ErrReadOnlyReplica = errors.New("wire: server is a read-only replica")
@@ -347,8 +333,6 @@ func (e *Error) Is(target error) bool {
 		return e.Code == CodeProtocol
 	case ErrFrameTooLarge:
 		return e.Code == CodeFrameTooLarge
-	case ErrUnknownStmt:
-		return e.Code == CodeUnknownStmt
 	case ErrReadOnlyReplica:
 		return e.Code == CodeReadOnlyReplica
 	case ErrReplUnavailable:
@@ -477,83 +461,6 @@ func DecodeResult(p []byte) (*Result, error) {
 	}
 	r.Rows = rows
 	return r, nil
-}
-
-// StmtReady acknowledges a Prepare: the server-assigned statement id
-// and the statement's `?` parameter count.
-type StmtReady struct {
-	ID        uint64
-	NumParams int
-}
-
-// EncodeStmtReady serializes an OpStmtReady payload.
-func EncodeStmtReady(r StmtReady) []byte {
-	b := binary.AppendUvarint(nil, r.ID)
-	return binary.AppendUvarint(b, uint64(r.NumParams))
-}
-
-// DecodeStmtReady parses an OpStmtReady payload.
-func DecodeStmtReady(p []byte) (StmtReady, error) {
-	id, n := binary.Uvarint(p)
-	if n <= 0 {
-		return StmtReady{}, fmt.Errorf("wire: stmt-ready id")
-	}
-	params, n2 := binary.Uvarint(p[n:])
-	if n2 <= 0 {
-		return StmtReady{}, fmt.Errorf("wire: stmt-ready param count")
-	}
-	if n+n2 != len(p) {
-		return StmtReady{}, fmt.Errorf("wire: stmt-ready has %d trailing bytes", len(p)-n-n2)
-	}
-	// Every placeholder occupies at least one byte of statement text, so
-	// a count past the frame limit is corrupt; unchecked it could go
-	// negative through int conversion and disable database/sql's
-	// client-side arity checking (NumInput() < 0 means "don't check").
-	if params > MaxFrameDefault {
-		return StmtReady{}, fmt.Errorf("wire: stmt-ready claims %d parameters", params)
-	}
-	return StmtReady{ID: id, NumParams: int(params)}, nil
-}
-
-// EncodeExecPrepared serializes an OpExecPrepared payload: the statement
-// id, then the argument list in the internal/value row codec — the same
-// typed encoding result rows already cross the wire in.
-func EncodeExecPrepared(id uint64, args []value.Value) []byte {
-	b := binary.AppendUvarint(nil, id)
-	return value.EncodeRow(b, args)
-}
-
-// DecodeExecPrepared parses an OpExecPrepared payload.
-func DecodeExecPrepared(p []byte) (id uint64, args []value.Value, err error) {
-	id, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wire: exec-prepared stmt id")
-	}
-	args, used, err := value.DecodeRow(p[n:])
-	if err != nil {
-		return 0, nil, fmt.Errorf("wire: exec-prepared args: %w", err)
-	}
-	if n+used != len(p) {
-		return 0, nil, fmt.Errorf("wire: exec-prepared has %d trailing bytes", len(p)-n-used)
-	}
-	return id, args, nil
-}
-
-// EncodeCloseStmt serializes an OpCloseStmt payload.
-func EncodeCloseStmt(id uint64) []byte {
-	return binary.AppendUvarint(nil, id)
-}
-
-// DecodeCloseStmt parses an OpCloseStmt payload.
-func DecodeCloseStmt(p []byte) (uint64, error) {
-	id, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: close-stmt id")
-	}
-	if n != len(p) {
-		return 0, fmt.Errorf("wire: close-stmt has %d trailing bytes", len(p)-n)
-	}
-	return id, nil
 }
 
 // Exec is the OpExec payload: one statement, its arguments, and the

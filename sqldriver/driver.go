@@ -24,10 +24,11 @@
 // belong to db.Begin).
 //
 // Arguments bind to `?` placeholders server-side; values never pass
-// through SQL text. Prepared statements (sql.Stmt) map to server-side
-// prepared statements and amortize parsing across executions; one-shot
-// db.Exec/db.Query with arguments use the protocol's single-round-trip
-// bind-and-execute. Transactions (db.Begin) map to the session
+// through SQL text, and every statement travels the same way, text and
+// arguments in one round trip. A prepared statement (sql.Stmt) checks
+// its syntax and counts its placeholders when prepared; the server's
+// per-session parse cache spares the parse of each repeated execution,
+// for db.Exec/db.Query with arguments as for a sql.Stmt. Transactions (db.Begin) map to the session
 // transaction of the underlying connection. A read-only transaction
 // (db.BeginTx with sql.TxOptions{ReadOnly: true}) maps to the engine's
 // snapshot path: every statement reads one consistent snapshot, takes
@@ -152,7 +153,7 @@ func (c *conn) PrepareContext(ctx context.Context, query string) (driver.Stmt, e
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return &stmt{c: c, cs: cs, query: query}, nil
+	return &stmt{cs}, nil
 }
 
 // rejectSessionStmt refuses session-scoped statements through the
@@ -260,41 +261,15 @@ func (c *conn) Ping(ctx context.Context) error { return mapErr(c.c.Ping(ctx)) }
 // of handing them back out.
 func (c *conn) IsValid() bool { return !c.c.Closed() }
 
-// stmt adapts a server-side prepared statement. The server evicts
-// least-recently-used statements past its per-session cap, and
-// database/sql cannot re-prepare on its own, so execution transparently
-// re-prepares from the retained query text when the id comes back
-// unknown.
+// stmt adapts a prepared statement of the native client: a local
+// handle (syntax checked, placeholders counted) whose executions send
+// the text with its arguments, so the server holds nothing that could
+// be evicted or leak and Close is local.
 type stmt struct {
-	c     *conn
-	cs    *client.Stmt
-	query string
+	cs *client.Stmt
 }
 
-// reprepare refreshes the server-side statement after an eviction. The
-// fresh statement lands most-recently-used in the registry, so the
-// immediate retry cannot be the next eviction victim.
-func (s *stmt) reprepare(ctx context.Context) error {
-	cs, err := s.c.c.Prepare(ctx, s.query)
-	if err != nil {
-		return mapErr(err)
-	}
-	s.cs = cs
-	return nil
-}
-
-func (s *stmt) Close() error {
-	// driver.Stmt.Close carries no context, but it still performs a
-	// round trip; bound it so a wedged server cannot hang pool teardown.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err := s.cs.Close(ctx)
-	if errors.Is(err, client.ErrClosed) {
-		// The session is gone, and its statement registry with it.
-		return nil
-	}
-	return err
-}
+func (s *stmt) Close() error { return nil }
 
 func (s *stmt) NumInput() int { return s.cs.NumParams() }
 
@@ -312,11 +287,6 @@ func (s *stmt) ExecContext(ctx context.Context, args []driver.NamedValue) (drive
 		return nil, err
 	}
 	res, err := s.cs.Exec(ctx, vals...)
-	if errors.Is(err, client.ErrUnknownStmt) {
-		if err = s.reprepare(ctx); err == nil {
-			res, err = s.cs.Exec(ctx, vals...)
-		}
-	}
 	if err != nil {
 		return nil, mapErr(err)
 	}
@@ -329,11 +299,6 @@ func (s *stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driv
 		return nil, err
 	}
 	r, err := s.cs.Query(ctx, vals...)
-	if errors.Is(err, client.ErrUnknownStmt) {
-		if err = s.reprepare(ctx); err == nil {
-			r, err = s.cs.Query(ctx, vals...)
-		}
-	}
 	if err != nil {
 		return nil, mapErr(err)
 	}

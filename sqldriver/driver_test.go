@@ -37,9 +37,7 @@ DECLARE PURPOSE stats SET ACCURACY LEVEL country FOR visits.place;
 
 // startServer serves an ephemeral database on loopback and returns its
 // address for DSNs.
-func startServer(t *testing.T) string { return startServerOpts(t, server.Options{}) }
-
-func startServerOpts(t *testing.T, opts server.Options) string {
+func startServer(t *testing.T) string {
 	t.Helper()
 	db, err := engine.Open(engine.Config{Clock: vclock.NewSimulated(vclock.Epoch)})
 	if err != nil {
@@ -48,7 +46,7 @@ func startServerOpts(t *testing.T, opts server.Options) string {
 	if err := db.ExecScript(schema); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db, opts)
+	srv := server.New(db, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -321,42 +319,6 @@ func TestPreparedStatements(t *testing.T) {
 	}
 	if who != "w" {
 		t.Fatalf("who = %q", who)
-	}
-}
-
-// TestStmtSurvivesEviction pins the eviction-recovery contract: a
-// long-lived sql.Stmt keeps working after the server's per-session
-// registry evicted its id, by transparently re-preparing.
-func TestStmtSurvivesEviction(t *testing.T) {
-	addr := startServerOpts(t, server.Options{MaxStmts: 2})
-	db := open(t, addr)
-	db.SetMaxOpenConns(1) // one session, so evictions hit the same registry
-
-	ins, err := db.Prepare("INSERT INTO visits (id, who, place) VALUES (?, ?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ins.Close()
-	if _, err := ins.Exec(1, "a", "Dam 1"); err != nil {
-		t.Fatal(err)
-	}
-	// Two more prepares evict ins from the 2-slot registry.
-	for i, q := range []string{"SELECT who FROM visits WHERE id = ?", "SELECT id FROM visits WHERE who = ?"} {
-		st, err := db.Prepare(q)
-		if err != nil {
-			t.Fatalf("prepare %d: %v", i, err)
-		}
-		defer st.Close()
-	}
-	if _, err := ins.Exec(2, "b", "Dam 1"); err != nil {
-		t.Fatalf("evicted sql.Stmt did not recover: %v", err)
-	}
-	var n int
-	if err := db.QueryRow("SELECT COUNT(*) AS n FROM visits").Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("rows = %d, want 2", n)
 	}
 }
 
