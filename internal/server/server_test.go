@@ -593,23 +593,32 @@ func TestProtocolBadVersion(t *testing.T) {
 	})
 }
 
-// TestProtocolOldVersionRefused: a client of an older protocol version
-// is refused at its Hello with CodeProtocol, and the connection closes.
-// Version 1 encodes INTs in 8 fixed bytes, which this build would
-// misread; version 2 sends statements under opcodes this build has
-// retired, and an OpExec payload it would misread; version 3 prepares
+// TestProtocolVersion1Refused: a client of protocol version 1 encodes
+// INTs in 8 fixed bytes, which this build would misread.
+func TestProtocolVersion1Refused(t *testing.T) { expectVersionRefused(t, 1) }
+
+// TestProtocolVersion2Refused: a client of protocol version 2 sends
+// statements under opcodes this build has retired, and an OpExec
+// payload it would misread.
+func TestProtocolVersion2Refused(t *testing.T) { expectVersionRefused(t, 2) }
+
+// TestProtocolVersion3Refused: a client of protocol version 3 prepares
 // statements under opcodes this build has retired.
-func TestProtocolOldVersionRefused(t *testing.T) {
+func TestProtocolVersion3Refused(t *testing.T) { expectVersionRefused(t, 3) }
+
+// expectVersionRefused checks, on a server and on a router, that a
+// Hello of an older protocol version is refused with CodeProtocol and
+// the connection closes.
+func expectVersionRefused(t *testing.T, v uint16) {
+	t.Helper()
 	forRoles(t, server.Options{}, func(t *testing.T, f *front) {
-		for v := uint16(1); v < wire.Version; v++ {
-			nc := rawConn(t, f.addr)
-			if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: v})); err != nil {
-				t.Fatal(err)
-			}
-			expectError(t, nc, wire.CodeProtocol)
-			if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
-				t.Fatalf("version %d: connection must be closed after a refused version", v)
-			}
+		nc := rawConn(t, f.addr)
+		if err := wire.WriteFrame(nc, wire.OpHello, wire.EncodeHello(wire.Hello{Version: v})); err != nil {
+			t.Fatal(err)
+		}
+		expectError(t, nc, wire.CodeProtocol)
+		if _, _, err := wire.ReadFrame(nc, wire.MaxFrameDefault); err == nil {
+			t.Fatal("connection must be closed after a refused version")
 		}
 	})
 }
