@@ -182,7 +182,15 @@ func (c *Conn) Close() error {
 // text executed with arguments in a small per-session cache, so a
 // statement run again and again is parsed once.
 func (c *Conn) Exec(ctx context.Context, sql string, args ...value.Value) (*Result, error) {
-	return c.request(ctx, wire.OpExec, wire.EncodeExec(wire.Exec{SQL: sql, Args: args}))
+	return c.ExecFrame(ctx, wire.Exec{SQL: sql, Args: args})
+}
+
+// ExecFrame sends one whole statement frame — text, arguments, trace
+// identity and flags as e carries them — and returns its result. Exec
+// and ExecTracedAs fill in the parts they take; the shard router sets
+// the rest.
+func (c *Conn) ExecFrame(ctx context.Context, e wire.Exec) (*Result, error) {
+	return c.request(ctx, wire.OpExec, wire.EncodeExec(e))
 }
 
 // Query runs one SQL statement and returns its rows (empty, never nil,

@@ -31,14 +31,12 @@ func (c *Conn) ExecTraced(ctx context.Context, sql string, args ...value.Value) 
 }
 
 // ExecTracedAs is ExecTraced with an explicit trace identity: the
-// statement's server-side root span joins traceID under parentSpanID.
-// The shard router uses it to hang every shard's spans under its own
-// scatter span, so a cross-shard statement stitches into one tree. A
+// statement's server-side root span joins traceID under parentSpanID,
+// so a caller's own spans and the server's stitch into one tree. A
 // traceID of 0 forces nothing: the server's sampling decides, as for
 // Exec.
 func (c *Conn) ExecTracedAs(ctx context.Context, traceID, parentSpanID uint64, sql string, args ...value.Value) (*Result, error) {
-	e := wire.Exec{TraceID: traceID, ParentSpanID: parentSpanID, SQL: sql, Args: args}
-	return c.request(ctx, wire.OpExec, wire.EncodeExec(e))
+	return c.ExecFrame(ctx, wire.Exec{TraceID: traceID, ParentSpanID: parentSpanID, SQL: sql, Args: args})
 }
 
 // TraceDump fetches finished traces from the server's in-memory rings:

@@ -210,6 +210,19 @@ func (c *Conn) SetCoarse(on bool) { c.coarse = on }
 // executed with arguments keeps its parse in the session's statement
 // cache, so running it again binds without parsing.
 func (c *Conn) Exec(src string, args ...value.Value) (*Result, error) {
+	return c.exec(src, args, false)
+}
+
+// ExecPartial is Exec for a SELECT that answers in its partial form
+// (query.Shape.Partial): what a shard returns for a shard router's
+// aggregated scatter, AVG as SUM and COUNT, ORDER BY and LIMIT left to
+// the router's merge. The router sends the client's own text and
+// arguments, so they go through the statement cache as for Exec.
+func (c *Conn) ExecPartial(src string, args ...value.Value) (*Result, error) {
+	return c.exec(src, args, true)
+}
+
+func (c *Conn) exec(src string, args []value.Value, partial bool) (*Result, error) {
 	sp := c.tr.Span(c.tsp, "parse_bind")
 	s, err := c.stmt(src, len(args) > 0)
 	var bound query.Statement
@@ -220,7 +233,30 @@ func (c *Conn) Exec(src string, args ...value.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if partial {
+		return c.execPartial(bound)
+	}
 	return c.execParsed(bound, src, s.refCols)
+}
+
+// execPartial executes the partial form of a bound SELECT.
+func (c *Conn) execPartial(st query.Statement) (*Result, error) {
+	sel, ok := st.(*query.Select)
+	if !ok {
+		return nil, fmt.Errorf("engine: only a SELECT has a partial form, not %T", st)
+	}
+	tbl, err := c.db.cat.Table(sel.Table)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := query.NewShape(sel, tbl.ColumnNames())
+	if err == nil {
+		sel, err = sh.Partial()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.execParsed(sel, "", nil)
 }
 
 // stmtCacheCap bounds a session's statement cache; a miss on a full

@@ -421,3 +421,36 @@ func TestStmtCache(t *testing.T) {
 		t.Fatalf("cached statement after re-create = %v %v, fresh parse = %v %v", got.Columns, got.Data, want.Columns, want.Data)
 	}
 }
+
+// TestExecPartial: a SELECT run for its partial form answers AVG as SUM
+// and COUNT, without ORDER BY and LIMIT, and its text with arguments
+// enters the statement cache as for Exec; only a SELECT has a partial
+// form.
+func TestExecPartial(t *testing.T) {
+	db, _ := openSim(t)
+	installSchema(t, db)
+	insertPeople(t, db)
+	conn := db.NewConn()
+
+	const q = "SELECT location, AVG(salary) AS a FROM person WHERE id > ? GROUP BY location ORDER BY a LIMIT 1"
+	got, err := conn.ExecPartial(q, value.Int(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := conn.Query("SELECT location, SUM(salary), COUNT(salary) FROM person WHERE id > 0 GROUP BY location")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := fmt.Sprint(got.Rows.Columns, got.Rows.Data), fmt.Sprint(want.Columns, want.Data); g != w || want.Len() < 2 {
+		t.Fatalf("partial form = %s, want %s", g, w)
+	}
+	if conn.stmts[q] == nil {
+		t.Fatal("the partial form's text did not enter the statement cache")
+	}
+	if _, err := conn.ExecPartial("DELETE FROM person WHERE id = ?", value.Int(1)); err == nil {
+		t.Fatal("partial form of a DELETE accepted")
+	}
+	if n := db.MustExec("SELECT id FROM person WHERE id = 1").Rows.Len(); n != 1 {
+		t.Fatalf("a refused partial DELETE removed the row (%d left)", n)
+	}
+}

@@ -153,6 +153,22 @@ func outputName(it SelectItem) string {
 	return strings.ToLower(aggName(it.Agg)) + "(" + it.Col.Column + ")"
 }
 
+func aggName(fn AggFunc) string {
+	switch fn {
+	case AggCount:
+		return "COUNT"
+	case AggSum:
+		return "SUM"
+	case AggAvg:
+		return "AVG"
+	case AggMin:
+		return "MIN"
+	case AggMax:
+		return "MAX"
+	}
+	return ""
+}
+
 // Partial is the statement a shard executes so that the router can
 // recombine the answer exactly. A plain scan is its own partial form
 // (ORDER BY and LIMIT push down; the router applies them again over

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,8 +81,9 @@ func randRows(rng *rand.Rand, n int) [][]value.Value {
 
 // TestFeedEqualsMergeOfPartitions: feeding all rows into one evaluation
 // gives the rows that come out of splitting them at random, running the
-// partial form over each part as a shard would, and merging — for every
-// statement shape, including the empty input and empty parts.
+// partial form over each part as a shard would (the shape of the partial
+// statement, fed the part), and merging — for every statement shape,
+// including the empty input and empty parts.
 func TestFeedEqualsMergeOfPartitions(t *testing.T) {
 	stmts := []string{
 		"SELECT * FROM t ORDER BY id",
@@ -114,11 +116,10 @@ func TestFeedEqualsMergeOfPartitions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			text, err := RenderSelect(partial)
+			psh, err := NewShape(partial, shapeCols) // what a shard runs
 			if err != nil {
-				t.Fatalf("%s: render partial: %v", sql, err)
+				t.Fatalf("%s: shape of the partial form: %v", sql, err)
 			}
-			psh := shapeOf(t, text) // what a shard makes of the text it is sent
 			acc := sh.Begin()
 			for _, part := range parts {
 				for _, row := range evalRows(t, psh, part) {
@@ -132,7 +133,7 @@ func TestFeedEqualsMergeOfPartitions(t *testing.T) {
 				t.Fatalf("seed %d %s: %v", seed, sql, err)
 			}
 			if showRows(got) != showRows(want) {
-				t.Fatalf("seed %d, %d parts: %s\npartial: %s\nmerged:\n%ssingle:\n%s", seed, len(parts), sql, text, showRows(got), showRows(want))
+				t.Fatalf("seed %d, %d parts: %s\npartial columns: %v\nmerged:\n%ssingle:\n%s", seed, len(parts), sql, psh.Columns, showRows(got), showRows(want))
 			}
 		}
 	}
@@ -225,8 +226,8 @@ func TestShapeRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := RenderSelect(p); got != want {
-			t.Errorf("partial of %s\n got %s\nwant %s", sql, got, want)
+		if w := mustParse(t, want); !reflect.DeepEqual(p, w) {
+			t.Errorf("partial of %s\n got %+v\nwant %+v (%s)", sql, p, w, want)
 		}
 	}
 }

@@ -322,7 +322,8 @@ func (cw *chunkWriter) flush() error {
 	return nil
 }
 
-// exec runs one OpExec statement with tracing and the slow-query log.
+// exec runs one OpExec statement, in its partial form when the frame
+// asks for it, with tracing and the slow-query log.
 // A non-zero trace id forces a trace rooted under the caller's span, so
 // a router scatter and its shards later stitch into one cross-process
 // tree; otherwise local sampling decides. When nothing traces the
@@ -340,7 +341,11 @@ func (s *Server) exec(sess *session, e wire.Exec) (*engine.Result, error) {
 		sess.conn.AttachTrace(t, root)
 	}
 	start := time.Now()
-	res, err := sess.conn.Exec(e.SQL, e.Args...)
+	exec := sess.conn.Exec
+	if e.Partial {
+		exec = sess.conn.ExecPartial
+	}
+	res, err := exec(e.SQL, e.Args...)
 	d := time.Since(start)
 	if root != nil {
 		sess.conn.DetachTrace()

@@ -606,6 +606,10 @@ func TestProtocolVersion2Refused(t *testing.T) { expectVersionRefused(t, 2) }
 // statements under opcodes this build has retired.
 func TestProtocolVersion3Refused(t *testing.T) { expectVersionRefused(t, 3) }
 
+// TestProtocolVersion4Refused: a client of protocol version 4 sends an
+// OpExec payload without the flags byte, which this build would misread.
+func TestProtocolVersion4Refused(t *testing.T) { expectVersionRefused(t, 4) }
+
 // expectVersionRefused checks, on a server and on a router, that a
 // Hello of an older protocol version is refused with CodeProtocol and
 // the connection closes.

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -66,6 +67,10 @@ var diffCases = []diffCase{
 	{sql: "SELECT AVG(v) AS a, COUNT(*) FROM m WHERE id > ? AND grp = ?", args: []value.Value{value.Int(10), value.Text("g1")}},
 	{sql: "SELECT grp, SUM(f) FROM m WHERE f BETWEEN ? AND ? GROUP BY grp ORDER BY grp", args: []value.Value{value.Float(-10.5), value.Float(40)}},
 	{sql: "SELECT id FROM m WHERE grp = ? ORDER BY id DESC LIMIT 4", args: []value.Value{value.Text("g2")}},
+	// Non-finite arguments, which SQL text has no literal for.
+	{sql: "SELECT COUNT(*), AVG(v) FROM m WHERE f < ?", args: []value.Value{value.Float(math.Inf(1))}},
+	{sql: "SELECT grp, COUNT(*) AS n, SUM(f) FROM m WHERE f > ? GROUP BY grp ORDER BY grp", args: []value.Value{value.Float(math.Inf(-1))}},
+	{sql: "SELECT COUNT(*), MAX(f) FROM m WHERE f <> ? OR v > ?", args: []value.Value{value.Float(math.NaN()), value.Int(0)}},
 	// A degradable column read at a coarse purpose, by session and by clause.
 	{purpose: "regional", sql: "SELECT place, COUNT(*) AS n, AVG(id) FROM visits GROUP BY place ORDER BY place"},
 	{purpose: "regional", sql: "SELECT id, place FROM visits WHERE place = 'Noord-Holland' ORDER BY id LIMIT 5"},

@@ -33,12 +33,8 @@ type plan struct {
 	act   action
 	shard int          // actSingle target
 	shape *query.Shape // actScatter: how the shards' rows recombine
-	// partial, when set, is the statement the shards of an actScatter
-	// execute in place of the client's (see query.Shape.Partial); it
-	// carries its literals, so it ships without arguments.
-	partial string
-	ddl     bool   // actBroadcast: catalog DDL, mirrored into the router schema
-	name    string // actSetPurpose purpose name
+	ddl   bool         // actBroadcast: catalog DDL, mirrored into the router schema
+	name  string       // actSetPurpose purpose name
 }
 
 // errRefused marks statements the router cannot execute across shards;
@@ -115,25 +111,18 @@ func planSelect(t *Table, sch *Schema, s *query.Select) (*plan, error) {
 
 // planScatter resolves how a multi-shard SELECT recombines. A plain scan
 // forwards verbatim and its rows concatenate; an aggregated statement
-// goes out in its partial form (rendered from the bound AST, so one
-// whose arguments were not all bound is refused here rather than merged
-// wrong). What cannot be recombined exactly is refused with the reason.
+// forwards verbatim too, flagged so that each shard answers it in its
+// partial form (query.Shape.Partial), which the router merges. What
+// cannot be recombined exactly is refused with the reason.
 func planScatter(s *query.Select, cols []string) (*plan, error) {
 	sh, err := query.NewShape(s, cols)
+	if err == nil {
+		_, err = sh.Partial()
+	}
 	if err != nil {
 		return nil, refuse("%v", err)
 	}
-	p := &plan{act: actScatter, shape: sh}
-	if sh.Aggregated() {
-		part, err := sh.Partial()
-		if err == nil {
-			p.partial, err = query.RenderSelect(part)
-		}
-		if err != nil {
-			return nil, refuse("%v", err)
-		}
-	}
-	return p, nil
+	return &plan{act: actScatter, shape: sh}, nil
 }
 
 func planInsert(t *Table, sch *Schema, s *query.Insert) (*plan, error) {

@@ -390,8 +390,8 @@ func (r *Router) rollbackAll(p *server.Peer, ss *rsession) bool {
 
 // execSQL parses, plans and executes one statement. The original SQL
 // (and arguments) forward verbatim to the target shards — the router
-// only picks recipients and merges results; the one statement it
-// rewrites is an aggregated scatter, into its partial form. A trace id
+// only picks recipients and merges results; an aggregated scatter goes
+// out flagged, and each shard answers it in its partial form. A trace id
 // in the frame forces a trace rooted under the caller's span; otherwise
 // local sampling decides. Under a trace, routing work records spans
 // under the root, and every downstream statement carries the trace id
@@ -408,6 +408,11 @@ func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
 	if root != nil {
 		root.Attr("sql", sql)
 		defer root.End()
+	}
+	if e.Partial {
+		// A partial form is what a shard answers the router; merged
+		// rows are not one.
+		return p.SendErr(wire.CodeSQL, refuse("the partial form of a statement is answered by a shard, not through the router"))
 	}
 	psp := tt.Span(root, "plan")
 	st, err := parseForRouting(sql, args)
@@ -432,14 +437,15 @@ func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
 		if err != nil {
 			return r.forwardErr(p, ss, pl.shard, err)
 		}
-		res, err := r.shardExec(ctx, c, tt, root, t.Shards[pl.shard].Name, sql, args)
+		res, err := r.shardExec(ctx, c, tt, root, t.Shards[pl.shard].Name, e)
 		if err != nil {
 			return r.forwardErr(p, ss, pl.shard, err)
 		}
 		return p.SendResult(wireResult(res))
 	case actScatter:
 		r.met.scatters.Inc()
-		return r.scatter(ctx, p, ss, t, pl, sql, args, tt, root)
+		e.Partial = pl.shape.Aggregated()
+		return r.scatter(ctx, p, ss, t, pl, e, tt, root)
 	case actBroadcast:
 		r.met.broadcast.Inc()
 		affected := 0
@@ -448,7 +454,7 @@ func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
 			if err != nil {
 				return r.forwardErr(p, ss, idx, err)
 			}
-			res, err := r.shardExec(ctx, c, tt, root, t.Shards[idx].Name, sql, args)
+			res, err := r.shardExec(ctx, c, tt, root, t.Shards[idx].Name, e)
 			if err != nil {
 				return r.forwardErr(p, ss, idx, err)
 			}
@@ -466,17 +472,17 @@ func (r *Router) execSQL(p *server.Peer, ss *rsession, e wire.Exec) bool {
 	return p.SendErr(wire.CodeSQL, fmt.Errorf("router: unhandled plan action %d", pl.act))
 }
 
-// shardExec forwards one statement to a shard. Under a trace, the
-// frame carries the trace id and a fresh client-side span as the
+// shardExec forwards one statement frame to a shard. Under a trace,
+// the frame carries the trace id and a fresh client-side span as the
 // shard's remote parent, so the shard's root hangs under it in the
 // stitched tree and the span itself shows the round-trip cost.
-func (r *Router) shardExec(ctx context.Context, c *client.Conn, tt *trace.T, parent *trace.S, shard, sql string, args []value.Value) (*client.Result, error) {
-	if tt == nil {
-		return c.Exec(ctx, sql, args...)
-	}
+func (r *Router) shardExec(ctx context.Context, c *client.Conn, tt *trace.T, parent *trace.S, shard string, e wire.Exec) (*client.Result, error) {
 	sp := tt.Span(parent, "shard_exec")
-	sp.Attr("shard", shard)
-	res, err := c.ExecTracedAs(ctx, tt.ID(), sp.ID(), sql, args...)
+	if sp != nil {
+		sp.Attr("shard", shard)
+		e.TraceID, e.ParentSpanID = tt.ID(), sp.ID()
+	}
+	res, err := c.ExecFrame(ctx, e)
 	sp.End()
 	return res, err
 }
@@ -484,12 +490,10 @@ func (r *Router) shardExec(ctx context.Context, c *client.Conn, tt *trace.T, par
 // scatter fans a SELECT out to every shard concurrently and merges.
 // A shard that cannot answer fails the query fast (with the shard named)
 // rather than silently returning partial data — but only this query:
-// routes that avoid the dead shard keep working. An aggregated statement
-// goes out in its partial form; a plain scan verbatim.
-func (r *Router) scatter(ctx context.Context, p *server.Peer, ss *rsession, t *Table, pl *plan, sql string, args []value.Value, tt *trace.T, root *trace.S) bool {
-	if pl.partial != "" {
-		sql, args = pl.partial, nil
-	}
+// routes that avoid the dead shard keep working. Each shard answers an
+// aggregated statement (e.Partial set) in its partial form, a plain
+// scan as itself.
+func (r *Router) scatter(ctx context.Context, p *server.Peer, ss *rsession, t *Table, pl *plan, e wire.Exec, tt *trace.T, root *trace.S) bool {
 	conns := make([]*client.Conn, len(t.Shards))
 	for idx := range t.Shards {
 		c, err := ss.conn(ctx, t, idx)
@@ -505,7 +509,7 @@ func (r *Router) scatter(ctx context.Context, p *server.Peer, ss *rsession, t *T
 		wg.Add(1)
 		go func(idx int, c *client.Conn) {
 			defer wg.Done()
-			res, err := r.shardExec(ctx, c, tt, root, t.Shards[idx].Name, sql, args)
+			res, err := r.shardExec(ctx, c, tt, root, t.Shards[idx].Name, e)
 			if err != nil {
 				errs[idx] = err
 				return

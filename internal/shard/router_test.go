@@ -57,9 +57,16 @@ type testShard struct {
 
 func startShard(t *testing.T, name string) *testShard {
 	t.Helper()
+	return startShardWith(t, name, 0, server.Options{})
+}
+
+// startShardWith is startShard with the engine's trace sampling rate
+// and the shard server's options.
+func startShardWith(t *testing.T, name string, traceSample int, opts server.Options) *testShard {
+	t.Helper()
 	s := &testShard{name: name, clock: vclock.NewSimulated(vclock.Epoch)}
 	s.dir = filepath.Join(t.TempDir(), name)
-	db, err := engine.Open(engine.Config{Dir: s.dir, Clock: s.clock, ShredBucket: time.Minute})
+	db, err := engine.Open(engine.Config{Dir: s.dir, Clock: s.clock, ShredBucket: time.Minute, TraceSample: traceSample})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func startShard(t *testing.T, name string) *testShard {
 	if err := db.ExecScript(testSchema); err != nil {
 		t.Fatal(err)
 	}
-	s.srv = server.New(db, server.Options{})
+	s.srv = server.New(db, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +105,19 @@ func startCluster(t *testing.T, n int) *cluster {
 // request timeout is always 10s).
 func startClusterWith(t *testing.T, n int, opts shard.Options) *cluster {
 	t.Helper()
-	c := &cluster{}
+	shards := make([]*testShard, n)
+	for i := range shards {
+		shards[i] = startShard(t, fmt.Sprintf("s%d", i))
+	}
+	return routeShards(t, shards, opts)
+}
+
+// routeShards starts a router with opts over running shards.
+func routeShards(t *testing.T, shards []*testShard, opts shard.Options) *cluster {
+	t.Helper()
+	c := &cluster{shards: shards}
 	var infos []shard.Info
-	for i := 0; i < n; i++ {
-		s := startShard(t, fmt.Sprintf("s%d", i))
-		c.shards = append(c.shards, s)
+	for _, s := range shards {
 		infos = append(infos, shard.Info{Name: s.name, Addr: s.addr})
 	}
 	c.table = shard.Uniform(infos)

@@ -2,11 +2,19 @@ package shard_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"instantdb/client"
+	"instantdb/internal/server"
+	"instantdb/internal/shard"
 	"instantdb/internal/trace"
+	"instantdb/internal/value"
+	"instantdb/internal/wire"
 )
 
 // dumpStitched polls the router for the trace until it has stitched at
@@ -203,5 +211,82 @@ func TestRouterAuditTailMergesShards(t *testing.T) {
 	}
 	if scheduled < 12 {
 		t.Fatalf("merged tail carries %d visits EvScheduled events, want >= 12", scheduled)
+	}
+}
+
+// TestScatterArgumentsStayOutOfShardText: an aggregated scatter reaches
+// each shard as the client's own text with its arguments bound apart,
+// so no argument value lands in what a shard writes down about the
+// statement — span attributes of its traces (every request sampled) or
+// its slow-query lines — and the shard's sql attribute is the client's
+// text.
+func TestScatterArgumentsStayOutOfShardText(t *testing.T) {
+	const marker = "marker-q7Zr"
+	var mu sync.Mutex
+	var slow []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		slow = append(slow, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	shards := make([]*testShard, 2)
+	for i := range shards {
+		shards[i] = startShardWith(t, fmt.Sprintf("s%d", i), 1, server.Options{SlowQuery: time.Nanosecond, SlowLogf: logf})
+	}
+	c := routeShards(t, shards, shard.Options{})
+	conn := dialRouter(t, c)
+	insertVisits(t, conn, 12)
+
+	const sql = "SELECT who, COUNT(*) AS n, AVG(id) FROM visits WHERE who <> ? GROUP BY who ORDER BY who"
+	rows, err := conn.Query(context.Background(), sql, value.Text(marker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Len() != 5 {
+		t.Fatalf("grouped scatter answered %d groups, want 5", rows.Len())
+	}
+	for _, s := range shards {
+		sawText := false
+		for _, rec := range s.db.Tracer().Recent() {
+			for _, sp := range rec.Spans {
+				for _, a := range sp.Attrs {
+					if strings.Contains(a.Val, marker) {
+						t.Errorf("shard %s span %s attribute %s = %q holds the argument", s.name, sp.Name, a.Key, a.Val)
+					}
+					sawText = sawText || a.Key == "sql" && a.Val == sql
+				}
+			}
+		}
+		if !sawText {
+			t.Errorf("shard %s recorded no span whose sql attribute is the client's text", s.name)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(slow) == 0 {
+		t.Fatal("no slow-query line logged")
+	}
+	for _, line := range slow {
+		if strings.Contains(line, marker) {
+			t.Errorf("slow-query line holds the argument: %s", line)
+		}
+	}
+}
+
+// TestRouterRefusesPartialFrame: the partial bit is for the router's own
+// requests to shards. A client frame carrying it is refused as a
+// statement error, and the session lives on.
+func TestRouterRefusesPartialFrame(t *testing.T) {
+	c := startCluster(t, 2)
+	conn := dialRouter(t, c)
+	ctx := context.Background()
+	insertVisits(t, conn, 6)
+	_, err := conn.ExecFrame(ctx, wire.Exec{Partial: true, SQL: "SELECT who, AVG(id) FROM visits GROUP BY who"})
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Code != wire.CodeSQL {
+		t.Fatalf("partial frame through the router = %v, want a statement error", err)
+	}
+	if rows, err := conn.Query(ctx, "SELECT COUNT(*) FROM visits"); err != nil || rows.Data[0][0].Int() != 6 {
+		t.Fatalf("session after the refusal: %v, %v", rows, err)
 	}
 }

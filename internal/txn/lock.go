@@ -157,10 +157,23 @@ type waiter struct {
 	granted chan struct{}
 }
 
+// lockTableKeep is the largest lock table whose map survives draining.
+// Go maps never shrink, so a table that grew past it is replaced once it
+// is empty: one transaction that locked many rows does not leave the
+// table at its peak size. A smaller map (up to ~220 KB) is kept, because
+// the batches that grow it come again at once: a degrade batch locks 257
+// resources and a bulk load of a few hundred rows as many, and remaking
+// the map for each batch slowed the benchmark's set-up of degradation
+// waves.
+const lockTableKeep = 4096
+
 // LockManager grants hierarchical locks with bounded waiting.
 type LockManager struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
+	// grown is set once locks has held more than lockTableKeep entries
+	// since it was made.
+	grown bool
 	// held lists the resources each transaction holds, in grant order,
 	// each once.
 	held    map[ID]*[]Resource
@@ -271,6 +284,7 @@ func (lm *LockManager) stateLocked(res Resource) *lockState {
 	if !ok {
 		st = statePool.Get().(*lockState)
 		lm.locks[res] = st
+		lm.grown = lm.grown || len(lm.locks) > lockTableKeep
 	}
 	return st
 }
@@ -390,12 +404,16 @@ func (lm *LockManager) wakeLocked(st *lockState, res Resource) {
 }
 
 // dropIdleLocked forgets a resource nobody holds or waits for, and
-// returns its entry to the pool.
+// returns its entry to the pool. The table's last entry takes a map
+// that grew past lockTableKeep with it.
 func (lm *LockManager) dropIdleLocked(st *lockState, res Resource) {
 	if len(st.holders) == 0 && len(st.queue) == 0 {
 		delete(lm.locks, res)
 		st.queue = nil
 		statePool.Put(st)
+		if len(lm.locks) == 0 && lm.grown {
+			lm.locks, lm.grown = make(map[Resource]*lockState), false
+		}
 	}
 }
 

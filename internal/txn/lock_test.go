@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -367,5 +368,39 @@ func TestTimedOutWaiterWakesQueue(t *testing.T) {
 	defer lm.mu.Unlock()
 	if len(lm.locks) != 0 {
 		t.Fatalf("%d lock states left after every holder released", len(lm.locks))
+	}
+}
+
+// TestLockTableShrinksAfterPeak: one transaction that locks many rows
+// grows the lock table; once it has released them, the table's storage
+// goes too, instead of staying at its peak size for the process's life.
+func TestLockTableShrinksAfterPeak(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	lm := NewLockManager(time.Second)
+	before := heap()
+	const rows = 200_000
+	if err := lm.Acquire(1, TableRes(1), LockIX); err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= rows; r++ {
+		if err := lm.Acquire(1, RowRes(1, storage.TupleID(r)), LockX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lm.ReleaseAll(1)
+	retained := heap() - before
+	// The table still works after it was replaced.
+	if err := lm.Acquire(2, RowRes(1, 1), LockX); err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(2)
+	if retained > 1<<20 {
+		t.Fatalf("%d row locks released, %d bytes of heap retained, want under 1 MiB", rows, retained)
 	}
 }

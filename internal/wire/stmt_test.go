@@ -13,12 +13,14 @@ import (
 )
 
 // TestExecRoundTrip covers the one statement frame: trace identity,
-// text and arguments each survive, and a frame missing a part or
-// carrying trailing bytes is refused.
+// the partial flag, text and arguments each survive, and a frame
+// missing a part, setting an undefined flag or carrying trailing bytes
+// is refused.
 func TestExecRoundTrip(t *testing.T) {
 	in := Exec{
 		TraceID:      1<<63 + 5,
 		ParentSpanID: 300,
+		Partial:      true,
 		SQL:          "SELECT id FROM person WHERE name = ? AND salary > ?",
 		Args:         []value.Value{value.Text("alice"), value.Int(2000)},
 	}
@@ -26,24 +28,27 @@ func TestExecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TraceID != in.TraceID || got.ParentSpanID != in.ParentSpanID || got.SQL != in.SQL ||
+	if got.TraceID != in.TraceID || got.ParentSpanID != in.ParentSpanID || !got.Partial || got.SQL != in.SQL ||
 		len(got.Args) != 2 || got.Args[0].Text() != "alice" || got.Args[1].Int() != 2000 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	// An untraced statement without arguments: zero ids, an empty row.
+	// An untraced statement without arguments: zero ids, no flag, an
+	// empty row.
 	got, err = DecodeExec(EncodeExec(Exec{SQL: "ROLLBACK"}))
-	if err != nil || got.TraceID != 0 || got.ParentSpanID != 0 || got.SQL != "ROLLBACK" || len(got.Args) != 0 {
+	if err != nil || got.TraceID != 0 || got.ParentSpanID != 0 || got.Partial || got.SQL != "ROLLBACK" || len(got.Args) != 0 {
 		t.Fatalf("plain round trip = %+v, %v", got, err)
 	}
 	ids := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 2)
 	for name, p := range map[string][]byte{
 		"empty":           nil,
 		"no parent span":  binary.AppendUvarint(nil, 1),
-		"no sql":          ids,
-		"no arg row":      appendString(ids, "SELECT 1"),
-		"short sql":       append(binary.AppendUvarint(ids, 9), "SELECT"...),
+		"no flags":        ids,
+		"undefined flag":  appendString(append(ids, 2), "SELECT 1"),
+		"no sql":          append(ids, 0),
+		"no arg row":      appendString(append(ids, 0), "SELECT 1"),
+		"short sql":       append(binary.AppendUvarint(append(ids, 0), 9), "SELECT"...),
 		"trailing bytes":  append(EncodeExec(Exec{SQL: "SELECT 1"}), 0x00),
-		"hostile arg row": binary.AppendUvarint(appendString(ids, "SELECT ?"), 1<<60),
+		"hostile arg row": binary.AppendUvarint(appendString(append(ids, 1), "SELECT ?"), 1<<60),
 	} {
 		if _, err := DecodeExec(p); err == nil {
 			t.Errorf("%s: decoded, want an error", name)
@@ -61,6 +66,8 @@ func FuzzDecodeExec(f *testing.F) {
 		{SQL: "BEGIN READ ONLY"},
 		{TraceID: 7, ParentSpanID: 9, SQL: "INSERT INTO t VALUES (?, ?)",
 			Args: []value.Value{value.Int(-1), value.Text("a;b")}},
+		{Partial: true, SQL: "SELECT g, AVG(v) FROM t WHERE v > ? GROUP BY g", Args: []value.Value{value.Float(0.5)}},
+		{TraceID: 3, ParentSpanID: 4, Partial: true, SQL: "SELECT COUNT(*) FROM t"},
 		{TraceID: 1 << 63, SQL: "SELECT ?", Args: []value.Value{value.Null(), value.Float(0.5),
 			value.Bool(true), value.Time(time.Unix(7, 0))}},
 	} {
@@ -68,7 +75,8 @@ func FuzzDecodeExec(f *testing.F) {
 		f.Add(enc)
 		f.Add(enc[:len(enc)-1])
 	}
-	f.Add(binary.AppendUvarint([]byte{0, 0, 0}, 1<<62))
+	f.Add(binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<62)) // a claimed argument count
+	f.Add(binary.AppendUvarint([]byte{0, 0, 0}, 1<<62))    // a claimed text length
 	f.Add([]byte{})
 	perArg := int(unsafe.Sizeof(value.Value{}))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -98,7 +106,7 @@ func FuzzDecodeExec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v re-encodes to a frame that does not decode: %v", e, err)
 		}
-		if again.TraceID != e.TraceID || again.ParentSpanID != e.ParentSpanID || again.SQL != e.SQL ||
+		if again.TraceID != e.TraceID || again.ParentSpanID != e.ParentSpanID || again.Partial != e.Partial || again.SQL != e.SQL ||
 			len(again.Args) != len(e.Args) {
 			t.Fatalf("round trip changed %+v to %+v", e, again)
 		}

@@ -27,16 +27,17 @@ import (
 const Magic uint32 = 0x49444201 // "IDB\x01"
 
 // Version is the protocol version this package implements. The server
-// refuses handshakes with a different version. Version 4 has no
-// server-side prepared statements: a prepared statement is a client
-// handle that sends OpExec with arguments; version 3 also had a
-// per-session statement registry. Since version 3 every statement is
-// one OpExec frame (Exec payload: trace identity, text, arguments);
-// version 2 had a request opcode per statement kind and a trace
-// wrapper. Since version 2 every value — result rows, statement
-// arguments, replication payloads — travels in the storage codec with
-// INTs as varints; version 1 carried them as 8 fixed bytes.
-const Version uint16 = 4
+// refuses handshakes with a different version. Version 5 adds a flags
+// byte to the Exec payload, whose one bit (Exec.Partial) asks for a
+// SELECT's partial form; version 4 had none. Since version 4 a prepared
+// statement is a client handle that sends OpExec with arguments;
+// version 3 also had a per-session statement registry. Since version 3
+// every statement is one OpExec frame (Exec payload: trace identity,
+// text, arguments); version 2 had a request opcode per statement kind
+// and a trace wrapper. Since version 2 every value — result rows,
+// statement arguments, replication payloads — travels in the storage
+// codec with INTs as varints; version 1 carried them as 8 fixed bytes.
+const Version uint16 = 5
 
 // MaxFrameDefault bounds frame payloads unless overridden: large enough
 // for sizeable result sets, small enough that a hostile length prefix
@@ -463,8 +464,8 @@ func DecodeResult(p []byte) (*Result, error) {
 	return r, nil
 }
 
-// Exec is the OpExec payload: one statement, its arguments, and the
-// trace it joins.
+// Exec is the OpExec payload: one statement, its arguments, how it is
+// answered, and the trace it joins.
 type Exec struct {
 	// TraceID forces a trace the receiver's spans join; 0 leaves the
 	// statement to the receiver's local sampling.
@@ -472,23 +473,37 @@ type Exec struct {
 	// ParentSpanID is the caller's span the receiver's root hangs under
 	// in a stitched tree (0 for a client-originated trace).
 	ParentSpanID uint64
-	SQL          string
+	// Partial asks for a SELECT's partial form (query.Shape.Partial)
+	// instead of its answer: the rows a shard router merges. A shard
+	// router sets it on an aggregated scatter.
+	Partial bool
+	SQL     string
 	// Args bind to the statement's `?` placeholders.
 	Args []value.Value
 }
 
+// execPartial is the Exec flags bit of Exec.Partial; no other bit is
+// defined.
+const execPartial byte = 1
+
 // EncodeExec serializes an OpExec payload: the trace id and parent span
-// id as uvarints, the SQL text (uvarint-length-prefixed), then the
-// arguments in the internal/value row codec.
+// id as uvarints, a flags byte, the SQL text (uvarint-length-prefixed),
+// then the arguments in the internal/value row codec.
 func EncodeExec(e Exec) []byte {
-	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(e.SQL)+1)
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(e.SQL)+2)
 	b = binary.AppendUvarint(b, e.TraceID)
 	b = binary.AppendUvarint(b, e.ParentSpanID)
+	var flags byte
+	if e.Partial {
+		flags |= execPartial
+	}
+	b = append(b, flags)
 	b = appendString(b, e.SQL)
 	return value.EncodeRow(b, e.Args)
 }
 
-// DecodeExec parses an OpExec payload.
+// DecodeExec parses an OpExec payload. A flags byte with an undefined
+// bit set is refused.
 func DecodeExec(p []byte) (Exec, error) {
 	var e Exec
 	var err error
@@ -498,6 +513,13 @@ func DecodeExec(p []byte) (Exec, error) {
 	if e.ParentSpanID, p, err = readUvarint(p, "exec parent span id"); err != nil {
 		return Exec{}, err
 	}
+	if len(p) == 0 {
+		return Exec{}, fmt.Errorf("wire: exec flags")
+	}
+	if p[0]&^execPartial != 0 {
+		return Exec{}, fmt.Errorf("wire: exec flags %#x has undefined bits", p[0])
+	}
+	e.Partial, p = p[0]&execPartial != 0, p[1:]
 	sql, used, err := readString(p)
 	if err != nil {
 		return Exec{}, fmt.Errorf("wire: exec sql: %w", err)
