@@ -60,7 +60,9 @@ md-check:
 # decodes the same, and no claimed count sizes an allocation), the B+tree key codec (keys of one kind order as their
 # values do and none is a proper prefix of another), the WAL
 # batch-payload decoder (replication and recovery feed it bytes from
-# outside the process), the audit trail's block decoder (Verify and
+# outside the process; seeded with every column form a run takes, and
+# with non-canonical columns and claimed widths and lengths the input
+# cannot hold, which it must refuse), the audit trail's block decoder (Verify and
 # every reopen feed it bytes from a directory an attacker may have
 # written) and its run encoder on event streams that make and break
 # runs, from single events to whole batches, the B+tree's op stream
@@ -104,8 +106,9 @@ fuzz-smoke:
 # pending three degradation transitions (one arrival-log task, on a
 # still clock and on a moving one), audit-trail bytes per event (rows
 # inserted one per commit, and the benchmark's 500-row commits), WAL
-# bytes per insert and per
-# degrade record (with the allocations per sealed payload), page reads
+# bytes per insert and per degrade record on a still clock and off a
+# progression (with the allocations per sealed payload), allocations
+# per record replaying a 500-row insert run, page reads
 # plus writes per degradation transition, per row a THEN DELETE wave
 # deletes and per row a bulk UPDATE rewrites, heap bytes allocated per
 # transition, heap bytes allocated per row of a 500-row insert commit,

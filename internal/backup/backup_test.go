@@ -627,6 +627,16 @@ func TestRestoreRefusesFormat2Archive(t *testing.T) {
 	refusesArchive(t, 2, rec)
 }
 
+// TestRestoreRefusesFormat3Archive: an archive of runs whose stable
+// rows are written row by row is refused at its header as well — its
+// id deltas would misread as a seq's mode byte.
+func TestRestoreRefusesFormat3Archive(t *testing.T) {
+	// A format 3 delete run of ids 7 and 8: type, table, count, first
+	// id, delta +1.
+	rec := []byte{byte(wal.RecDelete), 1, 2, 7, 2}
+	refusesArchive(t, 3, rec)
+}
+
 // refusesArchive restores an archive of format version whose records
 // section is rec, and requires the version error and nothing left at
 // the target.

@@ -31,11 +31,12 @@ import (
 var archiveMagic = [8]byte{'I', 'D', 'B', 'K', 'U', 'P', 0x01, '\n'}
 
 // FormatVersion is the archive format version this package reads and
-// writes. Version 3 carries run-encoded record sections whose values
-// hold INTs as varints (wal format 3). Version 2 held the same runs with
-// fixed-width INTs, version 1 per-record sections; either is refused at
-// its header, before any record bytes reach the decoder.
-const FormatVersion uint16 = 3
+// writes. Version 4 carries record sections in the WAL's column-wise
+// runs (wal format 4). Version 3 held runs with stable rows written row
+// by row, version 2 the same with fixed-width INTs, version 1
+// per-record sections; each is refused at its header, before any record
+// bytes reach the decoder.
+const FormatVersion uint16 = 4
 
 // Section kinds. Every section is framed as
 //

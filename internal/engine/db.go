@@ -62,7 +62,11 @@ const (
 	// simulations) with no durability.
 	LogNone LogMode = iota
 	// LogPlain writes payloads verbatim — durable but the log leaks
-	// expired accuracy states until a checkpoint truncates it.
+	// expired accuracy states until a checkpoint truncates it. Only
+	// DB.Checkpoint does, and a running server never calls it
+	// (degradectl checkpoint runs it on a directory no server has open),
+	// so a server in this mode keeps every expired state in its log for
+	// as long as it runs.
 	LogPlain
 	// LogShred encrypts degradable payloads under epoch keys destroyed
 	// as deadlines pass (the default durable mode).

@@ -610,6 +610,11 @@ func TestProtocolVersion3Refused(t *testing.T) { expectVersionRefused(t, 3) }
 // OpExec payload without the flags byte, which this build would misread.
 func TestProtocolVersion4Refused(t *testing.T) { expectVersionRefused(t, 4) }
 
+// TestProtocolVersion5Refused: a peer of protocol version 5 ships
+// replication batches with stable rows written row by row, which this
+// build would misread.
+func TestProtocolVersion5Refused(t *testing.T) { expectVersionRefused(t, 5) }
+
 // expectVersionRefused checks, on a server and on a router, that a
 // Hello of an older protocol version is refused with CodeProtocol and
 // the connection closes.

@@ -17,12 +17,16 @@ import (
 )
 
 const (
-	// batchMagic opens every batch frame of format 3: run-encoded
-	// payloads whose values carry INTs as varints. Format 1 framed
-	// per-record payloads under batchMagicV1, format 2 the same runs with
-	// fixed-width INTs under batchMagicV2; Open refuses such a log instead
-	// of mistaking it for a torn tail.
-	batchMagic      = 0x33415749 // "IWA3"
+	// batchMagic opens every batch frame of format 4: runs whose
+	// per-record columns — ids, insert times, payload lengths, stable
+	// values — are written column by column (see EncodeRecords). Format
+	// 3 wrote stable rows row by row and every id and time as a delta
+	// under batchMagicV3, format 2 the same runs with fixed-width INTs
+	// under batchMagicV2, format 1 per-record payloads under
+	// batchMagicV1; Open refuses such a log instead of mistaking it for
+	// a torn tail.
+	batchMagic      = 0x34415749 // "IWA4"
+	batchMagicV3    = 0x33415749 // "IWA3"
 	batchMagicV2    = 0x32415749 // "IWA2"
 	batchMagicV1    = 0x4C415749 // "IWAL"
 	batchHeaderSize = 12
@@ -238,10 +242,12 @@ func checkSegmentFormat(path string) error {
 		old = "format 1 (per-record)"
 	case batchMagicV2:
 		old = "format 2 (fixed-width INT)"
+	case batchMagicV3:
+		old = "format 3 (row-wise stable rows)"
 	default:
 		return nil
 	}
-	return fmt.Errorf("%w: %s holds %s batches, this build reads format 3 (run-encoded, varint INT) only",
+	return fmt.Errorf("%w: %s holds %s batches, this build reads format 4 (column-wise runs) only",
 		ErrFormatVersion, filepath.Base(path), old)
 }
 

@@ -204,22 +204,22 @@ func payloadBytes(t *testing.T, enc []byte, n int) map[storage.TupleID][]byte {
 	if got := rd.uvarint(); got != uint64(n) {
 		t.Fatalf("run of %d records, want %d", got, n)
 	}
-	tuples := []storage.TupleID{storage.TupleID(rd.uvarint())}
-	for i := 1; i < n; i++ {
-		tuples = append(tuples, tuples[i-1]+storage.TupleID(rd.varint()))
+	var sc scratch
+	var tuples []storage.TupleID
+	for _, id := range rd.seq(&sc, n, seqUvarint) {
+		tuples = append(tuples, storage.TupleID(id))
 	}
-	for i := 0; i < n; i++ {
-		rd.varint() // insert time and deltas
-	}
-	rd.varint() // bucket
-	rd.byte()   // column position
-	rd.byte()   // new state
+	rd.seq(&sc, n, seqVarint) // insert times
+	rd.varint()               // bucket
+	rd.byte()                 // column position
+	rd.byte()                 // new state
 	if st := rd.byte(); st != statusEnc {
 		t.Fatalf("column status %d, want all encrypted", st)
 	}
+	lens := rd.seq(&sc, n, seqUvarint)
 	out := make(map[storage.TupleID][]byte, n)
-	for _, tid := range tuples {
-		out[tid] = rd.bytes(rd.uvarint())
+	for i, tid := range tuples {
+		out[tid] = rd.bytes(lens[i])
 	}
 	if rd.err != nil || len(rd.p) != 0 {
 		t.Fatalf("walking the run: err %v, %d bytes left", rd.err, len(rd.p))
@@ -283,11 +283,12 @@ func TestSealIsCompositionIndependent(t *testing.T) {
 }
 
 // TestTornTailInsideRun cuts a group flush at every kind of place a
-// 64-record run has — header, delta columns, stable rows, payloads, last
-// byte — and requires the same of each: the acked batch before it
-// replays, nothing of the torn run does, and the log takes appends again.
-// Every INT sits above 2^50, so each is an 8-byte varint and the cuts
-// also land inside multi-byte varints.
+// 64-record run has — header, id column, inside the 9-byte first insert
+// time, inside the key column's 8-byte first INT, the name lengths'
+// deltas, the names, the payloads, last byte — and requires the same of
+// each: the acked batch before it replays, nothing of the torn run does,
+// and the log takes appends again. Every INT sits above 2^50, so each is
+// an 8-byte varint.
 func TestTornTailInsideRun(t *testing.T) {
 	run := make([]*Record, 64)
 	for i := range run {
@@ -298,7 +299,7 @@ func TestTornTailInsideRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{1, 3, 40, 200, len(payload) / 2, len(payload) - 10, len(payload) - 1} {
+	for _, cut := range []int{1, 3, 10, 26, 40, 200, len(payload) / 2, len(payload) - 10, len(payload) - 1} {
 		t.Run(fmt.Sprintf("cut-%d-of-%d", cut, len(payload)), func(t *testing.T) {
 			fi := &FaultInjector{}
 			l, dir := openFaultLog(t, fi, Options{Sync: true})
@@ -412,6 +413,15 @@ func TestOpenRefusesFormat2Log(t *testing.T) {
 	refusesSegment(t, batchMagicV2, payload, "format 2")
 }
 
+// TestOpenRefusesFormat3Log: a segment of runs whose stable rows are
+// written row by row is refused by name — its frames are well formed,
+// and its id deltas would misread as a seq's mode byte.
+func TestOpenRefusesFormat3Log(t *testing.T) {
+	// One format 3 frame: a delete run of ids 7 and 8 (type, table,
+	// count, first id, delta +1).
+	refusesSegment(t, batchMagicV3, []byte{byte(RecDelete), 1, 2, 7, 2}, "format 3")
+}
+
 // refusesSegment writes one frame of payload under magic as the only
 // segment of a log, and requires Open to refuse it with ErrFormatVersion
 // naming the format, leaving the segment as it was.
@@ -437,65 +447,93 @@ func refusesSegment(t *testing.T, magic uint32, payload []byte, format string) {
 	}
 }
 
-// TestWALSizeBudget pins what a record costs in the log, on the
-// benchmark's row shape (bench/gen.go: an INT key, a name of 11 to 19
-// bytes, a location stored as a node id, an INT salary) loaded the way
-// the benchmark loads it — 500-row insert transactions, degradation
-// batches of 256 — under the codec production uses. Budgets, with the
-// cost under fixed-width INTs and under the per-record encoding beside
-// them: an insert 40 B (51, 94), a degradation 10 B (12, 43), a one-row
-// insert commit 75 B (85, 106), and no allocation per sealed payload
-// beyond one per hundred (was three, and a key schedule).
-func TestWALSizeBudget(t *testing.T) {
-	codec := openShredCodec(t, time.Hour)
-	rng := rand.New(rand.NewSource(14))
-	const rows, perTxn, perBatch = 20000, 500, 256
-	const insertBudget, degradeBudget, commitBudget = 40, 10, 75
-	now := vclock.Epoch.UnixNano()
-	person := func(id int) *Record {
+// walRows draws n rows of the benchmark's shape (bench/gen.go: an INT
+// key, a name of 11 to 19 bytes, a location stored as a node id, an INT
+// salary): ids and insert times from next, salaries below maxSalary.
+func walRows(rng *rand.Rand, n int, maxSalary int64, next func() (storage.TupleID, int64)) []*Record {
+	recs := make([]*Record, n)
+	for i := range recs {
+		id, nano := next()
 		name := "p" + "anderssonxbouganimyz"[:10+rng.Intn(9)]
-		return &Record{Type: RecInsert, Table: 1, Tuple: storage.TupleID(id), InsertNano: now,
+		recs[i] = &Record{Type: RecInsert, Table: 1, Tuple: id, InsertNano: nano,
 			States:    []uint8{0, 0},
 			StableRow: []value.Value{value.Int(int64(id)), value.Text(name), value.Null(), value.Null()},
-			DegVals:   []value.Value{value.Int(498073600 + rng.Int63n(4096)), value.Int(100 + rng.Int63n(9000))}}
+			DegVals:   []value.Value{value.Int(498073600 + rng.Int63n(4096)), value.Int(100 + rng.Int63n(maxSalary))}}
 	}
+	return recs
+}
+
+// walWave returns one degradation wave over inserts: every location one
+// level up.
+func walWave(rng *rand.Rand, inserts []*Record) []*Record {
+	wave := make([]*Record, len(inserts))
+	for i, r := range inserts {
+		wave[i] = &Record{Type: RecDegrade, Table: 1, Tuple: r.Tuple, InsertNano: r.InsertNano,
+			DegPos: 0, NewState: 1, NewStored: value.Int(498070000 + rng.Int63n(64))}
+	}
+	return wave
+}
+
+// walBytes logs inserts in transactions of perTxn and then wave in
+// batches of perBatch, the way the benchmark loads and degrades, and
+// returns the log bytes each took.
+func walBytes(t *testing.T, codec Codec, inserts, wave []*Record, perTxn, perBatch int) (insertBytes, waveBytes int64) {
+	t.Helper()
 	l, err := Open(filepath.Join(t.TempDir(), "wal"), Options{Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-
-	var inserts []*Record
-	for id := 1; id <= rows; id++ {
-		inserts = append(inserts, person(id))
-	}
-	for at := 0; at < rows; at += perTxn {
-		if err := appendRecs(l, inserts[at:at+perTxn]); err != nil {
+	for at := 0; at < len(inserts); at += perTxn {
+		if err := appendRecs(l, inserts[at:min(at+perTxn, len(inserts))]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	insertBytes := l.SizeBytes()
+	insertBytes = l.SizeBytes()
+	for at := 0; at < len(wave); at += perBatch {
+		if err := appendRecs(l, wave[at:min(at+perBatch, len(wave))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return insertBytes, l.SizeBytes() - insertBytes
+}
+
+// TestWALSizeBudget pins what a record costs in the log, on the
+// benchmark's row shape loaded the way the benchmark loads it —
+// 500-row insert transactions on a still clock, degradation batches of
+// 256 — under the codec production uses. Budgets, with the cost under
+// row-wise stable rows and per-record id, time and length deltas, under
+// fixed-width INTs and under the per-record encoding beside them: an
+// insert 27.5 B (36.8, 51, 94), a degradation 6.5 B (9.1, 12, 43), a
+// one-row insert commit 69 B (69, 85, 106), and no allocation per
+// sealed payload beyond one per hundred (was three, and a key schedule).
+//
+// The moving-clock case is the one a still clock hides: ids with gaps,
+// inserts 1 to 2 ms apart and salaries of mixed lengths, so no id, time
+// or salary-length column is a progression. Each of its runs may cost at
+// most 2 B more than the row-wise encoding wrote for it.
+func TestWALSizeBudget(t *testing.T) {
+	codec := openShredCodec(t, time.Hour)
+	rng := rand.New(rand.NewSource(14))
+	const rows, perTxn, perBatch = 20000, 500, 256
+	const insertBudget, degradeBudget, commitBudget = 27.5, 6.5, 69
+	now := vclock.Epoch.UnixNano()
+	id := 0
+	inserts := walRows(rng, rows, 9000, func() (storage.TupleID, int64) {
+		id++
+		return storage.TupleID(id), now
+	})
+	wave := walWave(rng, inserts)
+	insertBytes, waveBytes := walBytes(t, codec, inserts, wave, perTxn, perBatch)
 	perInsert := float64(insertBytes) / rows
-	t.Logf("insert record: %.1f B in %d-row transactions (budget %d)", perInsert, perTxn, insertBudget)
+	t.Logf("insert record: %.1f B in %d-row transactions (budget %.1f)", perInsert, perTxn, insertBudget)
 	if perInsert > insertBudget {
-		t.Errorf("an insert record costs %.1f B, budget %d", perInsert, insertBudget)
+		t.Errorf("an insert record costs %.1f B, budget %.1f", perInsert, insertBudget)
 	}
-
-	// One wave: every location one level up, in the degrader's batches.
-	var wave []*Record
-	for _, r := range inserts {
-		wave = append(wave, &Record{Type: RecDegrade, Table: 1, Tuple: r.Tuple, InsertNano: r.InsertNano,
-			DegPos: 0, NewState: 1, NewStored: value.Int(498070000 + rng.Int63n(64))})
-	}
-	for at := 0; at < rows; at += perBatch {
-		if err := appendRecs(l, wave[at:min(at+perBatch, rows)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perDegrade := float64(l.SizeBytes()-insertBytes) / rows
-	t.Logf("degrade record: %.1f B in batches of %d (budget %d)", perDegrade, perBatch, degradeBudget)
+	perDegrade := float64(waveBytes) / rows
+	t.Logf("degrade record: %.1f B in batches of %d (budget %.1f)", perDegrade, perBatch, degradeBudget)
 	if perDegrade > degradeBudget {
-		t.Errorf("a degrade record costs %.1f B, budget %d", perDegrade, degradeBudget)
+		t.Errorf("a degrade record costs %.1f B, budget %.1f", perDegrade, degradeBudget)
 	}
 
 	one, err := EncodeRecords(nil, inserts[:1], codec)
@@ -519,5 +557,100 @@ func TestWALSizeBudget(t *testing.T) {
 	t.Logf("sealing: %.4f allocations per payload (budget 0.01)", allocs/perBatch)
 	if allocs/perBatch > 0.01 {
 		t.Errorf("%.0f allocations to seal %d payloads, budget one per hundred", allocs, perBatch)
+	}
+
+	t.Run("moving-clock", func(t *testing.T) {
+		// The row-wise encoding's bytes for exactly these records (seed
+		// 15), and the runs they form.
+		const rowWiseInserts, rowWiseWave = 816239, 241302
+		insertRuns, waveRuns := (rows+perTxn-1)/perTxn, (rows+perBatch-1)/perBatch
+		rng := rand.New(rand.NewSource(15))
+		id, nano := 0, now
+		inserts := walRows(rng, rows, 1_000_000, func() (storage.TupleID, int64) {
+			id += 1 + rng.Intn(3)
+			nano += int64(time.Millisecond) + rng.Int63n(int64(time.Millisecond))
+			return storage.TupleID(id), nano
+		})
+		insertBytes, waveBytes := walBytes(t, codec, inserts, walWave(rng, inserts), perTxn, perBatch)
+		t.Logf("insert record: %.1f B (row-wise %.1f B); degrade record: %.1f B (row-wise %.1f B)",
+			float64(insertBytes)/rows, float64(rowWiseInserts)/rows, float64(waveBytes)/rows, float64(rowWiseWave)/rows)
+		if limit := int64(rowWiseInserts + 2*insertRuns); insertBytes > limit {
+			t.Errorf("inserts off a progression cost %d B, over the row-wise %d B plus 2 B per run", insertBytes, rowWiseInserts)
+		}
+		if limit := int64(rowWiseWave + 2*waveRuns); waveBytes > limit {
+			t.Errorf("degradations off a progression cost %d B, over the row-wise %d B plus 2 B per run", waveBytes, rowWiseWave)
+		}
+	})
+}
+
+// TestReplayAllocSizeBudget: replaying a 500-row insert run of the
+// benchmark's shape allocates the names' strings and a handful of arrays
+// per run — every row, state vector and payload of the run shares one
+// backing array per field. Budget 1.05 allocations per record (2.01
+// when every stable row was an allocation of its own).
+func TestReplayAllocSizeBudget(t *testing.T) {
+	codec := openShredCodec(t, time.Hour)
+	const rows, budget = 500, 1.05
+	id, now := 0, vclock.Epoch.UnixNano()
+	recs := walRows(rand.New(rand.NewSource(14)), rows, 9000, func() (storage.TupleID, int64) {
+		id++
+		return storage.TupleID(id), now
+	})
+	enc, err := EncodeRecords(nil, recs, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		seen = 0
+		if err := decodeRuns(enc, codec, func(*Record) error { seen++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if seen != rows {
+		t.Fatalf("replayed %d records, want %d", seen, rows)
+	}
+	t.Logf("replay: %.3f allocations per record (budget %.2f)", allocs/rows, budget)
+	if allocs/rows > budget {
+		t.Errorf("replay costs %.3f allocations per record, budget %.2f", allocs/rows, budget)
+	}
+}
+
+// TestDecodedRecordsOwnTheirBytes: overwriting the decoded input leaves
+// every decoded record as it was — no stable value, payload or state
+// vector aliases the segment a replay read, under either codec.
+func TestDecodedRecordsOwnTheirBytes(t *testing.T) {
+	var recs []*Record
+	for i := 0; i < 40; i++ {
+		r := insertRec(storage.TupleID(10+i), fmt.Sprintf("name-%d", i), value.Text(fmt.Sprintf("place-%d", i%7)))
+		r.StableRow = append(r.StableRow, value.Text(strings.Repeat("t", i)))
+		if i%3 == 0 {
+			r.StableRow[0] = value.Text("a key of another kind")
+		}
+		r.States, r.DegLost = []uint8{1}, []bool{false}
+		recs = append(recs, r)
+	}
+	recs = append(recs, &Record{Type: RecUpdateStable, Table: 1, Tuple: 11, Col: 1, Val: value.Text("renamed")},
+		&Record{Type: RecDegrade, Table: 1, Tuple: 12, DegPos: 0, NewState: 2, NewStored: value.Text("region")})
+	for name, codec := range map[string]Codec{"plain": PlainCodec{}, "shred": openShredCodec(t, time.Hour)} {
+		enc, err := EncodeRecords(nil, recs, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecords(enc, codec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range enc {
+			enc[i] = 0xA5
+		}
+		if len(got) != len(recs) {
+			t.Fatalf("%s: %d records decoded, want %d", name, len(got), len(recs))
+		}
+		for i := range recs {
+			if err := sameRecord(recs[i], got[i]); err != nil {
+				t.Fatalf("%s: record %d changed with the input: %v", name, i, err)
+			}
+		}
 	}
 }

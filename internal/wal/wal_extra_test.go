@@ -108,7 +108,7 @@ func TestPayloadColumnBadFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := statusAt + 2 // one more tuple delta, one more time delta
+	at := statusAt + 4 // a mode byte and a step for each of the id and time columns
 	if mixed[at] != statusMixed || mixed[at+1] != statusPlain|statusLost<<2 {
 		t.Fatalf("mixed column header % x", mixed[at:at+2])
 	}

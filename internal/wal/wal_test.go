@@ -35,7 +35,7 @@ func sealOne(c Codec, table uint32, col, state uint8, nano int64, tuple storage.
 	}
 	out := append([]byte(nil), plain...)
 	if block != nil {
-		new(keystream).xor(block, out, tuple, table, col, state)
+		new(scratch).xor(block, out, tuple, table, col, state)
 	}
 	return out, nil
 }
@@ -47,7 +47,7 @@ func openOne(c Codec, table uint32, col, state uint8, nano int64, tuple storage.
 		return nil, false, err
 	}
 	out := append([]byte(nil), sealed...)
-	new(keystream).xor(block, out, tuple, table, col, state)
+	new(scratch).xor(block, out, tuple, table, col, state)
 	return out, true, nil
 }
 

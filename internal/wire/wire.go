@@ -27,17 +27,20 @@ import (
 const Magic uint32 = 0x49444201 // "IDB\x01"
 
 // Version is the protocol version this package implements. The server
-// refuses handshakes with a different version. Version 5 adds a flags
-// byte to the Exec payload, whose one bit (Exec.Partial) asks for a
-// SELECT's partial form; version 4 had none. Since version 4 a prepared
-// statement is a client handle that sends OpExec with arguments;
-// version 3 also had a per-session statement registry. Since version 3
-// every statement is one OpExec frame (Exec payload: trace identity,
-// text, arguments); version 2 had a request opcode per statement kind
-// and a trace wrapper. Since version 2 every value — result rows,
-// statement arguments, replication payloads — travels in the storage
-// codec with INTs as varints; version 1 carried them as 8 fixed bytes.
-const Version uint16 = 5
+// refuses handshakes with a different version. Version 6 ships
+// replication batches in the WAL's column-wise runs (wal format 4);
+// version 5 shipped them with stable rows written row by row. Version 5
+// added a flags byte to the Exec payload, whose one bit (Exec.Partial)
+// asks for a SELECT's partial form; version 4 had none. Since version 4
+// a prepared statement is a client handle that sends OpExec with
+// arguments; version 3 also had a per-session statement registry. Since
+// version 3 every statement is one OpExec frame (Exec payload: trace
+// identity, text, arguments); version 2 had a request opcode per
+// statement kind and a trace wrapper. Since version 2 every value —
+// result rows, statement arguments, replication payloads — travels in
+// the storage codec with INTs as varints; version 1 carried them as 8
+// fixed bytes.
+const Version uint16 = 6
 
 // MaxFrameDefault bounds frame payloads unless overridden: large enough
 // for sizeable result sets, small enough that a hostile length prefix
